@@ -3,7 +3,7 @@
 PYTHON ?= python3
 STORE ?= .repro-store
 
-.PHONY: install test test-fast test-explore explore-smoke bench experiments examples store-report store-trend all
+.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments examples store-report store-trend all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -32,6 +32,12 @@ explore-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The repo benchmark (BENCHMARK.json): four end-to-end workloads in
+# fresh processes, wall/cpu/set-up medians only.  Drop --no-trace for
+# the per-layer pass as well; e2e_bench/README.md explains the metrics.
+e2e-bench:
+	$(PYTHON) -m e2e_bench --no-trace
 
 experiments:
 	$(PYTHON) -m repro.experiments

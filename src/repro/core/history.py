@@ -127,6 +127,12 @@ class SampledHistory:
             )
         samples.append((t, value))
 
+    def drop_from(self, t: int) -> None:
+        """Forget every sample taken at time ``t`` or later."""
+        for samples in self._samples:
+            while samples and samples[-1][0] >= t:
+                samples.pop()
+
     def samples_of(self, pid: int) -> Iterator[Sample]:
         return iter(self._samples[pid])
 

@@ -6,10 +6,11 @@ package *enumerates* them.  A :class:`~repro.explore.control
 through its scheduler/delivery extension points, turning every
 scheduler pick and message-delivery pick into an explicit indexed
 choice; :func:`~repro.explore.engine.explore_case` exhausts the
-resulting bounded tree by replay-based DFS with partial-order,
-state-dedup and pid-symmetry reductions (the incremental fingerprint
-engine behind dedup lives in :mod:`repro.explore.state`, the symmetry
-group in :mod:`repro.explore.symmetry`); the frontier
+resulting bounded tree by DFS — one live system, rewound from path to
+path — with partial-order, state-dedup and pid-symmetry reductions
+(the incremental fingerprint engine behind dedup lives in
+:mod:`repro.explore.state`, the symmetry group in
+:mod:`repro.explore.symmetry`); the frontier
 (:mod:`repro.explore.frontier`) enumerates detector assignments and
 crash schedules across subtree roots and fans the work out as a
 :mod:`repro.runner` campaign, :mod:`repro.explore.shard` splits a

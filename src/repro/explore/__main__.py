@@ -94,8 +94,9 @@ def _parse_args(argv) -> argparse.Namespace:
         default="indexed",
         help=(
             "network engine to drive (default indexed; 'both' = the "
-            "two pure-Python engines; 'native' needs the compiled core "
-            "or silently degrades to indexed)"
+            "two pure-Python engines; 'native' runs on the indexed "
+            "engine where the compiled core is not built — --stats "
+            "names the network class that actually ran)"
         ),
     )
     parser.add_argument(
@@ -404,10 +405,17 @@ def main(argv=None) -> int:
                 "fp_nodes": 0,
                 "opaque_tokens": 0,
             }
+            rewinds = hosts_rebuilt = 0
+            engine_classes = set()
             complete = True
             for summary in summaries:
                 for key in totals:
                     totals[key] += summary["stats"][key]
+                rewinds += summary["counters"].get("explore_rewinds", 0)
+                hosts_rebuilt += summary["counters"].get(
+                    "explore_hosts_rebuilt", 0
+                )
+                engine_classes.add(summary.get("engine_class", ""))
                 complete = complete and summary["complete"]
                 if args.stats:
                     case = summary["case"]
@@ -436,9 +444,11 @@ def main(argv=None) -> int:
                     f" — runs={totals['runs']} states={totals['states']} "
                     f"dedup_hits={totals['dedup_hits']} "
                     f"por_pruned={totals['por_pruned']} "
+                    f"rewinds={rewinds} hosts_rebuilt={hosts_rebuilt} "
                     f"replay_steps={totals['replay_steps']} "
                     f"fp_nodes={totals['fp_nodes']} "
-                    f"opaque_tokens={totals['opaque_tokens']}"
+                    f"opaque_tokens={totals['opaque_tokens']} "
+                    f"network={'+'.join(sorted(engine_classes - {''}))}"
                     if args.stats
                     else ""
                 )

@@ -29,7 +29,7 @@ deviations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.knobs import ChaosKnobs
@@ -51,13 +51,15 @@ from repro.explore.control import (
 from repro.registers.workload import RegisterWorkload
 from repro.runner import call
 from repro.sim.network import ConstantDelay, resolve_network_engine
+from repro.sim.process import ProcessHost
 from repro.sim.system import System, network_implementation
 
 #: The buffer engines the explorer can drive; the controlled runs are
 #: bit-identical across them (all hand ``choose`` the ready list in
 #: ascending msg_id order), which a tier-1 property test pins.
-#: ``native`` resolves to the compiled core when built, silently
-#: degrading to ``indexed`` otherwise (still digest-identical).
+#: ``native`` resolves to the compiled core when built and to
+#: ``indexed`` otherwise (still digest-identical); which one ran is
+#: recorded as ``ExploreResult.engine_class``.
 ENGINES = ("indexed", "reference", "native")
 
 
@@ -99,11 +101,15 @@ class ExploreCase:
     def with_(self, **changes: Any) -> "ExploreCase":
         return replace(self, **changes)
 
-    @property
+    # Derived once per case, not once per controlled run: both values
+    # are immutable and a function of the frozen fields alone
+    # (``cached_property`` stores into ``__dict__`` directly, which a
+    # frozen dataclass allows; equality and hashing see fields only).
+    @cached_property
     def pattern(self) -> FailurePattern:
         return FailurePattern(self.n, dict(self.crashes))
 
-    @property
+    @cached_property
     def resolved_assignment(self) -> Tuple[Tuple[Any, ...], ...]:
         return self.assignment or default_assignment(self.target, self.n)
 
@@ -198,13 +204,15 @@ def build_system(
     controller plugs in through the scheduler/delivery extension points,
     the delay model is pinned to ``ConstantDelay(1)`` (delivery *order*
     is the controller's to choose, so variable delays would only
-    duplicate schedules the delivery choice already covers), and the
-    detector providers are rebound to the case's constants.
+    duplicate schedules the delivery choice already covers), the
+    detector providers are rebound to the case's constants, and every
+    send is journaled by the controller.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
     if parts is None:
         parts = resolve_parts(case)
+    controller.crash_times = frozenset(t for _, t in case.crashes)
     impl = resolve_network_engine(engine)
     with network_implementation(impl):
         system = System(
@@ -221,8 +229,7 @@ def build_system(
         )
     assignment = case.resolved_assignment
     if any(is_script(enc) for enc in assignment):
-        crash_times = [t for _, t in case.crashes]
-        scripts = DetectorScript(
+        scripts = controller.scripts = DetectorScript(
             values=[
                 tuple(decode_value(stage) for stage in script_stages(enc))
                 for enc in assignment
@@ -231,18 +238,27 @@ def build_system(
                 tuple(stage_requires_crash(stage) for stage in script_stages(enc))
                 for enc in assignment
             ],
-            first_crash=min(crash_times) if crash_times else None,
+            first_crash=min(controller.crash_times, default=None),
         )
-        controller.scripts = scripts
-        for pid, host in enumerate(system.hosts):
-            host.ctx._detector_provider = (
-                lambda p=pid, s=scripts: s.value(p)
-            )
-        return system
-    for host, enc in zip(system.hosts, assignment):
-        value = decode_value(enc)
-        host.ctx._detector_provider = lambda v=value: v
+        providers = [
+            lambda p=pid, s=scripts: s.value(p) for pid in range(case.n)
+        ]
+    else:
+        providers = [lambda v=decode_value(enc): v for enc in assignment]
+    for host, provider in zip(system.hosts, providers):
+        wire_host(host, controller, provider)
     return system
+
+
+def wire_host(
+    host: ProcessHost, controller: ChoiceController, provider: Callable[[], Any]
+) -> None:
+    """What the explorer installs on a process from outside: its sends
+    go into the controller's journal and its detector module answers
+    ``provider()``.  For every host ``build_system`` makes, and again
+    for every host a rewind rebuilds."""
+    host.ctx.add_outgoing_hook(controller.sent.append)
+    host.ctx._detector_provider = provider
 
 
 def run_controlled(
@@ -263,30 +279,20 @@ def run_controlled(
 
     ``por`` must match the setting under which the prefix was recorded:
     a choice index names a position in the controller's *menu*, and the
-    POR filter shapes the menu, so the step context (previous actor,
-    freshly sent messages, crash boundary) is re-tracked here exactly as
-    the exploration engine tracks it.  ``tick_hook`` chains after that
-    bookkeeping.
+    POR filter shapes the menu (the controller tracks the step context
+    — previous actor, freshly sent messages, crash boundary — itself).
+
+    This is whole-path stateless replay: a new system, every tick from
+    1.  The search itself rewinds one live system instead
+    (:mod:`repro.explore.engine`); witness replay and the shrinker run
+    one path each and use this, and it is the oracle the rewind is
+    tested against.
     """
     if parts is None:
         parts = resolve_parts(case)
     controller = ChoiceController(prefix)
     controller.por_enabled = por
+    controller.tick_hook = tick_hook
     system = build_system(case, controller, parts=parts, engine=engine)
-
-    sent_this_tick = []
-    for host in system.hosts:
-        host.ctx.add_outgoing_hook(sent_this_tick.append)
-    crash_times = {t for _, t in case.crashes}
-
-    def context_hook(now: int) -> bool:
-        fresh = list(sent_this_tick)
-        sent_this_tick.clear()
-        controller.set_step_context(
-            controller.last_actor, fresh, now in crash_times
-        )
-        return True if tick_hook is None else tick_hook(now)
-
-    controller.tick_hook = context_hook
     system.run(stop_when=parts.stop)
     return system, controller

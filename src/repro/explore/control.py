@@ -10,11 +10,20 @@ than per step (detector assignments/scripts and crash schedules; see
 :class:`ChoiceController` replaces both per-tick picks with a *choice
 log* replay: a prefix of option indices is consumed verbatim, and every
 decision beyond the prefix takes option 0 while recording how many
-options existed.  The DFS engine re-runs the system once per explored
+options existed.  The DFS engine runs the system once per explored
 path and pushes the untaken siblings of every recorded decision — the
-standard stateless-model-checking loop, which is the only sound option
-here because component state includes live generator frames that cannot
-be snapshotted.
+stateless-model-checking loop; component state includes live generator
+frames that cannot be snapshotted, so a state is only ever reached by
+executing the steps that lead to it.
+
+The controller keeps a *journal* of the run it drives: every message
+sent (``sent``) and, per executed tick, a :class:`TickRecord` — who
+stepped, which message was delivered, and the controller's own
+position (choices logged, alternatives pruned, script cursors, messages
+sent) at the start of that tick.  The POR context of each tick is read
+from it, and it is what lets the engine *rewind* the live system to the
+start of any earlier tick instead of rebuilding it
+(:meth:`ChoiceController.rewind`, ``docs/EXPLORER.md`` § "The search").
 
 The controller also implements the partial-order reduction's *enabled
 set* filtering (see ``docs/EXPLORER.md`` for the soundness argument):
@@ -34,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.network import DeliveryPolicy, Message
 from repro.sim.scheduler import Scheduler
@@ -48,6 +57,26 @@ class ChoicePoint:
     time: int
     chosen: int
     options: int
+
+
+@dataclass(slots=True)
+class TickRecord:
+    """One executed tick in the controller's journal.
+
+    The first four fields are the controller's position at the *start*
+    of the tick (before its scheduler pick) — what a rewind to this
+    tick restores; ``pid`` and ``delivered`` are what the tick then
+    did — what a rewind past it re-feeds to a rebuilt host.
+    ``delivered`` is the network's own :class:`Message` object (the
+    trace's ``DeliveredMessage`` lacks ``dest`` and ``meta``).
+    """
+
+    log_len: int
+    por_pruned: int
+    sent: int
+    cursors: Optional[Tuple[int, ...]]
+    pid: int
+    delivered: Optional[Message] = None
 
 
 class DetectorScript:
@@ -112,27 +141,32 @@ class DetectorScript:
 class ChoiceController:
     """Replays a choice prefix, then takes defaults while recording.
 
-    One controller drives one run.  ``prefix`` is the path to replay;
-    decisions past its end take index 0.  After the run, :attr:`log`
-    holds every decision made with its option count — the engine reads
-    it to push sibling prefixes.
+    One controller drives one system along one path at a time.
+    ``prefix`` is the path to replay; decisions past its end take index
+    0.  After the run, :attr:`log` holds every decision made with its
+    option count — the engine reads it to push sibling prefixes, then
+    :meth:`rewind` aims the same controller at the next one.
 
     ``tick_hook`` (installed by the engine) runs at the start of every
     scheduler pick — i.e. right after the previous tick's atomic step
-    completed — and is where state fingerprinting and dedup live.
-    Returning False halts the run: the scheduler then returns None and
-    the run loop winds down cleanly as a ``scheduler-halt``.
+    completed, with that step's POR context (:attr:`prev_pid`,
+    :attr:`fresh`, :attr:`boundary`) already installed — and is where
+    state fingerprinting and dedup live.  Returning False halts the
+    run: the scheduler then returns None and the run loop winds down
+    cleanly as a ``scheduler-halt``.
     """
 
     def __init__(self, prefix: Sequence[int] = ()):
         self.prefix: Tuple[int, ...] = tuple(prefix)
         self.log: List[ChoicePoint] = []
         self.tick_hook: Optional[Callable[[int], bool]] = None
-        #: The actor of the tick currently executing (engine reads it
-        #: from the next tick's hook to build the POR context).
-        self.last_actor: Optional[int] = None
-        # POR context for the upcoming tick, installed via
-        # :meth:`set_step_context` by the engine's tick hook.
+        #: Ticks at which the case's schedule crashes someone
+        #: (installed by ``build_system``).
+        self.crash_times: FrozenSet[int] = frozenset()
+        # The journal.  ``sent.append`` is every host's outgoing hook.
+        self.sent: List[Message] = []
+        self.ticks: List[TickRecord] = []
+        # POR context for the upcoming tick (see :meth:`begin_tick`).
         self.prev_pid: Optional[int] = None
         self.fresh: List[Message] = []
         self.fresh_ids: Set[int] = set()
@@ -196,6 +230,13 @@ class ChoiceController:
         representative schedule; the soundness matrix verifies this on
         scripted roots.
         """
+        scripts = self.scripts
+        position = (  # the TickRecord's start-of-tick half
+            len(self.log),
+            self.por_pruned,
+            len(self.sent),
+            tuple(scripts.cursors) if scripts is not None else None,
+        )
         restricted = False
         allowed = list(alive)
         prev = self.prev_pid
@@ -213,7 +254,6 @@ class ChoiceController:
         self._deliver_fresh_only = (
             restricted and prev is not None and pid < prev
         )
-        scripts = self.scripts
         if scripts is not None:
             # The detector decision for the acting process: how far its
             # script cursor advances before the step (where all of its
@@ -226,7 +266,7 @@ class ChoiceController:
             if len(targets) > 1:
                 chosen = self.choose("detector", now, len(targets))
                 scripts.advance(pid, targets[chosen])
-        self.last_actor = pid
+        self.ticks.append(TickRecord(*position, pid))
         return pid
 
     # -- delivery-side -------------------------------------------------
@@ -247,6 +287,7 @@ class ChoiceController:
             if options:
                 self.por_pruned += len(ready) + 1 - len(options)
                 index = self.choose("deliv", now, len(options))
+                self.ticks[-1].delivered = options[index]
                 return options[index]
             # The pid was admitted by the scheduler filter, so a fresh
             # message is buffered for it — but messages sent during the
@@ -256,25 +297,45 @@ class ChoiceController:
         index = self.choose("deliv", now, len(ready) + 1)
         if index == len(ready):
             return None  # λ-step chosen despite ready messages
+        self.ticks[-1].delivered = ready[index]
         return ready[index]
 
-    # -- POR context handoff (engine tick hook calls this) -------------
-    def set_step_context(
-        self,
-        prev_pid: Optional[int],
-        fresh: List[Message],
-        boundary: bool,
-    ) -> None:
-        """Install the previous step's POR context for the next tick.
+    # -- the journal: POR context and rewind ---------------------------
+    def begin_tick(self, now: int) -> None:
+        """Install the previous step's POR context for tick ``now``.
 
-        The caller hands over ownership of ``fresh`` (both call sites
-        build a fresh list per tick), so no defensive copy is taken on
-        this per-tick path.
+        Read off the journal — the previous tick's actor and the
+        messages sent since that tick began — so it is the same whether
+        the previous tick was just executed or the controller was just
+        rewound to ``now``.
         """
-        self.prev_pid = prev_pid
-        self.fresh = fresh
-        self.fresh_ids = {m.msg_id for m in fresh}
-        self.boundary = boundary
+        if self.ticks:
+            last = self.ticks[-1]
+            self.prev_pid = last.pid
+            self.fresh = self.sent[last.sent:]
+        else:
+            self.prev_pid = None
+            self.fresh = []
+        self.fresh_ids = {m.msg_id for m in self.fresh}
+        self.boundary = now in self.crash_times
+
+    def rewind(self, prefix: Sequence[int], time: int) -> None:
+        """Go back to the start of tick ``time`` and aim at ``prefix``.
+
+        The log, the journal, the script cursors and the cumulative
+        ``por_pruned`` become what they were when tick ``time`` was
+        about to be picked (so a finished run's ``por_pruned`` counts
+        its whole path, exactly like a run replayed from tick 1);
+        ``prefix`` must agree with the kept log.
+        """
+        mark = self.ticks[time - 1]
+        del self.log[mark.log_len:]
+        del self.sent[mark.sent:]
+        del self.ticks[time - 1:]
+        self.por_pruned = mark.por_pruned
+        if self.scripts is not None:
+            self.scripts.cursors[:] = mark.cursors
+        self.prefix = tuple(prefix)
 
 
 class ExploringScheduler(Scheduler):
@@ -294,6 +355,7 @@ class ExploringScheduler(Scheduler):
         self, alive: Sequence[int], now: int, rng: random.Random
     ) -> Optional[int]:
         controller = self.controller
+        controller.begin_tick(now)
         hook = controller.tick_hook
         if hook is not None and not hook(now):
             return None  # dedup halt: the run loop winds down cleanly

@@ -1,13 +1,22 @@
 """The bounded DFS over one case's choice tree.
 
-Stateless model checking by replay: component state contains live
-generator frames, so the explorer never snapshots — it re-executes.
-Each iteration pops a choice prefix off the DFS stack, runs the system
-once (:func:`repro.explore.cases.build_system` + the stock
-``System.run`` loop) replaying that prefix and defaulting beyond it,
-then pushes a sibling prefix for every untaken alternative the run
-recorded.  The tree is rooted at the empty prefix; exhaustion of the
-stack means every schedule/delivery interleaving of the case within
+Stateless model checking without the replay: component state contains
+live generator frames, so the explorer never snapshots — a state is
+only ever reached by executing the steps that lead to it.  But it does
+not start over for every path either.  The search keeps **one live
+system** and, for each choice prefix popped off the DFS stack,
+*rewinds* it to the start of the tick where the prefix leaves the path
+the system is on (:class:`_LiveSystem`): the network's in-flight set,
+the trace and the controller go back to that tick from the controller's
+journal, and only the processes that stepped at or after it are built
+anew and brought back by re-feeding each its *own* earlier steps
+(:meth:`~repro.sim.process.ProcessHost.replay`) — exact, because in the
+paper's model a process's state is a function of its own step sequence
+⟨p, m, d⟩ and of nothing else.  The stock ``System.run`` loop then
+resumes from that tick, follows the prefix and defaults beyond it, and
+the engine pushes a sibling prefix for every untaken alternative the
+run recorded.  The tree is rooted at the empty prefix; exhaustion of
+the stack means every schedule/delivery interleaving of the case within
 its step budget has been covered (up to the sound reductions).
 
 The reductions, and how they compose:
@@ -36,22 +45,23 @@ The reductions, and how they compose:
   collected decision vectors are closed under the group so the
   observable-outcome sets match the unreduced search exactly.
 
-Three hot-path amortizations (see ``docs/EXPLORER.md`` § Performance):
-the DFS stack pops the deepest divergence first, so consecutive runs
-share maximal prefixes; fingerprints computed while *replaying* a
-shared prefix are copied from the previous run's digest sequence
-instead of re-encoded (replay is deterministic, so the states are
-bit-equal by construction); and the per-run incremental caches inside
-:class:`~repro.explore.state.FingerprintEngine` re-encode only what
-changed since the previous tick.  ``explore_replay_steps`` counts the
-choices served from prefixes, making the replay redundancy measurable.
+What keeps a run cheap (see ``docs/EXPLORER.md`` § Performance): the DFS
+stack pops the deepest divergence first, so the tick to rewind to is as
+late as possible and few processes are rebuilt; the dedup key of that
+tick is read from the per-tick digest journal instead of re-encoded;
+and the caches inside :class:`~repro.explore.state.FingerprintEngine`
+outlive the run — only the rebuilt processes' entries are dropped.
+``explore_rewinds`` / ``explore_hosts_rebuilt`` / ``explore_replay_steps``
+count the rewinds, the processes they rebuilt and the steps and prefix
+choices that were executed a second time.
 
 Leaves are judged by the same summarize hooks and safety clauses the
 chaos fuzzer uses; a violating leaf becomes a
-:class:`Violation` carrying the exact choice list that reproduces it.
-Safety violations are monotone under extension (a decision made is
-made forever), so judging completed paths only — never dedup-halted
-ones — loses nothing.
+:class:`Violation` carrying the exact choice list that reproduces it
+from scratch (:func:`~repro.explore.cases.run_controlled`, which is
+also the oracle the rewind is tested against).  Safety violations are
+monotone under extension (a decision made is made forever), so judging
+completed paths only — never dedup-halted ones — loses nothing.
 """
 
 from __future__ import annotations
@@ -59,7 +69,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.explore.cases import CaseParts, ExploreCase, build_system, resolve_parts
+from repro.explore.cases import (
+    CaseParts,
+    ExploreCase,
+    build_system,
+    resolve_parts,
+    wire_host,
+)
 from repro.explore.control import ChoiceController
 from repro.explore.state import (
     FingerprintEngine,
@@ -121,6 +137,12 @@ class ExploreResult:
     counters: PerfCounters = field(default_factory=PerfCounters)
     symmetry: bool = False
     fingerprint_mode: str = "incremental"
+    #: Name of the network class the walk actually ran on, taken from
+    #: the built system: ``--engine native`` runs on ``Network`` where
+    #: the compiled core is not built, and the result says so instead
+    #: of degrading silently.  Empty when nothing ran here (an unwalked
+    #: base result, a summary from before the field existed).
+    engine_class: str = ""
     #: Structured records of degraded-but-survived events from the
     #: distributed paths — failed shard cells folded into a partial
     #: merge, expired worker leases, quarantined shards.  Always empty
@@ -183,10 +205,11 @@ def _por_context(
     )
 
 
-def _shared_prefix_len(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    limit = min(len(a), len(b))
+def _shared_prefix_len(prefix: Tuple[int, ...], log: Sequence[Any]) -> int:
+    """How many leading choices ``prefix`` shares with the logged path."""
+    limit = min(len(prefix), len(log))
     for index in range(limit):
-        if a[index] != b[index]:
+        if prefix[index] != log[index].chosen:
             return index
     return limit
 
@@ -260,47 +283,29 @@ def explore_case(
         if fingerprint_mode != "legacy"
         else None
     )
-    crash_times = {t for _, t in case.crashes}
-    first_crash = min(crash_times) if crash_times else None
-    last_crash = max(crash_times) if crash_times else None
     visited: Dict[str, int] = exchange.visited if exchange is not None else {}
     stack: List[Tuple[int, ...]] = (
         [tuple(p) for p in initial_stack] if initial_stack is not None else [()]
     )
-    # The previous run's taken path and per-hook digests: a run that
-    # replays a shared prefix revisits bit-equal states, so their keys
-    # are copied instead of recomputed (sound by replay determinism;
-    # the equivalence suite pins it).
-    prev_taken: Tuple[int, ...] = ()
-    prev_digests: List[Tuple[int, str]] = []
-    reuse_digests = dedup and fp_engine is not None and fp_engine.cached
+    live = _LiveSystem(
+        result, parts, visited, fp_engine, choice_limit, digest_log, exchange
+    )
 
     while stack:
         if max_runs is not None and result.runs >= max_runs:
             result.complete = False  # stack non-empty ⇒ genuinely truncated
             break
         prefix = stack.pop()
-        shared = _shared_prefix_len(prefix, prev_taken) if reuse_digests else 0
-        run_digests: List[Tuple[int, str]] = []
-        controller, trace, system, frontier_halted = _run_path(
-            case, parts, prefix, engine, por, dedup,
-            visited, crash_times, first_crash, last_crash, result,
-            fp_engine, choice_limit,
-            prev_digests if reuse_digests else None, shared, run_digests,
-            digest_log, exchange,
-        )
-        if reuse_digests:
-            prev_digests = run_digests
+        trace = live.run(prefix)
+        controller = live.controller
         result.runs += 1
         result.counters.explore_runs += 1
+        # Cumulative over the whole path, the ticks before the rewind
+        # point included (the controller's journal carries them).
         result.por_pruned += controller.por_pruned
         result.counters.explore_por_pruned += controller.por_pruned
-        result.counters.explore_replay_steps += min(
-            len(prefix), len(controller.log)
-        )
 
         taken = tuple(point.chosen for point in controller.log)
-        prev_taken = taken
         for position in range(len(prefix), len(taken)):
             # Alternatives pushed in descending order so index 1 pops
             # first: the subtree under the smaller index is explored
@@ -311,7 +316,7 @@ def explore_case(
                 stack.append(taken[:position] + (alternative,))
 
         if trace.stop_reason == "scheduler-halt":
-            if frontier_halted and shard_roots is not None:
+            if live.frontier_halted and shard_roots is not None:
                 shard_roots.append(taken)
             continue  # halted: subtree covered elsewhere, not a leaf
         vector = _decision_vector(trace)
@@ -319,7 +324,7 @@ def explore_case(
             result.decision_vectors.update(_vector_closure(vector, perms))
         else:
             result.decision_vectors.add(vector)
-        metrics = parts.summarize(system, trace)
+        metrics = parts.summarize(live.system, trace)
         violated = tuple(
             clause
             for clause in parts.safety_clauses
@@ -351,93 +356,154 @@ def explore_case(
     return result
 
 
-def _run_path(
-    case: ExploreCase,
-    parts: CaseParts,
-    prefix: Tuple[int, ...],
-    engine: str,
-    por: bool,
-    dedup: bool,
-    visited: Dict[str, int],
-    crash_times: Set[int],
-    first_crash: Optional[int],
-    last_crash: Optional[int],
-    result: ExploreResult,
-    fp_engine: Optional[FingerprintEngine],
-    choice_limit: Optional[int],
-    prev_digests: Optional[List[Tuple[int, str]]],
-    shared: int,
-    run_digests: List[Tuple[int, str]],
-    digest_log: Optional[List[str]],
-    exchange: Optional[Any] = None,
-):
-    """One controlled run: replay ``prefix``, default onward, observe.
+class _LiveSystem:
+    """The search's one live system, moved from path to path by rewind.
 
-    Returns ``(controller, trace, system, frontier_halted)`` — the
-    system rides back explicitly because the judge needs it alongside
-    the trace.
+    :meth:`run` executes one path.  Before the first one the system is
+    built (:func:`~repro.explore.cases.build_system`); before every
+    later one it is *rewound* to the start of the divergence tick — the
+    tick of the first choice at which the popped prefix leaves the path
+    the system just took.  Everything the rewind needs about the past
+    is journaled: the controller's ``sent`` / ``ticks``
+    (:class:`~repro.explore.control.TickRecord`), the trace's steps
+    (each step's detector value ``d``), and :attr:`digests`, the dedup
+    key of every tick hooked so far.
     """
-    controller = ChoiceController(prefix)
-    controller.por_enabled = por
-    system = build_system(case, controller, parts=parts, engine=engine)
-    if fp_engine is not None:
-        fp_engine.begin_run(system)
 
-    sent_this_tick: List[Message] = []
-    for host in system.hosts:
-        host.ctx.add_outgoing_hook(sent_this_tick.append)
-    frontier_halted = [False]
-    hook_index = [0]
+    def __init__(
+        self,
+        result: ExploreResult,
+        parts: CaseParts,
+        visited: Dict[str, int],
+        fp_engine: Optional[FingerprintEngine],
+        choice_limit: Optional[int],
+        digest_log: Optional[List[str]],
+        exchange: Optional[Any],
+    ):
+        self.result = result  # also the search's options
+        case = self.case = result.case
+        self.engine = result.engine
+        self.por = result.por
+        self.dedup = result.dedup
+        self.parts = parts
+        self.visited = visited
+        self.fp_engine = fp_engine
+        self.choice_limit = choice_limit
+        self.digest_log = digest_log
+        self.exchange = exchange
+        crash_times = [t for _, t in case.crashes]
+        self.first_crash = min(crash_times, default=None)
+        self.last_crash = max(crash_times, default=None)
+        self.system: Any = None
+        self.controller: Optional[ChoiceController] = None
+        #: ``digests[t - 1]`` is the dedup key of the state at the
+        #: start of tick ``t`` on the current path.
+        self.digests: List[str] = []
+        #: Whether the last run stopped at ``choice_limit``.
+        self.frontier_halted = False
 
-    def tick_hook(now: int) -> bool:
-        # The previous tick's step is complete: hand its POR context to
-        # the controller before this tick's picks.
-        fresh = list(sent_this_tick)
-        sent_this_tick.clear()
-        prev = controller.last_actor
-        boundary = now in crash_times
-        controller.set_step_context(prev, fresh, boundary)
+    def run(self, prefix: Tuple[int, ...]):
+        """Follow ``prefix``, default onward, observe; returns the trace.
+
+        Afterwards :attr:`system` is in the path's final state and
+        :attr:`controller`'s log describes the path taken.
+        """
+        log = self.controller.log if self.controller is not None else ()
+        diverge = _shared_prefix_len(prefix, log)
+        if diverge < len(log):
+            start = log[diverge].time
+            # choices on the log that are not made again
+            kept = self.controller.ticks[start - 1].log_len
+            self._rewind(prefix, start)
+        else:
+            # No live system yet, or the prefix continues past
+            # everything the live path recorded (only foreign
+            # ``initial_stack`` roots can): nothing to rewind to.
+            start, kept = 1, 0
+            self._build(prefix)
+        self.frontier_halted = False
+        trace = self.system.run(stop_when=self.parts.stop, start=start)
+        self.result.counters.explore_replay_steps += (
+            min(len(prefix), len(self.controller.log)) - kept
+        )
+        return trace
+
+    def _build(self, prefix: Tuple[int, ...]) -> None:
+        controller = self.controller = ChoiceController(prefix)
+        controller.por_enabled = self.por
+        controller.tick_hook = self._tick_hook
+        self.system = build_system(
+            self.case, controller, parts=self.parts, engine=self.engine
+        )
+        self.result.engine_class = type(self.system.network).__name__
+        self.digests = []
+        if self.fp_engine is not None:
+            self.fp_engine.begin_run(self.system)
+
+    def _rewind(self, prefix: Tuple[int, ...], time: int) -> None:
+        """Put the live system at the start of tick ``time``."""
+        system, controller = self.system, self.controller
+        ticks = controller.ticks
+        before = ticks[: time - 1]
+        sent = controller.sent[: ticks[time - 1].sent]
+        delivered = {
+            tick.delivered.msg_id for tick in before if tick.delivered is not None
+        }
+        system.network.restore(
+            [m for m in sent if m.msg_id not in delivered],
+            len(sent), len(sent), len(delivered),
+        )
+        trace = system.trace
+        trace.rollback(time)
+        # Only a process that stepped at or after ``time`` is in a state
+        # it did not have then; its own earlier steps bring a new host
+        # back to it.  Tick ``t`` is ``ticks[t - 1]`` and
+        # ``trace.steps[t - 1]``: the explorer executes every tick.
+        stepped = sorted({tick.pid for tick in ticks[time - 1:]})
+        refed = 0
+        for pid in stepped:
+            old = system.hosts[pid]
+            host = system.rebuild_host(pid)
+            wire_host(host, controller, old.ctx._detector_provider)
+            own = [
+                (step.time, tick.delivered, step.detector_value)
+                for step, tick in zip(trace.steps, before)
+                if tick.pid == pid
+            ]
+            host.replay(own, [op for op in trace.operations if op.pid == pid])
+            refed += len(own)
+        controller.rewind(prefix, time)
+        del self.digests[time:]  # tick ``time`` itself is still ahead
+        if self.fp_engine is not None:
+            self.fp_engine.rewound(
+                [system.hosts[pid] for pid in stepped], len(trace.decisions)
+            )
+        counters = self.result.counters
+        counters.explore_rewinds += 1
+        counters.explore_hosts_rebuilt += len(stepped)
+        counters.explore_replay_steps += refed
+
+    def _tick_hook(self, now: int) -> bool:
+        controller = self.controller
+        result = self.result
         logged = len(controller.log)
-        if dedup:
-            index = hook_index[0]
-            hook_index[0] = index + 1
-            key = None
-            if (
-                prev_digests is not None
-                and logged <= shared
-                and index < len(prev_digests)
-                and prev_digests[index][0] == logged
-            ):
-                # Replaying a prefix shared with the previous run: the
-                # state is bit-equal to the one that produced this
-                # digest, so skip the encoding entirely.
-                key = prev_digests[index][1]
-            if key is None:
-                crashes_pending = last_crash is not None and last_crash > now
-                scripts = controller.scripts
-                cursors = (
-                    tuple(scripts.cursors) if scripts is not None else None
-                )
-                if fp_engine is not None:
-                    key = fp_engine.fingerprint(
-                        now, crashes_pending, first_crash,
-                        prev, fresh, boundary, por, cursors,
-                    )
-                else:
-                    key = fingerprint(
-                        system,
-                        now,
-                        crashes_pending,
-                        first_crash,
-                        _por_context(por, prev, fresh, boundary),
-                        cursors,
-                    )
-            run_digests.append((logged, key))
-            if digest_log is not None:
-                digest_log.append(key)
-            remaining = case.depth - now + 1
+        replaying = logged <= len(controller.prefix)
+        if self.dedup:
+            digests = self.digests
+            if now <= len(digests):
+                # The tick the system was rewound to: the state is the
+                # one that produced this key on the previous path (the
+                # rewind oracle re-encodes it from scratch to check).
+                key = digests[now - 1]
+            else:
+                key = self._fingerprint(now)
+                digests[now - 1:] = [key]
+            if self.digest_log is not None:
+                self.digest_log.append(key)
+            visited = self.visited
+            remaining = self.case.depth - now + 1
             seen = visited.get(key)
-            if logged <= len(prefix):
+            if replaying:
                 # Still replaying (or about to make the first divergent
                 # choice): these states are the parent run's own
                 # footprints — record, never halt.
@@ -446,8 +512,8 @@ def _run_path(
                     result.counters.explore_states += 1
                 if seen is None or seen < remaining:
                     visited[key] = remaining
-                    if exchange is not None:
-                        exchange.note(key, remaining)
+                    if self.exchange is not None:
+                        self.exchange.note(key, remaining)
             elif seen is not None and seen >= remaining:
                 result.dedup_hits += 1
                 result.counters.explore_dedup_hits += 1
@@ -457,17 +523,35 @@ def _run_path(
                     result.states += 1
                     result.counters.explore_states += 1
                 visited[key] = remaining
-                if exchange is not None:
-                    exchange.note(key, remaining)
+                if self.exchange is not None:
+                    self.exchange.note(key, remaining)
         if (
-            choice_limit is not None
-            and logged >= choice_limit
-            and logged >= len(prefix)  # never truncate mid-replay
+            self.choice_limit is not None
+            and logged >= self.choice_limit
+            and logged >= len(controller.prefix)  # never truncate mid-replay
         ):
-            frontier_halted[0] = True
+            self.frontier_halted = True
             return False
         return True
 
-    controller.tick_hook = tick_hook
-    trace = system.run(stop_when=parts.stop)
-    return controller, trace, system, frontier_halted[0]
+    def _fingerprint(self, now: int) -> str:
+        controller = self.controller
+        crashes_pending = self.last_crash is not None and self.last_crash > now
+        scripts = controller.scripts
+        cursors = tuple(scripts.cursors) if scripts is not None else None
+        prev, fresh, boundary = (
+            controller.prev_pid, controller.fresh, controller.boundary
+        )
+        if self.fp_engine is not None:
+            return self.fp_engine.fingerprint(
+                now, crashes_pending, self.first_crash,
+                prev, fresh, boundary, self.por, cursors,
+            )
+        return fingerprint(
+            self.system,
+            now,
+            crashes_pending,
+            self.first_crash,
+            _por_context(self.por, prev, fresh, boundary),
+            cursors,
+        )

@@ -512,9 +512,11 @@ class FingerprintEngine:
     """Incremental, symmetry-aware dedup keys for one exploration.
 
     One engine serves one :func:`~repro.explore.engine.explore_case`
-    call: :meth:`begin_run` resets the per-run caches before each
-    controlled replay, :meth:`fingerprint` produces the dedup key at
-    the start of each tick.  Two modes share one encoding:
+    call: :meth:`begin_run` binds it to the search's live system,
+    :meth:`fingerprint` produces the dedup key at the start of each
+    tick, and :meth:`rewound` tells it which cache entries a rewind
+    made stale — the rest survive from path to path.  Three modes share
+    one encoding:
 
     * ``"incremental"`` — per-host encodings are reused while the
       host's ``steps_taken`` is unchanged (hosts only mutate inside
@@ -591,8 +593,13 @@ class FingerprintEngine:
         self._bytes_synced = 0
         self._run_serial = 0
         self._system: Any = None
-        # per-run caches (incremental mode)
-        self._host_cache: Dict[int, Tuple[Tuple[int, bool], EncodedUnit]] = {}
+        # caches (all modes but naive); see :meth:`rewound` for what
+        # survives from one explored path to the next
+        #: Per pid: ``(steps_taken, _started)`` -> the host's encoding
+        #: at that version *on the current path*.
+        self._host_cache: List[Dict[Tuple[int, bool], EncodedUnit]] = [
+            {} for _ in range(n)
+        ]
         self._buffer_cache: Dict[int, List[Tuple[int, EncodedUnit]]] = {}
         self._dirty: set = set()
         self._decision_cache: List[Tuple[int, EncodedUnit]] = []
@@ -600,13 +607,37 @@ class FingerprintEngine:
 
     # -- lifecycle ------------------------------------------------------
     def begin_run(self, system: Any) -> None:
-        """Reset per-run caches; every replay rebuilds fresh objects."""
+        """Bind to a newly built system: nothing cached applies to it."""
         self._run_serial += 1
         self._system = system
-        self._host_cache.clear()
+        for versions in self._host_cache:
+            versions.clear()
         self._buffer_cache.clear()
         self._dirty = set(range(self.n))
         self._decision_cache = []
+        self._operation_cache = []
+
+    def rewound(self, rebuilt: Iterable[ProcessHost], decisions: int) -> None:
+        """The bound system was rewound: drop exactly what went stale.
+
+        A process's state is a function of its own steps, so the host
+        cache — keyed on ``(steps_taken, _started)`` — stays right for
+        every version a host has on the path that was kept: all
+        versions of a host that was not rebuilt, and the versions up to
+        its re-fed step count of a ``rebuilt`` one.  Only the later
+        versions of a rebuilt host go: it will pass through those
+        counts again in different states.  The network was restored
+        wholesale, so every destination is dirty.  Decisions are
+        append-only and ``decisions`` of them were kept; operation
+        records of rebuilt hosts were reset, so that cache is cleared.
+        """
+        self._run_serial += 1
+        for host in rebuilt:
+            versions = self._host_cache[host.pid]
+            for version in [v for v in versions if v[0] > host.steps_taken]:
+                del versions[version]
+        self._dirty = set(range(self.n))
+        del self._decision_cache[decisions:]
         self._operation_cache = []
 
     @property
@@ -669,16 +700,16 @@ class FingerprintEngine:
         for pid, host in enumerate(self._system.hosts):
             if self.cached:
                 version = (host.steps_taken, host._started)
-                cached = self._host_cache.get(pid)
-                if cached is not None and cached[0] == version:
+                versions = self._host_cache[pid]
+                unit = versions.get(version)
+                if unit is not None:
                     if counters is not None:
                         counters.explore_fp_host_hits += 1
-                    units.append(cached[1])
+                    units.append(unit)
                     continue
                 if counters is not None:
                     counters.explore_fp_host_misses += 1
-                unit = self._encode_host(host)
-                self._host_cache[pid] = (version, unit)
+                unit = versions[version] = self._encode_host(host)
             else:
                 unit = self._encode_host(host)
             units.append(unit)

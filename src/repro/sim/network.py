@@ -373,6 +373,34 @@ class Network:
             self._enqueue(copy)
             self.duplicated_count += 1
 
+    def restore(
+        self,
+        messages: Iterable[Message],
+        next_msg_id: int,
+        sent: int,
+        delivered: int,
+    ) -> None:
+        """Put the buffers back to an earlier moment of this run.
+
+        ``messages`` becomes the whole in-flight set (the caller passes
+        the original :class:`Message` objects, ``ready_at`` and
+        ``meta`` as they were), and the id allocator and the
+        sent/delivered totals are set to the given values — so the next
+        send gets the id it got the first time.  The explorer's rewind
+        is the caller; it knows the past from its own journal of sent
+        and delivered messages.  Policies that keep state of their own
+        (and ``duplicated_count``) are not the buffers' to restore.
+        """
+        self._clear()
+        for msg in messages:
+            self._enqueue(msg)
+        self._next_msg_id = next_msg_id
+        self.sent_count = sent
+        self.delivered_count = delivered
+
+    def _clear(self) -> None:
+        self._buffers = [_DestBuffer() for _ in range(self.n)]
+
     def pending_count(self, dest: Optional[int] = None) -> int:
         if dest is None:
             return sum(
@@ -451,6 +479,9 @@ class NativeNetwork(Network):
         self._core.push(
             msg.dest, msg.ready_at, msg.msg_id, msg.send_time, msg
         )
+
+    def _clear(self) -> None:
+        self._core = type(self._core)(self.n, self.perf)
 
     def ready_for(self, dest: int, now: int) -> List[Message]:
         """Messages deliverable to ``dest`` at time ``now``."""
@@ -606,6 +637,23 @@ class ReferenceNetwork:
             self._pending[dest].append(copy)
             self.duplicated_count += 1
         return msg
+
+    def restore(
+        self,
+        messages: Iterable[Message],
+        next_msg_id: int,
+        sent: int,
+        delivered: int,
+    ) -> None:
+        """Flat-list twin of :meth:`Network.restore`; ``messages`` must
+        come in ascending ``msg_id`` order (the pending lists are kept
+        in insertion order)."""
+        self._pending = [[] for _ in range(self.n)]
+        for msg in messages:
+            self._pending[msg.dest].append(msg)
+        self._next_msg_id = next_msg_id
+        self.sent_count = sent
+        self.delivered_count = delivered
 
     def pending_count(self, dest: Optional[int] = None) -> int:
         if dest is None:

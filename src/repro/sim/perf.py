@@ -44,10 +44,17 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     alternatives suppressed by the partial-order reduction.
 ``explore_violations``
     Explored traces whose clause-level verdict broke a safety clause.
+``explore_rewinds`` / ``explore_hosts_rebuilt``
+    Times the explorer's live system was rewound to the divergence tick
+    of the next path instead of being rebuilt (every run but the first
+    of a root), and the processes those rewinds had to build anew —
+    the ones that had stepped at or after that tick.
 ``explore_replay_steps``
-    Choices served from a replayed prefix rather than freshly made —
-    the measurable redundancy of stateless replay-based search (see
-    ``docs/EXPLORER.md``).
+    Work executed a second time: process steps re-fed to rebuilt hosts
+    by local replay, plus prefix choices consumed again inside the
+    divergence tick (for a run that builds its system — the first of a
+    root or shard — every prefix choice).  The measurable redundancy
+    left in the search (see ``docs/EXPLORER.md``).
 ``explore_fp_nodes``
     Value-tree nodes visited while encoding state fingerprints.  The
     headline explorer metric: the incremental engine re-encodes only
@@ -115,6 +122,8 @@ FIELDS = (
     "explore_dedup_hits",
     "explore_por_pruned",
     "explore_violations",
+    "explore_rewinds",
+    "explore_hosts_rebuilt",
     "explore_replay_steps",
     "explore_fp_nodes",
     "explore_fp_host_hits",

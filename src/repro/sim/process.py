@@ -36,6 +36,7 @@ from typing import (
     Dict,
     Generator,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
@@ -79,10 +80,18 @@ class ProcessContext:
         self._outgoing_hooks: List[Callable[[Message], None]] = []
         self._incoming_hooks: List[Callable[[DeliveredMessage, Dict[str, Any]], None]] = []
         self.crashed = False
+        #: None while the process runs live.  During
+        #: :meth:`ProcessHost.replay` the context is *muted*: this holds
+        #: the process's own operation records, handed back in
+        #: invocation order instead of new ones being opened, and sends
+        #: and decisions — already part of the run's past — go nowhere.
+        self._replayed_ops: Optional[Iterator[OperationRecord]] = None
 
     # -- communication --------------------------------------------------
     def send(self, dest: int, component: str, payload: Any) -> None:
         """Send ``payload`` to ``dest``'s component named ``component``."""
+        if self._replayed_ops is not None:
+            return
         msg = self._network.send(self.pid, dest, component, payload, self.now)
         for hook in self._outgoing_hooks:
             hook(msg)
@@ -102,6 +111,8 @@ class ProcessContext:
     # -- recording --------------------------------------------------------
     def decide(self, component: str, value: Any) -> None:
         """Record an irrevocable decision by ``component``."""
+        if self._replayed_ops is not None:
+            return
         self._trace.record_decision(
             Decision(time=self.now, pid=self.pid, component=component, value=value)
         )
@@ -110,6 +121,21 @@ class ProcessContext:
         self, component: str, kind: str, args: Tuple[Any, ...] = ()
     ) -> OperationRecord:
         """Open an invocation/response interval record."""
+        if self._replayed_ops is not None:
+            record = next(self._replayed_ops, None)
+            if (
+                record is None
+                or (record.component, record.kind, record.invoke_time)
+                != (component, kind, self.now)
+            ):
+                raise RuntimeError(
+                    f"replay of process {self.pid} diverged: {kind} on "
+                    f"{component!r} at t={self.now} is not the recorded "
+                    f"operation {record!r}"
+                )
+            record.response_time = None
+            record.result = None
+            return record
         return self._trace.new_operation(self.pid, component, kind, args, self.now)
 
     def complete_operation(self, record: OperationRecord, result: Any) -> None:
@@ -292,3 +318,40 @@ class ProcessHost:
         self._driver.advance()
         self.steps_taken += 1
         return delivered
+
+    def replay(
+        self,
+        steps: Iterable[Tuple[int, Optional[Message], Any]],
+        operations: Iterable[OperationRecord] = (),
+    ) -> None:
+        """Bring a freshly built host to a past state of its process.
+
+        In the paper's model a process is an automaton whose state is a
+        function of its own sequence of steps ⟨p, m, d⟩ and of nothing
+        else, so re-feeding a new host the ``(time, message, detector
+        value)`` triples its predecessor took reproduces the
+        predecessor's state exactly — generator frames included, which
+        no snapshot could copy.  The steps run against a muted context:
+        what they send and decide already happened (the network and the
+        trace hold it) and is not emitted again, ``ctx.detector()``
+        answers the step's recorded ``d``, and ``new_operation`` hands
+        back ``operations`` — this process's existing records, in
+        invocation order — reset to pending, so host and trace keep
+        sharing one record per operation.  Incoming hooks do run: they
+        feed component state.
+
+        The messages must be the :class:`Message` objects originally
+        delivered (payload and ``meta`` untouched since); a component
+        that mutates a received payload in place breaks this, exactly
+        as it would break the sender's copy on a real network.
+        """
+        ctx = self.ctx
+        provider = ctx._detector_provider
+        ctx._replayed_ops = iter(operations)
+        try:
+            for now, message, detector_value in steps:
+                ctx._detector_provider = lambda d=detector_value: d
+                self.take_step(now, message)
+        finally:
+            ctx._detector_provider = provider
+            ctx._replayed_ops = None

@@ -90,17 +90,35 @@ class System:
             )
             self.detector_history.perf = self.perf
         self._detector_component = detector_component
+        self._component_factories = list(component_factories)
 
-        self.hosts: List[ProcessHost] = []
-        for pid in range(n):
-            ctx = ProcessContext(pid, n, self.network, self.trace)
-            components = [factory(pid) for _, factory in component_factories]
-            for (name, _), comp in zip(component_factories, components):
-                comp.name = name
-            host = ProcessHost(pid, ctx, components)
-            self._wire_detector(host)
-            self.hosts.append(host)
+        self.hosts: List[ProcessHost] = [
+            self._build_host(pid) for pid in range(n)
+        ]
         self.now = 0
+
+    def _build_host(self, pid: int) -> ProcessHost:
+        ctx = ProcessContext(pid, self.n, self.network, self.trace)
+        components = []
+        for name, factory in self._component_factories:
+            comp = factory(pid)
+            comp.name = name
+            components.append(comp)
+        host = ProcessHost(pid, ctx, components)
+        self._wire_detector(host)
+        return host
+
+    def rebuild_host(self, pid: int) -> ProcessHost:
+        """Replace process ``pid`` by a new, unstarted host and return it.
+
+        New context, new components, no steps taken — the first half of
+        bringing one process back to an earlier state (the second is
+        :meth:`ProcessHost.replay`).  Whatever the caller had installed
+        on the old context from outside (hooks, a detector provider) is
+        the caller's to install again.
+        """
+        host = self.hosts[pid] = self._build_host(pid)
+        return host
 
     @classmethod
     def from_spec(cls, spec) -> "System":
@@ -163,6 +181,7 @@ class System:
         self,
         stop_when: Optional[StopPredicate] = None,
         grace: int = 0,
+        start: int = 1,
     ) -> RunTrace:
         """Run until the horizon, or ``grace`` steps past ``stop_when``.
 
@@ -170,6 +189,13 @@ class System:
         first holds — needed when eventual detector properties or
         background extraction tasks should be observed past the
         "foreground" algorithm's completion.
+
+        ``start`` resumes a system whose ticks ``< start`` have already
+        been executed (an earlier ``run`` halted by its scheduler at
+        ``start``, or an explorer rewind to it): the loop begins at
+        that tick with the crash schedule caught up, and the trace
+        continues as if never interrupted.  The stop predicate must not
+        have held before ``start``.
 
         With ``time_leap=True`` the loop may *synthesize* stretches of
         λ-steps instead of executing them: whenever every alive process
@@ -202,7 +228,7 @@ class System:
             self.time_leap and scheduler.fair and network.delivery_policy.fair
         )
         completed = True
-        t = 1
+        t = start
         while t <= self.horizon:
             self.now = t
             while next_event < len(events) and events[next_event][0] <= t:

@@ -90,6 +90,13 @@ class OperationRecord:
         return self.response_time is None
 
 
+def _decision_bytes(decision: Decision) -> bytes:
+    return (
+        f"d{decision.time}:{decision.pid}:{decision.component}:"
+        f"{decision.value!r}"
+    ).encode()
+
+
 class RunTrace:
     """Everything observable about one simulated run."""
 
@@ -185,10 +192,7 @@ class RunTrace:
         # Flush buffered step bytes first so the decision lands in the
         # digest at the same byte offset as with unbuffered updates.
         self._flush_digest()
-        self._digest.update(
-            f"d{decision.time}:{decision.pid}:{decision.component}:"
-            f"{decision.value!r}".encode()
-        )
+        self._digest.update(_decision_bytes(decision))
 
     def new_operation(
         self, pid: int, component: str, kind: str, args: Tuple[Any, ...], time: int
@@ -204,6 +208,62 @@ class RunTrace:
         self._next_op_id += 1
         self.operations.append(record)
         return record
+
+    def rollback(self, time: int) -> None:
+        """Forget everything recorded at ticks ``>= time``.
+
+        Afterwards the trace is what a run stopped just before tick
+        ``time`` would have recorded, :meth:`digest` included: steps,
+        detector samples and decisions from ``time`` on are dropped,
+        operations invoked from ``time`` on are dropped and those that
+        responded from ``time`` on are pending again.  The digest is
+        re-accumulated from what is kept — a decision is hashed before
+        the step of its own tick, which is the order a live run
+        produces (the decision is made inside the step, the step is
+        recorded after it).  The message totals are left alone:
+        :meth:`System.run` stamps them from the network when it returns.
+
+        Needs the retained steps of a ``"full"`` trace; annotations are
+        free-form and cannot be rolled back, so a trace carrying any is
+        refused.
+        """
+        if not self.record_full:
+            raise ValueError("rollback needs a full-mode trace (steps retained)")
+        if self.annotations:
+            raise ValueError("cannot roll back a trace that carries annotations")
+        steps = self.steps
+        while steps and steps[-1].time >= time:
+            steps.pop()
+        decisions = self.decisions
+        while decisions and decisions[-1].time >= time:
+            decisions.pop()
+        operations = self.operations
+        while operations and operations[-1].invoke_time >= time:
+            operations.pop()
+        for op in operations:
+            if op.response_time is not None and op.response_time >= time:
+                op.response_time = None
+                op.result = None
+        self._next_op_id = len(operations)
+        self.detector_samples.drop_from(time)
+        self._decided = {(d.pid, d.component): d for d in decisions}
+        self._component_decided = {}
+        for d in decisions:
+            self._component_decided.setdefault(d.component, set()).add(d.pid)
+        self._step_total = len(steps)
+        self._steps_by_pid = [0] * self.pattern.n
+        self._digest = hashlib.sha256()
+        parts = self._digest_parts = []
+        made = 0
+        for step in steps:
+            self._steps_by_pid[step.pid] += 1
+            while made < len(decisions) and decisions[made].time <= step.time:
+                parts.append(_decision_bytes(decisions[made]))
+                made += 1
+            msg_id = step.message.msg_id if step.message is not None else -1
+            parts.append(b"s%d:%d:%d" % (step.time, step.pid, msg_id))
+        self.final_time = steps[-1].time if steps else 0
+        self.stop_reason = "horizon"
 
     # ------------------------------------------------------------------
     # Queries

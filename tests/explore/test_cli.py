@@ -12,6 +12,8 @@ def test_clean_target_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "qc [indexed]" in out and ": ok" in out
     assert "runs=" in out and "por_pruned=" in out
+    assert "rewinds=" in out and "hosts_rebuilt=" in out
+    assert "network=Network" in out
 
 
 def test_clean_target_fails_expectation_of_violation(capsys):
@@ -67,6 +69,8 @@ def test_no_por_and_no_dedup_flags(capsys):
 def test_reference_engine_and_both(capsys):
     assert main(["--target", "qc", "--engine", "reference"]) == 0
     assert "qc [reference]" in capsys.readouterr().out
+    assert main(["--target", "qc", "--engine", "reference", "--stats"]) == 0
+    assert "network=ReferenceNetwork" in capsys.readouterr().out
     assert main(["--target", "qc", "--engine", "both"]) == 0
     out = capsys.readouterr().out
     assert "qc [indexed]" in out and "qc [reference]" in out

@@ -1,5 +1,7 @@
 """Unit coverage for the explorer's building blocks."""
 
+import pickle
+
 import pytest
 
 from repro.explore import (
@@ -136,6 +138,20 @@ class TestCaseRoundTrip:
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="unknown target"):
             ExploreCase(target="nope", n=2, depth=5)
+
+    def test_derived_values_are_resolved_once_and_stay_out_of_identity(self):
+        case = ExploreCase(target="nbac", n=2, depth=5, crashes=((1, 3),))
+        twin = ExploreCase(target="nbac", n=2, depth=5, crashes=((1, 3),))
+        assert case.pattern is case.pattern
+        assert case.resolved_assignment is case.resolved_assignment
+        # The cache is not a field: equality, hashing, derived cases and
+        # a pickle round trip (how cases reach workers) ignore it.
+        assert case == twin and hash(case) == hash(twin)
+        moved = case.with_(crashes=((0, 2),))
+        assert moved.pattern.crash_time(0) == 2
+        assert moved.pattern.crash_time(1) is None
+        copy = pickle.loads(pickle.dumps(case))
+        assert copy == case and copy.pattern.crash_time(1) == 3
 
 
 class TestControlledRunDeterminism:

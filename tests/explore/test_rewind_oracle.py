@@ -1,0 +1,300 @@
+"""The rewound system is the system a from-scratch replay builds.
+
+The search keeps one live ``System`` and rewinds it between paths
+(``repro.explore.engine._LiveSystem``): network, trace and controller
+go back from the journal, the processes that stepped since are rebuilt
+and re-fed their own steps.  Whether that is *exact* is checked here
+against the one thing that cannot be wrong by construction — whole-path
+stateless replay, :func:`run_controlled`, which builds a new system and
+executes every tick from 1.  After **every** run of an exploration the
+live system is compared with the replayed one: trace digest, steps,
+decisions, operations, detector samples, per-host step counts, in-flight
+message ids, network counters, the controller's log / ``por_pruned`` /
+script cursors, and the naive-mode fingerprint of the whole state.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.chaos.targets import TARGETS, Target
+from repro.explore import ExploreCase, explore_case, run_controlled
+from repro.explore import engine as engine_mod
+from repro.explore.cases import resolve_parts
+from repro.explore.state import FingerprintEngine, _buffered
+from repro.runner import call
+from repro.sim.process import Component
+
+
+def _naive_fingerprint(system, controller, case):
+    engine = FingerprintEngine(case.n, "naive")
+    engine.begin_run(system)
+    scripts = controller.scripts
+    return engine.fingerprint(
+        system.now,
+        True,
+        min((t for _, t in case.crashes), default=None),
+        None,
+        (),
+        False,
+        False,
+        tuple(scripts.cursors) if scripts is not None else None,
+    )
+
+
+def _observe(system, controller, case):
+    """Everything two systems on the same path must agree on."""
+    trace = system.trace
+    network = system.network
+    return {
+        "digest": trace.digest(),
+        "steps": list(trace.steps),
+        "decisions": list(trace.decisions),
+        "decided": (dict(trace._decided), dict(trace._component_decided)),
+        "operations": list(trace.operations),
+        "next_op_id": trace._next_op_id,
+        "samples": trace.detector_samples._samples,
+        "step_counts": (trace._step_total, trace._steps_by_pid),
+        "stop": (trace.stop_reason, trace.final_time, system.now),
+        "messages": (trace.messages_sent, trace.messages_delivered),
+        "hosts": [(h.steps_taken, h._started) for h in system.hosts],
+        "in_flight": [
+            sorted(m.msg_id for m in _buffered(network, dest))
+            for dest in range(case.n)
+        ],
+        "network": (
+            network._next_msg_id, network.sent_count, network.delivered_count
+        ),
+        "log": list(controller.log),
+        "por_pruned": controller.por_pruned,
+        "ticks": [
+            (t.log_len, t.por_pruned, t.sent, t.cursors, t.pid,
+             t.delivered.msg_id if t.delivered is not None else None)
+            for t in controller.ticks
+        ],
+        "sent": [m.msg_id for m in controller.sent],
+        "cursors": (
+            list(controller.scripts.cursors)
+            if controller.scripts is not None else None
+        ),
+        "fingerprint": _naive_fingerprint(system, controller, case),
+    }
+
+
+@contextmanager
+def rewind_oracle():
+    """Check every run of every ``explore_case`` inside the block.
+
+    Yields a dict counting the runs checked, the rewinds among them and
+    the detector-cursor advances on their paths.
+    """
+    real_run = engine_mod._LiveSystem.run
+    seen = {"runs": 0, "rewinds": 0, "detector_choices": 0}
+
+    def checked_run(live, prefix):
+        rewinds = live.result.counters.explore_rewinds
+        trace = real_run(live, prefix)
+        system, controller, case = live.system, live.controller, live.case
+        taken = tuple(point.chosen for point in controller.log)
+        # A dedup / choice-limit halt stops at the hook of ``system.now``;
+        # the replay has no dedup, so it is told where to stop.
+        halted = trace.stop_reason == "scheduler-halt"
+        halt_at = system.now if halted else None
+        fresh_system, fresh_controller = run_controlled(
+            case,
+            taken,
+            engine=live.engine,
+            por=live.por,
+            tick_hook=lambda now: now != halt_at,
+        )
+        got = _observe(system, controller, case)
+        want = _observe(fresh_system, fresh_controller, case)
+        for key in want:
+            assert got[key] == want[key], (
+                f"rewound system differs from scratch replay in {key!r} "
+                f"on path {taken} of {case.describe()}: "
+                f"{got[key]!r} != {want[key]!r}"
+            )
+        seen["runs"] += 1
+        seen["detector_choices"] += sum(
+            point.kind == "detector" and point.chosen > 0
+            for point in controller.log
+        )
+        seen["rewinds"] += live.result.counters.explore_rewinds - rewinds
+        return trace
+
+    with mock.patch.object(engine_mod._LiveSystem, "run", checked_run):
+        yield seen
+
+
+SCRIPTED = ExploreCase(
+    target="redcommit",
+    n=2,
+    depth=6,
+    seed=1,
+    crashes=((0, 3),),
+    assignment=(
+        (
+            "script",
+            ("pf", ("bot",), "green"),
+            ("pf", ("fsv", "red"), "red"),
+        ),
+    )
+    * 2,
+)
+
+DEPTH = {"register": 6, "ct": 6, "paxos": 6}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+@pytest.mark.parametrize("crashes", [(), ((1, 3),)], ids=["nocrash", "crash"])
+def test_every_target_rewinds_exactly(target, crashes):
+    case = ExploreCase(
+        target=target, n=2, depth=DEPTH.get(target, 5), seed=1, crashes=crashes
+    )
+    with rewind_oracle() as seen:
+        result = explore_case(case)
+    assert seen["runs"] == result.runs > 1
+    assert seen["rewinds"] == result.runs - 1
+    assert result.counters.explore_hosts_rebuilt >= seen["rewinds"]
+
+
+@pytest.mark.parametrize("engine", ["indexed", "reference", "native"])
+@pytest.mark.parametrize("symmetry", [None, "auto"], ids=["plain", "symmetry"])
+def test_engines_and_symmetry(engine, symmetry):
+    for case in (
+        ExploreCase(target="nbac", n=3, depth=4),
+        ExploreCase(target="register", n=2, depth=6, crashes=((0, 2),)),
+        SCRIPTED,
+    ):
+        with rewind_oracle() as seen:
+            result = explore_case(case, engine=engine, symmetry=symmetry)
+        assert seen["runs"] == result.runs
+        assert seen["rewinds"] == result.runs - 1
+
+
+def test_scripted_root_switches_are_rewound():
+    """Detector cursors are journaled per tick: runs whose ``detector``
+    choices advance them at different ticks rewind across the advance."""
+    with rewind_oracle() as seen:
+        result = explore_case(SCRIPTED, por=False, dedup=False)
+    assert result.complete and seen["runs"] == result.runs
+    assert seen["detector_choices"] > 0
+
+
+@pytest.mark.parametrize("por", [True, False])
+@pytest.mark.parametrize("dedup", [True, False])
+def test_reductions_off(por, dedup):
+    case = ExploreCase(target="paxos", n=2, depth=5)
+    with rewind_oracle() as seen:
+        result = explore_case(case, por=por, dedup=dedup)
+    assert seen["runs"] == result.runs
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    target=st.sampled_from(["nbac", "paxos", "qc", "register", "ct"]),
+    depth=st.integers(3, 5),
+    seed=st.integers(0, 3),
+    crash=st.one_of(st.none(), st.tuples(st.integers(0, 1), st.integers(1, 4))),
+    choice_limit=st.one_of(st.none(), st.integers(2, 7)),
+    split_at=st.integers(2, 5),
+    data=st.data(),
+)
+def test_rewind_matches_scratch_replay(
+    target, depth, seed, crash, choice_limit, split_at, data
+):
+    """Random cases, random shard roots as ``initial_stack`` (several
+    roots in one walk: rewinds to tick 1, roots that share a prefix and
+    roots that share nothing), random ``choice_limit``."""
+    case = ExploreCase(
+        target=target,
+        n=2,
+        depth=depth,
+        seed=seed,
+        crashes=(crash,) if crash is not None else (),
+    )
+    roots = []
+    explore_case(case, choice_limit=split_at, shard_roots=roots)
+    stack = None
+    if roots:
+        stack = data.draw(
+            st.lists(st.sampled_from(roots), max_size=4, unique=True)
+        ) or None
+    with rewind_oracle() as seen:
+        result = explore_case(
+            case, initial_stack=stack, choice_limit=choice_limit
+        )
+    assert seen["runs"] == result.runs
+
+
+# -- the oracle must notice a component that breaks the replay contract ----
+
+class PayloadMutator(Component):
+    """Scribbles on the payload it receives — which a rebuilt host is
+    then re-fed, scribble included."""
+
+    name = "mut"
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def on_start(self):
+        self.broadcast(["hello"], include_self=False)
+
+    def on_message(self, sender, payload, meta):
+        payload.append(self.pid)  # the bug: a delivered payload is shared
+        self.seen.append(tuple(payload))
+        if len(self.seen) < 3:
+            self.send(sender, ["re"])
+
+
+def mutator_factory():
+    return lambda pid: PayloadMutator()
+
+
+def never(system):
+    return False
+
+
+def no_metrics(system, trace):
+    return {}
+
+
+def never_spec():
+    return never
+
+
+def no_metrics_spec():
+    return no_metrics
+
+
+def _build_mutator(n, seed, horizon, knobs):
+    return dict(
+        components=[("mut", call(mutator_factory))],
+        stop=call(never_spec),
+        summarize=call(no_metrics_spec),
+    )
+
+
+def test_oracle_flags_in_place_payload_mutation(monkeypatch):
+    monkeypatch.setitem(
+        TARGETS, "mutator", Target("mutator", _build_mutator, safety_clauses=())
+    )
+    case = ExploreCase(
+        target="mutator", n=2, depth=5, assignment=(("sigma", (0, 1)),) * 2
+    )
+    try:
+        with pytest.raises(AssertionError, match="differs from scratch replay"):
+            with rewind_oracle():
+                explore_case(case)
+    finally:
+        resolve_parts.cache_clear()
