@@ -3,7 +3,7 @@
 PYTHON ?= python3
 STORE ?= .repro-store
 
-.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments examples store-report store-trend all
+.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments experiments-e5 examples store-report store-trend all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -41,6 +41,11 @@ e2e-bench:
 
 experiments:
 	$(PYTHON) -m repro.experiments
+
+# The heaviest experiment alone (E5: the Figure 3 extraction), with the
+# per-campaign perf counters dumped to PROFILE_sim.json (docs/PERF.md).
+experiments-e5:
+	$(PYTHON) -m repro.experiments E5 --profile
 
 # The persistent campaign database (docs/STORE.md).  STORE overrides
 # the directory: `make store-report STORE=/tmp/db`.

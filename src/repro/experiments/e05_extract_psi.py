@@ -34,20 +34,15 @@ def _summarize(system, trace):
     from repro.core.specs import check_psi
 
     verdict = check_psi(trace.annotations["psi-x"], trace.pattern)
-    branches = {
-        system.component_at(p, "xpsi").core.branch
-        for p in trace.pattern.correct
-    }
+    cores = [system.component_at(p, "xpsi").core for p in trace.pattern.correct]
+    branches = {core.branch for core in cores}
     branches.discard(None)
-    sigma_rounds = sum(
-        system.component_at(p, "xpsi").core.sigma_rounds
-        for p in trace.pattern.correct
-    )
-    return {
-        "ok": verdict.ok,
-        "branches": sorted(branches),
-        "sigma_rounds": sigma_rounds,
-    }
+    # The sim_* counters are the Σ loop's useful-outcomes / attempts
+    # ratio; they stay out of the (digest-pinned) table rows.
+    metrics = {"ok": verdict.ok, "branches": sorted(branches)}
+    for name in ("sigma_rounds", "sim_attempts", "sim_decided", "sim_steps"):
+        metrics[name] = sum(getattr(core, name) for core in cores)
+    return metrics
 
 
 def case_spec(branch, pattern, seed, horizon, prefix_stride=10):

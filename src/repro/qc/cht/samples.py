@@ -15,12 +15,22 @@ number of ``r``'s samples present in ``G_q`` at creation time.  Then
 and the relation is transitive because later samples of ``q`` know at
 least everything earlier ones did.  Merging DAGs (gossip) is a plain
 union of sample sets — vectors never change after creation.
+
+That monotonicity is an *enforced* invariant, not an accident of how
+honest samplers build their vectors: a sample is admitted to a process's
+list only if ``know`` has ``n`` entries, ``know[pid] == seq - 1`` and
+``know`` is componentwise ``>=`` its predecessor's
+(:meth:`SampleDag._admit`; anything else is a ``ValueError``).  Hence
+for every vertex ``u`` and process ``q`` the samples of ``q`` that
+descend from ``u`` form a *suffix* of ``q``'s list, and
+:meth:`SampleDag.first_descendant` finds where it starts by bisection —
+what line 29's "subgraph induced by the descendants of u" is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class SampleDag:
         """Record a fresh local sample (edges from all current vertices)."""
         know = tuple(len(self._samples[q]) for q in range(self.n))
         sample = Sample(pid=pid, seq=know[pid] + 1, value=value, know=know)
-        self._samples[pid].append(sample)
+        self._admit(sample)
         return sample
 
     def merge(self, samples: Iterable[Sample]) -> int:
@@ -86,14 +96,31 @@ class SampleDag:
         return added
 
     def _unpark(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for key in sorted(self._parked):
-                pid, seq = key
-                if seq == len(self._samples[pid]) + 1:
-                    self._samples[pid].append(self._parked.pop(key))
-                    progressed = True
+        # Admission of q's next sample depends only on q's own list, so
+        # one drain per process reaches the fixpoint.
+        for pid, samples in enumerate(self._samples):
+            while self._parked:
+                sample = self._parked.pop((pid, len(samples) + 1), None)
+                if sample is None:
+                    break
+                self._admit(sample)
+
+    def _admit(self, sample: Sample) -> None:
+        """Append the next sample of its process, enforcing the
+        monotone-``know`` invariant :meth:`first_descendant` bisects on."""
+        samples = self._samples[sample.pid]
+        know = sample.know
+        ok = len(know) == self.n and know[sample.pid] == sample.seq - 1
+        if ok and samples:
+            ok = all(new >= old for new, old in zip(know, samples[-1].know))
+        if not ok:
+            raise ValueError(
+                f"sample ({sample.pid}, {sample.seq}) has an inconsistent "
+                f"knowledge vector {know!r}: need {self.n} entries, "
+                f"know[{sample.pid}] == {sample.seq - 1} and no entry below "
+                "its predecessor's"
+            )
+        samples.append(sample)
 
     # ------------------------------------------------------------------
     # Queries
@@ -112,6 +139,30 @@ class SampleDag:
 
     def samples_of(self, pid: int) -> List[Sample]:
         return list(self._samples[pid])
+
+    def samples_view(self, pid: int) -> Sequence[Sample]:
+        """``pid``'s samples in sequence order, *without* copying: the
+        live list (index ``i`` holds seq ``i + 1``), read-only for the
+        caller and growing with the DAG."""
+        return self._samples[pid]
+
+    def first_descendant(self, pid: int, u: Sample) -> int:
+        """Index in ``pid``'s sample list of the first sample that
+        descends from ``u`` (``count(pid)`` when none does yet).
+
+        ``know[u.pid]`` is non-decreasing along the list, so the
+        descendants of ``u`` are exactly the samples from that index on;
+        the bisection probes ``O(log count(pid))`` knowledge vectors.
+        """
+        samples = self._samples[pid]
+        lo, hi = 0, len(samples)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if samples[mid].descends_from(u):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def all_samples(self) -> List[Sample]:
         out: List[Sample] = []

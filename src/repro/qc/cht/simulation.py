@@ -239,9 +239,11 @@ def canonical_extension(
     ``max_steps`` is reached.
 
     ``per_process[q]`` is the pool of q's candidate samples in sequence
-    order; ``used[q]`` tracks consumption (samples skipped as
-    tip-incompatible are consumed for good — once a sample fails to
-    descend from the tip it can never rejoin this path).
+    order; ``used[q]`` is the index of the next candidate and tracks
+    consumption (a caller starts it past the samples that are not
+    eligible at all; samples skipped as tip-incompatible are consumed
+    for good — once a sample fails to descend from the tip it can never
+    rejoin this path).
 
     Returns ``(steps applied, target decided?)``.
     """
@@ -286,7 +288,7 @@ def simulate_run(
     balanced path using the DAG's samples — optionally only those that
     are proper descendants of ``restrict_after`` (line 29's "subgraph
     induced by the descendants of u", the freshness device of the
-    Σ-extraction).  The pools are a snapshot of the DAG, so waiting for
+    Σ-extraction).  The DAG cannot grow during the call, so waiting for
     gossip is pointless here and ``patience`` is kept minimal; callers
     that need fresher samples re-invoke with the grown DAG.
 
@@ -299,20 +301,19 @@ def simulate_run(
     driver = BalancedPathDriver(n, patience=patience)
     driver.note_prefix(schedule)
 
-    pools: List[List[Sample]] = []
-    used: Dict[int, int] = {}
-    prefix_counts: Dict[int, int] = {}
-    for s in prefix:
-        prefix_counts[s.pid] = max(prefix_counts.get(s.pid, 0), s.seq)
-    for q in range(n):
-        pool = dag.samples_of(q)
-        if restrict_after is not None:
-            pool = [s for s in pool if s.descends_from(restrict_after)]
-        else:
-            # Skip samples already consumed by the prefix.
-            pool = [s for s in pool if s.seq > prefix_counts.get(q, 0)]
-        pools.append(pool)
-        used[q] = 0
+    # Each pool is the DAG's own list of q's samples, entered at the
+    # index where the eligible window starts: the descendants of
+    # ``restrict_after`` are a suffix (knowledge vectors are monotone
+    # along the list), and so are the samples the prefix did not consume
+    # (seq ``k`` sits at index ``k - 1``).
+    pools = [dag.samples_view(q) for q in range(n)]
+    used: Dict[int, int]
+    if restrict_after is not None:
+        used = {q: dag.first_descendant(q, restrict_after) for q in range(n)}
+    else:
+        used = dict.fromkeys(range(n), 0)
+        for s in prefix:
+            used[s.pid] = max(used[s.pid], s.seq)
 
     decided = False
     while not decided and runtime.steps_taken - len(prefix) < max_steps:
@@ -321,7 +322,7 @@ def simulate_run(
         )
         schedule.extend(applied)
         if not applied and not decided:
-            # No step was possible.  The pools are a fixed snapshot, so
+            # No step was possible.  The pools cannot grow meanwhile, so
             # either the driver is waiting out its laggard patience
             # (retry immediately — the stall counters tick until the
             # laggard is benched) or the path is genuinely dry.

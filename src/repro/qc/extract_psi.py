@@ -27,11 +27,13 @@ Structure (matching the paper's line numbers):
   - **Σ (lines 24-32)** is extracted verbatim: maintain the set C of
     configurations reached by prefixes of S0/S1; after each fresh local
     sample ``u``, simulate a deciding extension of every C ∈ C using
-    only samples that descend from ``u``; the quorum is the set of
-    processes taking steps in those extensions.  Fresh samples can only
-    come from processes alive after ``u``, which yields Completeness;
-    Intersection is the deep CHT argument (Lemma 12 of [12]), checked
-    empirically by the experiment suite.
+    only samples that descend from ``u`` (per process a suffix of its
+    sample list, found by bisection —
+    :meth:`~repro.qc.cht.samples.SampleDag.first_descendant`); the
+    quorum is the set of processes taking steps in those extensions.
+    Fresh samples can only come from processes alive after ``u``, which
+    yields Completeness; Intersection is the deep CHT argument (Lemma
+    12 of [12]), checked empirically by the experiment suite.
   - **Ω (line 22)** in [3] walks decision gadgets of the limit forest.
     The limit forest does not exist in a bounded run, so this
     implementation substitutes a convergent election with the same
@@ -117,6 +119,15 @@ class PsiExtraction(ProtocolCore):
         self.agreed_tuple: Optional[Tuple] = None
         self.sigma_rounds = 0
         self.leader_rounds = 0
+        # How much of the Σ loop's simulation is useful: extension
+        # attempts, those in which p decided (exactly one per
+        # configuration of C per completed Σ round — the rest are "not
+        # enough fresh samples yet" retries), and simulated steps
+        # executed over all attempts, prefix replays included.
+        self.sigma_configs = 0
+        self.sim_attempts = 0
+        self.sim_decided = 0
+        self.sim_steps = 0
 
     # ------------------------------------------------------------------
     # The emulated Ψ module (line 1 / 18 / 34)
@@ -255,6 +266,7 @@ class PsiExtraction(ProtocolCore):
                 lengths.append(len(schedule))
             for j in lengths:
                 configs.append((initial, tuple(schedule[:j])))
+        self.sigma_configs = len(configs)
 
         while True:
             # Line 27: wait for a fresh local sample u.
@@ -280,7 +292,10 @@ class PsiExtraction(ProtocolCore):
                         restrict_after=u,
                         max_steps=self.sim_step_budget,
                     )
+                    self.sim_attempts += 1
+                    self.sim_steps += runtime.steps_taken
                     if decided:
+                        self.sim_decided += 1
                         break
                     # Not enough fresh samples yet; let task 1 gossip.
                     yield WaitSteps(self.sample_every * 2)

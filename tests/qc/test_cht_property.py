@@ -2,9 +2,11 @@
 
 The Figure 3 machinery leans on structural invariants of the DAG:
 the descendance relation must be a strict partial order consistent
-with per-process sampling order, gossip must converge, and balanced
-paths must be genuine DAG paths.  Hypothesis drives random schedules
-of sampling/gossip across three processes and checks all of it.
+with per-process sampling order, knowledge vectors must grow along each
+process's list (so the descendants of a vertex are a bisectable
+suffix), gossip must converge, and balanced paths must be genuine DAG
+paths.  Hypothesis drives random schedules of sampling/gossip across
+three processes and checks all of it.
 """
 
 import random
@@ -79,6 +81,28 @@ def test_same_process_samples_totally_ordered(actions):
             for earlier, later in zip(samples, samples[1:]):
                 assert later.descends_from(earlier)
                 assert later.seq == earlier.seq + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(actions=actions_strategy)
+def test_knowledge_is_monotone_along_each_process(actions):
+    for dag in random_gossip_run(actions):
+        for q in range(dag.n):
+            samples = dag.samples_of(q)
+            for earlier, later in zip(samples, samples[1:]):
+                assert all(a <= b for a, b in zip(earlier.know, later.know))
+
+
+@settings(max_examples=80, deadline=None)
+@given(actions=actions_strategy)
+def test_bisected_window_equals_linear_descendant_filter(actions):
+    for dag in random_gossip_run(actions):
+        for q in range(dag.n):
+            samples = dag.samples_of(q)
+            assert list(dag.samples_view(q)) == samples
+            for u in dag.all_samples():
+                window = samples[dag.first_descendant(q, u):]
+                assert window == [s for s in samples if s.descends_from(u)]
 
 
 @settings(max_examples=80, deadline=None)

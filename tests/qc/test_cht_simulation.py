@@ -1,5 +1,6 @@
 """Tests for the virtual runtime and balanced path driver."""
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,9 @@ from repro.qc.cht.samples import Sample, SampleDag
 from repro.qc.cht.simulation import (
     BalancedPathDriver,
     VirtualRuntime,
+    _driver_waiting,
     apply_schedule,
+    canonical_extension,
     simulate_run,
 )
 from repro.qc.psi_qc import PsiQCCore
@@ -177,3 +180,123 @@ class TestSimulateRun:
         )
         for prev, cur in zip(schedule, schedule[1:]):
             assert cur.compatible_after(prev.pid, prev.seq)
+
+
+def gossiped_dags(n=3, rounds=400, seed=0, leader=0):
+    """``n`` DAGs of (Ω, Σ) samples grown by lossy random gossip, so
+    descendance is a genuine partial order (unlike ``benign_dag``)."""
+    rng = random.Random(seed)
+    dags = [SampleDag(n) for _ in range(n)]
+    sent = [[(0,) * n for _ in range(n)] for _ in range(n)]
+    quorum = frozenset(range(n))
+    for _ in range(rounds):
+        for p in range(n):
+            dags[p].take_sample(p, (leader, quorum))
+            peer = rng.randrange(n)
+            if peer != p and rng.random() < 0.6:
+                dags[peer].merge(dags[p].delta_since(sent[p][peer]))
+                sent[p][peer] = dags[p].counts()
+    return dags
+
+
+def reference_simulate_run(
+    n, core_factory, proposals, dag, target,
+    prefix=(), restrict_after=None, max_steps=100_000, patience=2,
+):
+    """``simulate_run`` with the pools built the linear way — one full
+    pass over every process's samples per call.  The oracle the
+    windowed pool construction is compared against."""
+    runtime = VirtualRuntime(n, core_factory, proposals)
+    apply_schedule(runtime, prefix)
+    schedule = list(prefix)
+    driver = BalancedPathDriver(n, patience=patience)
+    driver.note_prefix(schedule)
+    prefix_counts = {}
+    for s in prefix:
+        prefix_counts[s.pid] = max(prefix_counts.get(s.pid, 0), s.seq)
+    pools = []
+    for q in range(n):
+        pool = dag.samples_of(q)
+        if restrict_after is not None:
+            pool = [s for s in pool if s.descends_from(restrict_after)]
+        else:
+            pool = [s for s in pool if s.seq > prefix_counts.get(q, 0)]
+        pools.append(pool)
+    used = {q: 0 for q in range(n)}
+    decided = False
+    while not decided and runtime.steps_taken - len(prefix) < max_steps:
+        applied, decided = canonical_extension(
+            runtime, pools, used, driver, target, max_steps
+        )
+        schedule.extend(applied)
+        if not applied and not decided and not _driver_waiting(driver, pools, used):
+            break
+    return runtime, schedule, decided
+
+
+class TestWindowedPools:
+    """Pools read from the DAG's lists at a bisected index are the
+    pools the linear filters built, element for element."""
+
+    def _both(self, dag, target, **kwargs):
+        args = (3, lambda pid: PsiQCCore(), [0, 1, 1], dag, target)
+        rt, schedule, decided = simulate_run(*args, **kwargs)
+        ref_rt, ref_schedule, ref_decided = reference_simulate_run(*args, **kwargs)
+        assert (schedule, decided, rt.step_takers) == (
+            ref_schedule, ref_decided, ref_rt.step_takers,
+        )
+        assert rt.decision_of(target) == ref_rt.decision_of(target)
+        return schedule, decided
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_linear_filter_oracle(self, seed):
+        dag = gossiped_dags(seed=seed)[0]
+        full, decided = self._both(dag, target=0)
+        assert decided
+        prefix = tuple(full[: len(full) // 2])
+        assert prefix
+        self._both(dag, target=0, prefix=prefix)
+        outcomes = set()
+        for seq in (1, dag.count(0) // 2, dag.count(0) - 10, dag.count(0)):
+            u = dag.sample(0, seq)
+            for pre in ((), prefix):
+                _, decided = self._both(
+                    dag, target=0, prefix=pre, restrict_after=u
+                )
+                outcomes.add(decided)
+        # Early pivots leave enough fresh samples to decide, the last
+        # one does not: both outcomes of the Σ loop's attempt are hit.
+        assert outcomes == {True, False}
+
+    def test_prefix_beyond_the_local_dag(self):
+        """A shipped schedule may mention samples this DAG has not
+        received yet; those processes simply have an empty window."""
+        dags = gossiped_dags(seed=3)
+        full, _ = self._both(dags[0], target=0)
+        behind = SampleDag(3)
+        behind.merge(s for s in dags[0].all_samples() if s.seq <= 5)
+        self._both(behind, target=0, prefix=tuple(full[:30]))
+
+    def test_pool_construction_probes_logarithmically(self, monkeypatch):
+        n, m = 3, 2_000
+        dag = SampleDag(n)
+        for _ in range(m):
+            for q in range(n):
+                dag.take_sample(q, None)
+        probes = []
+        descends_from = Sample.descends_from
+
+        def counting(self, other):
+            probes.append((self.pid, self.seq))
+            return descends_from(self, other)
+
+        monkeypatch.setattr(Sample, "descends_from", counting)
+        u = dag.sample(0, m // 3)
+        _, schedule, decided = simulate_run(
+            n, lambda pid: EchoCore(), [None] * n, dag, target=0,
+            restrict_after=u,
+        )
+        assert decided
+        assert 0 < len(probes) <= n * (math.ceil(math.log2(m)) + 1)
+        monkeypatch.undo()
+        assert all(s.descends_from(u) for s in schedule)

@@ -77,6 +77,41 @@ class TestOmegaSigmaBranch:
             core = system.component_at(pid, "xpsi").core
             assert core.branch == "omega-sigma"
 
+    @pytest.mark.parametrize(
+        "pattern, seed, horizon",
+        [
+            (FailurePattern.crash_free(3), 1, 16_000),
+            (FailurePattern(3, {1: 300}), 3, 20_000),
+        ],
+    )
+    def test_sigma_loop_accounts_for_its_simulations(self, pattern, seed, horizon):
+        """Useful outcomes / attempts of the line 28-31 loop: every
+        completed Σ round is exactly one decided run per configuration
+        in C; everything else was a retry."""
+        system, _ = run_extraction(
+            OMEGA_SIGMA_BRANCH, pattern, seed=seed, horizon=horizon
+        )
+        rounds = 0
+        for pid in pattern.correct:
+            core = system.component_at(pid, "xpsi").core
+            assert core.sigma_configs > 0
+            assert core.sim_decided <= core.sim_attempts
+            assert core.sim_decided // core.sigma_configs == core.sigma_rounds
+            assert core.sim_steps >= core.sim_decided
+            rounds += core.sigma_rounds
+        assert rounds > 0
+
+    def test_e5_summary_reports_the_simulation_counters(self):
+        from repro.experiments.e05_extract_psi import case_spec
+        from repro.runner import Campaign
+
+        [summary] = Campaign(
+            [case_spec(OMEGA_SIGMA_BRANCH, FailurePattern.crash_free(3), 1, 14_000)]
+        ).run()
+        m = summary.metrics
+        assert m["ok"] and m["sigma_rounds"] > 0
+        assert 0 < m["sim_decided"] <= m["sim_attempts"] <= m["sim_steps"]
+
     def test_extraction_with_a_crash_satisfies_psi(self):
         pattern = FailurePattern(3, {1: 300})
         system, trace = run_extraction(
