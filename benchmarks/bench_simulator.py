@@ -4,17 +4,15 @@ These put numbers on the machinery every experiment rides on: raw
 step throughput, network send/deliver cost, tasklet scheduling, the
 linearizability checker, and oracle history generation.
 
-The engine benches at the bottom (sparse long-horizon, high-fanout,
-and raw buffer churn) compare the seed's :class:`ReferenceNetwork`
-against the indexed :class:`Network`, the compiled
-:class:`NativeNetwork` (when ``repro._native`` is built), and the
-quiescence time-leap, assert trace equality, and write
-``BENCH_sim.json``.  Run them without pytest via
+The engine benches at the bottom (sparse long-horizon and high-fanout)
+compare the seed's :class:`ReferenceNetwork` against the indexed
+:class:`Network` and the quiescence time-leap, assert trace equality,
+and write ``BENCH_sim.json``.  Run them without pytest via
 ``python benchmarks/bench_simulator.py``; the wall-clock speedup
-assertions (machine-dependent) only arm under ``BENCH_SIM_STRICT=1``
-(leap vs reference) / ``BENCH_NATIVE_STRICT=1`` (native vs indexed
-churn), while the counter and digest gates (machine-independent)
-always hold — they are what the CI perf-smoke job checks.
+assertion (machine-dependent, leap vs reference) only arms under
+``BENCH_SIM_STRICT=1``, while the counter and digest gates
+(machine-independent) always hold — they are what the CI perf-smoke
+job checks.
 """
 
 import json
@@ -25,15 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from repro import _native
 from repro.core.detectors import PsiOracle, SigmaOracle, omega_sigma_oracle
 from repro.core.failure_pattern import FailurePattern
 from repro.registers.linearizability import check_linearizable
 from repro.sim.network import (
     ConstantDelay,
-    NativeNetwork,
     Network,
-    OldestFirstDelivery,
     ReferenceNetwork,
     UniformDelay,
 )
@@ -222,9 +217,6 @@ def run_sparse_bench() -> dict:
         "indexed": _run_engine(Network, build),
         "indexed_leap": _run_engine(Network, build, time_leap=True),
     }
-    if _native.available():
-        results["native"] = _run_engine(NativeNetwork, build)
-        results["native_leap"] = _run_engine(NativeNetwork, build, time_leap=True)
     digests = {r["digest"] for r in results.values()}
     assert len(digests) == 1, f"engines diverged: {results}"
     assert results["indexed_leap"]["leap_ratio"] > 0.9
@@ -232,19 +224,11 @@ def run_sparse_bench() -> dict:
         results["reference"]["_elapsed_raw"]
         / results["indexed_leap"]["_elapsed_raw"]
     )
-    native_speedup = None
-    if "native" in results:
-        native_speedup = round(
-            results["indexed"]["_elapsed_raw"]
-            / results["native"]["_elapsed_raw"],
-            2,
-        )
     for r in results.values():
         del r["_elapsed_raw"]
     report = {
         "horizon": 120_000,
         "speedup_leap_vs_reference": round(speedup, 2),
-        "speedup_native_vs_indexed": native_speedup,
     }
     report.update(results)
     return report
@@ -275,8 +259,6 @@ def run_fanout_bench() -> dict:
         # so a fanout-side leap regression was invisible).
         "indexed_leap": _run_engine(Network, build, time_leap=True),
     }
-    if _native.available():
-        results["native"] = _run_engine(NativeNetwork, build)
     digests = {r["digest"] for r in results.values()}
     assert len(digests) == 1, f"engines diverged: {results}"
     # The machine-independent gates the CI perf-smoke job relies on.
@@ -285,128 +267,20 @@ def run_fanout_bench() -> dict:
         results["reference"]["scanned_per_delivery"]
         > 10 * results["indexed"]["scanned_per_delivery"]
     )
-    native_speedup = None
-    if "native" in results:
-        assert (
-            results["native"]["scanned_per_delivery"]
-            == results["indexed"]["scanned_per_delivery"]
-        ), "native buffers must do identical counted work"
-        native_speedup = round(
-            results["indexed"]["_elapsed_raw"]
-            / results["native"]["_elapsed_raw"],
-            2,
-        )
     for r in results.values():
         del r["_elapsed_raw"]
-    report = {
-        "horizon": 30_000,
-        "speedup_native_vs_indexed": native_speedup,
-    }
-    report.update(results)
-    return report
-
-
-#: Churn-bench shape: enough in-flight messages that the buffer
-#: operations dominate, with zero sim-loop overhead in the timed region.
-CHURN_SENDS = 60_000
-MIN_NATIVE_CHURN_SPEEDUP = 1.5
-
-
-def _churn(impl) -> dict:
-    """Raw buffer throughput: the network core alone, no sim loop.
-
-    Drives send/pick/ready_for/pending/next_ready_time directly with a
-    deterministic schedule, so the indexed-vs-native delta is pure
-    buffer mechanics — the regime where the compiled port's headline
-    ratio is physical (inside a full sim run the Python step loop
-    dilutes it).  Returns the delivery order so callers can assert the
-    engines are move-for-move identical, not just fast.
-    """
-    n = 8
-    net = impl(
-        n,
-        random.Random(0),
-        delay_model=UniformDelay(5, 120),
-        delivery_policy=OldestFirstDelivery(),
-    )
-    driver = random.Random(1)
-    order = []
-    started = time.perf_counter()
-    now = 0
-    for i in range(CHURN_SENDS):
-        now += driver.randrange(3)
-        net.send(
-            driver.randrange(n), driver.randrange(n), "c", i, now=now
-        )
-        if i % 3 == 0:
-            msg = net.pick_for(driver.randrange(n), now)
-            if msg is not None:
-                order.append(msg.msg_id)
-        if i % 64 == 0:
-            order.append(len(net.ready_for(driver.randrange(n), now)))
-            order.append(net.next_ready_time(range(n), now) or -1)
-    while net.pending_count():
-        now += 1
-        for dest in range(n):
-            msg = net.pick_for(dest, now)
-            while msg is not None:
-                order.append(msg.msg_id)
-                msg = net.pick_for(dest, now)
-    elapsed = time.perf_counter() - started
-    return {
-        "elapsed_seconds": round(elapsed, 3),
-        "sends_per_second": round(CHURN_SENDS / elapsed) if elapsed else None,
-        "delivered": net.delivered_count,
-        "heap_pushes": net.perf.heap_pushes,
-        "heap_pops": net.perf.heap_pops,
-        "messages_scanned": net.perf.messages_scanned,
-        "_order": order,
-        "_elapsed_raw": elapsed,
-    }
-
-
-def run_churn_bench() -> dict:
-    """Indexed vs native on raw buffer churn, delivery-order checked."""
-    results = {
-        "reference": _churn(ReferenceNetwork),
-        "indexed": _churn(Network),
-    }
-    if _native.available():
-        results["native"] = _churn(NativeNetwork)
-    base = results["indexed"]
-    for name, row in results.items():
-        assert row["_order"] == base["_order"], f"{name} diverged from indexed"
-        assert row["delivered"] == base["delivered"], name
-    native_speedup = None
-    if "native" in results:
-        for counter in ("heap_pushes", "heap_pops", "messages_scanned"):
-            assert results["native"][counter] == base[counter], counter
-        native_speedup = round(
-            base["_elapsed_raw"] / results["native"]["_elapsed_raw"], 2
-        )
-        if os.environ.get("BENCH_NATIVE_STRICT"):
-            assert native_speedup >= MIN_NATIVE_CHURN_SPEEDUP, results
-    for row in results.values():
-        del row["_order"], row["_elapsed_raw"]
-    report = {
-        "sends": CHURN_SENDS,
-        "speedup_native_vs_indexed": native_speedup,
-    }
+    report = {"horizon": 30_000}
     report.update(results)
     return report
 
 
 def run_benchmark(report_path: str = "BENCH_sim.json") -> dict:
     report = {
-        "native": _native.status(),
         "sparse": run_sparse_bench(),
         "fanout": run_fanout_bench(),
-        "churn": run_churn_bench(),
     }
     if os.environ.get("BENCH_SIM_STRICT"):
         assert report["sparse"]["speedup_leap_vs_reference"] >= 3.0, report
-    if os.environ.get("BENCH_NATIVE_STRICT"):
-        assert report["native"]["available"], report["native"]
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -419,11 +293,6 @@ def test_sparse_long_horizon_bench():
 def test_high_fanout_bench():
     report = run_fanout_bench()
     assert report["indexed"]["scanned_per_delivery"] < 5.0
-
-
-def test_churn_bench():
-    report = run_churn_bench()
-    assert report["indexed"]["delivered"] == report["reference"]["delivered"]
 
 
 if __name__ == "__main__":

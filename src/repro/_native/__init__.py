@@ -1,17 +1,13 @@
 """Optional compiled hot core (see docs/PERF.md, "Native core").
 
 ``repro._native._core`` is a hand-written CPython extension holding
-byte-exact ports of the two hottest pure-Python loops:
-
-* ``Encoder`` — the fingerprint byte-encoder from
-  :mod:`repro.explore.state` (``--fingerprint-mode native``);
-* ``NetworkCore`` — the indexed per-destination message buffers from
-  :mod:`repro.sim.network` (the ``native`` engine / ``NativeNetwork``).
+``Encoder``, a byte-exact port of the fingerprint byte-encoder from
+:mod:`repro.explore.state` (``--fingerprint-mode native``).
 
 The extension is strictly optional: when it is not built (no compiler,
-no ``build_ext`` run) or is disabled via ``REPRO_NATIVE=0``, every
-caller silently degrades to the pure-Python paths, which stay in the
-tree as the differential-test references.  :func:`available` /
+no ``build_ext`` run) or is disabled via ``REPRO_NATIVE=0``, the mode
+silently degrades to the pure-Python encoder, which stays in the tree
+as the differential-test reference.  :func:`available` /
 :func:`reason` report which way this process went, and
 ``python -m repro.native_status`` prints it.
 """
@@ -25,7 +21,6 @@ __all__ = [
     "available",
     "reason",
     "encoder_class",
-    "network_core_class",
     "status",
 ]
 
@@ -52,9 +47,9 @@ def _bind() -> bool:
     """Register the sentinel classes with the extension, once.
 
     Binding is deferred past import time so ``repro._native`` can be
-    imported from anywhere (including ``repro.sim.network`` itself)
-    without a circular import: the sim/explore modules are only pulled
-    in when a caller first asks for a native class.
+    imported from anywhere without a circular import: the sim/explore
+    modules are only pulled in when a caller first asks for the
+    encoder.
     """
     global _bound, _reason
     if _bound or _core is None:
@@ -102,13 +97,6 @@ def encoder_class() -> Optional[type]:
     if not available():
         return None
     return _core.Encoder
-
-
-def network_core_class() -> Optional[type]:
-    """The compiled ``NetworkCore`` type, or None when unavailable."""
-    if not available():
-        return None
-    return _core.NetworkCore
 
 
 def status() -> dict:

@@ -1,18 +1,10 @@
-/* repro._native._core — compiled hot core for the explorer and simulator.
+/* repro._native._core — compiled fingerprint encoder for the explorer.
  *
- * Two engines live here, both exact ports of pure-Python references
- * that stay in the tree as differential-test oracles:
- *
- *   Encoder     — byte-identical port of repro.explore.state._Encoder.
- *                 The byte grammar IS the dedup key, so every branch
- *                 below mirrors the Python encoder case by case and in
- *                 the same order; the equivalence suites compare the
- *                 two byte-for-byte over real searches.
- *   NetworkCore — the indexed per-destination buffer from
- *                 repro.sim.network.Network (future min-heap, ready
- *                 pool in ascending msg_id order, lazy-deleted
- *                 oldest-first heap), including the exact perf-counter
- *                 accounting the golden determinism suite pins.
+ * Encoder is a byte-identical port of repro.explore.state._Encoder,
+ * which stays in the tree as the differential-test oracle.  The byte
+ * grammar IS the dedup key, so every branch below mirrors the Python
+ * encoder case by case and in the same order; the equivalence suites
+ * compare the two byte-for-byte over real searches.
  *
  * The module is import-safe without the rest of the package; the
  * Python side calls bind() once with the sentinel classes (WaitSteps,
@@ -302,8 +294,6 @@ static PyObject *s_remaining, *s_predicate, *s_sender, *s_dest,
     *s_closure, *s_module, *s_qualname, *s_code, *s_co_firstlineno,
     *s_cell_contents, *s_func, *s_self_attr, *s_self_name, *s_dict,
     *s_slots, *s_items, *s_name;
-static PyObject *s_heap_pushes, *s_heap_pops, *s_ready_promotions,
-    *s_messages_scanned, *s_fast_path_picks;
 
 static int
 intern_all(void)
@@ -340,11 +330,6 @@ intern_all(void)
     INTERN(s_slots, "__slots__");
     INTERN(s_items, "items");
     INTERN(s_name, "__name__");
-    INTERN(s_heap_pushes, "heap_pushes");
-    INTERN(s_heap_pops, "heap_pops");
-    INTERN(s_ready_promotions, "ready_promotions");
-    INTERN(s_messages_scanned, "messages_scanned");
-    INTERN(s_fast_path_picks, "fast_path_picks");
 #undef INTERN
     return 0;
 }
@@ -1385,544 +1370,6 @@ static PyTypeObject EncoderType = {
 };
 
 /* ------------------------------------------------------------------ */
-/* NetworkCore — the indexed per-destination buffer store.            */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    long long ready_at;
-    long long msg_id;
-    long long send_time;
-    PyObject *msg;
-} FEntry;
-
-typedef struct {
-    long long send_time;
-    long long msg_id;
-} OEntry;
-
-typedef struct {
-    FEntry *fut;            /* min-heap on (ready_at, msg_id) */
-    Py_ssize_t fut_len, fut_cap;
-    long long *rid;         /* ready pool: ids ascending, ... */
-    PyObject **rmsg;        /* ...parallel owned message refs */
-    Py_ssize_t rdy_len, rdy_cap;
-    OEntry *old;            /* lazy-deleted min-heap on (send_time, id) */
-    Py_ssize_t old_len, old_cap;
-} DBuf;
-
-typedef struct {
-    PyObject_HEAD
-    Py_ssize_t n;
-    DBuf *bufs;
-    PyObject *perf;         /* the owning network's PerfCounters */
-} CoreObject;
-
-static int
-bump(PyObject *perf, PyObject *name, long long delta)
-{
-    if (delta == 0 || perf == Py_None)
-        return 0;
-    PyObject *cur = PyObject_GetAttr(perf, name);
-    if (cur == NULL)
-        return -1;
-    PyObject *dv = PyLong_FromLongLong(delta);
-    if (dv == NULL) {
-        Py_DECREF(cur);
-        return -1;
-    }
-    PyObject *nv = PyNumber_Add(cur, dv);
-    Py_DECREF(cur);
-    Py_DECREF(dv);
-    if (nv == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(perf, name, nv);
-    Py_DECREF(nv);
-    return rc;
-}
-
-#define FUT_LT(a, b)                                       \
-    ((a).ready_at < (b).ready_at                           \
-     || ((a).ready_at == (b).ready_at && (a).msg_id < (b).msg_id))
-#define OLD_LT(a, b)                                       \
-    ((a).send_time < (b).send_time                         \
-     || ((a).send_time == (b).send_time && (a).msg_id < (b).msg_id))
-
-static int
-fut_push(DBuf *d, FEntry e)
-{
-    if (d->fut_len == d->fut_cap) {
-        Py_ssize_t cap = d->fut_cap ? d->fut_cap * 2 : 8;
-        FEntry *nf = PyMem_Realloc(d->fut, (size_t)cap * sizeof(FEntry));
-        if (nf == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        d->fut = nf;
-        d->fut_cap = cap;
-    }
-    Py_ssize_t i = d->fut_len++;
-    while (i > 0) {
-        Py_ssize_t parent = (i - 1) / 2;
-        if (!FUT_LT(e, d->fut[parent]))
-            break;
-        d->fut[i] = d->fut[parent];
-        i = parent;
-    }
-    d->fut[i] = e;
-    return 0;
-}
-
-static FEntry
-fut_pop(DBuf *d)
-{
-    FEntry top = d->fut[0];
-    FEntry last = d->fut[--d->fut_len];
-    Py_ssize_t i = 0, len = d->fut_len;
-    for (;;) {
-        Py_ssize_t child = 2 * i + 1;
-        if (child >= len)
-            break;
-        if (child + 1 < len && FUT_LT(d->fut[child + 1], d->fut[child]))
-            child += 1;
-        if (!FUT_LT(d->fut[child], last))
-            break;
-        d->fut[i] = d->fut[child];
-        i = child;
-    }
-    if (len > 0)
-        d->fut[i] = last;
-    return top;
-}
-
-static int
-old_push(DBuf *d, OEntry e)
-{
-    if (d->old_len == d->old_cap) {
-        Py_ssize_t cap = d->old_cap ? d->old_cap * 2 : 8;
-        OEntry *no = PyMem_Realloc(d->old, (size_t)cap * sizeof(OEntry));
-        if (no == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        d->old = no;
-        d->old_cap = cap;
-    }
-    Py_ssize_t i = d->old_len++;
-    while (i > 0) {
-        Py_ssize_t parent = (i - 1) / 2;
-        if (!OLD_LT(e, d->old[parent]))
-            break;
-        d->old[i] = d->old[parent];
-        i = parent;
-    }
-    d->old[i] = e;
-    return 0;
-}
-
-static void
-old_pop(DBuf *d)
-{
-    OEntry last = d->old[--d->old_len];
-    Py_ssize_t i = 0, len = d->old_len;
-    for (;;) {
-        Py_ssize_t child = 2 * i + 1;
-        if (child >= len)
-            break;
-        if (child + 1 < len && OLD_LT(d->old[child + 1], d->old[child]))
-            child += 1;
-        if (!OLD_LT(d->old[child], last))
-            break;
-        d->old[i] = d->old[child];
-        i = child;
-    }
-    if (len > 0)
-        d->old[i] = last;
-}
-
-/* Index of msg_id in the ready pool, or the insertion point
- * (found flag distinguishes). */
-static Py_ssize_t
-rdy_search(DBuf *d, long long msg_id, int *found)
-{
-    Py_ssize_t lo = 0, hi = d->rdy_len;
-    while (lo < hi) {
-        Py_ssize_t mid = (lo + hi) / 2;
-        if (d->rid[mid] < msg_id)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    *found = lo < d->rdy_len && d->rid[lo] == msg_id;
-    return lo;
-}
-
-static int
-rdy_insert(DBuf *d, long long msg_id, PyObject *msg)
-{
-    if (d->rdy_len == d->rdy_cap) {
-        Py_ssize_t cap = d->rdy_cap ? d->rdy_cap * 2 : 8;
-        long long *ni = PyMem_Realloc(d->rid, (size_t)cap * sizeof(long long));
-        if (ni == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        d->rid = ni;
-        PyObject **nm = PyMem_Realloc(d->rmsg, (size_t)cap * sizeof(PyObject *));
-        if (nm == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        d->rmsg = nm;
-        d->rdy_cap = cap;
-    }
-    int found;
-    Py_ssize_t at = rdy_search(d, msg_id, &found);
-    memmove(d->rid + at + 1, d->rid + at,
-            (size_t)(d->rdy_len - at) * sizeof(long long));
-    memmove(d->rmsg + at + 1, d->rmsg + at,
-            (size_t)(d->rdy_len - at) * sizeof(PyObject *));
-    d->rid[at] = msg_id;
-    d->rmsg[at] = msg;  /* takes ownership */
-    d->rdy_len++;
-    return 0;
-}
-
-/* Remove index at from the ready pool; returns the owned message. */
-static PyObject *
-rdy_take(DBuf *d, Py_ssize_t at)
-{
-    PyObject *msg = d->rmsg[at];
-    memmove(d->rid + at, d->rid + at + 1,
-            (size_t)(d->rdy_len - at - 1) * sizeof(long long));
-    memmove(d->rmsg + at, d->rmsg + at + 1,
-            (size_t)(d->rdy_len - at - 1) * sizeof(PyObject *));
-    d->rdy_len--;
-    return msg;
-}
-
-/* Move every future entry with ready_at <= now into the ready pool.
- * Counter accounting matches Network._promote exactly. */
-static int
-core_promote(CoreObject *self, DBuf *d, long long now)
-{
-    if (d->fut_len == 0 || d->fut[0].ready_at > now)
-        return 0;
-    long long moved = 0;
-    while (d->fut_len > 0 && d->fut[0].ready_at <= now) {
-        FEntry e = fut_pop(d);
-        if (rdy_insert(d, e.msg_id, e.msg) < 0) {
-            Py_DECREF(e.msg);
-            return -1;
-        }
-        OEntry o = {e.send_time, e.msg_id};
-        if (old_push(d, o) < 0)
-            return -1;
-        moved++;
-    }
-    if (bump(self->perf, s_heap_pops, moved) < 0
-        || bump(self->perf, s_heap_pushes, moved) < 0
-        || bump(self->perf, s_ready_promotions, moved) < 0)
-        return -1;
-    return 0;
-}
-
-static int
-core_check_dest(CoreObject *self, Py_ssize_t dest)
-{
-    if (dest < 0 || dest >= self->n) {
-        PyErr_Format(PyExc_IndexError, "destination %zd out of range", dest);
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-Core_new(PyTypeObject *type, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"n", "perf", NULL};
-    Py_ssize_t n;
-    PyObject *perf;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO", kwlist, &n, &perf))
-        return NULL;
-    if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "n must be >= 0");
-        return NULL;
-    }
-    CoreObject *self = (CoreObject *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->n = n;
-    self->bufs = PyMem_Calloc((size_t)(n ? n : 1), sizeof(DBuf));
-    if (self->bufs == NULL) {
-        Py_DECREF(self);
-        return PyErr_NoMemory();
-    }
-    Py_INCREF(perf);
-    self->perf = perf;
-    return (PyObject *)self;
-}
-
-static void
-Core_dealloc(CoreObject *self)
-{
-    if (self->bufs != NULL) {
-        for (Py_ssize_t dest = 0; dest < self->n; dest++) {
-            DBuf *d = &self->bufs[dest];
-            for (Py_ssize_t i = 0; i < d->fut_len; i++)
-                Py_DECREF(d->fut[i].msg);
-            for (Py_ssize_t i = 0; i < d->rdy_len; i++)
-                Py_DECREF(d->rmsg[i]);
-            PyMem_Free(d->fut);
-            PyMem_Free(d->rid);
-            PyMem_Free(d->rmsg);
-            PyMem_Free(d->old);
-        }
-        PyMem_Free(self->bufs);
-    }
-    Py_XDECREF(self->perf);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-Core_push(CoreObject *self, PyObject *args)
-{
-    Py_ssize_t dest;
-    long long ready_at, msg_id, send_time;
-    PyObject *msg;
-    if (!PyArg_ParseTuple(args, "nLLLO", &dest, &ready_at, &msg_id,
-                          &send_time, &msg))
-        return NULL;
-    if (core_check_dest(self, dest) < 0)
-        return NULL;
-    FEntry e = {ready_at, msg_id, send_time, msg};
-    Py_INCREF(msg);
-    if (fut_push(&self->bufs[dest], e) < 0) {
-        Py_DECREF(msg);
-        return NULL;
-    }
-    if (bump(self->perf, s_heap_pushes, 1) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-/* The oldest-first fast path of Network.pick_for: promote, then pop
- * (send_time, msg_id) heap entries until one is live in the ready
- * pool.  Perf accounting mirrors the Python loop per iteration. */
-static PyObject *
-Core_pick_oldest(CoreObject *self, PyObject *args)
-{
-    Py_ssize_t dest;
-    long long now;
-    if (!PyArg_ParseTuple(args, "nL", &dest, &now))
-        return NULL;
-    if (core_check_dest(self, dest) < 0)
-        return NULL;
-    DBuf *d = &self->bufs[dest];
-    if (core_promote(self, d, now) < 0)
-        return NULL;
-    if (d->rdy_len == 0)
-        Py_RETURN_NONE;
-    long long pops = 0;
-    while (d->old_len > 0) {
-        long long msg_id = d->old[0].msg_id;
-        int found;
-        Py_ssize_t at = rdy_search(d, msg_id, &found);
-        old_pop(d);
-        pops++;
-        if (found) {
-            if (bump(self->perf, s_heap_pops, pops) < 0
-                || bump(self->perf, s_fast_path_picks, 1) < 0
-                || bump(self->perf, s_messages_scanned, 1) < 0)
-                return NULL;
-            return rdy_take(d, at);  /* ownership to caller */
-        }
-        /* stale: delivered via the generic path */
-    }
-    /* Unreachable while the promote/remove invariant holds: every
-     * ready msg_id has a live oldest-heap entry. */
-    bump(self->perf, s_heap_pops, pops);
-    PyErr_SetString(PyExc_SystemError,
-                    "oldest-first heap desynced from ready pool");
-    return NULL;
-}
-
-/* ready_for / the generic pick path: promote, count a full scan, and
- * return the ready pool in ascending msg_id order. */
-static PyObject *
-Core_ready_list(CoreObject *self, PyObject *args)
-{
-    Py_ssize_t dest;
-    long long now;
-    if (!PyArg_ParseTuple(args, "nL", &dest, &now))
-        return NULL;
-    if (core_check_dest(self, dest) < 0)
-        return NULL;
-    DBuf *d = &self->bufs[dest];
-    if (core_promote(self, d, now) < 0)
-        return NULL;
-    if (bump(self->perf, s_messages_scanned, (long long)d->rdy_len) < 0)
-        return NULL;
-    PyObject *result = PyList_New(d->rdy_len);
-    if (result == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < d->rdy_len; i++) {
-        Py_INCREF(d->rmsg[i]);
-        PyList_SET_ITEM(result, i, d->rmsg[i]);
-    }
-    return result;
-}
-
-static PyObject *
-Core_remove(CoreObject *self, PyObject *args)
-{
-    Py_ssize_t dest;
-    long long msg_id;
-    if (!PyArg_ParseTuple(args, "nL", &dest, &msg_id))
-        return NULL;
-    if (core_check_dest(self, dest) < 0)
-        return NULL;
-    DBuf *d = &self->bufs[dest];
-    int found;
-    Py_ssize_t at = rdy_search(d, msg_id, &found);
-    if (!found) {
-        PyErr_Format(PyExc_KeyError, "%lld", msg_id);
-        return NULL;
-    }
-    PyObject *msg = rdy_take(d, at);
-    Py_DECREF(msg);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Core_pending_count(CoreObject *self, PyObject *args)
-{
-    PyObject *dest_obj = Py_None;
-    if (!PyArg_ParseTuple(args, "|O", &dest_obj))
-        return NULL;
-    long long total = 0;
-    if (dest_obj == Py_None) {
-        for (Py_ssize_t dest = 0; dest < self->n; dest++) {
-            DBuf *d = &self->bufs[dest];
-            total += d->fut_len + d->rdy_len;
-        }
-    }
-    else {
-        Py_ssize_t dest = PyNumber_AsSsize_t(dest_obj, PyExc_IndexError);
-        if (dest == -1 && PyErr_Occurred())
-            return NULL;
-        if (core_check_dest(self, dest) < 0)
-            return NULL;
-        DBuf *d = &self->bufs[dest];
-        total = d->fut_len + d->rdy_len;
-    }
-    return PyLong_FromLongLong(total);
-}
-
-static PyObject *
-Core_next_ready_time(CoreObject *self, PyObject *args)
-{
-    PyObject *dests;
-    long long now;
-    if (!PyArg_ParseTuple(args, "OL", &dests, &now))
-        return NULL;
-    PyObject *it = PyObject_GetIter(dests);
-    if (it == NULL)
-        return NULL;
-    long long best = 0;
-    int have_best = 0;
-    PyObject *item;
-    while ((item = PyIter_Next(it)) != NULL) {
-        Py_ssize_t dest = PyNumber_AsSsize_t(item, PyExc_IndexError);
-        Py_DECREF(item);
-        if (dest == -1 && PyErr_Occurred()) {
-            Py_DECREF(it);
-            return NULL;
-        }
-        if (core_check_dest(self, dest) < 0) {
-            Py_DECREF(it);
-            return NULL;
-        }
-        DBuf *d = &self->bufs[dest];
-        if (d->rdy_len > 0) {
-            Py_DECREF(it);
-            return PyLong_FromLongLong(now);
-        }
-        if (d->fut_len > 0) {
-            long long top = d->fut[0].ready_at;
-            if (top <= now) {  /* deliverable, just not yet promoted */
-                Py_DECREF(it);
-                return PyLong_FromLongLong(now);
-            }
-            if (!have_best || top < best) {
-                best = top;
-                have_best = 1;
-            }
-        }
-    }
-    Py_DECREF(it);
-    if (PyErr_Occurred())
-        return NULL;
-    if (!have_best)
-        Py_RETURN_NONE;
-    return PyLong_FromLongLong(best);
-}
-
-/* Every in-flight message for dest: future entries (heap-array order)
- * then ready messages ascending — the multiset the fingerprint walks. */
-static PyObject *
-Core_in_flight(CoreObject *self, PyObject *args)
-{
-    Py_ssize_t dest;
-    if (!PyArg_ParseTuple(args, "n", &dest))
-        return NULL;
-    if (core_check_dest(self, dest) < 0)
-        return NULL;
-    DBuf *d = &self->bufs[dest];
-    PyObject *result = PyList_New(d->fut_len + d->rdy_len);
-    if (result == NULL)
-        return NULL;
-    Py_ssize_t at = 0;
-    for (Py_ssize_t i = 0; i < d->fut_len; i++, at++) {
-        Py_INCREF(d->fut[i].msg);
-        PyList_SET_ITEM(result, at, d->fut[i].msg);
-    }
-    for (Py_ssize_t i = 0; i < d->rdy_len; i++, at++) {
-        Py_INCREF(d->rmsg[i]);
-        PyList_SET_ITEM(result, at, d->rmsg[i]);
-    }
-    return result;
-}
-
-static PyMethodDef Core_methods[] = {
-    {"push", (PyCFunction)Core_push, METH_VARARGS,
-     "push(dest, ready_at, msg_id, send_time, msg) — enqueue."},
-    {"pick_oldest", (PyCFunction)Core_pick_oldest, METH_VARARGS,
-     "pick_oldest(dest, now) — oldest-first fast-path pick or None."},
-    {"ready_list", (PyCFunction)Core_ready_list, METH_VARARGS,
-     "ready_list(dest, now) — ready messages, ascending msg_id."},
-    {"remove", (PyCFunction)Core_remove, METH_VARARGS,
-     "remove(dest, msg_id) — drop one message from the ready pool."},
-    {"pending_count", (PyCFunction)Core_pending_count, METH_VARARGS,
-     "pending_count([dest]) — buffered message count."},
-    {"next_ready_time", (PyCFunction)Core_next_ready_time, METH_VARARGS,
-     "next_ready_time(dests, now) — earliest deliverable time or None."},
-    {"in_flight", (PyCFunction)Core_in_flight, METH_VARARGS,
-     "in_flight(dest) — every buffered message for dest."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyTypeObject CoreType = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._native._core.NetworkCore",
-    .tp_basicsize = sizeof(CoreObject),
-    .tp_dealloc = (destructor)Core_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Compiled indexed per-destination message buffers.",
-    .tp_new = Core_new,
-    .tp_methods = Core_methods,
-};
-
-/* ------------------------------------------------------------------ */
 /* Module                                                             */
 /* ------------------------------------------------------------------ */
 
@@ -1971,7 +1418,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._native._core",
-    .m_doc = "Compiled hot core: fingerprint encoder + network buffers.",
+    .m_doc = "Compiled fingerprint encoder.",
     .m_size = -1,
     .m_methods = module_methods,
 };
@@ -1984,19 +1431,13 @@ PyInit__core(void)
     PyObject *m = PyModule_Create(&core_module);
     if (m == NULL)
         return NULL;
-    if (PyType_Ready(&EncoderType) < 0 || PyType_Ready(&CoreType) < 0) {
+    if (PyType_Ready(&EncoderType) < 0) {
         Py_DECREF(m);
         return NULL;
     }
     Py_INCREF(&EncoderType);
     if (PyModule_AddObject(m, "Encoder", (PyObject *)&EncoderType) < 0) {
         Py_DECREF(&EncoderType);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&CoreType);
-    if (PyModule_AddObject(m, "NetworkCore", (PyObject *)&CoreType) < 0) {
-        Py_DECREF(&CoreType);
         Py_DECREF(m);
         return NULL;
     }

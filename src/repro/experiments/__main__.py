@@ -10,13 +10,14 @@ Usage::
     python -m repro.experiments --cache .repro-store \\
         --cache-backend sqlite                   # persistent campaign DB
     python -m repro.experiments --fail-fast      # stop at first mismatch
-    python -m repro.experiments --profile E1     # dump hot-path counters
+    python -m repro.experiments E1 --profile     # dump hot-path counters
 
 ``--jobs``/``--cache`` configure the campaign engine every experiment
 routes its runs through (see :mod:`repro.runner`): ``--jobs 0`` uses
 every core, ``--cache`` with no path uses the default on-disk store.
 ``--profile`` collects each campaign's aggregated perf counters (see
-``docs/PERF.md``) and writes them as JSON (default ``PROFILE_sim.json``).
+``docs/PERF.md``) and writes them as JSON (default ``PROFILE_sim.json``);
+it takes an optional path, so name the experiments *before* it.
 """
 
 from __future__ import annotations
@@ -87,6 +88,12 @@ def main(argv=None) -> int:
     unknown = [e for e in wanted if e not in registry]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; have {list(registry)}")
+    if args.profile in registry:
+        parser.error(
+            f"--profile {args.profile} would run every experiment and write "
+            f"the counters to a file named {args.profile}; put the "
+            f"experiment ids first: {args.profile} --profile"
+        )
 
     configure(
         workers=args.jobs,

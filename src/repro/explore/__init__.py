@@ -78,7 +78,7 @@ from repro.explore.shard import (
     merge_summaries,
     split_case,
 )
-from repro.explore.state import FingerprintEngine, fingerprint, sanitize
+from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import (
     SYMMETRY_SAFE_TARGETS,
     admissible_perms,
@@ -117,7 +117,6 @@ __all__ = [
     "explore_case_dynamic",
     "explore_case_sharded",
     "explore_shard",
-    "fingerprint",
     "frontier_campaign",
     "fs_prefix_admissible",
     "merge_summaries",
@@ -128,7 +127,6 @@ __all__ = [
     "run_controlled",
     "run_frontier",
     "run_frontier_dynamic",
-    "sanitize",
     "script_stages_coherent",
     "split_case",
     "switch_scripts_for",

@@ -92,12 +92,7 @@ def _parse_args(argv) -> argparse.Namespace:
         "--engine",
         choices=ENGINES + ("both",),
         default="indexed",
-        help=(
-            "network engine to drive (default indexed; 'both' = the "
-            "two pure-Python engines; 'native' runs on the indexed "
-            "engine where the compiled core is not built — --stats "
-            "names the network class that actually ran)"
-        ),
+        help="network engine to drive (default indexed; 'both' = each in turn)",
     )
     parser.add_argument(
         "--workers",
@@ -319,7 +314,7 @@ def _emit_artifacts(
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    engines = ["indexed", "reference"] if args.engine == "both" else [args.engine]
+    engines = list(ENGINES) if args.engine == "both" else [args.engine]
     if args.cache_backend is not None:
         configure(cache_backend=args.cache_backend)
     if args.frontier == "dynamic" and (
@@ -406,7 +401,6 @@ def main(argv=None) -> int:
                 "opaque_tokens": 0,
             }
             rewinds = hosts_rebuilt = 0
-            engine_classes = set()
             complete = True
             for summary in summaries:
                 for key in totals:
@@ -415,7 +409,6 @@ def main(argv=None) -> int:
                 hosts_rebuilt += summary["counters"].get(
                     "explore_hosts_rebuilt", 0
                 )
-                engine_classes.add(summary.get("engine_class", ""))
                 complete = complete and summary["complete"]
                 if args.stats:
                     case = summary["case"]
@@ -447,8 +440,7 @@ def main(argv=None) -> int:
                     f"rewinds={rewinds} hosts_rebuilt={hosts_rebuilt} "
                     f"replay_steps={totals['replay_steps']} "
                     f"fp_nodes={totals['fp_nodes']} "
-                    f"opaque_tokens={totals['opaque_tokens']} "
-                    f"network={'+'.join(sorted(engine_classes - {''}))}"
+                    f"opaque_tokens={totals['opaque_tokens']}"
                     if args.stats
                     else ""
                 )

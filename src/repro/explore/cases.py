@@ -50,17 +50,18 @@ from repro.explore.control import (
 )
 from repro.registers.workload import RegisterWorkload
 from repro.runner import call
-from repro.sim.network import ConstantDelay, resolve_network_engine
+from repro.sim.network import (
+    NETWORK_ENGINES,
+    ConstantDelay,
+    resolve_network_engine,
+)
 from repro.sim.process import ProcessHost
 from repro.sim.system import System, network_implementation
 
 #: The buffer engines the explorer can drive; the controlled runs are
-#: bit-identical across them (all hand ``choose`` the ready list in
+#: bit-identical across them (both hand ``choose`` the ready list in
 #: ascending msg_id order), which a tier-1 property test pins.
-#: ``native`` resolves to the compiled core when built and to
-#: ``indexed`` otherwise (still digest-identical); which one ran is
-#: recorded as ``ExploreResult.engine_class``.
-ENGINES = ("indexed", "reference", "native")
+ENGINES = NETWORK_ENGINES
 
 
 def explore_register_workload_factory(seed: int):
@@ -208,12 +209,10 @@ def build_system(
     detector providers are rebound to the case's constants, and every
     send is journaled by the controller.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
+    impl = resolve_network_engine(engine)
     if parts is None:
         parts = resolve_parts(case)
     controller.crash_times = frozenset(t for _, t in case.crashes)
-    impl = resolve_network_engine(engine)
     with network_implementation(impl):
         system = System(
             n=case.n,

@@ -77,22 +77,15 @@ from repro.explore.cases import (
     wire_host,
 )
 from repro.explore.control import ChoiceController
-from repro.explore.state import (
-    FingerprintEngine,
-    fingerprint,
-    sanitize,
-    _sorted_by_repr,
-)
+from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import admissible_perms, resolve_symmetry
-from repro.sim.network import Message
 from repro.sim.perf import PerfCounters
 
 #: Fingerprint implementations ``explore_case`` accepts: the byte
-#: engine with and without its caches, the compiled-encoder variant
+#: engine with and without its caches, and the compiled-encoder variant
 #: (digest-identical to ``incremental``, silently degrading to it when
-#: the extension is unavailable), and the PR 4 tuple/repr path (kept as
-#: the benchmark baseline).
-FINGERPRINT_MODES = ("incremental", "naive", "native", "legacy")
+#: the extension is unavailable).
+FINGERPRINT_MODES = FingerprintEngine.MODES
 
 
 @dataclass
@@ -137,12 +130,6 @@ class ExploreResult:
     counters: PerfCounters = field(default_factory=PerfCounters)
     symmetry: bool = False
     fingerprint_mode: str = "incremental"
-    #: Name of the network class the walk actually ran on, taken from
-    #: the built system: ``--engine native`` runs on ``Network`` where
-    #: the compiled core is not built, and the result says so instead
-    #: of degrading silently.  Empty when nothing ran here (an unwalked
-    #: base result, a summary from before the field existed).
-    engine_class: str = ""
     #: Structured records of degraded-but-survived events from the
     #: distributed paths — failed shard cells folded into a partial
     #: merge, expired worker leases, quarantined shards.  Always empty
@@ -189,20 +176,6 @@ def _vector_closure(
         yield tuple(
             sorted((perm[pid], comp, value) for pid, comp, value in vector)
         )
-
-
-def _por_context(
-    por: bool, prev: Optional[int], fresh: List[Message], boundary: bool
-) -> Tuple[Any, ...]:
-    if not por:
-        return ()
-    return (
-        prev,
-        boundary,
-        _sorted_by_repr(
-            (m.sender, m.dest, m.component, sanitize(m.payload)) for m in fresh
-        ),
-    )
 
 
 def _shared_prefix_len(prefix: Tuple[int, ...], log: Sequence[Any]) -> int:
@@ -257,14 +230,7 @@ def explore_case(
     publication.  ``states`` then counts only newly recorded states, so
     summed shard counts measure distinct coverage.
     """
-    if fingerprint_mode not in FINGERPRINT_MODES:
-        raise ValueError(
-            f"unknown fingerprint mode {fingerprint_mode!r}; "
-            f"have {FINGERPRINT_MODES}"
-        )
     symmetry_on = resolve_symmetry(case, symmetry)
-    if symmetry_on and fingerprint_mode == "legacy":
-        raise ValueError("symmetry reduction requires the byte fingerprint engine")
     parts = resolve_parts(case)
     result = ExploreResult(
         case=case,
@@ -276,12 +242,8 @@ def explore_case(
         fingerprint_mode=fingerprint_mode,
     )
     perms = admissible_perms(case) if symmetry_on else (tuple(range(case.n)),)
-    fp_engine = (
-        FingerprintEngine(
-            case.n, fingerprint_mode, counters=result.counters, perms=perms
-        )
-        if fingerprint_mode != "legacy"
-        else None
+    fp_engine = FingerprintEngine(
+        case.n, fingerprint_mode, counters=result.counters, perms=perms
     )
     visited: Dict[str, int] = exchange.visited if exchange is not None else {}
     stack: List[Tuple[int, ...]] = (
@@ -375,7 +337,7 @@ class _LiveSystem:
         result: ExploreResult,
         parts: CaseParts,
         visited: Dict[str, int],
-        fp_engine: Optional[FingerprintEngine],
+        fp_engine: FingerprintEngine,
         choice_limit: Optional[int],
         digest_log: Optional[List[str]],
         exchange: Optional[Any],
@@ -435,10 +397,8 @@ class _LiveSystem:
         self.system = build_system(
             self.case, controller, parts=self.parts, engine=self.engine
         )
-        self.result.engine_class = type(self.system.network).__name__
         self.digests = []
-        if self.fp_engine is not None:
-            self.fp_engine.begin_run(self.system)
+        self.fp_engine.begin_run(self.system)
 
     def _rewind(self, prefix: Tuple[int, ...], time: int) -> None:
         """Put the live system at the start of tick ``time``."""
@@ -474,10 +434,9 @@ class _LiveSystem:
             refed += len(own)
         controller.rewind(prefix, time)
         del self.digests[time:]  # tick ``time`` itself is still ahead
-        if self.fp_engine is not None:
-            self.fp_engine.rewound(
-                [system.hosts[pid] for pid in stepped], len(trace.decisions)
-            )
+        self.fp_engine.rewound(
+            [system.hosts[pid] for pid in stepped], len(trace.decisions)
+        )
         counters = self.result.counters
         counters.explore_rewinds += 1
         counters.explore_hosts_rebuilt += len(stepped)
@@ -539,19 +498,8 @@ class _LiveSystem:
         crashes_pending = self.last_crash is not None and self.last_crash > now
         scripts = controller.scripts
         cursors = tuple(scripts.cursors) if scripts is not None else None
-        prev, fresh, boundary = (
-            controller.prev_pid, controller.fresh, controller.boundary
-        )
-        if self.fp_engine is not None:
-            return self.fp_engine.fingerprint(
-                now, crashes_pending, self.first_crash,
-                prev, fresh, boundary, self.por, cursors,
-            )
-        return fingerprint(
-            self.system,
-            now,
-            crashes_pending,
-            self.first_crash,
-            _por_context(self.por, prev, fresh, boundary),
-            cursors,
+        return self.fp_engine.fingerprint(
+            now, crashes_pending, self.first_crash,
+            controller.prev_pid, controller.fresh, controller.boundary,
+            self.por, cursors,
         )

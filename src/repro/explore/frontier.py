@@ -167,7 +167,6 @@ def result_to_dict(result: ExploreResult) -> Dict[str, Any]:
     return {
         "case": case_to_dict(result.case),
         "engine": result.engine,
-        "engine_class": result.engine_class,
         "por": result.por,
         "dedup": result.dedup,
         "complete": result.complete,

@@ -158,11 +158,7 @@ def merge_summaries(
     violations = list(base["violations"])
     incidents = list(base.get("incidents", []))
     complete = base["complete"]
-    # Shards walk in other processes; if one of them resolved the
-    # engine differently (extension built there, not here) say so.
-    engine_classes = {base.get("engine_class", "")}
     for summary in shard_summaries:
-        engine_classes.add(summary.get("engine_class", ""))
         for key, value in summary["stats"].items():
             merged["stats"][key] = merged["stats"].get(key, 0) + value
         counters.merge(summary.get("counters", {}))
@@ -182,7 +178,6 @@ def merge_summaries(
     merged["violations"] = violations
     merged["incidents"] = incidents
     merged["complete"] = complete
-    merged["engine_class"] = "+".join(sorted(engine_classes - {""}))
     merged["shards"] = len(shard_summaries)
     return merged
 
@@ -204,7 +199,6 @@ def _result_from_summary(case: ExploreCase, summary: Dict[str, Any]) -> ExploreR
         counters=counters,
         symmetry=summary.get("symmetry", False),
         fingerprint_mode=summary.get("fingerprint_mode", "incremental"),
-        engine_class=summary.get("engine_class", ""),
     )
     result.incidents = list(summary.get("incidents", []))
     result.decision_vectors = {

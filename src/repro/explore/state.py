@@ -12,9 +12,8 @@ What goes in, and why:
   recursively, protocol cores, child cores, pending tasklet generators
   with their instruction pointers and locals).  Generators are the hard
   part: a tasklet's continuation is ``(code position, locals, the
-  generator it delegates to)``, which
-  :func:`sanitize` captures via ``gi_frame.f_lasti`` /
-  ``gi_frame.f_locals`` / ``gi_yieldfrom``.
+  generator it delegates to)``, which the encoder captures via
+  ``gi_frame.f_lasti`` / ``gi_frame.f_locals`` / ``gi_yieldfrom``.
 * **network buffers** — per-destination *multisets* of
   ``(sender, component, payload)``.  Message ids are deliberately
   excluded (they encode the path, not the state), and so is
@@ -40,29 +39,23 @@ What goes in, and why:
   continuations and must not merge (this is what makes dedup and POR
   sound *together*, not just separately).
 
-Anything :func:`sanitize` cannot faithfully canonicalise becomes a
-globally unique ``("opaque", ...)`` token, so unknown values can cause
-missed merges but never a wrong one — dedup degrades toward plain DFS,
-never toward unsoundness.
+Anything the encoder cannot faithfully canonicalise marks the whole
+state *opaque*, and an opaque state's key is unique to the fingerprint
+call that produced it, so unknown values can cause missed merges but
+never a wrong one — dedup degrades toward plain DFS, never toward
+unsoundness.
 
-Two generations of the machinery live here:
-
-* the **legacy path** (:func:`sanitize` + :func:`fingerprint` and the
-  ``*_canonical`` helpers) — the original every-tick full
-  re-canonicalisation.  Kept verbatim: it is the PR 4 wall-clock
-  baseline that ``benchmarks/bench_explorer.py`` measures against, and
-  its per-value behaviour is pinned by tier-1 unit tests.
-* the **byte engine** (:class:`FingerprintEngine`) — the hot path.  It
-  encodes values bottom-up into self-delimiting byte strings (the
-  encoded bytes double as the stable sort keys that replace the old
-  ``repr``-based sorting), caches per-host and per-destination
-  encodings across ticks keyed on dirty tracking, and can canonicalise
-  the assembled state under a group of process-id permutations
-  (symmetry reduction — see :mod:`repro.explore.symmetry` and
-  ``docs/EXPLORER.md`` for the soundness argument).  Its ``naive`` mode
-  runs the identical encoding with every cache disabled; a tier-1
-  equivalence suite asserts the two modes produce byte-identical
-  digest sequences.
+One implementation produces the keys: the byte engine
+(:class:`FingerprintEngine` over :class:`_Encoder`).  It encodes values
+bottom-up into self-delimiting byte strings (the encoded bytes double
+as the stable sort keys of unordered containers), caches per-host and
+per-destination encodings across ticks keyed on dirty tracking, and can
+canonicalise the assembled state under a group of process-id
+permutations (symmetry reduction — see :mod:`repro.explore.symmetry`
+and ``docs/EXPLORER.md`` for the soundness argument).  Its ``naive``
+mode runs the identical encoding with every cache disabled and its
+``native`` mode serves it from the compiled encoder; tier-1 equivalence
+suites assert the three produce byte-identical digest sequences.
 """
 
 from __future__ import annotations
@@ -104,223 +97,6 @@ _SKIP_ATTRS = frozenset(
 #: Recursion ceiling; anything deeper degrades to an opaque token.
 _MAX_DEPTH = 40
 
-# Globally unique opaque tokens: a state containing one never equals
-# anything (not even a literal revisit of itself) — conservative, sound.
-_opaque_serial = 0
-
-
-def _opaque(value: Any) -> Tuple[Any, ...]:
-    global _opaque_serial
-    _opaque_serial += 1
-    return ("opaque", type(value).__name__, _opaque_serial)
-
-
-def _sorted_by_repr(items: Iterable[Any]) -> Tuple[Any, ...]:
-    return tuple(sorted(items, key=repr))
-
-
-def sanitize(value: Any, _depth: int = 0, _stack: Tuple[int, ...] = ()) -> Any:
-    """Canonicalise ``value`` into nested tuples of primitives.
-
-    Equal protocol states produce equal structures; structures that
-    cannot be proven equal come out globally unique (see module doc).
-    ``_stack`` carries the ids of objects on the current recursion path
-    so reference cycles (component ↔ core, predicate closures over
-    ``self``) become position-stable ``("cycle", type)`` markers.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    if _depth > _MAX_DEPTH:
-        return _opaque(value)
-    obj_id = id(value)
-    if obj_id in _stack:
-        return ("cycle", type(value).__name__)
-    stack = _stack + (obj_id,)
-    depth = _depth + 1
-
-    if isinstance(value, (tuple, list)):
-        tag = "t" if isinstance(value, tuple) else "l"
-        return (tag,) + tuple(sanitize(v, depth, stack) for v in value)
-    if isinstance(value, (set, frozenset)):
-        return ("s",) + _sorted_by_repr(sanitize(v, depth, stack) for v in value)
-    if isinstance(value, dict):
-        return ("d",) + _sorted_by_repr(
-            (sanitize(k, depth, stack), sanitize(v, depth, stack))
-            for k, v in value.items()
-        )
-
-    if isinstance(value, WaitSteps):
-        return ("wait-steps", value.remaining)
-    if isinstance(value, WaitUntil):
-        return ("wait-until", sanitize(value.predicate, depth, stack))
-    if isinstance(value, Message):
-        return (
-            "msg",
-            value.sender,
-            value.dest,
-            value.component,
-            sanitize(value.payload, depth, stack),
-        )
-    if isinstance(value, Random):
-        # The full Mersenne state, hashed: future draws depend on it.
-        return ("rng", hashlib.sha256(repr(value.getstate()).encode()).hexdigest())
-    if isinstance(value, types.GeneratorType):
-        frame = value.gi_frame
-        if frame is None:
-            return ("gen", value.gi_code.co_qualname, "exhausted")
-        local_items = _sorted_by_repr(
-            (name, sanitize(v, depth, stack))
-            for name, v in frame.f_locals.items()
-            if name != "self"  # covered by the owning component's walk
-        )
-        return (
-            "gen",
-            value.gi_code.co_qualname,
-            frame.f_lasti,
-            local_items,
-            sanitize(value.gi_yieldfrom, depth, stack),
-        )
-    if isinstance(value, types.FunctionType):
-        cells = value.__closure__ or ()
-        return (
-            "fn",
-            value.__module__,
-            value.__qualname__,
-            value.__code__.co_firstlineno,
-            tuple(sanitize(c.cell_contents, depth, stack) for c in cells),
-        )
-    if isinstance(value, types.MethodType):
-        return (
-            "method",
-            value.__func__.__qualname__,
-            sanitize(value.__self__, depth, stack),
-        )
-    if isinstance(value, (Network, ReferenceNetwork, RunTrace)):
-        # Backrefs that slipped past the skip list; never protocol state.
-        return ("ref", type(value).__name__)
-
-    # Generic object: type tag + its attribute dict (minus plumbing).
-    state = getattr(value, "__dict__", None)
-    if state is None and hasattr(type(value), "__slots__"):
-        state = {
-            name: getattr(value, name)
-            for name in type(value).__slots__
-            if hasattr(value, name)
-        }
-    if state is not None:
-        return (
-            "obj",
-            type(value).__module__,
-            type(value).__qualname__,
-            _sorted_by_repr(
-                (k, sanitize(v, depth, stack))
-                for k, v in state.items()
-                if k not in _SKIP_ATTRS
-            ),
-        )
-    return _opaque(value)
-
-
-def host_canonical(host: ProcessHost) -> Tuple[Any, ...]:
-    """One process's canonical state: components + pending tasklets."""
-    components = tuple(
-        (name, sanitize(comp)) for name, comp in sorted(host.components.items())
-    )
-    tasklets = tuple(
-        (task.name, task.started, sanitize(task.wait), sanitize(task.gen))
-        for task in host._driver._tasklets
-        if not task.done
-    )
-    return (host._started, components, tasklets)
-
-
-def _buffered(network: Any, dest: int) -> List[Message]:
-    """Every in-flight message for ``dest``, any engine."""
-    core = getattr(network, "_core", None)
-    if core is not None:  # native engine: buffers live in C
-        return core.in_flight(dest)
-    if hasattr(network, "_buffers"):  # indexed engine
-        buf = network._buffers[dest]
-        return [m for _, _, m in buf.future] + list(buf.ready.values())
-    return list(network._pending[dest])  # reference engine
-
-
-def buffers_canonical(network: Any) -> Tuple[Any, ...]:
-    """Per-destination multisets of (sender, component, payload)."""
-    per_dest = []
-    for dest in range(network.n):
-        per_dest.append(
-            _sorted_by_repr(
-                (m.sender, m.component, sanitize(m.payload))
-                for m in _buffered(network, dest)
-            )
-        )
-    return tuple(per_dest)
-
-
-def decisions_canonical(
-    trace: RunTrace, first_crash: Optional[int]
-) -> Tuple[Any, ...]:
-    """Decisions as an order-free set, tagged with crash-relative order."""
-    return _sorted_by_repr(
-        (
-            d.pid,
-            d.component,
-            sanitize(d.value),
-            first_crash is not None and d.time >= first_crash,
-        )
-        for d in trace.decisions
-    )
-
-
-def operations_canonical(trace: RunTrace) -> Tuple[Any, ...]:
-    """The full op history, times included (see module doc)."""
-    return tuple(
-        (
-            op.pid,
-            op.component,
-            op.kind,
-            sanitize(op.args),
-            op.invoke_time,
-            op.response_time,
-            sanitize(op.result),
-        )
-        for op in trace.operations
-    )
-
-
-def fingerprint(
-    system: Any,
-    now: int,
-    crashes_pending: bool,
-    first_crash: Optional[int],
-    por_context: Tuple[Any, ...],
-    cursors: Optional[Tuple[int, ...]] = None,
-) -> str:
-    """The dedup key for the system's state at the start of tick ``now``.
-
-    ``cursors`` is the detector-script cursor vector for scripted roots
-    (None for constant assignments): two states whose processes sit at
-    different script stages read different detector values from here
-    on, so the cursor is part of the state.
-    """
-    structure = (
-        tuple(host_canonical(host) for host in system.hosts),
-        buffers_canonical(system.network),
-        decisions_canonical(system.trace, first_crash),
-        operations_canonical(system.trace),
-        now if crashes_pending else None,
-        por_context,
-    )
-    if cursors is not None:
-        structure = structure + (cursors,)
-    return hashlib.sha256(repr(structure).encode()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# The byte engine: incremental, symmetry-aware fingerprinting.
-# ---------------------------------------------------------------------------
-
 #: A cacheable encoding of one value (or one composite section):
 #: ``data`` is the self-delimiting canonical byte string, ``ambiguous``
 #: the set of ints in ``[0, n)`` that appeared at *untagged* positions
@@ -353,11 +129,13 @@ def _mask_set(mask: int) -> FrozenSet[int]:
 class _Encoder:
     """Bottom-up canonical byte encoding of Python values.
 
-    The encoding mirrors :func:`sanitize` case by case but emits
-    self-delimiting bytes instead of nested tuples, so container
-    canonical order is a plain lexicographic sort of child encodings —
-    no ``repr`` calls — and the final digest hashes bytes that already
-    exist instead of ``repr`` of a tuple tree.
+    Equal protocol states produce equal bytes.  The bytes are
+    self-delimiting, so the canonical order of a set or dict is a plain
+    lexicographic sort of its children's encodings and the final digest
+    hashes bytes that already exist.  ``stack`` carries the ids of the
+    objects on the current recursion path, so reference cycles
+    (component ↔ core, predicate closures over ``self``) become
+    position-stable ``c<type>;`` markers.
 
     Two accumulators ride along with every encode call:
 
@@ -548,9 +326,9 @@ class FingerprintEngine:
 
     **Opacity.** When any encoded value is opaque the assembly gets a
     ``(run serial, tick)`` suffix — unique per fingerprint call within
-    this engine, so the state can never merge with anything (matching
-    the legacy globally-unique-token semantics) while staying
-    deterministic, which keeps naive and incremental byte-identical.
+    this engine, so the state can never merge with anything while
+    staying deterministic, which keeps naive and incremental
+    byte-identical.
     The ``explore_opaque_tokens`` counter makes the degradation
     visible.
     """
@@ -723,7 +501,7 @@ class FingerprintEngine:
         entries = []
         if self.native:
             enc_pair = self._encoder.enc_pair
-            for message in _buffered(self._system.network, dest):
+            for message in self._system.network.in_flight(dest):
                 data, mask, opaque = enc_pair(message.component, message.payload)
                 entries.append(
                     (message.sender, EncodedUnit(data, _mask_set(mask), opaque))
@@ -731,7 +509,7 @@ class FingerprintEngine:
             if self.cached:
                 self._buffer_cache[dest] = entries
             return entries
-        for message in _buffered(self._system.network, dest):
+        for message in self._system.network.in_flight(dest):
             # The sender is kept outside the encoded bytes: it is a
             # *tagged* pid position, relabeled at assembly time.
             unit = self._unit(
@@ -890,12 +668,12 @@ class FingerprintEngine:
     ) -> str:
         """The dedup key for the system state at the start of ``now``.
 
-        Covers the same ground as the legacy :func:`fingerprint` —
-        hosts, buffers, decisions, operations, absolute time while
-        crashes are pending, the POR context when the POR is on, and
-        the detector-script cursor vector for scripted roots — via the
-        byte encoding, canonicalised under the valid subset of the
-        engine's permutation group.
+        Covers hosts, buffers, decisions, operations, absolute time
+        while crashes are pending, the POR context when the POR is on,
+        and the detector-script cursor vector for scripted roots (two
+        states whose processes sit at different script stages read
+        different detector values from here on), canonicalised under
+        the valid subset of the engine's permutation group.
         """
         if self.cached:
             if prev is not None:

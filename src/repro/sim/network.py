@@ -13,17 +13,21 @@ with a fair scheduler; the adversarial policies may intentionally
 starve messages (useful for FLP-style non-termination demonstrations)
 and are clearly marked as unfair.
 
-Two buffer engines implement the same contract:
+One production engine and one oracle implement the same contract:
 
-* :class:`Network` (the default) — *indexed* per-destination buffers: a
-  not-yet-ready min-heap keyed on ``ready_at`` plus a ready pool with
-  O(1) membership removal, so ``ready_for``/``pick_for`` cost
+* :class:`Network` — what every run uses: *indexed* per-destination
+  buffers, a not-yet-ready min-heap keyed on ``ready_at`` plus a ready
+  pool with O(1) membership removal, so ``ready_for``/``pick_for`` cost
   O(ready + log pending) instead of O(pending).  The default
   oldest-first policy additionally gets an O(log ready) fast path over
   a ``(send_time, msg_id)`` heap that never materializes a ready list.
 * :class:`ReferenceNetwork` — the seed's flat-list implementation, kept
   verbatim as the behavioral oracle for the golden determinism suite
   and the simulator benchmarks.
+
+How either stores its messages is known to this module alone; code that
+needs the in-flight set (the explorer's fingerprints) asks
+``in_flight(dest)``.
 
 Both engines hand every :meth:`DeliveryPolicy.choose` implementation
 the same ready list in the same order (per-destination insertion order,
@@ -391,15 +395,18 @@ class Network:
         and delivered messages.  Policies that keep state of their own
         (and ``duplicated_count``) are not the buffers' to restore.
         """
-        self._clear()
+        self._buffers = [_DestBuffer() for _ in range(self.n)]
         for msg in messages:
             self._enqueue(msg)
         self._next_msg_id = next_msg_id
         self.sent_count = sent
         self.delivered_count = delivered
 
-    def _clear(self) -> None:
-        self._buffers = [_DestBuffer() for _ in range(self.n)]
+    def in_flight(self, dest: int) -> List[Message]:
+        """Every buffered message for ``dest``, ready or not, in no
+        particular order."""
+        buf = self._buffers[dest]
+        return [m for _, _, m in buf.future] + list(buf.ready.values())
 
     def pending_count(self, dest: Optional[int] = None) -> int:
         if dest is None:
@@ -431,114 +438,17 @@ class Network:
         return best
 
 
-class NativeNetwork(Network):
-    """The indexed engine with its buffer store compiled to C.
-
-    Behaviorally identical to :class:`Network` — the golden determinism
-    suite holds it digest-equal to both pure engines — but the
-    future-heap / ready-pool / oldest-heap bookkeeping lives in
-    ``repro._native._core.NetworkCore``.  Delay sampling, policy
-    callbacks (:meth:`DeliveryPolicy.choose`, ``duplicate_after``) and
-    :class:`Message` construction stay in Python so arbitrary policies
-    and the chaos adversaries observe bit-identical runs, consuming the
-    same ``rng`` stream in the same order.
-
-    Constructing one requires the compiled extension; use
-    :func:`resolve_network_engine` for the graceful-fallback path.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        rng: random.Random,
-        delay_model: Optional[DelayModel] = None,
-        delivery_policy: Optional[DeliveryPolicy] = None,
-        perf: Optional[PerfCounters] = None,
-    ):
-        super().__init__(
-            n,
-            rng,
-            delay_model=delay_model,
-            delivery_policy=delivery_policy,
-            perf=perf,
-        )
-        from repro import _native
-
-        core_cls = _native.network_core_class()
-        if core_cls is None:
-            raise RuntimeError(
-                f"native network core unavailable: {_native.reason()}"
-            )
-        self._core = core_cls(n, self.perf)
-        # The pure-Python buffers are dead weight here; dropping them
-        # makes any stale direct access fail loudly instead of reading
-        # empty buffers (fingerprinting goes through _core.in_flight).
-        self._buffers = []
-
-    def _enqueue(self, msg: Message) -> None:
-        self._core.push(
-            msg.dest, msg.ready_at, msg.msg_id, msg.send_time, msg
-        )
-
-    def _clear(self) -> None:
-        self._core = type(self._core)(self.n, self.perf)
-
-    def ready_for(self, dest: int, now: int) -> List[Message]:
-        """Messages deliverable to ``dest`` at time ``now``."""
-        return self._core.ready_list(dest, now)
-
-    def pick_for(self, dest: int, now: int) -> Optional[Message]:
-        """Remove and return the message ``dest`` receives this step."""
-        policy = self.delivery_policy
-        msg: Optional[Message]
-        if policy.oldest_first_selection:
-            msg = self._core.pick_oldest(dest, now)
-            if msg is None:
-                return None
-        else:
-            ready_list = self._core.ready_list(dest, now)
-            if not ready_list:
-                return None
-            msg = policy.choose(ready_list, now, self._rng)
-            if msg is None:
-                return None
-            self._core.remove(dest, msg.msg_id)
-        self.delivered_count += 1
-        self.perf.messages_delivered += 1
-        self._maybe_duplicate(policy, msg, now)
-        return msg
-
-    def pending_count(self, dest: Optional[int] = None) -> int:
-        return self._core.pending_count(dest)
-
-    def next_ready_time(self, dests: Iterable[int], now: int) -> Optional[int]:
-        """Earliest time a buffered message for ``dests`` is deliverable."""
-        return self._core.next_ready_time(dests, now)
-
-
 #: The engine names accepted wherever a network implementation can be
 #: picked (RunSpec.engine, the explorer's --engine, frontier options).
-NETWORK_ENGINES = ("indexed", "reference", "native")
+NETWORK_ENGINES = ("indexed", "reference")
 
 
 def resolve_network_engine(engine: str) -> type:
-    """Map an engine name to a network class, degrading gracefully.
-
-    ``"native"`` resolves to :class:`NativeNetwork` when the compiled
-    core is loaded and to :class:`Network` otherwise — the two are
-    digest-identical, so a run spec naming ``native`` stays
-    reproducible on hosts without the extension (see docs/PERF.md).
-    """
+    """Map an engine name to its network class."""
     if engine == "indexed":
         return Network
     if engine == "reference":
         return ReferenceNetwork
-    if engine == "native":
-        from repro import _native
-
-        if _native.available():
-            return NativeNetwork
-        return Network
     raise ValueError(
         f"unknown network engine {engine!r}; have {NETWORK_ENGINES}"
     )
@@ -654,6 +564,10 @@ class ReferenceNetwork:
         self._next_msg_id = next_msg_id
         self.sent_count = sent
         self.delivered_count = delivered
+
+    def in_flight(self, dest: int) -> List[Message]:
+        """Twin of :meth:`Network.in_flight`."""
+        return list(self._pending[dest])
 
     def pending_count(self, dest: Optional[int] = None) -> int:
         if dest is None:

@@ -128,7 +128,7 @@ class System:
         works) so the sim layer never imports the runner package.
 
         A spec may pin a buffer engine via its optional ``engine``
-        field (``"indexed"`` / ``"reference"`` / ``"native"``); when it
+        field (``"indexed"`` / ``"reference"``); when it
         is None (the default) the ambient engine stands — whatever
         :func:`network_implementation` currently has swapped in — so
         golden-suite style ``with network_implementation(...)`` wrapping

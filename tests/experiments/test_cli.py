@@ -54,6 +54,18 @@ def test_fail_fast_stops_at_first_mismatch(registry, capsys):
     assert "skipping ['E3']" in capsys.readouterr().err
 
 
+def test_profile_does_not_swallow_an_experiment_id(registry, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["--profile", "E1"])
+    assert exit_info.value.code == 2
+    assert "E1 --profile" in capsys.readouterr().err
+    assert registry == []
+    # Ids first, then the flag (with or without a path), is the way.
+    path = tmp_path / "counters.json"
+    assert cli.main(["E1", "--profile", str(path)]) == 0
+    assert registry == ["E1"] and path.exists()
+
+
 def test_fail_fast_with_no_mismatch_runs_everything(registry):
     assert cli.main(["--fail-fast", "E1", "E3"]) == 0
     assert registry == ["E1", "E3"]

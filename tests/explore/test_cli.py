@@ -13,7 +13,6 @@ def test_clean_target_exits_zero(capsys):
     assert "qc [indexed]" in out and ": ok" in out
     assert "runs=" in out and "por_pruned=" in out
     assert "rewinds=" in out and "hosts_rebuilt=" in out
-    assert "network=Network" in out
 
 
 def test_clean_target_fails_expectation_of_violation(capsys):
@@ -69,8 +68,6 @@ def test_no_por_and_no_dedup_flags(capsys):
 def test_reference_engine_and_both(capsys):
     assert main(["--target", "qc", "--engine", "reference"]) == 0
     assert "qc [reference]" in capsys.readouterr().out
-    assert main(["--target", "qc", "--engine", "reference", "--stats"]) == 0
-    assert "network=ReferenceNetwork" in capsys.readouterr().out
     assert main(["--target", "qc", "--engine", "both"]) == 0
     out = capsys.readouterr().out
     assert "qc [indexed]" in out and "qc [reference]" in out
@@ -98,6 +95,16 @@ def test_switch_mutant_auto_enables_the_dimension(capsys):
     )
     assert code == 0
     assert "VIOLATION FOUND" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--engine", "native"), ("--fingerprint-mode", 'legacy')]
+)
+def test_removed_choices_are_argparse_errors(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "qc", flag, value])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_unknown_target_rejected():

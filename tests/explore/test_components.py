@@ -13,10 +13,9 @@ from repro.explore import (
     crash_schedules,
     decode_value,
     enumerate_roots,
-    fingerprint,
     run_controlled,
-    sanitize,
 )
+from repro.explore.state import FingerprintEngine, _Encoder
 
 
 class TestChoiceController:
@@ -51,7 +50,7 @@ class TestSanitize:
         b["self"] = b
         # Identity must not leak into the canonical form: two
         # structurally identical cycles are the same state.
-        assert sanitize(a) == sanitize(b)
+        assert _Encoder(2).enc(a) == _Encoder(2).enc(b)
 
     def test_slotted_state_is_captured(self):
         class Slotted:
@@ -60,16 +59,41 @@ class TestSanitize:
             def __init__(self, x):
                 self.x = x
 
-        assert sanitize(Slotted(1)) == sanitize(Slotted(1))
+        encoder = _Encoder(2)
+        assert encoder.enc(Slotted(1)) == encoder.enc(Slotted(1))
         # Slot values are real protocol state — different values must
         # not merge.
-        assert sanitize(Slotted(1)) != sanitize(Slotted(2))
+        assert encoder.enc(Slotted(1)) != encoder.enc(Slotted(2))
+        assert not encoder.opaque
 
     def test_undecomposable_objects_never_merge(self):
-        # A bare object() has neither __dict__ nor __slots__: sanitize
-        # cannot prove two of them equal, so each gets a globally
-        # unique token — missed merges are sound, wrong merges are not.
-        assert sanitize(object()) != sanitize(object())
+        # A bare object() has neither __dict__ nor __slots__: the
+        # encoder cannot prove two of them equal, so it flags the state
+        # opaque and every key of an opaque state is unique to its
+        # fingerprint call — missed merges are sound, wrong merges are
+        # not.
+        encoder = _Encoder(2)
+        encoder.enc(object())
+        assert encoder.opaque
+
+        case = ExploreCase(target="qc", n=2, depth=6)
+        system, _ = run_controlled(case)
+
+        def keys_at_two_ticks():
+            engine = FingerprintEngine(case.n)
+            engine.begin_run(system)
+            return [
+                engine.fingerprint(now, False, None, None, (), False, False)
+                for now in (3, 4)
+            ]
+
+        # No crash is pending, so the tick is not part of the state...
+        first, second = keys_at_two_ticks()
+        assert first == second
+        # ...until the ``!run@tick`` suffix of an opaque state.
+        system.hosts[0].components["qc"].widget = object()
+        first, second = keys_at_two_ticks()
+        assert first != second
 
 
 class TestAssignments:
@@ -166,7 +190,9 @@ class TestControlledRunDeterminism:
         prints = []
         for _ in range(2):
             system, _ = run_controlled(case)
+            engine = FingerprintEngine(case.n)
+            engine.begin_run(system)
             prints.append(
-                fingerprint(system, case.depth, False, None, ())
+                engine.fingerprint(case.depth, False, None, None, (), False, False)
             )
         assert prints[0] == prints[1]

@@ -13,11 +13,8 @@ full exhaustion on both engines and compares everything.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import _native
 from repro.explore import ExploreCase, explore_case
-from repro.explore.engine import ExploreResult
-from repro.explore.frontier import result_to_dict
-from repro.explore.shard import _result_from_summary
+from repro.sim.network import resolve_network_engine
 
 TARGETS = ("paxos", "ct", "qc", "nbac", "register", "hastycommit")
 
@@ -53,30 +50,18 @@ def test_exploration_identical_on_both_engines(case):
 
 @pytest.mark.parametrize(
     "engine, network",
-    [
-        ("indexed", "Network"),
-        ("reference", "ReferenceNetwork"),
-        # Asking for the compiled core where it is not built runs on
-        # the indexed engine — and the result says so.
-        ("native", "NativeNetwork" if _native.available() else "Network"),
-    ],
+    [("indexed", "Network"), ("reference", "ReferenceNetwork")],
 )
 def test_result_names_the_network_class_that_ran(engine, network):
+    # Engine name and network class are one-to-one, so the name the
+    # result records is the class the walk ran on.
     case = ExploreCase(target="qc", n=2, depth=4)
     result = explore_case(case, engine=engine)
-    assert result.engine == engine and result.engine_class == network
-    assert result_to_dict(result)["engine_class"] == network
+    assert result.engine == engine
+    assert resolve_network_engine(result.engine).__name__ == network
 
 
-def test_engine_class_is_recorded_not_guessed():
+def test_unknown_engine_is_refused():
     case = ExploreCase(target="qc", n=2, depth=4)
-    # Nothing ran: nothing is claimed, whatever the local box would
-    # resolve the engine name to.
-    assert ExploreResult(case, "native", True, True).engine_class == ""
-    # A summary written before the field existed stays unattributed.
-    summary = result_to_dict(explore_case(case))
-    del summary["engine_class"]
-    assert _result_from_summary(case, summary).engine_class == ""
-    # An unknown engine is still build_system's error to raise.
-    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+    with pytest.raises(ValueError, match="unknown network engine 'bogus'"):
         explore_case(case, engine="bogus")

@@ -7,9 +7,6 @@ every state of a real search, or the caches are lying about dirtiness
 somewhere.  ``explore_case(digest_log=...)`` collects every key in
 hook order, so equality of the logs pins both the per-state bytes and
 the search trajectory at once.
-
-The legacy (PR4) path hashes a different canonical form, so its keys
-are not comparable — for it the contract is outcome equality only.
 """
 
 import pytest
@@ -100,15 +97,9 @@ def test_native_mode_digests_byte_identical(case):
     assert incr.counters.explore_native_calls == 0
 
 
-@pytest.mark.parametrize("case", CASES[:2], ids=IDS[:2])
-def test_legacy_mode_reaches_same_outcomes(case):
-    legacy = explore_case(case, fingerprint_mode="legacy")
-    incr = explore_case(case, fingerprint_mode="incremental")
-    assert legacy.complete and incr.complete
-    assert legacy.decision_vectors == incr.decision_vectors
-    assert {(v.violated, v.decisions) for v in legacy.violations} == {
-        (v.violated, v.decisions) for v in incr.violations
-    }
+def test_removed_mode_is_refused_by_name():
+    with pytest.raises(ValueError, match="incremental.*naive.*native"):
+        explore_case(CASES[0], fingerprint_mode='legacy')
 
 
 class TestEncoder:

@@ -50,7 +50,6 @@ def test_sharded_matches_serial(case):
     assert _violation_set(sharded) == _violation_set(serial)
     assert sharded.complete == serial.complete
     assert sharded.counters.explore_shards > 0
-    assert sharded.engine_class == serial.engine_class == "Network"
 
 
 def test_shard_roots_are_pairwise_disjoint_subtrees():

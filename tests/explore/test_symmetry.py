@@ -167,11 +167,6 @@ class TestResolve:
         with pytest.raises(ValueError, match="pid-derived"):
             resolve_symmetry(case, True)
 
-    def test_legacy_fingerprints_cannot_carry_symmetry(self):
-        case = ExploreCase(target="nbac", n=2, depth=4)
-        with pytest.raises(ValueError, match="byte fingerprint"):
-            explore_case(case, symmetry=True, fingerprint_mode="legacy")
-
 
 class TestRootCollapse:
     def test_symmetric_crash_roots_share_a_key(self):

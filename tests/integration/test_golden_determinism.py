@@ -12,12 +12,10 @@ not just speed.
 
 import pytest
 
-from repro import _native
 from repro.chaos.knobs import ChaosKnobs
 from repro.chaos.targets import CLEAN_TARGETS, FuzzCase, build_spec
 from repro.sim.network import (
     HoldingDelivery,
-    NativeNetwork,
     Network,
     ReferenceNetwork,
 )
@@ -84,18 +82,6 @@ class TestIndexedMatchesSeed:
             _assert_golden(ref, got)
             if knobs.fair:
                 leaped = _execute(spec, Network, time_leap=True)
-                _assert_golden(ref, leaped)
-
-    def test_native_engine_agrees(self, target, label, knobs):
-        if not _native.available():
-            pytest.skip(f"native core unavailable: {_native.reason()}")
-        for seed in (1, 2):
-            spec = build_spec(_case(target, seed, knobs))
-            ref = _execute(spec, ReferenceNetwork)
-            got = _execute(spec, NativeNetwork)
-            _assert_golden(ref, got)
-            if knobs.fair:
-                leaped = _execute(spec, NativeNetwork, time_leap=True)
                 _assert_golden(ref, leaped)
 
 

@@ -1,15 +1,11 @@
 """Differential tests: the compiled core vs its pure-Python references.
 
 The native extension's entire contract is *bit-indistinguishability*:
-
-* ``repro._native._core.Encoder`` must produce the same bytes — and the
-  same ``ambig`` / ``opaque`` / ``nodes`` side effects — as
-  :class:`repro.explore.state._Encoder` on every value either can see,
-  including the adversarial corners (big ints, nan, surrogates, cycles,
-  over-depth nesting, live generator frames, detector-script cursors);
-* ``NativeNetwork`` must deliver the same messages in the same order as
-  the indexed :class:`Network` and the seed :class:`ReferenceNetwork`
-  under every adversary configuration.
+``repro._native._core.Encoder`` must produce the same bytes — and the
+same ``ambig`` / ``opaque`` / ``nodes`` side effects — as
+:class:`repro.explore.state._Encoder` on every value either can see,
+including the adversarial corners (big ints, nan, surrogates, cycles,
+over-depth nesting, live generator frames, detector-script cursors).
 
 Hypothesis drives the value space; a hand-picked corpus pins the
 corners random generation is unlikely to hit.  The whole module skips
@@ -405,91 +401,3 @@ def test_native_mode_degrades_when_n_exceeds_mask():
     engine = FingerprintEngine(65, "native")
     assert not engine.native
     assert isinstance(engine._encoder, _Encoder)
-
-
-# ---------------------------------------------------------------------------
-# Network delivery-order identity
-
-
-@pytest.mark.parametrize(
-    "label,knob_kwargs",
-    [
-        ("clean", {}),
-        ("dup", dict(dup_probability=0.4, dup_max_delay=7)),
-        ("reorder", dict(reorder=True)),
-        ("burst", dict(burst_period=9, burst_len=3, burst_extra=6)),
-    ],
-)
-@pytest.mark.parametrize("seed", [3, 11])
-def test_native_network_delivery_identical(label, knob_kwargs, seed):
-    from repro.chaos.knobs import ChaosKnobs
-    from repro.chaos.targets import FuzzCase, build_spec
-    from repro.sim.network import NativeNetwork, Network, ReferenceNetwork
-    from repro.sim.system import System, network_implementation
-
-    spec = build_spec(
-        FuzzCase(
-            target="paxos",
-            n=3,
-            seed=seed,
-            horizon=1_500,
-            knobs=ChaosKnobs(**knob_kwargs),
-            crashes=((2, 400),) if seed % 2 else (),
-        )
-    ).with_(trace_mode="full")
-    traces = {}
-    for impl in (ReferenceNetwork, Network, NativeNetwork):
-        with network_implementation(impl):
-            system = System.from_spec(spec)
-        trace = system.run(stop_when=spec.resolve_stop(), grace=spec.grace)
-        traces[impl.__name__] = (
-            trace.digest(),
-            trace.steps,
-            system.network.sent_count,
-            system.network.delivered_count,
-            system.network.duplicated_count,
-        )
-    assert (
-        traces["NativeNetwork"]
-        == traces["Network"]
-        == traces["ReferenceNetwork"]
-    )
-
-
-def test_native_network_pending_and_next_ready_time():
-    from repro.sim.network import (
-        NativeNetwork,
-        Network,
-        OldestFirstDelivery,
-        UniformDelay,
-    )
-
-    rng = Random(7)
-    nets = [
-        Network(3, Random(0), UniformDelay(1, 4), OldestFirstDelivery()),
-        NativeNetwork(3, Random(0), UniformDelay(1, 4), OldestFirstDelivery()),
-    ]
-    for step in range(60):
-        sender, dest = rng.randrange(3), rng.randrange(3)
-        for net in nets:
-            net.send(sender, dest, "c", step, now=step)
-        if step % 3 == 0:
-            pick_dest = rng.randrange(3)
-            picks = [net.pick_for(pick_dest, step) for net in nets]
-            assert (picks[0] is None) == (picks[1] is None)
-            if picks[0] is not None:
-                assert picks[0].msg_id == picks[1].msg_id
-        assert nets[0].pending_count() == nets[1].pending_count()
-        for pid in range(3):
-            assert nets[0].pending_count(pid) == nets[1].pending_count(pid)
-        assert nets[0].next_ready_time(range(3), step) == nets[1].next_ready_time(
-            range(3), step
-        )
-        assert [m.msg_id for m in nets[0].ready_for(0, step)] == [
-            m.msg_id for m in nets[1].ready_for(0, step)
-        ]
-    assert nets[0].perf.heap_pushes == nets[1].perf.heap_pushes
-    assert nets[0].perf.heap_pops == nets[1].perf.heap_pops
-    assert nets[0].perf.messages_scanned == nets[1].perf.messages_scanned
-    assert nets[0].perf.ready_promotions == nets[1].perf.ready_promotions
-    assert nets[0].perf.fast_path_picks == nets[1].perf.fast_path_picks

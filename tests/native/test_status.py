@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro import _native
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -73,11 +75,22 @@ def test_forced_pure_explorer_still_runs():
             "4",
             "--fingerprint-mode",
             "native",
-            "--engine",
-            "native",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(
+    not _native.available(),
+    reason=f"native core unavailable: {_native.reason()}",
+)
+def test_extension_holds_the_encoder_and_nothing_else():
+    assert _native.encoder_class() is _native._core.Encoder
+    types = {
+        name for name, value in vars(_native._core).items()
+        if isinstance(value, type)
+    }
+    assert types == {"Encoder"}

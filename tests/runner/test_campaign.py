@@ -79,6 +79,12 @@ class TestDeterminism:
         # trace_mode is part of the spec, so the cache keys stay distinct.
         assert lite.key != full.key
 
+    def test_engine_pin_accepts_only_the_two_network_engines(self):
+        pinned = helpers.consensus_spec(engine="reference").execute()
+        assert pinned.trace_digest == helpers.consensus_spec().execute().trace_digest
+        with pytest.raises(ValueError, match="indexed.*reference"):
+            helpers.consensus_spec(engine="native")
+
     def test_result_order_matches_job_order(self):
         campaign = _grid()
         result = campaign.run(workers=2)

@@ -21,6 +21,7 @@ from repro.sim.network import (
     RandomDelivery,
     ReferenceNetwork,
     UniformDelay,
+    resolve_network_engine,
 )
 
 
@@ -122,6 +123,63 @@ class TestEngineEquivalence:
                 a, b = indexed.pick_for(d, t), reference.pick_for(d, t)
                 assert (a and a.msg_id) == (b and b.msg_id)
 
+    def test_in_flight_identical_across_sends_picks_duplicates_and_restore(self):
+        indexed, reference = _pair(
+            lambda: DuplicatingDelivery(probability=0.4, max_delay=6)
+        )
+        engines = (indexed, reference)
+        script = random.Random(5)
+
+        def in_flight_ids():
+            ids_a, ids_b = (
+                [sorted(m.msg_id for m in net.in_flight(d)) for d in range(4)]
+                for net in engines
+            )
+            assert ids_a == ids_b
+            assert [len(ids) for ids in ids_a] == [
+                indexed.pending_count(d) for d in range(4)
+            ]
+            return ids_a
+
+        def drive(ticks):
+            for t in ticks:
+                for _ in range(script.randrange(3)):
+                    sender, dest = script.randrange(4), script.randrange(4)
+                    for net in engines:
+                        net.send(sender, dest, "c", ("m", t), t)
+                dest = script.randrange(4)
+                a, b = (net.pick_for(dest, t) for net in engines)
+                assert (a and a.msg_id) == (b and b.msg_id)
+                # ready_for promotes on the indexed engine: the set in
+                # flight must not depend on who looked at it.
+                assert [m.msg_id for m in indexed.ready_for(dest, t)] == [
+                    m.msg_id for m in reference.ready_for(dest, t)
+                ]
+                assert indexed.next_ready_time(range(4), t) == (
+                    reference.next_ready_time(range(4), t)
+                )
+                in_flight_ids()
+
+        drive(range(1, 80))
+        assert indexed.duplicated_count > 0
+        snapshot = in_flight_ids()
+        saved = [
+            (
+                sorted(
+                    (m for d in range(4) for m in net.in_flight(d)),
+                    key=lambda m: m.msg_id,
+                ),
+                net._next_msg_id, net.sent_count, net.delivered_count,
+            )
+            for net in engines
+        ]
+        drive(range(80, 120))
+        assert in_flight_ids() != snapshot
+        for net, (messages, next_id, sent, delivered) in zip(engines, saved):
+            net.restore(messages, next_id, sent, delivered)
+        assert in_flight_ids() == snapshot
+        drive(range(80, 160))
+
 
 class TestIndexedFastPath:
     def test_oldest_first_uses_fast_path(self):
@@ -171,3 +229,8 @@ class TestIndexedFastPath:
             assert indexed.pick_for(1, t).msg_id == reference.pick_for(1, t).msg_id
         assert indexed.perf.scanned_per_delivery() < 2.0
         assert reference.perf.scanned_per_delivery() > 100.0
+
+
+def test_native_is_not_an_engine_name():
+    with pytest.raises(ValueError, match="indexed.*reference"):
+        resolve_network_engine("native")

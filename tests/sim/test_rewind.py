@@ -11,10 +11,8 @@ import random
 
 import pytest
 
-from repro import _native
 from repro.explore.state import _Encoder
 from repro.sim.network import (
-    NativeNetwork,
     Network,
     OldestFirstDelivery,
     RandomDelivery,
@@ -131,17 +129,7 @@ class TestRollback:
             full.rollback(2)
 
 
-ENGINES = [
-    Network,
-    ReferenceNetwork,
-    pytest.param(
-        NativeNetwork,
-        marks=pytest.mark.skipif(
-            not _native.available(),
-            reason=f"native core unavailable: {_native.reason()}",
-        ),
-    ),
-]
+ENGINES = [Network, ReferenceNetwork]
 
 
 def _drive(network, script, start, picks, journal=None, states=None):
