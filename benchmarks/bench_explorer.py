@@ -19,9 +19,13 @@ always hold:
   equivalence suite pins separately);
 * the incremental engine does less fingerprint work than naive
   (``explore_fp_nodes``, an encoder node count — machine-independent).
-  Neither mode re-fingerprints a prefix since the search rewinds, so
-  the caches' share is 1.5-2.4x on these cases; the absolute
-  ``incremental`` count per case is what ``repro.store check`` trends.
+  Neither mode re-fingerprints a prefix since the search rewinds; the
+  absolute ``incremental`` count per case is what ``repro.store check``
+  trends;
+* on the n=3 cases the incremental engine encodes fewer hosts than it
+  computes fingerprints (``host_misses < fingerprint_calls``): its host
+  cache is keyed on each process's own step history, so a local state
+  is encoded once per root, not once per path.
 
 The native-over-incremental whole-search speedup is recorded per case
 and trended — it is Amdahl-limited by the sim replay loop (on paxos the
@@ -110,6 +114,13 @@ def _explore(case, fingerprint_mode, symmetry=None):
         "violations": len(result.violations),
         "complete": result.complete,
         "fp_nodes": result.counters.explore_fp_nodes,
+        # Hosts encoded, and fingerprints computed (each looks every
+        # host up once: a hit, or a miss that encodes it).
+        "host_misses": result.counters.explore_fp_host_misses,
+        "fingerprint_calls": (
+            result.counters.explore_fp_host_hits
+            + result.counters.explore_fp_host_misses
+        ) // case.n,
         "replay_steps": result.counters.explore_replay_steps,
         "opaque_tokens": result.counters.explore_opaque_tokens,
         "native_calls": result.counters.explore_native_calls,
@@ -153,6 +164,15 @@ def run_case_bench(case) -> dict:
     assert modes["naive"]["runs"] == modes["incremental"]["runs"], case
 
     assert modes["incremental"]["fp_nodes"] < modes["naive"]["fp_nodes"], case
+    if case.n >= 3:
+        # The host cache is keyed on the process's own step history and
+        # survives rewinds: with three processes most local states
+        # recur, so fewer than one host in n is encoded per fingerprint
+        # (``naive`` encodes all n).
+        incremental = modes["incremental"]
+        assert incremental["host_misses"] < incremental["fingerprint_calls"], (
+            case, incremental,
+        )
     native_speedup = None
     if "native" in modes:
         # The native mode rides the identical caches: same tree walk,

@@ -400,15 +400,24 @@ def main(argv=None) -> int:
                 "fp_nodes": 0,
                 "opaque_tokens": 0,
             }
-            rewinds = hosts_rebuilt = 0
+            counted = {
+                name: 0
+                for name in (
+                    "rewinds",
+                    "hosts_rebuilt",
+                    "fp_host_hits",
+                    "fp_host_misses",
+                    "fp_lineages",
+                    "fp_message_hits",
+                    "fp_message_misses",
+                )
+            }
             complete = True
             for summary in summaries:
                 for key in totals:
                     totals[key] += summary["stats"][key]
-                rewinds += summary["counters"].get("explore_rewinds", 0)
-                hosts_rebuilt += summary["counters"].get(
-                    "explore_hosts_rebuilt", 0
-                )
+                for name in counted:
+                    counted[name] += summary["counters"].get(f"explore_{name}", 0)
                 complete = complete and summary["complete"]
                 if args.stats:
                     case = summary["case"]
@@ -437,9 +446,15 @@ def main(argv=None) -> int:
                     f" — runs={totals['runs']} states={totals['states']} "
                     f"dedup_hits={totals['dedup_hits']} "
                     f"por_pruned={totals['por_pruned']} "
-                    f"rewinds={rewinds} hosts_rebuilt={hosts_rebuilt} "
+                    f"rewinds={counted['rewinds']} "
+                    f"hosts_rebuilt={counted['hosts_rebuilt']} "
                     f"replay_steps={totals['replay_steps']} "
                     f"fp_nodes={totals['fp_nodes']} "
+                    f"fp_host={counted['fp_host_hits']}/"
+                    f"{counted['fp_host_misses']} "
+                    f"fp_message={counted['fp_message_hits']}/"
+                    f"{counted['fp_message_misses']} (hits/misses) "
+                    f"fp_lineages={counted['fp_lineages']} "
                     f"opaque_tokens={totals['opaque_tokens']}"
                     if args.stats
                     else ""

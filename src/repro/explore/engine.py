@@ -50,7 +50,8 @@ stack pops the deepest divergence first, so the tick to rewind to is as
 late as possible and few processes are rebuilt; the dedup key of that
 tick is read from the per-tick digest journal instead of re-encoded;
 and the caches inside :class:`~repro.explore.state.FingerprintEngine`
-outlive the run — only the rebuilt processes' entries are dropped.
+outlive the run — a host's encoding is keyed on its process's own step
+history, so a rebuilt process finds it again once re-fed.
 ``explore_rewinds`` / ``explore_hosts_rebuilt`` / ``explore_replay_steps``
 count the rewinds, the processes they rebuilt and the steps and prefix
 choices that were executed a second time.
@@ -398,7 +399,7 @@ class _LiveSystem:
             self.case, controller, parts=self.parts, engine=self.engine
         )
         self.digests = []
-        self.fp_engine.begin_run(self.system)
+        self.fp_engine.begin_run(self.system, controller)
 
     def _rewind(self, prefix: Tuple[int, ...], time: int) -> None:
         """Put the live system at the start of tick ``time``."""
@@ -434,9 +435,7 @@ class _LiveSystem:
             refed += len(own)
         controller.rewind(prefix, time)
         del self.digests[time:]  # tick ``time`` itself is still ahead
-        self.fp_engine.rewound(
-            [system.hosts[pid] for pid in stepped], len(trace.decisions)
-        )
+        self.fp_engine.rewound(len(trace.decisions))
         counters = self.result.counters
         counters.explore_rewinds += 1
         counters.explore_hosts_rebuilt += len(stepped)

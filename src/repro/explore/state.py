@@ -15,8 +15,10 @@ What goes in, and why:
   generator it delegates to)``, which the encoder captures via
   ``gi_frame.f_lasti`` / ``gi_frame.f_locals`` / ``gi_yieldfrom``.
 * **network buffers** — per-destination *multisets* of
-  ``(sender, component, payload)``.  Message ids are deliberately
-  excluded (they encode the path, not the state), and so is
+  ``(sender, component, payload, meta)`` — ``meta`` only when
+  non-empty; it is handed to ``on_message`` and the incoming hooks, so
+  two messages that differ in it are different messages.  Message ids
+  are deliberately excluded (they encode the path, not the state), and so is
   ``ready_at``: the explorer always runs ``ConstantDelay(1)``, so every
   buffered message is ready from the next tick onward and readiness
   carries no extra information.
@@ -48,8 +50,9 @@ unsoundness.
 One implementation produces the keys: the byte engine
 (:class:`FingerprintEngine` over :class:`_Encoder`).  It encodes values
 bottom-up into self-delimiting byte strings (the encoded bytes double
-as the stable sort keys of unordered containers), caches per-host and
-per-destination encodings across ticks keyed on dirty tracking, and can
+as the stable sort keys of unordered containers), caches each host's
+encoding under the process's own step history and each message's under
+its id, and can
 canonicalise the assembled state under a group of process-id
 permutations (symmetry reduction — see :mod:`repro.explore.symmetry`
 and ``docs/EXPLORER.md`` for the soundness argument).  Its ``naive``
@@ -67,7 +70,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -124,6 +126,13 @@ def _mask_set(mask: int) -> FrozenSet[int]:
             bit for bit in range(mask.bit_length()) if mask >> bit & 1
         )
     return cached
+
+
+#: Lineage ids (see :class:`FingerprintEngine`): every process starts at
+#: the root — built, no step taken — and interned histories count up
+#: from it; a poisoned lineage has a step the key could not name.
+_ROOT_LINEAGE = 0
+_POISONED = -1
 
 
 class _Encoder:
@@ -290,27 +299,47 @@ class FingerprintEngine:
     """Incremental, symmetry-aware dedup keys for one exploration.
 
     One engine serves one :func:`~repro.explore.engine.explore_case`
-    call: :meth:`begin_run` binds it to the search's live system,
-    :meth:`fingerprint` produces the dedup key at the start of each
-    tick, and :meth:`rewound` tells it which cache entries a rewind
-    made stale — the rest survive from path to path.  Three modes share
-    one encoding:
+    call: :meth:`begin_run` binds it to the search's live system and to
+    the journal of the controller driving it, :meth:`fingerprint`
+    produces the dedup key at the start of each tick, and
+    :meth:`rewound` tells it that the system went back to an earlier
+    tick.  Three modes share one encoding:
 
-    * ``"incremental"`` — per-host encodings are reused while the
-      host's ``steps_taken`` is unchanged (hosts only mutate inside
-      their own ``take_step``, so the step counter self-validates the
-      cache); per-destination buffer encodings are reused until the
-      destination is dirtied (a message was sent to it, or its owner
-      acted and may have consumed one); decision encodings are
-      append-only; completed-operation encodings are frozen.
+    * ``"incremental"`` — a host's encoding is cached under the
+      *lineage* of its process: an interned id of the process's own
+      step history, ``lineage' = intern[(lineage, time, sender, message
+      unit, detector-value unit)]``, advanced once per executed tick
+      from the journal.  That is the ``(time, message, d)`` triple the
+      rewind feeds :meth:`~repro.sim.process.ProcessHost.replay`, and in
+      the paper's model a process's state is a function of exactly that
+      sequence, so one encoding serves every path of the root on which
+      the process has lived through the same steps — the cache is not
+      pruned by a rewind and lives until the next :meth:`begin_run`.
+      ``time`` stays in the key because a step may read ``ctx.now``
+      (operation records carry ``invoke_time``).  In-flight messages
+      are encoded once each (a memo indexed by ``msg_id``, shared by
+      the buffer section, the POR context and the lineage key);
+      decision encodings are append-only; completed-operation encodings
+      are frozen.
     * ``"naive"`` — the identical encoding with every cache disabled,
       the oracle the equivalence suite compares byte-for-byte against.
-    * ``"native"`` — incremental caching with the value encoder served
-      by the compiled core (:mod:`repro._native`).  The C encoder is a
+    * ``"native"`` — the same caches with the value encoder served by
+      the compiled core (:mod:`repro._native`).  The C encoder is a
       byte-exact port of :class:`_Encoder`, so digests stay identical
       to ``"incremental"``; when the extension is unavailable (not
       built, or ``REPRO_NATIVE=0``) the mode silently degrades to the
       pure incremental path — same digests, just slower.
+
+    **Lineage guards.**  A step whose message or detector value encodes
+    *opaque* cannot be named, so it poisons the lineage: from then on
+    that host is encoded afresh at every fingerprint.  Two inputs of a
+    step sit outside ⟨m, d⟩ and join the key when present: the
+    ``op_id`` of every operation record the step opened (ids are issued
+    run-wide, so they depend on the other processes), and — when the
+    host has incoming hooks, which are handed the ``DeliveredMessage``
+    — the message's ``msg_id`` and ``send_time``.  An engine bound
+    without a journal has no lineages and encodes every host every
+    time.
 
     **Symmetry.** ``perms`` is the case's admissible permutation group
     (:func:`repro.explore.symmetry.admissible_perms`; identity-only
@@ -371,50 +400,60 @@ class FingerprintEngine:
         self._bytes_synced = 0
         self._run_serial = 0
         self._system: Any = None
+        #: The :class:`~repro.explore.control.ChoiceController` driving
+        #: the bound system (its ``ticks`` / ``sent`` journal), or None.
+        self._journal: Any = None
         # caches (all modes but naive); see :meth:`rewound` for what
         # survives from one explored path to the next
-        #: Per pid: ``(steps_taken, _started)`` -> the host's encoding
-        #: at that version *on the current path*.
-        self._host_cache: List[Dict[Tuple[int, bool], EncodedUnit]] = [
+        #: Per pid: step key -> lineage id (the intern table).
+        self._lineage_ids: List[Dict[Tuple[Any, ...], int]] = [
             {} for _ in range(n)
         ]
-        self._buffer_cache: Dict[int, List[Tuple[int, EncodedUnit]]] = {}
-        self._dirty: set = set()
+        #: ``_lineages[t]`` is every process's lineage after ``t``
+        #: executed ticks of the current path.
+        self._lineages: List[Tuple[int, ...]] = [(_ROOT_LINEAGE,) * n]
+        #: Per pid: lineage id -> the host's encoding in that state.
+        self._host_cache: List[Dict[int, EncodedUnit]] = [{} for _ in range(n)]
+        #: Indexed by ``msg_id``.
+        self._message_units: List[Optional[EncodedUnit]] = []
         self._decision_cache: List[Tuple[int, EncodedUnit]] = []
         self._operation_cache: List[Optional[Tuple[int, EncodedUnit]]] = []
 
     # -- lifecycle ------------------------------------------------------
-    def begin_run(self, system: Any) -> None:
-        """Bind to a newly built system: nothing cached applies to it."""
+    def begin_run(self, system: Any, journal: Any = None) -> None:
+        """Bind to a newly built system: nothing cached applies to it.
+
+        ``journal`` is the controller driving ``system``; without one
+        the engine has no step histories to key the host cache on.
+        """
         self._run_serial += 1
         self._system = system
-        for versions in self._host_cache:
-            versions.clear()
-        self._buffer_cache.clear()
-        self._dirty = set(range(self.n))
+        self._journal = journal
+        for pid in range(self.n):
+            self._lineage_ids[pid].clear()
+            self._host_cache[pid].clear()
+        self._lineages = [(_ROOT_LINEAGE,) * self.n]
+        self._message_units = []
         self._decision_cache = []
         self._operation_cache = []
 
-    def rewound(self, rebuilt: Iterable[ProcessHost], decisions: int) -> None:
-        """The bound system was rewound: drop exactly what went stale.
+    def rewound(self, decisions: int) -> None:
+        """The bound system went back to an earlier tick of its path.
 
-        A process's state is a function of its own steps, so the host
-        cache — keyed on ``(steps_taken, _started)`` — stays right for
-        every version a host has on the path that was kept: all
-        versions of a host that was not rebuilt, and the versions up to
-        its re-fed step count of a ``rebuilt`` one.  Only the later
-        versions of a rebuilt host go: it will pass through those
-        counts again in different states.  The network was restored
-        wholesale, so every destination is dirty.  Decisions are
-        append-only and ``decisions`` of them were kept; operation
-        records of rebuilt hosts were reset, so that cache is cleared.
+        Called after the journal itself was rewound.  The lineage
+        journal is cut to the ticks the journal kept; the host cache is
+        *not* touched — a lineage names a local history, not a position
+        on a path, so every entry stays true and the rebuilt processes
+        find their encodings again as soon as they have re-lived a
+        history seen before.  Message ids at or above the kept ``sent``
+        count will be issued again, so the message memo is cut there.
+        Decisions are append-only and ``decisions`` of them were kept;
+        operation records of rebuilt hosts were reset, so that cache is
+        cleared.
         """
         self._run_serial += 1
-        for host in rebuilt:
-            versions = self._host_cache[host.pid]
-            for version in [v for v in versions if v[0] > host.steps_taken]:
-                del versions[version]
-        self._dirty = set(range(self.n))
+        del self._lineages[len(self._journal.ticks) + 1:]
+        del self._message_units[len(self._journal.sent):]
         del self._decision_cache[decisions:]
         self._operation_cache = []
 
@@ -472,53 +511,124 @@ class FingerprintEngine:
 
         return self._unit(build)
 
+    def _advance_lineages(self) -> Tuple[int, ...]:
+        """Journal the lineage of every tick executed since the last
+        call; returns the current vector."""
+        lineages = self._lineages
+        ticks = self._journal.ticks
+        trace = self._system.trace
+        while len(lineages) <= len(ticks):
+            time = len(lineages)  # tick t is ticks[t - 1] and steps[t - 1]
+            tick = ticks[time - 1]
+            current = list(lineages[-1])
+            current[tick.pid] = self._next_lineage(
+                current[tick.pid],
+                time,
+                tick,
+                trace.steps[time - 1].detector_value,
+                trace.operations,
+            )
+            lineages.append(tuple(current))
+        return lineages[-1]
+
+    def _next_lineage(
+        self, parent: int, time: int, tick: Any, detector_value: Any,
+        operations: Sequence[Any],
+    ) -> int:
+        if parent == _POISONED:
+            return _POISONED
+        detector = self._unit(lambda enc: enc.enc(detector_value))
+        if detector.opaque:
+            return _POISONED
+        message = tick.delivered
+        received: Optional[Tuple[Any, ...]] = None
+        if message is not None:
+            unit = self._message_unit(message)
+            if unit.opaque:
+                return _POISONED
+            received = (message.sender, unit.data)
+            if self._system.hosts[tick.pid].ctx._incoming_hooks:
+                received += (message.msg_id, message.send_time)
+        opened = []  # op_ids of the records this step was handed
+        for op in reversed(operations):  # they are in invocation order
+            if op.invoke_time < time:
+                break
+            if op.invoke_time == time:
+                opened.append(op.op_id)
+        key = (parent, time, detector.data, received, tuple(opened))
+        table = self._lineage_ids[tick.pid]
+        lineage = table.get(key)
+        if lineage is None:
+            lineage = table[key] = len(table) + 1
+            if self.counters is not None:
+                self.counters.explore_fp_lineages += 1
+        return lineage
+
     def _host_units(self) -> List[EncodedUnit]:
         counters = self.counters
+        lineages = (
+            self._advance_lineages()
+            if self.cached and self._journal is not None
+            else (_POISONED,) * self.n
+        )
         units = []
-        for pid, host in enumerate(self._system.hosts):
-            if self.cached:
-                version = (host.steps_taken, host._started)
-                versions = self._host_cache[pid]
-                unit = versions.get(version)
-                if unit is not None:
-                    if counters is not None:
-                        counters.explore_fp_host_hits += 1
-                    units.append(unit)
-                    continue
+        for host, lineage, cache in zip(
+            self._system.hosts, lineages, self._host_cache
+        ):
+            unit = cache.get(lineage)
+            if unit is None:
                 if counters is not None:
                     counters.explore_fp_host_misses += 1
-                unit = versions[version] = self._encode_host(host)
-            else:
                 unit = self._encode_host(host)
+                if lineage != _POISONED:
+                    cache[lineage] = unit
+            elif counters is not None:
+                counters.explore_fp_host_hits += 1
             units.append(unit)
         return units
 
-    def _buffer_entries(self, dest: int) -> List[Tuple[int, EncodedUnit]]:
-        if self.cached and dest not in self._dirty:
-            cached = self._buffer_cache.get(dest)
-            if cached is not None:
-                return cached
-        entries = []
+    def _message_unit(self, message: Message) -> EncodedUnit:
+        """The encoding of one in-flight (or just delivered) message.
+
+        The sender and the destination are kept outside the encoded
+        bytes: they are *tagged* pid positions, relabeled at assembly
+        time.  ``meta`` reaches ``on_message`` and the incoming hooks,
+        so it is state; an empty one emits nothing.
+        """
+        units = self._message_units
+        msg_id = message.msg_id
+        if msg_id < len(units) and units[msg_id] is not None:
+            if self.counters is not None:
+                self.counters.explore_fp_message_hits += 1
+            return units[msg_id]
+        if self.counters is not None:
+            self.counters.explore_fp_message_misses += 1
         if self.native:
-            enc_pair = self._encoder.enc_pair
-            for message in self._system.network.in_flight(dest):
-                data, mask, opaque = enc_pair(message.component, message.payload)
-                entries.append(
-                    (message.sender, EncodedUnit(data, _mask_set(mask), opaque))
-                )
-            if self.cached:
-                self._buffer_cache[dest] = entries
-            return entries
-        for message in self._system.network.in_flight(dest):
-            # The sender is kept outside the encoded bytes: it is a
-            # *tagged* pid position, relabeled at assembly time.
-            unit = self._unit(
-                lambda enc, m=message: enc.enc(m.component) + enc.enc(m.payload)
+            data, mask, opaque = self._encoder.enc_pair(
+                message.component, message.payload
             )
-            entries.append((message.sender, unit))
+            unit = EncodedUnit(data, _mask_set(mask), opaque)
+        else:
+            unit = self._unit(
+                lambda enc: enc.enc(message.component) + enc.enc(message.payload)
+            )
+        if message.meta:
+            meta = self._unit(lambda enc: enc.enc(message.meta))
+            unit = EncodedUnit(
+                unit.data + b"~" + meta.data,
+                unit.ambiguous | meta.ambiguous,
+                unit.opaque or meta.opaque,
+            )
         if self.cached:
-            self._buffer_cache[dest] = entries
-        return entries
+            units.extend([None] * (msg_id + 1 - len(units)))
+            units[msg_id] = unit
+        return unit
+
+    def _buffer_entries(self, dest: int) -> List[Tuple[int, EncodedUnit]]:
+        return [
+            (message.sender, self._message_unit(message))
+            for message in self._system.network.in_flight(dest)
+        ]
 
     def _decision_entries(self, first_crash: Optional[int]) -> List[Tuple[int, EncodedUnit]]:
         decisions = self._system.trace.decisions
@@ -675,40 +785,16 @@ class FingerprintEngine:
         different detector values from here on), canonicalised under
         the valid subset of the engine's permutation group.
         """
-        if self.cached:
-            if prev is not None:
-                self._dirty.add(prev)  # its buffer may have drained
-            for message in fresh:
-                self._dirty.add(message.dest)
         host_units = self._host_units()
         buffer_entries = [self._buffer_entries(d) for d in range(self.n)]
-        if self.cached:
-            self._dirty.clear()
         decision_entries = self._decision_entries(first_crash)
         operation_entries = self._operation_entries()
         time_part = b"|t%d;" % now if crashes_pending else b"|tN;"
         por_part = None
         if por:
-            if self.native:
-                enc_pair = self._encoder.enc_pair
-                fresh_entries = []
-                for m in fresh:
-                    data, mask, opaque = enc_pair(m.component, m.payload)
-                    fresh_entries.append(
-                        (m.sender, m.dest, EncodedUnit(data, _mask_set(mask), opaque))
-                    )
-            else:
-                fresh_entries = [
-                    (
-                        m.sender,
-                        m.dest,
-                        self._unit(
-                            lambda enc, msg=m: enc.enc(msg.component)
-                            + enc.enc(msg.payload)
-                        ),
-                    )
-                    for m in fresh
-                ]
+            fresh_entries = [
+                (m.sender, m.dest, self._message_unit(m)) for m in fresh
+            ]
             por_part = (prev, boundary, fresh_entries)
 
         ambiguous: set = set()

@@ -57,13 +57,21 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     left in the search (see ``docs/EXPLORER.md``).
 ``explore_fp_nodes``
     Value-tree nodes visited while encoding state fingerprints.  The
-    headline explorer metric: the incremental engine re-encodes only
-    what changed since the last tick, the naive engine re-encodes
-    everything; their ``explore_fp_nodes`` ratio is what the
-    explore-smoke CI bench gates on.
+    headline explorer metric: the incremental engine encodes a local
+    state or a message once, the naive engine re-encodes everything at
+    every tick; the explore-smoke CI bench gates on the first staying
+    below the second.
 ``explore_fp_host_hits`` / ``explore_fp_host_misses``
-    Per-host canonical encodings reused from (respectively recomputed
-    into) the incremental fingerprint cache.
+    Per-host canonical encodings served from the lineage cache
+    (keyed on the process's own step history, kept across rewinds),
+    respectively hosts encoded.
+``explore_fp_lineages``
+    Distinct local histories interned by the fingerprint engine — the
+    floor of ``explore_fp_host_misses``.
+``explore_fp_message_hits`` / ``explore_fp_message_misses``
+    Per-message encodings served from (respectively computed into) the
+    ``msg_id`` memo shared by the buffer section, the POR context and
+    the lineage keys.
 ``explore_opaque_tokens``
     Fingerprints poisoned by an unencodable value: each one gets a
     never-matching token, so dedup silently degrades toward plain DFS.
@@ -128,6 +136,9 @@ FIELDS = (
     "explore_fp_nodes",
     "explore_fp_host_hits",
     "explore_fp_host_misses",
+    "explore_fp_lineages",
+    "explore_fp_message_hits",
+    "explore_fp_message_misses",
     "explore_opaque_tokens",
     "explore_native_calls",
     "native_encode_bytes",

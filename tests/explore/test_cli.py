@@ -1,6 +1,7 @@
 """The ``python -m repro.explore`` entry point, end to end."""
 
 import json
+import re
 
 import pytest
 
@@ -13,6 +14,12 @@ def test_clean_target_exits_zero(capsys):
     assert "qc [indexed]" in out and ": ok" in out
     assert "runs=" in out and "por_pruned=" in out
     assert "rewinds=" in out and "hosts_rebuilt=" in out
+    # host and message cache traffic, next to the work they save
+    assert re.search(
+        r"fp_nodes=\d+ fp_host=\d+/\d+ fp_message=\d+/\d+ \(hits/misses\) "
+        r"fp_lineages=\d+",
+        out,
+    )
 
 
 def test_clean_target_fails_expectation_of_violation(capsys):

@@ -46,14 +46,45 @@ CASES = [
     ),
 ]
 IDS = ["ct", "nbac-seed1", "nbac-crash", "register", "paxos", "fsred-script"]
+CASES = [pytest.param(case, {}, id=name) for case, name in zip(CASES, IDS)]
+# Roots on which a host cache keyed on anything less than the process's
+# whole step history goes wrong.  Three registers: every process opens
+# an operation whose record (``invoke_time``, and the run-wide
+# ``op_id``) sits in a tasklet frame, and the same local history occurs
+# with different ids.  A crash root, a scripted-detector root (``d``
+# changes mid-run, at different ticks on different paths) and a
+# symmetry root (cached units are relabeled at assembly).
+CASES += [
+    pytest.param(ExploreCase(target="register", n=3, depth=5), {}, id="register3"),
+    pytest.param(
+        ExploreCase(target="register", n=3, depth=5, crashes=((2, 3),)),
+        {},
+        id="register3-crash",
+    ),
+    pytest.param(
+        ExploreCase(
+            target="paxos",
+            n=2,
+            depth=6,
+            assignment=(("script", ("os", 0, (0, 1)), ("os", 1, (0, 1))),) * 2,
+        ),
+        {},
+        id="paxos-script",
+    ),
+    pytest.param(
+        ExploreCase(target="nbac", n=3, depth=5), {"symmetry": True}, id="nbac3-symmetry"
+    ),
+]
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_naive_and_incremental_digests_byte_identical(case):
+@pytest.mark.parametrize("case, options", CASES)
+def test_naive_and_incremental_digests_byte_identical(case, options):
     naive_log, incr_log = [], []
-    naive = explore_case(case, fingerprint_mode="naive", digest_log=naive_log)
+    naive = explore_case(
+        case, fingerprint_mode="naive", digest_log=naive_log, **options
+    )
     incr = explore_case(
-        case, fingerprint_mode="incremental", digest_log=incr_log
+        case, fingerprint_mode="incremental", digest_log=incr_log, **options
     )
     assert naive_log, "no digests collected — dedup never ran"
     assert naive_log == incr_log
@@ -68,20 +99,22 @@ def test_naive_and_incremental_digests_byte_identical(case):
     assert incr.counters.explore_fp_nodes < naive.counters.explore_fp_nodes
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case, options", CASES)
 @pytest.mark.skipif(
     not _native.available(),
     reason=f"native core unavailable: {_native.reason()}",
 )
-def test_native_mode_digests_byte_identical(case):
+def test_native_mode_digests_byte_identical(case, options):
     """The compiled encoder rides the incremental caches; its digest
     log must equal the pure engine's on every state of a real search
     (the same contract the naive/incremental pair pins above)."""
     incr_log, native_log = [], []
     incr = explore_case(
-        case, fingerprint_mode="incremental", digest_log=incr_log
+        case, fingerprint_mode="incremental", digest_log=incr_log, **options
     )
-    native = explore_case(case, fingerprint_mode="native", digest_log=native_log)
+    native = explore_case(
+        case, fingerprint_mode="native", digest_log=native_log, **options
+    )
     assert native_log, "no digests collected — dedup never ran"
     assert native_log == incr_log
     assert native.runs == incr.runs and native.states == incr.states
@@ -99,7 +132,7 @@ def test_native_mode_digests_byte_identical(case):
 
 def test_removed_mode_is_refused_by_name():
     with pytest.raises(ValueError, match="incremental.*naive.*native"):
-        explore_case(CASES[0], fingerprint_mode='legacy')
+        explore_case(CASES[0].values[0], fingerprint_mode='legacy')
 
 
 class TestEncoder:

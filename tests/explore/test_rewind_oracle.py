@@ -11,6 +11,9 @@ live system is compared with the replayed one: trace digest, steps,
 decisions, operations, detector samples, per-host step counts, in-flight
 message ids, network counters, the controller's log / ``por_pruned`` /
 script cursors, and the naive-mode fingerprint of the whole state.
+And at **every** fingerprint of the search itself, each host's unit —
+which the engine may have cached many paths ago under the process's
+step history — is compared with a fresh encoding of the host.
 """
 
 from contextlib import contextmanager
@@ -88,11 +91,12 @@ def _observe(system, controller, case):
 def rewind_oracle():
     """Check every run of every ``explore_case`` inside the block.
 
-    Yields a dict counting the runs checked, the rewinds among them and
-    the detector-cursor advances on their paths.
+    Yields a dict counting the runs checked, the rewinds among them,
+    the detector-cursor advances on their paths and the host units
+    compared with a fresh encoding.
     """
     real_run = engine_mod._LiveSystem.run
-    seen = {"runs": 0, "rewinds": 0, "detector_choices": 0}
+    seen = {"runs": 0, "rewinds": 0, "detector_choices": 0, "host_units": 0}
 
     def checked_run(live, prefix):
         rewinds = live.result.counters.explore_rewinds
@@ -126,7 +130,23 @@ def rewind_oracle():
         seen["rewinds"] += live.result.counters.explore_rewinds - rewinds
         return trace
 
-    with mock.patch.object(engine_mod._LiveSystem, "run", checked_run):
+    real_units = FingerprintEngine._host_units
+
+    def checked_units(engine):
+        """Every host unit a fingerprint uses — served from the lineage
+        cache or not — is the encoding of the host as it is now."""
+        units = real_units(engine)
+        for host, unit in zip(engine._system.hosts, units):
+            fresh = engine._encode_host(host)
+            assert unit == fresh, (
+                f"cached unit of host {host.pid} differs from a fresh "
+                f"encoding at t={engine._system.now}: {unit!r} != {fresh!r}"
+            )
+        seen["host_units"] += len(units)
+        return units
+
+    with mock.patch.object(engine_mod._LiveSystem, "run", checked_run), \
+            mock.patch.object(FingerprintEngine, "_host_units", checked_units):
         yield seen
 
 
@@ -160,6 +180,7 @@ def test_every_target_rewinds_exactly(target, crashes):
     assert seen["runs"] == result.runs > 1
     assert seen["rewinds"] == result.runs - 1
     assert result.counters.explore_hosts_rebuilt >= seen["rewinds"]
+    assert seen["host_units"] >= result.states * case.n
 
 
 @pytest.mark.parametrize("engine", ["indexed", "reference"])
@@ -293,7 +314,9 @@ def test_oracle_flags_in_place_payload_mutation(monkeypatch):
         target="mutator", n=2, depth=5, assignment=(("sigma", (0, 1)),) * 2
     )
     try:
-        with pytest.raises(AssertionError, match="differs from scratch replay"):
+        with pytest.raises(
+            AssertionError, match="differs from (scratch replay|a fresh encoding)"
+        ):
             with rewind_oracle():
                 explore_case(case)
     finally:
