@@ -49,14 +49,20 @@ through the crash-tolerant dynamic frontier
 (:mod:`repro.explore.frontierd`) in its adaptive batched-claim default
 at 1/2/4 workers and once more at 4 workers under a kill rate of
 0.3 — every run must reproduce the serial walk exactly; the report
-records the scaling curve (wall clock, ``scaling_efficiency``, the
-coordination counters) and the recovery overhead.  ``python
+records, per worker count, wall clock, the coordination counters and
+the fingerprint work (``fp_nodes``, ``host_hit_rate``, and
+``fp_nodes_inflation`` against the single walk, gated on every machine
+— it is a count — at half of what cold shards used to cost), plus the
+recovery overhead and a stamp of the machine that produced the
+numbers.  ``python
 benchmarks/bench_explorer.py --frontier-only`` writes just that
 section — what the CI chaos-smoke job runs and trend-gates.
 """
 
 import json
 import os
+import platform
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -388,6 +394,36 @@ FRONTIER_CASE = ExploreCase(target="nbac", n=3, depth=6)
 #: Batched claims brought this from 1.87x down to ~1.2x.
 MAX_FRONTIER_OVERHEAD = 1.3
 
+#: Ceiling on a frontier run's fingerprint nodes over the single
+#: walk's, per worker: ``1 + 0.375 * workers``.  A worker keeps one warm
+#: fingerprint engine per root, so what is left is the local states
+#: several workers each meet (every worker encodes its own copy) and
+#: the re-walked shard prefixes: on this one-root case 1.0 at 1 worker
+#: (it never splits), 1.39-1.49 at 2, 1.7-1.95 at 4, where shards that
+#: each start cold read 3.5 and 4.9.  The ceiling (1.75 / 2.5) sits
+#: halfway, clear of the scheduling noise on either side.
+MAX_FP_NODES_INFLATION_PER_WORKER = 0.375
+
+
+def machine_stamp() -> dict:
+    """What produced the wall clocks (the counts need no stamp)."""
+    model = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count() or 1,
+        "cpu_model": model,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        "repro_native_available": _native.available(),
+    }
+
 
 def run_frontier_bench(case=FRONTIER_CASE) -> dict:
     """Scale the dynamic frontier over worker counts, then hurt it.
@@ -401,11 +437,15 @@ def run_frontier_bench(case=FRONTIER_CASE) -> dict:
     never the search.
 
     Per worker count the report records the coordination counters
-    (claims, claim round trips, heartbeats, exchange pulls) and
-    ``scaling_efficiency = single_elapsed / (workers * wall_clock)``
-    (1.0 = perfectly linear).  Two machine-independent gates always
-    hold: claims ≥ round trips (batching amortizes), and 1-worker
-    claims fit in a handful of round trips.  The wall-clock gates —
+    (claims, claim round trips, heartbeats, exchange pulls) and the
+    fingerprint work: ``fp_nodes``, ``host_hit_rate`` and
+    ``fp_nodes_inflation = fp_nodes / the single walk's``.  Three
+    machine-independent gates always hold: claims ≥ round trips
+    (batching amortizes), 1-worker claims fit in a handful of round
+    trips, and ``fp_nodes_inflation`` ≤ ``1 + 0.375 × workers`` (shards
+    of a root share their worker's warm fingerprint engine; see
+    :data:`MAX_FP_NODES_INFLATION_PER_WORKER`).
+    The wall-clock gates —
     1-worker overhead ≤ 1.3x single, 4-worker wall < 1-worker wall —
     are asserted only under ``BENCH_EXPLORE_STRICT=1`` *and* enough
     cores to make them physical (time-shared single-core runners
@@ -429,17 +469,20 @@ def run_frontier_bench(case=FRONTIER_CASE) -> dict:
         result = explore_case_dynamic(case, workers=workers, lease_ttl=5.0)
         gate(result, f"workers={workers}")
         block = result.frontier
-        wall = block["wall_clock"]
+        counters = result.counters
+        encodes = counters.explore_fp_host_hits + counters.explore_fp_host_misses
         scaling[str(workers)] = {
-            "wall_clock": wall,
+            "wall_clock": block["wall_clock"],
             "runs": result.runs,
             "recoveries": block["recoveries"],
             "claims": block["claims"],
             "claim_round_trips": block["claim_round_trips"],
             "heartbeats": block["heartbeats"],
             "exchange_pulls": block["exchange_pulls"],
-            "scaling_efficiency": (
-                round(single_s / (workers * wall), 3) if wall else None
+            "fp_nodes": counters.explore_fp_nodes,
+            "host_hit_rate": round(counters.explore_fp_host_hits / encodes, 3),
+            "fp_nodes_inflation": round(
+                counters.explore_fp_nodes / single.counters.explore_fp_nodes, 3
             ),
         }
 
@@ -449,6 +492,9 @@ def run_frontier_bench(case=FRONTIER_CASE) -> dict:
     # batch, plus whatever it re-split while briefly under budget).
     for workers, row in scaling.items():
         assert row["claims"] >= row["claim_round_trips"], (workers, row)
+        assert row["fp_nodes_inflation"] <= (
+            1 + MAX_FP_NODES_INFLATION_PER_WORKER * int(workers)
+        ), (workers, row)
     assert scaling["1"]["claim_round_trips"] <= 4, scaling["1"]
 
     overhead_1 = scaling["1"]["wall_clock"] / single_s if single_s else None
@@ -483,8 +529,9 @@ def run_frontier_bench(case=FRONTIER_CASE) -> dict:
         "shard_mode": chaos_block["shard_mode"],
         "shard_budget": chaos_block["shard_budget"],
         "claim_limit": chaos_block["claim_limit"],
-        "cpu_cores": cores,
+        "machine": machine_stamp(),
         "single_elapsed_seconds": round(single_s, 3),
+        "single_fp_nodes": single.counters.explore_fp_nodes,
         "overhead_1_vs_single": (
             round(overhead_1, 3) if overhead_1 is not None else None
         ),

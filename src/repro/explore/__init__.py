@@ -55,6 +55,7 @@ from repro.explore.control import (
 from repro.explore.engine import (
     FINGERPRINT_MODES,
     ExploreResult,
+    FingerprintSession,
     Violation,
     explore_case,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "ExploringDelivery",
     "ExploringScheduler",
     "FingerprintEngine",
+    "FingerprintSession",
     "Violation",
     "admissible_perms",
     "assignment_requires_crash",

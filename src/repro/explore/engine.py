@@ -78,7 +78,7 @@ from repro.explore.cases import (
     wire_host,
 )
 from repro.explore.control import ChoiceController
-from repro.explore.state import FingerprintEngine
+from repro.explore.state import OPAQUE_MARK, FingerprintEngine
 from repro.explore.symmetry import admissible_perms, resolve_symmetry
 from repro.sim.perf import PerfCounters
 
@@ -188,6 +188,44 @@ def _shared_prefix_len(prefix: Tuple[int, ...], log: Sequence[Any]) -> int:
     return limit
 
 
+class FingerprintSession:
+    """One root's fingerprint engine, kept warm across walks.
+
+    The shards of a root are walks of the same case under the same
+    options from different prefixes, each on a freshly built system.  A
+    host encoding is cached under its process's own step history
+    (:class:`~repro.explore.state.FingerprintEngine`), which is true of
+    any system of the root, so the engine one shard filled serves the
+    next: hand the same session to every :func:`explore_case` call of
+    one root.  The first call creates the engine; a later call whose
+    case, mode or symmetry group differs is refused.
+    """
+
+    def __init__(self) -> None:
+        self.engine: Optional[FingerprintEngine] = None
+        self._scope: Any = None
+
+    def bind(
+        self,
+        case: ExploreCase,
+        mode: str,
+        perms: Sequence[Tuple[int, ...]],
+        counters: PerfCounters,
+    ) -> FingerprintEngine:
+        """The session's engine, counting into ``counters`` from now on."""
+        scope = (case, mode, tuple(perms))
+        if self.engine is None:
+            self.engine = FingerprintEngine(case.n, mode, perms=perms)
+            self._scope = scope
+        elif scope != self._scope:
+            raise ValueError(
+                f"fingerprint session of {self._scope!r} handed a walk of "
+                f"{scope!r}: its cached encodings describe another root"
+            )
+        self.engine.counters = counters
+        return self.engine
+
+
 def explore_case(
     case: ExploreCase,
     engine: str = "indexed",
@@ -203,6 +241,7 @@ def explore_case(
     shard_roots: Optional[List[Tuple[int, ...]]] = None,
     digest_log: Optional[List[str]] = None,
     exchange: Optional[Any] = None,
+    session: Optional[FingerprintSession] = None,
 ) -> ExploreResult:
     """Exhaust the bounded choice tree of ``case`` on ``engine``.
 
@@ -230,6 +269,11 @@ def explore_case(
     recorded ones — and every visited-set write is noted for batched
     publication.  ``states`` then counts only newly recorded states, so
     summed shard counts measure distinct coverage.
+
+    ``session`` (a :class:`FingerprintSession`) supplies the fingerprint
+    engine instead of a fresh one, so walks of the same root share
+    their host encodings; it changes which encodes are cache hits,
+    never a key.
     """
     symmetry_on = resolve_symmetry(case, symmetry)
     parts = resolve_parts(case)
@@ -243,9 +287,12 @@ def explore_case(
         fingerprint_mode=fingerprint_mode,
     )
     perms = admissible_perms(case) if symmetry_on else (tuple(range(case.n)),)
-    fp_engine = FingerprintEngine(
-        case.n, fingerprint_mode, counters=result.counters, perms=perms
-    )
+    if session is None:
+        fp_engine = FingerprintEngine(
+            case.n, fingerprint_mode, counters=result.counters, perms=perms
+        )
+    else:
+        fp_engine = session.bind(case, fingerprint_mode, perms, result.counters)
     visited: Dict[str, int] = exchange.visited if exchange is not None else {}
     stack: List[Tuple[int, ...]] = (
         [tuple(p) for p in initial_stack] if initial_stack is not None else [()]
@@ -448,20 +495,29 @@ class _LiveSystem:
         replaying = logged <= len(controller.prefix)
         if self.dedup:
             digests = self.digests
-            if now <= len(digests):
-                # The tick the system was rewound to: the state is the
-                # one that produced this key on the previous path (the
-                # rewind oracle re-encodes it from scratch to check).
-                key = digests[now - 1]
-            else:
-                key = self._fingerprint(now)
-                digests[now - 1:] = [key]
+            # The tick the system was rewound to is in the state that
+            # produced its key on the previous path (the rewind oracle
+            # re-encodes it from scratch to check); only a later tick
+            # is a state met for the first time.
+            fresh = now > len(digests)
+            if fresh:
+                digests[now - 1:] = [self._fingerprint(now)]
+            key = digests[now - 1]
             if self.digest_log is not None:
                 self.digest_log.append(key)
             visited = self.visited
             remaining = self.case.depth - now + 1
-            seen = visited.get(key)
-            if replaying:
+            opaque = key[0] == OPAQUE_MARK
+            seen = None if opaque else visited.get(key)
+            if opaque:
+                # The key hides what the state holds, so the state
+                # stays out of the visited set — this walk's and,
+                # through the exchange, every other shard's: never
+                # looked up, never recorded, never a reason to halt.
+                if fresh:
+                    result.states += 1
+                    result.counters.explore_states += 1
+            elif replaying:
                 # Still replaying (or about to make the first divergent
                 # choice): these states are the parent run's own
                 # footprints — record, never halt.

@@ -23,7 +23,9 @@ a single heartbeat thread extends every lease the worker holds with
 one UPDATE per interval
 (:meth:`~repro.store.db.ResultStore.heartbeat_worker`); a worker
 SIGKILLed mid-batch simply goes silent.  The
-coordinator polls :meth:`~repro.store.db.ResultStore.requeue_expired`:
+coordinator waits on the worker processes' sentinels — a worker's exit,
+by drain or by kill, wakes it at once — with a ramping timeout that
+drives :meth:`~repro.store.db.ResultStore.requeue_expired`:
 an expired lease is a *suspicion* (the timeout-as-failure-detector
 pattern — like ◇P, it may be wrong about a merely slow worker), so the
 item goes back to pending with capped exponential backoff and the
@@ -52,6 +54,13 @@ one claim and one completion), while k workers split exactly while
 starved.  Passing an integer ``shard_depth`` restores the legacy
 fixed pre-split.
 
+**Warm sessions.**  Re-splitting makes shards small and many, and each
+is a walk on a freshly built system.  A worker keeps one
+:class:`~repro.explore.engine.FingerprintSession` per exchange scope
+(one root + options) across shards and batches, so a process's local
+state is encoded once per root per worker, not once per shard; it
+changes which encodes are cache hits, never a dedup key.
+
 **Completeness.**  The merged result equals the serial walk's because
 (1) split soundness: a splitter/re-splitter's deferred prefixes are
 pairwise-disjoint subtrees that exactly cover its halted runs, (2)
@@ -69,6 +78,7 @@ violations, completeness) against :func:`~repro.explore.engine
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -76,7 +86,11 @@ import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.cases import ExploreCase, case_from_dict, case_to_dict
-from repro.explore.engine import ExploreResult, explore_case
+from repro.explore.engine import (
+    ExploreResult,
+    FingerprintSession,
+    explore_case,
+)
 from repro.explore.frontier import result_to_dict
 from repro.explore.shard import (
     _result_from_summary,
@@ -114,6 +128,11 @@ DEFAULT_SHARD_BUDGET = 3
 #: :meth:`~repro.store.db.ResultStore.claim_work_batch` usually bites
 #: first; this bounds the recovery cost of losing one worker).
 DEFAULT_CLAIM_LIMIT = 16
+#: Base of the coordinator's poll ramp, and the least time between two
+#: of its iterations: a worker's exit wakes the coordinator at once,
+#: and a worker that dies on start must not turn that into a respawn
+#: storm.
+POLL_BASE = 0.05
 
 
 def _queue_scope(token: str) -> str:
@@ -164,6 +183,7 @@ def _run_batch(
     status: Dict[str, int],
     options: Dict[str, Any],
     counters: Any,
+    sessions: Optional[Dict[str, FingerprintSession]] = None,
 ) -> Tuple[
     List[Dict[str, Any]], List[Tuple[str, List[Tuple[str, int]]]]
 ]:
@@ -186,9 +206,20 @@ def _run_batch(
     walks with ``choice_limit`` pushed ``split_step`` past its prefix
     and defers the halted subtrees as children — work stealing and
     adaptive shard sizing are the same mechanism.
+
+    ``sessions`` is the worker's warm state, one
+    :class:`~repro.explore.engine.FingerprintSession` per exchange
+    scope (= one root + options): every shard of a scope is walked on
+    the scope's one fingerprint engine, so a local state is encoded
+    once per root per worker instead of once per shard.  On return it
+    holds exactly the scopes of this batch — what the next batch can
+    reuse, and nothing a finished root leaves behind.  Without one the
+    batch is warm within itself only.
     """
     from repro.store.exchange import FingerprintExchange
 
+    if sessions is None:
+        sessions = {}
     workers = options.get("workers", 1)
     budget = options.get("shard_budget", DEFAULT_SHARD_BUDGET)
     resplit = workers > 1 and status["pending"] < budget * workers
@@ -226,6 +257,7 @@ def _run_batch(
             choice_limit=choice_limit,
             shard_roots=shard_roots,
             exchange=exchange,
+            session=sessions.setdefault(scope, FingerprintSession()),
         )
         completions.append(
             {
@@ -242,6 +274,8 @@ def _run_batch(
                 ],
             }
         )
+    for scope in sessions.keys() - exchanges.keys():
+        del sessions[scope]
     return completions, [
         (scope, exchange.take_pending())
         for scope, exchange in exchanges.items()
@@ -264,7 +298,9 @@ def _worker_main(
     trips, heartbeats, exchange pulls, busy retries) ride into the
     merged report on the batch's first summary; per-item engine
     counters stay per-summary so :func:`~repro.explore.shard
-    .merge_summaries` sums stay honest.
+    .merge_summaries` sums stay honest.  The fingerprint sessions
+    outlive the batch (see :func:`_run_batch`): consecutive batches
+    mostly continue the same roots.
     """
     from repro.sim.perf import PerfCounters
     from repro.store.db import ResultStore, drain_busy_retries
@@ -274,6 +310,7 @@ def _worker_main(
     workers = options.get("workers", 1)
     store = ResultStore(store_path)
     idle_round_trips = 0
+    sessions: Dict[str, FingerprintSession] = {}
     try:
         while True:
             items, status = store.claim_work_batch(
@@ -304,7 +341,7 @@ def _worker_main(
                 batch_counters = PerfCounters()
                 completions, fingerprints = _run_batch(
                     store, queue_scope, items, status, options,
-                    batch_counters,
+                    batch_counters, sessions,
                 )
                 stop.set()
                 beater.join(timeout=1.0)
@@ -355,11 +392,15 @@ class _FrontierWorkers:
         queue_scope: str,
         count: int,
         options: Dict[str, Any],
+        target: Any = _worker_main,
     ):
         self.store_path = store_path
         self.queue_scope = queue_scope
         self.count = count
         self.options = options
+        #: What a worker process runs; the drain/respawn tests put a
+        #: stub here.
+        self.target = target
         self.context = multiprocessing.get_context("spawn")
         self.generation = 0
         self.processes: Dict[str, Any] = {}
@@ -370,7 +411,7 @@ class _FrontierWorkers:
             name = f"w{self.generation}"
             self.generation += 1
             process = self.context.Process(
-                target=_worker_main,
+                target=self.target,
                 args=(self.store_path, self.queue_scope, name, self.options),
                 daemon=True,
             )
@@ -379,6 +420,26 @@ class _FrontierWorkers:
 
     def live(self) -> int:
         return sum(1 for p in self.processes.values() if p.is_alive())
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until a worker process ends, at most ``timeout`` s.
+
+        A worker returns by itself once the queue has drained, and a
+        killed one ends without asking, so either way the coordinator
+        has something to do the moment a sentinel fires; ``timeout`` is
+        what is left of polling, for the lease expiries no process exit
+        announces.  Never returns before :data:`POLL_BASE` has passed:
+        the sentinel of a dead, not yet reaped worker stays ready, and
+        workers that die on start would otherwise be respawned as fast
+        as the loop can spin.
+        """
+        started = time.monotonic()
+        multiprocessing.connection.wait(
+            [p.sentinel for p in self.processes.values()], timeout=timeout
+        )
+        early = POLL_BASE - (time.monotonic() - started)
+        if early > 0:
+            time.sleep(early)
 
     def reap_and_respawn(self) -> int:
         """Replace dead workers so kills cost recovery time, not capacity."""
@@ -554,16 +615,20 @@ def run_frontier_dynamic(
         killer = WorkerKiller(chaos_kill_rate, seed=chaos_seed)
         if items:
             fleet.spawn(workers)
-        # Ramping poll: start fast so short runs are not taxed a fixed
-        # lease_ttl/4 before the drain is even noticed, back off toward
-        # lease_ttl/4 so long runs cost the store a few polls per TTL.
-        poll = 0.05
-        poll_cap = max(0.05, lease_ttl / 4.0)
+        # The loop wakes when a worker process ends — the drain (a
+        # worker returns once nothing is pending or leased) and a kill
+        # are both noticed at once — and otherwise on a ramping
+        # timeout, which is what drives requeue_expired: fast at first
+        # so a short run's early lease expiries are not taxed a fixed
+        # lease_ttl/4, backing off toward lease_ttl/4 so long runs cost
+        # the store a few polls per TTL.
+        poll = POLL_BASE
+        poll_cap = max(POLL_BASE, lease_ttl / 4.0)
         last_poll = time.monotonic()
         recoveries = 0
         try:
             while items:
-                time.sleep(poll)
+                fleet.wait(poll)
                 poll = min(poll_cap, poll * 1.6)
                 now = time.monotonic()
                 expired = store.requeue_expired(

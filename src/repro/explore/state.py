@@ -42,10 +42,11 @@ What goes in, and why:
   sound *together*, not just separately).
 
 Anything the encoder cannot faithfully canonicalise marks the whole
-state *opaque*, and an opaque state's key is unique to the fingerprint
-call that produced it, so unknown values can cause missed merges but
-never a wrong one — dedup degrades toward plain DFS, never toward
-unsoundness.
+state *opaque*.  An opaque state's key starts with :data:`OPAQUE_MARK`
+and the search keeps such a state out of the visited set altogether —
+never looked up, never recorded, never published to other shards — so
+unknown values can cause missed merges but never a wrong one: dedup
+degrades toward plain DFS, never toward unsoundness.
 
 One implementation produces the keys: the byte engine
 (:class:`FingerprintEngine` over :class:`_Encoder`).  It encodes values
@@ -127,6 +128,11 @@ def _mask_set(mask: int) -> FrozenSet[int]:
         )
     return cached
 
+
+#: First character of the key of an *opaque* state (hex digests never
+#: start with it).  The search must not dedup on such a key: the
+#: placeholder bytes of an undecomposable value hide what it holds.
+OPAQUE_MARK = "!"
 
 #: Lineage ids (see :class:`FingerprintEngine`): every process starts at
 #: the root — built, no step taken — and interned histories count up
@@ -298,12 +304,17 @@ def _with_length(data: bytes) -> bytes:
 class FingerprintEngine:
     """Incremental, symmetry-aware dedup keys for one exploration.
 
-    One engine serves one :func:`~repro.explore.engine.explore_case`
-    call: :meth:`begin_run` binds it to the search's live system and to
-    the journal of the controller driving it, :meth:`fingerprint`
-    produces the dedup key at the start of each tick, and
-    :meth:`rewound` tells it that the system went back to an earlier
-    tick.  Three modes share one encoding:
+    One engine serves one *root*: every system it is ever bound to
+    must be built from the same case.  Usually that is one
+    :func:`~repro.explore.engine.explore_case` call; a frontier worker
+    keeps the engine for every shard of the root it walks
+    (:class:`~repro.explore.engine.FingerprintSession`, which is what
+    checks the "same case").  :meth:`begin_run`
+    binds it to a newly built system and to the journal of the
+    controller driving it, :meth:`fingerprint` produces the dedup key
+    at the start of each tick, and :meth:`rewound` tells it that the
+    system went back to an earlier tick.  Three modes share one
+    encoding:
 
     * ``"incremental"`` — a host's encoding is cached under the
       *lineage* of its process: an interned id of the process's own
@@ -314,7 +325,9 @@ class FingerprintEngine:
       the paper's model a process's state is a function of exactly that
       sequence, so one encoding serves every path of the root on which
       the process has lived through the same steps — the cache is not
-      pruned by a rewind and lives until the next :meth:`begin_run`.
+      pruned by a rewind, nor by :meth:`begin_run` (a freshly built
+      system of the same root starts every process at the root lineage
+      again), and lives as long as the engine.
       ``time`` stays in the key because a step may read ``ctx.now``
       (operation records carry ``invoke_time``).  In-flight messages
       are encoded once each (a memo indexed by ``msg_id``, shared by
@@ -353,13 +366,13 @@ class FingerprintEngine:
     the lexicographic minimum of the assembled bytes over the valid
     permutations.
 
-    **Opacity.** When any encoded value is opaque the assembly gets a
-    ``(run serial, tick)`` suffix — unique per fingerprint call within
-    this engine, so the state can never merge with anything while
-    staying deterministic, which keeps naive and incremental
-    byte-identical.
-    The ``explore_opaque_tokens`` counter makes the degradation
-    visible.
+    **Opacity.** When any encoded value is opaque the key carries
+    :data:`OPAQUE_MARK` and the caller keeps the state out of its
+    visited set.  Nothing is done to make the rest of the key unique:
+    a per-engine serial cannot be, once several engines (shards,
+    workers) feed one visited set, and a key that is never looked up
+    does not need to be.  The ``explore_opaque_tokens`` counter makes
+    the degradation visible.
     """
 
     MODES = ("incremental", "naive", "native")
@@ -398,7 +411,6 @@ class FingerprintEngine:
         self._nodes_synced = 0
         self._calls_synced = 0
         self._bytes_synced = 0
-        self._run_serial = 0
         self._system: Any = None
         #: The :class:`~repro.explore.control.ChoiceController` driving
         #: the bound system (its ``ticks`` / ``sent`` journal), or None.
@@ -421,17 +433,18 @@ class FingerprintEngine:
 
     # -- lifecycle ------------------------------------------------------
     def begin_run(self, system: Any, journal: Any = None) -> None:
-        """Bind to a newly built system: nothing cached applies to it.
+        """Bind to a newly built system of this engine's root.
 
         ``journal`` is the controller driving ``system``; without one
         the engine has no step histories to key the host cache on.
+        What names a position on a path starts over (the lineage
+        journal, the message memo, the decision and operation caches —
+        the split :meth:`rewound` makes); the lineage table and the
+        host cache stay, because a new system of the same root gives
+        every process the local state the root lineage already names.
         """
-        self._run_serial += 1
         self._system = system
         self._journal = journal
-        for pid in range(self.n):
-            self._lineage_ids[pid].clear()
-            self._host_cache[pid].clear()
         self._lineages = [(_ROOT_LINEAGE,) * self.n]
         self._message_units = []
         self._decision_cache = []
@@ -451,7 +464,6 @@ class FingerprintEngine:
         operation records of rebuilt hosts were reset, so that cache is
         cleared.
         """
-        self._run_serial += 1
         del self._lineages[len(self._journal.ticks) + 1:]
         del self._message_units[len(self._journal.sent):]
         del self._decision_cache[decisions:]
@@ -835,11 +847,9 @@ class FingerprintEngine:
                 candidate = self._assemble(perm, *args)
                 if candidate < best:
                     best = candidate
-        if opaque:
-            best += b"!%d@%d;" % (self._run_serial, now)
-            if self.counters is not None:
-                self.counters.explore_opaque_tokens += 1
         if self.counters is not None:
+            if opaque:
+                self.counters.explore_opaque_tokens += 1
             self.counters.explore_fp_nodes += self._encoder.nodes - self._nodes_synced
             self._nodes_synced = self._encoder.nodes
             if self.native:
@@ -852,4 +862,5 @@ class FingerprintEngine:
                 )
                 self._calls_synced = encoder.calls
                 self._bytes_synced = encoder.bytes_encoded
-        return hashlib.sha256(best).hexdigest()
+        digest = hashlib.sha256(best).hexdigest()
+        return OPAQUE_MARK + digest if opaque else digest

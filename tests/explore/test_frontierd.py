@@ -18,16 +18,24 @@ Three layers of proof, mirroring the lease protocol's design:
 * **Quarantine** — a poison worker (``CHAOS_FAIL`` hook) exhausts the
   retry budget; the run degrades to ``complete=False`` with structured
   incidents instead of raising.
+
+And the coordinator's side of liveness: it wakes when a worker process
+ends instead of sleeping out its poll, never faster than the ramp's
+base, and a worker's warm fingerprint sessions follow its batches.
 """
 
 import os
 import signal
+import threading
 import time
 
 from repro.explore import ExploreCase, explore_case
 from repro.explore.frontierd import (
     CHAOS_FAIL_ENV,
     CHAOS_STALL_ENV,
+    DEFAULT_LEASE_TTL,
+    POLL_BASE,
+    _FrontierWorkers,
     _run_batch,
     _worker_main,
     explore_case_dynamic,
@@ -439,3 +447,128 @@ class TestQuarantine:
         # The splitter's shallow leaves survive: partial results, not
         # an exception.
         assert summary["stats"]["runs"] > 0
+
+
+def _stall(store_path, queue_scope, worker, options):
+    """A worker that never drains anything (spawned: module level)."""
+    time.sleep(600)
+
+
+def _exit_at_once(store_path, queue_scope, worker, options):
+    """A worker that dies on start."""
+
+
+class TestCoordinatorWait:
+    def test_worker_exit_wakes_the_coordinator(self):
+        fleet = _FrontierWorkers("unused", "unused", 1, {}, target=_stall)
+        fleet.spawn(1)
+        (process,) = fleet.processes.values()
+        try:
+            threading.Timer(0.1, process.kill).start()
+            started = time.monotonic()
+            # What the coordinator passes once its ramp has reached the
+            # cap: sleeping it out would notice the exit after 1.25 s.
+            fleet.wait(DEFAULT_LEASE_TTL / 4.0)
+            elapsed = time.monotonic() - started
+            assert POLL_BASE <= elapsed < 0.5
+            # The sentinel closes a moment before the exit status can
+            # be collected; the loop's next turn is what reaps it.
+            process.join(timeout=1.0)
+            assert not process.is_alive()
+            assert fleet.reap_and_respawn() == 1 and fleet.respawns == 1
+        finally:
+            fleet.shutdown(timeout=0.0)
+
+    def test_wait_times_out_when_nobody_exits(self):
+        fleet = _FrontierWorkers("unused", "unused", 1, {}, target=_stall)
+        fleet.spawn(1)
+        try:
+            started = time.monotonic()
+            fleet.wait(0.2)
+            assert 0.2 <= time.monotonic() - started < 1.0
+            assert fleet.live() == 1
+        finally:
+            fleet.shutdown(timeout=0.0)
+
+    def test_dead_on_start_workers_respawn_no_faster_than_the_floor(self):
+        fleet = _FrontierWorkers("unused", "unused", 2, {}, target=_exit_at_once)
+        fleet.spawn(2)
+        iterations = 0
+        started = time.monotonic()
+        try:
+            while time.monotonic() - started < 1.0:
+                fleet.wait(DEFAULT_LEASE_TTL / 4.0)
+                fleet.reap_and_respawn()
+                iterations += 1
+        finally:
+            fleet.shutdown(timeout=2.0)
+        assert fleet.respawns > 0  # the exits were noticed and answered
+        assert iterations <= 1.0 / POLL_BASE + 1
+        assert fleet.respawns <= iterations * fleet.count
+
+    def test_a_ready_sentinel_does_not_spin_the_loop(self):
+        # The floor itself, without process start-up in the way: the
+        # read end of a closed pipe is ready forever, like the sentinel
+        # of a worker that died and was not reaped yet.
+        class Gone:
+            def __init__(self, sentinel):
+                self.sentinel = sentinel
+
+        reader, writer = os.pipe()
+        os.close(writer)
+        fleet = _FrontierWorkers("unused", "unused", 1, {})
+        fleet.processes["w0"] = Gone(reader)
+        try:
+            started = time.monotonic()
+            for _ in range(5):
+                fleet.wait(DEFAULT_LEASE_TTL / 4.0)
+            assert 5 * POLL_BASE <= time.monotonic() - started < 1.0
+        finally:
+            os.close(reader)
+
+
+class TestWarmSessions:
+    def test_sessions_follow_the_batches(self, tmp_path):
+        # A worker keeps one warm fingerprint engine per exchange scope
+        # (= root) of the batch it just walked: the next batch's shards
+        # of that root find their local states already encoded, and a
+        # root that left the batch leaves the dict.
+        store = ResultStore(tmp_path)
+        other = CASE.with_(seed=0)
+        for case in (CASE, other):
+            _enqueue_case(store, case, "warm-q", shard_depth=3)
+        claimed, status = store.claim_work_batch(
+            "warm-q", "w0", ttl=30.0, limit=64
+        )
+        scopes = {work.item["scope"] for work in claimed}
+        assert len(scopes) == 2
+
+        def host_misses(completions):
+            return sum(
+                c["result"]["counters"].get("explore_fp_host_misses", 0)
+                for c in completions
+            )
+
+        sessions = {}
+        cold, _ = _run_batch(
+            store, "warm-q", claimed, status, {}, PerfCounters(), sessions
+        )
+        assert set(sessions) == scopes
+        kept = claimed[0].item["scope"]
+        engine = sessions[kept].engine
+        again = [work for work in claimed if work.item["scope"] == kept]
+        # Nothing was completed, so the store seeds the same visited
+        # set and the walks repeat — on an engine that has seen them.
+        warm, _ = _run_batch(
+            store, "warm-q", again, status, {}, PerfCounters(), sessions
+        )
+        assert set(sessions) == {kept} and sessions[kept].engine is engine
+        assert host_misses(cold) > 0 and host_misses(warm) == 0
+        for before, after in zip(
+            (c for c, w in zip(cold, claimed) if w.item["scope"] == kept), warm
+        ):
+            for key in ("decision_vectors", "violations"):
+                assert after["result"][key] == before["result"][key]
+            for key in ("runs", "states", "dedup_hits", "por_pruned"):
+                assert after["result"]["stats"][key] == before["result"]["stats"][key]
+        store.close()

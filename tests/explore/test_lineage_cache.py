@@ -8,8 +8,15 @@ everything a step can read.  The whole-search check (digest logs equal
 to the cache-free ``naive`` engine's) lives in
 ``test_fingerprint_equivalence.py`` and the per-fingerprint
 cached-vs-fresh check in ``test_rewind_oracle.py``; this module holds
-the cases built to break a weaker key, the guards, and the counters.
+the cases built to break a weaker key, the guards, the counters, and
+the engine that outlives a walk: a frontier worker's warm session over
+the shards of one root, and the opaque states that several engines
+feeding one visited set must keep out of it.
 """
+
+import collections
+
+import pytest
 
 from repro import _native
 from repro.chaos.targets import TARGETS, Target
@@ -20,12 +27,15 @@ from repro.explore import (
     run_controlled,
 )
 from repro.explore.cases import resolve_parts
+from repro.explore.engine import FingerprintSession
 from repro.explore.frontier import result_to_dict
-from repro.explore.shard import merge_summaries
-from repro.explore.state import _POISONED, FingerprintEngine
+from repro.explore.shard import merge_summaries, split_case
+from repro.explore.state import _POISONED, OPAQUE_MARK, FingerprintEngine
 from repro.runner import call
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
+from repro.store import ResultStore
+from repro.store.exchange import FingerprintExchange
 
 MODES = ["naive", "incremental"] + (["native"] if _native.available() else [])
 
@@ -276,6 +286,81 @@ def test_opaque_step_poisons_the_lineage(monkeypatch):
         resolve_parts.cache_clear()
 
 
+class Hoarder(Component):
+    """Keeps what it is sent in a ``deque`` — no ``__dict__``, no
+    ``__slots__``, so the encoder writes ``?deque;`` whatever it holds
+    — and one step after the last arrival decides on the order."""
+
+    name = "hoard"
+
+    def __init__(self):
+        super().__init__()
+        self.box = collections.deque()
+        self.stage = 0
+
+    def on_start(self):
+        if self.pid:
+            self.send(0, self.pid)
+
+    def on_message(self, sender, payload, meta):
+        self.box.append(payload)
+
+    def on_step(self):
+        if len(self.box) == self.n - 1 and self.stage < 2:
+            if self.stage == 1:
+                self.decide(tuple(self.box))
+            self.stage += 1
+
+
+def hoarder_factory():
+    return lambda pid: Hoarder()
+
+
+def test_opaque_states_stay_out_of_a_visited_set_shards_share(
+    monkeypatch, tmp_path
+):
+    """Two shards, one engine each, one visited set — a worker's batch.
+    After both arrivals process 0 holds ``[1, 2]`` in one shard and
+    ``[2, 1]`` in the other, at the same tick, and the encoder cannot
+    tell: keyed into the shared set, the second shard halts on the
+    first one's footprint and its decision is never seen."""
+    make = toy_target(monkeypatch, "hoard", hoarder_factory)
+    store = ResultStore(tmp_path)
+    try:
+        case = make(n=3, depth=5)
+        serial = explore_case(case)
+        assert len(serial.decision_vectors) == 3  # none, (1, 2), (2, 1)
+        assert serial.dedup_hits == 0
+        assert serial.states == serial.counters.explore_opaque_tokens > 0
+
+        first, second = (1, 0, 0, 2), (1, 2, 0, 0)
+        _, roots = split_case(case, choice_limit=4)
+        assert first in roots and second in roots
+        alone = [
+            explore_case(case, initial_stack=[root]).decision_vectors
+            for root in (first, second)
+        ]
+        assert alone[0] != alone[1]
+
+        exchange = FingerprintExchange(store, "hoard-scope")
+        log = []
+        shared = [
+            explore_case(
+                case, initial_stack=[root], exchange=exchange, digest_log=log
+            )
+            for root in (first, second)
+        ]
+        assert [r.decision_vectors for r in shared] == alone
+        assert [r.dedup_hits for r in shared] == [0, 0]
+        assert all(r.states > 0 for r in shared)  # still counted
+        assert log and all(key[0] == OPAQUE_MARK for key in log)
+        # ...and nothing to look up, here or in another worker.
+        assert exchange.visited == {} and exchange.take_pending() == []
+    finally:
+        store.close()
+        resolve_parts.cache_clear()
+
+
 def test_engine_without_a_journal_always_encodes():
     """No journal, no step histories: the fallback is to encode, never
     to answer from an entry of unknown provenance."""
@@ -329,3 +414,85 @@ def test_new_counters_survive_a_shard_merge():
         "explore_fp_message_misses",
     ):
         assert merged[name] == 2 * one[name]
+
+
+# -- one engine for every shard of a root ------------------------------------
+
+PAXOS_SCRIPT = (("script", ("os", 0, (0, 1, 2)), ("os", 1, (0, 1, 2))),) * 3
+
+
+@pytest.mark.parametrize(
+    "case, options",
+    [
+        pytest.param(ExploreCase(target="nbac", n=3, depth=5), {}, id="nbac3"),
+        pytest.param(
+            ExploreCase(target="nbac", n=3, depth=5),
+            {"symmetry": True},
+            id="nbac3-symmetry",
+        ),
+        pytest.param(ExploreCase(target="paxos", n=3, depth=5), {}, id="paxos3"),
+        pytest.param(
+            ExploreCase(target="paxos", n=3, depth=5),
+            {"symmetry": "auto"},
+            id="paxos3-symmetry",
+        ),
+        pytest.param(
+            ExploreCase(target="paxos", n=3, depth=5, assignment=PAXOS_SCRIPT),
+            {},
+            id="paxos3-script",
+        ),
+    ],
+)
+def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
+    """The shards of a root walked the way a frontier worker walks a
+    batch — one shared visited set — once with a fresh engine per shard
+    and once on one session: the same keys in the same order, the same
+    search, fewer host encodes."""
+    _, roots = split_case(case, choice_limit=3, **options)
+    assert len(roots) > 2
+    store = ResultStore(tmp_path)
+
+    def walk(session, scope):
+        exchange = FingerprintExchange(store, scope)
+        log, misses, counts = [], 0, []
+        for root in roots:
+            result = explore_case(
+                case,
+                initial_stack=[root],
+                exchange=exchange,
+                digest_log=log,
+                session=session,
+                **options,
+            )
+            misses += result.counters.explore_fp_host_misses
+            counts.append(
+                (result.runs, result.states, result.dedup_hits,
+                 result.por_pruned, sorted(result.decision_vectors))
+            )
+        return log, misses, counts
+
+    try:
+        cold_log, cold_misses, cold_counts = walk(None, "cold")
+        warm_log, warm_misses, warm_counts = walk(FingerprintSession(), "warm")
+    finally:
+        store.close()
+    assert "\n".join(warm_log) == "\n".join(cold_log) != ""
+    assert warm_counts == cold_counts
+    assert 0 < warm_misses < cold_misses
+
+
+def test_session_refuses_another_root():
+    case = ExploreCase(target="nbac", n=3, depth=4)  # a group of two
+    session = FingerprintSession()
+    explore_case(case, session=session)
+    engine = session.engine
+    explore_case(case, session=session, initial_stack=[(1,)])
+    assert session.engine is engine
+    for other, options in (
+        (case.with_(seed=1), {}),
+        (case.with_(depth=5), {}),
+        (case, {"fingerprint_mode": "naive"}),
+        (case, {"symmetry": True}),
+    ):
+        with pytest.raises(ValueError, match="another root"):
+            explore_case(other, session=session, **options)
