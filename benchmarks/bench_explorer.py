@@ -36,14 +36,6 @@ isolation, where ≥1.5x is physical on any machine, asserted under
 the extension actually built).  Run without pytest via
 ``python benchmarks/bench_explorer.py`` to write ``BENCH_explore.json``.
 
-The **sharded** section pins the store-backed visited-set exchange on
-the n=3 NBAC tree: sequential shards sharing fingerprints through a
-throwaway campaign database must visit **no more states** than the
-single-process walk (exact recovery), while the same split with
-isolated visited sets re-explores — ``dedup_recovered_states`` is the
-redundancy the exchange eliminated, gated ≥ 0 here and trended by
-``python -m repro.store check BENCH_explore``.
-
 The **frontier** section runs a deeper case (nbac n=3 depth=6)
 through the crash-tolerant dynamic frontier
 (:mod:`repro.explore.frontierd`) in its adaptive batched-claim default
@@ -63,14 +55,12 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from repro import _native
-from repro.explore.cases import ExploreCase
+from repro.explore.cases import ExploreCase, ExploreOptions
 from repro.explore.engine import explore_case
-from repro.explore.shard import explore_case_sharded
 from repro.explore.symmetry import SYMMETRY_SAFE_TARGETS, admissible_perms
 
 #: The pinned cases.  ct exercises deep detector-driven branching,
@@ -109,7 +99,7 @@ SYMMETRY_GATED = {
 def _explore(case, fingerprint_mode, symmetry=None):
     started = time.perf_counter()
     result = explore_case(
-        case, fingerprint_mode=fingerprint_mode, symmetry=symmetry
+        case, ExploreOptions(fingerprint_mode=fingerprint_mode, symmetry=symmetry)
     )
     elapsed = time.perf_counter() - started
     return {
@@ -328,64 +318,8 @@ def run_encoder_bench() -> dict:
     return report
 
 
-#: The sharded-exchange case and split depth (in recorded choices).
-SHARDED_CASE = CASES[3]
-SHARD_DEPTH = 4
-
-
-def run_sharded_bench(case=SHARDED_CASE, shard_depth=SHARD_DEPTH) -> dict:
-    """Pin the store-backed cross-shard dedup on one deep case.
-
-    Sequential shards (workers=1) exchanging fingerprints through the
-    store must match the single-process walk's outcomes and visit no
-    more states; isolated shards measure what the exchange recovers.
-    """
-    started = time.perf_counter()
-    single = explore_case(case)
-    single_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    isolated = explore_case_sharded(
-        case, shard_depth=shard_depth, workers=1
-    )
-    isolated_s = time.perf_counter() - started
-
-    with tempfile.TemporaryDirectory() as tmp:
-        started = time.perf_counter()
-        shared = explore_case_sharded(
-            case, shard_depth=shard_depth, workers=1, store=tmp
-        )
-        shared_s = time.perf_counter() - started
-
-    # The search itself is invariant under sharding, with or without
-    # the exchange...
-    for name, result in (("isolated", isolated), ("shared", shared)):
-        assert result.decision_vectors == single.decision_vectors, name
-        assert len(result.violations) == len(single.violations), name
-        assert result.complete and single.complete, name
-    # ...and sequential shards with the shared visited set never visit
-    # more states than the single-process walk.
-    assert shared.states <= single.states, (shared.states, single.states)
-    recovered = isolated.states - shared.states
-    assert recovered >= 0, (isolated.states, shared.states)
-    return {
-        "case": case.describe(),
-        "shard_depth": shard_depth,
-        "single": {"states": single.states, "runs": single.runs,
-                   "elapsed_seconds": round(single_s, 3)},
-        "isolated": {"states": isolated.states, "runs": isolated.runs,
-                     "shards": isolated.counters.explore_shards,
-                     "elapsed_seconds": round(isolated_s, 3)},
-        "shared": {"states": shared.states, "runs": shared.runs,
-                   "shards": shared.counters.explore_shards,
-                   "elapsed_seconds": round(shared_s, 3)},
-        "dedup_recovered_states": recovered,
-        "dedup_recovered_runs": isolated.runs - shared.runs,
-    }
-
-
-#: The frontier scaling case — one depth deeper than the sharded
-#: section, so the tree is large enough (thousands of runs) for
+#: The frontier scaling case — one depth deeper than the pinned n=3
+#: case, so the tree is large enough (thousands of runs) for
 #: coordination amortization to be measurable rather than noise.
 FRONTIER_CASE = ExploreCase(target="nbac", n=3, depth=6)
 
@@ -526,9 +460,6 @@ def run_frontier_bench(case=FRONTIER_CASE) -> dict:
     clean_wall = scaling["4"]["wall_clock"]
     return {
         "case": case.describe(),
-        "shard_mode": chaos_block["shard_mode"],
-        "shard_budget": chaos_block["shard_budget"],
-        "claim_limit": chaos_block["claim_limit"],
         "machine": machine_stamp(),
         "single_elapsed_seconds": round(single_s, 3),
         "single_fp_nodes": single.counters.explore_fp_nodes,
@@ -581,7 +512,6 @@ def run_benchmark(
             "encoder": (
                 run_encoder_bench() if _native.available() else None
             ),
-            "sharded": run_sharded_bench(),
             "frontier": run_frontier_bench(),
         }
         if os.environ.get("BENCH_NATIVE_STRICT"):

@@ -13,11 +13,12 @@ path — with partial-order, state-dedup and pid-symmetry reductions
 :mod:`repro.explore.symmetry`); the frontier
 (:mod:`repro.explore.frontier`) enumerates detector assignments and
 crash schedules across subtree roots and fans the work out as a
-:mod:`repro.runner` campaign, :mod:`repro.explore.shard` splits a
-single oversized case into campaign cells of its own, and
-:mod:`repro.explore.frontierd` runs the crash-tolerant work-stealing
-variant: long-lived workers pulling shard roots from a store-backed
-queue under expiring leases, surviving SIGKILL mid-shard.
+:mod:`repro.runner` campaign, one cell per root, and
+:mod:`repro.explore.frontierd` searches below the roots: long-lived
+workers pulling shard roots from a store-backed queue under expiring
+leases, splitting them on demand and surviving SIGKILL mid-shard.
+How a case is searched — engine, reductions, fingerprint mode — is one
+:class:`~repro.explore.cases.ExploreOptions` carried to every layer.
 Violating leaves are judged by the chaos targets' own property hooks,
 shrunk (:mod:`repro.explore.shrink`), and frozen as replayable
 artifacts (:mod:`repro.explore.artifact`).
@@ -40,6 +41,7 @@ from repro.explore.assignments import (
 from repro.explore.cases import (
     ENGINES,
     ExploreCase,
+    ExploreOptions,
     build_system,
     case_from_dict,
     case_to_dict,
@@ -67,17 +69,13 @@ from repro.explore.frontier import (
     crash_schedules,
     enumerate_roots,
     frontier_campaign,
+    merge_summaries,
+    result_from_summary,
     run_frontier,
 )
 from repro.explore.frontierd import (
     explore_case_dynamic,
     run_frontier_dynamic,
-)
-from repro.explore.shard import (
-    explore_case_sharded,
-    explore_shard,
-    merge_summaries,
-    split_case,
 )
 from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import (
@@ -98,6 +96,7 @@ __all__ = [
     "ChoiceController",
     "ChoicePoint",
     "ExploreCase",
+    "ExploreOptions",
     "ExploreResult",
     "ExploringDelivery",
     "ExploringScheduler",
@@ -117,8 +116,6 @@ __all__ = [
     "enumerate_roots",
     "explore_case",
     "explore_case_dynamic",
-    "explore_case_sharded",
-    "explore_shard",
     "frontier_campaign",
     "fs_prefix_admissible",
     "merge_summaries",
@@ -126,10 +123,10 @@ __all__ = [
     "psi_prefix_admissible",
     "resolve_parts",
     "resolve_symmetry",
+    "result_from_summary",
     "run_controlled",
     "run_frontier",
     "run_frontier_dynamic",
     "script_stages_coherent",
-    "split_case",
     "switch_scripts_for",
 ]

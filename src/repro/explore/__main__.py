@@ -32,6 +32,12 @@ chaos injector SIGKILLing them mid-shard to prove recovery::
         --frontier dynamic --workers 4 --lease-ttl 2 \\
         --chaos-kill-rate 0.3 --require-complete --stats
 
+``--cache``, ``--stop-on-first`` and ``--max-runs`` belong to the
+default ``--frontier static`` (one campaign cell per root);
+``--lease-ttl``, ``--chaos-kill-rate`` and ``--chaos-seed`` to
+``--frontier dynamic`` (leased sub-root shards).  Handing one to the
+other driver is an error, never a silent no-op.
+
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
 and 1 otherwise, so CI can call this directly.
@@ -46,18 +52,27 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.chaos.targets import CLEAN_TARGETS, MUTANT_TARGETS, TARGETS
-from repro.explore.cases import ENGINES, case_from_dict
+from repro.explore.cases import ENGINES, ExploreOptions
 from repro.runner.config import CACHE_BACKENDS, configure
-from repro.explore.engine import FINGERPRINT_MODES, Violation
+from repro.explore.engine import FINGERPRINT_MODES
 from repro.explore.frontier import (
     SMOKE_DEPTHS,
     SMOKE_DEPTHS_N3,
     SWITCH_MUTANTS,
     enumerate_roots,
+    result_from_summary,
     run_frontier,
 )
-from repro.explore.frontierd import DEFAULT_SHARD_BUDGET
 from repro.explore.symmetry import collapse_symmetric_roots
+
+#: Flags only one ``--frontier`` driver honours (argparse destinations,
+#: all defaulting to "not given").  Passing one to the other driver is
+#: an error, not a silent no-op: ``--frontier static --chaos-kill-rate``
+#: printing ``ok`` would read as "recovery proven".
+DRIVER_FLAGS = {
+    "static": ("cache", "stop_on_first", "max_runs"),
+    "dynamic": ("lease_ttl", "chaos_kill_rate", "chaos_seed"),
+}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -114,36 +129,16 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.add_argument(
         "--lease-ttl",
         type=float,
-        default=5.0,
+        default=None,
         help=(
             "dynamic frontier: seconds before a silent worker's lease "
             "expires and its shard is requeued (default 5)"
         ),
     )
     parser.add_argument(
-        "--shard-budget",
-        type=int,
-        default=None,
-        help=(
-            "dynamic frontier: adaptive sizing target — workers "
-            "re-split their claims while the pending queue holds fewer "
-            f"than this many shards per worker (default {DEFAULT_SHARD_BUDGET})"
-        ),
-    )
-    parser.add_argument(
-        "--shard-depth",
-        type=int,
-        default=None,
-        help=(
-            "dynamic frontier: legacy override — pre-split every root "
-            "at this fixed choice depth instead of adaptive on-demand "
-            "splitting (default: adaptive)"
-        ),
-    )
-    parser.add_argument(
         "--chaos-kill-rate",
         type=float,
-        default=0.0,
+        default=None,
         help=(
             "dynamic frontier: SIGKILL lease-holding workers at this "
             "expected rate per worker-second — the recovery smoke test "
@@ -153,13 +148,19 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.add_argument(
         "--chaos-seed",
         type=int,
-        default=0,
-        help="seed for the worker-killer schedule (default 0)",
+        default=None,
+        help=(
+            "dynamic frontier: seed for the worker-killer schedule "
+            "(default 0)"
+        ),
     )
     parser.add_argument(
         "--cache",
         default=None,
-        help="campaign cache directory for finished subtrees (default off)",
+        help=(
+            "static frontier: campaign cache directory for finished "
+            "subtrees (default off)"
+        ),
     )
     parser.add_argument(
         "--cache-backend",
@@ -184,12 +185,16 @@ def _parse_args(argv) -> argparse.Namespace:
         "--max-runs",
         type=int,
         default=None,
-        help="truncate each root after this many runs (default unbounded)",
+        help=(
+            "static frontier: truncate each root after this many runs "
+            "(default unbounded)"
+        ),
     )
     parser.add_argument(
         "--stop-on-first",
         action="store_true",
-        help="stop each root at its first violation",
+        default=None,
+        help="static frontier: stop each root at its first violation",
     )
     parser.add_argument(
         "--expect-violation",
@@ -269,20 +274,10 @@ def _emit_artifacts(
     written = []
     index = -1
     for summary in summaries:
-        for raw in summary["violations"]:
+        for violation in result_from_summary(summary).violations:
             # Numbered across summaries: two roots convicting the same
             # target on the same clause must not overwrite each other.
             index += 1
-            violation = Violation(
-                case=case_from_dict(summary["case"]),
-                engine=summary["engine"],
-                choices=tuple(raw["choices"]),
-                violated=tuple(raw["violated"]),
-                metrics={},
-                decisions=tuple(tuple(d) for d in raw["decisions"]),
-                final_time=raw["final_time"],
-                por=summary["por"],
-            )
             case, choices, stats = shrink_violation(violation)
             if out is not None:
                 path = out / (
@@ -317,13 +312,22 @@ def main(argv=None) -> int:
     engines = list(ENGINES) if args.engine == "both" else [args.engine]
     if args.cache_backend is not None:
         configure(cache_backend=args.cache_backend)
-    if args.frontier == "dynamic" and (
-        args.stop_on_first or args.max_runs is not None
-    ):
+    other = "static" if args.frontier == "dynamic" else "dynamic"
+    misplaced = [
+        "--" + flag.replace("_", "-")
+        for flag in DRIVER_FLAGS[other]
+        if getattr(args, flag) is not None
+    ]
+    if misplaced:
         raise SystemExit(
-            "--frontier dynamic always exhausts its roots; it does not "
-            "combine with --stop-on-first or --max-runs"
+            f"{', '.join(misplaced)}: honoured only by --frontier {other}, "
+            f"and this run is --frontier {args.frontier}"
         )
+    driver_args = {
+        flag: getattr(args, flag)
+        for flag in DRIVER_FLAGS[args.frontier]
+        if getattr(args, flag) is not None
+    }
     store = None
     if args.store is not None:
         from repro.store import ResultStore
@@ -355,40 +359,31 @@ def main(argv=None) -> int:
         if args.symmetry:
             roots = collapse_symmetric_roots(roots)
         for engine in engines:
+            options = ExploreOptions(
+                engine=engine,
+                por=not args.no_por,
+                dedup=not args.no_dedup,
+                symmetry="auto" if args.symmetry else None,
+                fingerprint_mode=args.fingerprint_mode,
+            )
             if args.frontier == "dynamic":
                 from repro.explore.frontierd import run_frontier_dynamic
 
                 summaries = run_frontier_dynamic(
                     roots,
-                    engine=engine,
+                    options,
                     workers=args.workers or 2,
-                    por=not args.no_por,
-                    dedup=not args.no_dedup,
-                    symmetry="auto" if args.symmetry else None,
-                    fingerprint_mode=args.fingerprint_mode,
                     store=store,
-                    shard_depth=args.shard_depth,
-                    shard_budget=(
-                        args.shard_budget
-                        if args.shard_budget is not None
-                        else DEFAULT_SHARD_BUDGET
-                    ),
-                    lease_ttl=args.lease_ttl,
-                    chaos_kill_rate=args.chaos_kill_rate,
-                    chaos_seed=args.chaos_seed,
+                    **driver_args,
                 )
             else:
                 summaries = run_frontier(
                     roots,
-                    engine=engine,
+                    options,
                     workers=args.workers,
-                    cache=args.cache if args.cache is not None else False,
-                    por=not args.no_por,
-                    dedup=not args.no_dedup,
-                    stop_on_first_violation=args.stop_on_first,
-                    max_runs=args.max_runs,
-                    symmetry="auto" if args.symmetry else None,
-                    fingerprint_mode=args.fingerprint_mode,
+                    cache=driver_args.get("cache", False),
+                    stop_on_first_violation=driver_args.get("stop_on_first", False),
+                    max_runs=driver_args.get("max_runs"),
                 )
             totals = {
                 "runs": 0,
@@ -467,7 +462,6 @@ def main(argv=None) -> int:
                 )
                 print(
                     f"  frontier: workers={block.get('workers')} "
-                    f"mode={block.get('shard_mode')} "
                     f"recoveries={block.get('recoveries')} "
                     f"kills={block.get('kills')} "
                     f"respawns={block.get('respawns')} "

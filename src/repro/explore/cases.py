@@ -48,6 +48,7 @@ from repro.explore.control import (
     ExploringDelivery,
     ExploringScheduler,
 )
+from repro.explore.state import FingerprintEngine
 from repro.registers.workload import RegisterWorkload
 from repro.runner import call
 from repro.sim.network import (
@@ -119,6 +120,47 @@ class ExploreCase:
             f"{self.target}(n={self.n}, depth={self.depth}, "
             f"seed={self.seed}, crashes={dict(self.crashes)})"
         )
+
+
+@dataclass(frozen=True)
+class ExploreOptions:
+    """How a case is searched: everything but the case itself.
+
+    One frozen value carried whole from the CLI to the walk — through a
+    campaign cell, a spawned frontier worker, the summary dict
+    (``dataclasses.asdict``) and the exchange scope — so an option is
+    named in one place and a misspelt one is an error here, before a
+    store is opened or a process spawned.  ``engine`` is the network
+    engine (:data:`ENGINES`), ``por`` / ``dedup`` switch the reductions,
+    ``symmetry`` is ``None`` / ``False`` (off), ``"auto"`` (on where
+    sound) or ``True`` (insist; an unsafe target is an error — see
+    :func:`~repro.explore.symmetry.resolve_symmetry`), and
+    ``fingerprint_mode`` picks the dedup-key implementation
+    (:attr:`FingerprintEngine.MODES <repro.explore.state
+    .FingerprintEngine.MODES>`).
+    """
+
+    engine: str = "indexed"
+    por: bool = True
+    dedup: bool = True
+    symmetry: Any = None
+    fingerprint_mode: str = "incremental"
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"unknown network engine {self.engine!r}; have {ENGINES}"
+            )
+        if self.fingerprint_mode not in FingerprintEngine.MODES:
+            raise ValueError(
+                f"unknown fingerprint mode {self.fingerprint_mode!r}; "
+                f"have {FingerprintEngine.MODES}"
+            )
+        if self.symmetry not in (None, False, "auto", True):
+            raise ValueError(
+                f"symmetry must be None, False, 'auto' or True, "
+                f"got {self.symmetry!r}"
+            )
 
 
 def _tuplify(value: Any) -> Any:

@@ -73,6 +73,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.explore.cases import (
     CaseParts,
     ExploreCase,
+    ExploreOptions,
     build_system,
     resolve_parts,
     wire_host,
@@ -82,10 +83,10 @@ from repro.explore.state import OPAQUE_MARK, FingerprintEngine
 from repro.explore.symmetry import admissible_perms, resolve_symmetry
 from repro.sim.perf import PerfCounters
 
-#: Fingerprint implementations ``explore_case`` accepts: the byte
-#: engine with and without its caches, and the compiled-encoder variant
-#: (digest-identical to ``incremental``, silently degrading to it when
-#: the extension is unavailable).
+#: Fingerprint implementations :class:`ExploreOptions` accepts: the
+#: byte engine with and without its caches, and the compiled-encoder
+#: variant (digest-identical to ``incremental``, silently degrading to
+#: it when the extension is unavailable).
 FINGERPRINT_MODES = FingerprintEngine.MODES
 
 
@@ -110,9 +111,7 @@ class ExploreResult:
     """The outcome of exhausting (or truncating) one case's tree."""
 
     case: ExploreCase
-    engine: str
-    por: bool
-    dedup: bool
+    options: ExploreOptions = ExploreOptions()
     runs: int = 0
     states: int = 0
     dedup_hits: int = 0
@@ -129,14 +128,17 @@ class ExploreResult:
         default_factory=set
     )
     counters: PerfCounters = field(default_factory=PerfCounters)
-    symmetry: bool = False
-    fingerprint_mode: str = "incremental"
     #: Structured records of degraded-but-survived events from the
-    #: distributed paths — failed shard cells folded into a partial
-    #: merge, expired worker leases, quarantined shards.  Always empty
-    #: for a plain in-process walk; non-empty incidents of kind
-    #: ``shard-failed``/``shard-quarantined`` imply ``complete=False``.
+    #: dynamic frontier — expired worker leases, quarantined shards.
+    #: Always empty for a plain in-process walk; an incident of kind
+    #: ``shard-quarantined`` implies ``complete=False``.
     incidents: List[Dict[str, Any]] = field(default_factory=list)
+    #: Whether the pid-symmetry reduction is on for this case: what
+    #: ``options.symmetry`` asks for, resolved against the target.
+    symmetry: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.symmetry = resolve_symmetry(self.case, self.options.symmetry)
 
     @property
     def ok(self) -> bool:
@@ -198,7 +200,7 @@ class FingerprintSession:
     any system of the root, so the engine one shard filled serves the
     next: hand the same session to every :func:`explore_case` call of
     one root.  The first call creates the engine; a later call whose
-    case, mode or symmetry group differs is refused.
+    case or options differ is refused.
     """
 
     def __init__(self) -> None:
@@ -208,14 +210,16 @@ class FingerprintSession:
     def bind(
         self,
         case: ExploreCase,
-        mode: str,
+        options: ExploreOptions,
         perms: Sequence[Tuple[int, ...]],
         counters: PerfCounters,
     ) -> FingerprintEngine:
         """The session's engine, counting into ``counters`` from now on."""
-        scope = (case, mode, tuple(perms))
+        scope = (case, options)
         if self.engine is None:
-            self.engine = FingerprintEngine(case.n, mode, perms=perms)
+            self.engine = FingerprintEngine(
+                case.n, options.fingerprint_mode, perms=perms
+            )
             self._scope = scope
         elif scope != self._scope:
             raise ValueError(
@@ -228,14 +232,10 @@ class FingerprintSession:
 
 def explore_case(
     case: ExploreCase,
-    engine: str = "indexed",
-    por: bool = True,
-    dedup: bool = True,
+    options: ExploreOptions = ExploreOptions(),
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
     counters: Optional[PerfCounters] = None,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
     initial_stack: Optional[Sequence[Tuple[int, ...]]] = None,
     choice_limit: Optional[int] = None,
     shard_roots: Optional[List[Tuple[int, ...]]] = None,
@@ -243,24 +243,26 @@ def explore_case(
     exchange: Optional[Any] = None,
     session: Optional[FingerprintSession] = None,
 ) -> ExploreResult:
-    """Exhaust the bounded choice tree of ``case`` on ``engine``.
+    """Exhaust the bounded choice tree of ``case`` under ``options``.
 
-    ``por=False`` / ``dedup=False`` disable the respective reduction —
-    the soundness tests run both ways and compare decision-vector sets
-    and verdicts.  ``symmetry`` enables the pid-permutation reduction:
-    ``"auto"`` turns it on where sound, ``True`` insists (and raises on
-    unsafe targets).  ``fingerprint_mode`` selects the dedup-key
-    implementation (see :data:`FINGERPRINT_MODES`).  ``max_runs`` is a
-    safety valve for callers probing tractability; a truncated result
-    has ``complete=False``.
+    ``options`` (:class:`~repro.explore.cases.ExploreOptions`) names the
+    network engine, the reductions and the fingerprint implementation —
+    the soundness tests run every combination and compare
+    decision-vector sets and verdicts.  ``max_runs`` is a safety valve
+    for callers probing tractability; a truncated result has
+    ``complete=False``.
 
     ``initial_stack`` roots the DFS at given prefixes instead of the
     empty one, and ``choice_limit`` halts any run whose recorded choice
     log reaches the limit, appending the halted prefix to
-    ``shard_roots`` — together they are the sharded search's split/work
-    protocol (:mod:`repro.explore.shard`).  ``digest_log``, when given,
-    collects every dedup key in hook order (the fingerprint-equivalence
-    suite compares these across modes byte-for-byte).
+    ``shard_roots`` — together they are the dynamic frontier's
+    split/work protocol (:mod:`repro.explore.frontierd`): the halted
+    prefixes are pairwise disjoint subtrees (any two differ at some
+    recorded position), and a popped prefix already past the limit
+    halts at its first post-replay tick, never mid-replay.
+    ``digest_log``, when given, collects every dedup key in hook order
+    (the fingerprint-equivalence suite compares these across modes
+    byte-for-byte).
 
     ``exchange`` (a :class:`repro.store.exchange.FingerprintExchange`)
     shares the visited set across shard processes through the campaign
@@ -275,24 +277,22 @@ def explore_case(
     their host encodings; it changes which encodes are cache hits,
     never a key.
     """
-    symmetry_on = resolve_symmetry(case, symmetry)
     parts = resolve_parts(case)
     result = ExploreResult(
         case=case,
-        engine=engine,
-        por=por,
-        dedup=dedup,
+        options=options,
         counters=counters if counters is not None else PerfCounters(),
-        symmetry=symmetry_on,
-        fingerprint_mode=fingerprint_mode,
     )
-    perms = admissible_perms(case) if symmetry_on else (tuple(range(case.n)),)
+    perms = (
+        admissible_perms(case) if result.symmetry else (tuple(range(case.n)),)
+    )
     if session is None:
         fp_engine = FingerprintEngine(
-            case.n, fingerprint_mode, counters=result.counters, perms=perms
+            case.n, options.fingerprint_mode, counters=result.counters,
+            perms=perms,
         )
     else:
-        fp_engine = session.bind(case, fingerprint_mode, perms, result.counters)
+        fp_engine = session.bind(case, options, perms, result.counters)
     visited: Dict[str, int] = exchange.visited if exchange is not None else {}
     stack: List[Tuple[int, ...]] = (
         [tuple(p) for p in initial_stack] if initial_stack is not None else [()]
@@ -345,13 +345,13 @@ def explore_case(
             result.violations.append(
                 Violation(
                     case=case,
-                    engine=engine,
+                    engine=options.engine,
                     choices=taken,
                     violated=violated,
                     metrics=dict(metrics),
                     decisions=vector,
                     final_time=trace.final_time,
-                    por=por,
+                    por=options.por,
                 )
             )
             if stop_on_first_violation:
@@ -390,11 +390,11 @@ class _LiveSystem:
         digest_log: Optional[List[str]],
         exchange: Optional[Any],
     ):
-        self.result = result  # also the search's options
+        self.result = result
         case = self.case = result.case
-        self.engine = result.engine
-        self.por = result.por
-        self.dedup = result.dedup
+        self.engine = result.options.engine
+        self.por = result.options.por
+        self.dedup = result.options.dedup
         self.parts = parts
         self.visited = visited
         self.fp_engine = fp_engine

@@ -18,10 +18,15 @@ only), so the frontier gets the runner's worker pool, its failure
 isolation, and its fingerprint-keyed on-disk cache — a finished
 subtree whose case and options are unchanged is a cache hit, never
 re-explored.
+
+The summary dict a cell returns (:func:`result_to_dict`, its inverse
+:func:`result_from_summary`) is also what the dynamic frontier's shards
+return; :func:`merge_summaries` folds a root's shards into one.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.explore.assignments import (
@@ -29,9 +34,15 @@ from repro.explore.assignments import (
     assignments_for,
     switch_scripts_for,
 )
-from repro.explore.cases import ExploreCase, case_from_dict, case_to_dict
+from repro.explore.cases import (
+    ExploreCase,
+    ExploreOptions,
+    case_from_dict,
+    case_to_dict,
+)
 from repro.explore.engine import ExploreResult, Violation, explore_case
 from repro.runner import Campaign, call, fn_spec
+from repro.sim.perf import PerfCounters
 
 #: Pinned per-target smoke depths: deep enough that every mutant's
 #: violation is reachable and shallow enough that the paired clean
@@ -166,12 +177,9 @@ def result_to_dict(result: ExploreResult) -> Dict[str, Any]:
     """A picklable, JSON-able summary of one explored subtree."""
     return {
         "case": case_to_dict(result.case),
-        "engine": result.engine,
-        "por": result.por,
-        "dedup": result.dedup,
+        "options": asdict(result.options),
         "complete": result.complete,
         "symmetry": result.symmetry,
-        "fingerprint_mode": result.fingerprint_mode,
         "stats": result.stats(),
         "counters": result.counters.as_dict(),
         "decision_vectors": sorted(
@@ -191,43 +199,110 @@ def result_to_dict(result: ExploreResult) -> Dict[str, Any]:
     }
 
 
+def result_from_summary(summary: Dict[str, Any]) -> ExploreResult:
+    """The inverse of :func:`result_to_dict` (violation metrics aside)."""
+    case = case_from_dict(summary["case"])
+    options = ExploreOptions(**summary["options"])
+    counters = PerfCounters()
+    counters.merge(summary.get("counters", {}))
+    stats = summary["stats"]
+    return ExploreResult(
+        case=case,
+        options=options,
+        runs=stats["runs"],
+        states=stats["states"],
+        dedup_hits=stats["dedup_hits"],
+        por_pruned=stats["por_pruned"],
+        complete=summary["complete"],
+        violations=[
+            Violation(
+                case=case,
+                engine=options.engine,
+                choices=tuple(raw["choices"]),
+                violated=tuple(raw["violated"]),
+                metrics={},
+                decisions=tuple(tuple(d) for d in raw["decisions"]),
+                final_time=raw["final_time"],
+                por=options.por,
+            )
+            for raw in summary["violations"]
+        ],
+        decision_vectors={
+            tuple(tuple(entry) for entry in vector)
+            for vector in summary["decision_vectors"]
+        },
+        counters=counters,
+        incidents=list(summary.get("incidents", [])),
+    )
+
+
+def merge_summaries(
+    base: Dict[str, Any], shard_summaries: Sequence[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """Fold the summaries of a root's shards into ``base``.
+
+    Stats are summed, decision vectors unioned, violations and
+    incidents concatenated, ``complete`` AND-ed.  ``states`` counts
+    newly recorded states only, so with the shared visited set the sum
+    measures distinct coverage; parallel shards may still both meet a
+    state neither has published — redundancy, never a soundness issue.
+    """
+    merged = dict(base)
+    merged["stats"] = dict(base["stats"])
+    counters = PerfCounters()
+    counters.merge(base.get("counters", {}))
+    vectors = {tuple(tuple(entry) for entry in v) for v in base["decision_vectors"]}
+    violations = list(base["violations"])
+    incidents = list(base.get("incidents", []))
+    complete = base["complete"]
+    for summary in shard_summaries:
+        for key, value in summary["stats"].items():
+            merged["stats"][key] = merged["stats"].get(key, 0) + value
+        counters.merge(summary.get("counters", {}))
+        vectors.update(
+            tuple(tuple(entry) for entry in v)
+            for v in summary["decision_vectors"]
+        )
+        violations.extend(summary["violations"])
+        incidents.extend(summary.get("incidents", []))
+        complete = complete and summary["complete"]
+    counters.explore_shards += len(shard_summaries)
+    merged["stats"]["shards"] = counters.explore_shards
+    merged["stats"]["violations"] = len(violations)
+    merged["stats"]["decision_vectors"] = len(vectors)
+    merged["counters"] = counters.as_dict()
+    merged["decision_vectors"] = sorted([list(e) for e in v] for v in vectors)
+    merged["violations"] = violations
+    merged["incidents"] = incidents
+    merged["complete"] = complete
+    return merged
+
+
 def explore_root(
     case_dict: Dict[str, Any],
-    engine: str = "indexed",
-    por: bool = True,
-    dedup: bool = True,
+    options: ExploreOptions = ExploreOptions(),
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
 ) -> Dict[str, Any]:
     """One frontier cell: exhaust one root, return its summary dict.
 
-    Module-level with primitive arguments so Campaign workers can
-    import and the result cache can fingerprint it.
+    Module-level with picklable, fingerprintable arguments so Campaign
+    workers can import it and the result cache can key it.
     """
     result = explore_case(
         case_from_dict(case_dict),
-        engine=engine,
-        por=por,
-        dedup=dedup,
+        options,
         stop_on_first_violation=stop_on_first_violation,
         max_runs=max_runs,
-        symmetry=symmetry,
-        fingerprint_mode=fingerprint_mode,
     )
     return result_to_dict(result)
 
 
 def frontier_campaign(
     roots: Iterable[ExploreCase],
-    engine: str = "indexed",
-    por: bool = True,
-    dedup: bool = True,
+    options: ExploreOptions = ExploreOptions(),
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
 ) -> Campaign:
     """The Campaign whose cells are the given exploration roots."""
     jobs = []
@@ -237,17 +312,13 @@ def frontier_campaign(
                 call(
                     explore_root,
                     case_to_dict(root),
-                    engine=engine,
-                    por=por,
-                    dedup=dedup,
+                    options,
                     stop_on_first_violation=stop_on_first_violation,
                     max_runs=max_runs,
-                    symmetry=symmetry,
-                    fingerprint_mode=fingerprint_mode,
                 ),
                 target=root.target,
                 root=index,
-                engine=engine,
+                engine=options.engine,
             )
         )
     return Campaign(jobs, name="explore-frontier")
@@ -255,15 +326,11 @@ def frontier_campaign(
 
 def run_frontier(
     roots: Sequence[ExploreCase],
-    engine: str = "indexed",
+    options: ExploreOptions = ExploreOptions(),
     workers: Optional[int] = None,
     cache: Any = False,
-    por: bool = True,
-    dedup: bool = True,
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
 ) -> List[Dict[str, Any]]:
     """Explore every root in parallel; summaries in root order.
 
@@ -272,13 +339,9 @@ def run_frontier(
     """
     campaign = frontier_campaign(
         roots,
-        engine=engine,
-        por=por,
-        dedup=dedup,
+        options,
         stop_on_first_violation=stop_on_first_violation,
         max_runs=max_runs,
-        symmetry=symmetry,
-        fingerprint_mode=fingerprint_mode,
     )
     outcome = campaign.run(workers=workers, cache=cache)
     if not outcome.ok:

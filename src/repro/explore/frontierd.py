@@ -1,8 +1,10 @@
 """Crash-tolerant work-stealing frontier: the dynamic explorer daemon.
 
-The static shard pipeline (:mod:`repro.explore.shard`) splits a case
-once, dispatches the subtrees as campaign cells, and hopes every cell
-survives.  This module replaces that with the architecture the paper
+One :func:`~repro.explore.engine.explore_case` call is inherently
+serial, and a single deep root can dwarf every other (nbac at n=3 is
+thousands of runs).  This module searches *below* the roots: a root's
+tree is cut into **shards** — a shard root is a choice prefix, its
+shard the subtree under it — walked by the architecture the paper
 itself studies, applied to the checker: a set of long-lived worker
 processes that *cannot be trusted not to crash*, coordinated through
 an unreliable timeout-based failure detector.
@@ -37,22 +39,20 @@ dying past its retry budget is *quarantined*: the merged case reports
 ``complete=False`` with a structured incident instead of raising away
 its siblings' finished work.
 
-**Work stealing and adaptive shard sizing.**  Static splitting
-serializes on its deepest shard; fixed-depth splitting also front-pays
-a shard count that only makes sense for one worker count.  Here both
+**Work stealing and adaptive shard sizing.**  Splitting once up front
+serializes on the deepest shard, and at a fixed depth it front-pays a
+shard count that only makes sense for one worker count.  Here both
 problems are one mechanism: a worker whose claim leaves the pending
-queue below ``shard_budget × workers`` re-splits its batch — each walk
-runs with ``choice_limit`` pushed ``split_step`` choices past its
-prefix, judged leaves stay in the shard's summary, and the halted
+queue below :data:`SHARD_BUDGET` ``× workers`` re-splits its batch —
+each walk runs with ``choice_limit`` pushed ``split_step`` choices past
+its prefix, judged leaves stay in the shard's summary, and the halted
 prefixes are enqueued as fresh roots in the same completion
 transaction — so stragglers shrink instead of the run serializing, and
-a crash before completion enqueues no duplicate children.  By default
-(``shard_depth=None``) each root enters the queue as ONE bare item and
-this demand-driven re-splitting produces all granularity: a single
-worker never splits (its walk is the plain single-process walk plus
-one claim and one completion), while k workers split exactly while
-starved.  Passing an integer ``shard_depth`` restores the legacy
-fixed pre-split.
+a crash before completion enqueues no duplicate children.  Each root
+enters the queue as ONE bare item and this demand-driven re-splitting
+produces all granularity: a single worker never splits (its walk is
+the plain single-process walk plus one claim and one completion),
+while k workers split exactly while starved.
 
 **Warm sessions.**  Re-splitting makes shards small and many, and each
 is a walk on a freshly built system.  A worker keeps one
@@ -62,7 +62,7 @@ state is encoded once per root per worker, not once per shard; it
 changes which encodes are cache hits, never a dedup key.
 
 **Completeness.**  The merged result equals the serial walk's because
-(1) split soundness: a splitter/re-splitter's deferred prefixes are
+(1) split soundness: a re-splitter's deferred prefixes are
 pairwise-disjoint subtrees that exactly cover its halted runs, (2)
 publication soundness: a fingerprint reaches the shared visited set
 only in the transaction that also records its walk's summary (and, for
@@ -83,19 +83,19 @@ import os
 import threading
 import time
 import traceback
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.explore.cases import ExploreCase, case_from_dict, case_to_dict
+from repro.explore.cases import ExploreCase, ExploreOptions, case_from_dict
 from repro.explore.engine import (
     ExploreResult,
     FingerprintSession,
     explore_case,
 )
-from repro.explore.frontier import result_to_dict
-from repro.explore.shard import (
-    _result_from_summary,
+from repro.explore.frontier import (
     merge_summaries,
-    split_case,
+    result_from_summary,
+    result_to_dict,
 )
 
 #: Environment hook for the quarantine tests: when set, every worker
@@ -117,17 +117,16 @@ DEFAULT_RETRY_LIMIT = 3
 #: centiseconds of splitter work, while 6 can overshoot a shallow tree
 #: entirely and split nothing.
 DEFAULT_SPLIT_STEP = 4
-DEFAULT_SHARD_DEPTH = 6
 #: Adaptive sizing target: keep the pending queue around this many
 #: claimable shards per worker.  Workers re-split their claims only
 #: while the queue sits below the target, so shard granularity tracks
 #: demand — one worker never splits at all (the whole tree is one
 #: claim), k workers split just enough to keep everyone fed.
-DEFAULT_SHARD_BUDGET = 3
+SHARD_BUDGET = 3
 #: Most items one claim transaction may lease (the fair-share cap in
 #: :meth:`~repro.store.db.ResultStore.claim_work_batch` usually bites
 #: first; this bounds the recovery cost of losing one worker).
-DEFAULT_CLAIM_LIMIT = 16
+CLAIM_LIMIT = 16
 #: Base of the coordinator's poll ramp, and the least time between two
 #: of its iterations: a worker's exit wakes the coordinator at once,
 #: and a worker that dies on start must not turn that into a respawn
@@ -135,8 +134,17 @@ DEFAULT_CLAIM_LIMIT = 16
 POLL_BASE = 0.05
 
 
-def _queue_scope(token: str) -> str:
-    return f"frontier:{token}"
+@dataclass(frozen=True)
+class FleetSettings:
+    """What :func:`run_frontier_dynamic` tells every worker it spawns."""
+
+    options: ExploreOptions = ExploreOptions()
+    #: The fleet's size: the fair share of a claim and the re-split
+    #: threshold both scale with it.
+    workers: int = 1
+    split_step: int = DEFAULT_SPLIT_STEP
+    lease_ttl: float = DEFAULT_LEASE_TTL
+    retry_limit: int = DEFAULT_RETRY_LIMIT
 
 
 def _heartbeat_main(
@@ -178,10 +186,9 @@ def _heartbeat_main(
 
 def _run_batch(
     store: Any,
-    queue_scope: str,
     items: Sequence[Any],
     status: Dict[str, int],
-    options: Dict[str, Any],
+    settings: FleetSettings,
     counters: Any,
     sessions: Optional[Dict[str, FingerprintSession]] = None,
 ) -> Tuple[
@@ -202,7 +209,7 @@ def _run_batch(
 
     The re-split decision is per batch, off the post-claim ``status``
     snapshot the claim transaction returned: when the pending queue
-    sits below ``shard_budget × workers``, every item in the batch
+    sits below :data:`SHARD_BUDGET` ``× workers``, every item in the batch
     walks with ``choice_limit`` pushed ``split_step`` past its prefix
     and defers the halted subtrees as children — work stealing and
     adaptive shard sizing are the same mechanism.
@@ -220,10 +227,8 @@ def _run_batch(
 
     if sessions is None:
         sessions = {}
-    workers = options.get("workers", 1)
-    budget = options.get("shard_budget", DEFAULT_SHARD_BUDGET)
-    resplit = workers > 1 and status["pending"] < budget * workers
-    split_step = options.get("split_step", DEFAULT_SPLIT_STEP)
+    workers = settings.workers
+    resplit = workers > 1 and status["pending"] < SHARD_BUDGET * workers
     exchanges: Dict[str, FingerprintExchange] = {}
     completions: List[Dict[str, Any]] = []
     for work in items:
@@ -234,25 +239,17 @@ def _run_batch(
         exchange = exchanges.get(scope)
         if exchange is None:
             exchange = exchanges[scope] = FingerprintExchange(
-                store,
-                scope,
-                batch=options.get("exchange_batch", 256),
-                pull_interval=options.get("sync_interval", 0.5),
-                counters=counters,
+                store, scope, counters=counters
             )
         choice_limit = (
-            len(prefix) + split_step if resplit else None
+            len(prefix) + settings.split_step if resplit else None
         )
         shard_roots: Optional[List[Tuple[int, ...]]] = (
             [] if resplit else None
         )
         result = explore_case(
             case,
-            engine=options.get("engine", "indexed"),
-            por=options.get("por", True),
-            dedup=options.get("dedup", True),
-            symmetry=options.get("symmetry"),
-            fingerprint_mode=options.get("fingerprint_mode", "incremental"),
+            settings.options,
             initial_stack=[prefix],
             choice_limit=choice_limit,
             shard_roots=shard_roots,
@@ -286,7 +283,7 @@ def _worker_main(
     store_path: str,
     queue_scope: str,
     worker: str,
-    options: Dict[str, Any],
+    settings: FleetSettings,
 ) -> None:
     """One frontier worker: claim a batch, walk it, complete it, repeat.
 
@@ -297,7 +294,7 @@ def _worker_main(
     not items.  The batch's coordination counters (claims, round
     trips, heartbeats, exchange pulls, busy retries) ride into the
     merged report on the batch's first summary; per-item engine
-    counters stay per-summary so :func:`~repro.explore.shard
+    counters stay per-summary so :func:`~repro.explore.frontier
     .merge_summaries` sums stay honest.  The fingerprint sessions
     outlive the batch (see :func:`_run_batch`): consecutive batches
     mostly continue the same roots.
@@ -305,16 +302,15 @@ def _worker_main(
     from repro.sim.perf import PerfCounters
     from repro.store.db import ResultStore, drain_busy_retries
 
-    ttl = options.get("lease_ttl", DEFAULT_LEASE_TTL)
-    claim_limit = options.get("claim_limit", DEFAULT_CLAIM_LIMIT)
-    workers = options.get("workers", 1)
+    ttl = settings.lease_ttl
     store = ResultStore(store_path)
     idle_round_trips = 0
     sessions: Dict[str, FingerprintSession] = {}
     try:
         while True:
             items, status = store.claim_work_batch(
-                queue_scope, worker, ttl, claim_limit, fair_share=workers
+                queue_scope, worker, ttl, CLAIM_LIMIT,
+                fair_share=settings.workers,
             )
             if not items:
                 if status["pending"] == 0 and status["leased"] == 0:
@@ -340,8 +336,7 @@ def _worker_main(
                     time.sleep(float(stall))
                 batch_counters = PerfCounters()
                 completions, fingerprints = _run_batch(
-                    store, queue_scope, items, status, options,
-                    batch_counters, sessions,
+                    store, items, status, settings, batch_counters, sessions
                 )
                 stop.set()
                 beater.join(timeout=1.0)
@@ -369,12 +364,8 @@ def _worker_main(
                 }
                 for work in items:
                     store.fail_work(
-                        work.id,
-                        worker,
-                        incident,
-                        retry_limit=options.get(
-                            "retry_limit", DEFAULT_RETRY_LIMIT
-                        ),
+                        work.id, worker, incident,
+                        retry_limit=settings.retry_limit,
                     )
             finally:
                 stop.set()
@@ -390,14 +381,13 @@ class _FrontierWorkers:
         self,
         store_path: str,
         queue_scope: str,
-        count: int,
-        options: Dict[str, Any],
+        settings: FleetSettings,
         target: Any = _worker_main,
     ):
         self.store_path = store_path
         self.queue_scope = queue_scope
-        self.count = count
-        self.options = options
+        self.count = settings.workers
+        self.settings = settings
         #: What a worker process runs; the drain/respawn tests put a
         #: stub here.
         self.target = target
@@ -412,7 +402,7 @@ class _FrontierWorkers:
             self.generation += 1
             process = self.context.Process(
                 target=self.target,
-                args=(self.store_path, self.queue_scope, name, self.options),
+                args=(self.store_path, self.queue_scope, name, self.settings),
                 daemon=True,
             )
             process.start()
@@ -464,39 +454,28 @@ class _FrontierWorkers:
 
 def run_frontier_dynamic(
     roots: Sequence[ExploreCase],
-    engine: str = "indexed",
+    options: ExploreOptions = ExploreOptions(),
     workers: int = 2,
-    por: bool = True,
-    dedup: bool = True,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
     store: Any = None,
-    shard_depth: Optional[int] = None,
-    shard_budget: int = DEFAULT_SHARD_BUDGET,
-    claim_limit: int = DEFAULT_CLAIM_LIMIT,
     split_step: int = DEFAULT_SPLIT_STEP,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     retry_limit: int = DEFAULT_RETRY_LIMIT,
-    exchange_batch: int = 256,
-    sync_interval: float = 0.5,
     chaos_kill_rate: float = 0.0,
     chaos_seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """Explore every root through the crash-tolerant dynamic frontier.
 
     Returns one merged summary dict per root, in root order — the same
-    shape :func:`repro.explore.frontier.run_frontier` produces, plus an
-    ``incidents`` list and a ``frontier`` accounting block (workers,
-    respawns, recoveries, quarantines, coordination counters).
+    shape :func:`repro.explore.frontier.run_frontier` produces, plus a
+    ``frontier`` accounting block (workers, respawns, recoveries,
+    quarantines, coordination counters).
     ``store`` may be a :class:`~repro.store.db.ResultStore`, a path, or
     None (a private store under a temp directory, deleted with it).
 
-    ``shard_depth=None`` (the default) is adaptive mode: each root is
-    enqueued as one bare item and workers re-split on demand until the
-    pending queue holds about ``shard_budget`` claimable shards per
-    worker (see the module docstring).  An integer ``shard_depth`` is
-    the legacy fixed pre-split override.  ``claim_limit`` caps how many
-    items one claim transaction may lease.
+    Each root is enqueued as one bare item and workers re-split on
+    demand, ``split_step`` choices at a time, until the pending queue
+    holds about :data:`SHARD_BUDGET` claimable shards per worker (see
+    the module docstring).
 
     ``chaos_kill_rate`` arms :class:`repro.chaos.workers.WorkerKiller`
     against our own fleet — the CI smoke proof that recovery works.
@@ -504,13 +483,18 @@ def run_frontier_dynamic(
     import tempfile
 
     from repro.chaos.workers import WorkerKiller
-    from repro.explore.symmetry import resolve_symmetry
     from repro.sim.perf import PerfCounters
     from repro.store.db import ResultStore, drain_busy_retries
-    from repro.store.exchange import FingerprintExchange, exchange_scope
+    from repro.store.exchange import exchange_scope
+
+    settings = FleetSettings(options, workers, split_step, lease_ttl, retry_limit)
+    # One empty summary per root for its shards to merge into — built
+    # before a store is opened or a process spawned, so a symmetry the
+    # target cannot honour is an error here rather than a quarantine.
+    bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
 
     token = os.urandom(8).hex()
-    queue_scope = _queue_scope(token)
+    queue_scope = f"frontier:{token}"
     tempdir = None
     owned = not isinstance(store, ResultStore)
     if store is None:
@@ -519,99 +503,33 @@ def run_frontier_dynamic(
     elif owned:
         store = ResultStore(store)
 
-    options = {
-        "engine": engine,
-        "por": por,
-        "dedup": dedup,
-        "symmetry": symmetry,
-        "fingerprint_mode": fingerprint_mode,
-        "workers": workers,
-        "lease_ttl": lease_ttl,
-        "retry_limit": retry_limit,
-        "split_step": split_step,
-        "shard_budget": shard_budget,
-        "claim_limit": claim_limit,
-        "exchange_batch": exchange_batch,
-        "sync_interval": sync_interval,
-    }
     scopes: List[str] = []
-    bases: List[Dict[str, Any]] = []
     incidents: List[Dict[str, Any]] = []
     started = time.perf_counter()
     try:
-        # Phase 1 — seed the queue.  Adaptive mode (shard_depth=None)
-        # enqueues each root as ONE bare item against an empty base
-        # summary: the first worker to claim it provides all splitting
-        # on demand, so granularity tracks the worker count instead of
-        # a guessed depth.  Legacy mode splits every root in-process
-        # (bounded by shard_depth, cheap) and enqueues the subtrees;
-        # the splitter's fingerprints publish before any worker seeds —
-        # its walk is complete, its deferred subtrees are exactly the
-        # items below.
+        # Phase 1 — seed the queue: each root is ONE bare item, and the
+        # first worker to claim it provides all splitting on demand, so
+        # granularity tracks the worker count instead of a guessed depth.
         items: List[Dict[str, Any]] = []
-        for index, case in enumerate(roots):
-            case_dict = case_to_dict(case)
+        for index, base in enumerate(bases):
             scope = "{}:{}".format(
-                exchange_scope(
-                    case_dict, engine, por, dedup, symmetry, fingerprint_mode
-                ),
-                token,
+                exchange_scope(base["case"], base["options"]), token
             )
             scopes.append(scope)
-            if shard_depth is None:
-                store.register_scope(scope)
-                bases.append(
-                    result_to_dict(
-                        ExploreResult(
-                            case=case,
-                            engine=engine,
-                            por=por,
-                            dedup=dedup,
-                            symmetry=resolve_symmetry(case, symmetry),
-                            fingerprint_mode=fingerprint_mode,
-                        )
-                    )
-                )
-                items.append(
-                    {
-                        "case": case_dict,
-                        "prefix": [],
-                        "scope": scope,
-                        "case_index": index,
-                    }
-                )
-                continue
-            splitter_exchange = FingerprintExchange(
-                store, scope, batch=exchange_batch
-            )
-            shallow, shard_roots = split_case(
-                case,
-                engine=engine,
-                por=por,
-                dedup=dedup,
-                choice_limit=shard_depth,
-                symmetry=symmetry,
-                fingerprint_mode=fingerprint_mode,
-                exchange=splitter_exchange,
-            )
-            splitter_exchange.publish_pending()
-            bases.append(result_to_dict(shallow))
-            items.extend(
+            store.register_scope(scope)
+            items.append(
                 {
-                    "case": case_dict,
-                    "prefix": list(root),
+                    "case": base["case"],
+                    "prefix": [],
                     "scope": scope,
                     "case_index": index,
                 }
-                for root in shard_roots
             )
         store.enqueue_work(queue_scope, items)
         store.flush()
 
         # Phase 2 — run the fleet against the queue until it drains.
-        fleet = _FrontierWorkers(
-            str(store.path), queue_scope, workers, options
-        )
+        fleet = _FrontierWorkers(str(store.path), queue_scope, settings)
         killer = WorkerKiller(chaos_kill_rate, seed=chaos_seed)
         if items:
             fleet.spawn(workers)
@@ -668,10 +586,6 @@ def run_frontier_dynamic(
         frontier_block = {
             "workers": workers,
             "lease_ttl": lease_ttl,
-            "shard_mode": "adaptive" if shard_depth is None else "fixed",
-            "shard_depth": shard_depth,
-            "shard_budget": shard_budget,
-            "claim_limit": claim_limit,
             "recoveries": recoveries,
             "kills": len(killer.kills),
             "respawns": fleet.respawns,
@@ -687,8 +601,8 @@ def run_frontier_dynamic(
             "store_busy_retries": drain_busy_retries(),
             "wall_clock": round(time.perf_counter() - started, 3),
         }
-        for index in range(len(bases)):
-            merged = merge_summaries(bases[index], by_case.get(index, []))
+        for index, base in enumerate(bases):
+            merged = merge_summaries(base, by_case.get(index, []))
             case_incidents = [
                 incident
                 for incident in incidents
@@ -717,35 +631,17 @@ def run_frontier_dynamic(
 
 def explore_case_dynamic(
     case: ExploreCase,
-    engine: str = "indexed",
-    workers: int = 2,
-    por: bool = True,
-    dedup: bool = True,
-    symmetry: Any = None,
-    fingerprint_mode: str = "incremental",
-    store: Any = None,
-    shard_depth: Optional[int] = None,
-    **kwargs: Any,
+    options: ExploreOptions = ExploreOptions(),
+    **fleet: Any,
 ) -> ExploreResult:
     """One case through the dynamic frontier, as an ExploreResult.
 
-    The API twin of :func:`repro.explore.shard.explore_case_sharded`
-    with crash-tolerant workers; equivalent to
+    ``fleet`` is :func:`run_frontier_dynamic`'s own keywords (workers,
+    store, lease and chaos settings).  Equivalent to
     :func:`~repro.explore.engine.explore_case` in decision vectors,
     violations and completeness whenever nothing was quarantined.
     """
-    summaries = run_frontier_dynamic(
-        [case],
-        engine=engine,
-        workers=workers,
-        por=por,
-        dedup=dedup,
-        symmetry=symmetry,
-        fingerprint_mode=fingerprint_mode,
-        store=store,
-        shard_depth=shard_depth,
-        **kwargs,
-    )
-    result = _result_from_summary(case, summaries[0])
-    result.frontier = dict(summaries[0].get("frontier", {}))
+    (summary,) = run_frontier_dynamic([case], options, **fleet)
+    result = result_from_summary(summary)
+    result.frontier = dict(summary.get("frontier", {}))
     return result

@@ -82,8 +82,8 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     on the pure-Python paths, so their presence in a report proves the
     native core actually ran (the CI native jobs assert exactly that).
 ``explore_shards``
-    Subtree shards dispatched by the sharded search
-    (:mod:`repro.explore.shard`).
+    Shards completed by the dynamic frontier
+    (:mod:`repro.explore.frontierd`).
 ``frontier_claims`` / ``frontier_claim_round_trips``
     Work items leased from the store-backed frontier queue, and the
     claim *transactions* that leased them.  Their ratio is the batch

@@ -13,7 +13,7 @@ resume, dedup and trend queries become one ``SELECT``.
 * :class:`StoreResultCache` — the campaign-cache adapter behind
   ``--cache-backend sqlite`` (:mod:`repro.store.cache`);
 * :class:`FingerprintExchange` — batched cross-shard visited-set
-  exchange for the sharded explorer (:mod:`repro.store.exchange`);
+  exchange for the dynamic frontier (:mod:`repro.store.exchange`);
 * :mod:`repro.store.bench` — BENCH history plus the perf-trend gate;
 * ``python -m repro.store`` — ``summarise`` / ``show`` / ``trend`` /
   ``check`` / ``--migrate`` (:mod:`repro.store.__main__`).
@@ -38,7 +38,7 @@ from repro.store.db import (
     resolve_store_path,
     retry_locked,
 )
-from repro.store.exchange import FingerprintExchange, exchange_scope, open_exchange
+from repro.store.exchange import FingerprintExchange, exchange_scope
 from repro.store.schema import ROW_FORMAT, SCHEMA_VERSION, SchemaVersionError
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "drain_busy_retries",
     "encode_payload",
     "exchange_scope",
-    "open_exchange",
     "resolve_store_path",
     "retry_locked",
 ]

@@ -45,7 +45,6 @@ TRACKED: Dict[str, Tuple[Tuple[str, str], ...]] = {
         # runs (extract_metrics skips missing paths).
         ("min_native_wall_speedup", "higher"),
         ("encoder.speedup_native_vs_pure", "higher"),
-        ("sharded.dedup_recovered_states", "higher"),
         # Frontier coordination amortization: 1-worker wall over the
         # single-process walk must not creep back up, and 4 workers
         # must keep beating 1 (ratio > 1 when they do).  What sharding

@@ -482,23 +482,6 @@ class ResultStore:
 
         retry_locked(_commit)
 
-    def clear_fingerprints(self, scope: str) -> None:
-        """Drop one scope's rows — a finished search's coordination state.
-
-        The shared visited set only coordinates shards *within* one
-        search invocation; once merged, a later independent search must
-        not dedup against it (it would silently skip subtrees whose
-        results live in the earlier run's report, not its own).
-        """
-
-        def _commit() -> None:
-            with self.write_connection as con:
-                con.execute(
-                    "DELETE FROM fingerprints WHERE scope = ?", (scope,)
-                )
-
-        retry_locked(_commit)
-
     # -- exchange-scope registry and GC --------------------------------
     #: Registered scopes older than this are presumed leaked by a killed
     #: search (a finished one releases its scope on merge) and are swept.
@@ -650,49 +633,6 @@ class ResultStore:
         retry_locked(_commit)
         return len(rows)
 
-    def claim_work(
-        self,
-        scope: str,
-        worker: str,
-        ttl: float,
-        now: Optional[float] = None,
-    ) -> Optional[WorkItem]:
-        """Atomically lease the oldest claimable item, or None.
-
-        Claimable means pending with its backoff window (``not_before``)
-        elapsed.  The claim and its lease land in one transaction, so
-        two workers can never hold the same item.
-        """
-        now = time.time() if now is None else now
-
-        def _claim(con: sqlite3.Connection) -> Optional[WorkItem]:
-            row = con.execute(
-                "SELECT id, kind, item, attempts FROM work_queue "
-                "WHERE scope = ? AND status = 'pending' AND not_before <= ? "
-                "ORDER BY id LIMIT 1",
-                (scope, now),
-            ).fetchone()
-            if row is None:
-                return None
-            work_id, kind, item, attempts = row
-            con.execute(
-                "UPDATE work_queue SET status = 'leased', "
-                "attempts = attempts + 1 WHERE id = ?",
-                (work_id,),
-            )
-            con.execute(
-                "INSERT OR REPLACE INTO leases (work_id, scope, worker, "
-                "acquired, heartbeat, expires, format) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (work_id, scope, worker, now, now, now + ttl, ROW_FORMAT),
-            )
-            return WorkItem(
-                id=work_id, item=json.loads(item), attempts=attempts + 1,
-                kind=kind,
-            )
-
-        return self._immediate(_claim)
-
     def claim_work_batch(
         self,
         scope: str,
@@ -702,16 +642,18 @@ class ResultStore:
         fair_share: Optional[int] = None,
         now: Optional[float] = None,
     ) -> Tuple[List[WorkItem], Dict[str, int]]:
-        """Atomically lease up to ``limit`` claimable items in one
-        transaction — the batched sibling of :meth:`claim_work`.
+        """Atomically lease up to ``limit`` claimable items, oldest
+        first, in one transaction.
 
-        ``fair_share`` (the worker count) caps the batch at
+        Claimable means pending with its backoff window (``not_before``)
+        elapsed.  The claims and their leases land together, so two
+        workers can never hold the same item.  ``fair_share`` (the
+        worker count) caps the batch at
         ``ceil(claimable / fair_share)`` so one worker never vacuums a
         queue its siblings could be draining: with k workers and n
         claimable items nobody walks away with more than ⌈n/k⌉.  Each
-        leased item gets its own lease row — the same v2 ``leases``
-        shape per-item claims write, which is why batching needs no
-        schema bump.  Items that were already requeued (``attempts >
+        leased item gets its own row in the v2 ``leases`` table.  Items
+        that were already requeued (``attempts >
         0``) are claimed solo — batches die as a unit, so isolating
         suspects keeps quarantine attribution per-item.  Returns
         ``(items, status)`` where ``status`` is the post-claim
@@ -743,9 +685,7 @@ class ResultStore:
                 # would let a single poison item (or an unlucky streak
                 # of kills) quarantine innocent neighbours; isolating
                 # anything already requeued keeps poison attribution
-                # per-item — exactly the per-claim semantics the
-                # single-item path has — while fresh items keep the
-                # amortized batch.
+                # per-item, while fresh items keep the amortized batch.
                 if rows and rows[0][3] > 0:
                     rows = rows[:1]
                 else:
@@ -788,26 +728,6 @@ class ResultStore:
 
         return self._immediate(_claim)
 
-    def heartbeat_work(
-        self,
-        work_id: int,
-        worker: str,
-        ttl: float,
-        now: Optional[float] = None,
-    ) -> bool:
-        """Extend one lease; False means it was lost (expired/reassigned)."""
-        now = time.time() if now is None else now
-
-        def _beat() -> int:
-            with self.write_connection as con:
-                return con.execute(
-                    "UPDATE leases SET heartbeat = ?, expires = ? "
-                    "WHERE work_id = ? AND worker = ?",
-                    (now, now + ttl, work_id, worker),
-                ).rowcount
-
-        return retry_locked(_beat) > 0
-
     def heartbeat_worker(
         self,
         scope: str,
@@ -835,78 +755,6 @@ class ResultStore:
 
         return retry_locked(_beat)
 
-    def complete_work(
-        self,
-        work_id: int,
-        worker: str,
-        result: Any,
-        fingerprint_scope: Optional[str] = None,
-        fingerprints: Sequence[Tuple[str, int]] = (),
-        children: Sequence[Dict[str, Any]] = (),
-        kind: str = "shard",
-        now: Optional[float] = None,
-    ) -> bool:
-        """Finish one item — result, fingerprints and re-split children
-        land in ONE transaction, or none of them do.
-
-        Accepted while this worker still holds the lease, or while the
-        item sits requeued-but-unclaimed (its lease expired under a slow
-        worker that then finished anyway — the work is deterministic, so
-        the late result is the right result).  Rejected once another
-        worker owns or finished the item; a rejected completion
-        publishes nothing, which is what keeps crash recovery sound: no
-        fingerprint ever claims coverage whose results were not merged.
-        """
-        now = time.time() if now is None else now
-
-        def _complete(con: sqlite3.Connection) -> bool:
-            row = con.execute(
-                "SELECT status FROM work_queue WHERE id = ?", (work_id,)
-            ).fetchone()
-            if row is None:
-                return False
-            status = row[0]
-            if status == "leased":
-                lease = con.execute(
-                    "SELECT worker FROM leases WHERE work_id = ?", (work_id,)
-                ).fetchone()
-                if lease is None or lease[0] != worker:
-                    return False
-            elif status != "pending":
-                return False  # already done or quarantined
-            con.execute(
-                "UPDATE work_queue SET status = 'done', result = ?, "
-                "error = NULL WHERE id = ?",
-                (encode_payload(result), work_id),
-            )
-            con.execute("DELETE FROM leases WHERE work_id = ?", (work_id,))
-            scope_row = con.execute(
-                "SELECT scope FROM work_queue WHERE id = ?", (work_id,)
-            ).fetchone()
-            scope = scope_row[0]
-            if fingerprint_scope is not None and fingerprints:
-                con.executemany(
-                    self._FP_UPSERT,
-                    [
-                        (fingerprint_scope, fp, remaining, ROW_FORMAT)
-                        for fp, remaining in fingerprints
-                    ],
-                )
-            if children:
-                con.executemany(
-                    "INSERT INTO work_queue (scope, kind, item, status, "
-                    "attempts, not_before, format, created) "
-                    "VALUES (?, ?, ?, 'pending', 0, 0.0, ?, ?)",
-                    [
-                        (scope, kind, json.dumps(child, sort_keys=True),
-                         ROW_FORMAT, now)
-                        for child in children
-                    ],
-                )
-            return True
-
-        return self._immediate(_complete)
-
     def complete_work_batch(
         self,
         worker: str,
@@ -923,15 +771,18 @@ class ResultStore:
         pairs — because a batch shares one visited set per scope, so
         its deferred states cannot be attributed to single items.
 
-        That sharing is exactly why acceptance is all-or-nothing: every
-        item must pass :meth:`complete_work`'s ownership test (leased
-        by this worker, or requeued-but-unclaimed after a false
-        suspicion) or the whole batch is rejected and publishes
-        nothing.  A partial accept would let fingerprints discovered
-        while walking a rejected item claim coverage no merged result
-        backs.  A worker whose batch is rejected simply abandons it —
-        its remaining leases expire and the coordinator's failure
-        detector requeues exactly those items.
+        An item is accepted while this worker still holds its lease,
+        or while it sits requeued-but-unclaimed (the lease expired
+        under a slow worker that then finished anyway — the work is
+        deterministic, so the late result is the right result), and
+        refused once another worker owns or finished it.  The shared
+        visited set is exactly why acceptance is all-or-nothing: every
+        item must pass that ownership test or the whole batch is
+        rejected and publishes nothing, which is what keeps crash
+        recovery sound — no fingerprint ever claims coverage whose
+        results were not merged.  A worker whose batch is rejected
+        simply abandons it: its remaining leases expire and the
+        coordinator's failure detector requeues exactly those items.
         """
         now = time.time() if now is None else now
 
@@ -1052,8 +903,8 @@ class ResultStore:
 
         Every lease past its ``expires`` is the timeout-as-suspicion
         pattern — the worker is *presumed* crashed (it may merely be
-        slow; :meth:`complete_work`'s pending-acceptance keeps that case
-        sound).  Each expired item goes back to pending with capped
+        slow; :meth:`complete_work_batch`'s pending-acceptance keeps that
+        case sound).  Each expired item goes back to pending with capped
         exponential backoff, or to quarantine once its attempts exceed
         ``retry_limit``.  Returns one structured incident per action.
         """

@@ -1,13 +1,13 @@
 """Batched cross-shard visited-set exchange through the store.
 
-PR 5's sharded subtree search gave every shard an isolated visited
-set: a state explored in shard A was re-explored in shard B — sound,
-but the documented ~30% run inflation on the n=3 NBAC tree.  The
+Shards walked with isolated visited sets re-explore each other's
+states — sound, but ~30% run inflation on the n=3 NBAC tree.  The
 exchange recovers cross-shard dedup without giving up process
 isolation: each shard *seeds* its visited dict from the shared
-``fingerprints`` table, *publishes* its newly-recorded states, and
-periodically *pulls* whatever other shards inserted since its last
-sync (cursored by rowid, so a pull reads only the delta).
+``fingerprints`` table, hands its newly-recorded states to the
+completion transaction that records its result, and periodically
+*pulls* whatever other shards inserted since its last sync (cursored by
+rowid, so a pull reads only the delta).
 
 Soundness is inherited from in-process dedup: a published ``(fp,
 remaining)`` row means some shard exhausted that state's subtree with
@@ -21,66 +21,61 @@ and its own retry (or a sibling shard) would dedup-halt on them and
 silently lose coverage.  Worse, even a shard that *finished* but whose
 summary was never merged (worker died between walk and result
 persistence) leaks rows that claim coverage living in no report.  So
-``note`` only accumulates; rows reach the table either when the shard's
-walk has completed (``publish_pending``, the static shard path) or
-atomically inside the work-queue completion transaction
-(``take_pending`` + :meth:`repro.store.db.ResultStore.complete_work`,
-the dynamic-frontier path) — a rejected completion publishes nothing.
-Deferral only costs redundancy (a state is shared once its discovering
-shard finishes, not the moment it is recorded), never coverage; with
-sequential shards each one completes before the next seeds, so the
-recovery stays exact and the merged search visits no more states than
-the single-process walk (``tests/explore/test_shared_dedup.py`` pins
-this).
+``note`` only accumulates; rows reach the table atomically inside the
+work-queue completion transaction (``take_pending`` +
+:meth:`repro.store.db.ResultStore.complete_work_batch`) — a rejected
+completion publishes nothing.  Deferral only costs redundancy (a state
+is shared once its discovering shard finishes, not the moment it is
+recorded), never coverage; with sequential shards each one completes
+before the next seeds, so the recovery stays exact and the merged
+search visits no more states than the single-process walk
+(``tests/explore/test_shared_dedup.py`` pins this).
 
-The scope string names one comparable search — case plus every option
-that shapes fingerprints — and includes the code salt, so stale rows
-from an edited tree are invisible rather than wrong.  The shard layer
-additionally salts the scope with a per-invocation token and releases
-it after merging: the shared set coordinates shards *within* one
-search, and a later independent search must not dedup against a
-finished one (its results live in the earlier report, not the new
-one).  Opening an exchange registers its scope in the store's
-``exchange_scopes`` table so a search killed before its ``finally``
-leaves a *registered* orphan the stale-scope sweep can collect
+The scope string names one comparable search — case plus every
+exploration option — and includes the code salt, so stale rows from an
+edited tree are invisible rather than wrong.
+:func:`~repro.explore.frontierd.run_frontier_dynamic` additionally
+salts the scope with a per-invocation token and releases it after
+merging: the shared set coordinates shards *within* one search, and a
+later independent search must not dedup against a finished one (its
+results live in the earlier report, not the new one).  Opening an
+exchange registers its scope in the store's ``exchange_scopes`` table
+so a search killed before its ``finally`` leaves a *registered* orphan
+the stale-scope sweep can collect
 (:meth:`~repro.store.db.ResultStore.sweep_stale_scopes`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.store.db import ResultStore
 
+#: A walk looks at the clock once per this many visited-set writes, and
+#: pulls the remote delta when :data:`PULL_INTERVAL` seconds have passed
+#: since its last pull.  Pulls only add dedup information, so rationing
+#: them costs redundancy, never coverage — and a worker walking many
+#: small shards through one exchange pays no read round-trip per shard.
+NOTES_PER_CLOCK_CHECK = 256
+PULL_INTERVAL = 0.5
 
-def exchange_scope(
-    case_dict: Dict[str, Any],
-    engine: str,
-    por: bool,
-    dedup: bool,
-    symmetry: Any,
-    fingerprint_mode: str,
-) -> str:
+
+def exchange_scope(case_dict: Dict[str, Any], options_dict: Dict[str, Any]) -> str:
     """The shared-visited-set scope for one (case, options) search.
 
-    Any parameter that changes fingerprint bytes or dedup semantics
-    must be in here: mixing scopes would merge incomparable searches.
+    ``options_dict`` is the whole :class:`~repro.explore.cases
+    .ExploreOptions` (``dataclasses.asdict``): every option that shapes
+    fingerprints or dedup semantics is a field of it, so none can be
+    left out of the scope, and mixing scopes would merge incomparable
+    searches.
     """
     from repro.runner.cache import code_salt
     from repro.runner.fingerprint import fingerprint
 
     return fingerprint(
-        {
-            "case": case_dict,
-            "engine": engine,
-            "por": por,
-            "dedup": dedup,
-            "symmetry": repr(symmetry),
-            "fingerprint_mode": fingerprint_mode,
-            "code": code_salt(),
-        },
-        salt="explore-scope:1",
+        {"case": case_dict, "options": options_dict, "code": code_salt()},
+        salt="explore-scope:2",
     )
 
 
@@ -90,23 +85,12 @@ class FingerprintExchange:
     ``visited`` is the live dict the engine reads and writes; the
     exchange seeds it from the store, tracks local additions as
     *pending* (published only at walk completion — see the module doc),
-    and pulls the remote delta every ``batch`` new states, or on a
-    ``pull_interval``-second timer when one is set (the long-lived
-    frontier workers' mode).
+    and pulls the remote delta on a timer.
     """
 
-    def __init__(
-        self,
-        store: ResultStore,
-        scope: str,
-        batch: int = 256,
-        pull_interval: Optional[float] = None,
-        counters: Any = None,
-    ):
+    def __init__(self, store: ResultStore, scope: str, counters: Any = None):
         self.store = store
         self.scope = scope
-        self.batch = max(1, batch)
-        self.pull_interval = pull_interval
         #: A :class:`~repro.sim.perf.PerfCounters` (or None): every
         #: store read round-trip is tallied into ``exchange_pulls`` so
         #: coordination overhead is observable, not inferred.
@@ -116,8 +100,6 @@ class FingerprintExchange:
         self._pending: Dict[str, int] = {}
         self._notes = 0
         self._last_pull = time.monotonic()
-        self.published = 0
-        self.pulled = 0
 
     def note(self, fp: str, remaining: int) -> None:
         """Called by the engine on every visited-set write."""
@@ -125,14 +107,11 @@ class FingerprintExchange:
         if seen is None or seen < remaining:
             self._pending[fp] = remaining
         self._notes += 1
-        if self._notes >= self.batch:
+        if self._notes >= NOTES_PER_CLOCK_CHECK:
             self._notes = 0
-            if self.pull_interval is None:
-                self.pull()
-            elif time.monotonic() - self._last_pull >= self.pull_interval:
-                self.pull()
+            self.sync()
 
-    def pull(self) -> int:
+    def pull(self) -> None:
         """Fold in states other shards published since the last pull."""
         fresh, self._cursor = self.store.fingerprints_since(
             self.scope, self._cursor
@@ -143,57 +122,21 @@ class FingerprintExchange:
             seen = self.visited.get(fp)
             if seen is None or seen < remaining:
                 self.visited[fp] = remaining
-        self.pulled += len(fresh)
         self._last_pull = time.monotonic()
-        return len(fresh)
 
     def sync(self) -> None:
-        """End-of-walk hook from the engine: refresh the remote delta.
+        """Pull the remote delta if :data:`PULL_INTERVAL` has passed.
 
-        Deliberately does **not** publish — the pending set's fate is
-        the caller's call: :meth:`publish_pending` once the walk's
-        result is safe, or :meth:`take_pending` into an atomic
-        completion transaction.  Pulls are an optimization (they only
-        add dedup information), so when a ``pull_interval`` is set the
-        sync respects it too — a batch worker walking many small items
-        through one exchange must not pay a read round-trip per item.
+        Also the engine's end-of-walk hook.  Deliberately does **not**
+        publish — the pending set's fate is the caller's call:
+        :meth:`take_pending` into an atomic completion transaction once
+        the walk's result is safe, or nothing at all.
         """
-        if (
-            self.pull_interval is not None
-            and time.monotonic() - self._last_pull < self.pull_interval
-        ):
-            return
-        self.pull()
-
-    def publish_pending(self) -> int:
-        """Publish the completed walk's states; only call on success."""
-        if not self._pending:
-            return 0
-        count = len(self._pending)
-        self.store.publish_fingerprints(self.scope, self._pending.items())
-        self._pending.clear()
-        self.published += count
-        return count
+        if time.monotonic() - self._last_pull >= PULL_INTERVAL:
+            self.pull()
 
     def take_pending(self) -> List[Tuple[str, int]]:
         """Hand the pending states to an atomic completion transaction."""
         items = list(self._pending.items())
         self._pending.clear()
-        self.published += len(items)
         return items
-
-
-def open_exchange(
-    store_path: Optional[str],
-    scope: Optional[str],
-    batch: int = 256,
-    pull_interval: Optional[float] = None,
-    counters: Any = None,
-) -> Optional[FingerprintExchange]:
-    """An exchange for worker-side use, or None when no store is given."""
-    if store_path is None or scope is None:
-        return None
-    return FingerprintExchange(
-        ResultStore(store_path), scope, batch=batch,
-        pull_interval=pull_interval, counters=counters,
-    )

@@ -1,0 +1,58 @@
+"""Shared pieces of the sub-root search tests.
+
+The dynamic frontier enqueues a root as one bare item and lets starved
+workers split it; tests that orchestrate the queue themselves want
+several items whose prefixes they know.  ``split_roots`` and
+``enqueue_case`` cut a root into shards by hand, with the same two
+``explore_case`` arguments the workers' re-split uses (``choice_limit``
++ ``shard_roots``).
+"""
+
+from dataclasses import asdict
+
+from repro.explore import ExploreOptions, explore_case
+from repro.explore.cases import case_to_dict
+from repro.explore.frontier import result_to_dict
+from repro.store.exchange import FingerprintExchange, exchange_scope
+
+
+def violation_set(result):
+    """A result's violations, as comparable across walks as they get."""
+    return {(v.violated, v.decisions) for v in result.violations}
+
+
+def split_roots(case, choice_limit, options=ExploreOptions(), exchange=None):
+    """Judge the leaves shallower than ``choice_limit`` choices; returns
+    ``(shallow result, halted prefixes)`` — the prefixes are the shard
+    roots that cover the rest of the tree."""
+    roots = []
+    shallow = explore_case(
+        case, options, choice_limit=choice_limit, shard_roots=roots,
+        exchange=exchange,
+    )
+    return shallow, roots
+
+
+def enqueue_case(store, case, queue_scope, choice_limit=4,
+                 options=ExploreOptions()):
+    """Pre-split ``case`` and enqueue its shard roots under
+    ``queue_scope``; returns ``(shallow summary, number of items)``.
+
+    The shallow walk is complete (its deferred subtrees are exactly the
+    items), so its states are published before any shard seeds.
+    """
+    case_dict = case_to_dict(case)
+    scope = exchange_scope(case_dict, asdict(options)) + ":test"
+    exchange = FingerprintExchange(store, scope)
+    shallow, roots = split_roots(case, choice_limit, options, exchange)
+    store.publish_fingerprints(scope, exchange.take_pending())
+    store.enqueue_work(
+        queue_scope,
+        [
+            {"case": case_dict, "prefix": list(r), "scope": scope,
+             "case_index": 0}
+            for r in roots
+        ],
+    )
+    store.flush()
+    return result_to_dict(shallow), len(roots)

@@ -114,6 +114,61 @@ def test_removed_choices_are_argparse_errors(flag, value, capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flags, honoured_by",
+    [
+        (["--frontier", "dynamic", "--cache", "d"], ["--cache"], "static"),
+        (["--frontier", "dynamic", "--stop-on-first", "--max-runs", "9"],
+         ["--stop-on-first", "--max-runs"], "static"),
+        (["--frontier", "static", "--chaos-kill-rate", "0.3"],
+         ["--chaos-kill-rate"], "dynamic"),
+        (["--lease-ttl", "2", "--chaos-seed", "1"],
+         ["--lease-ttl", "--chaos-seed"], "dynamic"),
+    ],
+    ids=["cache", "truncation", "chaos", "lease"],
+)
+def test_a_flag_of_the_other_driver_is_refused_not_dropped(
+    argv, flags, honoured_by, tmp_path, monkeypatch
+):
+    # `--frontier static --chaos-kill-rate 0.3` used to run with no
+    # chaos at all and print "ok", which reads as "recovery proven".
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "qc", "--depth", "3"] + argv)
+    message = str(exit_info.value.code)
+    assert f"--frontier {honoured_by}" in message
+    for flag in flags:
+        assert flag in message
+    assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
+def test_driver_flags_still_reach_their_own_driver(tmp_path, capsys):
+    cache = str(tmp_path / "cache")
+    assert main(["--target", "qc", "--depth", "3", "--cache", cache]) == 0
+    assert (tmp_path / "cache").is_dir()
+    assert main(
+        ["--target", "qc", "--depth", "3", "--frontier", "dynamic",
+         "--workers", "1", "--lease-ttl", "2", "--chaos-seed", "3",
+         "--store", str(tmp_path / "store")]
+    ) == 0
+    assert "frontier: workers=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--shard-depth", "--shard-budget"])
+def test_removed_frontier_knobs_are_argparse_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "qc", "--frontier", "dynamic", flag, "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_help_lists_the_flags_that_are_left(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+    assert len(flags) == 24
+
+
 def test_unknown_target_rejected():
     with pytest.raises(SystemExit):
         main(["--target", "nonsense"])

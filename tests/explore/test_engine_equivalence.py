@@ -13,7 +13,7 @@ full exhaustion on both engines and compares everything.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.explore import ExploreCase, explore_case
+from repro.explore import ExploreCase, ExploreOptions, explore_case
 from repro.sim.network import resolve_network_engine
 
 TARGETS = ("paxos", "ct", "qc", "nbac", "register", "hastycommit")
@@ -37,8 +37,8 @@ def cases(draw):
 @settings(max_examples=12, deadline=None)
 @given(case=cases())
 def test_exploration_identical_on_both_engines(case):
-    indexed = explore_case(case, engine="indexed")
-    reference = explore_case(case, engine="reference")
+    indexed = explore_case(case, ExploreOptions(engine="indexed"))
+    reference = explore_case(case, ExploreOptions(engine="reference"))
     assert indexed.stats() == reference.stats()
     assert indexed.decision_vectors == reference.decision_vectors
     assert [
@@ -56,12 +56,12 @@ def test_result_names_the_network_class_that_ran(engine, network):
     # Engine name and network class are one-to-one, so the name the
     # result records is the class the walk ran on.
     case = ExploreCase(target="qc", n=2, depth=4)
-    result = explore_case(case, engine=engine)
-    assert result.engine == engine
-    assert resolve_network_engine(result.engine).__name__ == network
+    result = explore_case(case, ExploreOptions(engine=engine))
+    assert result.options.engine == engine
+    assert resolve_network_engine(engine).__name__ == network
 
 
 def test_unknown_engine_is_refused():
     case = ExploreCase(target="qc", n=2, depth=4)
     with pytest.raises(ValueError, match="unknown network engine 'bogus'"):
-        explore_case(case, engine="bogus")
+        explore_case(case, ExploreOptions(engine="bogus"))

@@ -13,7 +13,12 @@ import os
 import pytest
 
 from repro.chaos.targets import CLEAN_TARGETS
-from repro.explore import enumerate_roots, explore_case, run_frontier
+from repro.explore import (
+    ExploreOptions,
+    enumerate_roots,
+    explore_case,
+    run_frontier,
+)
 
 pytestmark = [
     pytest.mark.explore,
@@ -54,7 +59,9 @@ def test_crash_frontier_is_clean_on_both_engines(target):
     roots = enumerate_roots(target, 2, depth=6, max_crashes=1)
     assert any(root.crashes for root in roots)
     for engine in ("indexed", "reference"):
-        summaries = run_frontier(roots, engine=engine, workers=2)
+        summaries = run_frontier(
+            roots, ExploreOptions(engine=engine), workers=2
+        )
         for summary in summaries:
             assert summary["complete"]
             assert not summary["violations"]

@@ -12,7 +12,7 @@ the search trajectory at once.
 import pytest
 
 from repro import _native
-from repro.explore import ExploreCase, explore_case
+from repro.explore import ExploreCase, ExploreOptions, explore_case
 from repro.explore.state import _Encoder
 
 CASES = [
@@ -81,10 +81,14 @@ CASES += [
 def test_naive_and_incremental_digests_byte_identical(case, options):
     naive_log, incr_log = [], []
     naive = explore_case(
-        case, fingerprint_mode="naive", digest_log=naive_log, **options
+        case,
+        ExploreOptions(fingerprint_mode="naive", **options),
+        digest_log=naive_log,
     )
     incr = explore_case(
-        case, fingerprint_mode="incremental", digest_log=incr_log, **options
+        case,
+        ExploreOptions(fingerprint_mode="incremental", **options),
+        digest_log=incr_log,
     )
     assert naive_log, "no digests collected — dedup never ran"
     assert naive_log == incr_log
@@ -110,10 +114,14 @@ def test_native_mode_digests_byte_identical(case, options):
     (the same contract the naive/incremental pair pins above)."""
     incr_log, native_log = [], []
     incr = explore_case(
-        case, fingerprint_mode="incremental", digest_log=incr_log, **options
+        case,
+        ExploreOptions(fingerprint_mode="incremental", **options),
+        digest_log=incr_log,
     )
     native = explore_case(
-        case, fingerprint_mode="native", digest_log=native_log, **options
+        case,
+        ExploreOptions(fingerprint_mode="native", **options),
+        digest_log=native_log,
     )
     assert native_log, "no digests collected — dedup never ran"
     assert native_log == incr_log
@@ -132,7 +140,9 @@ def test_native_mode_digests_byte_identical(case, options):
 
 def test_removed_mode_is_refused_by_name():
     with pytest.raises(ValueError, match="incremental.*naive.*native"):
-        explore_case(CASES[0].values[0], fingerprint_mode='legacy')
+        explore_case(
+            CASES[0].values[0], ExploreOptions(fingerprint_mode='legacy')
+        )
 
 
 class TestEncoder:

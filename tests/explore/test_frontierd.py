@@ -29,12 +29,19 @@ import signal
 import threading
 import time
 
-from repro.explore import ExploreCase, explore_case
+from repro.explore import (
+    ExploreCase,
+    ExploreOptions,
+    explore_case,
+    merge_summaries,
+    result_from_summary,
+)
 from repro.explore.frontierd import (
     CHAOS_FAIL_ENV,
     CHAOS_STALL_ENV,
     DEFAULT_LEASE_TTL,
     POLL_BASE,
+    FleetSettings,
     _FrontierWorkers,
     _run_batch,
     _worker_main,
@@ -43,11 +50,8 @@ from repro.explore.frontierd import (
 )
 from repro.sim.perf import PerfCounters
 from repro.store import ResultStore
-from repro.store.exchange import exchange_scope
-
-
-def _violation_set(result):
-    return {(v.violated, v.decisions) for v in result.violations}
+from tests.explore.helpers import enqueue_case as _enqueue_case
+from tests.explore.helpers import violation_set as _violation_set
 
 
 def _assert_equivalent(dynamic, single):
@@ -59,43 +63,11 @@ def _assert_equivalent(dynamic, single):
 CASE = ExploreCase(target="hastycommit", n=2, depth=6, seed=1)
 
 
-def _enqueue_case(store, case, queue_scope, shard_depth=4, **options):
-    """The coordinator's phase 1, laid bare for the orchestrated tests."""
-    from repro.explore.frontier import result_to_dict
-    from repro.explore.shard import split_case
-    from repro.store.exchange import FingerprintExchange
-
-    from repro.explore.cases import case_to_dict
-
-    case_dict = case_to_dict(case)
-    scope = exchange_scope(
-        case_dict,
-        options.get("engine", "indexed"),
-        options.get("por", True),
-        options.get("dedup", True),
-        options.get("symmetry"),
-        options.get("fingerprint_mode", "incremental"),
-    ) + ":test"
-    exchange = FingerprintExchange(store, scope)
-    shallow, roots = split_case(case, choice_limit=shard_depth, exchange=exchange)
-    exchange.publish_pending()
-    store.enqueue_work(
-        queue_scope,
-        [
-            {"case": case_dict, "prefix": list(r), "scope": scope,
-             "case_index": 0}
-            for r in roots
-        ],
-    )
-    store.flush()
-    return result_to_dict(shallow), len(roots)
-
-
 class TestEquivalence:
     def test_dynamic_equals_serial(self, tmp_path):
         single = explore_case(CASE)
         dynamic = explore_case_dynamic(
-            CASE, workers=2, shard_depth=4, lease_ttl=2.0, store=tmp_path
+            CASE, workers=2, lease_ttl=2.0, store=tmp_path
         )
         _assert_equivalent(dynamic, single)
         assert dynamic.incidents == []
@@ -103,12 +75,12 @@ class TestEquivalence:
     def test_single_worker_no_stealing(self, tmp_path):
         single = explore_case(CASE)
         dynamic = explore_case_dynamic(
-            CASE, workers=1, shard_depth=4, lease_ttl=2.0, store=tmp_path
+            CASE, workers=1, lease_ttl=2.0, store=tmp_path
         )
         _assert_equivalent(dynamic, single)
 
     def test_run_cleans_up_queue_and_scopes(self, tmp_path):
-        explore_case_dynamic(CASE, workers=2, shard_depth=4, store=tmp_path)
+        explore_case_dynamic(CASE, workers=2, store=tmp_path)
         store = ResultStore(tmp_path)
         con = store.read_connection()
         try:
@@ -135,18 +107,21 @@ class TestWorkStealing:
         # re-splits: judged leaves stay in its summary, halted prefixes
         # come back as children for the others to steal.
         store = ResultStore(tmp_path)
-        _base, roots = _enqueue_case(store, CASE, "steal-q", shard_depth=2)
+        _base, roots = _enqueue_case(store, CASE, "steal-q", choice_limit=2)
         assert roots >= 1
         claimed, _ = store.claim_work_batch("steal-q", "w0", ttl=30.0, limit=1)
         work = claimed[0]
-        while store.work_status("steal-q")["pending"]:
-            # Drain the queue so the claimed item sees starvation.
-            extra = store.claim_work("steal-q", "w0", ttl=30.0)
-            store.complete_work(extra.id, "w0", {"drained": True})
-        status = store.work_status("steal-q")
+        # Drain the queue so the claimed item sees starvation.
+        rest, status = store.claim_work_batch(
+            "steal-q", "w0", ttl=30.0, limit=roots
+        )
+        assert store.complete_work_batch(
+            "w0", [{"work_id": w.id, "result": {"drained": True}} for w in rest]
+        )
+        assert status["pending"] == 0
         completions, fingerprints = _run_batch(
-            store, "steal-q", [work], status,
-            {"workers": 2, "split_step": 2}, PerfCounters(),
+            store, [work], status,
+            FleetSettings(workers=2, split_step=2), PerfCounters(),
         )
         summary = completions[0]["result"]
         children = completions[0]["children"]
@@ -162,27 +137,24 @@ class TestWorkStealing:
         store.close()
 
     def test_stealing_preserves_equivalence(self, tmp_path):
-        # Tiny shard_depth + tiny split_step force many re-splits.
+        # A tiny split_step forces many re-splits.
         single = explore_case(CASE)
         dynamic = explore_case_dynamic(
-            CASE, workers=3, shard_depth=2, split_step=2,
-            lease_ttl=2.0, store=tmp_path,
+            CASE, workers=3, split_step=2, lease_ttl=2.0, store=tmp_path
         )
         _assert_equivalent(dynamic, single)
 
     def test_adaptive_mode_equivalence_and_counters(self, tmp_path):
-        # shard_depth=None (the default) enqueues one bare root and
-        # lets demand-driven re-splitting produce all granularity; the
-        # merged result still equals the serial walk, and the frontier
-        # block carries the coordination counters the bench records.
+        # One bare root is enqueued and demand-driven re-splitting
+        # produces all granularity; the merged result still equals the
+        # serial walk, and the frontier block carries the coordination
+        # counters the bench records.
         single = explore_case(CASE)
         dynamic = explore_case_dynamic(
             CASE, workers=2, lease_ttl=2.0, store=tmp_path
         )
         _assert_equivalent(dynamic, single)
         block = dynamic.frontier
-        assert block["shard_mode"] == "adaptive"
-        assert block["shard_depth"] is None
         for key in (
             "claims", "claim_round_trips", "heartbeats", "exchange_pulls"
         ):
@@ -216,13 +188,13 @@ class TestBatchLeases:
         import signal as _signal
 
         store = ResultStore(tmp_path)
-        _base, roots = _enqueue_case(store, CASE, "tail-q", shard_depth=4)
+        _base, roots = _enqueue_case(store, CASE, "tail-q")
         assert roots >= 3, "need items for two batches"
 
         # Batch 1 — claimed, walked, committed in-process.
         first, status = store.claim_work_batch("tail-q", "inproc", 30.0, 2)
         completions, fingerprints = _run_batch(
-            store, "tail-q", first, status, {"workers": 1}, PerfCounters()
+            store, first, status, FleetSettings(), PerfCounters()
         )
         assert store.complete_work_batch("inproc", completions, fingerprints)
         committed = len(first)
@@ -230,12 +202,12 @@ class TestBatchLeases:
 
         # Batch 2 — a real worker claims the whole tail and stalls
         # inside it (heartbeats flowing); SIGKILL silences it.
-        options = {"workers": 1, "lease_ttl": 1.0, "retry_limit": 3}
+        settings = FleetSettings(lease_ttl=1.0)
         monkeypatch.setenv(CHAOS_STALL_ENV, "600")
         context = multiprocessing.get_context("spawn")
         victim = context.Process(
             target=_worker_main,
-            args=(str(store.path), "tail-q", "victim", options),
+            args=(str(store.path), "tail-q", "victim", settings),
             daemon=True,
         )
         victim.start()
@@ -275,11 +247,9 @@ class TestBatchLeases:
         # re-walks the items and the merge equals the serial walk —
         # the walk is deterministic, so dropping a finished-but-
         # uncommitted batch costs time, never coverage.
-        from repro.explore.shard import _result_from_summary, merge_summaries
-
         single = explore_case(CASE)
         store = ResultStore(tmp_path)
-        base, roots = _enqueue_case(store, CASE, "drop-q", shard_depth=4)
+        base, roots = _enqueue_case(store, CASE, "drop-q")
         published = _fingerprint_rows(store)
 
         doomed, status = store.claim_work_batch(
@@ -287,7 +257,7 @@ class TestBatchLeases:
         )
         assert len(doomed) == roots
         _run_batch(
-            store, "drop-q", doomed, status, {"workers": 1}, PerfCounters()
+            store, doomed, status, FleetSettings(), PerfCounters()
         )  # fully walked — and deliberately never committed
         assert _fingerprint_rows(store) == published
         assert list(store.work_results("drop-q")) == []
@@ -295,14 +265,11 @@ class TestBatchLeases:
         time.sleep(0.3)  # let every lease expire
         incidents = store.requeue_expired("drop-q", retry_limit=3)
         assert len(incidents) == roots
-        _worker_main(
-            str(store.path), "drop-q", "healthy",
-            {"workers": 1, "lease_ttl": 5.0, "retry_limit": 3},
-        )
+        _worker_main(str(store.path), "drop-q", "healthy", FleetSettings())
         merged = merge_summaries(
             base, [s for _, _, s in store.work_results("drop-q")]
         )
-        recovered = _result_from_summary(CASE, merged)
+        recovered = result_from_summary(merged)
         _assert_equivalent(recovered, single)
         store.close()
 
@@ -311,21 +278,21 @@ class TestBatchLeases:
         # reassigned to another worker, the whole completion is refused
         # and neither results nor fingerprints land.
         store = ResultStore(tmp_path)
-        _base, roots = _enqueue_case(store, CASE, "rej-q", shard_depth=4)
+        _base, roots = _enqueue_case(store, CASE, "rej-q")
         published = _fingerprint_rows(store)
 
         mine, status = store.claim_work_batch("rej-q", "w0", 30.0, roots)
         completions, fingerprints = _run_batch(
-            store, "rej-q", mine, status, {"workers": 1}, PerfCounters()
+            store, mine, status, FleetSettings(), PerfCounters()
         )
         # False suspicion: expire every lease, then a thief claims one
         # (past the requeue backoff, hence the far-future clock).
         future = time.time() + 31.0
         store.requeue_expired("rej-q", retry_limit=99, now=future)
-        thief = store.claim_work(
-            "rej-q", "thief", ttl=30.0, now=future + 120.0
+        thief, _ = store.claim_work_batch(
+            "rej-q", "thief", ttl=30.0, limit=1, now=future + 120.0
         )
-        assert thief is not None
+        assert len(thief) == 1
 
         assert store.complete_work_batch(
             "w0", completions, fingerprints
@@ -346,20 +313,17 @@ class TestSigkillRecovery:
         # merged result is identical to the serial walk.
         import multiprocessing
 
-        from repro.explore.shard import _result_from_summary, merge_summaries
-
         single = explore_case(CASE)
         store = ResultStore(tmp_path)
-        base, roots = _enqueue_case(store, CASE, "kill-q", shard_depth=4)
+        base, roots = _enqueue_case(store, CASE, "kill-q")
         assert roots >= 2, "need several shards for a meaningful merge"
 
-        ttl = 1.0
-        options = {"workers": 1, "lease_ttl": ttl, "retry_limit": 3}
+        settings = FleetSettings(lease_ttl=1.0)
         monkeypatch.setenv(CHAOS_STALL_ENV, "600")
         context = multiprocessing.get_context("spawn")
         victim = context.Process(
             target=_worker_main,
-            args=(str(store.path), "kill-q", "victim", options),
+            args=(str(store.path), "kill-q", "victim", settings),
             daemon=True,
         )
         victim.start()
@@ -388,7 +352,7 @@ class TestSigkillRecovery:
 
         # A healthy worker (run in-process: _worker_main is just a
         # function) drains the queue, re-claiming the recovered shard.
-        _worker_main(str(store.path), "kill-q", "healthy", options)
+        _worker_main(str(store.path), "kill-q", "healthy", settings)
         status = store.work_status("kill-q")
         assert status["pending"] == 0 and status["leased"] == 0
         assert status["quarantined"] == 0
@@ -396,7 +360,7 @@ class TestSigkillRecovery:
         merged = merge_summaries(
             base, [s for _, _, s in store.work_results("kill-q")]
         )
-        recovered = _result_from_summary(CASE, merged)
+        recovered = result_from_summary(merged)
         _assert_equivalent(recovered, single)
         assert recovered.complete
         store.close()
@@ -406,13 +370,13 @@ class TestSigkillRecovery:
         # NBAC frontier, and the merged result is still complete and
         # identical to the serial walk.
         case = ExploreCase(target="nbac", n=3, depth=6)
-        single = explore_case(case, symmetry="auto")
+        options = ExploreOptions(symmetry="auto")
+        single = explore_case(case, options)
         dynamic = explore_case_dynamic(
             case,
+            options,
             workers=4,
-            shard_depth=4,
             lease_ttl=1.5,
-            symmetry="auto",
             chaos_kill_rate=0.4,
             chaos_seed=11,
             store=tmp_path,
@@ -429,7 +393,6 @@ class TestQuarantine:
         summaries = run_frontier_dynamic(
             [CASE],
             workers=1,
-            shard_depth=4,
             lease_ttl=5.0,
             retry_limit=1,
             store=tmp_path,
@@ -444,23 +407,25 @@ class TestQuarantine:
         ]
         for incident in quarantined:
             assert incident["error"]["error_type"] == "RuntimeError"
-        # The splitter's shallow leaves survive: partial results, not
-        # an exception.
-        assert summary["stats"]["runs"] > 0
+        # Partial results, not an exception: the root's summary is
+        # there, with nothing merged into it.
+        assert summary["stats"]["runs"] == 0
 
 
-def _stall(store_path, queue_scope, worker, options):
+def _stall(store_path, queue_scope, worker, settings):
     """A worker that never drains anything (spawned: module level)."""
     time.sleep(600)
 
 
-def _exit_at_once(store_path, queue_scope, worker, options):
+def _exit_at_once(store_path, queue_scope, worker, settings):
     """A worker that dies on start."""
 
 
 class TestCoordinatorWait:
     def test_worker_exit_wakes_the_coordinator(self):
-        fleet = _FrontierWorkers("unused", "unused", 1, {}, target=_stall)
+        fleet = _FrontierWorkers(
+            "unused", "unused", FleetSettings(), target=_stall
+        )
         fleet.spawn(1)
         (process,) = fleet.processes.values()
         try:
@@ -480,7 +445,9 @@ class TestCoordinatorWait:
             fleet.shutdown(timeout=0.0)
 
     def test_wait_times_out_when_nobody_exits(self):
-        fleet = _FrontierWorkers("unused", "unused", 1, {}, target=_stall)
+        fleet = _FrontierWorkers(
+            "unused", "unused", FleetSettings(), target=_stall
+        )
         fleet.spawn(1)
         try:
             started = time.monotonic()
@@ -491,7 +458,9 @@ class TestCoordinatorWait:
             fleet.shutdown(timeout=0.0)
 
     def test_dead_on_start_workers_respawn_no_faster_than_the_floor(self):
-        fleet = _FrontierWorkers("unused", "unused", 2, {}, target=_exit_at_once)
+        fleet = _FrontierWorkers(
+            "unused", "unused", FleetSettings(workers=2), target=_exit_at_once
+        )
         fleet.spawn(2)
         iterations = 0
         started = time.monotonic()
@@ -516,7 +485,7 @@ class TestCoordinatorWait:
 
         reader, writer = os.pipe()
         os.close(writer)
-        fleet = _FrontierWorkers("unused", "unused", 1, {})
+        fleet = _FrontierWorkers("unused", "unused", FleetSettings())
         fleet.processes["w0"] = Gone(reader)
         try:
             started = time.monotonic()
@@ -536,7 +505,7 @@ class TestWarmSessions:
         store = ResultStore(tmp_path)
         other = CASE.with_(seed=0)
         for case in (CASE, other):
-            _enqueue_case(store, case, "warm-q", shard_depth=3)
+            _enqueue_case(store, case, "warm-q", choice_limit=3)
         claimed, status = store.claim_work_batch(
             "warm-q", "w0", ttl=30.0, limit=64
         )
@@ -551,7 +520,7 @@ class TestWarmSessions:
 
         sessions = {}
         cold, _ = _run_batch(
-            store, "warm-q", claimed, status, {}, PerfCounters(), sessions
+            store, claimed, status, FleetSettings(), PerfCounters(), sessions
         )
         assert set(sessions) == scopes
         kept = claimed[0].item["scope"]
@@ -560,7 +529,7 @@ class TestWarmSessions:
         # Nothing was completed, so the store seeds the same visited
         # set and the walks repeat — on an engine that has seen them.
         warm, _ = _run_batch(
-            store, "warm-q", again, status, {}, PerfCounters(), sessions
+            store, again, status, FleetSettings(), PerfCounters(), sessions
         )
         assert set(sessions) == {kept} and sessions[kept].engine is engine
         assert host_misses(cold) > 0 and host_misses(warm) == 0

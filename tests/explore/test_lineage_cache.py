@@ -22,20 +22,22 @@ from repro import _native
 from repro.chaos.targets import TARGETS, Target
 from repro.explore import (
     ExploreCase,
+    ExploreOptions,
     enumerate_roots,
     explore_case,
+    merge_summaries,
     run_controlled,
 )
 from repro.explore.cases import resolve_parts
 from repro.explore.engine import FingerprintSession
 from repro.explore.frontier import result_to_dict
-from repro.explore.shard import merge_summaries, split_case
 from repro.explore.state import _POISONED, OPAQUE_MARK, FingerprintEngine
 from repro.runner import call
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
 from repro.store import ResultStore
 from repro.store.exchange import FingerprintExchange
+from tests.explore.helpers import split_roots
 
 MODES = ["naive", "incremental"] + (["native"] if _native.available() else [])
 
@@ -73,12 +75,12 @@ def toy_target(monkeypatch, name, factory):
     )
 
 
-def digest_logs(case, **options):
+def digest_logs(case):
     logs = {}
     for mode in MODES:
         logs[mode] = []
         explore_case(
-            case, fingerprint_mode=mode, digest_log=logs[mode], **options
+            case, ExploreOptions(fingerprint_mode=mode), digest_log=logs[mode]
         )
     assert logs["naive"], "no digests collected — dedup never ran"
     return logs
@@ -260,7 +262,7 @@ def test_opaque_step_poisons_the_lineage(monkeypatch):
         for mode in MODES:
             logs[mode] = []
             results[mode] = explore_case(
-                case, fingerprint_mode=mode, digest_log=logs[mode]
+                case, ExploreOptions(fingerprint_mode=mode), digest_log=logs[mode]
             )
         for mode in MODES[1:]:
             assert logs[mode] == logs["naive"]
@@ -334,7 +336,7 @@ def test_opaque_states_stay_out_of_a_visited_set_shards_share(
         assert serial.states == serial.counters.explore_opaque_tokens > 0
 
         first, second = (1, 0, 0, 2), (1, 2, 0, 0)
-        _, roots = split_case(case, choice_limit=4)
+        _, roots = split_roots(case, choice_limit=4)
         assert first in roots and second in roots
         alone = [
             explore_case(case, initial_stack=[root]).decision_vectors
@@ -448,7 +450,8 @@ def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
     batch — one shared visited set — once with a fresh engine per shard
     and once on one session: the same keys in the same order, the same
     search, fewer host encodes."""
-    _, roots = split_case(case, choice_limit=3, **options)
+    options = ExploreOptions(**options)
+    _, roots = split_roots(case, 3, options)
     assert len(roots) > 2
     store = ResultStore(tmp_path)
 
@@ -458,11 +461,11 @@ def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
         for root in roots:
             result = explore_case(
                 case,
+                options,
                 initial_stack=[root],
                 exchange=exchange,
                 digest_log=log,
                 session=session,
-                **options,
             )
             misses += result.counters.explore_fp_host_misses
             counts.append(
@@ -495,4 +498,4 @@ def test_session_refuses_another_root():
         (case, {"symmetry": True}),
     ):
         with pytest.raises(ValueError, match="another root"):
-            explore_case(other, session=session, **options)
+            explore_case(other, ExploreOptions(**options), session=session)

@@ -12,7 +12,12 @@ submajority — and at least as many runs — stays silent.
 
 import pytest
 
-from repro.explore import SMOKE_DEPTHS, enumerate_roots, explore_case
+from repro.explore import (
+    SMOKE_DEPTHS,
+    ExploreOptions,
+    enumerate_roots,
+    explore_case,
+)
 
 ENGINES = ("indexed", "reference")
 
@@ -33,7 +38,9 @@ def _selfish_root(target):
 def test_submajority_agreement_violation_found(engine):
     root = _selfish_root("submajority")
     assert root.depth == SMOKE_DEPTHS["submajority"]
-    result = explore_case(root, engine=engine, stop_on_first_violation=True)
+    result = explore_case(
+        root, ExploreOptions(engine=engine), stop_on_first_violation=True
+    )
     assert result.violations, "seeded sub-majority quorum bug not detected"
     violation = result.violations[0]
     assert "agreement" in violation.violated
@@ -46,7 +53,9 @@ def test_submajority_agreement_violation_found(engine):
 def test_eagerquit_validity_violation_found(engine):
     roots = enumerate_roots("eagerquit", 2)
     assert len(roots) == 1 and roots[0].depth == SMOKE_DEPTHS["eagerquit"]
-    result = explore_case(roots[0], engine=engine, stop_on_first_violation=True)
+    result = explore_case(
+        roots[0], ExploreOptions(engine=engine), stop_on_first_violation=True
+    )
     assert result.violations, "seeded eager-quit QC bug not detected"
     assert "validity" in result.violations[0].violated
 
@@ -58,7 +67,7 @@ def test_hastycommit_violation_found(engine):
     for root in enumerate_roots("hastycommit", 2):
         assert root.depth == SMOKE_DEPTHS["hastycommit"]
         result = explore_case(
-            root, engine=engine, stop_on_first_violation=True
+            root, ExploreOptions(engine=engine), stop_on_first_violation=True
         )
         hits.extend(result.violations)
     assert hits, "seeded hasty-commit NBAC bug not detected"
@@ -81,7 +90,7 @@ def test_redcommit_needs_the_switch_dimension(engine):
     )
     assert constant_roots, "no constant roots enumerated"
     for root in constant_roots:
-        result = explore_case(root, engine=engine)
+        result = explore_case(root, ExploreOptions(engine=engine))
         assert result.complete, "constant root did not exhaust"
         assert not result.violations, (
             "red-commit fired without switches — the coverage-gap "
@@ -95,7 +104,7 @@ def test_redcommit_needs_the_switch_dimension(engine):
     hits = []
     for root in switch_roots:
         result = explore_case(
-            root, engine=engine, stop_on_first_violation=True
+            root, ExploreOptions(engine=engine), stop_on_first_violation=True
         )
         hits.extend(result.violations)
     assert hits, "seeded red-commit quit-path bug not detected"

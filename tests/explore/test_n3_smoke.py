@@ -10,7 +10,12 @@ silent, so the clean target's silence is evidence of reach, not of a
 too-shallow search.
 """
 
-from repro.explore import SMOKE_DEPTHS_N3, ExploreCase, explore_case
+from repro.explore import (
+    SMOKE_DEPTHS_N3,
+    ExploreCase,
+    ExploreOptions,
+    explore_case,
+)
 
 DEPTH = SMOKE_DEPTHS_N3["nbac"]
 
@@ -23,7 +28,7 @@ def test_n3_depths_are_pinned():
 
 def test_clean_nbac_n3_exhausts():
     case = ExploreCase(target="nbac", n=3, depth=DEPTH, seed=1)
-    result = explore_case(case, symmetry="auto")
+    result = explore_case(case, ExploreOptions(symmetry="auto"))
     assert result.complete
     assert not result.violations
     # A real n=3 tree, not a degenerate one.
@@ -33,7 +38,7 @@ def test_clean_nbac_n3_exhausts():
 def test_hastycommit_n3_fires_at_the_same_depth():
     case = ExploreCase(target="hastycommit", n=3, depth=DEPTH, seed=1)
     result = explore_case(
-        case, symmetry="auto", stop_on_first_violation=True
+        case, ExploreOptions(symmetry="auto"), stop_on_first_violation=True
     )
     assert result.violations
     assert result.violations[0].violated

@@ -24,7 +24,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.targets import TARGETS, Target
-from repro.explore import ExploreCase, explore_case, run_controlled
+from repro.explore import (
+    ExploreCase,
+    ExploreOptions,
+    explore_case,
+    run_controlled,
+)
 from repro.explore import engine as engine_mod
 from repro.explore.cases import resolve_parts
 from repro.explore.state import FingerprintEngine
@@ -192,7 +197,9 @@ def test_engines_and_symmetry(engine, symmetry):
         SCRIPTED,
     ):
         with rewind_oracle() as seen:
-            result = explore_case(case, engine=engine, symmetry=symmetry)
+            result = explore_case(
+                case, ExploreOptions(engine=engine, symmetry=symmetry)
+            )
         assert seen["runs"] == result.runs
         assert seen["rewinds"] == result.runs - 1
 
@@ -201,7 +208,7 @@ def test_scripted_root_switches_are_rewound():
     """Detector cursors are journaled per tick: runs whose ``detector``
     choices advance them at different ticks rewind across the advance."""
     with rewind_oracle() as seen:
-        result = explore_case(SCRIPTED, por=False, dedup=False)
+        result = explore_case(SCRIPTED, ExploreOptions(por=False, dedup=False))
     assert result.complete and seen["runs"] == result.runs
     assert seen["detector_choices"] > 0
 
@@ -211,7 +218,7 @@ def test_scripted_root_switches_are_rewound():
 def test_reductions_off(por, dedup):
     case = ExploreCase(target="paxos", n=2, depth=5)
     with rewind_oracle() as seen:
-        result = explore_case(case, por=por, dedup=dedup)
+        result = explore_case(case, ExploreOptions(por=por, dedup=dedup))
     assert seen["runs"] == result.runs
 
 

@@ -1,19 +1,19 @@
-"""Sharded subtree search reaches exactly the serial walk's outcomes.
+"""Searching below a root reaches exactly the serial walk's outcomes.
 
-Sharding re-partitions *work*, never *coverage*: the split must hand
-out pairwise disjoint subtrees whose union (with the splitter's own
-shallow leaves) is the whole tree, and the merged result must agree
-with the serial engine on decision vectors, violations and
-completeness.  Run counts may differ — per-shard visited sets lose
-cross-shard dedup, which the module doc declares as plain-DFS
-degradation — so they are deliberately not compared.
+Sharding re-partitions *work*, never *coverage*: a split must hand out
+pairwise disjoint subtrees whose union (with the splitting walk's own
+shallow leaves) is the whole tree, and the dynamic frontier's merged
+result must agree with the serial engine on decision vectors,
+violations and completeness.  Run counts may differ — parallel shards
+can both meet a state neither has published — so they are deliberately
+not compared.
 """
 
 import pytest
 
-from repro.explore import ExploreCase, explore_case
-from repro.explore.shard import explore_case_sharded, split_case
-from repro.explore.shard import explore_shard as _real_explore_shard
+from repro.explore import ExploreCase, explore_case, explore_case_dynamic
+from tests.explore.helpers import split_roots
+from tests.explore.helpers import violation_set as _violation_set
 
 CASES = [
     ExploreCase(
@@ -27,34 +27,19 @@ CASES = [
 IDS = ["ct", "hastycommit-seed1"]
 
 
-def _violation_set(result):
-    return {(v.violated, v.decisions) for v in result.violations}
-
-
-# Module-level (callspecs refuse closures) poison shim for the
-# partial-merge test: kills exactly one shard root, delegates the rest.
-_POISON = {"prefix": None}
-
-
-def _poisoned_explore_shard(case_dict, prefix, *args, **kwargs):
-    if tuple(prefix) == _POISON["prefix"]:
-        raise RuntimeError("injected shard death")
-    return _real_explore_shard(case_dict, prefix, *args, **kwargs)
-
-
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_sharded_matches_serial(case):
     serial = explore_case(case)
-    sharded = explore_case_sharded(case, shard_depth=6, workers=2)
+    sharded = explore_case_dynamic(case, workers=2, split_step=2)
     assert sharded.decision_vectors == serial.decision_vectors
     assert _violation_set(sharded) == _violation_set(serial)
     assert sharded.complete == serial.complete
-    assert sharded.counters.explore_shards > 0
+    assert sharded.counters.explore_shards > 1
 
 
 def test_shard_roots_are_pairwise_disjoint_subtrees():
     case = CASES[0]
-    shallow, roots = split_case(case, choice_limit=4)
+    shallow, roots = split_roots(case, choice_limit=4)
     assert shallow.complete
     assert roots, "no subtree ever reached the cutoff"
     for i, a in enumerate(roots):
@@ -68,48 +53,24 @@ def test_shard_roots_are_pairwise_disjoint_subtrees():
 def test_splitter_judges_only_shallow_leaves():
     case = CASES[1]
     serial = explore_case(case)
-    shallow, roots = split_case(case, choice_limit=4)
-    # The splitter alone must under-count: everything it did not judge
-    # lives under some shard root.
+    shallow, roots = split_roots(case, choice_limit=4)
+    # The splitting walk alone must under-count: everything it did not
+    # judge lives under some shard root...
     assert shallow.runs < serial.runs
     assert len(shallow.violations) < len(serial.violations)
-    sharded = explore_case_sharded(case, shard_depth=4, workers=2)
-    assert _violation_set(sharded) == _violation_set(serial)
-
-
-def test_failed_shard_keeps_siblings_and_reports_incident(monkeypatch):
-    # Partial-merge semantics: one shard cell dying (even past the
-    # executor's retries) must not raise away its siblings' finished
-    # work — the merge keeps every completed summary, records a
-    # structured incident, and downgrades the verdict to
-    # complete=False because that subtree really was not exhausted.
-    import repro.explore.shard as shard_module
-
-    case = CASES[1]
-    serial = explore_case(case)
-    _, roots = split_case(case, choice_limit=4)
-    assert len(roots) >= 2
-    monkeypatch.setitem(_POISON, "prefix", tuple(roots[0]))
-    # workers=1 keeps the cells in-process, so the campaign resolves
-    # the patched module attribute instead of a pristine subprocess copy.
-    monkeypatch.setattr(shard_module, "explore_shard", _poisoned_explore_shard)
-    result = explore_case_sharded(case, shard_depth=4, workers=1)
-
-    assert result.complete is False
-    failures = [i for i in result.incidents if i["kind"] == "shard-failed"]
-    assert len(failures) == 1
-    assert failures[0]["error_type"] == "RuntimeError"
-    # Siblings' coverage survives: everything found is genuine (a
-    # subset of the serial walk), and most of the tree is still there.
-    assert result.decision_vectors <= serial.decision_vectors
-    assert _violation_set(result) <= _violation_set(serial)
-    assert result.decision_vectors, "siblings' results were discarded"
+    # ...and walking those roots finds exactly the rest.
+    found = _violation_set(shallow)
+    for root in roots:
+        found |= _violation_set(explore_case(case, initial_stack=[root]))
+    assert found == _violation_set(serial)
 
 
 def test_no_shards_below_cutoff_degenerates_to_serial():
+    # One worker never splits: the whole tree is one claim, and its walk
+    # is the serial walk.
     tiny = ExploreCase(target="nbac", n=2, depth=2)
     serial = explore_case(tiny)
-    sharded = explore_case_sharded(tiny, shard_depth=50, workers=2)
-    assert sharded.counters.explore_shards == 0
+    sharded = explore_case_dynamic(tiny, workers=1)
+    assert sharded.counters.explore_shards == 1
     assert sharded.runs == serial.runs
     assert sharded.decision_vectors == serial.decision_vectors

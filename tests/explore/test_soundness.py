@@ -20,7 +20,7 @@ outcome-equality is asserted on roots where switches genuinely matter
 
 import pytest
 
-from repro.explore import ExploreCase, explore_case
+from repro.explore import ExploreCase, ExploreOptions, explore_case
 
 CONFIGS = [
     (True, True),
@@ -80,7 +80,7 @@ def _outcomes(result):
 )
 def test_reductions_preserve_outcomes(case):
     results = {
-        (por, dedup): explore_case(case, por=por, dedup=dedup)
+        (por, dedup): explore_case(case, ExploreOptions(por=por, dedup=dedup))
         for por, dedup in CONFIGS
     }
     baseline = _outcomes(results[(False, False)])
@@ -141,14 +141,18 @@ def test_symmetry_dimension_preserves_outcomes(case):
     All against the fully unreduced, symmetry-free baseline.  Both
     engines are held to the same answer under full reduction.
     """
-    baseline = _outcomes(explore_case(case, por=False, dedup=False))
+    baseline = _outcomes(explore_case(case, ExploreOptions(por=False, dedup=False)))
     assert baseline["vectors"], "unreduced search found no leaves"
     for por, dedup in CONFIGS:
-        result = explore_case(case, por=por, dedup=dedup, symmetry="auto")
+        result = explore_case(
+            case, ExploreOptions(por=por, dedup=dedup, symmetry="auto")
+        )
         assert result.complete and result.symmetry
         assert _outcomes(result) == baseline, (
             f"symmetry over por={por} dedup={dedup} changed the outcomes"
         )
-    reference = explore_case(case, engine="reference", symmetry="auto")
+    reference = explore_case(
+        case, ExploreOptions(engine="reference", symmetry="auto")
+    )
     assert reference.complete
     assert _outcomes(reference) == baseline

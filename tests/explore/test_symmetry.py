@@ -10,7 +10,12 @@ one representative per symmetry class.
 
 import pytest
 
-from repro.explore import ExploreCase, enumerate_roots, explore_case
+from repro.explore import (
+    ExploreCase,
+    ExploreOptions,
+    enumerate_roots,
+    explore_case,
+)
 from repro.explore.symmetry import (
     SYMMETRY_SAFE_TARGETS,
     admissible_perms,
@@ -194,7 +199,7 @@ def test_symmetry_reduces_at_n3():
     is nontrivial — otherwise a silently disabled merge passes."""
     case = ExploreCase(target="nbac", n=3, depth=5)
     plain = explore_case(case)
-    reduced = explore_case(case, symmetry="auto")
+    reduced = explore_case(case, ExploreOptions(symmetry="auto"))
     assert reduced.symmetry and not plain.symmetry
     assert reduced.runs < plain.runs
     assert reduced.states < plain.states

@@ -357,14 +357,16 @@ EXPLORE_CASES = [
     ids=[c[0] for c in EXPLORE_CASES],
 )
 def test_native_mode_digest_log_identical(kwargs, symmetry):
-    from repro.explore import ExploreCase, explore_case
+    from repro.explore import ExploreCase, ExploreOptions, explore_case
 
     case = ExploreCase(**kwargs)
     logs, outcomes = {}, {}
     for mode in ("naive", "incremental", "native"):
         log = []
         result = explore_case(
-            case, fingerprint_mode=mode, symmetry=symmetry, digest_log=log
+            case,
+            ExploreOptions(fingerprint_mode=mode, symmetry=symmetry),
+            digest_log=log,
         )
         logs[mode] = log
         outcomes[mode] = (
@@ -379,15 +381,17 @@ def test_native_mode_digest_log_identical(kwargs, symmetry):
 
 
 def test_native_mode_counters_flow():
-    from repro.explore import ExploreCase, explore_case
+    from repro.explore import ExploreCase, ExploreOptions, explore_case
 
     result = explore_case(
-        ExploreCase(target="ct", n=2, depth=5), fingerprint_mode="native"
+        ExploreCase(target="ct", n=2, depth=5),
+        ExploreOptions(fingerprint_mode="native"),
     )
     assert result.counters.explore_native_calls > 0
     assert result.counters.native_encode_bytes > 0
     pure = explore_case(
-        ExploreCase(target="ct", n=2, depth=5), fingerprint_mode="incremental"
+        ExploreCase(target="ct", n=2, depth=5),
+        ExploreOptions(fingerprint_mode="incremental"),
     )
     assert pure.counters.explore_native_calls == 0
     assert pure.counters.native_encode_bytes == 0

@@ -1,6 +1,6 @@
 """Stale-scope GC: killed searches must not leak coordination state.
 
-A finished sharded search releases its salted exchange scope in its
+A finished frontier search releases its salted exchange scope in its
 ``finally``; a SIGKILLed one never gets there.  The registry
 (``exchange_scopes``) plus the sweep make the leak bounded: orphan
 fingerprint rows (no registration — killed before the exchange opened,
@@ -43,7 +43,7 @@ class TestRegistry:
         store = ResultStore(tmp_path)
         exchange = FingerprintExchange(store, "done-scope")
         exchange.note("fp1", 3)
-        exchange.publish_pending()
+        store.publish_fingerprints("done-scope", exchange.take_pending())
         store.release_scope("done-scope")
         assert _scopes(store) == (set(), set())
         store.close()
@@ -76,7 +76,7 @@ class TestSweep:
     def test_sweep_collects_dead_queue_and_lease_rows(self, tmp_path):
         store = ResultStore(tmp_path)
         store.enqueue_work("dead-run", [{"i": 0}], now=0.0)
-        store.claim_work("dead-run", "w", ttl=1.0, now=0.0)
+        store.claim_work_batch("dead-run", "w", ttl=1.0, limit=1, now=0.0)
         swept = store.sweep_stale_scopes(max_age=10.0, now=1e9)
         assert swept["work_rows"] == 1
         assert swept["lease_rows"] == 1

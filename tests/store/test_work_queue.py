@@ -28,45 +28,62 @@ def _item(index=0):
     return {"case_index": index, "prefix": [index], "scope": "s"}
 
 
+def _claim(store, scope, worker, ttl, now=None):
+    """One item through the batch protocol: a batch of at most one."""
+    items, _ = store.claim_work_batch(scope, worker, ttl, limit=1, now=now)
+    return items[0] if items else None
+
+
+def _complete(store, work_id, worker, result, fingerprints=(), children=(),
+              now=None):
+    """One item's completion: a batch of exactly one."""
+    return store.complete_work_batch(
+        worker,
+        [{"work_id": work_id, "result": result, "children": list(children)}],
+        fingerprints=fingerprints,
+        now=now,
+    )
+
+
 class TestClaimAndLease:
     def test_claim_is_oldest_first_and_exclusive(self, store):
         store.enqueue_work("q", [_item(0), _item(1)])
-        first = store.claim_work("q", "w1", ttl=5.0, now=10.0)
-        second = store.claim_work("q", "w2", ttl=5.0, now=10.0)
+        first = _claim(store, "q", "w1", ttl=5.0, now=10.0)
+        second = _claim(store, "q", "w2", ttl=5.0, now=10.0)
         assert first.item["case_index"] == 0
         assert second.item["case_index"] == 1
-        assert store.claim_work("q", "w3", ttl=5.0, now=10.0) is None
+        assert _claim(store, "q", "w3", ttl=5.0, now=10.0) is None
         assert store.leased_workers("q") == {"w1": first.id, "w2": second.id}
 
     def test_attempts_count_claims(self, store):
         store.enqueue_work("q", [_item()])
-        assert store.claim_work("q", "w1", ttl=1.0, now=0.0).attempts == 1
+        assert _claim(store, "q", "w1", ttl=1.0, now=0.0).attempts == 1
         store.requeue_expired("q", now=10.0)
         # The requeue applies backoff: claimable only after it elapses.
-        assert store.claim_work("q", "w2", ttl=1.0, now=11.0).attempts == 2
+        assert _claim(store, "q", "w2", ttl=1.0, now=11.0).attempts == 2
 
     def test_heartbeat_extends_only_the_holder(self, store):
         store.enqueue_work("q", [_item()])
-        work = store.claim_work("q", "w1", ttl=1.0, now=0.0)
-        assert store.heartbeat_work(work.id, "w1", ttl=1.0, now=0.5)
-        assert not store.heartbeat_work(work.id, "intruder", ttl=1.0, now=0.5)
+        work = _claim(store, "q", "w1", ttl=1.0, now=0.0)
+        assert store.heartbeat_worker("q", "intruder", ttl=9.0, now=0.5) == 0
+        assert store.heartbeat_worker("q", "w1", ttl=1.0, now=0.5) == 1
         # The heartbeat at 0.5 pushed expiry to 1.5: not expired at 1.2.
         assert store.requeue_expired("q", now=1.2) == []
         assert store.requeue_expired("q", now=2.0) != []
 
     def test_scopes_are_disjoint(self, store):
         store.enqueue_work("q1", [_item()])
-        assert store.claim_work("q2", "w1", ttl=1.0) is None
+        assert _claim(store, "q2", "w1", ttl=1.0) is None
         assert store.work_status("q2")["pending"] == 0
 
 
 class TestCompletion:
     def test_complete_is_atomic_with_fingerprints_and_children(self, store):
         store.enqueue_work("q", [_item()])
-        work = store.claim_work("q", "w1", ttl=5.0, now=0.0)
-        assert store.complete_work(
-            work.id, "w1", {"runs": 7},
-            fingerprint_scope="fps", fingerprints=[("aa", 3), ("bb", 1)],
+        work = _claim(store, "q", "w1", ttl=5.0, now=0.0)
+        assert _complete(
+            store, work.id, "w1", {"runs": 7},
+            fingerprints=[("fps", [("aa", 3), ("bb", 1)])],
             children=[_item(1), _item(2)],
         )
         assert store.work_status("q") == {
@@ -81,61 +98,61 @@ class TestCompletion:
         # late.  The completion transaction — not the suspicion — is
         # the arbiter: w1 is rejected wholesale.
         store.enqueue_work("q", [_item()])
-        w1 = store.claim_work("q", "w1", ttl=1.0, now=0.0)
+        w1 = _claim(store, "q", "w1", ttl=1.0, now=0.0)
         store.requeue_expired("q", now=5.0)
-        w2 = store.claim_work("q", "w2", ttl=1.0, now=6.0)
+        w2 = _claim(store, "q", "w2", ttl=1.0, now=6.0)
         assert w1.id == w2.id
-        assert not store.complete_work(
-            w1.id, "w1", {"runs": 1},
-            fingerprint_scope="fps", fingerprints=[("late", 9)],
+        assert not _complete(
+            store, w1.id, "w1", {"runs": 1},
+            fingerprints=[("fps", [("late", 9)])],
             children=[_item(9)],
         )
         # The rejected completion published NOTHING — no fingerprints
         # claiming coverage, no duplicate children.
         assert store.load_fingerprints("fps")[0] == {}
         assert store.work_status("q")["pending"] == 0
-        assert store.complete_work(w2.id, "w2", {"runs": 1})
-        assert not store.complete_work(w2.id, "w2", {"runs": 1})  # done is final
+        assert _complete(store, w2.id, "w2", {"runs": 1})
+        assert not _complete(store, w2.id, "w2", {"runs": 1})  # done is final
 
     def test_late_completion_of_unclaimed_requeue_is_accepted(self, store):
         # The lease expired under a slow-but-alive worker and nobody
         # has re-claimed yet: the late result is accepted (the walk is
         # deterministic — it is the same result a retry would produce).
         store.enqueue_work("q", [_item()])
-        w1 = store.claim_work("q", "w1", ttl=1.0, now=0.0)
+        w1 = _claim(store, "q", "w1", ttl=1.0, now=0.0)
         store.requeue_expired("q", now=5.0)
-        assert store.complete_work(w1.id, "w1", {"runs": 2}, now=6.0)
+        assert _complete(store, w1.id, "w1", {"runs": 2}, now=6.0)
         assert store.work_status("q")["done"] == 1
         # ...and the stale pending row is gone: nobody can claim it.
-        assert store.claim_work("q", "w2", ttl=1.0, now=6.0) is None
+        assert _claim(store, "q", "w2", ttl=1.0, now=6.0) is None
 
 
 class TestFailureAndRecovery:
     def test_fail_requeues_with_exponential_backoff(self, store):
         store.enqueue_work("q", [_item()])
-        work = store.claim_work("q", "w1", ttl=5.0, now=0.0)
+        work = _claim(store, "q", "w1", ttl=5.0, now=0.0)
         assert store.fail_work(
             work.id, "w1", {"err": "boom"}, retry_limit=3,
             backoff=1.0, now=100.0,
         ) == "requeued"
         # attempts=1 → backoff 1.0 * 2^0: claimable at 101, not 100.5.
-        assert store.claim_work("q", "w2", ttl=5.0, now=100.5) is None
-        retry = store.claim_work("q", "w2", ttl=5.0, now=101.0)
+        assert _claim(store, "q", "w2", ttl=5.0, now=100.5) is None
+        retry = _claim(store, "q", "w2", ttl=5.0, now=101.0)
         assert retry.attempts == 2
         assert store.fail_work(
             retry.id, "w2", {"err": "boom"}, retry_limit=3,
             backoff=1.0, now=200.0,
         ) == "requeued"
         # attempts=2 → backoff 2.0.
-        assert store.claim_work("q", "w3", ttl=5.0, now=201.0) is None
-        assert store.claim_work("q", "w3", ttl=5.0, now=202.0) is not None
+        assert _claim(store, "q", "w3", ttl=5.0, now=201.0) is None
+        assert _claim(store, "q", "w3", ttl=5.0, now=202.0) is not None
 
     def test_retry_budget_exhaustion_quarantines(self, store):
         store.enqueue_work("q", [_item(4)])
         verdicts = []
         now = 0.0
         for attempt in range(3):
-            work = store.claim_work("q", f"w{attempt}", ttl=5.0, now=now)
+            work = _claim(store, "q", f"w{attempt}", ttl=5.0, now=now)
             verdicts.append(
                 store.fail_work(
                     work.id, f"w{attempt}", {"err": "poison"},
@@ -148,18 +165,18 @@ class TestFailureAndRecovery:
         assert len(quarantined) == 1
         assert quarantined[0]["item"]["case_index"] == 4
         assert quarantined[0]["error"]["err"] == "poison"
-        assert store.claim_work("q", "w9", ttl=5.0, now=now) is None
+        assert _claim(store, "q", "w9", ttl=5.0, now=now) is None
 
     def test_expired_lease_requeues_with_incident(self, store):
         store.enqueue_work("q", [_item(2)])
-        work = store.claim_work("q", "dead-worker", ttl=1.0, now=0.0)
+        work = _claim(store, "q", "dead-worker", ttl=1.0, now=0.0)
         incidents = store.requeue_expired("q", retry_limit=2, now=10.0)
         assert len(incidents) == 1
         assert incidents[0]["kind"] == "lease-expired"
         assert incidents[0]["worker"] == "dead-worker"
         assert incidents[0]["item"]["case_index"] == 2
         assert store.leased_workers("q") == {}
-        retry = store.claim_work("q", "w2", ttl=1.0, now=20.0)
+        retry = _claim(store, "q", "w2", ttl=1.0, now=20.0)
         assert retry.id == work.id
 
     def test_repeated_expiry_quarantines(self, store):
@@ -167,7 +184,7 @@ class TestFailureAndRecovery:
         now = 0.0
         kinds = []
         for attempt in range(3):
-            work = store.claim_work("q", f"w{attempt}", ttl=1.0, now=now)
+            work = _claim(store, "q", f"w{attempt}", ttl=1.0, now=now)
             assert work is not None
             now += 10.0
             incidents = store.requeue_expired(
@@ -181,7 +198,7 @@ class TestFailureAndRecovery:
 
     def test_clear_work_drops_the_scope(self, store):
         store.enqueue_work("q", [_item(0), _item(1)])
-        store.claim_work("q", "w1", ttl=5.0)
+        _claim(store, "q", "w1", ttl=5.0)
         store.clear_work("q")
         assert store.work_status("q") == {
             "pending": 0, "leased": 0, "done": 0, "quarantined": 0,
@@ -261,7 +278,7 @@ class TestBatchClaims:
     def test_heartbeat_worker_renews_every_held_lease(self, store):
         store.enqueue_work("q", [_item(i) for i in range(3)])
         mine, _ = store.claim_work_batch("q", "w1", 1.0, 2, now=0.0)
-        store.claim_work("q", "other", ttl=1.0, now=0.0)
+        _claim(store, "q", "other", ttl=1.0, now=0.0)
         # One UPDATE renews both of w1's leases — and only w1's.
         assert store.heartbeat_worker("q", "w1", ttl=1.0, now=0.8) == 2
         expired = store.requeue_expired("q", now=1.5)
@@ -298,7 +315,7 @@ class TestBatchClaims:
         store.enqueue_work("q", [_item(0), _item(1)])
         mine, _ = store.claim_work_batch("q", "w1", 1.0, 2, now=0.0)
         store.requeue_expired("q", now=5.0)
-        stolen = store.claim_work("q", "thief", ttl=5.0, now=50.0)
+        stolen = _claim(store, "q", "thief", ttl=5.0, now=50.0)
         assert stolen is not None
         assert not store.complete_work_batch(
             "w1",
