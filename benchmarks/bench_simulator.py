@@ -32,6 +32,7 @@ from repro.sim.network import (
     ReferenceNetwork,
     UniformDelay,
 )
+from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
 from repro.sim.system import SystemBuilder, network_implementation
 from repro.sim.tasklets import TaskletDriver, WaitSteps
@@ -131,14 +132,24 @@ def test_linearizability_checker(benchmark):
     ids=["Sigma", "Psi", "OmegaSigma"],
 )
 def test_oracle_history_generation(benchmark, oracle):
+    """Every tick of every process, in time order — what a run reads.
+
+    (Sampling every 7th tick lands one read in each constant segment
+    and so measures the oracle's draws alone, never the history.)
+    """
     pattern = FailurePattern(4, {3: 100})
+    perf = PerfCounters()
 
     def build_and_sample():
         history = oracle.build_history(pattern, 2_000, random.Random(1))
-        return [history.value(p, t) for p in range(4) for t in range(0, 2_000, 7)]
+        history.perf = perf
+        return [history.value(p, t) for t in range(2_000) for p in range(4)]
 
     values = benchmark(build_and_sample)
-    assert len(values) == 4 * len(range(0, 2_000, 7))
+    assert len(values) == 4 * 2_000
+    # Reads that had to ask the oracle: one per segment, not one per tick.
+    evaluations = perf.detector_value_calls - perf.detector_cache_hits
+    assert evaluations < perf.detector_value_calls / 2
 
 
 # ----------------------------------------------------------------------

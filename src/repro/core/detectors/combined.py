@@ -10,13 +10,12 @@ and (Ψ, FS) — the weakest detector for NBAC.
 from __future__ import annotations
 
 import random
-from typing import Any, Tuple
 
 from repro.core.detector import FailureDetector
 from repro.core.detectors.omega import OmegaOracle
 from repro.core.detectors.sigma import SigmaOracle
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import FailureDetectorHistory, product_history
 
 
 class ProductOracle(FailureDetector):
@@ -43,10 +42,7 @@ class ProductOracle(FailureDetector):
         h_first = self.first.build_history(pattern, horizon, rng_first)
         h_second = self.second.build_history(pattern, horizon, rng_second)
 
-        def value(pid: int, t: int) -> Tuple[Any, Any]:
-            return (h_first.value(pid, t), h_second.value(pid, t))
-
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return product_history(h_first, h_second)
 
     def __repr__(self) -> str:
         return f"ProductOracle({self.first!r}, {self.second!r})"

@@ -17,11 +17,16 @@ enough to elect a leader (the unsuspected correct process).
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet
+from typing import Dict
 
 from repro.core.detector import FailureDetector, sample_stabilization_time
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FOREVER,
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+)
 
 
 class EventuallyStrongOracle(FailureDetector):
@@ -62,22 +67,29 @@ class EventuallyStrongOracle(FailureDetector):
         }
         noise_seed = rng.randrange(2**62)
         others = [p for p in pattern.processes if p != protected]
+        # Read once: a history handed out must not follow later edits of
+        # the oracle that sampled it.
+        noisy = self.noisy
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
-            if t >= stab[pid]:
+        def segment(pid: int, t: int) -> Segment:
+            settled = stab[pid]
+            if t >= settled:
+                start, end = settled, FOREVER
                 suspects = set(pattern.faulty)
-                if self.noisy:
+                if noisy:
                     # Weak accuracy permits persistent wrong suspicion
                     # of unprotected correct processes.
                     mix = random.Random(hash((noise_seed, pid, t // 6)))
+                    start, end = bucket_around(t, 6, lo=settled)
                     for q in others:
                         if q != pid and q in pattern.correct and mix.random() < 0.3:
                             suspects.add(q)
                 suspects.discard(protected)
                 suspects.discard(pid)
-                return frozenset(suspects)
+                return (start, end, frozenset(suspects))
             mix = random.Random(hash((noise_seed, pid, t // 4)))
             k = mix.randint(0, pattern.n - 1)
-            return frozenset(mix.sample(range(pattern.n), k))
+            start, end = bucket_around(t, 4, hi=settled)
+            return (start, end, frozenset(mix.sample(range(pattern.n), k)))
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

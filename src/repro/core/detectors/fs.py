@@ -19,7 +19,12 @@ from typing import Dict
 
 from repro.core.detector import GREEN, RED, FailureDetector
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FOREVER,
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+)
 
 
 class FSOracle(FailureDetector):
@@ -55,7 +60,7 @@ class FSOracle(FailureDetector):
         first_crash = pattern.first_crash_time()
         if first_crash is None:
             return FailureDetectorHistory(
-                pattern.n, horizon, lambda pid, t: GREEN
+                pattern.n, horizon, lambda pid, t: (0, FOREVER, GREEN)
             )
 
         switch: Dict[int, int] = {}
@@ -65,13 +70,16 @@ class FSOracle(FailureDetector):
         noise_seed = rng.randrange(2**62)
         flicker = self.flicker
 
-        def value(pid: int, t: int) -> str:
+        def segment(pid: int, t: int) -> Segment:
             if t < first_crash:
-                return GREEN
-            if t >= switch[pid]:
-                return RED
-            if flicker and hash((noise_seed, pid, t // 3)) % 2 == 0:
-                return RED
-            return GREEN
+                return (0, first_crash, GREEN)
+            settled = switch[pid]
+            if t >= settled:
+                return (settled, FOREVER, RED)
+            if not flicker:
+                return (first_crash, settled, GREEN)
+            start, end = bucket_around(t, 3, lo=first_crash, hi=settled)
+            red = hash((noise_seed, pid, t // 3)) % 2 == 0
+            return (start, end, RED if red else GREEN)
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

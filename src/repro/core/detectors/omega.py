@@ -19,7 +19,12 @@ from typing import Dict
 
 from repro.core.detector import FailureDetector, sample_stabilization_time
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FOREVER,
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+)
 
 
 class OmegaOracle(FailureDetector):
@@ -83,7 +88,7 @@ class OmegaOracle(FailureDetector):
 
         if not self.noisy:
             return FailureDetectorHistory(
-                pattern.n, horizon, lambda pid, t: leader
+                pattern.n, horizon, lambda pid, t: (0, FOREVER, leader)
             )
 
         # Per-process stabilization times and pre-stabilization noise.
@@ -99,12 +104,14 @@ class OmegaOracle(FailureDetector):
                 )
         period = self.churn_period
 
-        def value(pid: int, t: int) -> int:
-            if t >= stab[pid]:
-                return leader
+        def segment(pid: int, t: int) -> Segment:
+            settled = stab[pid]
+            if t >= settled:
+                return (settled, FOREVER, leader)
             # Deterministic pseudo-noise: any process id is admissible
             # before stabilization, including faulty ones.
             mix = hash((noise_seed, pid, t // period))
-            return mix % pattern.n
+            start, end = bucket_around(t, period, hi=settled)
+            return (start, end, mix % pattern.n)
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

@@ -17,11 +17,16 @@ Both output a set of *suspected* processes:
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet
+from typing import Dict, List
 
 from repro.core.detector import FailureDetector, sample_stabilization_time
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+    interval_around,
+)
 
 
 class PerfectOracle(FailureDetector):
@@ -51,14 +56,22 @@ class PerfectOracle(FailureDetector):
                     0, self.max_detection_delay
                 )
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
-            return frozenset(
+        # The output of ``pid`` changes only when it detects a victim.
+        cuts: Dict[int, List[int]] = {
+            pid: sorted({detect[(pid, victim)] for victim in pattern.faulty})
+            for pid in pattern.processes
+        }
+
+        def segment(pid: int, t: int) -> Segment:
+            start, end = interval_around(cuts[pid], t)
+            suspects = frozenset(
                 victim
                 for victim in pattern.faulty
                 if t >= detect[(pid, victim)]
             )
+            return (start, end, suspects)
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)
 
 
 class EventuallyPerfectOracle(FailureDetector):
@@ -89,11 +102,16 @@ class EventuallyPerfectOracle(FailureDetector):
         }
         noise_seed = rng.randrange(2**62)
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
-            if t >= stab[pid]:
-                return pattern.crashed_at(t)
+        crash_cuts = sorted(set(pattern.crash_times.values()))
+
+        def segment(pid: int, t: int) -> Segment:
+            settled = stab[pid]
+            if t >= settled:
+                start, end = interval_around(crash_cuts, t)
+                return (max(start, settled), end, pattern.crashed_at(t))
             mix = random.Random(hash((noise_seed, pid, t // 4)))
             k = mix.randint(0, pattern.n - 1)
-            return frozenset(mix.sample(range(pattern.n), k))
+            start, end = bucket_around(t, 4, hi=settled)
+            return (start, end, frozenset(mix.sample(range(pattern.n), k)))
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

@@ -18,13 +18,12 @@ processes are never *obliged* to take it.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict
 
 from repro.core.detector import BOTTOM, FailureDetector
 from repro.core.detectors.combined import omega_sigma_oracle
 from repro.core.detectors.fs import FSOracle
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import FailureDetectorHistory, prefixed_history
 
 FS_BRANCH = "fs"
 OMEGA_SIGMA_BRANCH = "omega-sigma"
@@ -93,16 +92,11 @@ class PsiOracle(FailureDetector):
             )
             earliest = 0
 
-        switch: Dict[int, int] = {}
-        for pid in pattern.processes:
-            switch[pid] = earliest + rng.randint(0, self.max_switch_delay)
-
-        def value(pid: int, t: int) -> Any:
-            if t < switch[pid]:
-                return BOTTOM
-            return inner.value(pid, t)
-
-        history = FailureDetectorHistory(pattern.n, horizon, value)
+        switch = [
+            earliest + rng.randint(0, self.max_switch_delay)
+            for _ in pattern.processes
+        ]
+        history = prefixed_history(inner, switch, BOTTOM)
         # Expose the sampled branch for tests and experiment reports.
         history.psi_branch = branch  # type: ignore[attr-defined]
         return history

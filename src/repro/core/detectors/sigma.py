@@ -25,11 +25,16 @@ Two oracles are provided:
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List
+from typing import Dict, List
 
 from repro.core.detector import FailureDetector, sample_stabilization_time
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FOREVER,
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+)
 
 
 class SigmaOracle(FailureDetector):
@@ -94,7 +99,7 @@ class SigmaOracle(FailureDetector):
         if not self.noisy:
             stable = frozenset(correct)
             return FailureDetectorHistory(
-                pattern.n, horizon, lambda pid, t: stable
+                pattern.n, horizon, lambda pid, t: (0, FOREVER, stable)
             )
 
         span = self.stabilization_span
@@ -109,20 +114,23 @@ class SigmaOracle(FailureDetector):
         noise_seed = rng.randrange(2**62)
         period = self.reshuffle_period
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
+        def segment(pid: int, t: int) -> Segment:
             mix = random.Random(hash((noise_seed, pid, t // period)))
-            if t >= stab[pid]:
+            settled = stab[pid]
+            if t >= settled:
+                start, end = bucket_around(t, period, lo=settled)
                 # Subset of correct processes, always containing kernel.
                 k = mix.randint(1, len(correct))
                 quorum = set(mix.sample(correct, k))
             else:
+                start, end = bucket_around(t, period, hi=settled)
                 # Arbitrary noise, possibly including faulty processes.
                 k = mix.randint(1, len(everyone))
                 quorum = set(mix.sample(everyone, k))
             quorum.add(kernel)
-            return frozenset(quorum)
+            return (start, end, frozenset(quorum))
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)
 
 
 class MajoritySigmaOracle(FailureDetector):
@@ -156,13 +164,16 @@ class MajoritySigmaOracle(FailureDetector):
         }
         noise_seed = rng.randrange(2**62)
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
+        def segment(pid: int, t: int) -> Segment:
             mix = random.Random(hash((noise_seed, pid, t // 5)))
-            if t >= stab[pid]:
+            settled = stab[pid]
+            if t >= settled:
+                start, end = bucket_around(t, 5, lo=settled)
                 pool: List[int] = correct
             else:
+                start, end = bucket_around(t, 5, hi=settled)
                 pool = everyone
             k = mix.randint(majority, len(pool)) if len(pool) >= majority else majority
-            return frozenset(mix.sample(pool, min(k, len(pool))))
+            return (start, end, frozenset(mix.sample(pool, min(k, len(pool)))))
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

@@ -19,11 +19,16 @@ majority line.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet
+from typing import Dict, List
 
 from repro.core.detector import FailureDetector
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FailureDetectorHistory,
+    Segment,
+    bucket_around,
+    interval_around,
+)
 
 
 class StrongOracle(FailureDetector):
@@ -63,20 +68,31 @@ class StrongOracle(FailureDetector):
             for victim, crash_t in pattern.crash_times.items():
                 detect[(observer, victim)] = crash_t + rng.randint(0, 40)
         noise_seed = rng.randrange(2**62)
+        # The crashed part of ``pid``'s output changes only when it
+        # detects a victim.
+        cuts: Dict[int, List[int]] = {
+            pid: sorted({detect[(pid, victim)] for victim in pattern.faulty})
+            for pid in pattern.processes
+        }
+        # Read once: a history handed out must not follow later edits of
+        # the oracle that sampled it.
+        noisy = self.noisy
 
-        def value(pid: int, t: int) -> FrozenSet[int]:
+        def segment(pid: int, t: int) -> Segment:
+            start, end = interval_around(cuts[pid], t)
             suspects = {
                 victim
                 for victim in pattern.faulty
                 if t >= detect[(pid, victim)]
             }
-            if self.noisy:
+            if noisy:
                 mix = random.Random(hash((noise_seed, pid, t // 5)))
+                start, end = bucket_around(t, 5, lo=start, hi=end)
                 for q in pattern.correct:
                     if q not in (pid, protected) and mix.random() < 0.2:
                         suspects.add(q)
             suspects.discard(protected)
             suspects.discard(pid)
-            return frozenset(suspects)
+            return (start, end, frozenset(suspects))
 
-        return FailureDetectorHistory(pattern.n, horizon, value)
+        return FailureDetectorHistory(pattern.n, horizon, segment)

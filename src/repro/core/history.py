@@ -7,7 +7,9 @@ module at each time (Section 2).  A run of a simulation only *samples*
 both:
 
 * :class:`FailureDetectorHistory` — a dense history defined at every
-  time step up to a horizon (what oracle detectors generate), and
+  time step up to a horizon (what oracle detectors generate), held as
+  what every oracle is: per process, a sequence of *constant segments*
+  computed on demand, and
 * :class:`SampledHistory` — the sparse per-step samples recorded in a
   run trace (what spec checkers consume).
 
@@ -17,46 +19,88 @@ property checkers in :mod:`repro.core.specs` work on either.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Tuple
+import sys
+from bisect import bisect_right
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Sample = Tuple[int, Any]  # (time, detector value)
 
-#: Per-process memo bound for dense histories.  Spec checkers sweep
-#: times mostly in order, so a recency window this size makes repeated
-#: queries free while keeping horizon-length histories O(n * bound)
-#: instead of O(n * horizon).
-DEFAULT_HISTORY_CACHE_SIZE = 2048
+#: ``(start, end, value)``: ``H(pid, t) == value`` for ``start <= t < end``.
+Segment = Tuple[int, int, Any]
+
+#: The ``end`` of a segment that never ends.
+FOREVER = sys.maxsize
+
+
+def bucket_around(
+    t: int, period: int, lo: int = 0, hi: int = FOREVER
+) -> Tuple[int, int]:
+    """The ``period``-aligned bucket around ``t``, clipped to ``[lo, hi)``.
+
+    Oracle noise is drawn once per bucket ``t // period``; ``lo`` /
+    ``hi`` cut the bucket at the time (stabilisation, switch, detection)
+    on whose side of ``t`` the output follows another rule.
+    """
+    start = t - t % period
+    return (max(start, lo), min(start + period, hi))
+
+
+def interval_around(cuts: Sequence[int], t: int) -> Tuple[int, int]:
+    """The ``[start, end)`` around ``t`` that the ascending ``cuts`` delimit.
+
+    For outputs that change only at known times (detection delays,
+    crashes): ``start`` is the last cut ``<= t`` (0 before the first),
+    ``end`` the first cut ``> t`` (:data:`FOREVER` after the last).
+    """
+    i = bisect_right(cuts, t)
+    return (cuts[i - 1] if i else 0, cuts[i] if i < len(cuts) else FOREVER)
+
+
+def per_tick(value_fn: Callable[[int, int], Any]) -> Callable[[int, int], Segment]:
+    """Adapt a hand-written ``value_fn(pid, t)`` to a segment function.
+
+    Every tick becomes its own unit segment ``[t, t + 1)`` — the input
+    shape for tests and ad-hoc histories whose author has no breakpoints
+    to offer; the lookup path is the one every history uses.
+    """
+    return lambda pid, t: (t, t + 1, value_fn(pid, t))
 
 
 class FailureDetectorHistory:
-    """A dense history ``H(p, t)`` backed by a value function.
+    """A dense history ``H(p, t)`` walked as constant segments.
 
-    Oracle detectors construct these lazily: ``value_fn(pid, t)`` is
-    evaluated on demand and memoised per process in a bounded LRU —
-    long-horizon sweeps no longer grow the memo without bound.  The
-    bound is safe because ``value_fn`` must be deterministic in
-    ``(pid, t)``: an evicted entry recomputes to the same value.
+    ``segment_fn(pid, t)`` returns a :data:`Segment` ``(start, end,
+    value)`` with ``start <= t < end`` on which ``H(pid, ·)`` is
+    ``value``; ``end`` may lie past the horizon (:data:`FOREVER` for a
+    stabilised output).  It must be deterministic in ``(pid, t)``, and
+    need not be maximal: two adjacent segments may carry equal values.
+
+    The history keeps **one current segment per process** and nothing
+    else.  A run reads each process's history at increasing times, so a
+    read either falls inside the current segment (two comparisons) or
+    moves past it and asks ``segment_fn`` once for the next; a read that
+    jumps backwards is just another miss that recomputes — never a wrong
+    answer, because the segment function alone defines ``H``.  What
+    ``segment_fn`` returns on a miss is checked to contain ``t``: a
+    wrong segment would be a wrong verdict further up.
     """
 
     def __init__(
         self,
         n: int,
         horizon: int,
-        value_fn: Callable[[int, int], Any],
-        cache_size: int = DEFAULT_HISTORY_CACHE_SIZE,
+        segment_fn: Callable[[int, int], Segment],
     ):
         if n <= 0:
             raise ValueError(f"need at least one process, got n={n}")
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.n = n
         self.horizon = horizon
-        self.cache_size = cache_size
-        self._value_fn = value_fn
-        self._cache: List[OrderedDict[int, Any]] = [OrderedDict() for _ in range(n)]
+        self._segment_fn = segment_fn
+        # The empty segment [0, 0) contains no time: the first read of
+        # every process is a miss.
+        self._current: List[Segment] = [(0, 0, None)] * n
         #: Optional duck-typed perf-counter bag (the sim layer attaches a
         #: :class:`repro.sim.perf.PerfCounters`; core never imports sim).
         self.perf = None
@@ -70,33 +114,87 @@ class FailureDetectorHistory:
         perf = self.perf
         if perf is not None:
             perf.detector_value_calls += 1
-        memo = self._cache[pid]
-        try:
-            memo.move_to_end(t)
+        start, end, value = self._current[pid]
+        if start <= t < end:
             if perf is not None:
                 perf.detector_cache_hits += 1
-            return memo[t]
-        except KeyError:
-            pass
-        value = self._value_fn(pid, t)
-        memo[t] = value
-        if len(memo) > self.cache_size:
-            memo.popitem(last=False)
-        return value
+            return value
+        return self._advance(pid, t)[2]
 
-    def cached_entries(self, pid: int | None = None) -> int:
-        """How many ``(pid, t)`` memo entries are currently held."""
-        if pid is not None:
-            return len(self._cache[pid])
-        return sum(len(memo) for memo in self._cache)
+    def segment(self, pid: int, t: int) -> Segment:
+        """The constant segment of ``H(pid, ·)`` that contains ``t``.
+
+        Its ``end`` is the next tick at which ``pid``'s output *may*
+        change.  Composed histories (products, Ψ, reductions) are built
+        from their parts' segments through this method.
+        """
+        if not 0 <= pid < self.n:
+            raise ValueError(f"unknown process {pid}")
+        if t < 0:
+            raise ValueError(f"negative time {t}")
+        current = self._current[pid]
+        if current[0] <= t < current[1]:
+            return current
+        return self._advance(pid, t)
+
+    def _advance(self, pid: int, t: int) -> Segment:
+        segment = self._segment_fn(pid, t)
+        start, end, _ = segment
+        if not start <= t < end:
+            raise ValueError(
+                f"segment [{start}, {end}) returned for process {pid} "
+                f"does not contain time {t}"
+            )
+        self._current[pid] = segment
+        return segment
 
     def samples_of(self, pid: int) -> Iterator[Sample]:
         """All ``(t, H(pid, t))`` pairs up to the horizon."""
-        for t in range(self.horizon):
-            yield (t, self.value(pid, t))
+        horizon = self.horizon
+        t = 0
+        while t < horizon:
+            _, end, value = self.segment(pid, t)
+            end = min(end, horizon)
+            for tick in range(t, end):
+                yield (tick, value)
+            t = end
 
     def processes(self) -> range:
         return range(self.n)
+
+
+def product_history(
+    first: FailureDetectorHistory, second: FailureDetectorHistory
+) -> FailureDetectorHistory:
+    """The pair history ``H(p, t) = (first(p, t), second(p, t))``.
+
+    Constant wherever both components are: each segment is the
+    intersection of the components' segments around ``t``.
+    """
+    if first.n != second.n or first.horizon != second.horizon:
+        raise ValueError("component histories must have matching shape")
+
+    def segment(pid: int, t: int) -> Segment:
+        start_1, end_1, value_1 = first.segment(pid, t)
+        start_2, end_2, value_2 = second.segment(pid, t)
+        return (max(start_1, start_2), min(end_1, end_2), (value_1, value_2))
+
+    return FailureDetectorHistory(first.n, first.horizon, segment)
+
+
+def prefixed_history(
+    inner: FailureDetectorHistory, switch: Sequence[int], prefix: Any
+) -> FailureDetectorHistory:
+    """``prefix`` at process ``p`` until ``switch[p]``, ``inner`` from then on."""
+
+    def segment(pid: int, t: int) -> Segment:
+        switched = switch[pid]
+        if t < switched:
+            return (0, switched, prefix)
+        start, end, value = inner.segment(pid, t)
+        return (max(start, switched), end, value)
+
+    return FailureDetectorHistory(inner.n, inner.horizon, segment)
 
 
 class SampledHistory:

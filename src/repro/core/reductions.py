@@ -5,7 +5,9 @@ The weakest-detector methodology compares detectors by *reducibility*:
 communication) into a history of D'.  This module implements the purely
 local reductions that position the paper's detectors in the classical
 hierarchy — each is a function applied pointwise to a stronger
-detector's history, so the transformation needs no messages at all:
+detector's history, so the transformation needs no messages at all
+(and, reading the value but never the time, keeps the constant segments
+of the history it maps — see :func:`transform_history`):
 
 * ``P → Σ`` — trust everyone you do not suspect.  Strong accuracy
   makes unsuspected sets supersets of ``correct(F)``, so any two
@@ -35,19 +37,30 @@ from __future__ import annotations
 from typing import Any, Callable, FrozenSet
 
 from repro.core.detector import BOTTOM, GREEN, RED
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import (
+    FailureDetectorHistory,
+    Segment,
+    prefixed_history,
+    product_history,
+)
 
 
 def transform_history(
     history: FailureDetectorHistory,
-    fn: Callable[[int, int, Any], Any],
+    fn: Callable[[int, Any], Any],
 ) -> FailureDetectorHistory:
-    """A new history with ``H'(p, t) = fn(p, t, H(p, t))``."""
-    return FailureDetectorHistory(
-        history.n,
-        history.horizon,
-        lambda pid, t: fn(pid, t, history.value(pid, t)),
-    )
+    """A new history with ``H'(p, t) = fn(p, H(p, t))``.
+
+    ``fn`` sees the process and the value but not the time, so ``H'``
+    is constant wherever ``H`` is: each segment keeps its bounds and
+    has its value mapped.
+    """
+
+    def segment(pid: int, t: int) -> Segment:
+        start, end, value = history.segment(pid, t)
+        return (start, end, fn(pid, value))
+
+    return FailureDetectorHistory(history.n, history.horizon, segment)
 
 
 # ----------------------------------------------------------------------
@@ -63,7 +76,7 @@ def sigma_from_perfect(history: FailureDetectorHistory) -> FailureDetectorHistor
     """
     everyone = frozenset(range(history.n))
 
-    def fn(pid: int, t: int, suspects: FrozenSet[int]) -> FrozenSet[int]:
+    def fn(pid: int, suspects: FrozenSet[int]) -> FrozenSet[int]:
         return everyone - suspects
 
     return transform_history(history, fn)
@@ -77,7 +90,7 @@ def fs_from_perfect(history: FailureDetectorHistory) -> FailureDetectorHistory:
     permanent at correct processes once someone crashed.
     """
 
-    def fn(pid: int, t: int, suspects: FrozenSet[int]) -> str:
+    def fn(pid: int, suspects: FrozenSet[int]) -> str:
         return RED if suspects else GREEN
 
     return transform_history(history, fn)
@@ -97,7 +110,7 @@ def omega_from_eventually_perfect(
     forever.
     """
 
-    def fn(pid: int, t: int, suspects: FrozenSet[int]) -> int:
+    def fn(pid: int, suspects: FrozenSet[int]) -> int:
         for q in range(history.n):
             if q not in suspects or q == pid:
                 return q
@@ -116,11 +129,7 @@ def psi_from_omega_sigma(
     time.  Any (Ω, Σ) history with a ⊥-prefix is an admissible Ψ
     history — the branch is unconditional (unlike FS, which demands a
     prior failure)."""
-
-    def fn(pid: int, t: int, value: Any) -> Any:
-        return BOTTOM if t < switch_time else value
-
-    return transform_history(history, fn)
+    return prefixed_history(history, [switch_time] * history.n, BOTTOM)
 
 
 def psi_fs_from_psi_and_fs(
@@ -129,10 +138,4 @@ def psi_fs_from_psi_and_fs(
 ) -> FailureDetectorHistory:
     """The (Ψ, FS) product from component histories — Corollary 10's
     detector assembled from parts."""
-    if psi_history.n != fs_history.n or psi_history.horizon != fs_history.horizon:
-        raise ValueError("component histories must have matching shape")
-    return FailureDetectorHistory(
-        psi_history.n,
-        psi_history.horizon,
-        lambda pid, t: (psi_history.value(pid, t), fs_history.value(pid, t)),
-    )
+    return product_history(psi_history, fs_history)

@@ -34,7 +34,11 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     Deliveries served by the oldest-first indexed fast path without
     materializing a ready list.
 ``detector_value_calls`` / ``detector_cache_hits``
-    :meth:`FailureDetectorHistory.value` calls and LRU memo hits.
+    History reads (:meth:`FailureDetectorHistory.value` calls), and
+    the reads answered from the process's current constant segment
+    without asking the oracle.  In a lite-trace run the reads are the
+    protocol's own and fewer than ``ticks``; a full trace adds one
+    sample per tick.
 ``explore_runs`` / ``explore_states``
     Bounded model checker (:mod:`repro.explore`): controlled replays
     executed, and distinct choice-tree nodes whose post-state was

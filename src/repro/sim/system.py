@@ -8,8 +8,10 @@ component-implemented detector, or none), then runs the step loop:
     at each tick t = 1, 2, ...:
         the scheduler picks an alive process p,
         the network picks a ready message m for p (or λ),
-        p's detector module is read to obtain d,
-        p executes the atomic step ⟨p, m, d⟩.
+        p executes the atomic step ⟨p, m, d⟩, reading its detector
+        module for d if and when its protocol asks,
+        the trace records the tick — and samples d itself only when it
+        retains samples (``trace_mode="full"``).
 
 Use :class:`SystemBuilder` for ergonomic construction::
 
@@ -37,7 +39,7 @@ from repro.sim.perf import PerfCounters
 from repro.sim.process import Component, ProcessContext, ProcessHost
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import RandomScheduler, Scheduler
-from repro.sim.trace import RunTrace, Step
+from repro.sim.trace import RunTrace
 
 ComponentFactory = Callable[[int], Component]
 StopPredicate = Callable[["System"], bool]
@@ -204,7 +206,8 @@ class System:
         earliest ``ready_at``, next crash, the grace deadline, the
         horizon — is provably a λ-step of whichever process the
         scheduler picks, so the loop records those steps (scheduler
-        state, rng stream, digest bytes, detector samples all exact)
+        state, rng stream, digest bytes all exact; detector samples
+        too, taken like any tick's only by a trace that retains them)
         without running the per-tick machinery.  The leap is forced off
         under unfair schedulers or delivery policies, and requires
         ``stop_when`` predicates to be state-based (decisions,
@@ -248,13 +251,10 @@ class System:
             host = self.hosts[pid]
             message = network.pick_for(pid, t)
             delivered = host.take_step(t, message)
-            detector_value = host.ctx.detector()
             perf.ticks += 1
             if delivered is None:
                 perf.lambda_steps += 1
-            trace.record_step(
-                Step(time=t, pid=pid, message=delivered, detector_value=detector_value)
-            )
+            trace.record_step(t, pid, delivered, host.ctx.detector)
             if stop_when is not None and stop_at is None and stop_when(self):
                 stop_at = t
             if stop_at is not None and t >= stop_at + grace:
@@ -329,7 +329,7 @@ class System:
             ctx = host.ctx
             ctx.now = tt
             host.steps_taken += 1
-            trace.record_lambda_step(tt, pid, ctx.detector())
+            trace.record_step(tt, pid, None, ctx.detector)
         skipped = end - t
         perf = self.perf
         perf.ticks += skipped

@@ -14,7 +14,9 @@ Two recording modes:
   what the spec checkers and the export/analysis tooling consume;
 * ``"lite"`` keeps only counters, decisions, operations and annotations,
   so horizon-length runs executed in campaign worker processes ship
-  kilobytes back to the parent instead of megabytes.
+  kilobytes back to the parent instead of megabytes — and, keeping no
+  sample, never reads the detector on its own account: the only reads
+  of ``H`` in a lite run are the protocol's.
 
 Both modes maintain an order-sensitive sha256 digest over the schedule
 and the decision sequence; two runs with equal :meth:`RunTrace.digest`
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.failure_pattern import FailurePattern
 from repro.core.history import SampledHistory
@@ -137,37 +139,31 @@ class RunTrace:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_step(self, step: Step) -> None:
-        self.final_time = step.time
-        self._step_total += 1
-        self._steps_by_pid[step.pid] += 1
-        msg_id = step.message.msg_id if step.message is not None else -1
-        self._digest_parts.append(b"s%d:%d:%d" % (step.time, step.pid, msg_id))
-        if len(self._digest_parts) >= 4096:
-            self._flush_digest()
-        if self.record_full:
-            self.steps.append(step)
-            if step.detector_value is not None:
-                self.detector_samples.record(
-                    step.pid, step.time, step.detector_value
-                )
+    def record_step(
+        self,
+        time: int,
+        pid: int,
+        message: Optional[DeliveredMessage],
+        detector: Callable[[], Any],
+    ) -> None:
+        """Record the step ``pid`` took at ``time`` (``message`` None: a λ-step).
 
-    def record_lambda_step(self, time: int, pid: int, detector_value: Any) -> None:
-        """Record a λ-step without building a :class:`Step` in lite mode.
-
-        Used by the quiescence time-leap to synthesize the skipped
-        ticks: digest bytes, counters, retained steps and detector
-        samples all match what :meth:`record_step` would have produced
-        for ``Step(time, pid, None, detector_value)``.
+        ``detector`` is the stepping process's zero-argument detector
+        provider, not a value: it is called — and a :class:`Step` built —
+        only by a trace that retains steps and samples.  Counters and
+        digest bytes (``s<time>:<pid>:<msg_id>``) never depend on ``d``,
+        so a lite trace records a tick without evaluating ``H`` at all.
         """
         self.final_time = time
         self._step_total += 1
         self._steps_by_pid[pid] += 1
-        self._digest_parts.append(b"s%d:%d:-1" % (time, pid))
+        msg_id = message.msg_id if message is not None else -1
+        self._digest_parts.append(b"s%d:%d:%d" % (time, pid, msg_id))
         if len(self._digest_parts) >= 4096:
             self._flush_digest()
-        if self.record_full:
-            self.steps.append(Step(time, pid, None, detector_value))
+        if self.mode == "full":
+            detector_value = detector()
+            self.steps.append(Step(time, pid, message, detector_value))
             if detector_value is not None:
                 self.detector_samples.record(pid, time, detector_value)
 

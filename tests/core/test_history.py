@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.history import FailureDetectorHistory, SampledHistory
+from repro.core.history import (
+    FOREVER,
+    FailureDetectorHistory,
+    SampledHistory,
+    per_tick,
+)
 
 
 class TestDenseHistory:
@@ -13,59 +18,53 @@ class TestDenseHistory:
             calls.append((pid, t))
             return pid * 100 + t
 
-        h = FailureDetectorHistory(2, 10, fn)
+        h = FailureDetectorHistory(2, 10, per_tick(fn))
         assert h.value(1, 3) == 103
         assert h.value(1, 3) == 103
         assert calls.count((1, 3)) == 1
 
     def test_samples_cover_horizon(self):
-        h = FailureDetectorHistory(1, 5, lambda p, t: t)
+        h = FailureDetectorHistory(1, 5, per_tick(lambda p, t: t))
         assert list(h.samples_of(0)) == [(t, t) for t in range(5)]
 
+    def test_samples_stop_at_the_horizon_inside_a_segment(self):
+        h = FailureDetectorHistory(
+            1, 5, lambda p, t: (0, 3, "a") if t < 3 else (3, FOREVER, "b")
+        )
+        assert list(h.samples_of(0)) == [
+            (0, "a"), (1, "a"), (2, "a"), (3, "b"), (4, "b")
+        ]
+
     def test_rejects_bad_queries(self):
-        h = FailureDetectorHistory(2, 5, lambda p, t: 0)
-        with pytest.raises(ValueError):
-            h.value(2, 0)
-        with pytest.raises(ValueError):
-            h.value(0, -1)
+        h = FailureDetectorHistory(2, 5, per_tick(lambda p, t: 0))
+        for read in (h.value, h.segment):
+            with pytest.raises(ValueError):
+                read(2, 0)
+            with pytest.raises(ValueError):
+                read(0, -1)
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
-            FailureDetectorHistory(0, 5, lambda p, t: 0)
+            FailureDetectorHistory(0, 5, per_tick(lambda p, t: 0))
         with pytest.raises(ValueError):
-            FailureDetectorHistory(1, 0, lambda p, t: 0)
+            FailureDetectorHistory(1, 0, per_tick(lambda p, t: 0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(4, 4, "x"), (6, 2, "x"), (5, 9, "x"), (0, 4, "x")],
+        ids=["empty", "inverted", "after-t", "before-t"],
+    )
+    def test_a_segment_that_misses_its_time_is_refused(self, bad):
+        h = FailureDetectorHistory(2, 10, lambda p, t: bad)
+        for read in (h.value, h.segment):
+            with pytest.raises(ValueError) as err:
+                read(1, 4)
+            message = str(err.value)
+            assert f"[{bad[0]}, {bad[1]})" in message
+            assert "process 1" in message and "time 4" in message
+        # A refused segment is not kept: the next read asks again.
         with pytest.raises(ValueError):
-            FailureDetectorHistory(1, 5, lambda p, t: 0, cache_size=0)
-
-    def test_memo_is_bounded_per_process(self):
-        h = FailureDetectorHistory(2, 10_000, lambda p, t: t, cache_size=8)
-        for t in range(100):
-            h.value(0, t)
-        assert h.cached_entries(0) == 8
-        assert h.cached_entries(1) == 0
-        assert h.cached_entries() == 8
-
-    def test_eviction_is_least_recently_used(self):
-        calls = []
-
-        def fn(pid, t):
-            calls.append(t)
-            return t
-
-        h = FailureDetectorHistory(1, 100, fn, cache_size=2)
-        h.value(0, 1)
-        h.value(0, 2)
-        h.value(0, 1)  # refresh 1, making 2 the eviction candidate
-        h.value(0, 3)  # evicts 2
-        h.value(0, 1)  # still cached
-        h.value(0, 2)  # recomputed
-        assert calls == [1, 2, 3, 2]
-
-    def test_evicted_values_recompute_identically(self):
-        h = FailureDetectorHistory(1, 1000, lambda p, t: p * 1000 + t, cache_size=4)
-        first = [h.value(0, t) for t in range(50)]
-        again = [h.value(0, t) for t in range(50)]
-        assert first == again
+            h.value(1, 4)
 
 
 class TestSampledHistory:

@@ -17,7 +17,7 @@ from repro.core.detectors import (
     omega_sigma_oracle,
 )
 from repro.core.failure_pattern import FailurePattern
-from repro.core.history import FailureDetectorHistory
+from repro.core.history import FailureDetectorHistory, per_tick
 from repro.core.reductions import (
     fs_from_perfect,
     omega_from_eventually_perfect,
@@ -110,7 +110,9 @@ class TestNoPointwiseMapFromPsi:
         pattern_b = FailurePattern(3, {1: 10})  # correct: 0, 2
         # One and the same post-switch output stream (all red) is
         # admissible for Ψ under both patterns...
-        red_history = FailureDetectorHistory(3, 200, lambda p, t: RED if t >= 20 else BOTTOM)
+        red_history = FailureDetectorHistory(
+            3, 200, per_tick(lambda p, t: RED if t >= 20 else BOTTOM)
+        )
         # ...so any pointwise map f(value) produces identical Ω outputs
         # under both patterns; but no single pid is correct in both
         # patterns' *full* crash closure if we extend the family:
@@ -121,6 +123,6 @@ class TestNoPointwiseMapFromPsi:
             assert any(leader in p.faulty for p in patterns)
 
     def test_transform_history_is_pointwise(self):
-        base = FailureDetectorHistory(2, 10, lambda p, t: t)
-        doubled = transform_history(base, lambda p, t, v: v * 2)
+        base = FailureDetectorHistory(2, 10, per_tick(lambda p, t: t))
+        doubled = transform_history(base, lambda p, v: v * 2)
         assert doubled.value(1, 3) == 6

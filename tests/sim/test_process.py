@@ -161,11 +161,9 @@ class TestRunTrace:
         assert summary["steps"] == 0
 
     def test_step_count_by_pid(self):
-        from repro.sim.trace import Step
-
         trace = RunTrace(FailurePattern.crash_free(2), horizon=100)
-        trace.record_step(Step(1, 0, None, None))
-        trace.record_step(Step(2, 1, None, None))
-        trace.record_step(Step(3, 0, None, None))
+        trace.record_step(1, 0, None, lambda: None)
+        trace.record_step(2, 1, None, lambda: None)
+        trace.record_step(3, 0, None, lambda: None)
         assert trace.step_count() == 3
         assert trace.step_count(0) == 2
