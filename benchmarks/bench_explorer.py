@@ -25,7 +25,11 @@ always hold:
 * on the n=3 cases the incremental engine encodes fewer hosts than it
   computes fingerprints (``host_misses < fingerprint_calls``): its host
   cache is keyed on each process's own step history, so a local state
-  is encoded once per root, not once per path.
+  is encoded once per root, not once per path;
+* ``naive`` serves no step (``steps_served == 0``: it is the oracle
+  that executes every tick) and every other mode executes fewer than
+  it does (``steps_executed``): a step the root has taken before is
+  served from the transition table.  ``hosts_rebuilt`` rides along.
 
 The native-over-incremental whole-search speedup is recorded per case
 and trended — it is Amdahl-limited by the sim replay loop (on paxos the
@@ -118,6 +122,11 @@ def _explore(case, fingerprint_mode, symmetry=None):
             + result.counters.explore_fp_host_misses
         ) // case.n,
         "replay_steps": result.counters.explore_replay_steps,
+        # Fresh ticks that ran protocol code / were served from the
+        # transition table, and host objects brought to a state.
+        "hosts_rebuilt": result.counters.explore_hosts_rebuilt,
+        "steps_executed": result.counters.explore_steps_executed,
+        "steps_served": result.counters.explore_steps_served,
         "opaque_tokens": result.counters.explore_opaque_tokens,
         "native_calls": result.counters.explore_native_calls,
         "native_bytes": result.counters.native_encode_bytes,
@@ -160,6 +169,16 @@ def run_case_bench(case) -> dict:
     assert modes["naive"]["runs"] == modes["incremental"]["runs"], case
 
     assert modes["incremental"]["fp_nodes"] < modes["naive"]["fp_nodes"], case
+    # ``naive`` is the oracle that executes every tick; the transition
+    # table must have saved the production mode some of them.
+    assert modes["naive"]["steps_served"] == 0, case
+    assert (
+        modes["incremental"]["steps_executed"] < modes["naive"]["steps_executed"]
+    ), case
+    assert (
+        modes["incremental"]["steps_executed"] + modes["incremental"]["steps_served"]
+        == modes["naive"]["steps_executed"]
+    ), case
     if case.n >= 3:
         # The host cache is keyed on the process's own step history and
         # survives rewinds: with three processes most local states
@@ -306,6 +325,7 @@ def run_encoder_bench() -> dict:
     native_elapsed = time.perf_counter() - started
     speedup = pure_elapsed / native_elapsed
     report = {
+        "machine": machine_stamp(),
         "rounds": ENCODER_ROUNDS,
         "units_per_round": sum(len(v) for v in ENCODER_CORPUS.values()),
         "pure_seconds": round(pure_elapsed, 3),
@@ -498,6 +518,10 @@ def run_benchmark(
             if c["wall_speedup_native_vs_incremental"] is not None
         ]
         report = {
+            # Stamps the ``cases`` rows and the scalars derived from
+            # them; ``encoder`` and ``frontier`` (which can be
+            # re-recorded alone) carry their own.
+            "machine": machine_stamp(),
             "native": _native.status(),
             # Keyed by target and size so ``repro.store check`` can
             # trend each case's absolute fingerprint work by name.

@@ -399,6 +399,8 @@ def main(argv=None) -> int:
                 name: 0
                 for name in (
                     "rewinds",
+                    "steps_executed",
+                    "steps_served",
                     "hosts_rebuilt",
                     "fp_host_hits",
                     "fp_host_misses",
@@ -442,6 +444,8 @@ def main(argv=None) -> int:
                     f"dedup_hits={totals['dedup_hits']} "
                     f"por_pruned={totals['por_pruned']} "
                     f"rewinds={counted['rewinds']} "
+                    f"steps={counted['steps_executed']}/"
+                    f"{counted['steps_served']} (executed/served) "
                     f"hosts_rebuilt={counted['hosts_rebuilt']} "
                     f"replay_steps={totals['replay_steps']} "
                     f"fp_nodes={totals['fp_nodes']} "

@@ -3,20 +3,30 @@
 Stateless model checking without the replay: component state contains
 live generator frames, so the explorer never snapshots — a state is
 only ever reached by executing the steps that lead to it.  But it does
-not start over for every path either.  The search keeps **one live
-system** and, for each choice prefix popped off the DFS stack,
-*rewinds* it to the start of the tick where the prefix leaves the path
-the system is on (:class:`_LiveSystem`): the network's in-flight set,
-the trace and the controller go back to that tick from the controller's
-journal, and only the processes that stepped at or after it are built
-anew and brought back by re-feeding each its *own* earlier steps
-(:meth:`~repro.sim.process.ProcessHost.replay`) — exact, because in the
-paper's model a process's state is a function of its own step sequence
-⟨p, m, d⟩ and of nothing else.  The stock ``System.run`` loop then
-resumes from that tick, follows the prefix and defaults beyond it, and
-the engine pushes a sibling prefix for every untaken alternative the
-run recorded.  The tree is rooted at the empty prefix; exhaustion of
-the stack means every schedule/delivery interleaving of the case within
+not start over for every path, and it does not execute a step it has
+executed before.  The search keeps **one live system** and, for each
+choice prefix popped off the DFS stack, *rewinds* it to the start of
+the tick where the prefix leaves the path the system is on
+(:class:`_LiveSystem`): the network's in-flight set, the trace, the
+controller and the per-tick journal of every process's *lineage* go
+back to that tick — plain data, all of it.  The processes themselves
+are **memoized automata** (:class:`_Process`, the stand-in that sits in
+``system.hosts``): in the paper's model a step ⟨p, m, d⟩ takes the
+process to a new state *and emits its outputs* as one function of
+(local state, m, d), so a process's state is named by the interned id
+of its own step history (its lineage, kept by the
+:class:`~repro.explore.state.FingerprintEngine`), a step taken before
+from the same lineage with the same inputs is *served* — its recorded
+sends, decisions and operation events are emitted, no protocol code
+runs — and a :class:`~repro.sim.process.ProcessHost` object is brought
+to the process's state, by re-feeding a new host the process's *own*
+earlier steps (:meth:`~repro.sim.process.ProcessHost.replay`), only
+when a step never taken before, a host-encoding miss or a stop
+predicate needs one there.  The stock ``System.run`` loop resumes from
+the rewound tick, follows the prefix and defaults beyond it, and the
+engine pushes a sibling prefix for every untaken alternative the run
+recorded.  The tree is rooted at the empty prefix; exhaustion of the
+stack means every schedule/delivery interleaving of the case within
 its step budget has been covered (up to the sound reductions).
 
 The reductions, and how they compose:
@@ -47,22 +57,28 @@ The reductions, and how they compose:
 
 What keeps a run cheap (see ``docs/EXPLORER.md`` § Performance): the DFS
 stack pops the deepest divergence first, so the tick to rewind to is as
-late as possible and few processes are rebuilt; the dedup key of that
-tick is read from the per-tick digest journal instead of re-encoded;
-and the caches inside :class:`~repro.explore.state.FingerprintEngine`
-outlive the run — a host's encoding is keyed on its process's own step
-history, so a rebuilt process finds it again once re-fed.
-``explore_rewinds`` / ``explore_hosts_rebuilt`` / ``explore_replay_steps``
-count the rewinds, the processes they rebuilt and the steps and prefix
-choices that were executed a second time.
+late as possible; the dedup key of that tick is read from the per-tick
+digest journal instead of re-encoded; most ticks are steps some earlier
+path already executed and are served from the transition table; and
+the table and the encoding caches inside
+:class:`~repro.explore.state.FingerprintEngine` outlive the run, the
+system and — in a :class:`FingerprintSession` — the walk.
+``explore_steps_executed`` / ``explore_steps_served`` split the fresh
+ticks, ``explore_rewinds`` / ``explore_hosts_rebuilt`` /
+``explore_replay_steps`` count the rewinds, the host objects that had
+to be brought to a state and the steps and prefix choices that were
+executed a second time.
 
 Leaves are judged by the same summarize hooks and safety clauses the
 chaos fuzzer uses; a violating leaf becomes a
 :class:`Violation` carrying the exact choice list that reproduces it
 from scratch (:func:`~repro.explore.cases.run_controlled`, which is
-also the oracle the rewind is tested against).  Safety violations are
-monotone under extension (a decision made is made forever), so judging
-completed paths only — never dedup-halted ones — loses nothing.
+also the oracle the rewind is tested against).  A violation whose path
+contains a served step is executed that way and judged again before it
+is reported (:func:`_confirm_violation`), so a table that lied cannot
+convict.  Safety violations are monotone under extension (a decision
+made is made forever), so judging completed paths only — never
+dedup-halted ones — loses nothing.
 """
 
 from __future__ import annotations
@@ -76,12 +92,16 @@ from repro.explore.cases import (
     ExploreOptions,
     build_system,
     resolve_parts,
+    run_controlled,
     wire_host,
 )
 from repro.explore.control import ChoiceController
-from repro.explore.state import OPAQUE_MARK, FingerprintEngine
+from repro.explore.state import OPAQUE_MARK, FingerprintEngine, StepEffects
 from repro.explore.symmetry import admissible_perms, resolve_symmetry
+from repro.sim.network import Message
 from repro.sim.perf import PerfCounters
+from repro.sim.process import ProcessHost
+from repro.sim.trace import Decision, DeliveredMessage
 
 #: Fingerprint implementations :class:`ExploreOptions` accepts: the
 #: byte engine with and without its caches, and the compiled-encoder
@@ -181,6 +201,43 @@ def _vector_closure(
         )
 
 
+def _violated_clauses(parts: CaseParts, metrics: Dict[str, Any]) -> Tuple[str, ...]:
+    return tuple(
+        clause for clause in parts.safety_clauses if not metrics.get(clause, True)
+    )
+
+
+def _confirm_violation(
+    case: ExploreCase,
+    options: ExploreOptions,
+    parts: CaseParts,
+    choices: Tuple[int, ...],
+    violated: Tuple[str, ...],
+    vector: Tuple[Tuple[int, str, str], ...],
+) -> None:
+    """Execute a violating path that the search partly *served*.
+
+    Some step on the path was not run but taken from the transition
+    table, so before the violation is believed the whole path is
+    executed from scratch and judged again; the verdicts must agree, or
+    the table lied and no result of this walk can be trusted.
+    """
+    system, _ = run_controlled(
+        case, choices, engine=options.engine, parts=parts, por=options.por
+    )
+    trace = system.trace
+    executed = (
+        _violated_clauses(parts, parts.summarize(system, trace)),
+        _decision_vector(trace),
+    )
+    if executed != (violated, vector):
+        raise RuntimeError(
+            f"{case.describe()}: choices {choices} violate {violated} with "
+            f"decisions {vector} as served from the transition table, but "
+            f"{executed[0]} with decisions {executed[1]} when executed"
+        )
+
+
 def _shared_prefix_len(prefix: Tuple[int, ...], log: Sequence[Any]) -> int:
     """How many leading choices ``prefix`` shares with the logged path."""
     limit = min(len(prefix), len(log))
@@ -195,12 +252,13 @@ class FingerprintSession:
 
     The shards of a root are walks of the same case under the same
     options from different prefixes, each on a freshly built system.  A
-    host encoding is cached under its process's own step history
-    (:class:`~repro.explore.state.FingerprintEngine`), which is true of
-    any system of the root, so the engine one shard filled serves the
-    next: hand the same session to every :func:`explore_case` call of
-    one root.  The first call creates the engine; a later call whose
-    case or options differ is refused.
+    step's effects and a host's encoding are kept under the process's
+    own step history (:class:`~repro.explore.state.FingerprintEngine`),
+    which is true of any system of the root, so the engine one shard
+    filled serves the next — a shard's prefix replay executes nothing
+    an earlier shard has: hand the same session to every
+    :func:`explore_case` call of one root.  The first call creates the
+    engine; a later call whose case or options differ is refused.
     """
 
     def __init__(self) -> None:
@@ -274,8 +332,8 @@ def explore_case(
 
     ``session`` (a :class:`FingerprintSession`) supplies the fingerprint
     engine instead of a fresh one, so walks of the same root share
-    their host encodings; it changes which encodes are cache hits,
-    never a key.
+    their transition table and host encodings; it changes which steps
+    are served and which encodes are cache hits, never a key.
     """
     parts = resolve_parts(case)
     result = ExploreResult(
@@ -335,12 +393,10 @@ def explore_case(
         else:
             result.decision_vectors.add(vector)
         metrics = parts.summarize(live.system, trace)
-        violated = tuple(
-            clause
-            for clause in parts.safety_clauses
-            if not metrics.get(clause, True)
-        )
+        violated = _violated_clauses(parts, metrics)
         if violated:
+            if live.served:
+                _confirm_violation(case, options, parts, taken, violated, vector)
             result.counters.explore_violations += 1
             result.violations.append(
                 Violation(
@@ -370,14 +426,16 @@ class _LiveSystem:
     """The search's one live system, moved from path to path by rewind.
 
     :meth:`run` executes one path.  Before the first one the system is
-    built (:func:`~repro.explore.cases.build_system`); before every
-    later one it is *rewound* to the start of the divergence tick — the
-    tick of the first choice at which the popped prefix leaves the path
-    the system just took.  Everything the rewind needs about the past
-    is journaled: the controller's ``sent`` / ``ticks``
+    built (:func:`~repro.explore.cases.build_system`, its hosts replaced
+    by :class:`_Process` stand-ins); before every later one it is
+    *rewound* to the start of the divergence tick — the tick of the
+    first choice at which the popped prefix leaves the path the system
+    just took.  Everything the rewind needs about the past is
+    journaled: the controller's ``sent`` / ``ticks``
     (:class:`~repro.explore.control.TickRecord`), the trace's steps
-    (each step's detector value ``d``), and :attr:`digests`, the dedup
-    key of every tick hooked so far.
+    (each step's detector value ``d``), the fingerprint engine's
+    per-tick lineage vectors, and :attr:`digests`, the dedup key of
+    every tick hooked so far.
     """
 
     def __init__(
@@ -409,6 +467,9 @@ class _LiveSystem:
         #: ``digests[t - 1]`` is the dedup key of the state at the
         #: start of tick ``t`` on the current path.
         self.digests: List[str] = []
+        #: The ticks of the current path whose step was served from the
+        #: transition table instead of executed, ascending.
+        self.served: List[int] = []
         #: Whether the last run stopped at ``choice_limit``.
         self.frontier_halted = False
 
@@ -442,51 +503,42 @@ class _LiveSystem:
         controller = self.controller = ChoiceController(prefix)
         controller.por_enabled = self.por
         controller.tick_hook = self._tick_hook
-        self.system = build_system(
+        system = self.system = build_system(
             self.case, controller, parts=self.parts, engine=self.engine
         )
         self.digests = []
-        self.fp_engine.begin_run(self.system, controller)
+        self.served = []
+        self.fp_engine.begin_run(system, controller)
+        system.hosts = [_Process(self, host) for host in system.hosts]
 
     def _rewind(self, prefix: Tuple[int, ...], time: int) -> None:
-        """Put the live system at the start of tick ``time``."""
+        """Put the live system at the start of tick ``time``.
+
+        Plain data only.  The processes are not touched: each is named
+        by its lineage, which the journal cut below takes back to tick
+        ``time`` with everything else, and a host object is brought to
+        that state when something needs it there (:class:`_Process`).
+        """
         system, controller = self.system, self.controller
         ticks = controller.ticks
-        before = ticks[: time - 1]
         sent = controller.sent[: ticks[time - 1].sent]
         delivered = {
-            tick.delivered.msg_id for tick in before if tick.delivered is not None
+            tick.delivered.msg_id
+            for tick in ticks[: time - 1]
+            if tick.delivered is not None
         }
         system.network.restore(
             [m for m in sent if m.msg_id not in delivered],
             len(sent), len(sent), len(delivered),
         )
-        trace = system.trace
-        trace.rollback(time)
-        # Only a process that stepped at or after ``time`` is in a state
-        # it did not have then; its own earlier steps bring a new host
-        # back to it.  Tick ``t`` is ``ticks[t - 1]`` and
-        # ``trace.steps[t - 1]``: the explorer executes every tick.
-        stepped = sorted({tick.pid for tick in ticks[time - 1:]})
-        refed = 0
-        for pid in stepped:
-            old = system.hosts[pid]
-            host = system.rebuild_host(pid)
-            wire_host(host, controller, old.ctx._detector_provider)
-            own = [
-                (step.time, tick.delivered, step.detector_value)
-                for step, tick in zip(trace.steps, before)
-                if tick.pid == pid
-            ]
-            host.replay(own, [op for op in trace.operations if op.pid == pid])
-            refed += len(own)
+        system.trace.rollback(time)
         controller.rewind(prefix, time)
         del self.digests[time:]  # tick ``time`` itself is still ahead
-        self.fp_engine.rewound(len(trace.decisions))
-        counters = self.result.counters
-        counters.explore_rewinds += 1
-        counters.explore_hosts_rebuilt += len(stepped)
-        counters.explore_replay_steps += refed
+        served = self.served
+        while served and served[-1] >= time:
+            served.pop()
+        self.fp_engine.rewound(len(system.trace.decisions))
+        self.result.counters.explore_rewinds += 1
 
     def _tick_hook(self, now: int) -> bool:
         controller = self.controller
@@ -558,3 +610,200 @@ class _LiveSystem:
             controller.prev_pid, controller.fresh, controller.boundary,
             self.por, cursors,
         )
+
+
+class _Process:
+    """One process of the live system, as a memoized automaton.
+
+    ``system.hosts[pid]`` of an explorer-built system is this stand-in
+    (it plugs into the stock run loop the way the controller does
+    through the scheduler and delivery extension points).  The
+    process's state is *named* by its lineage in the transition table
+    (:class:`~repro.explore.state.FingerprintEngine`); the stand-in
+    owns a :class:`~repro.sim.process.ProcessHost` object that may be
+    in another state — left behind by a rewind, or by steps that were
+    served without it.  :meth:`take_step` decides, in this order:
+
+    1. the object is in the process's current state → execute on it
+       (and put the step on record if the table has not seen it);
+    2. else the step is on record → emit its recorded effects, advance
+       the lineage, leave the object alone;
+    3. else *materialize* — a new host, re-fed the process's own steps
+       (:meth:`~repro.sim.process.ProcessHost.replay`) — and execute.
+
+    **Any other access** (``components``, ``component()``, ``_driver``,
+    ``_started``, ``steps_taken``, ``quiescent``, ``ctx.now``: the
+    fingerprint encoder on a host-cache miss, a stop predicate, a test)
+    materializes first and is answered by the object, so an object in a
+    state other than the process's cannot be observed.
+    """
+
+    __slots__ = ("pid", "ctx", "_live", "_provider", "_host", "_at", "_held")
+
+    def __init__(self, live: _LiveSystem, built: ProcessHost):
+        self.pid = built.pid
+        self.ctx = _Context(self)
+        self._live = live
+        self._provider = built.ctx._detector_provider
+        #: The host object, and the lineage it is at.  There is none
+        #: until something needs one: ``built`` is not kept, so that on
+        #: a warm table a new system's first steps are served like any
+        #: others instead of executed because an object happens to be
+        #: there.
+        self._host: Optional[ProcessHost] = None
+        self._at: Optional[int] = None
+        #: The operation records ``_host`` holds, in invocation order.
+        self._held: List[Any] = []
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._materialized(), name)
+
+    def _records(self) -> List[Any]:
+        """The process's own operation records, in invocation order."""
+        pid = self.pid
+        return [op for op in self._live.system.trace.operations if op.pid == pid]
+
+    def _current(self) -> bool:
+        """Whether the object is in the process's current state: at its
+        lineage, and holding the very records the trace holds (a record
+        opened on a path since rewound is equal to its successor, but
+        completing it completes nothing)."""
+        if self._at != self._live.fp_engine.lineage(self.pid):
+            return False
+        held = self._held
+        if not held:
+            return True
+        own = self._records()
+        return len(own) == len(held) and all(a is b for a, b in zip(own, held))
+
+    def _materialized(self) -> ProcessHost:
+        """The host object, in the process's current state."""
+        if not self._current():
+            live, pid = self._live, self.pid
+            system, controller = live.system, live.controller
+            trace = system.trace
+            host = system.rebuild_host(pid)
+            wire_host(host, controller, self._provider)
+            # Tick ``t`` is ``ticks[t - 1]`` and ``trace.steps[t - 1]``
+            # (the explorer executes every tick); a tick whose step is
+            # still being taken is in ``ticks`` only.
+            own = [
+                (step.time, tick.delivered, step.detector_value)
+                for step, tick in zip(trace.steps, controller.ticks)
+                if tick.pid == pid
+            ]
+            held = self._records()
+            host.replay(own, held)
+            self._host, self._held = host, held
+            self._at = live.fp_engine.lineage(pid)
+            counters = live.result.counters
+            counters.explore_hosts_rebuilt += 1
+            counters.explore_replay_steps += len(own)
+        return self._host
+
+    def take_step(
+        self, now: int, message: Optional[Message]
+    ) -> Optional[DeliveredMessage]:
+        live, pid = self._live, self.pid
+        table = live.fp_engine
+        counters = live.result.counters
+        trace = live.system.trace
+        next_op_id = trace._next_op_id
+        inputs = table.step_inputs(pid, now, self._provider(), message)
+        known = (
+            table.known_step(pid, inputs, message, next_op_id)
+            if inputs is not None
+            else None
+        )
+        if known is not None and not self._current():
+            self._emit(table.effects(pid, known), now)
+            table.advance(pid, known)
+            counters.explore_steps_served += 1
+            live.served.append(now)
+            if message is None:
+                return None
+            return DeliveredMessage(
+                msg_id=message.msg_id,
+                sender=message.sender,
+                component=message.component,
+                payload=message.payload,
+                send_time=message.send_time,
+            )
+        host = self._materialized()
+        sent, decisions, operations = (
+            live.controller.sent, trace.decisions, trace.operations
+        )
+        was_sent, was_decided, was_opened = (
+            len(sent), len(decisions), len(operations)
+        )
+        delivered = host.take_step(now, message)
+        counters.explore_steps_executed += 1
+        self._held.extend(operations[was_opened:])
+        if inputs is None:
+            known = table.poisoned_step()
+        elif known is None:
+            known = table.learn_step(
+                pid,
+                inputs,
+                message,
+                next_op_id,
+                bool(host.ctx._incoming_hooks),
+                StepEffects(
+                    tuple(
+                        (m.dest, m.component, m.payload, m.meta or None)
+                        for m in sent[was_sent:]
+                    ),
+                    tuple((d.component, d.value) for d in decisions[was_decided:]),
+                    tuple(
+                        (op.component, op.kind, op.args)
+                        for op in operations[was_opened:]
+                    ),
+                    tuple(
+                        (k, op.result)
+                        for k, op in enumerate(self._records())
+                        if op.response_time == now
+                    ),
+                ),
+            )
+        table.advance(pid, known)
+        self._at = known
+        return delivered
+
+    def _emit(self, effects: StepEffects, now: int) -> None:
+        """What the step would have emitted, emitted from outside."""
+        live, pid = self._live, self.pid
+        system = live.system
+        trace = system.trace
+        send = system.network.send
+        journal = live.controller.sent
+        for dest, component, payload, meta in effects.sends:
+            journal.append(send(pid, dest, component, payload, now, meta))
+        for component, value in effects.decisions:
+            trace.record_decision(Decision(now, pid, component, value))
+        for component, kind, args in effects.opened:
+            trace.new_operation(pid, component, kind, args, now)
+        if effects.completed:
+            own = self._records()
+            for k, result in effects.completed:
+                own[k].response_time = now
+                own[k].result = result
+
+
+class _Context:
+    """``hosts[pid].ctx`` of a :class:`_Process`.
+
+    The run loop asks it for the step's ``d`` at every tick; the
+    detector module is the process's, whichever object holds its state.
+    Anything else is the materialized host's context.
+    """
+
+    __slots__ = ("_process",)
+
+    def __init__(self, process: _Process):
+        self._process = process
+
+    def detector(self) -> Any:
+        return self._process._provider()
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._process._materialized().ctx, name)

@@ -136,9 +136,41 @@ OPAQUE_MARK = "!"
 
 #: Lineage ids (see :class:`FingerprintEngine`): every process starts at
 #: the root — built, no step taken — and interned histories count up
-#: from it; a poisoned lineage has a step the key could not name.
+#: from it.  A *poisoned* lineage has a step the key could not name and
+#: is negative: every such step is given an id of its own, counting
+#: down from ``_POISONED``, so a negative id is equal to nothing but
+#: itself — never interned, never cached under, never served.
 _ROOT_LINEAGE = 0
 _POISONED = -1
+
+#: The shape of a step that opens no operation on a host without
+#: incoming hooks — nearly every step (see ``FingerprintEngine``).
+_PLAIN = (0, False)
+
+
+class StepEffects(NamedTuple):
+    """What one step emitted — the output half of the automaton.
+
+    In an atomic step ⟨p, m, d⟩ the new state *and the outputs* are one
+    function of (local state, m, d), so a step taken again from the
+    same lineage with the same inputs emits exactly this.  It is the
+    surface :meth:`~repro.sim.process.ProcessHost.replay` mutes, seen
+    from outside: ``sends`` are ``(dest, component, payload, meta)``
+    (``meta`` None when empty), ``decisions`` ``(component, value)``, ``opened`` ``(component,
+    kind, args)`` of the operation records the step opened, and
+    ``completed`` ``(k, result)`` for the process's own ``k``-th record
+    (in invocation order) that the step answered.  The values are the
+    objects the executed step emitted, shared by every step served
+    from the record — emitted data must never be mutated.
+    """
+
+    sends: Tuple[Tuple[int, str, Any, Optional[Dict[str, Any]]], ...]
+    decisions: Tuple[Tuple[str, Any], ...]
+    opened: Tuple[Tuple[str, str, Tuple[Any, ...]], ...]
+    completed: Tuple[Tuple[int, Any], ...]
+
+
+_NO_EFFECTS = StepEffects((), (), (), ())
 
 
 class _Encoder:
@@ -313,29 +345,44 @@ class FingerprintEngine:
     binds it to a newly built system and to the journal of the
     controller driving it, :meth:`fingerprint` produces the dedup key
     at the start of each tick, and :meth:`rewound` tells it that the
-    system went back to an earlier tick.  Three modes share one
-    encoding:
+    system went back to an earlier tick.
 
-    * ``"incremental"`` — a host's encoding is cached under the
-      *lineage* of its process: an interned id of the process's own
-      step history, ``lineage' = intern[(lineage, time, sender, message
-      unit, detector-value unit)]``, advanced once per executed tick
-      from the journal.  That is the ``(time, message, d)`` triple the
-      rewind feeds :meth:`~repro.sim.process.ProcessHost.replay`, and in
-      the paper's model a process's state is a function of exactly that
-      sequence, so one encoding serves every path of the root on which
-      the process has lived through the same steps — the cache is not
-      pruned by a rewind, nor by :meth:`begin_run` (a freshly built
-      system of the same root starts every process at the root lineage
-      again), and lives as long as the engine.
-      ``time`` stays in the key because a step may read ``ctx.now``
-      (operation records carry ``invoke_time``).  In-flight messages
-      are encoded once each (a memo indexed by ``msg_id``, shared by
-      the buffer section, the POR context and the lineage key);
-      decision encodings are append-only; completed-operation encodings
-      are frozen.
+    **The transition table.**  The engine names every local state of
+    the root by a *lineage*: an interned id of the process's own step
+    history, ``lineage' = intern[(lineage, time, detector-value unit,
+    sender, message unit, ...)]``.  That is the ``(time, message,
+    d)`` triple :meth:`~repro.sim.process.ProcessHost.replay` is fed,
+    and in the paper's model a process's state *and its outputs* are a
+    function of exactly that sequence.  The table is advanced **at the
+    step itself** by whoever drives the processes (the explorer's host
+    stand-ins, :mod:`repro.explore.engine`): :meth:`step_inputs` names
+    what the step is about to read, :meth:`known_step` answers whether
+    a step with these inputs was executed before — and then its
+    :class:`StepEffects` are on record under the lineage it led to
+    (:meth:`effects`) — :meth:`learn_step` puts an executed step on
+    record, and :meth:`advance` journals the stepping process's new
+    lineage (``_lineages[t]`` is the vector after ``t`` ticks).  A
+    lineage names a local history, not a position on a path, so the
+    table and everything keyed on it survive rewinds and
+    :meth:`begin_run` (a freshly built system of the same root starts
+    every process at the root lineage again) and live as long as the
+    engine.  ``time`` is in the key because a step may read ``ctx.now``
+    (operation records carry ``invoke_time``).
+
+    Three modes share one encoding:
+
+    * ``"incremental"`` — a host's encoding is cached under its
+      process's lineage, so one encoding serves every path of the root
+      on which the process has lived through the same steps.
+      In-flight messages are encoded once each (a memo indexed by
+      ``msg_id``, shared by the buffer section, the POR context and the
+      lineage key); decision encodings are append-only;
+      completed-operation encodings are frozen.
     * ``"naive"`` — the identical encoding with every cache disabled,
       the oracle the equivalence suite compares byte-for-byte against.
+      No step is named (every lineage is poisoned), so no step is ever
+      served from the table either: the differential is
+      served-versus-executed as well as cached-versus-encoded.
     * ``"native"`` — the same caches with the value encoder served by
       the compiled core (:mod:`repro._native`).  The C encoder is a
       byte-exact port of :class:`_Encoder`, so digests stay identical
@@ -345,12 +392,18 @@ class FingerprintEngine:
 
     **Lineage guards.**  A step whose message or detector value encodes
     *opaque* cannot be named, so it poisons the lineage: from then on
-    that host is encoded afresh at every fingerprint.  Two inputs of a
-    step sit outside ⟨m, d⟩ and join the key when present: the
-    ``op_id`` of every operation record the step opened (ids are issued
-    run-wide, so they depend on the other processes), and — when the
-    host has incoming hooks, which are handed the ``DeliveredMessage``
-    — the message's ``msg_id`` and ``send_time``.  An engine bound
+    that host is encoded afresh at every fingerprint and every step of
+    its process is executed.  Two inputs of a step sit outside ⟨m, d⟩
+    and join the key when present: the ``op_id`` of every operation
+    record the step opened (ids are issued run-wide, so they depend on
+    the other processes), and — when the host has incoming hooks,
+    which are handed the ``DeliveredMessage`` — the message's
+    ``msg_id`` and ``send_time``.  Whether they are present is only
+    known once the step has run, and the key must be computable
+    before: the engine remembers per :meth:`step_inputs` value the
+    step's *shape* — how many operations it opens (it opens as many
+    whatever ids it is handed, and they are the next ones the trace
+    issues) and whether its host has incoming hooks.  An engine bound
     without a journal has no lineages and encodes every host every
     time.
 
@@ -415,12 +468,27 @@ class FingerprintEngine:
         #: The :class:`~repro.explore.control.ChoiceController` driving
         #: the bound system (its ``ticks`` / ``sent`` journal), or None.
         self._journal: Any = None
-        # caches (all modes but naive); see :meth:`rewound` for what
-        # survives from one explored path to the next
+        # the transition table and the caches (all modes but naive);
+        # see :meth:`rewound` for what survives from one explored path
+        # to the next
         #: Per pid: step key -> lineage id (the intern table).
         self._lineage_ids: List[Dict[Tuple[Any, ...], int]] = [
             {} for _ in range(n)
         ]
+        #: Per pid: what the step that reached lineage ``l`` emitted,
+        #: at index ``l - 1``.
+        self._effects: List[List[StepEffects]] = [[] for _ in range(n)]
+        #: Per pid: step inputs -> (operations the step opens, whether
+        #: its host has incoming hooks), for the steps not ``_PLAIN``.
+        self._shapes: List[Dict[Tuple[Any, ...], Tuple[int, bool]]] = [
+            {} for _ in range(n)
+        ]
+        #: ``id(d)`` -> (``d``, its unit): a root's detector values are
+        #: the same few objects on every read (constants, script
+        #: stages), so each is encoded once; holding ``d`` pins the id.
+        self._detector_units: Dict[int, Tuple[Any, EncodedUnit]] = {}
+        #: The last poisoned lineage id issued.
+        self._last_poisoned = _ROOT_LINEAGE
         #: ``_lineages[t]`` is every process's lineage after ``t``
         #: executed ticks of the current path.
         self._lineages: List[Tuple[int, ...]] = [(_ROOT_LINEAGE,) * n]
@@ -439,7 +507,7 @@ class FingerprintEngine:
         the engine has no step histories to key the host cache on.
         What names a position on a path starts over (the lineage
         journal, the message memo, the decision and operation caches —
-        the split :meth:`rewound` makes); the lineage table and the
+        the split :meth:`rewound` makes); the transition table and the
         host cache stay, because a new system of the same root gives
         every process the local state the root lineage already names.
         """
@@ -454,15 +522,15 @@ class FingerprintEngine:
         """The bound system went back to an earlier tick of its path.
 
         Called after the journal itself was rewound.  The lineage
-        journal is cut to the ticks the journal kept; the host cache is
-        *not* touched — a lineage names a local history, not a position
-        on a path, so every entry stays true and the rebuilt processes
-        find their encodings again as soon as they have re-lived a
-        history seen before.  Message ids at or above the kept ``sent``
-        count will be issued again, so the message memo is cut there.
-        Decisions are append-only and ``decisions`` of them were kept;
-        operation records of rebuilt hosts were reset, so that cache is
-        cleared.
+        journal is cut to the ticks the journal kept; the transition
+        table and the host cache are *not* touched — a lineage names a
+        local history, not a position on a path, so every entry stays
+        true and a process finds its effects and its encoding again as
+        soon as it re-lives a history seen before.  Message ids at or
+        above the kept ``sent`` count will be issued again, so the
+        message memo is cut there.  Decisions are append-only and
+        ``decisions`` of them were kept; operation records answered
+        since are pending again, so that cache is cleared.
         """
         del self._lineages[len(self._journal.ticks) + 1:]
         del self._message_units[len(self._journal.sent):]
@@ -523,66 +591,142 @@ class FingerprintEngine:
 
         return self._unit(build)
 
-    def _advance_lineages(self) -> Tuple[int, ...]:
-        """Journal the lineage of every tick executed since the last
-        call; returns the current vector."""
-        lineages = self._lineages
-        ticks = self._journal.ticks
-        trace = self._system.trace
-        while len(lineages) <= len(ticks):
-            time = len(lineages)  # tick t is ticks[t - 1] and steps[t - 1]
-            tick = ticks[time - 1]
-            current = list(lineages[-1])
-            current[tick.pid] = self._next_lineage(
-                current[tick.pid],
-                time,
-                tick,
-                trace.steps[time - 1].detector_value,
-                trace.operations,
-            )
-            lineages.append(tuple(current))
-        return lineages[-1]
+    # -- the transition table ----------------------------------------------
+    def lineage(self, pid: int) -> int:
+        """Process ``pid``'s lineage on the current path, as journaled."""
+        return self._lineages[-1][pid]
 
-    def _next_lineage(
-        self, parent: int, time: int, tick: Any, detector_value: Any,
-        operations: Sequence[Any],
-    ) -> int:
-        if parent == _POISONED:
-            return _POISONED
-        detector = self._unit(lambda enc: enc.enc(detector_value))
+    def step_inputs(
+        self, pid: int, time: int, detector_value: Any, message: Optional[Message]
+    ) -> Optional[Tuple[Any, ...]]:
+        """Name what ``pid`` is about to read in its step at ``time``.
+
+        ``(lineage, time, d unit bytes, sender, message unit bytes)``
+        (the last two None for a λ-step) — the local state and the
+        inputs the paper's step is a function of — or None when the
+        step cannot be named: the lineage is already poisoned, ``d`` or
+        ``m`` encodes opaque, or the mode names nothing (``naive``).
+        """
+        parent = self._lineages[-1][pid]
+        if parent < 0 or not self.cached:
+            return None
+        memo = self._detector_units.get(id(detector_value))
+        if memo is None:
+            memo = self._detector_units[id(detector_value)] = (
+                detector_value,
+                self._unit(lambda enc: enc.enc(detector_value)),
+            )
+        detector = memo[1]
         if detector.opaque:
-            return _POISONED
-        message = tick.delivered
-        received: Optional[Tuple[Any, ...]] = None
-        if message is not None:
-            unit = self._message_unit(message)
-            if unit.opaque:
-                return _POISONED
-            received = (message.sender, unit.data)
-            if self._system.hosts[tick.pid].ctx._incoming_hooks:
-                received += (message.msg_id, message.send_time)
-        opened = []  # op_ids of the records this step was handed
-        for op in reversed(operations):  # they are in invocation order
-            if op.invoke_time < time:
-                break
-            if op.invoke_time == time:
-                opened.append(op.op_id)
-        key = (parent, time, detector.data, received, tuple(opened))
-        table = self._lineage_ids[tick.pid]
-        lineage = table.get(key)
-        if lineage is None:
-            lineage = table[key] = len(table) + 1
+            return None
+        if message is None:
+            return (parent, time, detector.data, None, None)
+        unit = self._message_unit(message)
+        if unit.opaque:
+            return None
+        return (parent, time, detector.data, message.sender, unit.data)
+
+    @staticmethod
+    def _step_key(
+        inputs: Tuple[Any, ...],
+        shape: Tuple[int, bool],
+        message: Optional[Message],
+        next_op_id: int,
+    ) -> Tuple[Any, ...]:
+        """The lineage key: a step's inputs plus what sits outside
+        ⟨m, d⟩ — the ids an incoming hook is handed and the ids of the
+        operation records the step opens.  Most steps have neither and
+        are keyed by their inputs alone."""
+        if shape == _PLAIN:
+            return inputs
+        opens, hooked = shape
+        handed = (
+            (message.msg_id, message.send_time)
+            if hooked and message is not None
+            else ()
+        )
+        return inputs + (handed, tuple(range(next_op_id, next_op_id + opens)))
+
+    def known_step(
+        self,
+        pid: int,
+        inputs: Tuple[Any, ...],
+        message: Optional[Message],
+        next_op_id: int,
+    ) -> Optional[int]:
+        """The lineage the step named ``inputs`` leads to, if a step
+        with this key was executed before; ``next_op_id`` is the id the
+        trace would issue next."""
+        shape = self._shapes[pid].get(inputs, _PLAIN)
+        return self._lineage_ids[pid].get(
+            self._step_key(inputs, shape, message, next_op_id)
+        )
+
+    def learn_step(
+        self,
+        pid: int,
+        inputs: Tuple[Any, ...],
+        message: Optional[Message],
+        next_op_id: int,
+        hooked: bool,
+        effects: StepEffects,
+    ) -> int:
+        """Put an executed step on record; returns the lineage it led to.
+
+        ``next_op_id`` is what the trace would have issued before the
+        step ran, ``hooked`` whether the host has incoming hooks now
+        that it has.
+        """
+        shape = (len(effects.opened), hooked)
+        shapes, table = self._shapes[pid], self._lineage_ids[pid]
+        recorded = shapes.get(inputs, _PLAIN if inputs in table else shape)
+        if recorded != shape:
+            raise RuntimeError(
+                f"process {pid} took the step {inputs!r} in the shape "
+                f"{shape}, not the recorded {recorded}: how many "
+                f"operations a step opens must not depend on the ids it "
+                f"is handed"
+            )
+        if shape != _PLAIN:
+            shapes[inputs] = recorded
+        lineage = table.setdefault(
+            self._step_key(inputs, shape, message, next_op_id), len(table) + 1
+        )
+        if lineage > len(self._effects[pid]):
+            # Many steps emit nothing; their records are one object.
+            self._effects[pid].append(effects if any(effects) else _NO_EFFECTS)
             if self.counters is not None:
                 self.counters.explore_fp_lineages += 1
         return lineage
 
+    def poisoned_step(self) -> int:
+        """A lineage for a step that could not be named: equal to
+        nothing but itself."""
+        self._last_poisoned -= 1
+        return self._last_poisoned
+
+    def effects(self, pid: int, lineage: int) -> StepEffects:
+        """What the step that led ``pid`` to ``lineage`` emitted."""
+        return self._effects[pid][lineage - 1]
+
+    def advance(self, pid: int, lineage: int) -> None:
+        """Journal the tick in which ``pid`` stepped to ``lineage``."""
+        current = list(self._lineages[-1])
+        current[pid] = lineage
+        self._lineages.append(tuple(current))
+
     def _host_units(self) -> List[EncodedUnit]:
         counters = self.counters
-        lineages = (
-            self._advance_lineages()
-            if self.cached and self._journal is not None
-            else (_POISONED,) * self.n
-        )
+        if self.cached and self._journal is not None:
+            if len(self._lineages) != len(self._journal.ticks) + 1:
+                raise RuntimeError(
+                    f"{len(self._journal.ticks)} ticks were executed and "
+                    f"{len(self._lineages) - 1} journaled: the host cache "
+                    f"is keyed on lineages advanced at every step"
+                )
+            lineages = self._lineages[-1]
+        else:
+            lineages = (_POISONED,) * self.n
         units = []
         for host, lineage, cache in zip(
             self._system.hosts, lineages, self._host_cache
@@ -592,7 +736,7 @@ class FingerprintEngine:
                 if counters is not None:
                     counters.explore_fp_host_misses += 1
                 unit = self._encode_host(host)
-                if lineage != _POISONED:
+                if lineage >= 0:
                     cache[lineage] = unit
             elif counters is not None:
                 counters.explore_fp_host_hits += 1

@@ -51,14 +51,25 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
 ``explore_rewinds`` / ``explore_hosts_rebuilt``
     Times the explorer's live system was rewound to the divergence tick
     of the next path instead of being rebuilt (every run but the first
-    of a root), and the processes those rewinds had to build anew —
-    the ones that had stepped at or after that tick.
+    of a root), and the host objects built anew and brought to their
+    process's state — counted where it happens, at materialization:
+    when a step never taken before, a host-encoding miss or a stop
+    predicate needs an object that a rewind or a run of served steps
+    left in another state (or, for a process's first object on a newly
+    built system, nowhere).
 ``explore_replay_steps``
     Work executed a second time: process steps re-fed to rebuilt hosts
     by local replay, plus prefix choices consumed again inside the
     divergence tick (for a run that builds its system — the first of a
     root or shard — every prefix choice).  The measurable redundancy
     left in the search (see ``docs/EXPLORER.md``).
+``explore_steps_executed`` / ``explore_steps_served``
+    The explorer's fresh ticks, split: steps in which a host object ran
+    the protocol code, and steps whose recorded effects were emitted
+    from the root's transition table because the same process had
+    taken the same step ⟨m, d⟩ at the same tick from the same local
+    history before.  ``naive`` mode serves nothing; on a cold table
+    ``explore_steps_executed`` is the number of distinct steps.
 ``explore_fp_nodes``
     Value-tree nodes visited while encoding state fingerprints.  The
     headline explorer metric: the incremental engine encodes a local
@@ -70,8 +81,12 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     (keyed on the process's own step history, kept across rewinds),
     respectively hosts encoded.
 ``explore_fp_lineages``
-    Distinct local histories interned by the fingerprint engine — the
-    floor of ``explore_fp_host_misses``.
+    Distinct local histories interned by the fingerprint engine, one
+    per distinct step put on record.  Every state a process reaches is
+    named, the leaf states included, but only the ones a fingerprint
+    meets are ever encoded — so this is *not* a floor of
+    ``explore_fp_host_misses`` (it is several times larger on a deep
+    tree); the misses' floor is the lineages alive at some fingerprint.
 ``explore_fp_message_hits`` / ``explore_fp_message_misses``
     Per-message encodings served from (respectively computed into) the
     ``msg_id`` memo shared by the buffer section, the POR context and
@@ -137,6 +152,8 @@ FIELDS = (
     "explore_rewinds",
     "explore_hosts_rebuilt",
     "explore_replay_steps",
+    "explore_steps_executed",
+    "explore_steps_served",
     "explore_fp_nodes",
     "explore_fp_host_hits",
     "explore_fp_host_misses",

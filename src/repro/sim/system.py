@@ -111,16 +111,17 @@ class System:
         return host
 
     def rebuild_host(self, pid: int) -> ProcessHost:
-        """Replace process ``pid`` by a new, unstarted host and return it.
+        """A new, unstarted host for process ``pid``.
 
         New context, new components, no steps taken — the first half of
         bringing one process back to an earlier state (the second is
-        :meth:`ProcessHost.replay`).  Whatever the caller had installed
-        on the old context from outside (hooks, a detector provider) is
-        the caller's to install again.
+        :meth:`ProcessHost.replay`).  It is returned, not installed in
+        :attr:`hosts`: the explorer keeps its own stand-in there.
+        Whatever the caller had installed on the old context from
+        outside (hooks, a detector provider) is the caller's to install
+        again.
         """
-        host = self.hosts[pid] = self._build_host(pid)
-        return host
+        return self._build_host(pid)
 
     @classmethod
     def from_spec(cls, spec) -> "System":

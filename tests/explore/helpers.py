@@ -1,19 +1,57 @@
-"""Shared pieces of the sub-root search tests.
+"""Shared pieces of the explorer tests.
 
 The dynamic frontier enqueues a root as one bare item and lets starved
 workers split it; tests that orchestrate the queue themselves want
 several items whose prefixes they know.  ``split_roots`` and
 ``enqueue_case`` cut a root into shards by hand, with the same two
 ``explore_case`` arguments the workers' re-split uses (``choice_limit``
-+ ``shard_roots``).
++ ``shard_roots``).  ``toy_target`` registers a one-component target
+built to break a weaker key or a weaker table.
 """
 
 from dataclasses import asdict
 
-from repro.explore import ExploreOptions, explore_case
-from repro.explore.cases import case_to_dict
+from repro.chaos.targets import TARGETS, Target
+from repro.explore import ExploreCase, ExploreOptions, explore_case
+from repro.explore.cases import case_to_dict, resolve_parts
 from repro.explore.frontier import result_to_dict
+from repro.runner import call
 from repro.store.exchange import FingerprintExchange, exchange_scope
+
+
+def never(system):
+    return False
+
+
+def no_metrics(system, trace):
+    return {}
+
+
+def never_spec():
+    return never
+
+
+def no_metrics_spec():
+    return no_metrics
+
+
+def toy_target(monkeypatch, name, factory, stop=never_spec):
+    """Register a one-component target for the duration of a test;
+    returns a case maker.  ``factory`` and ``stop`` are module-level
+    spec functions (campaign cells import them by name)."""
+
+    def build(n, seed, horizon, knobs):
+        return dict(
+            components=[(name, call(factory))],
+            stop=call(stop),
+            summarize=call(no_metrics_spec),
+        )
+
+    monkeypatch.setitem(TARGETS, name, Target(name, build, safety_clauses=()))
+    resolve_parts.cache_clear()
+    return lambda **fields: ExploreCase(
+        target=name, assignment=(("sigma", (0, 1)),) * fields["n"], **fields
+    )
 
 
 def violation_set(result):

@@ -13,13 +13,40 @@ def test_clean_target_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "qc [indexed]" in out and ": ok" in out
     assert "runs=" in out and "por_pruned=" in out
-    assert "rewinds=" in out and "hosts_rebuilt=" in out
+    # the fresh ticks, split into protocol code run and effects served,
+    # and the host objects that had to be brought to a state
+    split = re.search(
+        r"rewinds=\d+ steps=(\d+)/(\d+) \(executed/served\) hosts_rebuilt=(\d+)",
+        out,
+    )
+    assert split and int(split.group(1)) > 0 and int(split.group(3)) > 0
     # host and message cache traffic, next to the work they save
     assert re.search(
         r"fp_nodes=\d+ fp_host=\d+/\d+ fp_message=\d+/\d+ \(hits/misses\) "
         r"fp_lineages=\d+",
         out,
     )
+
+
+def test_stats_split_the_fresh_ticks_by_mode(capsys):
+    """Same walk, same ticks: ``naive`` executes every one, the default
+    mode serves the steps it has seen."""
+    counts = {}
+    for mode in ("incremental", "naive"):
+        argv = ["--target", "nbac", "--depth", "4", "--stats"]
+        assert main(argv + ["--fingerprint-mode", mode]) == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        counts[mode] = [
+            int(count)
+            for count in re.search(
+                r"runs=(\d+) .* steps=(\d+)/(\d+) \(executed/served\)", total
+            ).groups()
+        ]
+    (runs, executed, served), (naive_runs, naive_executed, naive_served) = (
+        counts["incremental"], counts["naive"]
+    )
+    assert runs == naive_runs and naive_served == 0
+    assert executed + served == naive_executed and 0 < executed and 0 < served
 
 
 def test_clean_target_fails_expectation_of_violation(capsys):

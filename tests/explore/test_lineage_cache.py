@@ -19,7 +19,6 @@ import collections
 import pytest
 
 from repro import _native
-from repro.chaos.targets import TARGETS, Target
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -32,47 +31,13 @@ from repro.explore.cases import resolve_parts
 from repro.explore.engine import FingerprintSession
 from repro.explore.frontier import result_to_dict
 from repro.explore.state import _POISONED, OPAQUE_MARK, FingerprintEngine
-from repro.runner import call
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
 from repro.store import ResultStore
 from repro.store.exchange import FingerprintExchange
-from tests.explore.helpers import split_roots
+from tests.explore.helpers import split_roots, toy_target
 
 MODES = ["naive", "incremental"] + (["native"] if _native.available() else [])
-
-
-def never(system):
-    return False
-
-
-def no_metrics(system, trace):
-    return {}
-
-
-def never_spec():
-    return never
-
-
-def no_metrics_spec():
-    return no_metrics
-
-
-def toy_target(monkeypatch, name, factory):
-    """Register a one-component target for the duration of a test."""
-
-    def build(n, seed, horizon, knobs):
-        return dict(
-            components=[(name, call(factory))],
-            stop=call(never_spec),
-            summarize=call(no_metrics_spec),
-        )
-
-    monkeypatch.setitem(TARGETS, name, Target(name, build, safety_clauses=()))
-    resolve_parts.cache_clear()
-    return lambda **fields: ExploreCase(
-        target=name, assignment=(("sigma", (0, 1)),) * fields["n"], **fields
-    )
 
 
 def digest_logs(case):
@@ -119,12 +84,12 @@ def test_same_messages_at_other_ticks_are_other_states(monkeypatch):
             assert logs[mode] == logs["naive"]
 
         # The case has teeth: a key without the tick serves a stale
-        # encoding, and the digest log shows it.
-        real = FingerprintEngine._next_lineage
+        # encoding (and a stale step), and the digest log shows it.
+        real = FingerprintEngine.step_inputs
         monkeypatch.setattr(
             FingerprintEngine,
-            "_next_lineage",
-            lambda self, parent, time, *rest: real(self, parent, 0, *rest),
+            "step_inputs",
+            lambda self, pid, time, *rest: real(self, pid, 0, *rest),
         )
         timeless = []
         explore_case(case, digest_log=timeless)
@@ -273,17 +238,21 @@ def test_opaque_step_poisons_the_lineage(monkeypatch):
             )
 
         # Once a process has received the unnameable message its host
-        # is encoded at every fingerprint, never served from the cache.
-        system, controller = run_controlled(case, (1,))  # 1 starts, 0 receives
-        assert any(tick.delivered is not None for tick in controller.ticks)
-        engine = FingerprintEngine(case.n, "incremental", counters=PerfCounters())
-        engine.begin_run(system, controller)
-        engine.fingerprint(system.now + 1, False, None, None, (), False, False)
-        assert _POISONED in engine._lineages[-1]
-        before = engine.counters.explore_fp_host_misses
-        engine.fingerprint(system.now + 1, False, None, None, (), False, False)
-        poisoned = engine._lineages[-1].count(_POISONED)
-        assert engine.counters.explore_fp_host_misses - before == poisoned
+        # is encoded at every fingerprint, never served from the cache
+        # (a poisoned lineage is negative and equal to no other).
+        session = FingerprintSession()
+        explore_case(  # one path: 1 starts, 0 receives
+            case, initial_stack=[(1,)], max_runs=1, session=session
+        )
+        engine = session.engine
+        assert any(tick.delivered is not None for tick in engine._journal.ticks)
+        poisoned = [lineage for lineage in engine._lineages[-1] if lineage < 0]
+        assert poisoned and min(poisoned) <= _POISONED
+        assert len(set(poisoned)) == len(poisoned)
+        for _ in range(2):
+            before = engine.counters.explore_fp_host_misses
+            engine.fingerprint(case.depth + 1, False, None, None, (), False, False)
+            assert engine.counters.explore_fp_host_misses - before == len(poisoned)
     finally:
         resolve_parts.cache_clear()
 
@@ -380,13 +349,29 @@ def test_engine_without_a_journal_always_encodes():
     assert not any(engine._host_cache)
 
 
+def test_engine_refuses_steps_it_was_not_told_about():
+    """Lineages are advanced at the step itself.  An engine handed the
+    journal of ticks nobody named to it has stale lineages, and says so
+    instead of answering from the cache under them."""
+    case = ExploreCase(target="qc", n=2, depth=6)
+    system, controller = run_controlled(case)
+    assert controller.ticks
+    engine = FingerprintEngine(case.n)
+    engine.begin_run(system, controller)
+    with pytest.raises(RuntimeError, match="0 journaled"):
+        engine.fingerprint(3, False, None, None, (), False, False)
+
+
 # -- counters ----------------------------------------------------------------
 
 def test_local_states_are_encoded_once_per_root():
     """``nbac n=3 depth 6``, the benchmark's ``exhaust_nbac3`` roots:
     the search is the one it always was, and a host is encoded once per
     distinct local history (7 344 encodes when the cache was keyed on
-    the position on the current path)."""
+    the position on the current path).  A lineage is named at the step
+    that reaches it, so the leaf states are named though never encoded
+    (2 128 lineages when they were interned at fingerprint time), and
+    each named step was executed exactly once."""
     totals = PerfCounters()
     runs = states = dedup_hits = por_pruned = 0
     for root in enumerate_roots("nbac", 3, depth=6, seeds=(0, 1)):
@@ -399,7 +384,11 @@ def test_local_states_are_encoded_once_per_root():
         por_pruned += result.por_pruned
     assert (runs, states, dedup_hits, por_pruned) == (20968, 4228, 1564, 72820)
     assert totals.explore_fp_host_misses <= 2140
-    assert totals.explore_fp_lineages <= totals.explore_fp_host_misses
+    assert totals.explore_fp_lineages == totals.explore_steps_executed == 5168
+    assert totals.explore_steps_served == 26736 - 5168
+    # 3 616 brought back to a state a rewind had left, and the first
+    # object of each of the 4 roots' 3 processes.
+    assert totals.explore_hosts_rebuilt == 3616 + 12
     assert totals.explore_fp_message_hits > totals.explore_fp_message_misses > 0
     assert totals.explore_opaque_tokens == 0
 

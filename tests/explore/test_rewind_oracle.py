@@ -14,6 +14,17 @@ script cursors, and the naive-mode fingerprint of the whole state.
 And at **every** fingerprint of the search itself, each host's unit —
 which the engine may have cached many paths ago under the process's
 step history — is compared with a fresh encoding of the host.
+
+Since the processes became memoized automata a step of the live system
+may have been *served* from the transition table instead of executed,
+and ``system.hosts`` holds stand-ins that bring a host object to the
+process's state only when something looks.  The comparisons are the
+same — everything a served step emits lands in the trace, the network
+and the journal, and reading ``steps_taken`` or encoding a host looks —
+plus two that ask the table directly: after every run each process's
+lineage, spelt out as the chain of step keys it interns, is the one a
+fresh engine derives from the scratch replay's own steps, and every
+component reached through a stand-in encodes like the replayed host's.
 """
 
 from contextlib import contextmanager
@@ -23,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.targets import TARGETS, Target
+from repro.chaos.targets import TARGETS
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -32,9 +43,9 @@ from repro.explore import (
 )
 from repro.explore import engine as engine_mod
 from repro.explore.cases import resolve_parts
-from repro.explore.state import FingerprintEngine
-from repro.runner import call
+from repro.explore.state import FingerprintEngine, StepEffects, _Encoder
 from repro.sim.process import Component
+from tests.explore.helpers import toy_target
 
 
 def _naive_fingerprint(system, controller, case):
@@ -92,6 +103,53 @@ def _observe(system, controller, case):
     }
 
 
+def _histories(engine):
+    """Each process's current lineage, spelt out: the step keys (minus
+    the parent id, which is what the chain replaces) from the root on.
+    A poisoned lineage names nothing."""
+    spelt = []
+    for pid, lineage in enumerate(engine._lineages[-1]):
+        keys = {value: key for key, value in engine._lineage_ids[pid].items()}
+        chain = []
+        while lineage > 0:
+            key = keys[lineage]
+            chain.append(key[1:])
+            lineage = key[0]
+        spelt.append("poisoned" if lineage < 0 else chain[::-1])
+    return spelt
+
+
+def _derived_histories(system, controller, mode):
+    """The same, derived by a fresh engine from the steps a finished
+    scratch replay actually took."""
+    engine = FingerprintEngine(system.n, mode)
+    operations = system.trace.operations
+    for step, tick in zip(system.trace.steps, controller.ticks):
+        pid = tick.pid
+        inputs = engine.step_inputs(
+            pid, step.time, step.detector_value, tick.delivered
+        )
+        if inputs is None:
+            lineage = engine.poisoned_step()
+        else:
+            opened = [
+                op for op in operations
+                if op.pid == pid and op.invoke_time == step.time
+            ]
+            lineage = engine.learn_step(
+                pid,
+                inputs,
+                tick.delivered,
+                opened[0].op_id if opened else 0,
+                bool(system.hosts[pid].ctx._incoming_hooks),
+                StepEffects(
+                    (), (), tuple((o.component, o.kind, o.args) for o in opened), ()
+                ),
+            )
+        engine.advance(pid, lineage)
+    return _histories(engine)
+
+
 @contextmanager
 def rewind_oracle():
     """Check every run of every ``explore_case`` inside the block.
@@ -127,6 +185,16 @@ def rewind_oracle():
                 f"on path {taken} of {case.describe()}: "
                 f"{got[key]!r} != {want[key]!r}"
             )
+        assert _histories(live.fp_engine) == _derived_histories(
+            fresh_system, fresh_controller, live.fp_engine.mode
+        ), f"lineages name another history on path {taken} of {case.describe()}"
+        enc = _Encoder(case.n).enc
+        for host, fresh_host in zip(system.hosts, fresh_system.hosts):
+            for name, component in fresh_host.components.items():
+                assert enc(host.component(name)) == enc(component), (
+                    f"component {name!r} of process {host.pid} differs from "
+                    f"scratch replay on path {taken} of {case.describe()}"
+                )
         seen["runs"] += 1
         seen["detector_choices"] += sum(
             point.kind == "detector" and point.chosen > 0
@@ -289,42 +357,51 @@ def mutator_factory():
     return lambda pid: PayloadMutator()
 
 
-def never(system):
-    return False
+class SentPayloadMutator(Component):
+    """Scribbles on a payload it *sent* one step earlier — which sits
+    in the step's effects record and in every message served from it."""
+
+    name = "mut"
+
+    def __init__(self):
+        super().__init__()
+        self.out = ["hello"]
+        self.steps = 0
+        self.seen = []
+
+    def on_start(self):
+        self.broadcast(self.out, include_self=False)
+
+    def on_step(self):
+        self.steps += 1
+        if self.steps == 2:
+            self.out.append("late")  # the bug: an emitted payload is shared
+
+    def on_message(self, sender, payload, meta):
+        self.seen.append(tuple(payload))
 
 
-def no_metrics(system, trace):
-    return {}
+def sent_mutator_factory():
+    return lambda pid: SentPayloadMutator()
 
 
-def never_spec():
-    return never
-
-
-def no_metrics_spec():
-    return no_metrics
-
-
-def _build_mutator(n, seed, horizon, knobs):
-    return dict(
-        components=[("mut", call(mutator_factory))],
-        stop=call(never_spec),
-        summarize=call(no_metrics_spec),
-    )
-
-
-def test_oracle_flags_in_place_payload_mutation(monkeypatch):
-    monkeypatch.setitem(
-        TARGETS, "mutator", Target("mutator", _build_mutator, safety_clauses=())
-    )
-    case = ExploreCase(
-        target="mutator", n=2, depth=5, assignment=(("sigma", (0, 1)),) * 2
-    )
+def _assert_oracle_flags(monkeypatch, factory):
+    case = toy_target(monkeypatch, "mut", factory)(n=2, depth=5)
     try:
         with pytest.raises(
-            AssertionError, match="differs from (scratch replay|a fresh encoding)"
+            AssertionError,
+            match="differs from (scratch replay|a fresh encoding)"
+            "|lineages name another history",
         ):
             with rewind_oracle():
                 explore_case(case)
     finally:
         resolve_parts.cache_clear()
+
+
+def test_oracle_flags_in_place_payload_mutation(monkeypatch):
+    _assert_oracle_flags(monkeypatch, mutator_factory)
+
+
+def test_oracle_flags_mutation_of_a_sent_payload(monkeypatch):
+    _assert_oracle_flags(monkeypatch, sent_mutator_factory)

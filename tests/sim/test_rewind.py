@@ -220,7 +220,7 @@ class TestLocalReplay:
         completed = [(op.response_time, op.result) for op in own_ops]
 
         host = system.rebuild_host(pid)
-        assert host is system.hosts[pid] and host is not original
+        assert host is not original and system.hosts[pid] is original
         assert host.steps_taken == 0
         host.replay(
             [
