@@ -14,18 +14,21 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
 
-# The deep model-checking suite: full assignment/crash frontiers on
-# both engines.  Opt-in (minutes of CPU).
+# The deep model-checking suite: full assignment/crash frontiers, the
+# crash frontier once more on the reference network.  Opt-in (minutes
+# of CPU).
 test-explore:
 	REPRO_EXPLORE_DEEP=1 $(PYTHON) -m pytest tests/explore -m explore
 
-# Shallow exhaustive sweep of every clean target on both engines, plus
-# mutant detection — what the explore-smoke CI job runs.
+# Shallow exhaustive sweep of every clean target, plus mutant detection
+# — what the explore-smoke CI job runs.  (The reference-network
+# differential over the same walks is tier-1:
+# tests/explore/test_engine_equivalence.py.)
 explore-smoke:
-	$(PYTHON) -m repro.explore --target all --depth 5 --engine both --stats
-	$(PYTHON) -m repro.explore --target eagerquit --expect-violation --stop-on-first --engine both
-	$(PYTHON) -m repro.explore --target hastycommit --expect-violation --stop-on-first --engine both
-	$(PYTHON) -m repro.explore --target submajority --expect-violation --stop-on-first --max-runs 2500 --engine both
+	$(PYTHON) -m repro.explore --target all --depth 5 --stats
+	$(PYTHON) -m repro.explore --target eagerquit --expect-violation --stop-on-first
+	$(PYTHON) -m repro.explore --target hastycommit --expect-violation --stop-on-first
+	$(PYTHON) -m repro.explore --target submajority --expect-violation --stop-on-first --max-runs 2500
 	$(PYTHON) -m repro.explore --target nbac --procs 3 --symmetry --require-complete --stats
 	$(PYTHON) -m repro.explore --target hastycommit --procs 3 --symmetry --expect-violation --stop-on-first
 	$(PYTHON) benchmarks/bench_explorer.py
@@ -55,7 +58,6 @@ store-report:
 store-trend:
 	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) trend BENCH_sim || true
 	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) trend BENCH_explore || true
-	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) trend BENCH_runner || true
 
 examples:
 	$(PYTHON) examples/quickstart.py

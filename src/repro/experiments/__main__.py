@@ -7,14 +7,14 @@ Usage::
     python -m repro.experiments --seed 7 E4      # different seed
     python -m repro.experiments --jobs 4 E1 E3   # 4 worker processes
     python -m repro.experiments --cache .cache   # reuse cached runs
-    python -m repro.experiments --cache .repro-store \\
-        --cache-backend sqlite                   # persistent campaign DB
     python -m repro.experiments --fail-fast      # stop at first mismatch
     python -m repro.experiments E1 --profile     # dump hot-path counters
 
 ``--jobs``/``--cache`` configure the campaign engine every experiment
 routes its runs through (see :mod:`repro.runner`): ``--jobs 0`` uses
-every core, ``--cache`` with no path uses the default on-disk store.
+every core, ``--cache`` keeps results in the campaign database
+(``docs/STORE.md``) under the given directory — with no path, the
+store's default (``$REPRO_STORE_DIR``, else ``.repro-store``).
 ``--profile`` collects each campaign's aggregated perf counters (see
 ``docs/PERF.md``) and writes them as JSON (default ``PROFILE_sim.json``);
 it takes an optional path, so name the experiments *before* it.
@@ -28,7 +28,6 @@ import time
 
 from repro.experiments.common import all_experiments
 from repro.runner import configure, profile
-from repro.runner.config import CACHE_BACKENDS
 
 
 def main(argv=None) -> int:
@@ -55,18 +54,7 @@ def main(argv=None) -> int:
         const=True,
         default=None,
         metavar="DIR",
-        help="cache run results on disk (optional directory)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=CACHE_BACKENDS,
-        default=None,
-        metavar="NAME",
-        help=(
-            "what --cache resolves to: 'json' per-entry files or "
-            "'sqlite', the persistent campaign database "
-            "(docs/STORE.md; default json or $REPRO_RUNNER_CACHE_BACKEND)"
-        ),
+        help="cache run results in the campaign database under DIR",
     )
     parser.add_argument(
         "--fail-fast",
@@ -95,11 +83,7 @@ def main(argv=None) -> int:
             f"experiment ids first: {args.profile} --profile"
         )
 
-    configure(
-        workers=args.jobs,
-        cache=args.cache,
-        cache_backend=args.cache_backend,
-    )
+    configure(workers=args.jobs, cache=args.cache)
     if args.profile:
         profile.enable()
 

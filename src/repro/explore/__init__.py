@@ -17,7 +17,7 @@ crash schedules across subtree roots and fans the work out as a
 :mod:`repro.explore.frontierd` searches below the roots: long-lived
 workers pulling shard roots from a store-backed queue under expiring
 leases, splitting them on demand and surviving SIGKILL mid-shard.
-How a case is searched — engine, reductions, fingerprint mode — is one
+How a case is searched — reductions, fingerprint mode — is one
 :class:`~repro.explore.cases.ExploreOptions` carried to every layer.
 Violating leaves are judged by the chaos targets' own property hooks,
 shrunk (:mod:`repro.explore.shrink`), and frozen as replayable
@@ -39,7 +39,6 @@ from repro.explore.assignments import (
     switch_scripts_for,
 )
 from repro.explore.cases import (
-    ENGINES,
     ExploreCase,
     ExploreOptions,
     build_system,
@@ -55,7 +54,6 @@ from repro.explore.control import (
     ExploringScheduler,
 )
 from repro.explore.engine import (
-    FINGERPRINT_MODES,
     ExploreResult,
     FingerprintSession,
     Violation,
@@ -86,9 +84,7 @@ from repro.explore.symmetry import (
 )
 
 __all__ = [
-    "ENGINES",
     "DEFAULT_SEEDS",
-    "FINGERPRINT_MODES",
     "SMOKE_DEPTHS",
     "SMOKE_DEPTHS_N3",
     "SWITCH_MUTANTS",

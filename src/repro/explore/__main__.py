@@ -6,9 +6,9 @@ Exhaust one clean target at its pinned smoke depth::
 
     python -m repro.explore --target paxos --stats
 
-Everything clean, shallower, on the reference engine::
+Everything clean, shallower::
 
-    python -m repro.explore --target all --depth 6 --engine reference
+    python -m repro.explore --target all --depth 6
 
 Hunt a seeded bug and keep the shrunk witness::
 
@@ -52,9 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.chaos.targets import CLEAN_TARGETS, MUTANT_TARGETS, TARGETS
-from repro.explore.cases import ENGINES, ExploreOptions
-from repro.runner.config import CACHE_BACKENDS, configure
-from repro.explore.engine import FINGERPRINT_MODES
+from repro.explore.cases import ExploreOptions
 from repro.explore.frontier import (
     SMOKE_DEPTHS,
     SMOKE_DEPTHS_N3,
@@ -102,12 +100,6 @@ def _parse_args(argv) -> argparse.Namespace:
         type=int,
         default=0,
         help="max crashes enumerated at the frontier (default 0)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES + ("both",),
-        default="indexed",
-        help="network engine to drive (default indexed; 'both' = each in turn)",
     )
     parser.add_argument(
         "--workers",
@@ -158,18 +150,8 @@ def _parse_args(argv) -> argparse.Namespace:
         "--cache",
         default=None,
         help=(
-            "static frontier: campaign cache directory for finished "
-            "subtrees (default off)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=CACHE_BACKENDS,
-        default=None,
-        help=(
-            "what --cache resolves to: per-entry JSON files or the "
-            "persistent SQLite store (default: json, or "
-            "$REPRO_RUNNER_CACHE_BACKEND)"
+            "static frontier: campaign database (directory or .sqlite "
+            "path) caching finished subtrees (default off)"
         ),
     )
     parser.add_argument(
@@ -227,9 +209,14 @@ def _parse_args(argv) -> argparse.Namespace:
     )
     parser.add_argument(
         "--fingerprint-mode",
-        choices=FINGERPRINT_MODES,
+        # ``naive``, the third ExploreOptions value, is the cache-free
+        # oracle these two are tested against, not a way to search.
+        choices=("incremental", "native"),
         default="incremental",
-        help="dedup fingerprint engine (default incremental)",
+        help=(
+            "dedup fingerprint encoder: pure Python or the compiled "
+            "extension (default incremental)"
+        ),
     )
     parser.add_argument(
         "--require-complete",
@@ -288,7 +275,6 @@ def _emit_artifacts(
                     case,
                     choices,
                     violation.violated,
-                    engine=violation.engine,
                     por=violation.por,
                     shrink_stats=stats,
                 )
@@ -298,7 +284,6 @@ def _emit_artifacts(
                     case,
                     choices,
                     violation.violated,
-                    engine=violation.engine,
                     por=violation.por,
                     shrink_stats=stats,
                 )
@@ -309,9 +294,6 @@ def _emit_artifacts(
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    engines = list(ENGINES) if args.engine == "both" else [args.engine]
-    if args.cache_backend is not None:
-        configure(cache_backend=args.cache_backend)
     other = "static" if args.frontier == "dynamic" else "dynamic"
     misplaced = [
         "--" + flag.replace("_", "-")
@@ -333,6 +315,12 @@ def main(argv=None) -> int:
         from repro.store import ResultStore
 
         store = ResultStore(args.store)
+    options = ExploreOptions(
+        por=not args.no_por,
+        dedup=not args.no_dedup,
+        symmetry="auto" if args.symmetry else None,
+        fingerprint_mode=args.fingerprint_mode,
+    )
     failures = 0
     for target in _targets(args.target):
         if args.depth is not None:
@@ -358,134 +346,125 @@ def main(argv=None) -> int:
         )
         if args.symmetry:
             roots = collapse_symmetric_roots(roots)
-        for engine in engines:
-            options = ExploreOptions(
-                engine=engine,
-                por=not args.no_por,
-                dedup=not args.no_dedup,
-                symmetry="auto" if args.symmetry else None,
-                fingerprint_mode=args.fingerprint_mode,
-            )
-            if args.frontier == "dynamic":
-                from repro.explore.frontierd import run_frontier_dynamic
+        if args.frontier == "dynamic":
+            from repro.explore.frontierd import run_frontier_dynamic
 
-                summaries = run_frontier_dynamic(
-                    roots,
-                    options,
-                    workers=args.workers or 2,
-                    store=store,
-                    **driver_args,
-                )
-            else:
-                summaries = run_frontier(
-                    roots,
-                    options,
-                    workers=args.workers,
-                    cache=driver_args.get("cache", False),
-                    stop_on_first_violation=driver_args.get("stop_on_first", False),
-                    max_runs=driver_args.get("max_runs"),
-                )
-            totals = {
-                "runs": 0,
-                "states": 0,
-                "dedup_hits": 0,
-                "por_pruned": 0,
-                "violations": 0,
-                "replay_steps": 0,
-                "fp_nodes": 0,
-                "opaque_tokens": 0,
-            }
-            counted = {
-                name: 0
-                for name in (
-                    "rewinds",
-                    "steps_executed",
-                    "steps_served",
-                    "hosts_rebuilt",
-                    "fp_host_hits",
-                    "fp_host_misses",
-                    "fp_lineages",
-                    "fp_message_hits",
-                    "fp_message_misses",
-                )
-            }
-            complete = True
-            for summary in summaries:
-                for key in totals:
-                    totals[key] += summary["stats"][key]
-                for name in counted:
-                    counted[name] += summary["counters"].get(f"explore_{name}", 0)
-                complete = complete and summary["complete"]
-                if args.stats:
-                    case = summary["case"]
-                    print(
-                        f"  root {case['target']} seed={case['seed']} "
-                        f"crashes={case['crashes']} "
-                        f"assignment={json.dumps(case['assignment'])}: "
-                        f"{summary['stats']}"
-                    )
-            found = totals["violations"] > 0
-            verdict = (
-                ("VIOLATION FOUND" if found else "no violation (UNEXPECTED)")
-                if args.expect_violation
-                else ("VIOLATIONS" if found else "ok")
+            summaries = run_frontier_dynamic(
+                roots,
+                options,
+                workers=args.workers or 2,
+                store=store,
+                **driver_args,
             )
-            bad = found != args.expect_violation
-            if args.require_complete and not complete:
-                bad = True
-                verdict += " INCOMPLETE"
-            failures += bad
+        else:
+            summaries = run_frontier(
+                roots,
+                options,
+                workers=args.workers,
+                cache=driver_args.get("cache", False),
+                stop_on_first_violation=driver_args.get("stop_on_first", False),
+                max_runs=driver_args.get("max_runs"),
+            )
+        totals = {
+            "runs": 0,
+            "states": 0,
+            "dedup_hits": 0,
+            "por_pruned": 0,
+            "violations": 0,
+            "replay_steps": 0,
+            "fp_nodes": 0,
+            "opaque_tokens": 0,
+        }
+        counted = {
+            name: 0
+            for name in (
+                "rewinds",
+                "steps_executed",
+                "steps_served",
+                "hosts_rebuilt",
+                "fp_host_hits",
+                "fp_host_misses",
+                "fp_lineages",
+                "fp_message_hits",
+                "fp_message_misses",
+            )
+        }
+        complete = True
+        for summary in summaries:
+            for key in totals:
+                totals[key] += summary["stats"][key]
+            for name in counted:
+                counted[name] += summary["counters"].get(f"explore_{name}", 0)
+            complete = complete and summary["complete"]
+            if args.stats:
+                case = summary["case"]
+                print(
+                    f"  root {case['target']} seed={case['seed']} "
+                    f"crashes={case['crashes']} "
+                    f"assignment={json.dumps(case['assignment'])}: "
+                    f"{summary['stats']}"
+                )
+        found = totals["violations"] > 0
+        verdict = (
+            ("VIOLATION FOUND" if found else "no violation (UNEXPECTED)")
+            if args.expect_violation
+            else ("VIOLATIONS" if found else "ok")
+        )
+        bad = found != args.expect_violation
+        if args.require_complete and not complete:
+            bad = True
+            verdict += " INCOMPLETE"
+        failures += bad
+        print(
+            f"{target} depth={depth} roots={len(roots)}: {verdict}"
+            + ("" if complete else " (truncated)")
+            + (
+                f" — runs={totals['runs']} states={totals['states']} "
+                f"dedup_hits={totals['dedup_hits']} "
+                f"por_pruned={totals['por_pruned']} "
+                f"rewinds={counted['rewinds']} "
+                f"steps={counted['steps_executed']}/"
+                f"{counted['steps_served']} (executed/served) "
+                f"hosts_rebuilt={counted['hosts_rebuilt']} "
+                f"replay_steps={totals['replay_steps']} "
+                f"fp_nodes={totals['fp_nodes']} "
+                f"fp_host={counted['fp_host_hits']}/"
+                f"{counted['fp_host_misses']} "
+                f"fp_message={counted['fp_message_hits']}/"
+                f"{counted['fp_message_misses']} (hits/misses) "
+                f"fp_lineages={counted['fp_lineages']} "
+                f"opaque_tokens={totals['opaque_tokens']}"
+                if args.stats
+                else ""
+            )
+        )
+        if args.frontier == "dynamic" and summaries:
+            block = summaries[0].get("frontier", {})
+            incident_count = sum(
+                len(s.get("incidents", [])) for s in summaries
+            )
             print(
-                f"{target} [{engine}] depth={depth} roots={len(roots)}: "
-                f"{verdict}"
-                + ("" if complete else " (truncated)")
-                + (
-                    f" — runs={totals['runs']} states={totals['states']} "
-                    f"dedup_hits={totals['dedup_hits']} "
-                    f"por_pruned={totals['por_pruned']} "
-                    f"rewinds={counted['rewinds']} "
-                    f"steps={counted['steps_executed']}/"
-                    f"{counted['steps_served']} (executed/served) "
-                    f"hosts_rebuilt={counted['hosts_rebuilt']} "
-                    f"replay_steps={totals['replay_steps']} "
-                    f"fp_nodes={totals['fp_nodes']} "
-                    f"fp_host={counted['fp_host_hits']}/"
-                    f"{counted['fp_host_misses']} "
-                    f"fp_message={counted['fp_message_hits']}/"
-                    f"{counted['fp_message_misses']} (hits/misses) "
-                    f"fp_lineages={counted['fp_lineages']} "
-                    f"opaque_tokens={totals['opaque_tokens']}"
-                    if args.stats
-                    else ""
-                )
+                f"  frontier: workers={block.get('workers')} "
+                f"recoveries={block.get('recoveries')} "
+                f"kills={block.get('kills')} "
+                f"respawns={block.get('respawns')} "
+                f"quarantined={block.get('quarantined')} "
+                f"incidents={incident_count} "
+                f"wall_clock={block.get('wall_clock')}s"
             )
-            if args.frontier == "dynamic" and summaries:
-                block = summaries[0].get("frontier", {})
-                incident_count = sum(
-                    len(s.get("incidents", [])) for s in summaries
-                )
-                print(
-                    f"  frontier: workers={block.get('workers')} "
-                    f"recoveries={block.get('recoveries')} "
-                    f"kills={block.get('kills')} "
-                    f"respawns={block.get('respawns')} "
-                    f"quarantined={block.get('quarantined')} "
-                    f"incidents={incident_count} "
-                    f"wall_clock={block.get('wall_clock')}s"
-                )
-                print(
-                    "  coordination: "
-                    f"claims={block.get('claims')} "
-                    f"claim_round_trips={block.get('claim_round_trips')} "
-                    f"heartbeats={block.get('heartbeats')} "
-                    f"exchange_pulls={block.get('exchange_pulls')} "
-                    f"store_busy_retries={block.get('store_busy_retries')}"
-                )
-            if (args.out is not None or store is not None) and found:
-                for path in _emit_artifacts(summaries, args.out, store):
-                    print(f"  wrote {path}")
-                if store is not None:
-                    print(f"  filed witnesses into {store.path}")
+            print(
+                "  coordination: "
+                f"claims={block.get('claims')} "
+                f"claim_round_trips={block.get('claim_round_trips')} "
+                f"heartbeats={block.get('heartbeats')} "
+                f"exchange_pulls={block.get('exchange_pulls')} "
+                f"store_busy_retries={block.get('store_busy_retries')}"
+            )
+        if (args.out is not None or store is not None) and found:
+            for path in _emit_artifacts(summaries, args.out, store):
+                print(f"  wrote {path}")
+            if store is not None:
+                print(f"  filed witnesses into {store.path}")
     if store is not None:
         store.close()
     return 1 if failures else 0

@@ -36,7 +36,6 @@ EXPLORE_FORMAT = "repro-explore-artifact/1"
 def judge(
     case: ExploreCase,
     choices: Sequence[int],
-    engine: str = "indexed",
     por: bool = True,
 ) -> Dict[str, Any]:
     """Execute one choice path and return its verdict record.
@@ -46,7 +45,7 @@ def judge(
     """
     parts = resolve_parts(case)
     system, controller = run_controlled(
-        case, tuple(choices), engine=engine, parts=parts, por=por
+        case, tuple(choices), parts=parts, por=por
     )
     trace = system.trace
     metrics = parts.summarize(system, trace)
@@ -71,7 +70,6 @@ def build_document(
     case: ExploreCase,
     choices: Sequence[int],
     violated: Sequence[str],
-    engine: str = "indexed",
     por: bool = True,
     shrink_stats: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -80,7 +78,7 @@ def build_document(
     The expected digest/decisions are recomputed by replaying here, so
     the artifact always records what the committed code actually does.
     """
-    verdict = judge(case, choices, engine, por=por)
+    verdict = judge(case, choices, por=por)
     missing = set(violated) - set(verdict["violated"])
     if missing:
         raise ValueError(
@@ -90,7 +88,6 @@ def build_document(
     return {
         "format": EXPLORE_FORMAT,
         "case": case_to_dict(case),
-        "engine": engine,
         "por": por,
         "choices": list(choices),
         "violated": sorted(violated),
@@ -108,14 +105,12 @@ def write_artifact(
     case: ExploreCase,
     choices: Sequence[int],
     violated: Sequence[str],
-    engine: str = "indexed",
     por: bool = True,
     shrink_stats: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Serialise one violating schedule; returns the written document."""
     document = build_document(
-        case, choices, violated, engine=engine, por=por,
-        shrink_stats=shrink_stats,
+        case, choices, violated, por=por, shrink_stats=shrink_stats
     )
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -136,16 +131,16 @@ def load_artifact(path: Path) -> Dict[str, Any]:
 
 
 def replay(document: Dict[str, Any]) -> "ReplayResult":
-    """Re-execute an explore artifact and compare with the recording."""
+    """Re-execute an explore artifact and compare with the recording.
+
+    Older documents also carry an ``"engine"`` key (which network the
+    search ran on); both networks are trace-identical, so it is not
+    read.
+    """
     from repro.chaos.artifact import ReplayResult
 
     case = case_from_dict(document["case"])
-    verdict = judge(
-        case,
-        document["choices"],
-        document.get("engine", "indexed"),
-        por=document.get("por", True),
-    )
+    verdict = judge(case, document["choices"], por=document.get("por", True))
     return ReplayResult(
         reproduced=set(document["violated"]) <= set(verdict["violated"]),
         deterministic=verdict["digest"]

@@ -51,18 +51,9 @@ from repro.explore.control import (
 from repro.explore.state import FingerprintEngine
 from repro.registers.workload import RegisterWorkload
 from repro.runner import call
-from repro.sim.network import (
-    NETWORK_ENGINES,
-    ConstantDelay,
-    resolve_network_engine,
-)
+from repro.sim.network import ConstantDelay
 from repro.sim.process import ProcessHost
-from repro.sim.system import System, network_implementation
-
-#: The buffer engines the explorer can drive; the controlled runs are
-#: bit-identical across them (both hand ``choose`` the ready list in
-#: ascending msg_id order), which a tier-1 property test pins.
-ENGINES = NETWORK_ENGINES
+from repro.sim.system import System
 
 
 def explore_register_workload_factory(seed: int):
@@ -130,27 +121,22 @@ class ExploreOptions:
     campaign cell, a spawned frontier worker, the summary dict
     (``dataclasses.asdict``) and the exchange scope — so an option is
     named in one place and a misspelt one is an error here, before a
-    store is opened or a process spawned.  ``engine`` is the network
-    engine (:data:`ENGINES`), ``por`` / ``dedup`` switch the reductions,
-    ``symmetry`` is ``None`` / ``False`` (off), ``"auto"`` (on where
-    sound) or ``True`` (insist; an unsafe target is an error — see
+    store is opened or a process spawned.  ``por`` / ``dedup`` switch
+    the reductions, ``symmetry`` is ``None`` / ``False`` (off),
+    ``"auto"`` (on where sound) or ``True`` (insist; an unsafe target
+    is an error — see
     :func:`~repro.explore.symmetry.resolve_symmetry`), and
     ``fingerprint_mode`` picks the dedup-key implementation
     (:attr:`FingerprintEngine.MODES <repro.explore.state
     .FingerprintEngine.MODES>`).
     """
 
-    engine: str = "indexed"
     por: bool = True
     dedup: bool = True
     symmetry: Any = None
     fingerprint_mode: str = "incremental"
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown network engine {self.engine!r}; have {ENGINES}"
-            )
         if self.fingerprint_mode not in FingerprintEngine.MODES:
             raise ValueError(
                 f"unknown fingerprint mode {self.fingerprint_mode!r}; "
@@ -239,11 +225,12 @@ def build_system(
     case: ExploreCase,
     controller: ChoiceController,
     parts: Optional[CaseParts] = None,
-    engine: str = "indexed",
 ) -> System:
     """One fully-wired controlled system for this case.
 
-    The system is the stock :class:`~repro.sim.system.System` — the
+    The system is the stock :class:`~repro.sim.system.System` — with
+    whatever network ``System`` constructs, so the oracle suite's
+    ``network_implementation(ReferenceNetwork)`` reaches it — the
     controller plugs in through the scheduler/delivery extension points,
     the delay model is pinned to ``ConstantDelay(1)`` (delivery *order*
     is the controller's to choose, so variable delays would only
@@ -251,23 +238,21 @@ def build_system(
     detector providers are rebound to the case's constants, and every
     send is journaled by the controller.
     """
-    impl = resolve_network_engine(engine)
     if parts is None:
         parts = resolve_parts(case)
     controller.crash_times = frozenset(t for _, t in case.crashes)
-    with network_implementation(impl):
-        system = System(
-            n=case.n,
-            seed=case.seed,
-            horizon=case.depth,
-            pattern=case.pattern,
-            component_factories=parts.components,
-            detector=None,
-            scheduler=ExploringScheduler(controller),
-            delay_model=ConstantDelay(1),
-            delivery_policy=ExploringDelivery(controller),
-            trace_mode="full",
-        )
+    system = System(
+        n=case.n,
+        seed=case.seed,
+        horizon=case.depth,
+        pattern=case.pattern,
+        component_factories=parts.components,
+        detector=None,
+        scheduler=ExploringScheduler(controller),
+        delay_model=ConstantDelay(1),
+        delivery_policy=ExploringDelivery(controller),
+        trace_mode="full",
+    )
     assignment = case.resolved_assignment
     if any(is_script(enc) for enc in assignment):
         scripts = controller.scripts = DetectorScript(
@@ -305,7 +290,6 @@ def wire_host(
 def run_controlled(
     case: ExploreCase,
     prefix: Tuple[int, ...] = (),
-    engine: str = "indexed",
     parts: Optional[CaseParts] = None,
     tick_hook: Optional[Callable[[int], bool]] = None,
     por: bool = True,
@@ -315,8 +299,8 @@ def run_controlled(
     Replays ``prefix``, then takes default choices to the end of the
     step budget (or the target's stop condition).  Returns the finished
     system and the controller whose :attr:`log` describes the path
-    actually taken.  Deterministic in ``(case, prefix, engine, por)`` —
-    the replay-regression suite pins this.
+    actually taken.  Deterministic in ``(case, prefix, por)`` — the
+    replay-regression suite pins this.
 
     ``por`` must match the setting under which the prefix was recorded:
     a choice index names a position in the controller's *menu*, and the
@@ -334,6 +318,6 @@ def run_controlled(
     controller = ChoiceController(prefix)
     controller.por_enabled = por
     controller.tick_hook = tick_hook
-    system = build_system(case, controller, parts=parts, engine=engine)
+    system = build_system(case, controller, parts=parts)
     system.run(stop_when=parts.stop)
     return system, controller

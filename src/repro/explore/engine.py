@@ -103,19 +103,12 @@ from repro.sim.perf import PerfCounters
 from repro.sim.process import ProcessHost
 from repro.sim.trace import Decision, DeliveredMessage
 
-#: Fingerprint implementations :class:`ExploreOptions` accepts: the
-#: byte engine with and without its caches, and the compiled-encoder
-#: variant (digest-identical to ``incremental``, silently degrading to
-#: it when the extension is unavailable).
-FINGERPRINT_MODES = FingerprintEngine.MODES
-
 
 @dataclass
 class Violation:
     """One violating leaf: everything needed to replay and re-judge it."""
 
     case: ExploreCase
-    engine: str
     choices: Tuple[int, ...]
     violated: Tuple[str, ...]
     metrics: Dict[str, Any]
@@ -222,9 +215,7 @@ def _confirm_violation(
     executed from scratch and judged again; the verdicts must agree, or
     the table lied and no result of this walk can be trusted.
     """
-    system, _ = run_controlled(
-        case, choices, engine=options.engine, parts=parts, por=options.por
-    )
+    system, _ = run_controlled(case, choices, parts=parts, por=options.por)
     trace = system.trace
     executed = (
         _violated_clauses(parts, parts.summarize(system, trace)),
@@ -304,11 +295,10 @@ def explore_case(
     """Exhaust the bounded choice tree of ``case`` under ``options``.
 
     ``options`` (:class:`~repro.explore.cases.ExploreOptions`) names the
-    network engine, the reductions and the fingerprint implementation —
-    the soundness tests run every combination and compare
-    decision-vector sets and verdicts.  ``max_runs`` is a safety valve
-    for callers probing tractability; a truncated result has
-    ``complete=False``.
+    reductions and the fingerprint implementation — the soundness tests
+    run every combination and compare decision-vector sets and
+    verdicts.  ``max_runs`` is a safety valve for callers probing
+    tractability; a truncated result has ``complete=False``.
 
     ``initial_stack`` roots the DFS at given prefixes instead of the
     empty one, and ``choice_limit`` halts any run whose recorded choice
@@ -401,7 +391,6 @@ def explore_case(
             result.violations.append(
                 Violation(
                     case=case,
-                    engine=options.engine,
                     choices=taken,
                     violated=violated,
                     metrics=dict(metrics),
@@ -450,7 +439,6 @@ class _LiveSystem:
     ):
         self.result = result
         case = self.case = result.case
-        self.engine = result.options.engine
         self.por = result.options.por
         self.dedup = result.options.dedup
         self.parts = parts
@@ -504,7 +492,7 @@ class _LiveSystem:
         controller.por_enabled = self.por
         controller.tick_hook = self._tick_hook
         system = self.system = build_system(
-            self.case, controller, parts=self.parts, engine=self.engine
+            self.case, controller, parts=self.parts
         )
         self.digests = []
         self.served = []

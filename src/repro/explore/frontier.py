@@ -217,7 +217,6 @@ def result_from_summary(summary: Dict[str, Any]) -> ExploreResult:
         violations=[
             Violation(
                 case=case,
-                engine=options.engine,
                 choices=tuple(raw["choices"]),
                 violated=tuple(raw["violated"]),
                 metrics={},
@@ -318,7 +317,6 @@ def frontier_campaign(
                 ),
                 target=root.target,
                 root=index,
-                engine=options.engine,
             )
         )
     return Campaign(jobs, name="explore-frontier")

@@ -15,7 +15,7 @@ chaos shrinker's greedy fixpoint loop
 * decrement a choice position (smaller menu index, same tree level).
 
 Acceptance re-executes the candidate (controlled runs are deterministic
-in ``(case, choices, engine)``) and keeps it iff the required clauses
+in ``(case, choices)``) and keeps it iff the required clauses
 still break.  A candidate whose choices no longer fit its tree — a
 shorter depth can remove choice points — simply fails acceptance via
 the controller's replay-mismatch error.
@@ -32,14 +32,12 @@ from repro.explore.engine import Violation
 State = Tuple[ExploreCase, Tuple[int, ...]]
 
 
-def _still_violates(
-    state: State, required: Sequence[str], engine: str, por: bool
-) -> bool:
+def _still_violates(state: State, required: Sequence[str], por: bool) -> bool:
     from repro.explore.artifact import judge
 
     case, choices = state
     try:
-        verdict = judge(case, choices, engine, por=por)
+        verdict = judge(case, choices, por=por)
     except ValueError:
         return False  # replay mismatch: edit invalidated the trace
     return set(required) <= set(verdict["violated"])
@@ -95,7 +93,7 @@ def shrink_violation(
         (violation.case, tuple(violation.choices)),
         _candidates,
         lambda state: _still_violates(
-            state, violation.violated, violation.engine, violation.por
+            state, violation.violated, violation.por
         ),
         budget,
     )

@@ -9,9 +9,11 @@ all of those sweeps one engine:
 * :class:`Campaign` — expands parameter grids into spec lists and
   executes them serially or across a process pool, with deterministic
   result ordering (:mod:`repro.runner.campaign`);
-* :class:`ResultCache` — an on-disk store keyed by spec content hash
-  plus a source-tree salt, so re-running a sweep only executes changed
-  cells (:mod:`repro.runner.cache`);
+* the result cache — ``cache=True`` / a directory is the campaign
+  database (:class:`repro.store.cache.StoreResultCache`), keyed by spec
+  content hash plus a source-tree salt (:func:`code_salt`), so
+  re-running a sweep only executes changed cells
+  (:func:`repro.runner.config.resolve_cache`);
 * :class:`RunSummary` — the compact per-run record (cost counters,
   decision records, property verdicts, trace digest) shipped from
   workers back to the parent (:mod:`repro.runner.summary`).
@@ -37,7 +39,6 @@ A ten-line sweep::
 """
 
 from repro.runner.callspec import CallSpec, call, ref
-from repro.runner.cache import ResultCache, code_salt
 from repro.runner.campaign import Campaign, CampaignResult, run_jobs
 from repro.runner.config import configure, reset as reset_config
 from repro.runner.executor import (
@@ -49,7 +50,7 @@ from repro.runner.executor import (
     make_executor,
 )
 from repro.runner import profile
-from repro.runner.fingerprint import canonical, fingerprint
+from repro.runner.fingerprint import canonical, code_salt, fingerprint
 from repro.runner.spec import FnSpec, RunSpec, fn_spec, run_spec
 from repro.runner.summary import DecisionRecord, FnSummary, JobFailure, RunSummary
 
@@ -57,7 +58,6 @@ __all__ = [
     "CallSpec",
     "call",
     "ref",
-    "ResultCache",
     "code_salt",
     "Campaign",
     "CampaignResult",

@@ -3,7 +3,7 @@
 A :class:`Campaign` is an ordered list of jobs (:class:`RunSpec` /
 :class:`FnSpec` cells).  :meth:`Campaign.grid` expands a cartesian
 parameter sweep through a builder callback; :meth:`Campaign.run`
-executes the cells — consulting the on-disk cache first, deduplicating
+executes the cells — consulting the result cache first, deduplicating
 identical cells, fanning misses out over a worker pool — and returns a
 :class:`CampaignResult` whose summaries align one-to-one with the
 campaign's cells regardless of executor or cache state.
@@ -17,8 +17,12 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.runner import profile
-from repro.runner.cache import ResultCache
-from repro.runner.config import resolve_cache, resolve_timeout, resolve_workers
+from repro.runner.config import (
+    CacheArg,
+    resolve_cache,
+    resolve_timeout,
+    resolve_workers,
+)
 from repro.runner.executor import make_executor
 from repro.runner.spec import FnSpec, RunSpec
 from repro.runner.summary import JobFailure
@@ -165,7 +169,7 @@ class Campaign:
     def run(
         self,
         workers: Optional[int] = None,
-        cache: Optional[Union[bool, str, ResultCache]] = None,
+        cache: Optional[CacheArg] = None,
         timeout: Optional[float] = None,
     ) -> CampaignResult:
         """Execute every cell; summaries come back in cell order.
@@ -239,7 +243,7 @@ class Campaign:
 def run_jobs(
     jobs: Iterable[Job],
     workers: Optional[int] = None,
-    cache: Optional[Union[bool, str, ResultCache]] = None,
+    cache: Optional[CacheArg] = None,
 ) -> List[Any]:
     """One-shot convenience: ``Campaign(jobs).run(...)`` summaries."""
     return Campaign(jobs).run(workers=workers, cache=cache).summaries

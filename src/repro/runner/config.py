@@ -14,10 +14,8 @@ Environment variables:
 
 * ``REPRO_RUNNER_JOBS`` — worker count (``0`` = all cores, ``1`` = serial);
 * ``REPRO_RUNNER_CACHE`` — ``off``/``0`` disables, ``on``/``1`` uses the
-  default directory, anything else is used as the cache directory path;
-* ``REPRO_RUNNER_CACHE_BACKEND`` — ``json`` (the per-entry pickle-file
-  store, the default) or ``sqlite`` (the persistent campaign database,
-  :mod:`repro.store`);
+  store's default location (``$REPRO_STORE_DIR``, else ``.repro-store``),
+  anything else is used as the store directory (or ``.sqlite`` file);
 * ``REPRO_RUNNER_TIMEOUT`` — per-job wall-clock budget in seconds
   (``0`` or unset = no limit).
 """
@@ -27,37 +25,27 @@ from __future__ import annotations
 import os
 from typing import Any, Optional, Union
 
-from repro.runner.cache import ResultCache
-
-#: Recognised cache backends (the ``--cache-backend`` choices).
-CACHE_BACKENDS = ("json", "sqlite")
+#: What a ``cache`` argument may be: on/off, a store location, or a
+#: ready-made cache object (``get`` / ``put`` / ``drain_events``).
+CacheArg = Union[bool, str, "os.PathLike[str]", Any]
 
 _workers: Optional[int] = None
-_cache: Optional[Union[bool, str, Any]] = None
-_cache_backend: Optional[str] = None
+_cache: Optional[CacheArg] = None
 _timeout: Optional[float] = None
 
 
 def configure(
     workers: Optional[int] = None,
-    cache: Optional[Union[bool, str, ResultCache]] = None,
+    cache: Optional[CacheArg] = None,
     timeout: Optional[float] = None,
-    cache_backend: Optional[str] = None,
 ) -> None:
     """Set process-wide defaults (CLI entry points call this once)."""
-    global _workers, _cache, _cache_backend, _timeout
-    if cache_backend is not None:
-        if cache_backend not in CACHE_BACKENDS:
-            raise ValueError(
-                f"unknown cache backend {cache_backend!r}; "
-                f"have {CACHE_BACKENDS}"
-            )
-        _cache_backend = cache_backend
+    global _workers, _cache, _timeout
     if workers is not None:
         _workers = workers
     if cache is not None:
-        # Strings/bools stay unresolved until resolve_cache so a later
-        # cache_backend choice still applies to them.
+        # Locations stay unresolved until resolve_cache: no store is
+        # opened (and sqlite3 not imported) unless a campaign runs.
         _cache = cache
     if timeout is not None:
         _timeout = timeout
@@ -65,10 +53,9 @@ def configure(
 
 def reset() -> None:
     """Back to built-in defaults (used by tests)."""
-    global _workers, _cache, _cache_backend, _timeout
+    global _workers, _cache, _timeout
     _workers = None
     _cache = None
-    _cache_backend = None
     _timeout = None
 
 
@@ -104,58 +91,29 @@ def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
     return timeout
 
 
-def resolve_cache_backend(backend: Optional[str] = None) -> str:
-    """Which cache implementation a bare directory/True resolves to."""
-    if backend is None:
-        backend = _cache_backend
-    if backend is None:
-        backend = os.environ.get("REPRO_RUNNER_CACHE_BACKEND")
-    if backend is None:
-        return "json"
-    backend = backend.strip().lower()
-    if backend not in CACHE_BACKENDS:
-        raise ValueError(
-            f"unknown cache backend {backend!r}; have {CACHE_BACKENDS}"
-        )
-    return backend
-
-
-def _build_cache(root: Optional[str], backend: Optional[str]):
-    if resolve_cache_backend(backend) == "sqlite":
-        from repro.store.cache import StoreResultCache
-
-        return StoreResultCache(root)
-    return ResultCache(root)
-
-
-def resolve_cache(
-    cache: Optional[Union[bool, str, ResultCache]] = None,
-    backend: Optional[str] = None,
-):
+def resolve_cache(cache: Optional[CacheArg] = None):
     """The cache object a campaign should consult, or None.
 
-    A ready-made cache object (:class:`ResultCache` or
-    :class:`~repro.store.cache.StoreResultCache`) passes through
-    untouched; ``True``/a directory string is built with the resolved
-    backend (``backend`` argument → ``configure(cache_backend=...)`` →
-    ``$REPRO_RUNNER_CACHE_BACKEND`` → ``json``).
+    ``True`` is a :class:`~repro.store.cache.StoreResultCache` at the
+    store's default location, a ``str`` / ``os.PathLike`` one at that
+    location; a ready-made cache object passes through untouched.
     """
     if cache is None:
         cache = _cache
     if cache is None:
         env = os.environ.get("REPRO_RUNNER_CACHE")
-        if env is not None:
-            lowered = env.strip().lower()
-            if lowered in ("off", "0", "false", "no", ""):
-                return None
-            if lowered in ("on", "1", "true", "yes"):
-                return _build_cache(None, backend)
-            return _build_cache(env, backend)
-        return None
+        if env is None:
+            return None
+        lowered = env.strip().lower()
+        if lowered in ("off", "0", "false", "no", ""):
+            return None
+        cache = True if lowered in ("on", "1", "true", "yes") else env
     if cache is False:
         return None
-    if cache is True:
-        return _build_cache(None, backend)
-    if isinstance(cache, str):
-        return _build_cache(cache, backend)
+    if cache is True or isinstance(cache, (str, os.PathLike)):
+        # Imported here, not at module level: a run without a cache
+        # never pays for sqlite3.
+        from repro.store.cache import StoreResultCache
+
+        return StoreResultCache(None if cache is True else cache)
     return cache

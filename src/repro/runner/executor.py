@@ -11,7 +11,10 @@ Hardening contract (the chaos harness leans on this):
 * a job that *raises* becomes a :class:`~repro.runner.summary.JobFailure`
   in its result slot — the rest of the batch still runs;
 * a job that exceeds ``timeout`` seconds of wall clock is interrupted
-  (``SIGALRM``, where available) and recorded as a ``"timeout"`` failure;
+  (``SIGALRM``) and recorded as a ``"timeout"`` failure; where the alarm
+  cannot fire (no ``SIGALRM``, or jobs running on a non-main thread)
+  the jobs still run, unbounded, and the executor records one
+  ``"timeout-unavailable"`` incident for the ``map`` call;
 * a job that *kills its worker* (``os._exit``, segfault, OOM) breaks the
   ``ProcessPoolExecutor``; the pool is rebuilt and the un-finished jobs
   re-run one at a time so the poisoned spec can be attributed, retried
@@ -61,20 +64,33 @@ def _failure_from(job: Any, exc: BaseException, kind: str, attempts: int = 1) ->
     )
 
 
+def timeout_unavailable(in_pool_worker: bool = False) -> Optional[str]:
+    """Why a per-job timeout cannot fire, or None when it can.
+
+    The timeout is a ``SIGALRM``, which only exists on POSIX and only
+    fires on a main thread.  Pool workers run their tasks on their main
+    thread (``in_pool_worker``); jobs run in-process are on the
+    caller's.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        return "this platform has no SIGALRM"
+    if not in_pool_worker and (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        return "jobs run on a non-main thread, where SIGALRM never fires"
+    return None
+
+
 def execute_job_guarded(job: Any, timeout: Optional[float] = None) -> Any:
     """Run one job, converting exceptions and timeouts to JobFailure.
 
-    This is the importable unit shipped to pool workers.  The timeout
-    uses ``SIGALRM``, which only exists on POSIX and only fires on a
-    main thread — pool workers run tasks on their main thread, so the
-    guard holds there; elsewhere the timeout silently degrades to "no
-    limit" rather than crashing.
+    This is the importable unit shipped to pool workers.  Where the
+    timeout cannot fire (:func:`timeout_unavailable`) the job runs
+    without one rather than not at all; saying so is the executor's
+    job, which knows how many jobs one ``map`` call covers.
     """
     use_alarm = (
-        timeout is not None
-        and timeout > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
+        timeout is not None and timeout > 0 and timeout_unavailable() is None
     )
     if not use_alarm:
         try:
@@ -98,22 +114,46 @@ def execute_job_guarded(job: Any, timeout: Optional[float] = None) -> Any:
         signal.signal(signal.SIGALRM, previous)
 
 
-class SerialExecutor:
+class _Executor:
+    """What both executors share: the incident log, and running jobs on
+    the calling thread."""
+
+    def __init__(self) -> None:
+        self.incidents: List[Dict[str, Any]] = []
+        #: Whether the ``map`` call in progress has already said that
+        #: its timeout cannot fire (it says so once).
+        self._timeout_noted = False
+
+    def _note(self, kind: str, **detail: Any) -> None:
+        self.incidents.append({"kind": kind, **detail})
+
+    def _note_dead_timeout(
+        self, timeout: Optional[float], reason: Optional[str]
+    ) -> None:
+        if timeout and reason and not self._timeout_noted:
+            self._timeout_noted = True
+            self._note("timeout-unavailable", reason=reason)
+
+    def _run_here(self, jobs: Sequence[Any], timeout: Optional[float]) -> List[Any]:
+        if jobs:
+            self._note_dead_timeout(timeout, timeout_unavailable())
+        return [execute_job_guarded(job, timeout) for job in jobs]
+
+
+class SerialExecutor(_Executor):
     """Run every job in this process, in order."""
 
     workers = 1
 
-    def __init__(self) -> None:
-        self.incidents: List[Dict[str, Any]] = []
-
     def map(self, jobs: Sequence[Any], timeout: Optional[float] = None) -> List[Any]:
-        return [execute_job_guarded(job, timeout) for job in jobs]
+        self._timeout_noted = False
+        return self._run_here(jobs, timeout)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
-class PoolExecutor:
+class PoolExecutor(_Executor):
     """Fan jobs out over a ``ProcessPoolExecutor``, surviving crashes.
 
     Jobs are submitted individually (futures preserve submission order,
@@ -133,14 +173,11 @@ class PoolExecutor:
         max_retries: int = 2,
         retry_backoff: float = 0.25,
     ):
+        super().__init__()
         self.workers = max(1, workers or default_worker_count())
         self.chunksize = chunksize  # kept for API compatibility; unused
         self.max_retries = max(0, max_retries)
         self.retry_backoff = retry_backoff
-        self.incidents: List[Dict[str, Any]] = []
-
-    def _note(self, kind: str, **detail: Any) -> None:
-        self.incidents.append({"kind": kind, **detail})
 
     def _make_pool(self) -> Optional[ProcessPoolExecutor]:
         try:
@@ -152,12 +189,13 @@ class PoolExecutor:
     def map(self, jobs: Sequence[Any], timeout: Optional[float] = None) -> List[Any]:
         if not jobs:
             return []
-        if self.workers == 1 or len(jobs) == 1:
-            return [execute_job_guarded(job, timeout) for job in jobs]
-
-        pool = self._make_pool()
+        self._timeout_noted = False
+        pool = None
+        if self.workers > 1 and len(jobs) > 1:
+            pool = self._make_pool()
         if pool is None:
-            return [execute_job_guarded(job, timeout) for job in jobs]
+            return self._run_here(jobs, timeout)
+        self._note_dead_timeout(timeout, timeout_unavailable(in_pool_worker=True))
 
         results: List[Any] = [None] * len(jobs)
         done: List[bool] = [False] * len(jobs)
@@ -208,7 +246,7 @@ class PoolExecutor:
             while True:
                 attempts += 1
                 if pool is None:
-                    results[i] = execute_job_guarded(jobs[i], timeout)
+                    (results[i],) = self._run_here([jobs[i]], timeout)
                     done[i] = True
                     break
                 try:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any
+from pathlib import Path
+from typing import Any, Optional
 
 _PRIMITIVES = (type(None), bool, int, str)
 
@@ -97,3 +98,29 @@ def fingerprint(obj: Any, salt: str = "") -> str:
     """A stable sha256 hex digest of ``obj``'s canonical form."""
     payload = repr((salt, canonical(obj))).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+_code_salt_memo: Optional[str] = None
+
+
+def code_salt() -> str:
+    """A hash of every source file of the installed ``repro`` package.
+
+    The second half of a result-cache key (spec fingerprint × code
+    salt): editing *any* library source invalidates every cached
+    result — deliberately conservative, a stale verdict is far worse
+    than a cold re-run — so summaries from any other version of the
+    code are invisible rather than wrong.  Computed once per process
+    (~200 small files).
+    """
+    global _code_salt_memo
+    if _code_salt_memo is None:
+        import repro
+
+        digest = hashlib.sha256()
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+        _code_salt_memo = digest.hexdigest()
+    return _code_salt_memo

@@ -26,13 +26,13 @@ from repro.core.environment import Environment
 from repro.core.failure_pattern import FailurePattern
 from repro.runner.callspec import CallSpec, maybe_resolve
 from repro.runner.fingerprint import fingerprint
-from repro.sim.network import NETWORK_ENGINES
 
 #: Bump when run semantics change in a way that should invalidate every
 #: cached result regardless of source-hash salting.
 #: 2: RunSpec grew ``time_leap``; RunSummary grew ``perf``.
 #: 3: RunSpec grew ``engine`` (buffer-engine pin; None = ambient).
-SPEC_FORMAT = 3
+#: 4: ``engine`` removed again — the network is not a property of a spec.
+SPEC_FORMAT = 4
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,6 @@ class RunSpec:
     #: trace-neutral, so two specs differing only here produce equal
     #: stable digests — but distinct fingerprints/cache keys.
     time_leap: bool = False
-    #: Network buffer engine pin: ``"indexed"`` or ``"reference"``.
-    #: ``None`` keeps the ambient implementation — golden suites that
-    #: wrap construction in ``network_implementation(...)`` keep
-    #: working unchanged.  Both engines are trace-identical; this pins
-    #: *performance*, so it is still part of the fingerprint (distinct
-    #: cache rows per engine).
-    engine: Optional[str] = None
     summarize: Optional[CallSpec] = None
     #: Free-form labels echoed into the summary (axis coordinates,
     #: row keys); part of the fingerprint so distinct cells never
@@ -87,10 +80,6 @@ class RunSpec:
             raise ValueError("give either a pattern or an environment, not both")
         if self.trace_mode not in ("full", "lite"):
             raise ValueError(f"unknown trace_mode {self.trace_mode!r}")
-        if self.engine is not None and self.engine not in NETWORK_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; have {NETWORK_ENGINES}"
-            )
         for name, slot in (
             ("scheduler", self.scheduler),
             ("delivery_policy", self.delivery_policy),

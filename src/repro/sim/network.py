@@ -438,22 +438,6 @@ class Network:
         return best
 
 
-#: The engine names accepted wherever a network implementation can be
-#: picked (RunSpec.engine, the explorer's --engine, frontier options).
-NETWORK_ENGINES = ("indexed", "reference")
-
-
-def resolve_network_engine(engine: str) -> type:
-    """Map an engine name to its network class."""
-    if engine == "indexed":
-        return Network
-    if engine == "reference":
-        return ReferenceNetwork
-    raise ValueError(
-        f"unknown network engine {engine!r}; have {NETWORK_ENGINES}"
-    )
-
-
 class ReferenceNetwork:
     """The seed's flat-list buffer engine, kept as the behavioral oracle.
 
@@ -461,7 +445,9 @@ class ReferenceNetwork:
     per step — which is exactly the cost profile the indexed engine
     removes.  The golden determinism suite runs both engines over the
     same specs and asserts bit-identical traces; the simulator bench
-    quantifies the gap.
+    quantifies the gap.  No option, spec field or flag selects it: a
+    test reaches it with ``with repro.sim.system.network_implementation(
+    ReferenceNetwork):`` around whatever builds the system.
     """
 
     def __init__(

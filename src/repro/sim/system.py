@@ -130,23 +130,10 @@ class System:
         Duck-typed (anything exposing the same ``resolve_*`` surface
         works) so the sim layer never imports the runner package.
 
-        A spec may pin a buffer engine via its optional ``engine``
-        field (``"indexed"`` / ``"reference"``); when it
-        is None (the default) the ambient engine stands — whatever
-        :func:`network_implementation` currently has swapped in — so
-        golden-suite style ``with network_implementation(...)`` wrapping
-        keeps working unchanged.
+        The buffer is whatever :class:`System` constructs — the
+        production :class:`~repro.sim.network.Network`, or the oracle a
+        test swapped in with :func:`network_implementation`.
         """
-        engine = getattr(spec, "engine", None)
-        if engine is not None:
-            from repro.sim.network import resolve_network_engine
-
-            with network_implementation(resolve_network_engine(engine)):
-                return cls._from_spec_fields(spec)
-        return cls._from_spec_fields(spec)
-
-    @classmethod
-    def _from_spec_fields(cls, spec) -> "System":
         return cls(
             n=spec.n,
             seed=spec.seed,

@@ -1,7 +1,7 @@
 """The persistent result store: campaigns as a queryable artifact.
 
 One WAL-mode SQLite file accumulates everything the system computes —
-run/fn summaries (doubling as the campaign cache's SQLite backend),
+run/fn summaries (which are the campaign cache),
 campaign executions, the explorer's cross-shard visited-set
 fingerprints, chaos/explore violation witnesses, and BENCH history —
 so "millions of runs" survive the process that produced them and
@@ -10,8 +10,8 @@ resume, dedup and trend queries become one ``SELECT``.
 * :class:`ResultStore` — the file, its single write connection with
   buffered batch inserts, and read-only query connections
   (:mod:`repro.store.db`);
-* :class:`StoreResultCache` — the campaign-cache adapter behind
-  ``--cache-backend sqlite`` (:mod:`repro.store.cache`);
+* :class:`StoreResultCache` — the campaign cache: what ``--cache`` /
+  ``cache=True`` / a directory resolves to (:mod:`repro.store.cache`);
 * :class:`FingerprintExchange` — batched cross-shard visited-set
   exchange for the dynamic frontier (:mod:`repro.store.exchange`);
 * :mod:`repro.store.bench` — BENCH history plus the perf-trend gate;

@@ -54,10 +54,6 @@ TRACKED: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("frontier.wall_1_over_wall_4", "higher"),
         ("frontier.scaling.4.fp_nodes_inflation", "lower"),
     ),
-    "BENCH_runner": (
-        ("speedup", "higher"),
-        ("serial_seconds", "lower"),
-    ),
 }
 
 #: Fraction of the historical median a "higher" metric may lose (or a

@@ -1,17 +1,17 @@
-"""The store-backed result cache: ``ResultCache``'s SQLite twin.
+"""The campaign result cache, kept in the store.
 
-:class:`StoreResultCache` speaks the exact interface
+:class:`StoreResultCache` is the interface
 :meth:`repro.runner.campaign.Campaign.run` consumes — ``get(key)`` /
-``put(key, summary)`` / ``drain_events()`` / ``salt`` — so the runner
-swaps backends without knowing which one it holds (the
-``--cache-backend`` flag / ``REPRO_RUNNER_CACHE_BACKEND`` variable
-pick one; see :func:`repro.runner.config.resolve_cache`).
+``put(key, summary)`` / ``drain_events()`` / ``salt`` — over one
+:class:`~repro.store.db.ResultStore`.  It is what ``cache=True`` or a
+directory resolves to (:func:`repro.runner.config.resolve_cache`):
 
-Differences from the JSON-file backend, all upside:
-
-* results live in **one** WAL-mode SQLite file instead of thousands of
-  two-level directory entries, so campaigns survive across processes
-  and CI runs cheaply (one file to ``actions/cache``);
+* results live in **one** WAL-mode SQLite file, so campaigns survive
+  across processes and CI runs cheaply (one file to ``actions/cache``);
+* an entry is keyed by the spec's content hash and stored under a salt
+  hashing the ``repro`` source tree
+  (:func:`~repro.runner.fingerprint.code_salt`): changing any spec field
+  re-executes that cell, editing any library source all of them;
 * ``put`` is buffered (one committed transaction per batch) — a killed
   writer loses at most its uncommitted tail, never committed rows;
 * every executed campaign is recorded as a ``campaigns`` row keyed by
@@ -19,8 +19,8 @@ Differences from the JSON-file backend, all upside:
   ``python -m repro.store summarise`` shows the re-run executing 0
   cells.
 
-A torn or foreign row is handled exactly like a corrupt cache file:
-deleted, surfaced as a ``cache-corrupt`` event, treated as a miss.
+A torn or foreign row is never an error: it is deleted, surfaced as a
+``cache-corrupt`` event, and treated as a miss so the cell recomputes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class StoreResultCache:
         store: Optional[ResultStore] = None,
         batch: int = 64,
     ):
-        from repro.runner.cache import code_salt
+        from repro.runner.fingerprint import code_salt
 
         self.store = store if store is not None else ResultStore(root, batch=batch)
         self.salt = salt if salt is not None else code_salt()

@@ -38,16 +38,13 @@ from repro.store.schema import (
     migrate,
 )
 
-#: Default store location, overridable via $REPRO_STORE_DIR.  Kept
-#: separate from the JSON cache root so the two backends never shadow
-#: each other's artifacts.
+#: Default store location, overridable via $REPRO_STORE_DIR.
 DEFAULT_STORE_DIR = ".repro-store"
 STORE_FILENAME = "store.sqlite"
 
 #: Summary payload framing: magic + hex sha256(payload)[:32] + pickle.
-#: Same belt-and-braces as the JSON-file cache — SQLite checksums
-#: pages, not rows, and a foreign row should read as corrupt, not as a
-#: wrong summary.
+#: SQLite checksums pages, not rows, and a foreign or torn row should
+#: read as corrupt, not as a wrong summary.
 _MAGIC = b"RPST1\n"
 _CHECKSUM_LEN = 32
 

@@ -70,8 +70,7 @@ def exchange_scope(case_dict: Dict[str, Any], options_dict: Dict[str, Any]) -> s
     left out of the scope, and mixing scopes would merge incomparable
     searches.
     """
-    from repro.runner.cache import code_salt
-    from repro.runner.fingerprint import fingerprint
+    from repro.runner.fingerprint import code_salt, fingerprint
 
     return fingerprint(
         {"case": case_dict, "options": options_dict, "code": code_salt()},

@@ -1,9 +1,9 @@
 """Versioned schema for the campaign database.
 
 One SQLite file holds everything the ROADMAP calls "millions of runs
-as a queryable artifact": run/fn summaries keyed exactly like the
-on-disk :class:`~repro.runner.cache.ResultCache` (spec fingerprint ×
-code salt), campaign executions with their cell digests, the
+as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
+code salt (the campaign cache, :mod:`repro.store.cache`), campaign
+executions with their cell digests, the
 explorer's cross-shard visited-set fingerprints, chaos/explore
 violation witnesses, and ``BENCH_*.json`` history rows.
 

@@ -6,7 +6,10 @@ several items whose prefixes they know.  ``split_roots`` and
 ``enqueue_case`` cut a root into shards by hand, with the same two
 ``explore_case`` arguments the workers' re-split uses (``choice_limit``
 + ``shard_roots``).  ``toy_target`` registers a one-component target
-built to break a weaker key or a weaker table.
+built to break a weaker key or a weaker table.  ``NETWORKS`` names the
+production buffer and its oracle for the suites that run on both: no
+option selects a network, so they swap the class ``System`` constructs
+(``with network_implementation(NETWORKS[name]):``) around a serial walk.
 """
 
 from dataclasses import asdict
@@ -16,7 +19,10 @@ from repro.explore import ExploreCase, ExploreOptions, explore_case
 from repro.explore.cases import case_to_dict, resolve_parts
 from repro.explore.frontier import result_to_dict
 from repro.runner import call
+from repro.sim.network import Network, ReferenceNetwork
 from repro.store.exchange import FingerprintExchange, exchange_scope
+
+NETWORKS = {"indexed": Network, "reference": ReferenceNetwork}
 
 
 def never(system):

@@ -1,6 +1,7 @@
 """Unit coverage for the explorer's building blocks."""
 
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.explore import (
     crash_schedules,
     decode_value,
     enumerate_roots,
+    frontier,
     run_controlled,
+    run_frontier,
 )
 from repro.explore.state import OPAQUE_MARK, FingerprintEngine, _Encoder
 
@@ -148,6 +151,18 @@ class TestFrontier:
         roots = enumerate_roots("nbac", 2)
         assert {root.seed for root in roots} == {0, 1}
         assert len(roots) == 2 * len(assignments_for("nbac", 2))
+
+    def test_a_finished_root_is_a_cache_hit_under_a_path(self, tmp_path):
+        # ``cache=tmp_path`` — a Path, not a str — used to be taken for
+        # a ready-made cache object and die on its missing ``.get``.
+        roots = enumerate_roots("qc", 2, depth=4)
+        first = run_frontier(roots, cache=tmp_path)
+        with mock.patch.object(
+            frontier, "explore_case", side_effect=AssertionError("re-explored")
+        ):
+            second = run_frontier(roots, cache=tmp_path)
+        assert first == second
+        assert (tmp_path / "store.sqlite").is_file()
 
 
 class TestCaseRoundTrip:

@@ -1,5 +1,5 @@
 """The deep exploration suite: full frontiers, crash schedules, both
-engines.
+network classes.
 
 Opt-in twice over: marked ``explore`` + ``slow`` (select with
 ``pytest -m explore``) and gated on ``REPRO_EXPLORE_DEEP=1`` so a plain
@@ -13,12 +13,9 @@ import os
 import pytest
 
 from repro.chaos.targets import CLEAN_TARGETS
-from repro.explore import (
-    ExploreOptions,
-    enumerate_roots,
-    explore_case,
-    run_frontier,
-)
+from repro.explore import enumerate_roots, explore_case, run_frontier
+from repro.sim.network import ReferenceNetwork
+from repro.sim.system import network_implementation
 
 pytestmark = [
     pytest.mark.explore,
@@ -58,11 +55,13 @@ def test_paxos_full_assignment_frontier_is_clean():
 def test_crash_frontier_is_clean_on_both_engines(target):
     roots = enumerate_roots(target, 2, depth=6, max_crashes=1)
     assert any(root.crashes for root in roots)
-    for engine in ("indexed", "reference"):
-        summaries = run_frontier(
-            roots, ExploreOptions(engine=engine), workers=2
-        )
-        for summary in summaries:
+    for summary in run_frontier(roots, workers=2):
+        assert summary["complete"]
+        assert not summary["violations"]
+    # The oracle leg is serial: the swap is ambient, and an ambient
+    # swap does not cross a process pool.
+    with network_implementation(ReferenceNetwork):
+        for summary in run_frontier(roots, workers=1):
             assert summary["complete"]
             assert not summary["violations"]
 

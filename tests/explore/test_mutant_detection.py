@@ -7,19 +7,11 @@ so a regression in the search (a pruning bug, a menu change) shows up
 as "mutant no longer detected".  The clean-counterpart checks confirm
 the violations come from the seeded bugs, not from the explorer: paxos
 explored under the *same* adversarial assignment that convicts
-submajority — and at least as many runs — stays silent.
+submajority — and at least as many runs — stays silent.  The
+convictions run once per network class (the ``network`` fixture).
 """
 
-import pytest
-
-from repro.explore import (
-    SMOKE_DEPTHS,
-    ExploreOptions,
-    enumerate_roots,
-    explore_case,
-)
-
-ENGINES = ("indexed", "reference")
+from repro.explore import SMOKE_DEPTHS, enumerate_roots, explore_case
 
 
 def _selfish_root(target):
@@ -34,13 +26,10 @@ def _selfish_root(target):
     return root
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_submajority_agreement_violation_found(engine):
+def test_submajority_agreement_violation_found(network):
     root = _selfish_root("submajority")
     assert root.depth == SMOKE_DEPTHS["submajority"]
-    result = explore_case(
-        root, ExploreOptions(engine=engine), stop_on_first_violation=True
-    )
+    result = explore_case(root, stop_on_first_violation=True)
     assert result.violations, "seeded sub-majority quorum bug not detected"
     violation = result.violations[0]
     assert "agreement" in violation.violated
@@ -49,26 +38,20 @@ def test_submajority_agreement_violation_found(engine):
     assert len(values) == 2
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_eagerquit_validity_violation_found(engine):
+def test_eagerquit_validity_violation_found(network):
     roots = enumerate_roots("eagerquit", 2)
     assert len(roots) == 1 and roots[0].depth == SMOKE_DEPTHS["eagerquit"]
-    result = explore_case(
-        roots[0], ExploreOptions(engine=engine), stop_on_first_violation=True
-    )
+    result = explore_case(roots[0], stop_on_first_violation=True)
     assert result.violations, "seeded eager-quit QC bug not detected"
     assert "validity" in result.violations[0].violated
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_hastycommit_violation_found(engine):
+def test_hastycommit_violation_found(network):
     # The bug needs a No vote in the system: seed 1 carries one.
     hits = []
     for root in enumerate_roots("hastycommit", 2):
         assert root.depth == SMOKE_DEPTHS["hastycommit"]
-        result = explore_case(
-            root, ExploreOptions(engine=engine), stop_on_first_violation=True
-        )
+        result = explore_case(root, stop_on_first_violation=True)
         hits.extend(result.violations)
     assert hits, "seeded hasty-commit NBAC bug not detected"
     violated = set().union(*(v.violated for v in hits))
@@ -76,8 +59,7 @@ def test_hastycommit_violation_found(engine):
     assert any(v.case.seed == 1 for v in hits)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_redcommit_needs_the_switch_dimension(engine):
+def test_redcommit_needs_the_switch_dimension(network):
     """The tentpole's proof burden, both halves.
 
     Without detector switches the red-commit mutant's broken branch is
@@ -90,7 +72,7 @@ def test_redcommit_needs_the_switch_dimension(engine):
     )
     assert constant_roots, "no constant roots enumerated"
     for root in constant_roots:
-        result = explore_case(root, ExploreOptions(engine=engine))
+        result = explore_case(root)
         assert result.complete, "constant root did not exhaust"
         assert not result.violations, (
             "red-commit fired without switches — the coverage-gap "
@@ -103,9 +85,7 @@ def test_redcommit_needs_the_switch_dimension(engine):
     assert len(switch_roots) > len(constant_roots)
     hits = []
     for root in switch_roots:
-        result = explore_case(
-            root, ExploreOptions(engine=engine), stop_on_first_violation=True
-        )
+        result = explore_case(root, stop_on_first_violation=True)
         hits.extend(result.violations)
     assert hits, "seeded red-commit quit-path bug not detected"
     violated = set().union(*(v.violated for v in hits))
@@ -152,9 +132,7 @@ def test_violation_choices_replay_to_same_verdict():
     roots = enumerate_roots("eagerquit", 2)
     result = explore_case(roots[0], stop_on_first_violation=True)
     violation = result.violations[0]
-    verdict = judge(
-        violation.case, violation.choices, violation.engine, por=violation.por
-    )
+    verdict = judge(violation.case, violation.choices, por=violation.por)
     assert set(violation.violated) <= set(verdict["violated"])
     assert tuple(
         (pid, comp, val) for pid, comp, val in

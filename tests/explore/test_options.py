@@ -21,7 +21,6 @@ from repro.explore import (
     run_frontier,
     run_frontier_dynamic,
 )
-from repro.explore.cases import ENGINES
 from repro.explore.state import FingerprintEngine
 
 CASE = ExploreCase(target="qc", n=2, depth=4)
@@ -30,7 +29,6 @@ CASE = ExploreCase(target="qc", n=2, depth=4)
 @pytest.mark.parametrize(
     "field, accepted",
     [
-        ("engine", ENGINES),
         ("fingerprint_mode", FingerprintEngine.MODES),
         ("symmetry", ("auto",)),
     ],
@@ -46,17 +44,14 @@ def test_a_misspelt_option_is_an_error_naming_the_accepted_values(
 
 
 def test_every_accepted_value_constructs():
-    for engine in ENGINES:
-        for mode in FingerprintEngine.MODES:
-            for symmetry in (None, False, "auto", True):
-                ExploreOptions(
-                    engine=engine, fingerprint_mode=mode, symmetry=symmetry
-                )
+    for mode in FingerprintEngine.MODES:
+        for symmetry in (None, False, "auto", True):
+            ExploreOptions(fingerprint_mode=mode, symmetry=symmetry)
 
 
 def test_options_round_trip_through_their_dict():
     options = ExploreOptions(
-        engine="reference", por=False, symmetry="auto", fingerprint_mode="naive"
+        por=False, dedup=False, symmetry="auto", fingerprint_mode="naive"
     )
     assert ExploreOptions(**dataclasses.asdict(options)) == options
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -10,12 +10,14 @@ clauses (``reproduced``) and the run is still byte-for-byte the same
 broke — all worth knowing immediately.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.chaos.artifact import load_artifact, replay
-from repro.explore.artifact import EXPLORE_FORMAT
+from repro.explore.artifact import EXPLORE_FORMAT, write_artifact
+from repro.explore.cases import case_from_dict
 
 DATA = Path(__file__).parent.parent / "data"
 ARTIFACTS = sorted(DATA.glob("explore-*.json"))
@@ -48,6 +50,33 @@ def test_artifact_replays_and_reconfirms(path):
         "changed"
     )
     assert result.ok
+
+
+@pytest.mark.parametrize(
+    "path", ARTIFACTS, ids=[path.stem for path in ARTIFACTS]
+)
+def test_the_engine_key_of_older_witnesses_is_not_read(path, tmp_path):
+    """The committed witnesses were written when a search named its
+    network engine; both networks are trace-identical, the key is no
+    longer written, and whatever it says a witness replays the same."""
+    committed = load_artifact(path)
+    assert committed["engine"] == "indexed"
+    on_reference = dict(committed, engine="reference")
+    assert replay(on_reference) == replay(committed)
+    assert replay(on_reference).ok
+    # Written again by today's code: the same document minus the key —
+    # the format did not change, so neither did its version.
+    rewritten = write_artifact(
+        tmp_path / path.name,
+        case_from_dict(committed["case"]),
+        committed["choices"],
+        committed["violated"],
+        por=committed["por"],
+        shrink_stats=committed["shrink"],
+    )
+    assert "engine" not in rewritten
+    assert dict(rewritten, engine="indexed") == committed
+    assert json.loads((tmp_path / path.name).read_text()) == rewritten
 
 
 def test_loader_rejects_unknown_format(tmp_path):

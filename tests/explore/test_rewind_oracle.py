@@ -45,7 +45,8 @@ from repro.explore import engine as engine_mod
 from repro.explore.cases import resolve_parts
 from repro.explore.state import FingerprintEngine, StepEffects, _Encoder
 from repro.sim.process import Component
-from tests.explore.helpers import toy_target
+from repro.sim.system import network_implementation
+from tests.explore.helpers import NETWORKS, toy_target
 
 
 def _naive_fingerprint(system, controller, case):
@@ -156,7 +157,7 @@ def rewind_oracle():
 
     Yields a dict counting the runs checked, the rewinds among them,
     the detector-cursor advances on their paths and the host units
-    compared with a fresh encoding.
+    compared with a fresh encoding, and holding the last live system.
     """
     real_run = engine_mod._LiveSystem.run
     seen = {"runs": 0, "rewinds": 0, "detector_choices": 0, "host_units": 0}
@@ -173,7 +174,6 @@ def rewind_oracle():
         fresh_system, fresh_controller = run_controlled(
             case,
             taken,
-            engine=live.engine,
             por=live.por,
             tick_hook=lambda now: now != halt_at,
         )
@@ -201,6 +201,7 @@ def rewind_oracle():
             for point in controller.log
         )
         seen["rewinds"] += live.result.counters.explore_rewinds - rewinds
+        seen["system"] = system
         return trace
 
     real_units = FingerprintEngine._host_units
@@ -256,18 +257,19 @@ def test_every_target_rewinds_exactly(target, crashes):
     assert seen["host_units"] >= result.states * case.n
 
 
-@pytest.mark.parametrize("engine", ["indexed", "reference"])
+@pytest.mark.parametrize("engine", list(NETWORKS))
 @pytest.mark.parametrize("symmetry", [None, "auto"], ids=["plain", "symmetry"])
 def test_engines_and_symmetry(engine, symmetry):
+    # The scratch replays run inside the block too: both sides of every
+    # comparison are on the same network class.
     for case in (
         ExploreCase(target="nbac", n=3, depth=4),
         ExploreCase(target="register", n=2, depth=6, crashes=((0, 2),)),
         SCRIPTED,
     ):
-        with rewind_oracle() as seen:
-            result = explore_case(
-                case, ExploreOptions(engine=engine, symmetry=symmetry)
-            )
+        with network_implementation(NETWORKS[engine]), rewind_oracle() as seen:
+            result = explore_case(case, ExploreOptions(symmetry=symmetry))
+            assert type(seen["system"].network) is NETWORKS[engine]
         assert seen["runs"] == result.runs
         assert seen["rewinds"] == result.runs - 1
 

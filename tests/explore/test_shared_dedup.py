@@ -79,7 +79,6 @@ class TestExchangeMechanics:
         assert scope == exchange_scope(case_dict, dataclasses.asdict(base))
         assert scope != exchange_scope({"target": "ct"}, dataclasses.asdict(base))
         flipped = {
-            "engine": "reference",
             "por": False,
             "dedup": False,
             "symmetry": "auto",

@@ -21,6 +21,8 @@ outcome-equality is asserted on roots where switches genuinely matter
 import pytest
 
 from repro.explore import ExploreCase, ExploreOptions, explore_case
+from repro.sim.network import ReferenceNetwork
+from repro.sim.system import network_implementation
 
 CONFIGS = [
     (True, True),
@@ -139,7 +141,7 @@ def test_symmetry_dimension_preserves_outcomes(case):
     leaves the 1↔2 swap admissible — the perm must commute with the
     switch schedule, which the uniform pid-free script guarantees.
     All against the fully unreduced, symmetry-free baseline.  Both
-    engines are held to the same answer under full reduction.
+    network classes are held to the same answer under full reduction.
     """
     baseline = _outcomes(explore_case(case, ExploreOptions(por=False, dedup=False)))
     assert baseline["vectors"], "unreduced search found no leaves"
@@ -151,8 +153,7 @@ def test_symmetry_dimension_preserves_outcomes(case):
         assert _outcomes(result) == baseline, (
             f"symmetry over por={por} dedup={dedup} changed the outcomes"
         )
-    reference = explore_case(
-        case, ExploreOptions(engine="reference", symmetry="auto")
-    )
+    with network_implementation(ReferenceNetwork):
+        reference = explore_case(case, ExploreOptions(symmetry="auto"))
     assert reference.complete
     assert _outcomes(reference) == baseline

@@ -3,8 +3,12 @@
 These are the heaviest integration tests in the suite (each runs the
 full extraction pipeline: DAG gossip, forest simulation, a real QC
 execution, then Ω/Σ extraction loops).  Horizons are sized to the
-minimum that lets the pipeline complete.
+minimum that lets the pipeline complete, and each distinct extraction
+runs once for the module: the tests only read the finished system and
+trace, and several read the same one.
 """
+
+import functools
 
 import pytest
 
@@ -21,6 +25,13 @@ from repro.sim.system import SystemBuilder
 
 
 def run_extraction(branch, pattern, seed, horizon=16_000, prefix_stride=10):
+    # Positional from here on: the memo keys on how it was called, and
+    # ``horizon=16_000`` spelt out is the same extraction as the default.
+    return _run_extraction(branch, pattern, seed, horizon, prefix_stride)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_extraction(branch, pattern, seed, horizon, prefix_stride):
     system = (
         SystemBuilder(n=3, seed=seed, horizon=horizon)
         .pattern(pattern)

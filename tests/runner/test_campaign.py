@@ -7,13 +7,15 @@ changed seed/horizon ⇒ cache miss.
 
 import pytest
 
+from pathlib import Path
+
 from repro.runner import (
     Campaign,
-    ResultCache,
     call,
     fn_spec,
     run_jobs,
 )
+from repro.store import ResultStore, StoreResultCache
 
 from tests.runner import helpers
 
@@ -50,7 +52,7 @@ class TestGridExpansion:
 class TestDeterminism:
     def test_serial_pool_and_cache_agree_byte_for_byte(self, tmp_path):
         campaign = _grid()
-        cache = ResultCache(str(tmp_path))
+        cache = StoreResultCache(tmp_path)
 
         serial = campaign.run(workers=1, cache=False)
         pooled = campaign.run(workers=2, cache=cache)
@@ -79,12 +81,6 @@ class TestDeterminism:
         # trace_mode is part of the spec, so the cache keys stay distinct.
         assert lite.key != full.key
 
-    def test_engine_pin_accepts_only_the_two_network_engines(self):
-        pinned = helpers.consensus_spec(engine="reference").execute()
-        assert pinned.trace_digest == helpers.consensus_spec().execute().trace_digest
-        with pytest.raises(ValueError, match="indexed.*reference"):
-            helpers.consensus_spec(engine="native")
-
     def test_result_order_matches_job_order(self):
         campaign = _grid()
         result = campaign.run(workers=2)
@@ -100,13 +96,13 @@ class TestDeterminism:
 
 class TestCacheInvalidation:
     def test_changed_seed_misses(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = StoreResultCache(tmp_path)
         Campaign([helpers.consensus_spec(seed=0)]).run(cache=cache)
         second = Campaign([helpers.consensus_spec(seed=1)]).run(cache=cache)
         assert second.hits == 0 and second.executed == 1
 
     def test_changed_horizon_misses(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = StoreResultCache(tmp_path)
         Campaign([helpers.consensus_spec(horizon=50_000)]).run(cache=cache)
         second = Campaign([helpers.consensus_spec(horizon=60_000)]).run(
             cache=cache
@@ -114,27 +110,37 @@ class TestCacheInvalidation:
         assert second.hits == 0 and second.executed == 1
 
     def test_same_spec_hits(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = StoreResultCache(tmp_path)
         Campaign([helpers.consensus_spec()]).run(cache=cache)
         second = Campaign([helpers.consensus_spec()]).run(cache=cache)
         assert second.hits == 1 and second.executed == 0
         assert second[0].cached is True
 
     def test_salt_change_misses(self, tmp_path):
-        first = ResultCache(str(tmp_path), salt="salt-a")
+        first = StoreResultCache(tmp_path, salt="salt-a")
         Campaign([helpers.consensus_spec()]).run(cache=first)
         second = Campaign([helpers.consensus_spec()]).run(
-            cache=ResultCache(str(tmp_path), salt="salt-b")
+            cache=StoreResultCache(tmp_path, salt="salt-b")
         )
         assert second.hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path), salt="s")
-        key = helpers.consensus_spec().fingerprint()
-        path = cache._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle")
-        assert cache.get(key) is None
+        spec = helpers.consensus_spec()
+        Campaign([spec]).run(cache=StoreResultCache(tmp_path, salt="s"))
+        with ResultStore(tmp_path) as store, store.write_connection as con:
+            con.execute("UPDATE run_summaries SET payload = ?", (b"not a pickle",))
+        cache = StoreResultCache(tmp_path, salt="s")
+        assert cache.get(spec.fingerprint()) is None
+        assert [e["kind"] for e in cache.drain_events()] == ["cache-corrupt"]
+
+    def test_a_path_is_a_location_not_a_cache_object(self, tmp_path):
+        # ``cache=Path(d)`` used to be passed through as a ready-made
+        # cache: AttributeError: 'PosixPath' object has no attribute 'get'.
+        spec = helpers.consensus_spec()
+        cold = Campaign([spec]).run(cache=Path(tmp_path))
+        warm = Campaign([spec]).run(cache=Path(tmp_path))
+        assert (cold.executed, warm.executed, warm.hits) == (1, 0, 1)
+        assert (tmp_path / "store.sqlite").is_file()
 
 
 class TestResultQueries:
@@ -152,7 +158,7 @@ class TestResultQueries:
 
 class TestFnSpecCells:
     def test_fn_cells_execute_and_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = StoreResultCache(tmp_path)
         cell = fn_spec(call(helpers.one_arg_value, 7), kind="fn")
         first = Campaign([cell]).run(cache=cache)
         second = Campaign([cell]).run(cache=cache)

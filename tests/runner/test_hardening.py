@@ -8,11 +8,11 @@ survive are byte-identical (stable digest) to a clean serial rerun.
 """
 
 import os
+import threading
 
 import pytest
 
 from repro.runner import call, fn_spec
-from repro.runner.cache import ResultCache
 from repro.runner.campaign import Campaign
 from repro.runner.config import configure, reset, resolve_timeout
 from repro.runner.executor import (
@@ -22,6 +22,7 @@ from repro.runner.executor import (
     execute_job_guarded,
 )
 from repro.runner.summary import JobFailure
+from repro.store import ResultStore, StoreResultCache
 
 from tests.runner.helpers import (
     consensus_spec,
@@ -76,6 +77,36 @@ class TestTimeouts:
         assert isinstance(failure, JobFailure)
         assert failure.kind == "timeout"
         assert ok.value == 4
+        assert result.incidents == []  # the alarm could fire, and did
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "degraded-pool"])
+    def test_timeout_that_cannot_fire_is_an_incident(self, workers, monkeypatch):
+        """SIGALRM never fires off the main thread.  The jobs still run
+        (unbounded), and the campaign says once that they did."""
+        import repro.runner.executor as executor_module
+
+        def refuse(*args, **kwargs):
+            raise OSError("no /dev/shm in this sandbox")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", refuse)
+        jobs = [fn_spec(call(fn_sleep, 3, duration=0.3))] + square_jobs(2)
+        results = []
+        thread = threading.Thread(
+            target=lambda: results.append(
+                Campaign(jobs).run(workers=workers, timeout=0.1)
+            )
+        )
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        (result,) = results
+        assert result.ok  # the sleeper outlived its budget and finished
+        assert [s.value for s in result.summaries] == [3, 0, 1]
+        unavailable = [
+            i for i in result.incidents if i["kind"] == "timeout-unavailable"
+        ]
+        assert len(unavailable) == 1
+        assert "non-main thread" in unavailable[0]["reason"]
 
     def test_pool_timeout_becomes_jobfailure(self):
         jobs = square_jobs(3) + [fn_spec(call(fn_sleep, 1, duration=5.0))]
@@ -83,6 +114,7 @@ class TestTimeouts:
         assert [s.value for s in result.summaries[:3]] == [0, 1, 4]
         assert isinstance(result.summaries[3], JobFailure)
         assert result.summaries[3].kind == "timeout"
+        assert result.incidents == []
 
     def test_guard_raises_outside_capture(self):
         with pytest.raises(JobTimeout):
@@ -159,19 +191,24 @@ class TestPoolDegradation:
 
 
 class TestCacheIntegrity:
-    def _corrupt_one(self, store):
-        paths = sorted(store.root.rglob("*.pkl"))
-        assert paths
-        blob = paths[0].read_bytes()
-        paths[0].write_bytes(blob[: len(blob) // 2])  # truncate mid-payload
-        return paths[0]
+    def _rewrite_one(self, tmp_path, rewrite):
+        """Replace the payload of one stored row by ``rewrite(payload)``."""
+        with ResultStore(tmp_path) as store, store.write_connection as con:
+            key, blob = con.execute(
+                "SELECT key, payload FROM run_summaries ORDER BY key"
+            ).fetchone()
+            con.execute(
+                "UPDATE run_summaries SET payload = ? WHERE key = ?",
+                (rewrite(blob), key),
+            )
 
     def test_truncated_entry_is_discarded_and_recomputed(self, tmp_path):
-        store = ResultCache(root=tmp_path, salt="t")
+        store = StoreResultCache(tmp_path, salt="t")
         jobs = square_jobs(3)
         first = Campaign(jobs).run(cache=store)
         assert first.executed == 3
-        corrupted = self._corrupt_one(store)
+        # truncate mid-payload
+        self._rewrite_one(tmp_path, lambda blob: blob[: len(blob) // 2])
 
         second = Campaign(jobs).run(cache=store)
         assert [s.value for s in second.summaries] == [0, 1, 4]
@@ -181,20 +218,18 @@ class TestCacheIntegrity:
         assert len(events) == 1
         assert events[0]["kind"] == "cache-corrupt"
         assert "checksum mismatch" in events[0]["reason"]
-        # The poisoned file was unlinked, then the fresh recompute was
-        # written back to the same path — so the entry is healthy again.
-        assert corrupted.exists()
+        # The torn row was deleted, then the fresh recompute written
+        # back under the same key — so the entry is healthy again.
 
         third = Campaign(jobs).run(cache=store)
         assert third.hits == 3
         assert third.cache_events == []
 
     def test_foreign_file_is_discarded(self, tmp_path):
-        store = ResultCache(root=tmp_path, salt="t")
+        store = StoreResultCache(tmp_path, salt="t")
         jobs = square_jobs(1)
         Campaign(jobs).run(cache=store)
-        path = next(store.root.rglob("*.pkl"))
-        path.write_bytes(b"not a cache entry at all")
+        self._rewrite_one(tmp_path, lambda blob: b"not a cache entry at all")
         result = Campaign(jobs).run(cache=store)
         assert result.summaries[0].value == 0
         assert any(
@@ -202,7 +237,7 @@ class TestCacheIntegrity:
         )
 
     def test_cached_digest_matches_fresh_digest(self, tmp_path):
-        store = ResultCache(root=tmp_path, salt="t")
+        store = StoreResultCache(tmp_path, salt="t")
         spec = consensus_spec(seed=3, horizon=20_000)
         fresh = Campaign([spec]).run(cache=store).summaries[0]
         cached = Campaign([spec]).run(cache=store).summaries[0]
@@ -210,7 +245,7 @@ class TestCacheIntegrity:
         assert cached.stable_digest() == fresh.stable_digest()
 
     def test_failures_are_not_cached(self, tmp_path):
-        store = ResultCache(root=tmp_path, salt="t")
+        store = StoreResultCache(tmp_path, salt="t")
         jobs = [fn_spec(call(fn_raise, 1))]
         first = Campaign(jobs).run(cache=store)
         assert isinstance(first.summaries[0], JobFailure)

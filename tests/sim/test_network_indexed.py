@@ -21,7 +21,6 @@ from repro.sim.network import (
     RandomDelivery,
     ReferenceNetwork,
     UniformDelay,
-    resolve_network_engine,
 )
 
 
@@ -229,8 +228,3 @@ class TestIndexedFastPath:
             assert indexed.pick_for(1, t).msg_id == reference.pick_for(1, t).msg_id
         assert indexed.perf.scanned_per_delivery() < 2.0
         assert reference.perf.scanned_per_delivery() > 100.0
-
-
-def test_native_is_not_an_engine_name():
-    with pytest.raises(ValueError, match="indexed.*reference"):
-        resolve_network_engine("native")

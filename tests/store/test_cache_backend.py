@@ -1,17 +1,19 @@
-"""The SQLite cache backend, driven through real campaigns.
+"""The campaign cache (the store), driven through real campaigns.
 
 Pins the tentpole behaviours: a completed campaign re-run against the
 store executes zero cells, the execution is recorded as a ``campaigns``
 row the CLI can report, corruption surfaces as ``cache_events`` (and a
-warning) rather than wrong results, and backend selection routes
-through :func:`repro.runner.config.resolve_cache`.
+warning) rather than wrong results, and ``True`` / a location / a
+ready-made object resolve through
+:func:`repro.runner.config.resolve_cache`.
 """
 
 import logging
+from pathlib import Path
 
 import pytest
 
-from repro.runner import Campaign, ResultCache, call, fn_spec
+from repro.runner import Campaign, call, fn_spec
 from repro.runner import config as runner_config
 from repro.store import ResultStore, StoreResultCache
 from repro.store.report import summarise
@@ -114,43 +116,62 @@ class TestCorruption:
 
 
 class TestBackendSelection:
-    def test_default_is_json(self, tmp_path):
-        cache = runner_config.resolve_cache(str(tmp_path))
-        assert isinstance(cache, ResultCache)
+    """There is one backend; what is left to resolve is *where* it is
+    (the class keeps its name for the test ids)."""
+
+    def test_a_directory_and_true_resolve_to_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        for location in (str(tmp_path / "s"), tmp_path / "p"):
+            cache = runner_config.resolve_cache(location)
+            assert isinstance(cache, StoreResultCache)
+            assert cache.root == Path(location) / "store.sqlite"
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
+        cache = runner_config.resolve_cache(True)
+        assert cache.root == tmp_path / "default" / "store.sqlite"
+        assert runner_config.resolve_cache(False) is None
+        assert runner_config.resolve_cache(None) is None
 
     def test_configured_sqlite(self, tmp_path):
-        runner_config.configure(cache_backend="sqlite")
-        cache = runner_config.resolve_cache(str(tmp_path))
+        runner_config.configure(cache=str(tmp_path))
+        cache = runner_config.resolve_cache()
         assert isinstance(cache, StoreResultCache)
+        assert cache.root == tmp_path / "store.sqlite"
 
     def test_env_sqlite(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_BACKEND", "sqlite")
-        cache = runner_config.resolve_cache(str(tmp_path))
+        monkeypatch.setenv("REPRO_RUNNER_CACHE", str(tmp_path / "env"))
+        cache = runner_config.resolve_cache()
         assert isinstance(cache, StoreResultCache)
+        assert cache.root == tmp_path / "env" / "store.sqlite"
+        monkeypatch.setenv("REPRO_RUNNER_CACHE", "off")
+        assert runner_config.resolve_cache() is None
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
+        monkeypatch.setenv("REPRO_RUNNER_CACHE", "on")
+        assert (
+            runner_config.resolve_cache().root
+            == tmp_path / "default" / "store.sqlite"
+        )
 
     def test_argument_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_BACKEND", "sqlite")
-        cache = runner_config.resolve_cache(str(tmp_path), backend="json")
-        assert isinstance(cache, ResultCache)
+        monkeypatch.setenv("REPRO_RUNNER_CACHE", str(tmp_path / "env"))
+        runner_config.configure(cache=str(tmp_path / "configured"))
+        assert (
+            runner_config.resolve_cache().root
+            == tmp_path / "configured" / "store.sqlite"
+        )
+        cache = runner_config.resolve_cache(str(tmp_path / "argument"))
+        assert cache.root == tmp_path / "argument" / "store.sqlite"
+        assert runner_config.resolve_cache(False) is None
 
     def test_ready_made_cache_passes_through(self, tmp_path):
         ready = StoreResultCache(tmp_path)
         assert runner_config.resolve_cache(ready) is ready
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            runner_config.configure(cache_backend="mongodb")
-        with pytest.raises(ValueError):
-            runner_config.resolve_cache_backend("mongodb")
-
-    def test_both_backends_share_spec_fingerprints(self, tmp_path):
-        # Same spec, either backend: one executes, the other's key would
-        # hit its own store — the fingerprint is backend-independent.
-        spec = fn_spec(call(helpers.cube, 3), i=3)
-        json_cache = ResultCache(str(tmp_path / "json"))
-        sqlite_cache = StoreResultCache(tmp_path / "sqlite")
-        Campaign([spec]).run(cache=json_cache)
-        Campaign([spec]).run(cache=sqlite_cache)
-        assert json_cache.salt == sqlite_cache.salt
-        warm = Campaign([spec]).run(cache=StoreResultCache(tmp_path / "sqlite"))
-        assert warm.hits == 1
+        # Every backend name is unknown now: the keywords themselves
+        # are refused, not accepted and ignored.
+        with pytest.raises(TypeError):
+            runner_config.configure(cache_backend="sqlite")
+        with pytest.raises(TypeError):
+            runner_config.resolve_cache(True, backend="sqlite")
+        assert not hasattr(runner_config, "resolve_cache_backend")

@@ -201,27 +201,29 @@ class TestCli:
 
     def test_check_records_and_gates(self, tmp_path, capsys):
         db = self._db(tmp_path)
-        report = tmp_path / "BENCH_runner.json"
-        report.write_text(
-            json.dumps({"speedup": 3.0, "serial_seconds": 10.0})
-        )
+        report = tmp_path / "BENCH_sim.json"
+
+        def write(steps_per_second):
+            report.write_text(json.dumps(
+                {"fanout": {"indexed": {"steps_per_second": steps_per_second}}}
+            ))
+
+        write(3000.0)
         # Below MIN_HISTORY the gate passes vacuously but can record.
         assert store_cli(
-            ["--db", db, "check", "BENCH_runner",
+            ["--db", db, "check", "BENCH_sim",
              "--report", str(report), "--record"]
         ) == 0
         assert store_cli(
-            ["--db", db, "record", "BENCH_runner", "--report", str(report)]
+            ["--db", db, "record", "BENCH_sim", "--report", str(report)]
         ) == 0
         # Armed now; a hard regression (beyond the 0.5 tolerance) fails.
-        report.write_text(
-            json.dumps({"speedup": 0.5, "serial_seconds": 100.0})
-        )
+        write(500.0)
         assert store_cli(
-            ["--db", db, "check", "BENCH_runner", "--report", str(report)]
+            ["--db", db, "check", "BENCH_sim", "--report", str(report)]
         ) == 1
         out = capsys.readouterr().out
-        assert "speedup" in out
+        assert "fanout.indexed.steps_per_second" in out
 
     def test_migrate_flag(self, tmp_path, capsys):
         db = self._db(tmp_path)
