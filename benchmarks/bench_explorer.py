@@ -1,12 +1,9 @@
 """Benchmarks of the explorer's hot path: fingerprints and reductions.
 
 Four pinned cases spanning the target families are each exhausted
-under every fingerprint mode — ``naive`` (the byte encoder without
-caching, the fingerprint-work baseline), ``incremental`` (caching plus
-cross-run replay-digest reuse), ``native`` (the compiled encoder
-riding the same caches, when ``repro._native`` is built — digests are
-byte-identical to incremental, so its row adds only wall clock and the
-``native_calls``/``native_bytes`` counters), and ``incremental`` with
+under both fingerprint modes — ``naive`` (the byte encoder without
+caching, the fingerprint-work baseline) and ``incremental`` (caching
+plus cross-run replay-digest reuse) — and under ``incremental`` with
 the pid-symmetry reduction where the target admits it.
 
 The machine-independent gates — what the CI explore-smoke job checks —
@@ -27,18 +24,12 @@ always hold:
   cache is keyed on each process's own step history, so a local state
   is encoded once per root, not once per path;
 * ``naive`` serves no step (``steps_served == 0``: it is the oracle
-  that executes every tick) and every other mode executes fewer than
+  that executes every tick) and ``incremental`` executes fewer than
   it does (``steps_executed``): a step the root has taken before is
   served from the transition table.  ``hosts_rebuilt`` rides along.
 
-The native-over-incremental whole-search speedup is recorded per case
-and trended — it is Amdahl-limited by the sim replay loop (on paxos the
-encoder is only a few percent of the wall), so the hard CI gate lives in the
-**encoder** section instead: the ported unit-encoding pipeline run in
-isolation, where ≥1.5x is physical on any machine, asserted under
-``BENCH_NATIVE_STRICT=1`` (the CI native perf leg, which also insists
-the extension actually built).  Run without pytest via
-``python benchmarks/bench_explorer.py`` to write ``BENCH_explore.json``.
+Run without pytest via ``python benchmarks/bench_explorer.py`` to write
+``BENCH_explore.json``.
 
 The **frontier** section runs a deeper case (nbac n=3 depth=6)
 through the crash-tolerant dynamic frontier
@@ -62,7 +53,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro import _native
 from repro.explore.cases import ExploreCase, ExploreOptions
 from repro.explore.engine import explore_case
 from repro.explore.symmetry import SYMMETRY_SAFE_TARGETS, admissible_perms
@@ -76,12 +66,6 @@ CASES = (
     ExploreCase(target="paxos", n=2, depth=8),
     ExploreCase(target="nbac", n=3, depth=5),
 )
-
-#: Conservative CI gate for the compiled unit-encoding pipeline over
-#: the pure one, measured in isolation (the ``encoder`` section).  The
-#: whole-search native-vs-incremental ratio is Amdahl-limited by sim
-#: replay — it is reported per case and trended, never hard-gated.
-MIN_NATIVE_ENCODE_SPEEDUP = 1.5
 
 #: Why targets outside SYMMETRY_SAFE_TARGETS cannot run the
 #: ``incremental_symmetry`` mode — recorded per case in the report so
@@ -128,10 +112,7 @@ def _explore(case, fingerprint_mode, symmetry=None):
         "steps_executed": result.counters.explore_steps_executed,
         "steps_served": result.counters.explore_steps_served,
         "opaque_tokens": result.counters.explore_opaque_tokens,
-        "native_calls": result.counters.explore_native_calls,
-        "native_bytes": result.counters.native_encode_bytes,
         "_vectors": result.decision_vectors,
-        "_elapsed_raw": elapsed,
     }
 
 
@@ -140,8 +121,6 @@ def run_case_bench(case) -> dict:
         "naive": _explore(case, "naive"),
         "incremental": _explore(case, "incremental"),
     }
-    if _native.available():
-        modes["native"] = _explore(case, "native")
     if case.target in SYMMETRY_SAFE_TARGETS:
         modes["incremental_symmetry"] = _explore(
             case, "incremental", symmetry="auto"
@@ -188,154 +167,13 @@ def run_case_bench(case) -> dict:
         assert incremental["host_misses"] < incremental["fingerprint_calls"], (
             case, incremental,
         )
-    native_speedup = None
-    if "native" in modes:
-        # The native mode rides the identical caches: same tree walk,
-        # same counted fingerprint work — only the encoding is compiled.
-        assert modes["native"]["runs"] == modes["incremental"]["runs"], case
-        assert (
-            modes["native"]["states"] == modes["incremental"]["states"]
-        ), case
-        assert (
-            modes["native"]["dedup_hits"] == modes["incremental"]["dedup_hits"]
-        ), case
-        assert modes["native"]["native_calls"] > 0, case
-        assert modes["incremental"]["native_calls"] == 0, case
-        native_speedup = round(
-            modes["incremental"]["_elapsed_raw"]
-            / modes["native"]["_elapsed_raw"],
-            2,
-        )
     for mode in modes.values():
-        del mode["_vectors"], mode["_elapsed_raw"]
+        del mode["_vectors"]
     return {
         "case": case.describe(),
-        "wall_speedup_native_vs_incremental": native_speedup,
         "symmetry": symmetry,
         "modes": modes,
     }
-
-
-#: One pass over this corpus ≈ the unit mix of a real fingerprint:
-#: buffered-message pairs, decisions, operation records — the shapes
-#: the compiled builders (`enc_pair`/`enc_decision`/`enc_operation`)
-#: cross the C boundary once for.
-ENCODER_CORPUS = {
-    "pairs": [
-        ("nbac", ("vote", 1, True)),
-        ("paxos", {"ballot": (3, 2), "accepted": [(1, "v")], "phase": "p2a"}),
-        ("detector", frozenset({0, 1, 2})),
-        ("register", ("write", (2, 7), "value-string")),
-        ("qc", [None, True, -17, 2**70, "quorum"]),
-    ],
-    "decisions": [
-        ("nbac", "commit", False),
-        ("consensus", ("decided", 1), True),
-    ],
-    "operations": [
-        ("register", "read", (), 41, 57, ("ok", "v3")),
-        ("register", "write", ((1, 4), "x"), 90, None, None),
-    ],
-}
-ENCODER_ROUNDS = 4_000
-
-
-def run_encoder_bench() -> dict:
-    """The ported unit-encoding pipeline, isolated from sim replay.
-
-    Runs the exact per-unit protocol both ways — pure Python
-    (`FingerprintEngine._unit`: save accumulators, encode, freeze the
-    ambiguity set, restore) against the compiled single-crossing
-    builders — asserting byte-identical output, then measures the wall
-    ratio.  Encoder-bound by construction, so the ≥1.5x CI gate is
-    physical here regardless of how replay-heavy the search cases are.
-    """
-    from repro.explore.state import _Encoder
-
-    native_cls = _native.encoder_class()
-    assert native_cls is not None, _native.status()
-    pure_enc, native_enc = _Encoder(3), native_cls(3)
-
-    def pure_pass():
-        units = []
-        for a, b in ENCODER_CORPUS["pairs"]:
-            saved_ambig, saved_opaque = pure_enc.ambig, pure_enc.opaque
-            pure_enc.ambig, pure_enc.opaque = set(), False
-            data = pure_enc.enc(a) + pure_enc.enc(b)
-            units.append((data, frozenset(pure_enc.ambig), pure_enc.opaque))
-            pure_enc.ambig, pure_enc.opaque = saved_ambig, saved_opaque
-        for component, value, postcrash in ENCODER_CORPUS["decisions"]:
-            saved_ambig, saved_opaque = pure_enc.ambig, pure_enc.opaque
-            pure_enc.ambig, pure_enc.opaque = set(), False
-            data = (
-                pure_enc.enc(component)
-                + pure_enc.enc(value)
-                + (b"T;" if postcrash else b"F;")
-            )
-            units.append((data, frozenset(pure_enc.ambig), pure_enc.opaque))
-            pure_enc.ambig, pure_enc.opaque = saved_ambig, saved_opaque
-        for component, kind, args, invoke, response, result in ENCODER_CORPUS[
-            "operations"
-        ]:
-            saved_ambig, saved_opaque = pure_enc.ambig, pure_enc.opaque
-            pure_enc.ambig, pure_enc.opaque = set(), False
-            data = (
-                pure_enc.enc(component)
-                + pure_enc.enc(kind)
-                + pure_enc.enc(args)
-                + b"@%d;" % invoke
-                + (b"@%d;" % response if response is not None else b"N;")
-                + pure_enc.enc(result)
-            )
-            units.append((data, frozenset(pure_enc.ambig), pure_enc.opaque))
-            pure_enc.ambig, pure_enc.opaque = saved_ambig, saved_opaque
-        return units
-
-    def native_pass():
-        units = []
-        for a, b in ENCODER_CORPUS["pairs"]:
-            units.append(native_enc.enc_pair(a, b))
-        for component, value, postcrash in ENCODER_CORPUS["decisions"]:
-            units.append(native_enc.enc_decision(component, value, postcrash))
-        for component, kind, args, invoke, response, result in ENCODER_CORPUS[
-            "operations"
-        ]:
-            units.append(
-                native_enc.enc_operation(
-                    component, kind, args, invoke, response, result
-                )
-            )
-        return units
-
-    # Differential check first: same bytes, same accumulator verdicts.
-    for (data_p, ambig_p, opaque_p), (data_n, mask_n, opaque_n) in zip(
-        pure_pass(), native_pass()
-    ):
-        assert data_p == data_n, (data_p, data_n)
-        assert ambig_p == {b for b in range(3) if mask_n >> b & 1}
-        assert opaque_p == opaque_n
-
-    started = time.perf_counter()
-    for _ in range(ENCODER_ROUNDS):
-        pure_pass()
-    pure_elapsed = time.perf_counter() - started
-    started = time.perf_counter()
-    for _ in range(ENCODER_ROUNDS):
-        native_pass()
-    native_elapsed = time.perf_counter() - started
-    speedup = pure_elapsed / native_elapsed
-    report = {
-        "machine": machine_stamp(),
-        "rounds": ENCODER_ROUNDS,
-        "units_per_round": sum(len(v) for v in ENCODER_CORPUS.values()),
-        "pure_seconds": round(pure_elapsed, 3),
-        "native_seconds": round(native_elapsed, 3),
-        "speedup_native_vs_pure": round(speedup, 2),
-        "native_bytes": native_enc.bytes_encoded,
-    }
-    if os.environ.get("BENCH_NATIVE_STRICT"):
-        assert speedup >= MIN_NATIVE_ENCODE_SPEEDUP, report
-    return report
 
 
 #: The frontier scaling case — one depth deeper than the pinned n=3
@@ -375,7 +213,6 @@ def machine_stamp() -> dict:
         "cpu_model": model,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
-        "repro_native_available": _native.available(),
     }
 
 
@@ -512,40 +349,20 @@ def run_benchmark(
         report = {"frontier": run_frontier_bench()}
     else:
         cases = [run_case_bench(case) for case in CASES]
-        native_speedups = [
-            c["wall_speedup_native_vs_incremental"]
-            for c in cases
-            if c["wall_speedup_native_vs_incremental"] is not None
-        ]
         report = {
             # Stamps the ``cases`` rows and the scalars derived from
-            # them; ``encoder`` and ``frontier`` (which can be
-            # re-recorded alone) carry their own.
+            # them; ``frontier`` (which can be re-recorded alone)
+            # carries its own.
             "machine": machine_stamp(),
-            "native": _native.status(),
             # Keyed by target and size so ``repro.store check`` can
             # trend each case's absolute fingerprint work by name.
             "incremental_fp_nodes": {
                 f"{case.target}{case.n}": row["modes"]["incremental"]["fp_nodes"]
                 for case, row in zip(CASES, cases)
             },
-            "min_native_wall_speedup": (
-                min(native_speedups) if native_speedups else None
-            ),
             "cases": cases,
-            "encoder": (
-                run_encoder_bench() if _native.available() else None
-            ),
             "frontier": run_frontier_bench(),
         }
-        if os.environ.get("BENCH_NATIVE_STRICT"):
-            # run_encoder_bench already asserted the ≥1.5x gate; here
-            # we insist the extension really built (a silent compile
-            # failure on the CI native leg must fail the build) and
-            # that the whole-search ratio at least moved the needle.
-            assert report["native"]["available"], report["native"]
-            assert report["encoder"] is not None
-            assert report["min_native_wall_speedup"] is not None, report
     Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 

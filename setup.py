@@ -1,57 +1,5 @@
-"""Setup shim, plus the *optional* native-extension build.
+"""Setup shim: the project metadata lives in ``pyproject.toml``."""
 
-The canonical project metadata lives in ``pyproject.toml``.  This file
-adds the one thing pyproject can't express: ``repro._native._core`` is
-a performance extension that must never make installation fail.  A
-missing compiler, missing Python headers, or any compile error falls
-back to a pure-Python install with a warning — every caller of
-``repro._native`` degrades gracefully (see docs/PERF.md, "Native
-core", and ``python -m repro.native_status``).
+from setuptools import setup
 
-Build in place for a source checkout::
-
-    python setup.py build_ext --inplace
-"""
-
-import warnings
-
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Build extensions best-effort; degrade to pure Python on failure."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # missing compiler / headers
-            self._fallback(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:  # CompileError and friends
-            self._fallback(exc)
-
-    @staticmethod
-    def _fallback(exc):
-        warnings.warn(
-            "repro._native._core failed to build "
-            f"({type(exc).__name__}: {exc}); falling back to the "
-            "pure-Python hot paths. Run `python -m repro.native_status` "
-            "to see what this process uses.",
-            RuntimeWarning,
-        )
-
-
-setup(
-    ext_modules=[
-        Extension(
-            "repro._native._core",
-            sources=["src/repro/_native/_core.c"],
-            optional=True,
-        )
-    ],
-    cmdclass={"build_ext": OptionalBuildExt},
-)
+setup()

@@ -208,17 +208,6 @@ def _parse_args(argv) -> argparse.Namespace:
         ),
     )
     parser.add_argument(
-        "--fingerprint-mode",
-        # ``naive``, the third ExploreOptions value, is the cache-free
-        # oracle these two are tested against, not a way to search.
-        choices=("incremental", "native"),
-        default="incremental",
-        help=(
-            "dedup fingerprint encoder: pure Python or the compiled "
-            "extension (default incremental)"
-        ),
-    )
-    parser.add_argument(
         "--require-complete",
         action="store_true",
         help="fail unless every root's tree was exhausted (no truncation)",
@@ -310,19 +299,33 @@ def main(argv=None) -> int:
         for flag in DRIVER_FLAGS[args.frontier]
         if getattr(args, flag) is not None
     }
-    store = None
-    if args.store is not None:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
     options = ExploreOptions(
         por=not args.no_por,
         dedup=not args.no_dedup,
         symmetry="auto" if args.symmetry else None,
-        fingerprint_mode=args.fingerprint_mode,
     )
+    # An unknown target exits here, before a store is created for it.
+    targets = _targets(args.target)
+    if args.store is None:
+        return _explore(args, targets, options, driver_args, None)
+    from repro.store import ResultStore
+
+    # Closed on every way out: witnesses filed before a later target
+    # raises are buffered rows until the close flushes them.
+    with ResultStore(args.store) as store:
+        return _explore(args, targets, options, driver_args, store)
+
+
+def _explore(
+    args: argparse.Namespace,
+    targets: List[str],
+    options: ExploreOptions,
+    driver_args: Dict[str, Any],
+    store: Any,
+) -> int:
+    """Walk every target's roots and print its verdict; the exit code."""
     failures = 0
-    for target in _targets(args.target):
+    for target in targets:
         if args.depth is not None:
             depth = args.depth
         elif args.procs >= 3 and target in SMOKE_DEPTHS_N3:
@@ -465,8 +468,6 @@ def main(argv=None) -> int:
                 print(f"  wrote {path}")
             if store is not None:
                 print(f"  filed witnesses into {store.path}")
-    if store is not None:
-        store.close()
     return 1 if failures else 0
 
 

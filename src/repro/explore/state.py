@@ -57,9 +57,9 @@ its id, and can
 canonicalise the assembled state under a group of process-id
 permutations (symmetry reduction — see :mod:`repro.explore.symmetry`
 and ``docs/EXPLORER.md`` for the soundness argument).  Its ``naive``
-mode runs the identical encoding with every cache disabled and its
-``native`` mode serves it from the compiled encoder; tier-1 equivalence
-suites assert the three produce byte-identical digest sequences.
+mode runs the identical encoding with every cache disabled; tier-1
+equivalence suites assert the two produce byte-identical digest
+sequences.
 """
 
 from __future__ import annotations
@@ -110,23 +110,6 @@ class EncodedUnit(NamedTuple):
     data: bytes
     ambiguous: FrozenSet[int]
     opaque: bool
-
-
-#: Interned ambiguity sets, keyed by the compiled encoder's bit mask.
-#: Real states mention only a handful of distinct pid subsets, so the
-#: native unit builders (which report ambiguity as an int mask) can
-#: share one frozenset per subset instead of materialising a set per
-#: unit.
-_MASK_SETS: Dict[int, FrozenSet[int]] = {0: frozenset()}
-
-
-def _mask_set(mask: int) -> FrozenSet[int]:
-    cached = _MASK_SETS.get(mask)
-    if cached is None:
-        cached = _MASK_SETS[mask] = frozenset(
-            bit for bit in range(mask.bit_length()) if mask >> bit & 1
-        )
-    return cached
 
 
 #: First character of the key of an *opaque* state (hex digests never
@@ -369,7 +352,7 @@ class FingerprintEngine:
     engine.  ``time`` is in the key because a step may read ``ctx.now``
     (operation records carry ``invoke_time``).
 
-    Three modes share one encoding:
+    Two modes share one encoding:
 
     * ``"incremental"`` — a host's encoding is cached under its
       process's lineage, so one encoding serves every path of the root
@@ -383,12 +366,6 @@ class FingerprintEngine:
       No step is named (every lineage is poisoned), so no step is ever
       served from the table either: the differential is
       served-versus-executed as well as cached-versus-encoded.
-    * ``"native"`` — the same caches with the value encoder served by
-      the compiled core (:mod:`repro._native`).  The C encoder is a
-      byte-exact port of :class:`_Encoder`, so digests stay identical
-      to ``"incremental"``; when the extension is unavailable (not
-      built, or ``REPRO_NATIVE=0``) the mode silently degrades to the
-      pure incremental path — same digests, just slower.
 
     **Lineage guards.**  A step whose message or detector value encodes
     *opaque* cannot be named, so it poisons the lineage: from then on
@@ -428,7 +405,7 @@ class FingerprintEngine:
     the degradation visible.
     """
 
-    MODES = ("incremental", "naive", "native")
+    MODES = ("incremental", "naive")
 
     def __init__(
         self,
@@ -441,34 +418,19 @@ class FingerprintEngine:
             raise ValueError(f"unknown fingerprint mode {mode!r}; have {self.MODES}")
         self.n = n
         self.mode = mode
-        #: Whether per-host/buffer/decision/operation caches are live
-        #: (everything but ``naive``; the caches are mode-independent
-        #: of *how* values get encoded).
+        #: Whether per-host/buffer/decision/operation caches are live.
         self.cached = mode != "naive"
         self.counters = counters
         self.perms: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(p) for p in (perms or [tuple(range(n))])
         )
-        self.native = False
-        if mode == "native":
-            from repro import _native
-
-            encoder_cls = _native.encoder_class()
-            if encoder_cls is not None and n <= 64:
-                self._encoder = encoder_cls(n)
-                self.native = True
-            else:  # graceful degradation: same digests, pure Python
-                self._encoder = _Encoder(n)
-        else:
-            self._encoder = _Encoder(n)
+        self._encoder = _Encoder(n)
         self._nodes_synced = 0
-        self._calls_synced = 0
-        self._bytes_synced = 0
         self._system: Any = None
         #: The :class:`~repro.explore.control.ChoiceController` driving
         #: the bound system (its ``ticks`` / ``sent`` journal), or None.
         self._journal: Any = None
-        # the transition table and the caches (all modes but naive);
+        # the transition table and the caches (``incremental`` only);
         # see :meth:`rewound` for what survives from one explored path
         # to the next
         #: Per pid: step key -> lineage id (the intern table).
@@ -555,21 +517,6 @@ class FingerprintEngine:
         return unit
 
     def _encode_host(self, host: ProcessHost) -> EncodedUnit:
-        if self.native:
-            # The tasklet name (``"comp@pid"``) is cosmetic and
-            # pid-derived, so it is excluded here exactly as in the
-            # pure build below.
-            data, mask, opaque = self._encoder.enc_host(
-                host._started,
-                sorted(host.components.items()),
-                [
-                    (task.started, task.wait, task.gen)
-                    for task in host._driver._tasklets
-                    if not task.done
-                ],
-            )
-            return EncodedUnit(data, _mask_set(mask), opaque)
-
         def build(enc: _Encoder) -> bytes:
             parts = [b"H", b"T;" if host._started else b"F;"]
             for name, comp in sorted(host.components.items()):
@@ -759,15 +706,9 @@ class FingerprintEngine:
             return units[msg_id]
         if self.counters is not None:
             self.counters.explore_fp_message_misses += 1
-        if self.native:
-            data, mask, opaque = self._encoder.enc_pair(
-                message.component, message.payload
-            )
-            unit = EncodedUnit(data, _mask_set(mask), opaque)
-        else:
-            unit = self._unit(
-                lambda enc: enc.enc(message.component) + enc.enc(message.payload)
-            )
+        unit = self._unit(
+            lambda enc: enc.enc(message.component) + enc.enc(message.payload)
+        )
         if message.meta:
             meta = self._unit(lambda enc: enc.enc(message.meta))
             unit = EncodedUnit(
@@ -792,19 +733,13 @@ class FingerprintEngine:
         while len(cache) < len(decisions):  # append-only record
             decision = decisions[len(cache)]
             postcrash = first_crash is not None and decision.time >= first_crash
-            if self.native:
-                data, mask, opaque = self._encoder.enc_decision(
-                    decision.component, decision.value, postcrash
+            unit = self._unit(
+                lambda enc, d=decision, p=postcrash: (
+                    enc.enc(d.component)
+                    + enc.enc(d.value)
+                    + (b"T;" if p else b"F;")
                 )
-                unit = EncodedUnit(data, _mask_set(mask), opaque)
-            else:
-                unit = self._unit(
-                    lambda enc, d=decision, p=postcrash: (
-                        enc.enc(d.component)
-                        + enc.enc(d.value)
-                        + (b"T;" if p else b"F;")
-                    )
-                )
+            )
             cache.append((decision.pid, unit))
         return cache
 
@@ -819,31 +754,20 @@ class FingerprintEngine:
             if cached is not None:
                 entries.append(cached)
                 continue
-            if self.native:
-                data, mask, opaque = self._encoder.enc_operation(
-                    op.component,
-                    op.kind,
-                    op.args,
-                    op.invoke_time,  # timestamps, never pids
-                    op.response_time,
-                    op.result,
-                )
-                unit = EncodedUnit(data, _mask_set(mask), opaque)
-            else:
-                unit = self._unit(
-                    lambda enc, o=op: (
-                        enc.enc(o.component)
-                        + enc.enc(o.kind)
-                        + enc.enc(o.args)
-                        + b"@%d;" % o.invoke_time  # timestamps, never pids
-                        + (
-                            b"@%d;" % o.response_time
-                            if o.response_time is not None
-                            else b"N;"
-                        )
-                        + enc.enc(o.result)
+            unit = self._unit(
+                lambda enc, o=op: (
+                    enc.enc(o.component)
+                    + enc.enc(o.kind)
+                    + enc.enc(o.args)
+                    + b"@%d;" % o.invoke_time  # timestamps, never pids
+                    + (
+                        b"@%d;" % o.response_time
+                        if o.response_time is not None
+                        else b"N;"
                     )
+                    + enc.enc(o.result)
                 )
+            )
             entry = (op.pid, unit)
             if self.cached and not op.pending:
                 cache[index] = entry  # records mutate until completion
@@ -996,15 +920,5 @@ class FingerprintEngine:
                 self.counters.explore_opaque_tokens += 1
             self.counters.explore_fp_nodes += self._encoder.nodes - self._nodes_synced
             self._nodes_synced = self._encoder.nodes
-            if self.native:
-                encoder = self._encoder
-                self.counters.explore_native_calls += (
-                    encoder.calls - self._calls_synced
-                )
-                self.counters.native_encode_bytes += (
-                    encoder.bytes_encoded - self._bytes_synced
-                )
-                self._calls_synced = encoder.calls
-                self._bytes_synced = encoder.bytes_encoded
         digest = hashlib.sha256(best).hexdigest()
         return OPAQUE_MARK + digest if opaque else digest

@@ -182,62 +182,70 @@ class Campaign:
         """
         started = time.perf_counter()
         workers = resolve_workers(workers)
-        store = resolve_cache(cache)
-        timeout = resolve_timeout(timeout)
-        executor = make_executor(workers)
+        store, opened = resolve_cache(cache)
+        try:
+            timeout = resolve_timeout(timeout)
+            executor = make_executor(workers)
 
-        results: List[Any] = [None] * len(self.jobs)
-        keys = [job.fingerprint() for job in self.jobs]
+            results: List[Any] = [None] * len(self.jobs)
+            keys = [job.fingerprint() for job in self.jobs]
 
-        hits = 0
-        pending: Dict[str, List[int]] = {}
-        for i, key in enumerate(keys):
-            cached = store.get(key) if store is not None else None
-            if cached is not None:
-                cached.cached = True
-                results[i] = cached
-                hits += 1
-            else:
-                # Identical cells execute once; every index gets the result.
-                pending.setdefault(key, []).append(i)
+            hits = 0
+            pending: Dict[str, List[int]] = {}
+            for i, key in enumerate(keys):
+                cached = store.get(key) if store is not None else None
+                if cached is not None:
+                    cached.cached = True
+                    results[i] = cached
+                    hits += 1
+                else:
+                    # Identical cells execute once; every index gets the result.
+                    pending.setdefault(key, []).append(i)
 
-        unique_indices = [slots[0] for slots in pending.values()]
-        executed = executor.map(
-            [self.jobs[i] for i in unique_indices], timeout=timeout
-        )
-        for index, summary in zip(unique_indices, executed):
-            key = keys[index]
-            if store is not None and not isinstance(summary, JobFailure):
-                store.put(key, summary)
-            for slot in pending[key]:
-                results[slot] = summary
-
-        result = CampaignResult(
-            jobs=self.jobs,
-            summaries=results,
-            hits=hits,
-            executed=len(executed),
-            wall_clock=time.perf_counter() - started,
-            workers=getattr(executor, "workers", 1),
-            incidents=list(getattr(executor, "incidents", [])),
-            cache_events=store.drain_events() if store is not None else [],
-        )
-        if result.cache_corruption:
-            logger.warning(
-                "campaign %s: discarded %d corrupt cache entr%s (recomputed; "
-                "see CampaignResult.cache_events)",
-                self.name or "<unnamed>",
-                result.cache_corruption,
-                "y" if result.cache_corruption == 1 else "ies",
+            unique_indices = [slots[0] for slots in pending.values()]
+            executed = executor.map(
+                [self.jobs[i] for i in unique_indices], timeout=timeout
             )
-        if store is not None and hasattr(store, "record_campaign"):
-            # Store-backed caches file every execution, making resume
-            # auditable: `repro.store summarise` shows the re-run with
-            # hits == cells and executed == 0.
-            store.record_campaign(result, self.name, keys)
-        if profile.is_enabled():
-            profile.record(self.name, result)
-        return result
+            for index, summary in zip(unique_indices, executed):
+                key = keys[index]
+                if store is not None and not isinstance(summary, JobFailure):
+                    store.put(key, summary)
+                for slot in pending[key]:
+                    results[slot] = summary
+
+            result = CampaignResult(
+                jobs=self.jobs,
+                summaries=results,
+                hits=hits,
+                executed=len(executed),
+                wall_clock=time.perf_counter() - started,
+                workers=getattr(executor, "workers", 1),
+                incidents=list(getattr(executor, "incidents", [])),
+                cache_events=store.drain_events() if store is not None else [],
+            )
+            if result.cache_corruption:
+                logger.warning(
+                    "campaign %s: discarded %d corrupt cache entr%s (recomputed; "
+                    "see CampaignResult.cache_events)",
+                    self.name or "<unnamed>",
+                    result.cache_corruption,
+                    "y" if result.cache_corruption == 1 else "ies",
+                )
+            if store is not None and hasattr(store, "record_campaign"):
+                # Store-backed caches file every execution, making resume
+                # auditable: `repro.store summarise` shows the re-run with
+                # hits == cells and executed == 0.
+                store.record_campaign(result, self.name, keys)
+            if profile.is_enabled():
+                profile.record(self.name, result)
+            return result
+        finally:
+            # A cache opened here from a location is this run's: left
+            # open, its connection and its -wal / -shm files would live
+            # until the collector found them.  A ready-made cache
+            # object is the caller's.
+            if opened:
+                store.close()
 
 
 def run_jobs(

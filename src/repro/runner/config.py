@@ -23,7 +23,7 @@ Environment variables:
 from __future__ import annotations
 
 import os
-from typing import Any, Optional, Union
+from typing import Any, Optional, Tuple, Union
 
 #: What a ``cache`` argument may be: on/off, a store location, or a
 #: ready-made cache object (``get`` / ``put`` / ``drain_events``).
@@ -91,29 +91,32 @@ def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
     return timeout
 
 
-def resolve_cache(cache: Optional[CacheArg] = None):
-    """The cache object a campaign should consult, or None.
+def resolve_cache(cache: Optional[CacheArg] = None) -> Tuple[Any, bool]:
+    """``(cache, opened)``: the cache object a campaign should consult
+    (or None), and whether it was opened here.
 
     ``True`` is a :class:`~repro.store.cache.StoreResultCache` at the
     store's default location, a ``str`` / ``os.PathLike`` one at that
-    location; a ready-made cache object passes through untouched.
+    location — opened by this call, so the caller closes it; a
+    ready-made cache object passes through untouched and stays its
+    owner's to close.
     """
     if cache is None:
         cache = _cache
     if cache is None:
         env = os.environ.get("REPRO_RUNNER_CACHE")
         if env is None:
-            return None
+            return None, False
         lowered = env.strip().lower()
         if lowered in ("off", "0", "false", "no", ""):
-            return None
+            return None, False
         cache = True if lowered in ("on", "1", "true", "yes") else env
     if cache is False:
-        return None
+        return None, False
     if cache is True or isinstance(cache, (str, os.PathLike)):
         # Imported here, not at module level: a run without a cache
         # never pays for sqlite3.
         from repro.store.cache import StoreResultCache
 
-        return StoreResultCache(None if cache is True else cache)
-    return cache
+        return StoreResultCache(None if cache is True else cache), True
+    return cache, False

@@ -44,23 +44,18 @@ def build_campaign() -> Campaign:
 
 
 def incremental(store_dir: str, workers: int = 2) -> int:
-    """Run the grid twice against the SQLite cache; pass 2 must hit 100%.
+    """Run the grid twice against the store; pass 2 must hit 100%.
 
     Returns 0 when the warm pass executed nothing and every summary's
     digest matches the cold pass — the store round-tripped the whole
     grid.  Tolerant of a pre-populated store (CI restores it from
     cache): the cold pass may itself be fully cached.
     """
-    from repro.store.cache import StoreResultCache
-
     campaign = build_campaign()
-    print(
-        f"incremental smoke: {len(campaign)} runs against "
-        f"{store_dir!r} (sqlite backend)"
-    )
-    cold = campaign.run(workers=workers, cache=StoreResultCache(store_dir))
+    print(f"incremental smoke: {len(campaign)} runs against {store_dir!r}")
+    cold = campaign.run(workers=workers, cache=store_dir)
     print(f"  pass 1: {cold.hits} cached, {cold.executed} executed")
-    warm = campaign.run(workers=workers, cache=StoreResultCache(store_dir))
+    warm = campaign.run(workers=workers, cache=store_dir)
     print(f"  pass 2: {warm.hits} cached, {warm.executed} executed")
     if not cold.ok or not warm.ok:
         print("FAIL: campaign cells failed")

@@ -95,11 +95,6 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     Fingerprints poisoned by an unencodable value: each one gets a
     never-matching token, so dedup silently degrades toward plain DFS.
     Nonzero values here explain a low dedup-hit rate.
-``explore_native_calls`` / ``native_encode_bytes``
-    Work served by the compiled encoder (``repro._native``): top-level
-    ``enc()`` invocations and the bytes they produced.  Both stay zero
-    on the pure-Python paths, so their presence in a report proves the
-    native core actually ran (the CI native jobs assert exactly that).
 ``explore_shards``
     Shards completed by the dynamic frontier
     (:mod:`repro.explore.frontierd`).
@@ -161,8 +156,6 @@ FIELDS = (
     "explore_fp_message_hits",
     "explore_fp_message_misses",
     "explore_opaque_tokens",
-    "explore_native_calls",
-    "native_encode_bytes",
     "explore_shards",
     "frontier_claims",
     "frontier_claim_round_trips",

@@ -39,12 +39,6 @@ TRACKED: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("incremental_fp_nodes.nbac2", "lower"),
         ("incremental_fp_nodes.paxos2", "lower"),
         ("incremental_fp_nodes.nbac3", "lower"),
-        # Whole-search native ratio (Amdahl-limited, trend only) and
-        # the isolated unit-encoding pipeline (hard-gated ≥1.5x inside
-        # the bench under BENCH_NATIVE_STRICT); both absent from pure
-        # runs (extract_metrics skips missing paths).
-        ("min_native_wall_speedup", "higher"),
-        ("encoder.speedup_native_vs_pure", "higher"),
         # Frontier coordination amortization: 1-worker wall over the
         # single-process walk must not creep back up, and 4 workers
         # must keep beating 1 (ratio > 1 when they do).  What sharding

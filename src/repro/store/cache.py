@@ -47,6 +47,9 @@ class StoreResultCache:
     ):
         from repro.runner.fingerprint import code_salt
 
+        #: A store opened here is closed by :meth:`close`; one handed
+        #: in as ``store=`` stays its owner's.
+        self._owns_store = store is None
         self.store = store if store is not None else ResultStore(root, batch=batch)
         self.salt = salt if salt is not None else code_salt()
         self.events: List[Dict[str, Any]] = []
@@ -81,6 +84,13 @@ class StoreResultCache:
         self._pending.clear()
         events, self.events = self.events, []
         return events
+
+    def close(self) -> None:
+        """Flush; close the store too when this cache opened it."""
+        self.store.flush()
+        self._pending.clear()
+        if self._owns_store:
+            self.store.close()
 
     def record_campaign(self, result, name: Optional[str], keys) -> None:
         """File the campaign row for one finished :meth:`Campaign.run`."""

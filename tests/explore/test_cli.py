@@ -2,10 +2,12 @@
 
 import json
 import re
+import sqlite3
 
 import pytest
 
 from repro.explore import ExploreOptions, enumerate_roots, run_frontier
+from repro.explore import __main__ as cli
 from repro.explore.__main__ import main
 
 
@@ -135,6 +137,8 @@ def test_switch_mutant_auto_enables_the_dimension(capsys):
         ("--cache-backend", "sqlite"),
         ("--fingerprint-mode", "legacy"),
         ("--fingerprint-mode", "naive"),
+        ("--fingerprint-mode", "native"),
+        ("--fingerprint-mode", "incremental"),
     ],
 )
 def test_removed_choices_are_argparse_errors(flag, value, capsys):
@@ -199,9 +203,40 @@ def test_help_lists_the_flags_that_are_left(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-    assert len(flags) == 22
+    assert len(flags) == 21
 
 
-def test_unknown_target_rejected():
-    with pytest.raises(SystemExit):
-        main(["--target", "nonsense"])
+def test_unknown_target_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "nonsense", "--store", str(tmp_path / "d")])
+    assert "unknown target 'nonsense'" in str(exit_info.value.code)
+    assert not (tmp_path / "d").exists()  # refused before a store is made
+
+
+def test_store_is_closed_when_a_later_target_raises(tmp_path, monkeypatch):
+    """A witness is a buffered row until the store flushes; the one
+    filed for the first target must survive the second one's crash."""
+    calls = []
+
+    def second_call_raises(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("walk died")
+        return run_frontier(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_frontier", second_call_raises)
+    monkeypatch.setattr(cli, "_targets", lambda name: ["eagerquit", "qc"])
+    with pytest.raises(RuntimeError, match="walk died"):
+        main(
+            ["--target", "all", "--expect-violation", "--stop-on-first",
+             "--store", str(tmp_path)]
+        )
+    db = tmp_path / "store.sqlite"
+    assert not list(tmp_path.glob("store.sqlite-*"))  # -wal / -shm: closed
+    con = sqlite3.connect(db)
+    try:
+        assert con.execute(
+            "SELECT target FROM witnesses"
+        ).fetchall() == [("eagerquit",)]
+    finally:
+        con.close()

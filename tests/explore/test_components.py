@@ -19,6 +19,7 @@ from repro.explore import (
     run_frontier,
 )
 from repro.explore.state import OPAQUE_MARK, FingerprintEngine, _Encoder
+from repro.store import ResultStore
 
 
 class TestChoiceController:
@@ -162,7 +163,14 @@ class TestFrontier:
         ):
             second = run_frontier(roots, cache=tmp_path)
         assert first == second
-        assert (tmp_path / "store.sqlite").is_file()
+        # Each call opened the store from the location and closed it:
+        # no connection, so no -wal / -shm, outlives the call.
+        assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
+        with ResultStore(tmp_path) as store:
+            (rows,) = store.read_connection().execute(
+                "SELECT COUNT(*) FROM run_summaries"
+            ).fetchone()
+        assert rows == len(roots)
 
 
 class TestCaseRoundTrip:

@@ -11,9 +11,8 @@ the search trajectory at once.
 
 import pytest
 
-from repro import _native
 from repro.explore import ExploreCase, ExploreOptions, explore_case
-from repro.explore.state import _Encoder
+from repro.explore.state import FingerprintEngine, _Encoder
 
 CASES = [
     ExploreCase(
@@ -103,46 +102,15 @@ def test_naive_and_incremental_digests_byte_identical(case, options):
     assert incr.counters.explore_fp_nodes < naive.counters.explore_fp_nodes
 
 
-@pytest.mark.parametrize("case, options", CASES)
-@pytest.mark.skipif(
-    not _native.available(),
-    reason=f"native core unavailable: {_native.reason()}",
-)
-def test_native_mode_digests_byte_identical(case, options):
-    """The compiled encoder rides the incremental caches; its digest
-    log must equal the pure engine's on every state of a real search
-    (the same contract the naive/incremental pair pins above)."""
-    incr_log, native_log = [], []
-    incr = explore_case(
-        case,
-        ExploreOptions(fingerprint_mode="incremental", **options),
-        digest_log=incr_log,
-    )
-    native = explore_case(
-        case,
-        ExploreOptions(fingerprint_mode="native", **options),
-        digest_log=native_log,
-    )
-    assert native_log, "no digests collected — dedup never ran"
-    assert native_log == incr_log
-    assert native.runs == incr.runs and native.states == incr.states
-    assert native.dedup_hits == incr.dedup_hits
-    assert native.decision_vectors == incr.decision_vectors
-    assert (
-        native.counters.explore_opaque_tokens
-        == incr.counters.explore_opaque_tokens
-    )
-    # The compiled encoder must actually have done the encoding work.
-    assert native.counters.explore_native_calls > 0
-    assert native.counters.native_encode_bytes > 0
-    assert incr.counters.explore_native_calls == 0
-
-
 def test_removed_mode_is_refused_by_name():
-    with pytest.raises(ValueError, match="incremental.*naive.*native"):
-        explore_case(
-            CASES[0].values[0], ExploreOptions(fingerprint_mode='legacy')
-        )
+    # Neither accepted-and-ignored nor silently degraded: both entry
+    # points name the two modes there are.
+    assert FingerprintEngine.MODES == ("incremental", "naive")
+    for mode in ("legacy", "native"):
+        with pytest.raises(ValueError, match="'incremental', 'naive'"):
+            ExploreOptions(fingerprint_mode=mode)
+        with pytest.raises(ValueError, match="'incremental', 'naive'"):
+            FingerprintEngine(3, mode=mode)
 
 
 class TestEncoder:

@@ -18,7 +18,6 @@ import collections
 
 import pytest
 
-from repro import _native
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -37,7 +36,7 @@ from repro.store import ResultStore
 from repro.store.exchange import FingerprintExchange
 from tests.explore.helpers import split_roots, toy_target
 
-MODES = ["naive", "incremental"] + (["native"] if _native.available() else [])
+MODES = ["naive", "incremental"]
 
 
 def digest_logs(case):

@@ -22,7 +22,6 @@ from unittest import mock
 
 import pytest
 
-from repro import _native
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -36,7 +35,7 @@ from repro.registers.linearizability import check_linearizable
 from repro.sim.process import Component
 from tests.explore.helpers import split_roots, toy_target, violation_set
 
-MODES = ["naive", "incremental"] + (["native"] if _native.available() else [])
+MODES = ["naive", "incremental"]
 
 
 def walk(case, mode="incremental", options=(), **kwargs):

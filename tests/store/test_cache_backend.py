@@ -51,6 +51,41 @@ class TestCampaignResume:
         warm = campaign.run(cache=cache)
         assert warm.executed == 0
 
+    def test_a_cache_opened_from_a_location_is_closed_with_the_run(
+        self, tmp_path
+    ):
+        # Nothing used to close it: one SQLite connection, and its
+        # -wal / -shm files, per ``run`` until the collector got there.
+        campaign = _grid()
+        for location in (tmp_path, str(tmp_path)):
+            campaign.run(cache=location)
+            assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
+        runner_config.configure(cache=str(tmp_path))
+        assert campaign.run().executed == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
+        with ResultStore(tmp_path) as store:
+            assert store.read_connection().execute(
+                "SELECT COUNT(*) FROM run_summaries"
+            ).fetchone() == (len(campaign),)
+
+    def test_a_ready_made_cache_is_left_open_for_its_owner(self, tmp_path):
+        campaign = _grid()
+        cache = StoreResultCache(tmp_path)
+        campaign.run(cache=cache)
+        assert cache.store._write is not None  # the caller's to close
+        assert campaign.run(cache=cache).executed == 0
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
+        # A store it was handed is not its own to close.
+        with ResultStore(tmp_path) as store:
+            wrapper = StoreResultCache(store=store)
+            _grid(6).run(cache=wrapper)
+            wrapper.close()
+            assert store._write is not None
+            assert store.write_connection.execute(
+                "SELECT COUNT(*) FROM run_summaries"
+            ).fetchone() == (6,)
+
     def test_campaign_rows_recorded_and_reported(self, tmp_path):
         campaign = _grid()
         campaign.run(cache=StoreResultCache(tmp_path))
@@ -123,32 +158,32 @@ class TestBackendSelection:
         self, tmp_path, monkeypatch
     ):
         for location in (str(tmp_path / "s"), tmp_path / "p"):
-            cache = runner_config.resolve_cache(location)
-            assert isinstance(cache, StoreResultCache)
+            cache, opened = runner_config.resolve_cache(location)
+            assert isinstance(cache, StoreResultCache) and opened
             assert cache.root == Path(location) / "store.sqlite"
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
-        cache = runner_config.resolve_cache(True)
-        assert cache.root == tmp_path / "default" / "store.sqlite"
-        assert runner_config.resolve_cache(False) is None
-        assert runner_config.resolve_cache(None) is None
+        cache, opened = runner_config.resolve_cache(True)
+        assert cache.root == tmp_path / "default" / "store.sqlite" and opened
+        assert runner_config.resolve_cache(False) == (None, False)
+        assert runner_config.resolve_cache(None) == (None, False)
 
     def test_configured_sqlite(self, tmp_path):
         runner_config.configure(cache=str(tmp_path))
-        cache = runner_config.resolve_cache()
+        cache, _ = runner_config.resolve_cache()
         assert isinstance(cache, StoreResultCache)
         assert cache.root == tmp_path / "store.sqlite"
 
     def test_env_sqlite(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_CACHE", str(tmp_path / "env"))
-        cache = runner_config.resolve_cache()
+        cache, _ = runner_config.resolve_cache()
         assert isinstance(cache, StoreResultCache)
         assert cache.root == tmp_path / "env" / "store.sqlite"
         monkeypatch.setenv("REPRO_RUNNER_CACHE", "off")
-        assert runner_config.resolve_cache() is None
+        assert runner_config.resolve_cache() == (None, False)
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "default"))
         monkeypatch.setenv("REPRO_RUNNER_CACHE", "on")
         assert (
-            runner_config.resolve_cache().root
+            runner_config.resolve_cache()[0].root
             == tmp_path / "default" / "store.sqlite"
         )
 
@@ -156,16 +191,16 @@ class TestBackendSelection:
         monkeypatch.setenv("REPRO_RUNNER_CACHE", str(tmp_path / "env"))
         runner_config.configure(cache=str(tmp_path / "configured"))
         assert (
-            runner_config.resolve_cache().root
+            runner_config.resolve_cache()[0].root
             == tmp_path / "configured" / "store.sqlite"
         )
-        cache = runner_config.resolve_cache(str(tmp_path / "argument"))
+        cache, _ = runner_config.resolve_cache(str(tmp_path / "argument"))
         assert cache.root == tmp_path / "argument" / "store.sqlite"
-        assert runner_config.resolve_cache(False) is None
+        assert runner_config.resolve_cache(False) == (None, False)
 
     def test_ready_made_cache_passes_through(self, tmp_path):
         ready = StoreResultCache(tmp_path)
-        assert runner_config.resolve_cache(ready) is ready
+        assert runner_config.resolve_cache(ready) == (ready, False)
 
     def test_unknown_backend_rejected(self):
         # Every backend name is unknown now: the keywords themselves
