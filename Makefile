@@ -3,7 +3,7 @@
 PYTHON ?= python3
 STORE ?= .repro-store
 
-.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments experiments-e5 examples store-report store-trend all
+.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments experiments-e5 examples store-report all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -31,7 +31,6 @@ explore-smoke:
 	$(PYTHON) -m repro.explore --target submajority --expect-violation --stop-on-first --max-runs 2500
 	$(PYTHON) -m repro.explore --target nbac --procs 3 --symmetry --require-complete --stats
 	$(PYTHON) -m repro.explore --target hastycommit --procs 3 --symmetry --expect-violation --stop-on-first
-	$(PYTHON) benchmarks/bench_explorer.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -54,10 +53,6 @@ experiments-e5:
 # the directory: `make store-report STORE=/tmp/db`.
 store-report:
 	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) summarise
-
-store-trend:
-	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) trend BENCH_sim || true
-	PYTHONPATH=src $(PYTHON) -m repro.store --db $(STORE) trend BENCH_explore || true
 
 examples:
 	$(PYTHON) examples/quickstart.py

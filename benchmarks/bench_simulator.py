@@ -3,38 +3,19 @@
 These put numbers on the machinery every experiment rides on: raw
 step throughput, network send/deliver cost, tasklet scheduling, the
 linearizability checker, and oracle history generation.
-
-The engine benches at the bottom (sparse long-horizon and high-fanout)
-compare the seed's :class:`ReferenceNetwork` against the indexed
-:class:`Network` and the quiescence time-leap, assert trace equality,
-and write ``BENCH_sim.json``.  Run them without pytest via
-``python benchmarks/bench_simulator.py``; the wall-clock speedup
-assertion (machine-dependent, leap vs reference) only arms under
-``BENCH_SIM_STRICT=1``, while the counter and digest gates
-(machine-independent) always hold — they are what the CI perf-smoke
-job checks.
 """
 
-import json
-import os
 import random
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.core.detectors import PsiOracle, SigmaOracle, omega_sigma_oracle
 from repro.core.failure_pattern import FailurePattern
 from repro.registers.linearizability import check_linearizable
-from repro.sim.network import (
-    ConstantDelay,
-    Network,
-    ReferenceNetwork,
-    UniformDelay,
-)
+from repro.sim.network import ConstantDelay, Network
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
-from repro.sim.system import SystemBuilder, network_implementation
+from repro.sim.system import SystemBuilder
 from repro.sim.tasklets import TaskletDriver, WaitSteps
 from repro.sim.trace import OperationRecord
 
@@ -151,160 +132,3 @@ def test_oracle_history_generation(benchmark, oracle):
     evaluations = perf.detector_value_calls - perf.detector_cache_hits
     assert evaluations < perf.detector_value_calls / 2
 
-
-# ----------------------------------------------------------------------
-# Engine benches: reference vs indexed vs indexed + time-leap
-# ----------------------------------------------------------------------
-class SparseRing(Component):
-    """A single ball circling the ring forever, 400 ticks per hop.
-
-    Message-driven (no on_step), so every process is quiescent while
-    the ball is in flight — the time-leap's target regime: >99% of
-    ticks are λ-steps that provably cannot change any state.
-    """
-
-    name = "ring"
-
-    def on_start(self):
-        if self.pid == 0:
-            self.send((self.pid + 1) % self.n, "ball")
-
-    def on_message(self, sender, payload, meta):
-        self.send((self.pid + 1) % self.n, payload)
-
-
-class FanoutChatter(Component):
-    """Every scheduled step sends one long-delay message to a random
-    peer: hundreds of messages stay in flight at any moment, which is
-    exactly where the reference buffer's O(pending) rescans hurt."""
-
-    name = "chatter"
-
-    def __init__(self, pid: int):
-        super().__init__()
-        self._rng = random.Random(pid)
-
-    def on_step(self):
-        self.send(self._rng.randrange(self.n), "ping")
-
-    def on_message(self, sender, payload, meta):
-        pass
-
-
-def _run_engine(impl, builder_fn, time_leap=False):
-    with network_implementation(impl):
-        system = builder_fn(time_leap)
-    started = time.perf_counter()
-    trace = system.run()
-    elapsed = time.perf_counter() - started
-    perf = system.perf
-    return {
-        "elapsed_seconds": round(elapsed, 3),
-        "steps": trace.step_count(),
-        "steps_per_second": round(trace.step_count() / elapsed) if elapsed else None,
-        "digest": trace.digest(),
-        "messages_delivered": perf.messages_delivered,
-        "scanned_per_delivery": round(perf.scanned_per_delivery(), 3),
-        "leap_ratio": round(perf.leap_ratio(), 4),
-        "_elapsed_raw": elapsed,
-    }
-
-
-def run_sparse_bench() -> dict:
-    """Long-horizon sparse traffic: one delivery per 400 ticks."""
-
-    def build(time_leap):
-        return (
-            SystemBuilder(n=4, seed=0, horizon=120_000)
-            .delays(ConstantDelay(400))
-            .trace_mode("lite")
-            .component("ring", lambda pid: SparseRing())
-            .time_leap(time_leap)
-            .build()
-        )
-
-    results = {
-        "reference": _run_engine(ReferenceNetwork, build),
-        "indexed": _run_engine(Network, build),
-        "indexed_leap": _run_engine(Network, build, time_leap=True),
-    }
-    digests = {r["digest"] for r in results.values()}
-    assert len(digests) == 1, f"engines diverged: {results}"
-    assert results["indexed_leap"]["leap_ratio"] > 0.9
-    speedup = (
-        results["reference"]["_elapsed_raw"]
-        / results["indexed_leap"]["_elapsed_raw"]
-    )
-    for r in results.values():
-        del r["_elapsed_raw"]
-    report = {
-        "horizon": 120_000,
-        "speedup_leap_vs_reference": round(speedup, 2),
-    }
-    report.update(results)
-    return report
-
-
-def run_fanout_bench() -> dict:
-    """High-fanout pending buffers: ~1 send/tick with 300–900 tick
-    delays keeps hundreds of messages in flight, so the reference's
-    per-pick rescans cost O(pending) while the indexed engine's stay
-    amortized O(1 + log pending)."""
-
-    def build(time_leap):
-        return (
-            SystemBuilder(n=8, seed=0, horizon=30_000)
-            .delays(UniformDelay(300, 900))
-            .trace_mode("lite")
-            .component("chatter", FanoutChatter)
-            .time_leap(time_leap)
-            .build()
-        )
-
-    results = {
-        "reference": _run_engine(ReferenceNetwork, build),
-        "indexed": _run_engine(Network, build),
-        # Unfair-adversary regimes run without the leap, but the fanout
-        # workload is leap-eligible — this row keeps the leap's fanout
-        # behaviour trended (it was missing from the section entirely,
-        # so a fanout-side leap regression was invisible).
-        "indexed_leap": _run_engine(Network, build, time_leap=True),
-    }
-    digests = {r["digest"] for r in results.values()}
-    assert len(digests) == 1, f"engines diverged: {results}"
-    # The machine-independent gates the CI perf-smoke job relies on.
-    assert results["indexed"]["scanned_per_delivery"] < 5.0
-    assert (
-        results["reference"]["scanned_per_delivery"]
-        > 10 * results["indexed"]["scanned_per_delivery"]
-    )
-    for r in results.values():
-        del r["_elapsed_raw"]
-    report = {"horizon": 30_000}
-    report.update(results)
-    return report
-
-
-def run_benchmark(report_path: str = "BENCH_sim.json") -> dict:
-    report = {
-        "sparse": run_sparse_bench(),
-        "fanout": run_fanout_bench(),
-    }
-    if os.environ.get("BENCH_SIM_STRICT"):
-        assert report["sparse"]["speedup_leap_vs_reference"] >= 3.0, report
-    Path(report_path).write_text(json.dumps(report, indent=2) + "\n")
-    return report
-
-
-def test_sparse_long_horizon_bench():
-    report = run_sparse_bench()
-    assert report["indexed_leap"]["leap_ratio"] > 0.95
-
-
-def test_high_fanout_bench():
-    report = run_fanout_bench()
-    assert report["indexed"]["scanned_per_delivery"] < 5.0
-
-
-if __name__ == "__main__":
-    print(json.dumps(run_benchmark(), indent=2))

@@ -19,8 +19,8 @@ whole batch in one atomic completion transaction
 deferred fingerprints, and any re-split children land together, or not
 at all.  Batching is what makes worker scaling near-linear: per-item
 claims cost one store round-trip per shard, which dominates wall clock
-the moment shards are small (the BENCH_explore ``frontier`` section
-used to scale *negatively* for exactly that reason).  While it works,
+the moment shards are small (per-item claims made the frontier scale
+*negatively* for exactly that reason).  While it works,
 a single heartbeat thread extends every lease the worker holds with
 one UPDATE per interval
 (:meth:`~repro.store.db.ResultStore.heartbeat_worker`); a worker
@@ -591,8 +591,8 @@ def run_frontier_dynamic(
             "respawns": fleet.respawns,
             "quarantined": len(quarantined),
             # Coordination traffic, summed over every accepted batch —
-            # the amortization evidence BENCH_explore's frontier
-            # section records (claims per round trip, heartbeats and
+            # the amortization evidence the repo benchmark's frontier
+            # workload records (claims per round trip, heartbeats and
             # pulls per run).
             "claims": coordination.frontier_claims,
             "claim_round_trips": coordination.frontier_claim_round_trips,

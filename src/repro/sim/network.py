@@ -444,8 +444,9 @@ class ReferenceNetwork:
     Every pick rescans the destination's whole pending list — O(pending)
     per step — which is exactly the cost profile the indexed engine
     removes.  The golden determinism suite runs both engines over the
-    same specs and asserts bit-identical traces; the simulator bench
-    quantifies the gap.  No option, spec field or flag selects it: a
+    same specs and asserts bit-identical traces;
+    ``tests/sim/test_network_indexed.py`` pins the gap in scans per
+    delivery.  No option, spec field or flag selects it: a
     test reaches it with ``with repro.sim.system.network_implementation(
     ReferenceNetwork):`` around whatever builds the system.
     """

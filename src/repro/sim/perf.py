@@ -25,7 +25,7 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     message.  The headline machine-independent metric: the reference
     buffer scans O(pending) per pick, the indexed buffer amortizes to
     O(1 + log pending); ``messages_scanned / messages_delivered`` is
-    what the perf-smoke CI job gates on.
+    what ``tests/sim/test_network_indexed.py`` gates on.
 ``ready_promotions``
     Messages moved from the not-yet-ready heap into the ready pool.
 ``heap_pushes`` / ``heap_pops``
@@ -74,8 +74,8 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     Value-tree nodes visited while encoding state fingerprints.  The
     headline explorer metric: the incremental engine encodes a local
     state or a message once, the naive engine re-encodes everything at
-    every tick; the explore-smoke CI bench gates on the first staying
-    below the second.
+    every tick; ``tests/explore/test_fingerprint_equivalence.py``
+    gates on the first staying below the second.
 ``explore_fp_host_hits`` / ``explore_fp_host_misses``
     Per-host canonical encodings served from the lineage cache
     (keyed on the process's own step history, kept across rewinds),

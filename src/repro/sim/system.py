@@ -440,8 +440,8 @@ def network_implementation(impl):
 
     ``System.__init__`` resolves ``Network`` from this module's globals
     at call time, so rebinding it here redirects every system built
-    inside the ``with`` block — how the golden determinism suite and
-    the simulator bench run identical specs on
+    inside the ``with`` block — how the golden determinism suite runs
+    identical specs on
     :class:`~repro.sim.network.ReferenceNetwork` vs the indexed engine.
     """
     global Network

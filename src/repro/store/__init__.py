@@ -3,9 +3,9 @@
 One WAL-mode SQLite file accumulates everything the system computes —
 run/fn summaries (which are the campaign cache),
 campaign executions, the explorer's cross-shard visited-set
-fingerprints, chaos/explore violation witnesses, and BENCH history —
+fingerprints and work queue, and chaos/explore violation witnesses —
 so "millions of runs" survive the process that produced them and
-resume, dedup and trend queries become one ``SELECT``.
+resume and dedup queries become one ``SELECT``.
 
 * :class:`ResultStore` — the file, its single write connection with
   buffered batch inserts, and read-only query connections
@@ -14,9 +14,8 @@ resume, dedup and trend queries become one ``SELECT``.
   ``cache=True`` / a directory resolves to (:mod:`repro.store.cache`);
 * :class:`FingerprintExchange` — batched cross-shard visited-set
   exchange for the dynamic frontier (:mod:`repro.store.exchange`);
-* :mod:`repro.store.bench` — BENCH history plus the perf-trend gate;
-* ``python -m repro.store`` — ``summarise`` / ``show`` / ``trend`` /
-  ``check`` / ``--migrate`` (:mod:`repro.store.__main__`).
+* ``python -m repro.store`` — ``summarise`` / ``show`` / ``sweep`` /
+  ``--migrate`` (:mod:`repro.store.__main__`).
 
 Schema and versioning live in :mod:`repro.store.schema`: every row
 carries a format version, the file carries a schema version, and a

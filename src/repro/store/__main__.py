@@ -4,25 +4,18 @@ Recipes::
 
     python -m repro.store summarise                    # whole-store counts
     python -m repro.store show 3f2a91                  # one run by key prefix
-    python -m repro.store trend BENCH_explore          # tracked metrics over time
-    python -m repro.store check BENCH_sim \\
-        --report BENCH_sim.json --record               # CI perf-trend gate
+    python -m repro.store sweep                        # collect leaked scopes
     python -m repro.store --migrate                    # schema upgrade
 
 ``--db`` points anywhere; the default is ``$REPRO_STORE_DIR`` (falling
-back to ``.repro-store/``).  ``check`` exits 1 on a regression, so CI
-calls it directly; ``--record`` appends the checked report to the
-history *after* comparing, keeping the baseline clean.
+back to ``.repro-store/``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from repro.store import bench as bench_gate
 from repro.store import report as reports
 from repro.store.db import ResultStore, SchemaVersionError, StoreError
 from repro.store.schema import SCHEMA_VERSION
@@ -49,33 +42,10 @@ def _parse_args(argv):
     sub.add_parser("summarise", help="whole-store counts and recent campaigns")
     show = sub.add_parser("show", help="one stored run by key prefix")
     show.add_argument("key", help="run key (prefix allowed)")
-    trend = sub.add_parser("trend", help="a bench's tracked metrics over time")
-    trend.add_argument("bench", help="bench name, e.g. BENCH_explore")
-    trend.add_argument("--limit", type=int, default=None)
-    check = sub.add_parser(
-        "check",
-        help="gate a fresh BENCH report against stored history "
-        "(and sweep stale exchange scopes)",
+    sub.add_parser(
+        "sweep",
+        help="collect exchange scopes and queue rows leaked by killed searches",
     )
-    check.add_argument("bench")
-    check.add_argument(
-        "--report", type=Path, required=True, help="the fresh BENCH_*.json"
-    )
-    check.add_argument(
-        "--record",
-        action="store_true",
-        help="append the report to history after checking",
-    )
-    check.add_argument(
-        "--tolerance",
-        type=float,
-        default=bench_gate.DEFAULT_TOLERANCE,
-        help="allowed fractional drop below the historical median "
-        f"(default {bench_gate.DEFAULT_TOLERANCE})",
-    )
-    rec = sub.add_parser("record", help="append a BENCH report to history")
-    rec.add_argument("bench")
-    rec.add_argument("--report", type=Path, required=True)
     return parser, parser.parse_args(argv)
 
 
@@ -100,43 +70,21 @@ def main(argv=None) -> int:
         if args.command == "show":
             print(reports.show(store, args.key))
             return 0
-        if args.command == "trend":
-            print(reports.trend(store, args.bench, limit=args.limit))
-            return 0
-        if args.command in ("check", "record"):
-            document = json.loads(args.report.read_text())
-            if args.command == "record":
-                metrics = bench_gate.record(store, args.bench, document)
-                print(
-                    f"recorded {args.bench}: "
-                    f"{json.dumps(metrics, sort_keys=True)}"
-                )
-                return 0
-            ok, lines = bench_gate.check(
-                store, args.bench, document, tolerance=args.tolerance
-            )
-            for line in lines:
-                print(line)
-            # Maintenance rides the CI gate: sweep coordination state
-            # leaked by killed searches (orphan fingerprint scopes,
-            # aged-out registrations, dead queue/lease rows).  The
-            # sweep_log aggregate covers the opportunistic open-time
-            # sweep too, whichever path got there first.
+        if args.command == "sweep":
+            # Coordination state leaked by killed searches: orphan
+            # fingerprint scopes, aged-out registrations, dead queue and
+            # lease rows.  The sweep_log aggregate covers the
+            # opportunistic open-time sweep too, whichever got there
+            # first.
             store.sweep_stale_scopes()
-            orphaned = sum(
-                len(s["orphan_scopes"]) for s in store.sweep_log
-            )
+            orphaned = sum(len(s["orphan_scopes"]) for s in store.sweep_log)
             stale = sum(len(s["stale_scopes"]) for s in store.sweep_log)
-            if orphaned or stale:
-                rows = sum(s["fingerprint_rows"] for s in store.sweep_log)
-                print(
-                    f"swept {orphaned} orphaned and {stale} stale "
-                    f"exchange scope(s) ({rows} fingerprint row(s))"
-                )
-            if args.record:
-                bench_gate.record(store, args.bench, document)
-                print(f"recorded {args.bench} into history")
-            return 0 if ok else 1
+            rows = sum(s["fingerprint_rows"] for s in store.sweep_log)
+            print(
+                f"swept {orphaned} orphaned and {stale} stale "
+                f"exchange scope(s) ({rows} fingerprint row(s))"
+            )
+            return 0
     except SchemaVersionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

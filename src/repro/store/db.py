@@ -1043,43 +1043,6 @@ class ResultStore:
             time.time(),
         )
 
-    # -- bench history -------------------------------------------------
-    def record_bench(
-        self, bench: str, metrics: Dict[str, float], report: Dict[str, Any]
-    ) -> None:
-        with self.write_connection as con:
-            con.execute(
-                "INSERT INTO bench_history (format, bench, metrics, report, "
-                "created) VALUES (?, ?, ?, ?, ?)",
-                (
-                    ROW_FORMAT,
-                    bench,
-                    json.dumps(metrics, sort_keys=True),
-                    json.dumps(report, sort_keys=True),
-                    time.time(),
-                ),
-            )
-
-    def bench_rows(
-        self, bench: str, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        """History rows for one bench, oldest first."""
-        con = self.read_connection()
-        try:
-            sql = (
-                "SELECT id, metrics, created FROM bench_history "
-                "WHERE bench = ? ORDER BY id"
-            )
-            rows = con.execute(sql, (bench,)).fetchall()
-        finally:
-            con.close()
-        if limit is not None:
-            rows = rows[-limit:]
-        return [
-            {"id": rowid, "metrics": json.loads(metrics), "created": created}
-            for rowid, metrics, created in rows
-        ]
-
     # -- maintenance ---------------------------------------------------
     def migrate(self) -> int:
         """Walk the file to the current schema version; returns it."""

@@ -1,15 +1,14 @@
 """Text reports over the campaign database (the CLI's meat).
 
-Three views, mirroring the pyotter ``summarise``/``show`` split:
+Two views, mirroring the pyotter ``summarise``/``show`` split:
 
 * :func:`summarise` — whole-store counts: cached cells per salt,
   campaign executions (with fully-cached re-runs called out, since
   "re-run executed 0 cells" is the resume guarantee), fingerprint
-  scopes, witnesses, bench history;
-* :func:`show` — one stored run by key prefix, payload unpickled;
-* :func:`trend` — one bench's tracked metrics over time.
+  scopes, witnesses;
+* :func:`show` — one stored run by key prefix, payload unpickled.
 
-All three read through a read-only connection — safe to run while a
+Both read through a read-only connection — safe to run while a
 campaign is writing.
 """
 
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import datetime
 import json
-from typing import List, Optional
+from typing import List
 
 from repro.store.db import CorruptPayload, ResultStore, decode_payload
 
@@ -95,14 +94,6 @@ def summarise(store: ResultStore) -> str:
         )
         for family, target, count in witness_rows:
             lines.append(f"  {family}/{target}: {count}")
-
-        bench_rows = con.execute(
-            "SELECT bench, COUNT(*), MAX(created) FROM bench_history "
-            "GROUP BY bench ORDER BY bench"
-        ).fetchall()
-        lines.append(f"bench history: {sum(r[1] for r in bench_rows)} run(s)")
-        for bench, count, latest in bench_rows:
-            lines.append(f"  {bench}: {count} run(s), latest {_when(latest)}")
         return "\n".join(lines)
     finally:
         con.close()
@@ -154,19 +145,3 @@ def show(store: ResultStore, key_prefix: str) -> str:
         )
     return "\n".join(lines)
 
-
-def trend(store: ResultStore, bench: str, limit: Optional[int] = None) -> str:
-    rows = store.bench_rows(bench, limit=limit)
-    if not rows:
-        return f"no stored history for {bench!r}"
-    paths = sorted({path for row in rows for path in row["metrics"]})
-    lines = [f"{bench}: {len(rows)} stored run(s)"]
-    header = "  when                " + "  ".join(f"{p:>36}" for p in paths)
-    lines.append(header)
-    for row in rows:
-        cells = []
-        for path in paths:
-            value = row["metrics"].get(path)
-            cells.append(f"{value:>36.3f}" if value is not None else " " * 36)
-        lines.append(f"  {_when(row['created'])}  " + "  ".join(cells))
-    return "\n".join(lines)

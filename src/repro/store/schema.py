@@ -4,8 +4,8 @@ One SQLite file holds everything the ROADMAP calls "millions of runs
 as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
 code salt (the campaign cache, :mod:`repro.store.cache`), campaign
 executions with their cell digests, the
-explorer's cross-shard visited-set fingerprints, chaos/explore
-violation witnesses, and ``BENCH_*.json`` history rows.
+explorer's cross-shard visited-set fingerprints and its work queue,
+and chaos/explore violation witnesses.
 
 Every table carries an explicit per-row ``format`` column **and** the
 file carries a whole-schema version in the ``meta`` table.  A store
@@ -34,7 +34,10 @@ from typing import Callable, Dict
 #: over ``(scope, worker)``, and batch completion reuses the same
 #: ``work_queue`` status machine — so v2 stores written by per-item
 #: and batched code interoperate row-for-row.
-SCHEMA_VERSION = 2
+#:
+#: v3 dropped the table of benchmark reports trended across CI runs;
+#: the repo benchmark keeps no history in the store.
+SCHEMA_VERSION = 3
 
 #: Per-row format version written into every row's ``format`` column.
 #: Tracks the *payload* conventions (pickle framing, JSON shapes)
@@ -95,16 +98,6 @@ CREATE TABLE IF NOT EXISTS witnesses (
     document TEXT NOT NULL,                -- the full artifact JSON
     created  REAL NOT NULL
 );
-
-CREATE TABLE IF NOT EXISTS bench_history (
-    id      INTEGER PRIMARY KEY,
-    format  INTEGER NOT NULL,
-    bench   TEXT NOT NULL,                 -- 'BENCH_sim', 'BENCH_explore', ...
-    metrics TEXT NOT NULL,                 -- JSON {metric: number}
-    report  TEXT NOT NULL,                 -- the full BENCH_*.json document
-    created REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS bench_history_bench ON bench_history (bench, id);
 
 CREATE TABLE IF NOT EXISTS work_queue (
     id         INTEGER PRIMARY KEY,
@@ -217,10 +210,18 @@ def _migrate_1_to_2(con: sqlite3.Connection) -> None:
     create_schema(con)
 
 
+def _migrate_2_to_3(con: sqlite3.Connection) -> None:
+    """v2 → v3: drop ``bench_history`` and its index; no other table
+    changes."""
+    con.execute("DROP INDEX IF EXISTS bench_history_bench")
+    con.execute("DROP TABLE IF EXISTS bench_history")
+
+
 #: from-version → in-place migration to from-version + 1.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _migrate_0_to_1,
     1: _migrate_1_to_2,
+    2: _migrate_2_to_3,
 }
 
 

@@ -6,7 +6,7 @@ A finished frontier search releases its salted exchange scope in its
 fingerprint rows (no registration — killed before the exchange opened,
 or written by pre-v2 code) go immediately, registered scopes go once
 they age past the liveness horizon, and the sweep also rides store
-open (opportunistically) and ``python -m repro.store check``.
+open (opportunistically) and ``python -m repro.store sweep``.
 """
 
 import subprocess
@@ -95,16 +95,9 @@ class TestSweep:
     def test_check_cli_reports_the_sweep(self, tmp_path):
         store = ResultStore(tmp_path)
         store.publish_fingerprints("leaked", [("fp", 2)])
-        # Give the gate some history so `check` has a baseline to read.
-        store.record_bench("BENCH_x", {"m": 1.0}, {"m": 1.0})
         store.close()
-        report = tmp_path / "fresh.json"
-        report.write_text('{"m": 1.0}')
         proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.store", "--db", str(tmp_path),
-                "check", "BENCH_x", "--report", str(report),
-            ],
+            [sys.executable, "-m", "repro.store", "--db", str(tmp_path), "sweep"],
             capture_output=True,
             text=True,
             timeout=120,

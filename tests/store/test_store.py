@@ -4,7 +4,6 @@ Everything here runs against throwaway stores in tmp_path — the suite
 never touches a real ``.repro-store``.
 """
 
-import json
 import sqlite3
 
 import pytest
@@ -124,6 +123,46 @@ class TestSchemaVersioning:
         store.put_summary("k", "s", _summary())
         store.close()
 
+    def test_v2_bench_history_is_dropped_by_migrate(self, tmp_path, capsys):
+        # A v2 file: today's tables plus the bench_history table v3
+        # dropped, holding one bench row beside one run summary.
+        with ResultStore(tmp_path) as store:
+            store.put_summary("k", "s", _summary(5))
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        con.executescript(
+            """
+            CREATE TABLE bench_history (
+                id INTEGER PRIMARY KEY, format INTEGER NOT NULL,
+                bench TEXT NOT NULL, metrics TEXT NOT NULL,
+                report TEXT NOT NULL, created REAL NOT NULL
+            );
+            CREATE INDEX bench_history_bench ON bench_history (bench, id);
+            INSERT INTO bench_history (format, bench, metrics, report, created)
+                VALUES (1, 'BENCH_sim', '{}', '{}', 0.0);
+            UPDATE meta SET value = '2' WHERE key = 'schema_version';
+            """
+        )
+        con.close()
+
+        with pytest.raises(SchemaVersionError) as excinfo:
+            ResultStore(tmp_path).write_connection
+        assert "v2" in str(excinfo.value) and "--migrate" in str(excinfo.value)
+
+        assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
+        assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        try:
+            names = {
+                name for (name,) in con.execute(
+                    "SELECT name FROM sqlite_master WHERE name LIKE 'bench%'"
+                )
+            }
+        finally:
+            con.close()
+        assert names == set()
+        with ResultStore(tmp_path) as store:
+            assert store.get_summary("k", "s").value == 25
+
     def test_migrate_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.migrate() == SCHEMA_VERSION
@@ -174,56 +213,20 @@ class TestWitnessesAndBench:
             ).fetchall()
         assert rows == [("chaos", "nbac"), ("explore", "ct")]
 
-    def test_bench_history_ordered(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.record_bench("BENCH_runner", {"speedup": 2.0}, {})
-            store.record_bench("BENCH_runner", {"speedup": 3.0}, {})
-            rows = store.bench_rows("BENCH_runner")
-        assert [r["metrics"]["speedup"] for r in rows] == [2.0, 3.0]
-
 
 class TestCli:
     def _db(self, tmp_path):
         return str(tmp_path / "db")
 
-    def test_summarise_show_trend(self, tmp_path, capsys):
+    def test_summarise_and_show(self, tmp_path, capsys):
         db = self._db(tmp_path)
         with ResultStore(db) as store:
             store.put_summary("abcdef123", "salt", _summary(4))
-            store.record_bench("BENCH_runner", {"speedup": 2.5}, {})
         assert store_cli(["--db", db, "summarise"]) == 0
         assert store_cli(["--db", db, "show", "abcdef"]) == 0
-        assert store_cli(["--db", db, "trend", "BENCH_runner"]) == 0
         out = capsys.readouterr().out
         assert "run summaries" in out
         assert "16" in out  # the shown FnSummary value
-        assert "speedup" in out
-
-    def test_check_records_and_gates(self, tmp_path, capsys):
-        db = self._db(tmp_path)
-        report = tmp_path / "BENCH_sim.json"
-
-        def write(steps_per_second):
-            report.write_text(json.dumps(
-                {"fanout": {"indexed": {"steps_per_second": steps_per_second}}}
-            ))
-
-        write(3000.0)
-        # Below MIN_HISTORY the gate passes vacuously but can record.
-        assert store_cli(
-            ["--db", db, "check", "BENCH_sim",
-             "--report", str(report), "--record"]
-        ) == 0
-        assert store_cli(
-            ["--db", db, "record", "BENCH_sim", "--report", str(report)]
-        ) == 0
-        # Armed now; a hard regression (beyond the 0.5 tolerance) fails.
-        write(500.0)
-        assert store_cli(
-            ["--db", db, "check", "BENCH_sim", "--report", str(report)]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "fanout.indexed.steps_per_second" in out
 
     def test_migrate_flag(self, tmp_path, capsys):
         db = self._db(tmp_path)
