@@ -77,6 +77,7 @@ from repro.explore.frontierd import (
 )
 from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import (
+    CLOCK_FREE_TARGETS,
     SYMMETRY_SAFE_TARGETS,
     admissible_perms,
     collapse_symmetric_roots,
@@ -84,6 +85,7 @@ from repro.explore.symmetry import (
 )
 
 __all__ = [
+    "CLOCK_FREE_TARGETS",
     "DEFAULT_SEEDS",
     "SMOKE_DEPTHS",
     "SMOKE_DEPTHS_N3",

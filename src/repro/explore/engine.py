@@ -59,7 +59,9 @@ What keeps a run cheap (see ``docs/EXPLORER.md`` § Performance): the DFS
 stack pops the deepest divergence first, so the tick to rewind to is as
 late as possible; the dedup key of that tick is read from the per-tick
 digest journal instead of re-encoded; most ticks are steps some earlier
-path already executed and are served from the transition table; and
+path already executed (at any tick, for a target of
+:data:`~repro.explore.symmetry.CLOCK_FREE_TARGETS`) and are served
+from the transition table; and
 the table and the encoding caches inside
 :class:`~repro.explore.state.FingerprintEngine` outlive the run, the
 system and — in a :class:`FingerprintSession` — the walk.
@@ -97,7 +99,11 @@ from repro.explore.cases import (
 )
 from repro.explore.control import ChoiceController
 from repro.explore.state import OPAQUE_MARK, FingerprintEngine, StepEffects
-from repro.explore.symmetry import admissible_perms, resolve_symmetry
+from repro.explore.symmetry import (
+    CLOCK_FREE_TARGETS,
+    admissible_perms,
+    resolve_symmetry,
+)
 from repro.sim.network import Message
 from repro.sim.perf import PerfCounters
 from repro.sim.process import ProcessHost
@@ -267,7 +273,8 @@ class FingerprintSession:
         scope = (case, options)
         if self.engine is None:
             self.engine = FingerprintEngine(
-                case.n, options.fingerprint_mode, perms=perms
+                case.n, options.fingerprint_mode, perms=perms,
+                clock_free=case.target in CLOCK_FREE_TARGETS,
             )
             self._scope = scope
         elif scope != self._scope:
@@ -337,7 +344,7 @@ def explore_case(
     if session is None:
         fp_engine = FingerprintEngine(
             case.n, options.fingerprint_mode, counters=result.counters,
-            perms=perms,
+            perms=perms, clock_free=case.target in CLOCK_FREE_TARGETS,
         )
     else:
         fp_engine = session.bind(case, options, perms, result.counters)

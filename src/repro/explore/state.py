@@ -333,12 +333,21 @@ class FingerprintEngine:
     **The transition table.**  The engine names every local state of
     the root by a *lineage*: an interned id of the process's own step
     history, ``lineage' = intern[(lineage, time, detector-value unit,
-    sender, message unit, ...)]``.  That is the ``(time, message,
-    d)`` triple :meth:`~repro.sim.process.ProcessHost.replay` is fed,
-    and in the paper's model a process's state *and its outputs* are a
-    function of exactly that sequence.  The table is advanced **at the
-    step itself** by whoever drives the processes (the explorer's host
-    stand-ins, :mod:`repro.explore.engine`): :meth:`step_inputs` names
+    sender, message unit, ...)]``.  In the paper's model a process's
+    state *and its outputs* are a function of its ⟨m, d⟩ sequence
+    alone; ``time``, the third input
+    :meth:`~repro.sim.process.ProcessHost.replay` is fed, is in the key
+    because a component *may* read ``ctx.now`` (operation records carry
+    ``invoke_time``).  With ``clock_free`` the time slot holds None:
+    the engine serves a root of
+    :data:`~repro.explore.symmetry.CLOCK_FREE_TARGETS`, whose steps are
+    checked never to read the clock, so a local state reached through
+    the same ⟨m, d⟩ history at other ticks is one lineage — encoded
+    once, each of its steps executed once.  A bare engine keeps
+    ``time``: dropping it is sound only where that check passed.  The
+    table is advanced **at the step itself** by whoever drives the
+    processes (the explorer's host stand-ins,
+    :mod:`repro.explore.engine`): :meth:`step_inputs` names
     what the step is about to read, :meth:`known_step` answers whether
     a step with these inputs was executed before — and then its
     :class:`StepEffects` are on record under the lineage it led to
@@ -349,8 +358,7 @@ class FingerprintEngine:
     table and everything keyed on it survive rewinds and
     :meth:`begin_run` (a freshly built system of the same root starts
     every process at the root lineage again) and live as long as the
-    engine.  ``time`` is in the key because a step may read ``ctx.now``
-    (operation records carry ``invoke_time``).
+    engine.
 
     Two modes share one encoding:
 
@@ -413,6 +421,7 @@ class FingerprintEngine:
         mode: str = "incremental",
         counters: Any = None,
         perms: Optional[Sequence[Tuple[int, ...]]] = None,
+        clock_free: bool = False,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown fingerprint mode {mode!r}; have {self.MODES}")
@@ -420,6 +429,8 @@ class FingerprintEngine:
         self.mode = mode
         #: Whether per-host/buffer/decision/operation caches are live.
         self.cached = mode != "naive"
+        #: Whether the step key leaves ``time`` out (see class doc).
+        self.clock_free = clock_free
         self.counters = counters
         self.perms: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(p) for p in (perms or [tuple(range(n))])
@@ -549,14 +560,17 @@ class FingerprintEngine:
         """Name what ``pid`` is about to read in its step at ``time``.
 
         ``(lineage, time, d unit bytes, sender, message unit bytes)``
-        (the last two None for a λ-step) — the local state and the
-        inputs the paper's step is a function of — or None when the
-        step cannot be named: the lineage is already poisoned, ``d`` or
-        ``m`` encodes opaque, or the mode names nothing (``naive``).
+        (the last two None for a λ-step; ``time`` None on a
+        ``clock_free`` engine) — the local state and the inputs the
+        step is a function of — or None when the step cannot be named:
+        the lineage is already poisoned, ``d`` or ``m`` encodes opaque,
+        or the mode names nothing (``naive``).
         """
         parent = self._lineages[-1][pid]
         if parent < 0 or not self.cached:
             return None
+        if self.clock_free:
+            time = None
         memo = self._detector_units.get(id(detector_value))
         if memo is None:
             memo = self._detector_units[id(detector_value)] = (

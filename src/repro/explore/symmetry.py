@@ -48,6 +48,10 @@ The same group also collapses whole exploration roots: two roots whose
 crash schedules and assignments are π-images of each other explore
 π-corresponding trees, so the frontier keeps one representative
 (:func:`collapse_symmetric_roots`) when the reduction is enabled.
+
+The explorer's other target-level pin sits here too:
+:data:`CLOCK_FREE_TARGETS`, the targets invariant under a remap of the
+clock rather than of the pids.
 """
 
 from __future__ import annotations
@@ -65,6 +69,29 @@ from typing import Any, FrozenSet, Iterable, List, Sequence, Tuple
 SYMMETRY_SAFE_TARGETS = frozenset(
     {
         "paxos",
+        "qc",
+        "nbac",
+        "submajority",
+        "eagerquit",
+        "hastycommit",
+        "redcommit",
+    }
+)
+
+#: Targets whose steps never read the clock: a process handed the same
+#: ⟨m, d⟩ sequence at other (strictly increasing) ticks reaches the
+#: same local states and emits the same outputs, so
+#: :class:`~repro.explore.state.FingerprintEngine` leaves ``time`` out
+#: of their step key.  The paper's model (§2) has no clock; the pin is
+#: checked, not assumed — ``tests/explore/test_clock_independence.py``
+#: re-feeds every target's per-process step histories at remapped
+#: ticks and asserts this set is exactly the targets that pass.
+#: Excluded: register (its operation records carry ``invoke_time`` and
+#: ``response_time``, and its processes hold them).
+CLOCK_FREE_TARGETS = frozenset(
+    {
+        "paxos",
+        "ct",
         "qc",
         "nbac",
         "submajority",

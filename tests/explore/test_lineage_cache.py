@@ -2,9 +2,10 @@
 
 ``FingerprintEngine`` caches a host's encoding under the *lineage* of
 its process — an interned id of the ``(time, message, d)`` steps the
-process has taken — and keeps it across rewinds, so a local state is
-encoded once per root.  That is only invisible if the key names
-everything a step can read.  The whole-search check (digest logs equal
+process has taken, ``time`` left out for the targets pinned clock-free
+— and keeps it across rewinds, so a local state is encoded once per
+root.  That is only invisible if the key names everything a step can
+read.  The whole-search check (digest logs equal
 to the cache-free ``naive`` engine's) lives in
 ``test_fingerprint_equivalence.py`` and the per-fingerprint
 cached-vs-fresh check in ``test_rewind_oracle.py``; this module holds
@@ -19,6 +20,7 @@ import collections
 import pytest
 
 from repro.explore import (
+    CLOCK_FREE_TARGETS,
     ExploreCase,
     ExploreOptions,
     enumerate_roots,
@@ -26,6 +28,7 @@ from repro.explore import (
     merge_summaries,
     run_controlled,
 )
+from repro.explore import engine as engine_mod
 from repro.explore.cases import resolve_parts
 from repro.explore.engine import FingerprintSession
 from repro.explore.frontier import result_to_dict
@@ -35,6 +38,7 @@ from repro.sim.process import Component
 from repro.store import ResultStore
 from repro.store.exchange import FingerprintExchange
 from tests.explore.helpers import split_roots, toy_target
+from tests.explore.test_clock_independence import clock_readers
 
 MODES = ["naive", "incremental"]
 
@@ -50,7 +54,12 @@ def digest_logs(case):
     return logs
 
 
-# -- (a) time is part of a step ---------------------------------------------
+def logs_equal(case):
+    logs = digest_logs(case)
+    return logs["incremental"] == logs["naive"]
+
+
+# -- (a) time is part of a step that reads the clock -------------------------
 
 class Clock(Component):
     """Stores the tick at which each message arrived.  The same ⟨m, d⟩
@@ -93,6 +102,50 @@ def test_same_messages_at_other_ticks_are_other_states(monkeypatch):
         timeless = []
         explore_case(case, digest_log=timeless)
         assert timeless != logs["naive"]
+    finally:
+        resolve_parts.cache_clear()
+
+
+# The pin that lets a target's step key leave the tick out is
+# load-bearing: the clock-independence oracle convicts the readers, and
+# pinning one anyway serves stale steps that the digest log shows.
+
+def test_the_clock_oracle_convicts_the_clock_toy(monkeypatch):
+    case = toy_target(monkeypatch, "clock", clock_factory)(n=2, depth=5)
+    try:
+        found = clock_readers(case)
+    finally:
+        resolve_parts.cache_clear()
+    assert found is not None, "Clock.stamps holds the tick, unconvicted"
+    assert "Clock.stamps" in found, found
+
+
+@pytest.mark.parametrize(
+    "make, reader",
+    [
+        pytest.param(
+            lambda mp: toy_target(mp, "clock", clock_factory)(n=2, depth=5),
+            "Clock.stamps",
+            id="clock",
+        ),
+        pytest.param(
+            lambda mp: ExploreCase(target="register", n=2, depth=5),
+            "the operation record's invoke_time",
+            id="register",
+        ),
+    ],
+)
+def test_pinning_a_clock_reader_breaks_the_digest_log(monkeypatch, make, reader):
+    case = make(monkeypatch)
+    try:
+        assert logs_equal(case), f"{reader}: the digest logs differ unpinned"
+        monkeypatch.setattr(
+            engine_mod, "CLOCK_FREE_TARGETS", CLOCK_FREE_TARGETS | {case.target}
+        )
+        assert not logs_equal(case), (
+            f"{reader} reads the clock, yet its target keyed without the "
+            f"tick walks like the naive engine"
+        )
     finally:
         resolve_parts.cache_clear()
 
@@ -366,11 +419,13 @@ def test_engine_refuses_steps_it_was_not_told_about():
 def test_local_states_are_encoded_once_per_root():
     """``nbac n=3 depth 6``, the benchmark's ``exhaust_nbac3`` roots:
     the search is the one it always was, and a host is encoded once per
-    distinct local history (7 344 encodes when the cache was keyed on
-    the position on the current path).  A lineage is named at the step
-    that reaches it, so the leaf states are named though never encoded
-    (2 128 lineages when they were interned at fingerprint time), and
-    each named step was executed exactly once."""
+    distinct ⟨m, d⟩ history — nbac is clock-free, so the tick is not in
+    its key (7 344 encodes when the cache was keyed on the position on
+    the current path, 2 140 while the key held the tick).  A lineage is
+    named at the step that reaches it, so the leaf states are named
+    though never encoded (2 128 lineages when they were interned at
+    fingerprint time), and each named step was executed exactly once
+    (5 168 with the tick in the key)."""
     totals = PerfCounters()
     runs = states = dedup_hits = por_pruned = 0
     for root in enumerate_roots("nbac", 3, depth=6, seeds=(0, 1)):
@@ -382,12 +437,13 @@ def test_local_states_are_encoded_once_per_root():
         dedup_hits += result.dedup_hits
         por_pruned += result.por_pruned
     assert (runs, states, dedup_hits, por_pruned) == (20968, 4228, 1564, 72820)
-    assert totals.explore_fp_host_misses <= 2140
-    assert totals.explore_fp_lineages == totals.explore_steps_executed == 5168
-    assert totals.explore_steps_served == 26736 - 5168
-    # 3 616 brought back to a state a rewind had left, and the first
-    # object of each of the 4 roots' 3 processes.
-    assert totals.explore_hosts_rebuilt == 3616 + 12
+    assert totals.explore_fp_host_misses <= 812
+    assert totals.explore_fp_lineages == totals.explore_steps_executed == 1532
+    assert totals.explore_steps_served == 26736 - 1532
+    # 1 596 brought back to a state a rewind had left (3 616 with the
+    # tick in the key), and the first object of each of the 4 roots'
+    # 3 processes.
+    assert totals.explore_hosts_rebuilt == 1596 + 12
     assert totals.explore_fp_message_hits > totals.explore_fp_message_misses > 0
     assert totals.explore_opaque_tokens == 0
 

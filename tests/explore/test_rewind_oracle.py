@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.targets import TARGETS
 from repro.explore import (
+    CLOCK_FREE_TARGETS,
     ExploreCase,
     ExploreOptions,
     explore_case,
@@ -120,10 +121,11 @@ def _histories(engine):
     return spelt
 
 
-def _derived_histories(system, controller, mode):
+def _derived_histories(system, controller, mode, clock_free):
     """The same, derived by a fresh engine from the steps a finished
-    scratch replay actually took."""
-    engine = FingerprintEngine(system.n, mode)
+    scratch replay actually took (keyed without the tick when the
+    target is pinned clock-free)."""
+    engine = FingerprintEngine(system.n, mode, clock_free=clock_free)
     operations = system.trace.operations
     for step, tick in zip(system.trace.steps, controller.ticks):
         pid = tick.pid
@@ -186,7 +188,8 @@ def rewind_oracle():
                 f"{got[key]!r} != {want[key]!r}"
             )
         assert _histories(live.fp_engine) == _derived_histories(
-            fresh_system, fresh_controller, live.fp_engine.mode
+            fresh_system, fresh_controller, live.fp_engine.mode,
+            case.target in CLOCK_FREE_TARGETS,
         ), f"lineages name another history on path {taken} of {case.describe()}"
         enc = _Encoder(case.n).enc
         for host, fresh_host in zip(system.hosts, fresh_system.hosts):
