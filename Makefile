@@ -30,7 +30,7 @@ explore-smoke:
 	$(PYTHON) -m repro.explore --target hastycommit --expect-violation --stop-on-first
 	$(PYTHON) -m repro.explore --target submajority --expect-violation --stop-on-first --max-runs 2500
 	$(PYTHON) -m repro.explore --target nbac --procs 3 --symmetry --require-complete --stats
-	$(PYTHON) -m repro.explore --target hastycommit --procs 3 --symmetry --expect-violation --stop-on-first
+	$(PYTHON) -m repro.explore --target hastycommit --procs 3 --symmetry --expect-violation --stop-on-first --workers 2
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -12,11 +12,11 @@ path — with partial-order, state-dedup and pid-symmetry reductions
 :mod:`repro.explore.state`, the symmetry group in
 :mod:`repro.explore.symmetry`); the frontier
 (:mod:`repro.explore.frontier`) enumerates detector assignments and
-crash schedules across subtree roots and fans the work out as a
-:mod:`repro.runner` campaign, one cell per root, and
-:mod:`repro.explore.frontierd` searches below the roots: long-lived
-workers pulling shard roots from a store-backed queue under expiring
-leases, splitting them on demand and surviving SIGKILL mid-shard.
+crash schedules across subtree roots, and
+:mod:`repro.explore.frontierd` walks them through a store-backed work
+queue under expiring leases — in the caller's process with one
+worker; with more, long-lived workers that take whole roots first,
+split the last ones on demand and survive SIGKILL mid-shard.
 How a case is searched — reductions, fingerprint mode — is one
 :class:`~repro.explore.cases.ExploreOptions` carried to every layer.
 Violating leaves are judged by the chaos targets' own property hooks,
@@ -66,13 +66,12 @@ from repro.explore.frontier import (
     SWITCH_MUTANTS,
     crash_schedules,
     enumerate_roots,
-    frontier_campaign,
     merge_summaries,
     result_from_summary,
-    run_frontier,
 )
 from repro.explore.frontierd import (
     explore_case_dynamic,
+    run_frontier,
     run_frontier_dynamic,
 )
 from repro.explore.state import FingerprintEngine
@@ -114,7 +113,6 @@ __all__ = [
     "enumerate_roots",
     "explore_case",
     "explore_case_dynamic",
-    "frontier_campaign",
     "fs_prefix_admissible",
     "merge_summaries",
     "psi_fs_prefix_admissible",

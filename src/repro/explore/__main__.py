@@ -25,22 +25,25 @@ Exhaust the n=3 NBAC frontier, every reduction on, and insist on it::
     python -m repro.explore --target nbac --procs 3 --symmetry \\
         --require-complete --stats
 
-The same frontier on crash-tolerant work-stealing workers, with the
+The same frontier on four crash-tolerant worker processes, with the
 chaos injector SIGKILLing them mid-shard to prove recovery::
 
     python -m repro.explore --target nbac --procs 3 --symmetry \\
-        --frontier dynamic --workers 4 --lease-ttl 2 \\
-        --chaos-kill-rate 0.3 --require-complete --stats
+        --workers 4 --lease-ttl 2 --chaos-kill-rate 0.3 \\
+        --require-complete --stats
 
-``--cache``, ``--stop-on-first`` and ``--max-runs`` belong to the
-default ``--frontier static`` (one campaign cell per root);
-``--lease-ttl``, ``--chaos-kill-rate`` and ``--chaos-seed`` to
-``--frontier dynamic`` (leased sub-root shards).  Handing one to the
-other driver is an error, never a silent no-op.
+Every run goes through one driver, the leased work queue of
+:mod:`repro.explore.frontierd`: one worker (the default) walks in this
+process, more are spawned processes that claim whole roots first.
+``--stop-on-first`` and ``--max-runs`` bound each shard's walk (with
+one worker, each root's); ``--cache`` serves roots a previous run
+exhausted; ``--chaos-kill-rate`` needs two workers or more.
 
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
-and 1 otherwise, so CI can call this directly.
+and 1 otherwise, so CI can call this directly.  A quarantined shard
+(a work item that failed past its retry budget) is a failure whatever
+was expected: its subtree was never searched.
 """
 
 from __future__ import annotations
@@ -59,18 +62,9 @@ from repro.explore.frontier import (
     SWITCH_MUTANTS,
     enumerate_roots,
     result_from_summary,
-    run_frontier,
 )
+from repro.explore.frontierd import DEFAULT_LEASE_TTL, fleet_size, run_frontier
 from repro.explore.symmetry import collapse_symmetric_roots
-
-#: Flags only one ``--frontier`` driver honours (argparse destinations,
-#: all defaulting to "not given").  Passing one to the other driver is
-#: an error, not a silent no-op: ``--frontier static --chaos-kill-rate``
-#: printing ``ok`` would read as "recovery proven".
-DRIVER_FLAGS = {
-    "static": ("cache", "stop_on_first", "max_runs"),
-    "dynamic": ("lease_ttl", "chaos_kill_rate", "chaos_seed"),
-}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -105,53 +99,44 @@ def _parse_args(argv) -> argparse.Namespace:
         "--workers",
         type=int,
         default=None,
-        help="campaign worker processes (default: runner's choice)",
-    )
-    parser.add_argument(
-        "--frontier",
-        choices=("static", "dynamic"),
-        default="static",
         help=(
-            "how roots are executed: 'static' (one campaign cell per "
-            "root) or 'dynamic' (crash-tolerant work-stealing workers "
-            "pulling shard roots from a store-backed queue under "
-            "expiring leases; see docs/EXPLORER.md)"
+            "frontier workers; 1 walks in this process, more are "
+            "crash-tolerant processes pulling shards from a store-backed "
+            "queue under expiring leases (default: REPRO_RUNNER_JOBS, "
+            "else 1; 0 = every core; see docs/EXPLORER.md)"
         ),
     )
     parser.add_argument(
         "--lease-ttl",
         type=float,
-        default=None,
+        default=DEFAULT_LEASE_TTL,
         help=(
-            "dynamic frontier: seconds before a silent worker's lease "
-            "expires and its shard is requeued (default 5)"
+            "seconds before a silent worker's lease expires and its "
+            f"shard is requeued (default {DEFAULT_LEASE_TTL:g})"
         ),
     )
     parser.add_argument(
         "--chaos-kill-rate",
         type=float,
-        default=None,
+        default=0.0,
         help=(
-            "dynamic frontier: SIGKILL lease-holding workers at this "
-            "expected rate per worker-second — the recovery smoke test "
-            "(default 0, off)"
+            "SIGKILL lease-holding workers at this expected rate per "
+            "worker-second — the recovery smoke test; needs --workers 2 "
+            "or more (default 0, off)"
         ),
     )
     parser.add_argument(
         "--chaos-seed",
         type=int,
-        default=None,
-        help=(
-            "dynamic frontier: seed for the worker-killer schedule "
-            "(default 0)"
-        ),
+        default=0,
+        help="seed for the worker-killer schedule (default 0)",
     )
     parser.add_argument(
         "--cache",
         default=None,
         help=(
-            "static frontier: campaign database (directory or .sqlite "
-            "path) caching finished subtrees (default off)"
+            "campaign database (directory or .sqlite path) serving "
+            "roots a previous run exhausted (default off)"
         ),
     )
     parser.add_argument(
@@ -168,15 +153,17 @@ def _parse_args(argv) -> argparse.Namespace:
         type=int,
         default=None,
         help=(
-            "static frontier: truncate each root after this many runs "
-            "(default unbounded)"
+            "truncate each shard (one worker: each root) after this many "
+            "runs (default unbounded)"
         ),
     )
     parser.add_argument(
         "--stop-on-first",
         action="store_true",
-        default=None,
-        help="static frontier: stop each root at its first violation",
+        help=(
+            "stop each shard (one worker: each root) at its first "
+            "violation"
+        ),
     )
     parser.add_argument(
         "--expect-violation",
@@ -283,22 +270,10 @@ def _emit_artifacts(
 
 def main(argv=None) -> int:
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    other = "static" if args.frontier == "dynamic" else "dynamic"
-    misplaced = [
-        "--" + flag.replace("_", "-")
-        for flag in DRIVER_FLAGS[other]
-        if getattr(args, flag) is not None
-    ]
-    if misplaced:
-        raise SystemExit(
-            f"{', '.join(misplaced)}: honoured only by --frontier {other}, "
-            f"and this run is --frontier {args.frontier}"
-        )
-    driver_args = {
-        flag: getattr(args, flag)
-        for flag in DRIVER_FLAGS[args.frontier]
-        if getattr(args, flag) is not None
-    }
+    try:
+        fleet_size(args.workers, args.chaos_kill_rate)
+    except ValueError as refusal:
+        raise SystemExit(f"error: {refusal}")
     options = ExploreOptions(
         por=not args.no_por,
         dedup=not args.no_dedup,
@@ -307,20 +282,19 @@ def main(argv=None) -> int:
     # An unknown target exits here, before a store is created for it.
     targets = _targets(args.target)
     if args.store is None:
-        return _explore(args, targets, options, driver_args, None)
+        return _explore(args, targets, options, None)
     from repro.store import ResultStore
 
     # Closed on every way out: witnesses filed before a later target
     # raises are buffered rows until the close flushes them.
     with ResultStore(args.store) as store:
-        return _explore(args, targets, options, driver_args, store)
+        return _explore(args, targets, options, store)
 
 
 def _explore(
     args: argparse.Namespace,
     targets: List[str],
     options: ExploreOptions,
-    driver_args: Dict[str, Any],
     store: Any,
 ) -> int:
     """Walk every target's roots and print its verdict; the exit code."""
@@ -349,25 +323,18 @@ def _explore(
         )
         if args.symmetry:
             roots = collapse_symmetric_roots(roots)
-        if args.frontier == "dynamic":
-            from repro.explore.frontierd import run_frontier_dynamic
-
-            summaries = run_frontier_dynamic(
-                roots,
-                options,
-                workers=args.workers or 2,
-                store=store,
-                **driver_args,
-            )
-        else:
-            summaries = run_frontier(
-                roots,
-                options,
-                workers=args.workers,
-                cache=driver_args.get("cache", False),
-                stop_on_first_violation=driver_args.get("stop_on_first", False),
-                max_runs=driver_args.get("max_runs"),
-            )
+        summaries = run_frontier(
+            roots,
+            options,
+            workers=args.workers,
+            store=store,
+            cache=args.cache or False,
+            stop_on_first_violation=args.stop_on_first,
+            max_runs=args.max_runs,
+            lease_ttl=args.lease_ttl,
+            chaos_kill_rate=args.chaos_kill_rate,
+            chaos_seed=args.chaos_seed,
+        )
         totals = {
             "runs": 0,
             "states": 0,
@@ -417,6 +384,13 @@ def _explore(
         if args.require_complete and not complete:
             bad = True
             verdict += " INCOMPLETE"
+        if any(
+            incident["kind"] == "shard-quarantined"
+            for summary in summaries
+            for incident in summary["incidents"]
+        ):
+            bad = True
+            verdict += " QUARANTINED"
         failures += bad
         print(
             f"{target} depth={depth} roots={len(roots)}: {verdict}"
@@ -441,7 +415,7 @@ def _explore(
                 else ""
             )
         )
-        if args.frontier == "dynamic" and summaries:
+        if summaries:
             block = summaries[0].get("frontier", {})
             incident_count = sum(
                 len(s.get("incidents", [])) for s in summaries

@@ -148,8 +148,8 @@ class ExploreResult:
     )
     counters: PerfCounters = field(default_factory=PerfCounters)
     #: Structured records of degraded-but-survived events from the
-    #: dynamic frontier — expired worker leases, quarantined shards.
-    #: Always empty for a plain in-process walk; an incident of kind
+    #: frontier's work queue — expired worker leases, quarantined shards.
+    #: Always empty for a plain ``explore_case`` walk; an incident of kind
     #: ``shard-quarantined`` implies ``complete=False``.
     incidents: List[Dict[str, Any]] = field(default_factory=list)
     #: Whether the pid-symmetry reduction is on for this case: what
@@ -310,7 +310,7 @@ def explore_case(
     ``initial_stack`` roots the DFS at given prefixes instead of the
     empty one, and ``choice_limit`` halts any run whose recorded choice
     log reaches the limit, appending the halted prefix to
-    ``shard_roots`` — together they are the dynamic frontier's
+    ``shard_roots`` — together they are the frontier's
     split/work protocol (:mod:`repro.explore.frontierd`): the halted
     prefixes are pairwise disjoint subtrees (any two differ at some
     recorded position), and a popped prefix already past the limit

@@ -1,4 +1,4 @@
-"""The frontier: root enumeration and the parallel exploration campaign.
+"""The frontier: root enumeration and the summary dicts of its walk.
 
 A single :func:`~repro.explore.engine.explore_case` call exhausts one
 subtree — one target, one constant detector assignment, one crash
@@ -11,23 +11,16 @@ nondeterminism the sim exposes: scheduling and delivery are enumerated
 *inside* each subtree by the controller, detector values and crash
 points *across* subtrees by the frontier.
 
-Execution rides the stock :class:`~repro.runner.campaign.Campaign`
-machinery: each root becomes an :class:`~repro.runner.spec.FnSpec`
-cell calling :func:`explore_root` (module-level, picklable arguments
-only), so the frontier gets the runner's worker pool, its failure
-isolation, and its fingerprint-keyed on-disk cache — a finished
-subtree whose case and options are unchanged is a cache hit, never
-re-explored.
-
-The summary dict a cell returns (:func:`result_to_dict`, its inverse
-:func:`result_from_summary`) is also what the dynamic frontier's shards
-return; :func:`merge_summaries` folds a root's shards into one.
+The roots are walked by :func:`repro.explore.frontierd.run_frontier`,
+the leased work queue.  Every shard it walks returns the summary dict
+of :func:`result_to_dict` (its inverse :func:`result_from_summary`),
+and :func:`merge_summaries` folds a root's shards into one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.assignments import (
     assignment_requires_crash,
@@ -40,8 +33,7 @@ from repro.explore.cases import (
     case_from_dict,
     case_to_dict,
 )
-from repro.explore.engine import ExploreResult, Violation, explore_case
-from repro.runner import Campaign, call, fn_spec
+from repro.explore.engine import ExploreResult, Violation
 from repro.sim.perf import PerfCounters
 
 #: Pinned per-target smoke depths: deep enough that every mutant's
@@ -275,74 +267,3 @@ def merge_summaries(
     merged["incidents"] = incidents
     merged["complete"] = complete
     return merged
-
-
-def explore_root(
-    case_dict: Dict[str, Any],
-    options: ExploreOptions = ExploreOptions(),
-    stop_on_first_violation: bool = False,
-    max_runs: Optional[int] = None,
-) -> Dict[str, Any]:
-    """One frontier cell: exhaust one root, return its summary dict.
-
-    Module-level with picklable, fingerprintable arguments so Campaign
-    workers can import it and the result cache can key it.
-    """
-    result = explore_case(
-        case_from_dict(case_dict),
-        options,
-        stop_on_first_violation=stop_on_first_violation,
-        max_runs=max_runs,
-    )
-    return result_to_dict(result)
-
-
-def frontier_campaign(
-    roots: Iterable[ExploreCase],
-    options: ExploreOptions = ExploreOptions(),
-    stop_on_first_violation: bool = False,
-    max_runs: Optional[int] = None,
-) -> Campaign:
-    """The Campaign whose cells are the given exploration roots."""
-    jobs = []
-    for index, root in enumerate(roots):
-        jobs.append(
-            fn_spec(
-                call(
-                    explore_root,
-                    case_to_dict(root),
-                    options,
-                    stop_on_first_violation=stop_on_first_violation,
-                    max_runs=max_runs,
-                ),
-                target=root.target,
-                root=index,
-            )
-        )
-    return Campaign(jobs, name="explore-frontier")
-
-
-def run_frontier(
-    roots: Sequence[ExploreCase],
-    options: ExploreOptions = ExploreOptions(),
-    workers: Optional[int] = None,
-    cache: Any = False,
-    stop_on_first_violation: bool = False,
-    max_runs: Optional[int] = None,
-) -> List[Dict[str, Any]]:
-    """Explore every root in parallel; summaries in root order.
-
-    ``cache`` is the campaign cache control — pass a directory (or
-    True) to make finished subtrees persistent across invocations.
-    """
-    campaign = frontier_campaign(
-        roots,
-        options,
-        stop_on_first_violation=stop_on_first_violation,
-        max_runs=max_runs,
-    )
-    outcome = campaign.run(workers=workers, cache=cache)
-    if not outcome.ok:
-        failure = outcome.failures[0]
-        raise RuntimeError(f"frontier cell failed: {failure}")
-    return [summary.value for summary in outcome.summaries]

@@ -1,13 +1,16 @@
-"""Crash-tolerant work-stealing frontier: the dynamic explorer daemon.
+"""The frontier driver: roots walked through a leased work queue.
 
-One :func:`~repro.explore.engine.explore_case` call is inherently
+:func:`run_frontier` is the one way a frontier's roots are walked.  A
+single :func:`~repro.explore.engine.explore_case` call is inherently
 serial, and a single deep root can dwarf every other (nbac at n=3 is
-thousands of runs).  This module searches *below* the roots: a root's
-tree is cut into **shards** — a shard root is a choice prefix, its
-shard the subtree under it — walked by the architecture the paper
-itself studies, applied to the checker: a set of long-lived worker
-processes that *cannot be trusted not to crash*, coordinated through
-an unreliable timeout-based failure detector.
+thousands of runs), so the driver can also search *below* the roots:
+a root's tree is cut into **shards** — a shard root is a choice
+prefix, its shard the subtree under it — walked by the architecture
+the paper itself studies, applied to the checker: a set of long-lived
+worker processes that *cannot be trusted not to crash*, coordinated
+through an unreliable timeout-based failure detector.  One worker is
+the same protocol without the processes: the caller's process runs
+:func:`_worker_main` itself against the same queue.
 
 **The protocol.**  Shard roots live as claimable items in the store's
 ``work_queue``.  A worker claims up to a fair share of the oldest
@@ -39,20 +42,19 @@ dying past its retry budget is *quarantined*: the merged case reports
 ``complete=False`` with a structured incident instead of raising away
 its siblings' finished work.
 
-**Work stealing and adaptive shard sizing.**  Splitting once up front
-serializes on the deepest shard, and at a fixed depth it front-pays a
-shard count that only makes sense for one worker count.  Here both
-problems are one mechanism: a worker whose claim leaves the pending
-queue below :data:`SHARD_BUDGET` ``× workers`` re-splits its batch —
-each walk runs with ``choice_limit`` pushed ``split_step`` choices past
-its prefix, judged leaves stay in the shard's summary, and the halted
-prefixes are enqueued as fresh roots in the same completion
-transaction — so stragglers shrink instead of the run serializing, and
-a crash before completion enqueues no duplicate children.  Each root
-enters the queue as ONE bare item and this demand-driven re-splitting
-produces all granularity: a single worker never splits (its walk is
-the plain single-process walk plus one claim and one completion),
-while k workers split exactly while starved.
+**Whole roots first, then work stealing.**  Each root enters the queue
+as ONE bare item.  A worker re-splits its batch only when its claim
+left the pending queue empty and it has siblings: each walk then runs
+with ``choice_limit`` pushed ``split_step`` choices past its prefix,
+judged leaves stay in the shard's summary, and the halted prefixes are
+enqueued as fresh roots in the same completion transaction — so the
+tail of the run shrinks instead of serializing on one worker, and a
+crash before completion enqueues no duplicate children.  Until the
+queue runs dry every claim is whole roots (4 roots, 2 workers: claims
+of 2, 1 and 1, and only the last re-splits), because two workers that
+split one root each encode their own copy of the local states both
+meet.  A single worker never splits: its walk is the plain
+single-process walk plus one claim and one completion.
 
 **Warm sessions.**  Re-splitting makes shards small and many, and each
 is a walk on a freshly built system.  A worker keeps one
@@ -77,6 +79,7 @@ violations, completeness) against :func:`~repro.explore.engine
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -117,12 +120,6 @@ DEFAULT_RETRY_LIMIT = 3
 #: centiseconds of splitter work, while 6 can overshoot a shallow tree
 #: entirely and split nothing.
 DEFAULT_SPLIT_STEP = 4
-#: Adaptive sizing target: keep the pending queue around this many
-#: claimable shards per worker.  Workers re-split their claims only
-#: while the queue sits below the target, so shard granularity tracks
-#: demand — one worker never splits at all (the whole tree is one
-#: claim), k workers split just enough to keep everyone fed.
-SHARD_BUDGET = 3
 #: Most items one claim transaction may lease (the fair-share cap in
 #: :meth:`~repro.store.db.ResultStore.claim_work_batch` usually bites
 #: first; this bounds the recovery cost of losing one worker).
@@ -133,18 +130,24 @@ CLAIM_LIMIT = 16
 #: storm.
 POLL_BASE = 0.05
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class FleetSettings:
-    """What :func:`run_frontier_dynamic` tells every worker it spawns."""
+    """What :func:`run_frontier` tells every worker it runs."""
 
     options: ExploreOptions = ExploreOptions()
-    #: The fleet's size: the fair share of a claim and the re-split
-    #: threshold both scale with it.
+    #: The fleet's size: a claim's fair share scales with it, and only
+    #: a worker with siblings re-splits.
     workers: int = 1
     split_step: int = DEFAULT_SPLIT_STEP
     lease_ttl: float = DEFAULT_LEASE_TTL
     retry_limit: int = DEFAULT_RETRY_LIMIT
+    #: Handed to every shard's :func:`~repro.explore.engine
+    #: .explore_case`; with one worker a shard is a whole root.
+    stop_on_first_violation: bool = False
+    max_runs: Optional[int] = None
 
 
 def _heartbeat_main(
@@ -208,11 +211,12 @@ def _run_batch(
     and are re-walked from a store-seeded exchange elsewhere.
 
     The re-split decision is per batch, off the post-claim ``status``
-    snapshot the claim transaction returned: when the pending queue
-    sits below :data:`SHARD_BUDGET` ``× workers``, every item in the batch
-    walks with ``choice_limit`` pushed ``split_step`` past its prefix
-    and defers the halted subtrees as children — work stealing and
-    adaptive shard sizing are the same mechanism.
+    snapshot the claim transaction returned: when the claim left
+    nothing pending and the worker has siblings, every item in the
+    batch walks with ``choice_limit`` pushed ``split_step`` past its
+    prefix and defers the halted subtrees as children — whole roots
+    are handed out first, and only a queue about to run dry is cut
+    finer.
 
     ``sessions`` is the worker's warm state, one
     :class:`~repro.explore.engine.FingerprintSession` per exchange
@@ -227,8 +231,7 @@ def _run_batch(
 
     if sessions is None:
         sessions = {}
-    workers = settings.workers
-    resplit = workers > 1 and status["pending"] < SHARD_BUDGET * workers
+    resplit = settings.workers > 1 and status["pending"] == 0
     exchanges: Dict[str, FingerprintExchange] = {}
     completions: List[Dict[str, Any]] = []
     for work in items:
@@ -250,6 +253,8 @@ def _run_batch(
         result = explore_case(
             case,
             settings.options,
+            stop_on_first_violation=settings.stop_on_first_violation,
+            max_runs=settings.max_runs,
             initial_stack=[prefix],
             choice_limit=choice_limit,
             shard_roots=shard_roots,
@@ -452,46 +457,121 @@ class _FrontierWorkers:
                 process.join(timeout=1.0)
 
 
-def run_frontier_dynamic(
+def fleet_size(workers: Optional[int] = None, chaos_kill_rate: float = 0.0) -> int:
+    """The worker count :func:`run_frontier` runs for ``workers``.
+
+    Resolved like a campaign's (:func:`repro.runner.config
+    .resolve_workers`); None means 1 and 0 every core.  A kill rate
+    with one worker is a ``ValueError``: that worker walks in the
+    caller's process, nothing could be killed, and an ``ok`` would
+    read as "recovery proven".
+    """
+    from repro.runner.config import resolve_workers
+    from repro.runner.executor import default_worker_count
+
+    resolved = resolve_workers(workers)
+    resolved = 1 if resolved is None else resolved or default_worker_count()
+    if resolved < 0:
+        raise ValueError(f"workers={resolved}: need 1 or more (0 = every core)")
+    if chaos_kill_rate > 0 and resolved == 1:
+        raise ValueError(
+            f"chaos_kill_rate={chaos_kill_rate} needs 2 or more workers: "
+            "one worker walks in the caller's process and nothing could "
+            "be killed"
+        )
+    return resolved
+
+
+def run_frontier(
     roots: Sequence[ExploreCase],
     options: ExploreOptions = ExploreOptions(),
-    workers: int = 2,
+    workers: Optional[int] = None,
     store: Any = None,
+    cache: Any = False,
+    stop_on_first_violation: bool = False,
+    max_runs: Optional[int] = None,
     split_step: int = DEFAULT_SPLIT_STEP,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     retry_limit: int = DEFAULT_RETRY_LIMIT,
     chaos_kill_rate: float = 0.0,
     chaos_seed: int = 0,
 ) -> List[Dict[str, Any]]:
-    """Explore every root through the crash-tolerant dynamic frontier.
+    """Explore every root through the leased work queue.
 
-    Returns one merged summary dict per root, in root order — the same
-    shape :func:`repro.explore.frontier.run_frontier` produces, plus a
-    ``frontier`` accounting block (workers, respawns, recoveries,
-    quarantines, coordination counters).
-    ``store`` may be a :class:`~repro.store.db.ResultStore`, a path, or
-    None (a private store under a temp directory, deleted with it).
+    Returns one merged summary dict per root, in root order, each with
+    the ``frontier`` accounting block (workers, respawns, recoveries,
+    quarantines, coordination counters) of the run that walked it.
+    ``workers`` resolves through :func:`fleet_size`; one walks in this
+    process, so whatever the caller patched or swapped in (a registered
+    target, the network class) is what it walks.  ``store`` may be a
+    :class:`~repro.store.db.ResultStore`, a path, or None (a private
+    store under a temp directory, deleted with it).
 
-    Each root is enqueued as one bare item and workers re-split on
-    demand, ``split_step`` choices at a time, until the pending queue
-    holds about :data:`SHARD_BUDGET` claimable shards per worker (see
-    the module docstring).
+    ``cache`` takes the forms of :func:`repro.runner.config
+    .resolve_cache`, closed by the same rules: a root whose merged
+    summary is complete and has no incidents is put under its exchange
+    scope key (case, options, code salt), and a later run with the same
+    cache serves it as stored without enqueuing it.
 
-    ``chaos_kill_rate`` arms :class:`repro.chaos.workers.WorkerKiller`
-    against our own fleet — the CI smoke proof that recovery works.
+    ``stop_on_first_violation`` and ``max_runs`` bound each shard's
+    walk; with one worker a shard is a root.  ``chaos_kill_rate`` arms
+    :class:`repro.chaos.workers.WorkerKiller` against the fleet — the
+    CI smoke proof that recovery works.
     """
+    from repro.runner.config import resolve_cache
+    from repro.runner.summary import FnSummary
+    from repro.store.exchange import exchange_scope
+
+    settings = FleetSettings(
+        options, fleet_size(workers, chaos_kill_rate), split_step,
+        lease_ttl, retry_limit, stop_on_first_violation, max_runs,
+    )
+    # One empty summary per root for its shards to merge into — built
+    # before a store is opened or a worker runs, so a symmetry the
+    # target cannot honour is an error here rather than a quarantine.
+    bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
+    keys = [exchange_scope(base["case"], base["options"]) for base in bases]
+    cache, opened = resolve_cache(cache)
+    try:
+        hits = [None if cache is None else cache.get(key) for key in keys]
+        todo = [index for index, hit in enumerate(hits) if hit is None]
+        walked = _walk_roots(
+            [bases[i] for i in todo], [keys[i] for i in todo], settings,
+            store, chaos_kill_rate, chaos_seed,
+        ) if todo else []
+        summaries = [None if hit is None else hit.value for hit in hits]
+        for index, summary in zip(todo, walked):
+            summaries[index] = summary
+            if (cache is not None and summary["complete"]
+                    and not summary["incidents"]):
+                cache.put(keys[index], FnSummary(keys[index], {}, summary))
+        for event in () if cache is None else cache.drain_events():
+            logger.warning("frontier cache: %s", event)
+        return summaries
+    finally:
+        if opened:
+            cache.close()
+
+
+#: Both names are the one driver; the repo benchmark's adapters call
+#: this one for their fleet workload.
+run_frontier_dynamic = run_frontier
+
+
+def _walk_roots(
+    bases: Sequence[Dict[str, Any]],
+    keys: Sequence[str],
+    settings: FleetSettings,
+    store: Any,
+    chaos_kill_rate: float,
+    chaos_seed: int,
+) -> List[Dict[str, Any]]:
+    """Enqueue ``bases`` as bare roots, drain the queue, merge per root."""
     import tempfile
 
     from repro.chaos.workers import WorkerKiller
     from repro.sim.perf import PerfCounters
     from repro.store.db import ResultStore, drain_busy_retries
-    from repro.store.exchange import exchange_scope
-
-    settings = FleetSettings(options, workers, split_step, lease_ttl, retry_limit)
-    # One empty summary per root for its shards to merge into — built
-    # before a store is opened or a process spawned, so a symmetry the
-    # target cannot honour is an error here rather than a quarantine.
-    bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
 
     token = os.urandom(8).hex()
     queue_scope = f"frontier:{token}"
@@ -503,54 +583,54 @@ def run_frontier_dynamic(
     elif owned:
         store = ResultStore(store)
 
-    scopes: List[str] = []
+    scopes = [f"{key}:{token}" for key in keys]
     incidents: List[Dict[str, Any]] = []
     started = time.perf_counter()
     try:
-        # Phase 1 — seed the queue: each root is ONE bare item, and the
-        # first worker to claim it provides all splitting on demand, so
-        # granularity tracks the worker count instead of a guessed depth.
-        items: List[Dict[str, Any]] = []
-        for index, base in enumerate(bases):
-            scope = "{}:{}".format(
-                exchange_scope(base["case"], base["options"]), token
-            )
-            scopes.append(scope)
+        # Phase 1 — seed the queue: each root is ONE bare item; a
+        # worker that would otherwise leave the queue dry re-splits.
+        for scope in scopes:
             store.register_scope(scope)
-            items.append(
+        store.enqueue_work(
+            queue_scope,
+            [
                 {
                     "case": base["case"],
                     "prefix": [],
                     "scope": scope,
                     "case_index": index,
                 }
-            )
-        store.enqueue_work(queue_scope, items)
+                for index, (base, scope) in enumerate(zip(bases, scopes))
+            ],
+        )
         store.flush()
 
-        # Phase 2 — run the fleet against the queue until it drains.
+        # Phase 2 — drain the queue: one worker here, more as a fleet.
         fleet = _FrontierWorkers(str(store.path), queue_scope, settings)
         killer = WorkerKiller(chaos_kill_rate, seed=chaos_seed)
-        if items:
-            fleet.spawn(workers)
-        # The loop wakes when a worker process ends — the drain (a
-        # worker returns once nothing is pending or leased) and a kill
-        # are both noticed at once — and otherwise on a ramping
-        # timeout, which is what drives requeue_expired: fast at first
-        # so a short run's early lease expiries are not taxed a fixed
-        # lease_ttl/4, backing off toward lease_ttl/4 so long runs cost
-        # the store a few polls per TTL.
-        poll = POLL_BASE
-        poll_cap = max(POLL_BASE, lease_ttl / 4.0)
-        last_poll = time.monotonic()
         recoveries = 0
+        if settings.workers == 1:
+            _worker_main(str(store.path), queue_scope, "w0", settings)
+        else:
+            fleet.spawn(settings.workers)
+        # One worker has drained the queue by now: no process to wait
+        # on.  A fleet's loop wakes when a worker process ends — the
+        # drain (a worker returns once nothing is pending or leased)
+        # and a kill are both noticed at once — and otherwise on a
+        # ramping timeout, which is what drives requeue_expired: fast
+        # at first so a short run's early lease expiries are not taxed
+        # a fixed lease_ttl/4, backing off toward lease_ttl/4 so long
+        # runs cost the store a few polls per TTL.
+        poll = POLL_BASE
+        poll_cap = max(POLL_BASE, settings.lease_ttl / 4.0)
+        last_poll = time.monotonic()
         try:
-            while items:
+            while fleet.processes:
                 fleet.wait(poll)
                 poll = min(poll_cap, poll * 1.6)
                 now = time.monotonic()
                 expired = store.requeue_expired(
-                    queue_scope, retry_limit=retry_limit
+                    queue_scope, retry_limit=settings.retry_limit
                 )
                 recoveries += len(expired)
                 incidents.extend(expired)
@@ -584,8 +664,8 @@ def run_frontier_dynamic(
         incidents.extend(quarantined)
         summaries = []
         frontier_block = {
-            "workers": workers,
-            "lease_ttl": lease_ttl,
+            "workers": settings.workers,
+            "lease_ttl": settings.lease_ttl,
             "recoveries": recoveries,
             "kills": len(killer.kills),
             "respawns": fleet.respawns,
@@ -634,14 +714,14 @@ def explore_case_dynamic(
     options: ExploreOptions = ExploreOptions(),
     **fleet: Any,
 ) -> ExploreResult:
-    """One case through the dynamic frontier, as an ExploreResult.
+    """One case through :func:`run_frontier`, as an ExploreResult.
 
-    ``fleet`` is :func:`run_frontier_dynamic`'s own keywords (workers,
-    store, lease and chaos settings).  Equivalent to
+    ``fleet`` is :func:`run_frontier`'s own keywords (workers, store,
+    lease and chaos settings).  Equivalent to
     :func:`~repro.explore.engine.explore_case` in decision vectors,
     violations and completeness whenever nothing was quarantined.
     """
-    (summary,) = run_frontier_dynamic([case], options, **fleet)
+    (summary,) = run_frontier([case], options, **fleet)
     result = result_from_summary(summary)
     result.frontier = dict(summary.get("frontier", {}))
     return result

@@ -96,8 +96,8 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     never-matching token, so dedup silently degrades toward plain DFS.
     Nonzero values here explain a low dedup-hit rate.
 ``explore_shards``
-    Shards completed by the dynamic frontier
-    (:mod:`repro.explore.frontierd`).
+    Shards completed by the frontier (:mod:`repro.explore.frontierd`;
+    one per root at one worker).
 ``frontier_claims`` / ``frontier_claim_round_trips``
     Work items leased from the store-backed frontier queue, and the
     claim *transactions* that leased them.  Their ratio is the batch

@@ -13,7 +13,7 @@ resume and dedup queries become one ``SELECT``.
 * :class:`StoreResultCache` — the campaign cache: what ``--cache`` /
   ``cache=True`` / a directory resolves to (:mod:`repro.store.cache`);
 * :class:`FingerprintExchange` — batched cross-shard visited-set
-  exchange for the dynamic frontier (:mod:`repro.store.exchange`);
+  exchange for the frontier's shards (:mod:`repro.store.exchange`);
 * ``python -m repro.store`` — ``summarise`` / ``show`` / ``sweep`` /
   ``--migrate`` (:mod:`repro.store.__main__`).
 

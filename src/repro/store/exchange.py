@@ -34,7 +34,7 @@ search visits no more states than the single-process walk
 The scope string names one comparable search — case plus every
 exploration option — and includes the code salt, so stale rows from an
 edited tree are invisible rather than wrong.
-:func:`~repro.explore.frontierd.run_frontier_dynamic` additionally
+:func:`~repro.explore.frontierd.run_frontier` additionally
 salts the scope with a per-invocation token and releases it after
 merging: the shared set coordinates shards *within* one search, and a
 later independent search must not dedup against a finished one (its

@@ -1,6 +1,6 @@
 """Shared pieces of the explorer tests.
 
-The dynamic frontier enqueues a root as one bare item and lets starved
+The frontier enqueues a root as one bare item and lets starved
 workers split it; tests that orchestrate the queue themselves want
 several items whose prefixes they know.  ``split_roots`` and
 ``enqueue_case`` cut a root into shards by hand, with the same two

@@ -9,6 +9,7 @@ import pytest
 from repro.explore import ExploreOptions, enumerate_roots, run_frontier
 from repro.explore import __main__ as cli
 from repro.explore.__main__ import main
+from repro.explore.frontierd import CHAOS_FAIL_ENV
 
 
 def test_clean_target_exits_zero(capsys):
@@ -36,7 +37,11 @@ def test_stats_split_the_fresh_ticks_by_mode(capsys):
     mode; driven through the library) executes every one, the default
     mode serves the steps it has seen."""
     assert main(["--target", "nbac", "--depth", "4", "--stats"]) == 0
-    total = capsys.readouterr().out.splitlines()[-1]
+    (total,) = (
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("nbac depth=4 ")
+    )
     runs, executed, served = (
         int(count)
         for count in re.search(
@@ -152,49 +157,56 @@ def test_removed_choices_are_argparse_errors(flag, value, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flags, honoured_by",
-    [
-        (["--frontier", "dynamic", "--cache", "d"], ["--cache"], "static"),
-        (["--frontier", "dynamic", "--stop-on-first", "--max-runs", "9"],
-         ["--stop-on-first", "--max-runs"], "static"),
-        (["--frontier", "static", "--chaos-kill-rate", "0.3"],
-         ["--chaos-kill-rate"], "dynamic"),
-        (["--lease-ttl", "2", "--chaos-seed", "1"],
-         ["--lease-ttl", "--chaos-seed"], "dynamic"),
-    ],
-    ids=["cache", "truncation", "chaos", "lease"],
+    "workers", [[], ["--workers", "1"]], ids=["default", "one-worker"]
 )
-def test_a_flag_of_the_other_driver_is_refused_not_dropped(
-    argv, flags, honoured_by, tmp_path, monkeypatch
+def test_chaos_without_a_fleet_is_refused_not_dropped(
+    workers, tmp_path, monkeypatch
 ):
-    # `--frontier static --chaos-kill-rate 0.3` used to run with no
-    # chaos at all and print "ok", which reads as "recovery proven".
+    # One worker walks in this process: a kill rate there could kill
+    # nothing, and a run that printed "ok" would read as "recovery
+    # proven".
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
-        main(["--target", "qc", "--depth", "3"] + argv)
-    message = str(exit_info.value.code)
-    assert f"--frontier {honoured_by}" in message
-    for flag in flags:
-        assert flag in message
+        main(["--target", "qc", "--depth", "3", "--chaos-kill-rate", "0.3"]
+             + workers)
+    assert "chaos_kill_rate=0.3 needs 2 or more workers" in str(
+        exit_info.value.code
+    )
     assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
+def test_a_quarantined_frontier_fails_whatever_was_expected(
+    monkeypatch, capsys
+):
+    # Every worker raises: each root fails through its retry budget
+    # into quarantine, with 0 runs.  That used to print "ok" and exit 0.
+    monkeypatch.setenv(CHAOS_FAIL_ENV, "1")
+    base = ["--target", "qc", "--depth", "3", "--workers", "1"]
+    for extra in ([], ["--expect-violation"]):
+        assert main(base + extra) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"qc depth=3 roots=6: .* QUARANTINED", out)
+        assert "quarantined=6" in out
 
 
 def test_driver_flags_still_reach_their_own_driver(tmp_path, capsys):
     cache = str(tmp_path / "cache")
-    assert main(["--target", "qc", "--depth", "3", "--cache", cache]) == 0
-    assert (tmp_path / "cache").is_dir()
     assert main(
-        ["--target", "qc", "--depth", "3", "--frontier", "dynamic",
+        ["--target", "qc", "--depth", "3", "--cache", cache,
          "--workers", "1", "--lease-ttl", "2", "--chaos-seed", "3",
+         "--max-runs", "100000", "--stop-on-first",
          "--store", str(tmp_path / "store")]
     ) == 0
+    assert (tmp_path / "cache").is_dir()
     assert "frontier: workers=1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--shard-depth", "--shard-budget"])
+@pytest.mark.parametrize(
+    "flag", ["--shard-depth", "--shard-budget", "--frontier"]
+)
 def test_removed_frontier_knobs_are_argparse_errors(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["--target", "qc", "--frontier", "dynamic", flag, "3"])
+        main(["--target", "qc", flag, "3"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -203,7 +215,7 @@ def test_help_lists_the_flags_that_are_left(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-    assert len(flags) == 21
+    assert len(flags) == 20
 
 
 def test_unknown_target_rejected(tmp_path):

@@ -14,7 +14,7 @@ from repro.explore import (
     crash_schedules,
     decode_value,
     enumerate_roots,
-    frontier,
+    frontierd,
     run_controlled,
     run_frontier,
 )
@@ -159,7 +159,7 @@ class TestFrontier:
         roots = enumerate_roots("qc", 2, depth=4)
         first = run_frontier(roots, cache=tmp_path)
         with mock.patch.object(
-            frontier, "explore_case", side_effect=AssertionError("re-explored")
+            frontierd, "explore_case", side_effect=AssertionError("re-explored")
         ):
             second = run_frontier(roots, cache=tmp_path)
         assert first == second

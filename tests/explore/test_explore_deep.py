@@ -58,8 +58,9 @@ def test_crash_frontier_is_clean_on_both_engines(target):
     for summary in run_frontier(roots, workers=2):
         assert summary["complete"]
         assert not summary["violations"]
-    # The oracle leg is serial: the swap is ambient, and an ambient
-    # swap does not cross a process pool.
+    # The oracle leg has one worker, which walks in this process: the
+    # swap is ambient, and an ambient swap does not cross into a
+    # spawned worker.
     with network_implementation(ReferenceNetwork):
         for summary in run_frontier(roots, workers=1):
             assert summary["complete"]

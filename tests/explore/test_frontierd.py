@@ -2,7 +2,7 @@
 
 Three layers of proof, mirroring the lease protocol's design:
 
-* **Equivalence** — the dynamic frontier's merged result matches
+* **Equivalence** — the frontier's merged result matches
   :func:`~repro.explore.engine.explore_case` in decision vectors,
   violations and completeness, with and without work stealing.
 * **SIGKILL recovery** — a real worker process is killed mid-batch
@@ -29,6 +29,8 @@ import signal
 import threading
 import time
 
+import pytest
+
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -36,6 +38,7 @@ from repro.explore import (
     merge_summaries,
     result_from_summary,
 )
+from repro.explore import frontierd
 from repro.explore.frontierd import (
     CHAOS_FAIL_ENV,
     CHAOS_STALL_ENV,
@@ -46,7 +49,7 @@ from repro.explore.frontierd import (
     _run_batch,
     _worker_main,
     explore_case_dynamic,
-    run_frontier_dynamic,
+    run_frontier,
 )
 from repro.sim.perf import PerfCounters
 from repro.store import ResultStore
@@ -157,6 +160,31 @@ class TestWorkStealing:
         assert any(batch for _, batch in fingerprints)
         store.close()
 
+    def test_whole_roots_first(self, tmp_path):
+        # A claim that leaves work pending walks its items whole, even
+        # with siblings around, and a lone worker never splits; the
+        # same item re-splits once the claim left the queue dry.
+        store = ResultStore(tmp_path)
+        _base, roots = _enqueue_case(store, CASE, "whole-q", choice_limit=2)
+        assert roots >= 2
+        first, status = store.claim_work_batch(
+            "whole-q", "w0", ttl=30.0, limit=1
+        )
+        assert status["pending"] > 0
+
+        def children(status, workers):
+            completions, _ = _run_batch(
+                store, first, status,
+                FleetSettings(workers=workers, split_step=2), PerfCounters(),
+            )
+            return completions[0]["children"]
+
+        dry = dict(status, pending=0)
+        assert children(status, workers=2) == []
+        assert children(dry, workers=1) == []
+        assert children(dry, workers=2)
+        store.close()
+
     def test_stealing_preserves_equivalence(self, tmp_path):
         # A tiny split_step forces many re-splits.
         single = explore_case(CASE)
@@ -186,6 +214,67 @@ class TestWorkStealing:
         assert block["claims"] >= block["claim_round_trips"]
         assert dynamic.counters.frontier_claims == block["claims"]
         _assert_fp_nodes_bounded(dynamic, single, workers=2)
+
+
+def _no_spawn(self, how_many):
+    raise AssertionError("a worker was spawned for a root the cache holds")
+
+
+class TestRunBounds:
+    """``stop_on_first_violation``, ``max_runs``, ``cache`` and chaos at
+    the fleet's side: two workers, so roots are split into shards."""
+
+    def test_stop_on_first_convicts_across_split_shards(self, tmp_path):
+        (summary,) = run_frontier(
+            [CASE], workers=2, split_step=2, stop_on_first_violation=True,
+            store=tmp_path,
+        )
+        shards = summary["stats"]["shards"]
+        assert shards > 1
+        assert summary["violations"]
+        # Each shard stops at its first violation.
+        assert len(summary["violations"]) <= shards
+        serial = explore_case(CASE)
+        assert len(serial.violations) > shards
+
+    def test_max_runs_truncation_is_incomplete(self, tmp_path):
+        (summary,) = run_frontier(
+            [CASE], workers=2, split_step=2, max_runs=1, store=tmp_path
+        )
+        assert summary["complete"] is False
+        assert summary["stats"]["runs"] <= summary["stats"]["shards"]
+
+    def test_a_cached_root_is_served_without_a_walk(
+        self, tmp_path, monkeypatch
+    ):
+        roots = [CASE, CASE.with_(seed=0)]
+        cache = tmp_path / "cache"
+        first = run_frontier(roots, workers=2, cache=cache)
+        assert all(s["complete"] for s in first)
+        monkeypatch.setattr(_FrontierWorkers, "spawn", _no_spawn)
+        monkeypatch.setattr(
+            frontierd, "explore_case", _raise_re_explored
+        )
+        assert run_frontier(roots, workers=2, cache=cache) == first
+
+    def test_chaos_with_one_worker_is_refused(self, tmp_path):
+        for workers in (None, 1):
+            with pytest.raises(ValueError, match="needs 2 or more workers"):
+                run_frontier(
+                    [CASE], workers=workers, chaos_kill_rate=0.3,
+                    store=tmp_path,
+                )
+        assert list(tmp_path.iterdir()) == []  # refused before any work
+
+    def test_a_negative_fleet_is_refused(self, tmp_path):
+        # Nothing would ever drain the queue.
+        with pytest.raises(ValueError, match="need 1 or more"):
+            run_frontier([CASE], workers=-1, store=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _raise_re_explored(*args, **kwargs):
+    raise AssertionError("re-explored")
 
 
 def _fingerprint_rows(store):
@@ -411,7 +500,7 @@ class TestSigkillRecovery:
 class TestQuarantine:
     def test_poison_shards_quarantine_not_raise(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CHAOS_FAIL_ENV, "1")
-        summaries = run_frontier_dynamic(
+        summaries = run_frontier(
             [CASE],
             workers=1,
             lease_ttl=5.0,

@@ -63,7 +63,8 @@ def test_options_round_trip_through_their_dict():
     [
         (explore_case, CASE),
         (run_frontier, [CASE]),
-        (run_frontier_dynamic, [CASE]),
+        # The same function as run_frontier under its second public name.
+        pytest.param(run_frontier_dynamic, [CASE], id="run_frontier_dynamic-"),
         (explore_case_dynamic, CASE),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
@@ -94,7 +95,7 @@ def test_unsound_symmetry_is_refused_before_a_store_or_a_worker(
     monkeypatch.setattr(frontierd._FrontierWorkers, "spawn", _no_spawn)
     unsafe = ExploreCase(target="ct", n=2, depth=4)
     with pytest.raises(ValueError, match="symmetry reduction is only sound"):
-        run_frontier_dynamic(
+        run_frontier(
             [unsafe], ExploreOptions(symmetry=True), workers=1, store=tmp_path
         )
     assert list(tmp_path.iterdir()) == []

@@ -2,7 +2,7 @@
 
 Sharding re-partitions *work*, never *coverage*: a split must hand out
 pairwise disjoint subtrees whose union (with the splitting walk's own
-shallow leaves) is the whole tree, and the dynamic frontier's merged
+shallow leaves) is the whole tree, and the frontier's merged
 result must agree with the serial engine on decision vectors,
 violations and completeness.  Run counts may differ — parallel shards
 can both meet a state neither has published — so they are deliberately
