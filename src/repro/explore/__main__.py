@@ -327,7 +327,6 @@ def _explore(
             roots,
             options,
             workers=args.workers,
-            store=store,
             cache=args.cache or False,
             stop_on_first_violation=args.stop_on_first,
             max_runs=args.max_runs,

@@ -87,7 +87,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.explore.cases import ExploreCase, ExploreOptions, case_from_dict
 from repro.explore.engine import (
@@ -486,7 +486,7 @@ def run_frontier(
     roots: Sequence[ExploreCase],
     options: ExploreOptions = ExploreOptions(),
     workers: Optional[int] = None,
-    store: Any = None,
+    store: Optional[Union[str, os.PathLike]] = None,
     cache: Any = False,
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
@@ -503,9 +503,12 @@ def run_frontier(
     quarantines, coordination counters) of the run that walked it.
     ``workers`` resolves through :func:`fleet_size`; one walks in this
     process, so whatever the caller patched or swapped in (a registered
-    target, the network class) is what it walks.  ``store`` may be a
-    :class:`~repro.store.db.ResultStore`, a path, or None (a private
-    store under a temp directory, deleted with it).
+    target, the network class) is what it walks.  ``store`` is where
+    this run's coordination lives — its work queue, leases and shared
+    fingerprints: a directory or ``.sqlite`` path, or None (a private
+    file under a temp directory, deleted with it).  It is never a
+    campaign database: witnesses and cached roots go elsewhere
+    (``cache``, the caller's own store).
 
     ``cache`` takes the forms of :func:`repro.runner.config
     .resolve_cache`, closed by the same rules: a root whose merged
@@ -562,7 +565,7 @@ def _walk_roots(
     bases: Sequence[Dict[str, Any]],
     keys: Sequence[str],
     settings: FleetSettings,
-    store: Any,
+    store: Optional[Union[str, os.PathLike]],
     chaos_kill_rate: float,
     chaos_seed: int,
 ) -> List[Dict[str, Any]]:
@@ -576,12 +579,10 @@ def _walk_roots(
     token = os.urandom(8).hex()
     queue_scope = f"frontier:{token}"
     tempdir = None
-    owned = not isinstance(store, ResultStore)
     if store is None:
         tempdir = tempfile.TemporaryDirectory(prefix="repro-frontier-")
-        store = ResultStore(tempdir.name)
-    elif owned:
-        store = ResultStore(store)
+        store = tempdir.name
+    store = ResultStore(store)
 
     scopes = [f"{key}:{token}" for key in keys]
     incidents: List[Dict[str, Any]] = []
@@ -589,8 +590,6 @@ def _walk_roots(
     try:
         # Phase 1 — seed the queue: each root is ONE bare item; a
         # worker that would otherwise leave the queue dry re-splits.
-        for scope in scopes:
-            store.register_scope(scope)
         store.enqueue_work(
             queue_scope,
             [
@@ -703,8 +702,7 @@ def _walk_roots(
         store.clear_work(queue_scope)
         for scope in scopes:
             store.release_scope(scope)
-        if owned:
-            store.close()
+        store.close()
         if tempdir is not None:
             tempdir.cleanup()
 

@@ -169,13 +169,11 @@ class PoolExecutor(_Executor):
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunksize: Optional[int] = None,
         max_retries: int = 2,
         retry_backoff: float = 0.25,
     ):
         super().__init__()
         self.workers = max(1, workers or default_worker_count())
-        self.chunksize = chunksize  # kept for API compatibility; unused
         self.max_retries = max(0, max_retries)
         self.retry_backoff = retry_backoff
 
@@ -284,7 +282,7 @@ class PoolExecutor(_Executor):
             pool.shutdown(wait=False, cancel_futures=True)
 
     def __repr__(self) -> str:
-        return f"PoolExecutor(workers={self.workers}, chunksize={self.chunksize})"
+        return f"PoolExecutor(workers={self.workers})"
 
 
 def default_worker_count() -> int:

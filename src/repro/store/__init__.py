@@ -1,11 +1,12 @@
 """The persistent result store: campaigns as a queryable artifact.
 
-One WAL-mode SQLite file accumulates everything the system computes —
-run/fn summaries (which are the campaign cache),
-campaign executions, the explorer's cross-shard visited-set
-fingerprints and work queue, and chaos/explore violation witnesses —
-so "millions of runs" survive the process that produced them and
-resume and dedup queries become one ``SELECT``.
+One WAL-mode SQLite file accumulates everything that outlives a run —
+run/fn summaries (which are the campaign cache), campaign executions
+and chaos/explore violation witnesses — so "millions of runs" survive
+the process that produced them and resume and dedup queries become one
+``SELECT``.  A frontier run's work queue, leases and cross-shard
+fingerprints use the same schema in a file of the run's own, never the
+campaign database.
 
 * :class:`ResultStore` — the file, its single write connection with
   buffered batch inserts, and read-only query connections
@@ -14,7 +15,7 @@ resume and dedup queries become one ``SELECT``.
   ``cache=True`` / a directory resolves to (:mod:`repro.store.cache`);
 * :class:`FingerprintExchange` — batched cross-shard visited-set
   exchange for the frontier's shards (:mod:`repro.store.exchange`);
-* ``python -m repro.store`` — ``summarise`` / ``show`` / ``sweep`` /
+* ``python -m repro.store`` — ``summarise`` / ``show`` /
   ``--migrate`` (:mod:`repro.store.__main__`).
 
 Schema and versioning live in :mod:`repro.store.schema`: every row

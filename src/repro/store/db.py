@@ -149,7 +149,6 @@ class WorkItem:
     id: int
     item: Dict[str, Any]
     attempts: int
-    kind: str = "shard"
 
 
 class BufferedWriter:
@@ -206,11 +205,6 @@ class ResultStore:
         elif not self.path.exists():
             raise StoreError(f"no store at {self.path}")
         self._writers: Dict[str, BufferedWriter] = {}
-        self._swept = False
-        #: Every sweep_stale_scopes result this store object performed
-        #: (the opportunistic open-time sweep included), so callers can
-        #: report GC work whichever path triggered it.
-        self.sweep_log: List[Dict[str, Any]] = []
 
     # -- connections ---------------------------------------------------
     @staticmethod
@@ -236,7 +230,6 @@ class ResultStore:
             con = self._connect(self.path)
             check_version(con, self.path)
             self._write = con
-            self._sweep_opportunistically()
         return self._write
 
     def read_connection(self) -> sqlite3.Connection:
@@ -479,123 +472,16 @@ class ResultStore:
 
         retry_locked(_commit)
 
-    # -- exchange-scope registry and GC --------------------------------
-    #: Registered scopes older than this are presumed leaked by a killed
-    #: search (a finished one releases its scope on merge) and are swept.
-    STALE_SCOPE_MAX_AGE = 24 * 3600.0
-
-    def register_scope(self, scope: str, now: Optional[float] = None) -> None:
-        """Record that a live search owns ``scope``'s fingerprint rows."""
-        now = time.time() if now is None else now
-
-        def _commit() -> None:
-            with self.write_connection as con:
-                con.execute(
-                    "INSERT OR IGNORE INTO exchange_scopes "
-                    "(scope, created, format) VALUES (?, ?, ?)",
-                    (scope, now, ROW_FORMAT),
-                )
-
-        retry_locked(_commit)
-
     def release_scope(self, scope: str) -> None:
-        """Drop a finished search's fingerprint rows and registration."""
+        """Drop a finished search's fingerprint rows."""
 
         def _commit() -> None:
             with self.write_connection as con:
                 con.execute(
                     "DELETE FROM fingerprints WHERE scope = ?", (scope,)
                 )
-                con.execute(
-                    "DELETE FROM exchange_scopes WHERE scope = ?", (scope,)
-                )
 
         retry_locked(_commit)
-
-    def sweep_stale_scopes(
-        self, max_age: Optional[float] = None, now: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """Garbage-collect coordination state leaked by killed searches.
-
-        Three families go: *orphan* fingerprint scopes (rows without a
-        registration — a pre-v2 writer, or a search killed before its
-        exchange registered), *stale* registered scopes older than
-        ``max_age`` (a finished search releases its scope on merge, so
-        an old registration means its owner died), and work-queue /
-        lease rows older than ``max_age`` (a dynamic-frontier run clears
-        its queue scope when it merges).  Returns what was swept.
-        """
-        max_age = self.STALE_SCOPE_MAX_AGE if max_age is None else max_age
-        now = time.time() if now is None else now
-        cutoff = now - max_age
-
-        def _sweep(con: sqlite3.Connection) -> Dict[str, Any]:
-            orphans = [
-                scope
-                for (scope,) in con.execute(
-                    "SELECT DISTINCT f.scope FROM fingerprints f "
-                    "LEFT JOIN exchange_scopes r ON r.scope = f.scope "
-                    "WHERE r.scope IS NULL"
-                )
-            ]
-            stale = [
-                scope
-                for (scope,) in con.execute(
-                    "SELECT scope FROM exchange_scopes WHERE created < ?",
-                    (cutoff,),
-                )
-            ]
-            rows = 0
-            for scope in orphans + stale:
-                rows += con.execute(
-                    "DELETE FROM fingerprints WHERE scope = ?", (scope,)
-                ).rowcount
-                con.execute(
-                    "DELETE FROM exchange_scopes WHERE scope = ?", (scope,)
-                )
-            queue_rows = con.execute(
-                "DELETE FROM work_queue WHERE created < ?", (cutoff,)
-            ).rowcount
-            lease_rows = con.execute(
-                "DELETE FROM leases WHERE expires < ?", (cutoff,)
-            ).rowcount
-            return {
-                "orphan_scopes": orphans,
-                "stale_scopes": stale,
-                "fingerprint_rows": rows,
-                "work_rows": queue_rows,
-                "lease_rows": lease_rows,
-            }
-
-        result = self._immediate(_sweep)
-        self.sweep_log.append(result)
-        return result
-
-    def _sweep_opportunistically(self) -> None:
-        """Best-effort stale-scope sweep, once per store object.
-
-        Runs on first write-connection open so long-lived stores heal
-        themselves; a cheap existence probe keeps the common (clean)
-        case to two SELECTs and no write lock.
-        """
-        if self._swept:
-            return
-        self._swept = True
-        try:
-            cutoff = time.time() - self.STALE_SCOPE_MAX_AGE
-            con = self.write_connection
-            candidates = con.execute(
-                "SELECT EXISTS (SELECT 1 FROM fingerprints f "
-                "  LEFT JOIN exchange_scopes r ON r.scope = f.scope "
-                "  WHERE r.scope IS NULL) "
-                "OR EXISTS (SELECT 1 FROM exchange_scopes WHERE created < ?) "
-                "OR EXISTS (SELECT 1 FROM work_queue WHERE created < ?)",
-                (cutoff, cutoff),
-            ).fetchone()[0]
-            if candidates:
-                self.sweep_stale_scopes()
-        except Exception:  # noqa: BLE001 — GC must never break opens
-            pass
 
     # -- work queue and leases -----------------------------------------
     #: Backoff base for requeued work: attempt k waits 2^(k-1) of these.
@@ -605,14 +491,13 @@ class ResultStore:
         self,
         scope: str,
         items: Sequence[Dict[str, Any]],
-        kind: str = "shard",
         now: Optional[float] = None,
     ) -> int:
         """Append pending work items to one scope's queue."""
         now = time.time() if now is None else now
         rows = [
-            (scope, kind, json.dumps(item, sort_keys=True), "pending", 0,
-             0.0, ROW_FORMAT, now)
+            (scope, json.dumps(item, sort_keys=True), "pending", 0, 0.0,
+             ROW_FORMAT, now)
             for item in items
         ]
         if not rows:
@@ -621,9 +506,9 @@ class ResultStore:
         def _commit() -> None:
             with self.write_connection as con:
                 con.executemany(
-                    "INSERT INTO work_queue (scope, kind, item, status, "
+                    "INSERT INTO work_queue (scope, item, status, "
                     "attempts, not_before, format, created) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
                     rows,
                 )
 
@@ -672,7 +557,7 @@ class ResultStore:
             items: List[WorkItem] = []
             if take > 0:
                 rows = con.execute(
-                    "SELECT id, kind, item, attempts FROM work_queue "
+                    "SELECT id, item, attempts FROM work_queue "
                     "WHERE scope = ? AND status = 'pending' "
                     "AND not_before <= ? ORDER BY id LIMIT ?",
                     (scope, now, take),
@@ -683,11 +568,11 @@ class ResultStore:
                 # of kills) quarantine innocent neighbours; isolating
                 # anything already requeued keeps poison attribution
                 # per-item, while fresh items keep the amortized batch.
-                if rows and rows[0][3] > 0:
+                if rows and rows[0][2] > 0:
                     rows = rows[:1]
                 else:
                     for index, row in enumerate(rows):
-                        if row[3] > 0:
+                        if row[2] > 0:
                             rows = rows[:index]
                             break
                 con.executemany(
@@ -708,9 +593,9 @@ class ResultStore:
                 items = [
                     WorkItem(
                         id=work_id, item=json.loads(item),
-                        attempts=attempts + 1, kind=kind,
+                        attempts=attempts + 1,
                     )
-                    for work_id, kind, item, attempts in rows
+                    for work_id, item, attempts in rows
                 ]
             counts = {
                 "pending": 0, "leased": 0, "done": 0, "quarantined": 0,
@@ -757,7 +642,6 @@ class ResultStore:
         worker: str,
         completions: Sequence[Dict[str, Any]],
         fingerprints: Sequence[Tuple[str, Sequence[Tuple[str, int]]]] = (),
-        kind: str = "shard",
         now: Optional[float] = None,
     ) -> bool:
         """Finish a claimed batch in ONE transaction — all or nothing.
@@ -818,11 +702,11 @@ class ResultStore:
                         (work_id,),
                     ).fetchone()[0]
                     con.executemany(
-                        "INSERT INTO work_queue (scope, kind, item, status, "
+                        "INSERT INTO work_queue (scope, item, status, "
                         "attempts, not_before, format, created) "
-                        "VALUES (?, ?, ?, 'pending', 0, 0.0, ?, ?)",
+                        "VALUES (?, ?, 'pending', 0, 0.0, ?, ?)",
                         [
-                            (scope, kind, json.dumps(child, sort_keys=True),
+                            (scope, json.dumps(child, sort_keys=True),
                              ROW_FORMAT, now)
                             for child in children
                         ],

@@ -38,11 +38,10 @@ edited tree are invisible rather than wrong.
 salts the scope with a per-invocation token and releases it after
 merging: the shared set coordinates shards *within* one search, and a
 later independent search must not dedup against a finished one (its
-results live in the earlier report, not the new one).  Opening an
-exchange registers its scope in the store's ``exchange_scopes`` table
-so a search killed before its ``finally`` leaves a *registered* orphan
-the stale-scope sweep can collect
-(:meth:`~repro.store.db.ResultStore.sweep_stale_scopes`).
+results live in the earlier report, not the new one).  The table
+lives in the run's own coordination file, never in a campaign
+database, so a search killed before its ``finally`` leaks rows only
+into a file nothing else reads.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ class FingerprintExchange:
         #: store read round-trip is tallied into ``exchange_pulls`` so
         #: coordination overhead is observable, not inferred.
         self.counters = counters
-        store.register_scope(scope)
         self.visited, self._cursor = store.load_fingerprints(scope)
         self._pending: Dict[str, int] = {}
         self._notes = 0

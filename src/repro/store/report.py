@@ -4,8 +4,7 @@ Two views, mirroring the pyotter ``summarise``/``show`` split:
 
 * :func:`summarise` — whole-store counts: cached cells per salt,
   campaign executions (with fully-cached re-runs called out, since
-  "re-run executed 0 cells" is the resume guarantee), fingerprint
-  scopes, witnesses;
+  "re-run executed 0 cells" is the resume guarantee), witnesses;
 * :func:`show` — one stored run by key prefix, payload unpickled.
 
 Both read through a read-only connection — safe to run while a
@@ -58,31 +57,6 @@ def summarise(store: ResultStore) -> str:
                 f"  {_when(created)} {name or '<unnamed>'}: {cells} cells, "
                 f"{hits} hits, {executed} executed, {failures} failures, "
                 f"{corrupt} corrupt, {wall:.2f}s"
-            )
-
-        fp_rows = con.execute(
-            "SELECT COUNT(*), COUNT(DISTINCT scope) FROM fingerprints"
-        ).fetchone()
-        orphans = con.execute(
-            "SELECT COUNT(DISTINCT f.scope) FROM fingerprints f "
-            "LEFT JOIN exchange_scopes r ON r.scope = f.scope "
-            "WHERE r.scope IS NULL"
-        ).fetchone()[0]
-        lines.append(
-            f"explorer fingerprints: {fp_rows[0]} states over "
-            f"{fp_rows[1]} scope(s)"
-            + (f", {orphans} orphaned scope(s)" if orphans else "")
-        )
-
-        queue_rows = con.execute(
-            "SELECT status, COUNT(*) FROM work_queue GROUP BY status "
-            "ORDER BY status"
-        ).fetchall()
-        lease_count = con.execute("SELECT COUNT(*) FROM leases").fetchone()[0]
-        if queue_rows or lease_count:
-            by_status = ", ".join(f"{s}={c}" for s, c in queue_rows) or "empty"
-            lines.append(
-                f"work queue: {by_status}; {lease_count} live lease(s)"
             )
 
         witness_rows = con.execute(

@@ -3,9 +3,11 @@
 One SQLite file holds everything the ROADMAP calls "millions of runs
 as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
 code salt (the campaign cache, :mod:`repro.store.cache`), campaign
-executions with their cell digests, the
-explorer's cross-shard visited-set fingerprints and its work queue,
-and chaos/explore violation witnesses.
+executions with their cell digests, and chaos/explore violation
+witnesses.  The same schema serves a frontier run's own coordination
+file — its work queue, leases and shared visited-set fingerprints —
+which :func:`~repro.explore.frontierd.run_frontier` keeps in a file of
+its own, never in a campaign database.
 
 Every table carries an explicit per-row ``format`` column **and** the
 file carries a whole-schema version in the ``meta`` table.  A store
@@ -23,9 +25,8 @@ from typing import Callable, Dict
 #: Bump on any table/column change and register a migration below.
 #:
 #: v2 added the distributed-frontier substrate: ``work_queue`` (shard
-#: roots as claimable items), ``leases`` (expiring per-item ownership —
-#: the timeout-as-failure-detector the coordinator reads), and
-#: ``exchange_scopes`` (the registry behind stale-scope GC).
+#: roots as claimable items) and ``leases`` (expiring per-item
+#: ownership — the timeout-as-failure-detector the coordinator reads).
 #:
 #: The batched claim/complete protocol (``claim_work_batch`` /
 #: ``complete_work_batch`` / ``heartbeat_worker``) deliberately needs
@@ -37,7 +38,11 @@ from typing import Callable, Dict
 #:
 #: v3 dropped the table of benchmark reports trended across CI runs;
 #: the repo benchmark keeps no history in the store.
-SCHEMA_VERSION = 3
+#:
+#: v4 dropped the ``exchange_scopes`` registry and ``work_queue.kind``:
+#: coordination rows live only in a frontier run's own file, so there
+#: is no leak in a campaign database to collect.
+SCHEMA_VERSION = 4
 
 #: Per-row format version written into every row's ``format`` column.
 #: Tracks the *payload* conventions (pickle framing, JSON shapes)
@@ -101,8 +106,7 @@ CREATE TABLE IF NOT EXISTS witnesses (
 
 CREATE TABLE IF NOT EXISTS work_queue (
     id         INTEGER PRIMARY KEY,
-    scope      TEXT NOT NULL,              -- one dynamic-frontier run
-    kind       TEXT NOT NULL,              -- 'shard' (room to grow)
+    scope      TEXT NOT NULL,              -- one frontier run
     item       TEXT NOT NULL,              -- JSON work description
     status     TEXT NOT NULL,              -- pending|leased|done|quarantined
     attempts   INTEGER NOT NULL,           -- claims so far
@@ -124,12 +128,6 @@ CREATE TABLE IF NOT EXISTS leases (
     format    INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS leases_scope ON leases (scope, expires);
-
-CREATE TABLE IF NOT EXISTS exchange_scopes (
-    scope   TEXT PRIMARY KEY,              -- a registered fingerprint scope
-    created REAL NOT NULL,
-    format  INTEGER NOT NULL
-);
 """
 
 
@@ -199,14 +197,8 @@ def _migrate_0_to_1(con: sqlite3.Connection) -> None:
 
 
 def _migrate_1_to_2(con: sqlite3.Connection) -> None:
-    """v1 → v2: add ``work_queue``/``leases``/``exchange_scopes``.
-
-    All three tables are new, so the idempotent DDL is the whole
-    migration.  Pre-existing ``fingerprints`` rows have no registered
-    scope; the stale-scope sweep treats them as orphans of crashed
-    pre-v2 searches and garbage-collects them (their searches either
-    finished — and would have cleared the rows — or died).
-    """
+    """v1 → v2: add ``work_queue``/``leases``; the idempotent DDL is the
+    whole migration."""
     create_schema(con)
 
 
@@ -217,11 +209,25 @@ def _migrate_2_to_3(con: sqlite3.Connection) -> None:
     con.execute("DROP TABLE IF EXISTS bench_history")
 
 
+def _migrate_3_to_4(con: sqlite3.Connection) -> None:
+    """v3 → v4: drop the coordination tables and re-create them without
+    ``exchange_scopes`` and ``work_queue.kind``.
+
+    In a campaign database those tables held only per-run or leaked
+    rows, so dropping them is also the last sweep; every other table
+    is untouched.
+    """
+    for table in ("exchange_scopes", "leases", "work_queue", "fingerprints"):
+        con.execute(f"DROP TABLE IF EXISTS {table}")
+    create_schema(con)
+
+
 #: from-version → in-place migration to from-version + 1.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _migrate_0_to_1,
     1: _migrate_1_to_2,
     2: _migrate_2_to_3,
+    3: _migrate_3_to_4,
 }
 
 

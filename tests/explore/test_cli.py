@@ -1,15 +1,20 @@
 """The ``python -m repro.explore`` entry point, end to end."""
 
 import json
+import os
 import re
+import signal
 import sqlite3
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.explore import ExploreOptions, enumerate_roots, run_frontier
 from repro.explore import __main__ as cli
 from repro.explore.__main__ import main
-from repro.explore.frontierd import CHAOS_FAIL_ENV
+from repro.explore.frontierd import CHAOS_FAIL_ENV, CHAOS_STALL_ENV
 
 
 def test_clean_target_exits_zero(capsys):
@@ -252,3 +257,57 @@ def test_store_is_closed_when_a_later_target_raises(tmp_path, monkeypatch):
         ).fetchall() == [("eagerquit",)]
     finally:
         con.close()
+
+
+COORDINATION_TABLES = (
+    "work_queue", "leases", "exchange_scopes", "fingerprints",
+)
+
+
+def _rows(db, table):
+    """Rows in ``table`` of the store file ``db``; 0 if it has none."""
+    con = sqlite3.connect(f"file:{db}?mode=ro", uri=True)
+    try:
+        return con.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+    except sqlite3.DatabaseError:
+        return 0  # no such table, or a file still being created
+    finally:
+        con.close()
+
+
+def _leases_held(root):
+    return any(_rows(db, "leases") for db in root.rglob("store.sqlite"))
+
+
+def test_killed_run_leaves_no_coordination_rows_in_the_store(tmp_path):
+    """``--store`` is the campaign database witnesses are filed into; a
+    run's queue, leases and fingerprints live in a file of its own, so a
+    coordinator SIGKILLed while its workers hold leases leaves none of
+    them behind in it."""
+    campaign = tmp_path / "campaign"
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))
+    env[CHAOS_STALL_ENV] = "5"  # workers park inside their claimed batch
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.explore", "--target", "nbac",
+         "--procs", "3", "--depth", "6", "--workers", "2",
+         "--store", str(campaign)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not _leases_held(tmp_path) and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert _leases_held(tmp_path)  # killed mid-run, not after it
+    db = campaign / "store.sqlite"
+    assert db.exists()
+    assert {t: _rows(db, t) for t in COORDINATION_TABLES} == dict.fromkeys(
+        COORDINATION_TABLES, 0
+    )

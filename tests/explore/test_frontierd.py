@@ -117,9 +117,6 @@ class TestEquivalence:
             assert con.execute(
                 "SELECT COUNT(*) FROM fingerprints"
             ).fetchone()[0] == 0
-            assert con.execute(
-                "SELECT COUNT(*) FROM exchange_scopes"
-            ).fetchone()[0] == 0
         finally:
             con.close()
             store.close()

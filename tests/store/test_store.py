@@ -89,6 +89,18 @@ class TestSummaries:
             assert store.get_summary("k", "s") is None
 
 
+def _kept_rows(root):
+    """Every row of the tables that outlive a run, as stored."""
+    con = sqlite3.connect(root / "store.sqlite")
+    try:
+        return {
+            table: con.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+            for table in ("run_summaries", "campaigns", "witnesses")
+        }
+    finally:
+        con.close()
+
+
 class TestSchemaVersioning:
     def test_fresh_store_is_current(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -163,6 +175,74 @@ class TestSchemaVersioning:
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
 
+    def test_v3_coordination_tables_are_dropped_by_migrate(
+        self, tmp_path, capsys
+    ):
+        # A v3 file: its coordination tables (the exchange_scopes
+        # registry, work_queue with its kind column) hold rows a killed
+        # run leaked, beside one summary, one campaign and one witness.
+        with ResultStore(tmp_path) as store:
+            store.put_summary("k", "s", _summary(5))
+            store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
+            store.record_witness(
+                {"format": "repro-explore-artifact/1",
+                 "case": {"target": "ct"}, "violated": ["validity"]}
+            )
+        kept = _kept_rows(tmp_path)
+        assert [len(rows) for rows in kept.values()] == [1, 1, 1]
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        con.executescript(
+            """
+            DROP TABLE work_queue;
+            CREATE TABLE work_queue (
+                id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                kind TEXT NOT NULL, item TEXT NOT NULL,
+                status TEXT NOT NULL, attempts INTEGER NOT NULL,
+                not_before REAL NOT NULL, result BLOB, error TEXT,
+                format INTEGER NOT NULL, created REAL NOT NULL
+            );
+            CREATE TABLE exchange_scopes (
+                scope TEXT PRIMARY KEY, created REAL NOT NULL,
+                format INTEGER NOT NULL
+            );
+            INSERT INTO work_queue (scope, kind, item, status, attempts,
+                not_before, format, created)
+                VALUES ('frontier:x', 'shard', '{}', 'leased', 1, 0.0, 1, 0.0);
+            INSERT INTO leases (work_id, scope, worker, acquired, heartbeat,
+                expires, format) VALUES (1, 'frontier:x', 'w0', 0, 0, 5, 1);
+            INSERT INTO exchange_scopes VALUES ('scope:x', 0.0, 1);
+            INSERT INTO fingerprints (scope, fp, remaining, format)
+                VALUES ('scope:x', 'fp', 2, 1);
+            UPDATE meta SET value = '3' WHERE key = 'schema_version';
+            """
+        )
+        con.close()
+
+        assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
+        assert "schema v4" in capsys.readouterr().out
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        try:
+            tables = {
+                name for (name,) in con.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            columns = {
+                row[1] for row in con.execute("PRAGMA table_info(work_queue)")
+            }
+            leftovers = [
+                con.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+                for table in ("work_queue", "leases", "fingerprints")
+            ]
+        finally:
+            con.close()
+        assert "exchange_scopes" not in tables
+        assert "kind" not in columns
+        assert leftovers == [0, 0, 0]
+        assert _kept_rows(tmp_path) == kept
+        with ResultStore(tmp_path) as store:
+            assert store.get_summary("k", "s").value == 25
+
     def test_migrate_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path)
         assert store.migrate() == SCHEMA_VERSION
@@ -194,6 +274,15 @@ class TestFingerprints:
             assert fresh == [("fp2", 2)]
             again, _ = store.fingerprints_since("s", cursor2)
             assert again == []
+
+
+    def test_release_drops_the_scope_rows(self, tmp_path):
+        with ResultStore(tmp_path) as store:
+            store.publish_fingerprints("done", [("fp1", 3)])
+            store.publish_fingerprints("live", [("fp2", 1)])
+            store.release_scope("done")
+            assert store.load_fingerprints("done")[0] == {}
+            assert store.load_fingerprints("live")[0] == {"fp2": 1}
 
 
 class TestWitnessesAndBench:
@@ -233,6 +322,17 @@ class TestCli:
         ResultStore(db).close()
         assert store_cli(["--db", db, "--migrate"]) == 0
         assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command", [["summarise"], ["show", "abc"], ["--migrate"]]
+    )
+    def test_missing_store_is_an_error_not_created(
+        self, tmp_path, capsys, command
+    ):
+        db = tmp_path / "nostore" / "typo"
+        assert store_cli(["--db", str(db)] + command) == 2
+        assert "error: no store at" in capsys.readouterr().err
+        assert not (tmp_path / "nostore").exists()
 
     def test_version_mismatch_exits_2(self, tmp_path, capsys):
         db = self._db(tmp_path)
