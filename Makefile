@@ -3,7 +3,7 @@
 PYTHON ?= python3
 STORE ?= .repro-store
 
-.PHONY: install test test-fast test-explore explore-smoke bench e2e-bench experiments experiments-e5 examples store-report all
+.PHONY: install test test-fast test-explore explore-smoke e2e-bench experiments experiments-e5 examples store-report all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,11 +29,10 @@ explore-smoke:
 	$(PYTHON) -m repro.explore --target eagerquit --expect-violation --stop-on-first
 	$(PYTHON) -m repro.explore --target hastycommit --expect-violation --stop-on-first
 	$(PYTHON) -m repro.explore --target submajority --expect-violation --stop-on-first --max-runs 2500
+	$(PYTHON) -m repro.explore --target redcommit --depth 5 --expect-violation --stop-on-first
+	$(PYTHON) -m repro.explore --target nbac --depth 5 --detector-switches --crashes 1 --symmetry --require-complete --stats
 	$(PYTHON) -m repro.explore --target nbac --procs 3 --symmetry --require-complete --stats
 	$(PYTHON) -m repro.explore --target hastycommit --procs 3 --symmetry --expect-violation --stop-on-first --workers 2
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The repo benchmark (BENCHMARK.json): four end-to-end workloads in
 # fresh processes, wall/cpu/set-up medians only.  Drop --no-trace for
@@ -62,4 +61,4 @@ examples:
 	$(PYTHON) examples/consensus_showdown.py
 	$(PYTHON) examples/weakest_detector_tour.py
 
-all: test experiments bench
+all: test experiments

@@ -6,7 +6,7 @@ breaks, and the summary's stable digest.  The file is self-contained —
 no pickles, no object references — so it survives refactors that would
 invalidate the run cache, and a teammate (or CI) replays it with::
 
-    python -m repro.chaos.fuzz --replay artifact.json
+    python -m repro.chaos --replay artifact.json
 
 Replay rebuilds the spec from the case, executes it in-process, and
 checks two things: the recorded clauses still break (the bug is still
@@ -65,7 +65,7 @@ def check_format(
     (the file is real but written by other code — don't guess at its
     fields); everything else is simply not an artifact.
     """
-    value = document.get("format")
+    value = document.get("format") if isinstance(document, dict) else None
     if value in known:
         return
     family, version = parse_format(value)

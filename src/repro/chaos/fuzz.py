@@ -18,10 +18,14 @@ always regenerates the identical case.
 
 CLI::
 
-    python -m repro.chaos.fuzz --rounds 5 --seed 0        # clean targets
-    python -m repro.chaos.fuzz --targets submajority      # the mutant
-    python -m repro.chaos.fuzz --smoke                    # CI budget
-    python -m repro.chaos.fuzz --replay artifact.json     # re-run a witness
+    python -m repro.chaos --rounds 5 --seed 0        # clean targets
+    python -m repro.chaos --targets submajority      # the mutant
+    python -m repro.chaos --smoke                    # CI budget
+    python -m repro.chaos --replay artifact.json     # re-run a witness
+
+``--replay`` exits 0 when the witness reproduces deterministically, 1
+when it no longer does, and 2 when the file cannot be read as an
+artifact.
 """
 
 from __future__ import annotations
@@ -282,7 +286,7 @@ def run_fuzz(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.chaos.fuzz",
+        prog="python -m repro.chaos",
         description="In-spec fault-injection fuzzing of the reproduction's "
         "algorithms, with counterexample shrinking.",
     )
@@ -323,7 +327,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        document = load_artifact(args.replay)
+        try:
+            document = load_artifact(args.replay)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         outcome = replay(document)
         print(
             f"replay {args.replay}: reproduced={outcome.reproduced} "

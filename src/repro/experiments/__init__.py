@@ -27,8 +27,9 @@ Run them all::
     python -m repro.experiments E3 E7      # a selection
 
 Each ``run_*`` function is deterministic given its seed and returns an
-:class:`~repro.experiments.common.ExperimentResult`; the benchmark
-harness under ``benchmarks/`` times the same functions.
+:class:`~repro.experiments.common.ExperimentResult`; the repo
+benchmark's ``sweep_e1_e13`` workload (``python3 -m e2e_bench``) times
+the same functions.
 """
 
 from repro.experiments.common import ExperimentResult, all_experiments

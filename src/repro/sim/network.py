@@ -22,8 +22,7 @@ One production engine and one oracle implement the same contract:
   oldest-first policy additionally gets an O(log ready) fast path over
   a ``(send_time, msg_id)`` heap that never materializes a ready list.
 * :class:`ReferenceNetwork` — the seed's flat-list implementation, kept
-  verbatim as the behavioral oracle for the golden determinism suite
-  and the simulator benchmarks.
+  verbatim as the behavioral oracle for the golden determinism suite.
 
 How either stores its messages is known to this module alone; code that
 needs the in-flight set (the explorer's fingerprints) asks

@@ -108,3 +108,30 @@ class TestFormatVersioning:
         path.write_text(json.dumps({"format": "someone-elses-format/3"}))
         with pytest.raises(ValueError, match="not a repro artifact"):
             load_artifact(path)
+
+
+class TestReplayCli:
+    """``--replay`` exit codes: 0 reproduced, 1 no longer reproduces
+    (test_fuzz.py), 2 the file is not a readable artifact."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{not json",
+            "[1, 2]",
+            json.dumps({"format": "repro-explore-artifact/9"}),
+            json.dumps({"format": "someone-elses-format/3"}),
+        ],
+        ids=["missing", "not-json", "not-an-object", "future-version", "alien"],
+    )
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, content):
+        from repro.chaos.fuzz import main
+
+        path = tmp_path / "witness.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

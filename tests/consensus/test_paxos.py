@@ -199,10 +199,34 @@ class TestProtocolDetails:
 
     def test_message_cost_scales_linearly_in_n(self):
         costs = {}
-        for n in (3, 5, 7):
+        for n in (3, 5, 7, 9, 13):
             proposals = {p: p for p in range(n)}
             trace = run_consensus(
                 n, 0, proposals, environment=CrashFreeEnvironment(n)
             )
+            assert trace.all_correct_decided("consensus"), n
             costs[n] = trace.messages_sent
         assert costs[7] < costs[3] * 30  # sane growth, not exponential
+
+    @pytest.mark.parametrize("retry_interval", [2, 8, 32])
+    def test_every_retry_interval_decides(self, retry_interval):
+        """Leader pacing trades messages for latency (docs/PERF.md has
+        the curve); no setting may cost correctness."""
+        proposals = {p: f"v{p}" for p in range(4)}
+        trace = (
+            SystemBuilder(n=4, seed=3, horizon=80_000)
+            .pattern(FailurePattern(4, {0: 40}))
+            .detector(omega_sigma_oracle())
+            .component(
+                "consensus",
+                consensus_component(
+                    lambda pid: OmegaSigmaConsensusCore(
+                        proposals[pid], retry_interval=retry_interval
+                    )
+                ),
+            )
+            .build()
+            .run(stop_when=decided("consensus"))
+        )
+        verdict = check_consensus(trace, proposals)
+        assert verdict.ok, verdict.violations

@@ -204,6 +204,23 @@ class TestCurrentSegment:
         assert h.perf.detector_value_calls == 200
         assert h.perf.detector_cache_hits == 180
 
+    @pytest.mark.parametrize(
+        "oracle",
+        [SigmaOracle(), PsiOracle(), omega_sigma_oracle()],
+        ids=["Sigma", "Psi", "OmegaSigma"],
+    )
+    def test_in_order_sweep_of_an_oracle_hits_more_than_it_evaluates(self, oracle):
+        """Every tick of every process, in time order — what a run
+        reads — asks the oracle for fewer than half of the reads."""
+        h = oracle.build_history(FailurePattern(4, {3: 100}), 2_000, random.Random(1))
+        h.perf = PerfCounters()
+        for t in range(2_000):
+            for pid in range(4):
+                h.value(pid, t)
+        evaluations = h.perf.detector_value_calls - h.perf.detector_cache_hits
+        assert h.perf.detector_value_calls == 4 * 2_000
+        assert evaluations < h.perf.detector_value_calls / 2
+
     def test_same_tick_reread_evaluates_nothing(self):
         calls = []
         h = FailureDetectorHistory(1, 100, self._decades(calls))

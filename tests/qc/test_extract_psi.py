@@ -24,14 +24,18 @@ from repro.sim.probes import OutputRecorder
 from repro.sim.system import SystemBuilder
 
 
-def run_extraction(branch, pattern, seed, horizon=16_000, prefix_stride=10):
+def run_extraction(
+    branch, pattern, seed, horizon=16_000, prefix_stride=10, gossip_every=4
+):
     # Positional from here on: the memo keys on how it was called, and
     # ``horizon=16_000`` spelt out is the same extraction as the default.
-    return _run_extraction(branch, pattern, seed, horizon, prefix_stride)
+    return _run_extraction(
+        branch, pattern, seed, horizon, prefix_stride, gossip_every
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def _run_extraction(branch, pattern, seed, horizon, prefix_stride):
+def _run_extraction(branch, pattern, seed, horizon, prefix_stride, gossip_every):
     system = (
         SystemBuilder(n=3, seed=seed, horizon=horizon)
         .pattern(pattern)
@@ -41,6 +45,7 @@ def _run_extraction(branch, pattern, seed, horizon, prefix_stride):
             lambda pid: CoreComponent(
                 PsiExtraction(
                     qc_factory=lambda: PsiQCCore(),
+                    gossip_every=gossip_every,
                     prefix_stride=prefix_stride,
                 )
             ),
@@ -87,6 +92,33 @@ class TestOmegaSigmaBranch:
         for pid in range(3):
             core = system.component_at(pid, "xpsi").core
             assert core.branch == "omega-sigma"
+
+    @pytest.mark.parametrize(
+        "gossip_every, prefix_stride, horizon",
+        [
+            (2, 10, 4_000),
+            (8, 10, 4_000),
+            (24, 10, 10_000),
+            (4, 4, 4_000),
+            (4, 16, 4_000),
+            (4, 64, 4_000),
+        ],
+    )
+    def test_every_cadence_emits_valid_psi(self, gossip_every, prefix_stride, horizon):
+        """Gossip cadence and prefix stride move only the cost
+        (docs/PERF.md has the curves): at every setting each process
+        completes a Σ round and the emitted quorums satisfy Ψ.  Each
+        horizon is the cheapest at which every process completes one."""
+        pattern = FailurePattern.crash_free(3)
+        system, trace = run_extraction(
+            OMEGA_SIGMA_BRANCH, pattern, 1, horizon, prefix_stride, gossip_every
+        )
+        verdict = check_psi(trace.annotations["psi-extraction"], pattern)
+        assert verdict.ok, verdict.violations
+        for pid in range(3):
+            core = system.component_at(pid, "xpsi").core
+            assert core.branch == "omega-sigma"
+            assert core.sigma_rounds > 0
 
     @pytest.mark.parametrize(
         "pattern, seed, horizon",

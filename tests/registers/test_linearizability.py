@@ -1,5 +1,7 @@
 """Unit and property tests for the atomicity checker."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,24 @@ class TestConcurrentHistories:
             op(4, 2, "read", "r", "a", 15, 16),
         ]
         assert not check_linearizable(ops).ok
+
+    def test_long_overlapping_history_in_invocation_order(self):
+        """60 overlapping operations over three registers, each read
+        returning the latest write invoked before it: invocation order
+        is a witness, and the checker must find one."""
+        rng = random.Random(7)
+        ops, current, t = [], {}, 0
+        for i in range(60):
+            t += rng.randint(1, 3)
+            reg = rng.choice(["x", "y", "z"])
+            write = rng.random() < 0.5
+            respond = t + rng.randint(1, 4)
+            if write:
+                current[reg] = (i % 3, i)
+                ops.append(op(i, i % 3, "write", reg, current[reg], t, respond))
+            else:
+                ops.append(op(i, i % 3, "read", reg, current.get(reg), t, respond))
+        assert check_linearizable(ops).ok
 
 
 class TestPendingOperations:

@@ -9,6 +9,8 @@ import pytest
 
 from pathlib import Path
 
+from repro.experiments.e01_register import case_spec as e01_spec
+from repro.experiments.e03_consensus import case_spec as e03_spec
 from repro.runner import (
     Campaign,
     call,
@@ -49,21 +51,46 @@ class TestGridExpansion:
         assert len(combined) == 2 * len(_grid(seeds=1))
 
 
+def _e1_e3_grid():
+    """E1's register and E3's consensus cells at n=3: real experiment
+    CallSpecs (quorum kinds, detectors, summarisers) through the pool
+    and the store.  Every cell reaches its stop condition by tick 311."""
+    e01 = Campaign.grid(
+        lambda f, kind: e01_spec(3, f, kind, seed=0, horizon=1_000),
+        name="grid-e01",
+        f=range(2),
+        kind=("majority", "sigma"),
+    )
+    e03 = Campaign.grid(
+        lambda seed, label: e03_spec(3, 1, label, seed, horizon=1_000),
+        name="grid-e03",
+        seed=range(2),
+        label=("(Omega,Sigma)", "Omega+majorities", "CT <>S [4]", "CT S [4]"),
+    )
+    return e01 + e03
+
+
 class TestDeterminism:
-    def test_serial_pool_and_cache_agree_byte_for_byte(self, tmp_path):
-        campaign = _grid()
+    @pytest.mark.parametrize(
+        "build", [_grid, _e1_e3_grid], ids=["paxos", "e1-e3"]
+    )
+    def test_serial_pool_and_cache_agree_byte_for_byte(self, tmp_path, build):
+        campaign = build()
         cache = StoreResultCache(tmp_path)
 
         serial = campaign.run(workers=1, cache=False)
         pooled = campaign.run(workers=2, cache=cache)
         warmed = campaign.run(workers=2, cache=cache)
 
+        assert serial.ok and pooled.ok and warmed.ok
         assert warmed.hits == len(campaign) and warmed.executed == 0
         digests = [
             [s.stable_digest() for s in result]
             for result in (serial, pooled, warmed)
         ]
         assert digests[0] == digests[1] == digests[2]
+        assert all(s.stop_reason == "stop-condition" for s in serial)
+        assert all(s.metrics.get("ok") is not False for s in serial)
 
     def test_trace_digest_identical_across_executors(self):
         campaign = _grid(seeds=1, crashes=1)

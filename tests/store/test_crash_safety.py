@@ -20,6 +20,10 @@ from tests.store import helpers
 CELLS = 5
 BATCH = 2  # 5 puts → two committed batches (4 rows) + 1 buffered (lost)
 COMMITTED = (CELLS // BATCH) * BATCH
+# The child's exit code: one no uncaught exception produces (those exit
+# 1), so a child that broke before the kill cannot pass for one that
+# lost its tail.
+KILLED = 86
 
 CHILD = textwrap.dedent(
     """
@@ -28,12 +32,12 @@ CHILD = textwrap.dedent(
     from repro.store import StoreResultCache
     from tests.store import helpers
 
-    root, cells, batch = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+    root, cells, batch, killed = sys.argv[1], *map(int, sys.argv[2:5])
     cache = StoreResultCache(root, batch=batch)
     for i in range(cells):
         spec = fn_spec(call(helpers.square, i), i=i)
         cache.put(spec.fingerprint(), spec.execute())
-    os._exit(1)  # die mid-batch: no flush, no close
+    os._exit(killed)  # die mid-batch: no flush, no close
     """
 )
 
@@ -50,14 +54,16 @@ def _run_child(tmp_path):
                     env.get("PYTHONPATH", "")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path), str(CELLS), str(BATCH)],
+        [sys.executable, "-c", CHILD, str(tmp_path), str(CELLS), str(BATCH),
+         str(KILLED)],
         env=env,
         cwd=repo,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == KILLED, proc.stderr
+    assert proc.stderr == ""
     return proc
 
 
