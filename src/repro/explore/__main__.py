@@ -34,14 +34,17 @@ chaos injector SIGKILLing them mid-shard to prove recovery::
 
 Every run goes through one driver, the leased work queue of
 :mod:`repro.explore.frontierd`: one worker (the default) walks in this
-process, more are spawned processes that claim whole roots first.
+process, more are forked from it and claim whole roots first.
 ``--stop-on-first`` and ``--max-runs`` bound each shard's walk (with
 one worker, each root's); ``--cache`` serves roots a previous run
 exhausted; ``--chaos-kill-rate`` needs two workers or more.
 
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
-and 1 otherwise, so CI can call this directly.  A quarantined shard
+and 1 otherwise, so CI can call this directly; input the frontier
+refuses (an unknown target, ``--procs 0``, ``--depth 0``, a lease of
+no time, ``--workers -1``, a kill rate with one worker) exits 2 before
+any work.  A quarantined shard
 (a work item that failed past its retry budget) is a failure whatever
 was expected: its subtree was never searched.
 """
@@ -52,7 +55,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.chaos.targets import CLEAN_TARGETS, MUTANT_TARGETS, TARGETS
 from repro.explore.cases import ExploreOptions
@@ -67,7 +70,7 @@ from repro.explore.frontierd import DEFAULT_LEASE_TTL, fleet_size, run_frontier
 from repro.explore.symmetry import collapse_symmetric_roots
 
 
-def _parse_args(argv) -> argparse.Namespace:
+def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro.explore",
         description="Exhaustively explore bounded schedules of a target.",
@@ -210,7 +213,7 @@ def _parse_args(argv) -> argparse.Namespace:
         default=None,
         help="directory for shrunk violation artifacts (default: none kept)",
     )
-    return parser.parse_args(argv)
+    return parser, parser.parse_args(argv)
 
 
 def _targets(name: str) -> List[str]:
@@ -219,10 +222,38 @@ def _targets(name: str) -> List[str]:
     if name == "mutants":
         return list(MUTANT_TARGETS)
     if name not in TARGETS:
-        raise SystemExit(
+        raise ValueError(
             f"unknown target {name!r}; have {sorted(TARGETS)}, 'all', 'mutants'"
         )
     return [name]
+
+
+def _plan(args: argparse.Namespace, target: str) -> Tuple[str, int, List[Any]]:
+    """``(target, depth, roots)``: what one target's walk will cover."""
+    if args.depth is not None:
+        depth = args.depth
+    elif args.procs >= 3 and target in SMOKE_DEPTHS_N3:
+        depth = SMOKE_DEPTHS_N3[target]
+    else:
+        depth = SMOKE_DEPTHS.get(target, 8)
+    switches = args.detector_switches
+    crashes = args.crashes
+    if target in SWITCH_MUTANTS:
+        # Undetectable without the switch dimension and a crash to
+        # gate the FS-red script on; forcing both keeps
+        # `--target <mutant> --expect-violation` meaningful.
+        switches = True
+        crashes = max(crashes, 1)
+    roots = enumerate_roots(
+        target,
+        args.procs,
+        depth=depth,
+        max_crashes=crashes,
+        detector_switches=switches,
+    )
+    if args.symmetry:
+        roots = collapse_symmetric_roots(roots)
+    return target, depth, roots
 
 
 def _emit_artifacts(
@@ -269,60 +300,38 @@ def _emit_artifacts(
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
+    parser, args = _parse_args(argv if argv is not None else sys.argv[1:])
+    # Every refusal is a usage error (exit 2) before any work or store:
+    # exit 1 is the verdict that a target missed its expectation.
     try:
-        fleet_size(args.workers, args.chaos_kill_rate)
+        fleet_size(args.workers, args.chaos_kill_rate, args.lease_ttl)
+        plans = [_plan(args, target) for target in _targets(args.target)]
     except ValueError as refusal:
-        raise SystemExit(f"error: {refusal}")
+        parser.error(str(refusal))
     options = ExploreOptions(
         por=not args.no_por,
         dedup=not args.no_dedup,
         symmetry="auto" if args.symmetry else None,
     )
-    # An unknown target exits here, before a store is created for it.
-    targets = _targets(args.target)
     if args.store is None:
-        return _explore(args, targets, options, None)
+        return _explore(args, plans, options, None)
     from repro.store import ResultStore
 
     # Closed on every way out: witnesses filed before a later target
     # raises are buffered rows until the close flushes them.
     with ResultStore(args.store) as store:
-        return _explore(args, targets, options, store)
+        return _explore(args, plans, options, store)
 
 
 def _explore(
     args: argparse.Namespace,
-    targets: List[str],
+    plans: List[Tuple[str, int, List[Any]]],
     options: ExploreOptions,
     store: Any,
 ) -> int:
     """Walk every target's roots and print its verdict; the exit code."""
     failures = 0
-    for target in targets:
-        if args.depth is not None:
-            depth = args.depth
-        elif args.procs >= 3 and target in SMOKE_DEPTHS_N3:
-            depth = SMOKE_DEPTHS_N3[target]
-        else:
-            depth = SMOKE_DEPTHS.get(target, 8)
-        switches = args.detector_switches
-        crashes = args.crashes
-        if target in SWITCH_MUTANTS:
-            # Undetectable without the switch dimension and a crash to
-            # gate the FS-red script on; forcing both keeps
-            # `--target <mutant> --expect-violation` meaningful.
-            switches = True
-            crashes = max(crashes, 1)
-        roots = enumerate_roots(
-            target,
-            args.procs,
-            depth=depth,
-            max_crashes=crashes,
-            detector_switches=switches,
-        )
-        if args.symmetry:
-            roots = collapse_symmetric_roots(roots)
+    for target, depth, roots in plans:
         summaries = run_frontier(
             roots,
             options,

@@ -118,10 +118,10 @@ class ExploreOptions:
     """How a case is searched: everything but the case itself.
 
     One frozen value carried whole from the CLI to the walk — through a
-    campaign cell, a spawned frontier worker, the summary dict
+    campaign cell, a forked frontier worker, the summary dict
     (``dataclasses.asdict``) and the exchange scope — so an option is
     named in one place and a misspelt one is an error here, before a
-    store is opened or a process spawned.  ``por`` / ``dedup`` switch
+    store is opened or a process started.  ``por`` / ``dedup`` switch
     the reductions, ``symmetry`` is ``None`` / ``False`` (off),
     ``"auto"`` (on where sound) or ``True`` (insist; an unsafe target
     is an error — see

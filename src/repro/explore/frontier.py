@@ -135,7 +135,12 @@ def enumerate_roots(
     that actually crash someone; on a crash-free schedule no admissible
     switch time exists, so the root would be the constant-prefix subtree
     explored twice.
+
+    ``n < 1`` is a ``ValueError``: a system with no process has no
+    root, and an empty frontier would exhaust as a clean verdict.
     """
+    if n < 1:
+        raise ValueError(f"n={n}: a system needs 1 or more processes")
     if depth is None:
         depth = SMOKE_DEPTHS.get(target, 8)
     if seeds is None:

@@ -10,7 +10,14 @@ the paper itself studies, applied to the checker: a set of long-lived
 worker processes that *cannot be trusted not to crash*, coordinated
 through an unreliable timeout-based failure detector.  One worker is
 the same protocol without the processes: the caller's process runs
-:func:`_worker_main` itself against the same queue.
+:func:`_worker_main` itself against the same queue.  More are forked
+from the caller's process, first fleet and respawns alike, so every
+worker starts warm — no interpreter start-up, no re-import — and walks
+exactly what the caller loaded, as one worker does: a target registered
+or patched at run time, a network class swapped in by
+:func:`~repro.sim.system.network_implementation`.  No SQLite connection
+to the run's file crosses a fork: the coordinator closes its store
+before every fork and the store reopens on its next call.
 
 **The protocol.**  Shard roots live as claimable items in the store's
 ``work_queue``.  A worker claims up to a fair share of the oldest
@@ -380,34 +387,46 @@ def _worker_main(
 
 
 class _FrontierWorkers:
-    """The coordinator's view of its worker fleet: spawn, track, respawn."""
+    """The coordinator's view of its worker fleet: fork, track, respawn."""
 
     def __init__(
         self,
-        store_path: str,
+        store: Any,
         queue_scope: str,
         settings: FleetSettings,
         target: Any = _worker_main,
     ):
-        self.store_path = store_path
+        #: The coordinator's :class:`~repro.store.db.ResultStore` on the
+        #: run's file, closed before every fork.
+        self.store = store
         self.queue_scope = queue_scope
         self.count = settings.workers
         self.settings = settings
         #: What a worker process runs; the drain/respawn tests put a
         #: stub here.
         self.target = target
-        self.context = multiprocessing.get_context("spawn")
         self.generation = 0
         self.processes: Dict[str, Any] = {}
         self.respawns = 0
 
     def spawn(self, how_many: int) -> None:
+        """Fork ``how_many`` workers from this process.
+
+        A child inherits every open file of its parent, SQLite's
+        connections and lock bookkeeping included, so the coordinator's
+        store is closed first; its next call reopens it.
+        """
+        self.store.close()
+        context = multiprocessing.get_context("fork")
         for _ in range(how_many):
             name = f"w{self.generation}"
             self.generation += 1
-            process = self.context.Process(
+            process = context.Process(
                 target=self.target,
-                args=(self.store_path, self.queue_scope, name, self.settings),
+                args=(
+                    str(self.store.path), self.queue_scope, name,
+                    self.settings,
+                ),
                 daemon=True,
             )
             process.start()
@@ -457,13 +476,21 @@ class _FrontierWorkers:
                 process.join(timeout=1.0)
 
 
-def fleet_size(workers: Optional[int] = None, chaos_kill_rate: float = 0.0) -> int:
+def fleet_size(
+    workers: Optional[int] = None,
+    chaos_kill_rate: float = 0.0,
+    lease_ttl: float = DEFAULT_LEASE_TTL,
+) -> int:
     """The worker count :func:`run_frontier` runs for ``workers``.
 
     Resolved like a campaign's (:func:`repro.runner.config
-    .resolve_workers`); None means 1 and 0 every core.  A kill rate
-    with one worker is a ``ValueError``: that worker walks in the
-    caller's process, nothing could be killed, and an ``ok`` would
+    .resolve_workers`); None means 1 and 0 every core.  What the
+    frontier refuses is a ``ValueError``: a negative fleet; a lease
+    that is not a positive number of seconds, which would expire as
+    soon as it is issued; a fleet on a platform without ``fork``, the
+    one way workers start (one worker needs no process and runs
+    everywhere); and a kill rate with one worker, which walks in the
+    caller's process, so nothing could be killed and an ``ok`` would
     read as "recovery proven".
     """
     from repro.runner.config import resolve_workers
@@ -473,6 +500,13 @@ def fleet_size(workers: Optional[int] = None, chaos_kill_rate: float = 0.0) -> i
     resolved = 1 if resolved is None else resolved or default_worker_count()
     if resolved < 0:
         raise ValueError(f"workers={resolved}: need 1 or more (0 = every core)")
+    if not lease_ttl > 0:
+        raise ValueError(f"lease_ttl={lease_ttl}: need a positive number of seconds")
+    if resolved > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError(
+            f"workers={resolved} needs the fork start method, which this "
+            "platform lacks; one worker runs everywhere"
+        )
     if chaos_kill_rate > 0 and resolved == 1:
         raise ValueError(
             f"chaos_kill_rate={chaos_kill_rate} needs 2 or more workers: "
@@ -501,9 +535,10 @@ def run_frontier(
     Returns one merged summary dict per root, in root order, each with
     the ``frontier`` accounting block (workers, respawns, recoveries,
     quarantines, coordination counters) of the run that walked it.
-    ``workers`` resolves through :func:`fleet_size`; one walks in this
-    process, so whatever the caller patched or swapped in (a registered
-    target, the network class) is what it walks.  ``store`` is where
+    ``workers`` and ``lease_ttl`` are checked by :func:`fleet_size`;
+    one worker walks in this process and more are forked from it, so
+    whatever the caller patched or swapped in (a registered target, the
+    network class) is what every worker walks.  ``store`` is where
     this run's coordination lives — its work queue, leases and shared
     fingerprints: a directory or ``.sqlite`` path, or None (a private
     file under a temp directory, deleted with it).  It is never a
@@ -526,7 +561,7 @@ def run_frontier(
     from repro.store.exchange import exchange_scope
 
     settings = FleetSettings(
-        options, fleet_size(workers, chaos_kill_rate), split_step,
+        options, fleet_size(workers, chaos_kill_rate, lease_ttl), split_step,
         lease_ttl, retry_limit, stop_on_first_violation, max_runs,
     )
     # One empty summary per root for its shards to merge into — built
@@ -604,8 +639,8 @@ def _walk_roots(
         )
         store.flush()
 
-        # Phase 2 — drain the queue: one worker here, more as a fleet.
-        fleet = _FrontierWorkers(str(store.path), queue_scope, settings)
+        # Phase 2 — drain the queue: one worker here, more forked.
+        fleet = _FrontierWorkers(store, queue_scope, settings)
         killer = WorkerKiller(chaos_kill_rate, seed=chaos_seed)
         recoveries = 0
         if settings.workers == 1:

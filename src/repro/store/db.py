@@ -292,7 +292,13 @@ class ResultStore:
             writer.flush()
 
     def close(self) -> None:
+        """Flush and close every connection; the next call reopens.
+
+        The buffered writers go with the write connection they were
+        bound to, so a later put starts a fresh one.
+        """
         self.flush()
+        self._writers.clear()
         if self._write is not None:
             self._write.close()
             self._write = None

@@ -165,7 +165,7 @@ def test_removed_choices_are_argparse_errors(flag, value, capsys):
     "workers", [[], ["--workers", "1"]], ids=["default", "one-worker"]
 )
 def test_chaos_without_a_fleet_is_refused_not_dropped(
-    workers, tmp_path, monkeypatch
+    workers, tmp_path, monkeypatch, capsys
 ):
     # One worker walks in this process: a kill rate there could kill
     # nothing, and a run that printed "ok" would read as "recovery
@@ -174,9 +174,33 @@ def test_chaos_without_a_fleet_is_refused_not_dropped(
     with pytest.raises(SystemExit) as exit_info:
         main(["--target", "qc", "--depth", "3", "--chaos-kill-rate", "0.3"]
              + workers)
-    assert "chaos_kill_rate=0.3 needs 2 or more workers" in str(
-        exit_info.value.code
+    assert exit_info.value.code == 2  # a usage error, not a verdict
+    assert "chaos_kill_rate=0.3 needs 2 or more workers" in (
+        capsys.readouterr().err
     )
+    assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--workers", "-1"], "workers=-1: need 1 or more"),
+        (["--procs", "0"], "n=0: a system needs 1 or more processes"),
+        (["--depth", "0"], "depth must be >= 1"),
+        (["--workers", "2", "--lease-ttl", "0"], "lease_ttl=0.0: need"),
+        (["--workers", "2", "--lease-ttl", "-1"], "lease_ttl=-1.0: need"),
+    ],
+)
+def test_nonsense_input_is_a_usage_error(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    # Not a verdict: `--procs 0` used to print "ok" over an empty
+    # search, and `--depth 0` to exit 1 with a traceback.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "nbac", "--store", str(tmp_path / "d")] + argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # refused before any work
 
 
@@ -223,10 +247,11 @@ def test_help_lists_the_flags_that_are_left(capsys):
     assert len(flags) == 20
 
 
-def test_unknown_target_rejected(tmp_path):
+def test_unknown_target_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--target", "nonsense", "--store", str(tmp_path / "d")])
-    assert "unknown target 'nonsense'" in str(exit_info.value.code)
+    assert exit_info.value.code == 2
+    assert "unknown target 'nonsense'" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()  # refused before a store is made
 
 

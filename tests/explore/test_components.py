@@ -153,6 +153,12 @@ class TestFrontier:
         assert {root.seed for root in roots} == {0, 1}
         assert len(roots) == 2 * len(assignments_for("nbac", 2))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_a_system_without_processes_has_no_frontier(self, n):
+        # An empty root list would exhaust as a clean verdict.
+        with pytest.raises(ValueError, match="1 or more processes"):
+            enumerate_roots("nbac", n)
+
     def test_a_finished_root_is_a_cache_hit_under_a_path(self, tmp_path):
         # ``cache=tmp_path`` — a Path, not a str — used to be taken for
         # a ready-made cache object and die on its missing ``.get``.

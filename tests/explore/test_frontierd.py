@@ -14,7 +14,8 @@ Three layers of proof, mirroring the lease protocol's design:
   mid-batch requeues exactly the claimed batch (earlier committed
   batches stay done), and a batch that walked to the end but never
   committed publishes nothing.  Plus an end-to-end run under the
-  seeded :class:`~repro.chaos.workers.WorkerKiller` at kill rate ≥ 0.2.
+  seeded :class:`~repro.chaos.workers.WorkerKiller`, which must kill.
+  Every victim is started the way the fleet starts its workers.
 * **Quarantine** — a poison worker (``CHAOS_FAIL`` hook) exhausts the
   retry budget; the run degrades to ``complete=False`` with structured
   incidents instead of raising.
@@ -22,8 +23,13 @@ Three layers of proof, mirroring the lease protocol's design:
 And the coordinator's side of liveness: it wakes when a worker process
 ends instead of sleeping out its poll, never faster than the ramp's
 base, and a worker's warm fingerprint sessions follow its batches.
+Last, the fleet is forked: it walks what the caller registered, holds
+no connection to the run's file across a fork, and is refused where
+``fork`` does not exist.
 """
 
+import dataclasses
+import multiprocessing
 import os
 import signal
 import threading
@@ -55,6 +61,14 @@ from repro.sim.perf import PerfCounters
 from repro.store import ResultStore
 from tests.explore.helpers import enqueue_case as _enqueue_case
 from tests.explore.helpers import violation_set as _violation_set
+
+
+def _start_victim(store, queue_scope, settings):
+    """One real worker, started the way the fleet starts its own."""
+    fleet = _FrontierWorkers(store, queue_scope, settings)
+    fleet.spawn(1)
+    ((name, process),) = fleet.processes.items()
+    return name, process
 
 
 def _assert_equivalent(dynamic, single):
@@ -269,6 +283,13 @@ class TestRunBounds:
             run_frontier([CASE], workers=-1, store=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("ttl", [0, -1.0, float("nan")])
+    def test_a_lease_of_no_time_is_refused(self, tmp_path, ttl):
+        # Every lease would expire as soon as it is issued.
+        with pytest.raises(ValueError, match="need a positive number"):
+            run_frontier([CASE], workers=2, lease_ttl=ttl, store=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 def _raise_re_explored(*args, **kwargs):
     raise AssertionError("re-explored")
@@ -291,9 +312,6 @@ class TestBatchLeases:
         # An earlier committed batch must survive a later kill: the
         # victim's death requeues exactly the items it still held, not
         # the batch a previous completion transaction already landed.
-        import multiprocessing
-        import signal as _signal
-
         store = ResultStore(tmp_path)
         _base, roots = _enqueue_case(store, CASE, "tail-q")
         assert roots >= 3, "need items for two batches"
@@ -311,18 +329,12 @@ class TestBatchLeases:
         # inside it (heartbeats flowing); SIGKILL silences it.
         settings = FleetSettings(lease_ttl=1.0)
         monkeypatch.setenv(CHAOS_STALL_ENV, "600")
-        context = multiprocessing.get_context("spawn")
-        victim = context.Process(
-            target=_worker_main,
-            args=(str(store.path), "tail-q", "victim", settings),
-            daemon=True,
-        )
-        victim.start()
+        _name, victim = _start_victim(store, "tail-q", settings)
         deadline = time.monotonic() + 30.0
         while not store.leased_workers("tail-q"):
             assert time.monotonic() < deadline, "victim never claimed"
             time.sleep(0.02)
-        os.kill(victim.pid, _signal.SIGKILL)
+        os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=10.0)
         monkeypatch.delenv(CHAOS_STALL_ENV)
 
@@ -418,8 +430,6 @@ class TestSigkillRecovery:
         # beating); SIGKILL silences it; the lease expires; the shard
         # requeues; a healthy in-process worker drains the queue; the
         # merged result is identical to the serial walk.
-        import multiprocessing
-
         single = explore_case(CASE)
         store = ResultStore(tmp_path)
         base, roots = _enqueue_case(store, CASE, "kill-q")
@@ -427,19 +437,13 @@ class TestSigkillRecovery:
 
         settings = FleetSettings(lease_ttl=1.0)
         monkeypatch.setenv(CHAOS_STALL_ENV, "600")
-        context = multiprocessing.get_context("spawn")
-        victim = context.Process(
-            target=_worker_main,
-            args=(str(store.path), "kill-q", "victim", settings),
-            daemon=True,
-        )
-        victim.start()
+        name, victim = _start_victim(store, "kill-q", settings)
         deadline = time.monotonic() + 30.0
         while not store.leased_workers("kill-q"):
             assert time.monotonic() < deadline, "victim never claimed"
             time.sleep(0.02)
         leased = store.leased_workers("kill-q")
-        assert "victim" in leased
+        assert name in leased
 
         os.kill(victim.pid, signal.SIGKILL)  # mid-shard, no cleanup
         victim.join(timeout=10.0)
@@ -454,7 +458,7 @@ class TestSigkillRecovery:
             time.sleep(0.1)
             incidents = store.requeue_expired("kill-q", retry_limit=3)
         assert incidents[0]["kind"] == "lease-expired"
-        assert incidents[0]["worker"] == "victim"
+        assert incidents[0]["worker"] == name
         assert store.work_status("kill-q")["pending"] >= 1
 
         # A healthy worker (run in-process: _worker_main is just a
@@ -472,24 +476,30 @@ class TestSigkillRecovery:
         assert recovered.complete
         store.close()
 
-    def test_end_to_end_under_worker_killer(self, tmp_path):
-        # The acceptance criterion: kill rate ≥ 0.2 against the n=3
-        # NBAC frontier, and the merged result is still complete and
-        # identical to the serial walk.
+    def test_end_to_end_under_worker_killer(self, tmp_path, monkeypatch):
+        # The seeded WorkerKiller against the n=3 NBAC frontier: it
+        # kills, the dead are respawned, and the merged result is still
+        # complete and identical to the serial walk.  A forked fleet
+        # drains this root in about a second, before the killer's first
+        # hit, so every claim stalls a little to hold the kill window
+        # open.
         case = ExploreCase(target="nbac", n=3, depth=6)
         options = ExploreOptions(symmetry="auto")
         single = explore_case(case, options)
+        monkeypatch.setenv(CHAOS_STALL_ENV, "0.1")
         dynamic = explore_case_dynamic(
             case,
             options,
             workers=4,
-            lease_ttl=1.5,
-            chaos_kill_rate=0.4,
+            lease_ttl=1.0,
+            chaos_kill_rate=0.5,
             chaos_seed=11,
             store=tmp_path,
         )
         _assert_equivalent(dynamic, single)
         assert dynamic.complete
+        assert dynamic.frontier["kills"] >= 1
+        assert dynamic.frontier["respawns"] >= 1
         for incident in dynamic.incidents:
             assert incident["kind"] == "lease-expired"
 
@@ -520,7 +530,7 @@ class TestQuarantine:
 
 
 def _stall(store_path, queue_scope, worker, settings):
-    """A worker that never drains anything (spawned: module level)."""
+    """A worker that never drains anything."""
     time.sleep(600)
 
 
@@ -529,9 +539,9 @@ def _exit_at_once(store_path, queue_scope, worker, settings):
 
 
 class TestCoordinatorWait:
-    def test_worker_exit_wakes_the_coordinator(self):
+    def test_worker_exit_wakes_the_coordinator(self, tmp_path):
         fleet = _FrontierWorkers(
-            "unused", "unused", FleetSettings(), target=_stall
+            ResultStore(tmp_path), "unused", FleetSettings(), target=_stall
         )
         fleet.spawn(1)
         (process,) = fleet.processes.values()
@@ -551,9 +561,9 @@ class TestCoordinatorWait:
         finally:
             fleet.shutdown(timeout=0.0)
 
-    def test_wait_times_out_when_nobody_exits(self):
+    def test_wait_times_out_when_nobody_exits(self, tmp_path):
         fleet = _FrontierWorkers(
-            "unused", "unused", FleetSettings(), target=_stall
+            ResultStore(tmp_path), "unused", FleetSettings(), target=_stall
         )
         fleet.spawn(1)
         try:
@@ -564,9 +574,12 @@ class TestCoordinatorWait:
         finally:
             fleet.shutdown(timeout=0.0)
 
-    def test_dead_on_start_workers_respawn_no_faster_than_the_floor(self):
+    def test_dead_on_start_workers_respawn_no_faster_than_the_floor(
+        self, tmp_path
+    ):
         fleet = _FrontierWorkers(
-            "unused", "unused", FleetSettings(workers=2), target=_exit_at_once
+            ResultStore(tmp_path), "unused", FleetSettings(workers=2),
+            target=_exit_at_once,
         )
         fleet.spawn(2)
         iterations = 0
@@ -592,7 +605,7 @@ class TestCoordinatorWait:
 
         reader, writer = os.pipe()
         os.close(writer)
-        fleet = _FrontierWorkers("unused", "unused", FleetSettings())
+        fleet = _FrontierWorkers(None, "unused", FleetSettings())
         fleet.processes["w0"] = Gone(reader)
         try:
             started = time.monotonic()
@@ -648,3 +661,120 @@ class TestWarmSessions:
             for key in ("runs", "states", "dedup_hits", "por_pruned"):
                 assert after["result"]["stats"][key] == before["result"]["stats"][key]
         store.close()
+
+
+def _open_files(prefix):
+    """Paths under ``prefix`` this process holds a descriptor on."""
+    fds = "/proc/self/fd"
+    found = []
+    for fd in os.listdir(fds):
+        try:
+            path = os.readlink(os.path.join(fds, fd))
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        if path.startswith(prefix):
+            found.append(path)
+    return found
+
+
+class TestForkedFleet:
+    def test_a_target_registered_in_the_caller_is_walked(
+        self, tmp_path, monkeypatch
+    ):
+        # Registered in this process only: a worker that re-imported
+        # the library would not know the name, and every shard would
+        # fail into quarantine.
+        from repro.chaos.targets import TARGETS
+        from repro.explore.assignments import default_assignment
+
+        monkeypatch.setitem(
+            TARGETS, "callerhasty",
+            dataclasses.replace(TARGETS["hastycommit"], name="callerhasty"),
+        )
+        case = CASE.with_(
+            target="callerhasty",
+            assignment=default_assignment("hastycommit", CASE.n),
+        )
+        (summary,) = run_frontier([case], workers=2, store=tmp_path)
+        assert summary["frontier"]["workers"] == 2
+        assert summary["complete"] is True
+        assert summary["incidents"] == []
+        assert summary["violations"]
+        _assert_equivalent(result_from_summary(summary), explore_case(case))
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_no_connection_to_the_run_file_crosses_a_fork(
+        self, tmp_path, monkeypatch
+    ):
+        # Workers park in their first claim and a certain killer fires
+        # at the first poll, so the run forks its first fleet and then,
+        # after the coordinator has used its store, a respawn.
+        run_file = str(tmp_path / "store.sqlite")
+        probe = ResultStore(tmp_path)
+        probe.work_status("probe")
+        assert _open_files(run_file)  # the probe sees a live connection
+        probe.close()
+        assert _open_files(run_file) == []
+
+        open_at_fork = []
+        real_fork = os.fork
+
+        def probed_fork():
+            open_at_fork.append(_open_files(run_file))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", probed_fork)
+        monkeypatch.setenv(CHAOS_STALL_ENV, "600")
+        (summary,) = run_frontier(
+            [CASE], workers=2, lease_ttl=0.5, retry_limit=0,
+            chaos_kill_rate=100.0, store=tmp_path,
+        )
+        assert summary["frontier"]["kills"] >= 1
+        assert summary["frontier"]["respawns"] >= 1
+        assert len(open_at_fork) >= 3  # two workers and a respawn
+        assert open_at_fork == [[]] * len(open_at_fork)
+
+    def test_a_fleet_needs_fork(self, tmp_path, monkeypatch):
+        real_context = multiprocessing.get_context
+
+        def without_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", without_fork)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ValueError, match="needs the fork start method"):
+            run_frontier([CASE], workers=2, store=tmp_path)
+        assert list(tmp_path.iterdir()) == []  # refused before any work
+        # One worker needs no process, so it runs everywhere.
+        (summary,) = run_frontier([CASE], workers=1, store=tmp_path)
+        assert summary["complete"] and summary["violations"]
+
+    def test_a_swapped_network_class_reaches_the_workers(self, tmp_path):
+        from repro.sim.system import network_implementation
+
+        with network_implementation(_RefusedNetwork):
+            (summary,) = run_frontier(
+                [CASE], workers=2, retry_limit=0, store=tmp_path
+            )
+        assert summary["complete"] is False
+        quarantined = [
+            i for i in summary["incidents"] if i["kind"] == "shard-quarantined"
+        ]
+        assert quarantined
+        for incident in quarantined:
+            assert incident["error"]["message"] == _RefusedNetwork.MESSAGE
+
+
+class _RefusedNetwork:
+    """A network class no system can be built on."""
+
+    MESSAGE = "built on the swapped network"
+
+    def __init__(self, *args, **kwargs):
+        raise RuntimeError(self.MESSAGE)

@@ -88,6 +88,28 @@ class TestSummaries:
             # The torn row was deleted: next lookup is a clean miss.
             assert store.get_summary("k", "s") is None
 
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_a_closed_store_writes_again(self, tmp_path, batch):
+        # close() reopens lazily, buffered writers included: the
+        # frontier's coordinator closes its store before every fork.
+        store = ResultStore(tmp_path, batch=batch)
+        store.put_summary("before", "s", _summary(1))
+        store.record_witness({"case": {"target": "nbac"}})
+        store.close()
+        store.put_summary("after", "s", _summary(2))
+        store.record_witness({"case": {"target": "ct"}})
+        store.close()
+        with ResultStore(tmp_path) as reread:
+            assert reread.get_summary("after", "s").value == 4
+            con = reread.read_connection()
+            try:
+                targets = con.execute(
+                    "SELECT target FROM witnesses ORDER BY id"
+                ).fetchall()
+            finally:
+                con.close()
+        assert targets == [("nbac",), ("ct",)]
+
 
 def _kept_rows(root):
     """Every row of the tables that outlive a run, as stored."""
