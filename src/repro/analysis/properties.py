@@ -8,9 +8,10 @@ failure says *which* property broke, not just "wrong".
 
 Termination is finitised as usual: on a bounded run it means "every
 correct process decided within the horizon".  A run whose scheduler or
-delivery policy is intentionally unfair (``fair = False``) loses its
-claim to Termination but never to the safety clauses — the adversarial
-test suite leans on that distinction.
+delivery policy is intentionally unfair loses its claim to Termination
+but never to the safety clauses: the checkers report every clause, and
+the caller decides whether Termination was promised (the chaos fuzzer
+asks :attr:`~repro.chaos.knobs.ChaosKnobs.fair`).
 """
 
 from __future__ import annotations

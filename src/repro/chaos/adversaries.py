@@ -6,8 +6,9 @@ Each class here plugs into an existing simulator knob — the
 :class:`~repro.sim.scheduler.Scheduler` — and stays inside the model's
 latitude: links stay reliable (duplication adds deliveries, never
 removes one), delays stay finite, and starvation windows close.  The
-single exception, :class:`NewestFirstDelivery`, is honestly marked
-``fair = False`` so property checkers drop the Termination claim.
+single exception is :class:`NewestFirstDelivery`; a campaign that
+enables it is unfair (:attr:`~repro.chaos.knobs.ChaosKnobs.fair` is
+False), so the fuzzer drops the Termination claim for it.
 
 The ``make_*`` functions at the bottom are the module-level factories
 that :class:`~repro.runner.spec.RunSpec` cells reference through
@@ -45,8 +46,6 @@ class NewestFirstDelivery(DeliveryPolicy):
     acks arriving after the world moved on — here they arrive *before*).
     """
 
-    fair = False
-
     def choose(
         self, ready: List[Message], now: int, rng: random.Random
     ) -> Optional[Message]:
@@ -79,7 +78,6 @@ class DuplicatingDelivery(DeliveryPolicy):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.inner = inner or OldestFirstDelivery()
-        self.fair = self.inner.fair
         # Selection is delegated wholesale, so the indexed network may
         # use its oldest-first fast path whenever the inner policy does;
         # duplicate_after fires on either path.

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -51,6 +52,7 @@ from repro.chaos.targets import (
 )
 from repro.core.environment import FCrashEnvironment
 from repro.runner import Campaign, JobFailure
+from repro.runner.config import resolve_workers
 from repro.sim.rng import RngStreams
 
 
@@ -284,6 +286,16 @@ def run_fuzz(
     )
 
 
+def _open_store(path: Optional[Path]) -> Any:
+    """The ``--store`` database as a context manager (closed on every
+    way out), or a null one when no path was given."""
+    if path is None:
+        return nullcontext()
+    from repro.store import ResultStore
+
+    return ResultStore(path)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -300,7 +312,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--timeout", type=float, default=None,
-        help="per-run wall-clock budget in seconds",
+        help="per-run wall-clock budget in seconds (0 = no limit)",
     )
     parser.add_argument(
         "--targets", default=",".join(CLEAN_TARGETS),
@@ -340,28 +352,43 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0 if outcome.ok else 1
 
+    # Every refusal is a usage error (exit 2) before any store or run:
+    # exit 1 is the verdict "safety violated", and an empty campaign
+    # must not read as a clean one.
+    targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
+    unknown = [t for t in targets if t not in TARGETS]
+    if not targets or unknown:
+        parser.error(
+            f"--targets {args.targets!r}: need one or more of {sorted(TARGETS)}"
+        )
+    for flag, value in (
+        ("--rounds", args.rounds), ("--n", args.n), ("--horizon", args.horizon)
+    ):
+        if value < 1:
+            parser.error(f"{flag} {value}: need 1 or more")
+    if args.timeout is not None and args.timeout < 0:
+        parser.error(f"--timeout {args.timeout}: need 0 (no limit) or more")
+    try:
+        jobs = resolve_workers(args.jobs)
+    except ValueError as refusal:
+        parser.error(str(refusal))
+
     rounds, horizon = args.rounds, args.horizon
     if args.smoke:
         rounds, horizon = 2, 20_000
-    store = None
-    if args.store is not None:
-        from repro.store import ResultStore
-
-        store = ResultStore(args.store)
-    report = run_fuzz(
-        targets=tuple(t.strip() for t in args.targets.split(",") if t.strip()),
-        rounds=rounds,
-        seed=args.seed,
-        n=args.n,
-        horizon=horizon,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        out_dir=args.out,
-        shrink=not args.no_shrink,
-        store=store,
-    )
-    if store is not None:
-        store.close()
+    with _open_store(args.store) as store:
+        report = run_fuzz(
+            targets=targets,
+            rounds=rounds,
+            seed=args.seed,
+            n=args.n,
+            horizon=horizon,
+            jobs=jobs,
+            timeout=args.timeout,
+            out_dir=args.out,
+            shrink=not args.no_shrink,
+            store=store,
+        )
     print(report.render())
     if not report.safe:
         print("SAFETY VIOLATIONS FOUND", file=sys.stderr)

@@ -28,6 +28,7 @@ import time
 
 from repro.experiments.common import all_experiments
 from repro.runner import configure, profile
+from repro.runner.config import resolve_workers
 
 
 def main(argv=None) -> int:
@@ -83,7 +84,12 @@ def main(argv=None) -> int:
             f"experiment ids first: {args.profile} --profile"
         )
 
-    configure(workers=args.jobs, cache=args.cache)
+    try:
+        workers = resolve_workers(args.jobs)
+    except ValueError as refusal:
+        parser.error(str(refusal))
+
+    configure(workers=workers, cache=args.cache)
     if args.profile:
         profile.enable()
 

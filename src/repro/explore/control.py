@@ -341,12 +341,9 @@ class ChoiceController:
 class ExploringScheduler(Scheduler):
     """Scheduler adapter: delegates every pick to the controller.
 
-    Declared unfair — the explorer enumerates adversarial schedules, so
-    nothing downstream may assume fairness (and the quiescence
-    time-leap, gated on ``fair``, stays off).
+    The explorer enumerates adversarial schedules, so nothing
+    downstream may assume fairness.
     """
-
-    fair = False
 
     def __init__(self, controller: ChoiceController):
         self.controller = controller
@@ -365,7 +362,6 @@ class ExploringScheduler(Scheduler):
 class ExploringDelivery(DeliveryPolicy):
     """Delivery-policy adapter: delegates every pick to the controller."""
 
-    fair = False
     oldest_first_selection = False
 
     def __init__(self, controller: ChoiceController):

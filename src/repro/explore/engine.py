@@ -627,10 +627,10 @@ class _Process:
        (:meth:`~repro.sim.process.ProcessHost.replay`) — and execute.
 
     **Any other access** (``components``, ``component()``, ``_driver``,
-    ``_started``, ``steps_taken``, ``quiescent``, ``ctx.now``: the
-    fingerprint encoder on a host-cache miss, a stop predicate, a test)
-    materializes first and is answered by the object, so an object in a
-    state other than the process's cannot be observed.
+    ``_started``, ``steps_taken``, ``ctx.now``: the fingerprint encoder
+    on a host-cache miss, a stop predicate, a test) materializes first
+    and is answered by the object, so an object in a state other than
+    the process's cannot be observed.
     """
 
     __slots__ = ("pid", "ctx", "_live", "_provider", "_host", "_at", "_held")

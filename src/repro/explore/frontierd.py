@@ -484,22 +484,20 @@ def fleet_size(
     """The worker count :func:`run_frontier` runs for ``workers``.
 
     Resolved like a campaign's (:func:`repro.runner.config
-    .resolve_workers`); None means 1 and 0 every core.  What the
-    frontier refuses is a ``ValueError``: a negative fleet; a lease
-    that is not a positive number of seconds, which would expire as
-    soon as it is issued; a fleet on a platform without ``fork``, the
-    one way workers start (one worker needs no process and runs
-    everywhere); and a kill rate with one worker, which walks in the
-    caller's process, so nothing could be killed and an ``ok`` would
-    read as "recovery proven".
+    .resolve_workers`, which refuses a negative fleet); None means 1
+    and 0 every core.  What the frontier refuses besides is a
+    ``ValueError``: a lease that is not a positive number of seconds,
+    which would expire as soon as it is issued; a fleet on a platform
+    without ``fork``, the one way workers start (one worker needs no
+    process and runs everywhere); and a kill rate with one worker,
+    which walks in the caller's process, so nothing could be killed
+    and an ``ok`` would read as "recovery proven".
     """
     from repro.runner.config import resolve_workers
     from repro.runner.executor import default_worker_count
 
     resolved = resolve_workers(workers)
     resolved = 1 if resolved is None else resolved or default_worker_count()
-    if resolved < 0:
-        raise ValueError(f"workers={resolved}: need 1 or more (0 = every core)")
     if not lease_ttl > 0:
         raise ValueError(f"lease_ttl={lease_ttl}: need a positive number of seconds")
     if resolved > 1 and "fork" not in multiprocessing.get_all_start_methods():

@@ -29,7 +29,7 @@ class RegisterWorkload(Component):
     registers:
         The register names this client touches.
     ops_per_process:
-        Operations to issue before going quiescent (0 = run forever).
+        Operations to issue before going idle (0 = run forever).
     read_fraction:
         Probability that an operation is a read.
     think_steps:

@@ -60,17 +60,26 @@ def reset() -> None:
 
 
 def resolve_workers(workers: Optional[int] = None) -> Optional[int]:
-    if workers is not None:
-        return workers
-    if _workers is not None:
-        return _workers
-    env = os.environ.get("REPRO_RUNNER_JOBS")
-    if env is not None:
+    """Worker count (None when nothing sets one; ``0`` = all cores).
+
+    Whichever source supplies it, a negative count is a ``ValueError``:
+    campaigns and the explorer's frontier share this one rule.
+    """
+    source = "workers"
+    if workers is None:
+        workers = _workers
+    if workers is None:
+        env = os.environ.get("REPRO_RUNNER_JOBS")
+        if env is None:
+            return None
+        source = "REPRO_RUNNER_JOBS"
         try:
-            return int(env)
+            workers = int(env)
         except ValueError:
             raise ValueError(f"REPRO_RUNNER_JOBS={env!r} is not an integer")
-    return None
+    if workers < 0:
+        raise ValueError(f"{source}={workers}: need 1 or more (0 = every core)")
+    return workers
 
 
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:

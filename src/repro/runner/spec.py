@@ -29,10 +29,11 @@ from repro.runner.fingerprint import fingerprint
 
 #: Bump when run semantics change in a way that should invalidate every
 #: cached result regardless of source-hash salting.
-#: 2: RunSpec grew ``time_leap``; RunSummary grew ``perf``.
+#: 2: RunSpec grew the opt-in time-leap flag; RunSummary grew ``perf``.
 #: 3: RunSpec grew ``engine`` (buffer-engine pin; None = ambient).
 #: 4: ``engine`` removed again — the network is not a property of a spec.
-SPEC_FORMAT = 4
+#: 5: the time-leap flag removed — the run loop has one way to run a tick.
+SPEC_FORMAT = 5
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,6 @@ class RunSpec:
     stop: Optional[CallSpec] = None
     grace: int = 0
     trace_mode: str = "lite"
-    #: Opt-in quiescence time-leap (see :meth:`repro.sim.system.System.run`);
-    #: trace-neutral, so two specs differing only here produce equal
-    #: stable digests — but distinct fingerprints/cache keys.
-    time_leap: bool = False
     summarize: Optional[CallSpec] = None
     #: Free-form labels echoed into the summary (axis coordinates,
     #: row keys); part of the fingerprint so distinct cells never

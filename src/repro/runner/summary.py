@@ -51,8 +51,8 @@ class RunSummary:
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Hot-path counter snapshot (:mod:`repro.sim.perf`).  Observability
     #: only: excluded from :meth:`stable_digest` because different buffer
-    #: engines / time-leap settings legitimately count differently while
-    #: producing identical traces.
+    #: engines legitimately count differently while producing identical
+    #: traces.
     perf: Dict[str, int] = field(default_factory=dict)
     wall_clock: float = 0.0
     cached: bool = False

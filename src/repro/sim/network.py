@@ -124,9 +124,6 @@ class SpikeDelay(DelayModel):
 class DeliveryPolicy(ABC):
     """Chooses which ready message (if any) a scheduled process receives."""
 
-    #: Whether the policy preserves the model's reliability guarantee.
-    fair: bool = True
-
     #: A promise that :meth:`choose` is exactly
     #: ``min(ready, key=lambda m: (m.send_time, m.msg_id))`` and never
     #: returns None on a non-empty ready list.  The indexed network then
@@ -159,7 +156,6 @@ class DeliveryPolicy(ABC):
 class OldestFirstDelivery(DeliveryPolicy):
     """Deliver the longest-waiting ready message — fair by construction."""
 
-    fair = True
     oldest_first_selection = True
 
     def choose(
@@ -176,8 +172,6 @@ class RandomDelivery(DeliveryPolicy):
     use :class:`OldestFirstDelivery`.
     """
 
-    fair = True
-
     def choose(
         self, ready: List[Message], now: int, rng: random.Random
     ) -> Optional[Message]:
@@ -191,8 +185,6 @@ class HoldingDelivery(DeliveryPolicy):
     delivered while the predicate holds.  Used by the FLP experiment to
     keep a detector-free consensus run undecided.
     """
-
-    fair = False
 
     def __init__(self, held: Callable[[Message, int], bool]):
         self.held = held
@@ -415,27 +407,6 @@ class Network:
         buf = self._buffers[dest]
         return len(buf.future) + len(buf.ready)
 
-    def next_ready_time(self, dests: Iterable[int], now: int) -> Optional[int]:
-        """Earliest time a buffered message for ``dests`` is deliverable.
-
-        Returns ``now`` (or earlier) if something is already ready,
-        the earliest future ``ready_at`` otherwise, and None when
-        nothing at all is buffered for those destinations.  The
-        quiescence time-leap uses this to bound how far it may jump.
-        """
-        best: Optional[int] = None
-        for dest in dests:
-            buf = self._buffers[dest]
-            if buf.ready:
-                return now
-            if buf.future:
-                top = buf.future[0][0]
-                if top <= now:  # deliverable, just not yet promoted
-                    return now
-                if best is None or top < best:
-                    best = top
-        return best
-
 
 class ReferenceNetwork:
     """The seed's flat-list buffer engine, kept as the behavioral oracle.
@@ -559,14 +530,3 @@ class ReferenceNetwork:
         if dest is None:
             return sum(len(q) for q in self._pending)
         return len(self._pending[dest])
-
-    def next_ready_time(self, dests: Iterable[int], now: int) -> Optional[int]:
-        """O(pending) twin of :meth:`Network.next_ready_time`."""
-        best: Optional[int] = None
-        for dest in dests:
-            for msg in self._pending[dest]:
-                if msg.ready_at <= now:
-                    return now
-                if best is None or msg.ready_at < best:
-                    best = msg.ready_at
-        return best

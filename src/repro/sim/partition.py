@@ -39,8 +39,6 @@ class TransientPartition(DeliveryPolicy):
         degenerates to, so it is legal rather than an error.
     """
 
-    fair = True  # the partition heals, so delivery is eventually fair
-
     def __init__(self, groups: Sequence[Set[int]], start: int, end: int):
         if start > end:
             raise ValueError(f"partition window [{start}, {end}) is inverted")

@@ -4,20 +4,17 @@ A :class:`PerfCounters` value is a flat bag of integers incremented by
 the network buffers, the run loop and the detector history while a
 :class:`~repro.sim.system.System` executes.  The counters are
 *observability*, not semantics: two runs of the same spec on different
-engine implementations (reference vs indexed buffers, time-leap on vs
-off) produce identical traces but legitimately different counters — so
-they are excluded from every determinism digest and only ever compared
-as performance evidence.
+engine implementations (reference vs indexed buffers) produce identical
+traces but legitimately different counters — so they are excluded
+from every determinism digest and only ever compared as performance
+evidence.
 
 Counter semantics (see ``docs/PERF.md`` for the full story):
 
 ``ticks``
-    Steps recorded by the run loop, including synthesized λ-steps.
+    Steps recorded by the run loop.
 ``lambda_steps``
     Steps in which no message was delivered.
-``ticks_leaped`` / ``leap_windows``
-    λ-steps synthesized by the quiescence time-leap, and how many
-    contiguous windows they came in.
 ``messages_sent`` / ``messages_delivered``
     Mirror of the network's send/deliver totals.
 ``messages_scanned``
@@ -128,8 +125,6 @@ from typing import Dict, Iterable, Mapping
 FIELDS = (
     "ticks",
     "lambda_steps",
-    "ticks_leaped",
-    "leap_windows",
     "messages_sent",
     "messages_delivered",
     "messages_scanned",
@@ -192,12 +187,6 @@ class PerfCounters:
         if not self.messages_delivered:
             return 0.0
         return self.messages_scanned / self.messages_delivered
-
-    def leap_ratio(self) -> float:
-        """Fraction of recorded steps synthesized by the time-leap."""
-        if not self.ticks:
-            return 0.0
-        return self.ticks_leaped / self.ticks
 
     def detector_hit_rate(self) -> float:
         if not self.detector_value_calls:

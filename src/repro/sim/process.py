@@ -192,22 +192,6 @@ class Component(ABC):
     def on_step(self) -> None:
         """Called at every step of the process (after message dispatch)."""
 
-    @property
-    def quiescent(self) -> bool:
-        """Whether a λ-step cannot change this component's state.
-
-        The quiescence time-leap (``System(..., time_leap=True)``) may
-        skip a process's λ-steps only while every component reports
-        quiescent *and* no tasklet is runnable.  The default detects
-        purely message-driven components — those that never override
-        :meth:`on_step` (the base hook is a no-op, so a λ-step runs no
-        component code).  Components with self-driving periodic logic
-        (timeouts, heartbeats) inherit ``False`` automatically;
-        override this property only if such logic is conditionally
-        idle and you can prove a skipped step is a no-op.
-        """
-        return type(self).on_step is Component.on_step
-
     # -- services ----------------------------------------------------------
     @property
     def pid(self) -> int:
@@ -265,21 +249,6 @@ class ProcessHost:
 
     def component(self, name: str) -> Component:
         return self.components[name]
-
-    @property
-    def quiescent(self) -> bool:
-        """Whether a λ-step of this process would be a state no-op.
-
-        True once the process has started, no tasklet is pending, and
-        every component reports :attr:`Component.quiescent`.  An
-        unstarted process is never quiescent — its first step runs
-        ``on_start`` hooks that may send messages or spawn tasklets.
-        """
-        return (
-            self._started
-            and not self._driver.active_count
-            and all(comp.quiescent for comp in self.components.values())
-        )
 
     # ------------------------------------------------------------------
     # The atomic step ⟨p, m, d⟩

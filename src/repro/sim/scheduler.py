@@ -20,9 +20,6 @@ from typing import Iterable, Optional, Sequence, Set, Tuple
 class Scheduler(ABC):
     """Chooses which alive process steps at each tick."""
 
-    #: Whether the scheduler guarantees the model's fairness condition.
-    fair: bool = True
-
     @abstractmethod
     def pick(
         self, alive: Sequence[int], now: int, rng: random.Random
@@ -32,8 +29,6 @@ class Scheduler(ABC):
 
 class RandomScheduler(Scheduler):
     """Uniformly random choice among alive processes."""
-
-    fair = True
 
     def pick(
         self, alive: Sequence[int], now: int, rng: random.Random
@@ -48,8 +43,6 @@ class RoundRobinScheduler(Scheduler):
     :meth:`System.run` maintains it that way (it filters a ``range``),
     so ``pick`` scans it directly instead of re-sorting every tick.
     """
-
-    fair = True
 
     def __init__(self) -> None:
         self._last = -1
@@ -73,8 +66,6 @@ class WeightedScheduler(Scheduler):
     Fair with probability 1 as long as every weight is positive.
     """
 
-    fair = True
-
     def __init__(self, weights: Sequence[float]):
         if any(w <= 0 for w in weights):
             raise ValueError("all weights must be positive for fairness")
@@ -94,8 +85,6 @@ class StarvationScheduler(Scheduler):
     the indistinguishability at the heart of FLP [8].  Safety checkers
     run against this; liveness checkers must not.
     """
-
-    fair = False
 
     def __init__(self, starved: Set[int], inner: Optional[Scheduler] = None):
         self.starved = set(starved)
@@ -122,8 +111,6 @@ class WindowedStarvationScheduler(Scheduler):
     If a window would starve every alive process (halting the run for
     a reason the model does not admit), it is ignored for that step.
     """
-
-    fair = True
 
     def __init__(
         self,
@@ -177,8 +164,6 @@ class BurstScheduler(Scheduler):
     Fair (every alive process gets infinitely many bursts) but highly
     uneven, which stresses timestamp and quorum logic.
     """
-
-    fair = True
 
     def __init__(self, burst_length: int = 25):
         if burst_length < 1:

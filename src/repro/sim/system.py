@@ -61,7 +61,6 @@ class System:
         delay_model: Optional[DelayModel] = None,
         delivery_policy: Optional[DeliveryPolicy] = None,
         trace_mode: str = "full",
-        time_leap: bool = False,
     ):
         if pattern.n != n:
             raise ValueError(f"pattern over {pattern.n} processes, system over {n}")
@@ -84,7 +83,6 @@ class System:
             perf=self.perf,
         )
         self.scheduler = scheduler or RandomScheduler()
-        self.time_leap = time_leap
         self.detector_history: Optional[FailureDetectorHistory] = None
         if detector is not None:
             self.detector_history = detector.build_history(
@@ -146,7 +144,6 @@ class System:
             delay_model=spec.resolve_delay_model(),
             delivery_policy=spec.resolve_delivery_policy(),
             trace_mode=spec.trace_mode,
-            time_leap=getattr(spec, "time_leap", False),
         )
 
     def _wire_detector(self, host: ProcessHost) -> None:
@@ -186,21 +183,6 @@ class System:
         that tick with the crash schedule caught up, and the trace
         continues as if never interrupted.  The stop predicate must not
         have held before ``start``.
-
-        With ``time_leap=True`` the loop may *synthesize* stretches of
-        λ-steps instead of executing them: whenever every alive process
-        is quiescent (see :attr:`Component.quiescent`) and no buffered
-        message is deliverable, every tick until the next event —
-        earliest ``ready_at``, next crash, the grace deadline, the
-        horizon — is provably a λ-step of whichever process the
-        scheduler picks, so the loop records those steps (scheduler
-        state, rng stream, digest bytes all exact; detector samples
-        too, taken like any tick's only by a trace that retains them)
-        without running the per-tick machinery.  The leap is forced off
-        under unfair schedulers or delivery policies, and requires
-        ``stop_when`` predicates to be state-based (decisions,
-        operations, component state — not raw step counts), which every
-        predicate in this repo is.
         """
         rng_sched = self.streams.get("scheduler")
         stop_at: Optional[int] = None
@@ -215,12 +197,8 @@ class System:
         network = self.network
         scheduler = self.scheduler
         perf = self.perf
-        leap_enabled = (
-            self.time_leap and scheduler.fair and network.delivery_policy.fair
-        )
         completed = True
-        t = start
-        while t <= self.horizon:
+        for t in range(start, self.horizon + 1):
             self.now = t
             while next_event < len(events) and events[next_event][0] <= t:
                 crashed_pid = events[next_event][1]
@@ -249,13 +227,6 @@ class System:
                 trace.stop_reason = "stop-condition"
                 completed = False
                 break
-            if leap_enabled and t < self.horizon:
-                leaped = self._try_leap(
-                    t, alive, events, next_event, stop_at, grace, rng_sched
-                )
-                if leaped is not None:
-                    t = leaped
-            t += 1
         if completed:
             trace.stop_reason = (
                 "stop-condition" if stop_at is not None else "horizon"
@@ -264,67 +235,6 @@ class System:
         trace.messages_delivered = network.delivered_count
         trace.final_time = self.now
         return trace
-
-    def _try_leap(
-        self,
-        t: int,
-        alive: List[int],
-        events: Sequence[Tuple[int, int]],
-        next_event: int,
-        stop_at: Optional[int],
-        grace: int,
-        rng_sched,
-    ) -> Optional[int]:
-        """Synthesize the λ-only window after tick ``t``; returns its end.
-
-        Returns the last synthesized tick (the caller resumes the
-        normal loop at the following one), or None when no tick can be
-        skipped.  Preconditions checked here: every alive process
-        quiescent, no deliverable message before the window's end.  The
-        window is cut just before the next crash event (``alive``
-        changes there) and before the grace deadline (that tick must
-        run the normal stop check).
-        """
-        for pid in alive:
-            if not self.hosts[pid].quiescent:
-                return None
-        end = self.horizon
-        if next_event < len(events):
-            end = min(end, events[next_event][0] - 1)
-        if stop_at is not None:
-            end = min(end, stop_at + grace - 1)
-        next_ready = self.network.next_ready_time(alive, t)
-        if next_ready is not None:
-            if next_ready <= t:
-                return None
-            end = min(end, next_ready - 1)
-        if end <= t:
-            return None
-        trace = self.trace
-        hosts = self.hosts
-        for tt in range(t + 1, end + 1):
-            self.now = tt
-            pid = self.scheduler.pick(alive, tt, rng_sched)
-            if pid is None:
-                # The leap is gated on scheduler.fair, and fair
-                # schedulers never halt; resuming the normal loop here
-                # would replay the pick and fork the rng stream.
-                raise RuntimeError(
-                    f"scheduler {type(self.scheduler).__name__} claims "
-                    f"fair=True but halted at t={tt} during a time-leap"
-                )
-            host = hosts[pid]
-            ctx = host.ctx
-            ctx.now = tt
-            host.steps_taken += 1
-            trace.record_step(tt, pid, None, ctx.detector)
-        skipped = end - t
-        perf = self.perf
-        perf.ticks += skipped
-        perf.lambda_steps += skipped
-        perf.ticks_leaped += skipped
-        perf.leap_windows += 1
-        return end
 
     # ------------------------------------------------------------------
     # Conveniences
@@ -353,7 +263,6 @@ class SystemBuilder:
         self._delivery_policy: Optional[DeliveryPolicy] = None
         self._factories: List[Tuple[str, ComponentFactory]] = []
         self._trace_mode: str = "full"
-        self._time_leap: bool = False
 
     def pattern(self, pattern: FailurePattern) -> "SystemBuilder":
         self._pattern = pattern
@@ -402,11 +311,6 @@ class SystemBuilder:
         self._trace_mode = mode
         return self
 
-    def time_leap(self, enabled: bool = True) -> "SystemBuilder":
-        """Opt in to the quiescence time-leap (see :meth:`System.run`)."""
-        self._time_leap = enabled
-        return self
-
     def build(self) -> System:
         if self._pattern is not None:
             pattern = self._pattern
@@ -430,7 +334,6 @@ class SystemBuilder:
             delay_model=self._delay_model,
             delivery_policy=self._delivery_policy,
             trace_mode=self._trace_mode,
-            time_leap=self._time_leap,
         )
 
 

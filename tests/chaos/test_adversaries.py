@@ -33,10 +33,16 @@ def msg(msg_id, send_time, meta=None):
 class TestNewestFirst:
     def test_picks_youngest_and_is_unfair(self):
         policy = NewestFirstDelivery()
-        assert policy.fair is False
         ready = [msg(1, 10), msg(2, 50), msg(3, 20)]
         chosen = policy.choose(ready, now=60, rng=random.Random(0))
         assert chosen.msg_id == 2
+        # Under sustained traffic the oldest message waits forever.
+        ready = [msg(1, 0)]
+        for t in range(1, 50):
+            ready.append(msg(t + 1, t))
+            chosen = policy.choose(ready, now=t, rng=random.Random(0))
+            assert chosen.msg_id != 1
+            ready.remove(chosen)
 
     def test_ties_break_by_msg_id(self):
         policy = NewestFirstDelivery()
@@ -47,12 +53,15 @@ class TestNewestFirst:
 class TestDuplicatingDelivery:
     def test_selection_delegates_to_inner(self):
         policy = DuplicatingDelivery(inner=NewestFirstDelivery(), probability=1.0)
-        assert policy.fair is False  # inherited
         ready = [msg(1, 10), msg(2, 50)]
         assert policy.choose(ready, 60, random.Random(0)).msg_id == 2
 
     def test_fairness_inherited_from_default_inner(self):
-        assert DuplicatingDelivery(probability=0.5).fair is True
+        policy = DuplicatingDelivery(probability=0.5)
+        assert isinstance(policy.inner, OldestFirstDelivery)
+        assert policy.oldest_first_selection
+        ready = [msg(2, 50), msg(1, 10)]
+        assert policy.choose(ready, 60, random.Random(0)).msg_id == 1
 
     def test_duplicates_with_probability_one(self):
         policy = DuplicatingDelivery(probability=1.0, max_delay=7)
@@ -141,4 +150,3 @@ class TestFactories:
         policy = make_delivery(k)
         assert isinstance(policy, DuplicatingDelivery)
         assert isinstance(policy.inner, TransientPartition)
-        assert policy.fair is True  # transient partitions heal

@@ -135,3 +135,54 @@ class TestReplayCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+
+class TestFuzzCliRefusals:
+    """Nonsense input is a usage error (exit 2) before any store is
+    opened or any run starts: exit 1 is the verdict "safety violated",
+    and an empty campaign must not read as a clean one."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--targets", "nosuch"], "--targets 'nosuch'"),
+            (["--targets", ""], "--targets ''"),
+            (["--n", "0"], "--n 0"),
+            (["--horizon", "0"], "--horizon 0"),
+            (["--rounds", "0"], "--rounds 0"),
+            (["--rounds", "-1"], "--rounds -1"),
+            (["--timeout", "-1"], "--timeout -1"),
+            (["--jobs", "-2"], "workers=-2"),
+        ],
+        ids=[
+            "unknown-target", "no-target", "n-0", "horizon-0", "rounds-0",
+            "rounds-negative", "timeout-negative", "jobs-negative",
+        ],
+    )
+    def test_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        self._refused(tmp_path, capsys, monkeypatch, argv, message)
+
+    def test_negative_jobs_from_the_environment(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_RUNNER_JOBS", "-3")
+        self._refused(tmp_path, capsys, monkeypatch, [], "REPRO_RUNNER_JOBS=-3")
+
+    @staticmethod
+    def _refused(tmp_path, capsys, monkeypatch, argv, message):
+        from repro.chaos import fuzz
+
+        def no_run(**kwargs):
+            raise AssertionError("a refused campaign started")
+
+        monkeypatch.setattr(fuzz, "run_fuzz", no_run)
+        store, out = tmp_path / "db", tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            fuzz.main(argv + ["--store", str(store), "--out", str(out)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not store.exists() and not out.exists()

@@ -52,7 +52,6 @@ from repro.sim.system import System
 
 from tests.core.detector_streams import STREAMS_PATH, stream_digests
 from tests.runner import helpers
-from tests.sim.test_time_leap import SparsePinger
 
 # ----------------------------------------------------------------------
 # (a) any read order == cold point reads; segments are constant
@@ -278,6 +277,38 @@ def test_history_does_not_follow_later_edits_of_its_oracle(oracle_cls):
 # ----------------------------------------------------------------------
 # (d) a lite trace is the same run, minus the samples nobody keeps
 # ----------------------------------------------------------------------
+class SparsePinger(Component):
+    """Message-driven ring that never reads ``d``: long silences between
+    deliveries, so almost every tick is a λ-step."""
+
+    name = "ping"
+
+    def __init__(self, hops: int = 20):
+        super().__init__()
+        self.hops = hops
+        self.done = False
+
+    def _finish(self):
+        if not self.done:
+            self.done = True
+            self.decide("done")
+
+    def on_start(self):
+        if self.pid == 0:
+            self.send((self.pid + 1) % self.n, ("ball", 0))
+
+    def on_message(self, sender, payload, meta):
+        if payload[0] == "done":
+            self._finish()
+            return
+        _, hop = payload
+        if hop + 1 < self.hops:
+            self.send((self.pid + 1) % self.n, ("ball", hop + 1))
+        else:
+            self._finish()
+            self.broadcast(("done",), include_self=False)
+
+
 def sparse_ping_factory():
     return lambda pid: SparsePinger()
 
@@ -336,7 +367,7 @@ class TestLiteTraceSamplesNothing:
         assert 0 < protocol_reads == lite.perf.detector_value_calls
         _assert_samples_are_the_history(full)
 
-    def test_time_leaping_sparse_run(self):
+    def test_sparse_run(self):
         spec = run_spec(
             n=3,
             seed=3,
@@ -344,10 +375,11 @@ class TestLiteTraceSamplesNothing:
             detector=omega_sigma_oracle(),
             delay_model=ConstantDelay(150),
             components=[("ping", call(sparse_ping_factory))],
-            time_leap=True,
         )
         lite, full = _run_both_modes(spec)
-        assert lite.perf.ticks_leaped == full.perf.ticks_leaped > 0
+        assert lite.trace.decisions
+        assert lite.perf.lambda_steps == full.perf.lambda_steps
+        assert full.perf.lambda_steps > 0.9 * full.perf.ticks
         # The pinger never reads d: every read was the trace's.
         assert full.perf.detector_value_calls == len(full.trace.steps)
         assert lite.perf.detector_value_calls == 0

@@ -75,3 +75,18 @@ def test_unknown_experiment_is_an_argument_error(registry):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["E99"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,env", [(["--jobs", "-1"], None), ([], "-3")], ids=["flag", "env"]
+)
+def test_negative_jobs_is_an_argument_error(
+    registry, monkeypatch, capsys, argv, env
+):
+    if env is not None:
+        monkeypatch.setenv("REPRO_RUNNER_JOBS", env)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["E1"])
+    assert excinfo.value.code == 2
+    assert "need 1 or more" in capsys.readouterr().err
+    assert registry == []

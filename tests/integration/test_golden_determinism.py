@@ -2,10 +2,9 @@
 
 Each of the five clean experiment-family targets (register / paxos / ct
 / qc / nbac) is run on :class:`ReferenceNetwork` (the seed's flat-list
-buffers, kept verbatim) and on the indexed :class:`Network` — and,
-where the adversary is fair, once more with the quiescence time-leap —
-asserting *byte-identical* step sequences, digests, message counters
-and property verdicts.  This is the acceptance gate for the hot-path
+buffers, kept verbatim) and on the indexed :class:`Network`, asserting
+*byte-identical* step sequences, digests, message counters and
+property verdicts.  This is the acceptance gate for the hot-path
 overhaul: any divergence here means the optimization changed semantics,
 not just speed.
 """
@@ -42,8 +41,8 @@ def _case(target, seed, knobs):
     )
 
 
-def _execute(spec, impl, time_leap=False):
-    spec = spec.with_(trace_mode="full", time_leap=time_leap)
+def _execute(spec, impl):
+    spec = spec.with_(trace_mode="full")
     with network_implementation(impl):
         system = System.from_spec(spec)
     trace = system.run(stop_when=spec.resolve_stop(), grace=spec.grace)
@@ -80,26 +79,18 @@ class TestIndexedMatchesSeed:
             ref = _execute(spec, ReferenceNetwork)
             got = _execute(spec, Network)
             _assert_golden(ref, got)
-            if knobs.fair:
-                leaped = _execute(spec, Network, time_leap=True)
-                _assert_golden(ref, leaped)
 
 
 def test_summaries_stable_digest_across_engines():
     """The campaign-level witness: RunSummary.stable_digest (which spans
     decisions, latencies, verdict metrics and the trace digest, and
-    excludes perf) is equal across engines and leap settings."""
+    excludes perf) is equal across engines."""
     spec = build_spec(_case("paxos", 1, ChaosKnobs()))
     with network_implementation(ReferenceNetwork):
         ref = spec.execute()
     with network_implementation(Network):
         idx = spec.execute()
-    leap = spec.with_(time_leap=True).execute()
     assert ref.stable_digest() == idx.stable_digest()
-    # time_leap is part of the spec fingerprint (cache key) but not of
-    # run-determined content: neutralise the key before comparing.
-    leap.key = idx.key
-    assert idx.stable_digest() == leap.stable_digest()
 
 
 def test_holding_delivery_golden():

@@ -14,7 +14,12 @@ import pytest
 
 from repro.runner import call, fn_spec
 from repro.runner.campaign import Campaign
-from repro.runner.config import configure, reset, resolve_timeout
+from repro.runner.config import (
+    configure,
+    reset,
+    resolve_timeout,
+    resolve_workers,
+)
 from repro.runner.executor import (
     JobTimeout,
     PoolExecutor,
@@ -134,6 +139,35 @@ class TestTimeouts:
         assert resolve_timeout(1.0) == 1.0
         assert resolve_timeout(0) is None  # explicit off
         reset()
+
+
+class TestWorkerResolution:
+    def test_resolution_order(self, monkeypatch):
+        reset()
+        assert resolve_workers(None) is None
+        monkeypatch.setenv("REPRO_RUNNER_JOBS", "3")
+        assert resolve_workers(None) == 3
+        configure(workers=2)
+        assert resolve_workers(None) == 2
+        assert resolve_workers(0) == 0  # every core
+        reset()
+
+    def test_negative_count_refused_from_every_source(self, monkeypatch):
+        reset()
+        with pytest.raises(ValueError, match="workers=-1: need 1 or more"):
+            resolve_workers(-1)
+        configure(workers=-2)
+        with pytest.raises(ValueError, match="workers=-2"):
+            resolve_workers(None)
+        reset()
+        monkeypatch.setenv("REPRO_RUNNER_JOBS", "-3")
+        with pytest.raises(ValueError, match="REPRO_RUNNER_JOBS=-3"):
+            resolve_workers(None)
+
+    def test_campaign_refuses_a_negative_count(self):
+        campaign = Campaign([fn_spec(call(fn_square, 2))])
+        with pytest.raises(ValueError, match="need 1 or more"):
+            campaign.run(workers=-1)
 
 
 @pytest.mark.skipif(os.name != "posix", reason="needs fork + os._exit")

@@ -5,7 +5,10 @@ by hand, and the lite trace mode must agree with the full one on every
 digest-bearing observation.
 """
 
+import pytest
+
 from repro.core.failure_pattern import FailurePattern
+from repro.runner.spec import RunSpec
 from repro.sim.system import System, SystemBuilder, decided
 from repro.sim.trace import RunTrace
 
@@ -129,3 +132,25 @@ class TestIncrementalAliveLoop:
         trace = system.run()
         assert trace.stop_reason == "all-crashed"
         assert trace.final_time < 1000
+
+
+class TestOneWayToRunATick:
+    """The opt-in time-leap is gone: nothing accepts its switch."""
+
+    def test_run_spec_refuses_time_leap(self):
+        with pytest.raises(TypeError):
+            RunSpec(n=3, seed=0, horizon=10, time_leap=True)
+
+    def test_system_refuses_time_leap(self):
+        with pytest.raises(TypeError):
+            System(
+                n=2,
+                seed=0,
+                horizon=10,
+                pattern=FailurePattern.crash_free(2),
+                component_factories=[],
+                time_leap=True,
+            )
+
+    def test_builder_has_no_time_leap(self):
+        assert not hasattr(SystemBuilder, "time_leap")

@@ -116,7 +116,6 @@ class TestDeliveryPolicies:
         net.send(0, 1, "c", "free", now=0)
         assert net.pick_for(1, 10).payload == "free"
         assert net.pick_for(1, 10) is None  # only the held one remains
-        assert not policy.fair
 
     def test_every_sent_message_eventually_delivered_oldest_first(self):
         """Reliability: with the fair policy, draining the buffer

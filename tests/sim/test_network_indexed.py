@@ -105,23 +105,6 @@ class TestEngineEquivalence:
                 indexed.pick_for(0, t)
                 reference.pick_for(0, t)
 
-    def test_next_ready_time_identical(self):
-        indexed, reference = _pair(OldestFirstDelivery)
-        script = random.Random(9)
-        for t in range(1, 200):
-            if script.random() < 0.3:
-                dest = script.randrange(4)
-                indexed.send(0, dest, "c", t, t)
-                reference.send(0, dest, "c", t, t)
-            dests = [d for d in range(4) if script.random() < 0.7]
-            assert indexed.next_ready_time(dests, t) == reference.next_ready_time(
-                dests, t
-            ), f"at t={t} dests={dests}"
-            if script.random() < 0.4:
-                d = script.randrange(4)
-                a, b = indexed.pick_for(d, t), reference.pick_for(d, t)
-                assert (a and a.msg_id) == (b and b.msg_id)
-
     def test_in_flight_identical_across_sends_picks_duplicates_and_restore(self):
         indexed, reference = _pair(
             lambda: DuplicatingDelivery(probability=0.4, max_delay=6)
@@ -154,9 +137,6 @@ class TestEngineEquivalence:
                 assert [m.msg_id for m in indexed.ready_for(dest, t)] == [
                     m.msg_id for m in reference.ready_for(dest, t)
                 ]
-                assert indexed.next_ready_time(range(4), t) == (
-                    reference.next_ready_time(range(4), t)
-                )
                 in_flight_ids()
 
         drive(range(1, 80))

@@ -1,6 +1,8 @@
 """The perf-counter registry and its wiring through system/runner."""
 
 import random
+import re
+from pathlib import Path
 
 from repro.core.detectors import omega_sigma_oracle
 from repro.sim.network import ConstantDelay
@@ -46,14 +48,23 @@ class TestPerfCounters:
     def test_ratios(self):
         perf = PerfCounters()
         assert perf.scanned_per_delivery() == 0.0
-        assert perf.leap_ratio() == 0.0
         assert perf.detector_hit_rate() == 0.0
         perf.messages_scanned, perf.messages_delivered = 30, 10
-        perf.ticks, perf.ticks_leaped = 100, 25
         perf.detector_value_calls, perf.detector_cache_hits = 8, 2
         assert perf.scanned_per_delivery() == 3.0
-        assert perf.leap_ratio() == 0.25
         assert perf.detector_hit_rate() == 0.25
+
+    def test_counters_table_names_every_field(self):
+        """docs/PERF.md § "The counters" documents exactly FIELDS."""
+        doc = Path(__file__).resolve().parents[2] / "docs" / "PERF.md"
+        section = doc.read_text().split("\n## The counters\n", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = []
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                named += re.findall(r"`(\w+)`", line.split("|")[1])
+        assert sorted(named) == sorted(FIELDS)
+        assert len(named) == len(set(named))
 
     def test_repr_shows_only_nonzero(self):
         perf = PerfCounters()

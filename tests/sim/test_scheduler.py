@@ -21,7 +21,6 @@ class TestRandomScheduler:
         rng = random.Random(0)
         picks = Counter(sched.pick([0, 1, 2], t, rng) for t in range(300))
         assert set(picks) == {0, 1, 2}
-        assert sched.fair
 
 
 class TestRoundRobin:
@@ -83,7 +82,6 @@ class TestStarvation:
         rng = random.Random(0)
         picks = {sched.pick([0, 1, 2], t, rng) for t in range(100)}
         assert 1 not in picks
-        assert not sched.fair
 
     def test_halts_when_all_starved(self):
         sched = StarvationScheduler({0, 1})
