@@ -19,7 +19,7 @@ def run_metrics(trace: RunTrace, component: str) -> Dict[str, Any]:
     return {
         "n": trace.pattern.n,
         "faulty": len(trace.pattern.faulty),
-        "steps": len(trace.steps),
+        "steps": trace.step_count(),
         "messages_sent": trace.messages_sent,
         "messages_delivered": trace.messages_delivered,
         "decision_latency": trace.decision_latency(component),

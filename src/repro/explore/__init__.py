@@ -69,11 +69,7 @@ from repro.explore.frontier import (
     merge_summaries,
     result_from_summary,
 )
-from repro.explore.frontierd import (
-    explore_case_dynamic,
-    run_frontier,
-    run_frontier_dynamic,
-)
+from repro.explore.frontierd import run_frontier, run_frontier_dynamic
 from repro.explore.state import FingerprintEngine
 from repro.explore.symmetry import (
     CLOCK_FREE_TARGETS,
@@ -112,7 +108,6 @@ __all__ = [
     "default_assignment",
     "enumerate_roots",
     "explore_case",
-    "explore_case_dynamic",
     "fs_prefix_admissible",
     "merge_summaries",
     "psi_fs_prefix_admissible",

@@ -442,7 +442,6 @@ def _explore(
                 f"claims={block.get('claims')} "
                 f"claim_round_trips={block.get('claim_round_trips')} "
                 f"heartbeats={block.get('heartbeats')} "
-                f"exchange_pulls={block.get('exchange_pulls')} "
                 f"store_busy_retries={block.get('store_busy_retries')}"
             )
         if (args.out is not None or store is not None) and found:

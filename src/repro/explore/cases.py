@@ -119,7 +119,7 @@ class ExploreOptions:
 
     One frozen value carried whole from the CLI to the walk — through a
     campaign cell, a forked frontier worker, the summary dict
-    (``dataclasses.asdict``) and the exchange scope — so an option is
+    (``dataclasses.asdict``) and the root's search key — so an option is
     named in one place and a misspelt one is an error here, before a
     store is opened or a process started.  ``por`` / ``dedup`` switch
     the reductions, ``symmetry`` is ``None`` / ``False`` (off),

@@ -296,7 +296,7 @@ def explore_case(
     choice_limit: Optional[int] = None,
     shard_roots: Optional[List[Tuple[int, ...]]] = None,
     digest_log: Optional[List[str]] = None,
-    exchange: Optional[Any] = None,
+    visited: Optional[Dict[str, int]] = None,
     session: Optional[FingerprintSession] = None,
 ) -> ExploreResult:
     """Exhaust the bounded choice tree of ``case`` under ``options``.
@@ -319,13 +319,12 @@ def explore_case(
     (the fingerprint-equivalence suite compares these across modes
     byte-for-byte).
 
-    ``exchange`` (a :class:`repro.store.exchange.FingerprintExchange`)
-    shares the visited set across shard processes through the campaign
-    database: the walk starts from ``exchange.visited`` — states other
-    shards already exhausted dedup-halt here exactly like locally
-    recorded ones — and every visited-set write is noted for batched
-    publication.  ``states`` then counts only newly recorded states, so
-    summed shard counts measure distinct coverage.
+    ``visited`` is the walk's visited set, ``fp → remaining``: read and
+    written in place (a fresh one if None).  A frontier worker hands in
+    the states of its earlier walks of the same root — states whose
+    subtrees those walks exhausted dedup-halt here exactly like locally
+    recorded ones — and ``states`` then counts only newly recorded
+    states, so summed shard counts measure distinct coverage.
 
     ``session`` (a :class:`FingerprintSession`) supplies the fingerprint
     engine instead of a fresh one, so walks of the same root share
@@ -348,12 +347,13 @@ def explore_case(
         )
     else:
         fp_engine = session.bind(case, options, perms, result.counters)
-    visited: Dict[str, int] = exchange.visited if exchange is not None else {}
+    if visited is None:
+        visited = {}
     stack: List[Tuple[int, ...]] = (
         [tuple(p) for p in initial_stack] if initial_stack is not None else [()]
     )
     live = _LiveSystem(
-        result, parts, visited, fp_engine, choice_limit, digest_log, exchange
+        result, parts, visited, fp_engine, choice_limit, digest_log
     )
 
     while stack:
@@ -413,8 +413,6 @@ def explore_case(
                 if stack:
                     result.complete = False
                 break
-    if exchange is not None:
-        exchange.sync()
     return result
 
 
@@ -442,7 +440,6 @@ class _LiveSystem:
         fp_engine: FingerprintEngine,
         choice_limit: Optional[int],
         digest_log: Optional[List[str]],
-        exchange: Optional[Any],
     ):
         self.result = result
         case = self.case = result.case
@@ -453,7 +450,6 @@ class _LiveSystem:
         self.fp_engine = fp_engine
         self.choice_limit = choice_limit
         self.digest_log = digest_log
-        self.exchange = exchange
         crash_times = [t for _, t in case.crashes]
         self.first_crash = min(crash_times, default=None)
         self.last_crash = max(crash_times, default=None)
@@ -558,9 +554,9 @@ class _LiveSystem:
             seen = None if opaque else visited.get(key)
             if opaque:
                 # The key hides what the state holds, so the state
-                # stays out of the visited set — this walk's and,
-                # through the exchange, every other shard's: never
-                # looked up, never recorded, never a reason to halt.
+                # stays out of the visited set — this walk's and every
+                # later walk's it is handed to: never looked up, never
+                # recorded, never a reason to halt.
                 if fresh:
                     result.states += 1
                     result.counters.explore_states += 1
@@ -573,8 +569,6 @@ class _LiveSystem:
                     result.counters.explore_states += 1
                 if seen is None or seen < remaining:
                     visited[key] = remaining
-                    if self.exchange is not None:
-                        self.exchange.note(key, remaining)
             elif seen is not None and seen >= remaining:
                 result.dedup_hits += 1
                 result.counters.explore_dedup_hits += 1
@@ -584,8 +578,6 @@ class _LiveSystem:
                     result.states += 1
                     result.counters.explore_states += 1
                 visited[key] = remaining
-                if self.exchange is not None:
-                    self.exchange.note(key, remaining)
         if (
             self.choice_limit is not None
             and logged >= self.choice_limit

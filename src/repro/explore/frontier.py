@@ -239,9 +239,10 @@ def merge_summaries(
 
     Stats are summed, decision vectors unioned, violations and
     incidents concatenated, ``complete`` AND-ed.  ``states`` counts
-    newly recorded states only, so with the shared visited set the sum
-    measures distinct coverage; parallel shards may still both meet a
-    state neither has published — redundancy, never a soundness issue.
+    newly recorded states only, so for shards walked on one worker's
+    committed states the sum measures distinct coverage; shards of two
+    workers may still both meet a state — redundancy, never a
+    soundness issue.
     """
     merged = dict(base)
     merged["stats"] = dict(base["stats"])

@@ -25,12 +25,12 @@ pending items in ONE transaction
 (:meth:`repro.store.db.ResultStore.claim_work_batch` — each item under
 its own *expiring lease*), walks the batch locally, and reports the
 whole batch in one atomic completion transaction
-(:meth:`~repro.store.db.ResultStore.complete_work_batch`) — summaries,
-deferred fingerprints, and any re-split children land together, or not
-at all.  Batching is what makes worker scaling near-linear: per-item
-claims cost one store round-trip per shard, which dominates wall clock
-the moment shards are small (per-item claims made the frontier scale
-*negatively* for exactly that reason).  While it works,
+(:meth:`~repro.store.db.ResultStore.complete_work_batch`) — summaries
+and any re-split children land together, or not at all.  Batching is
+what makes worker scaling near-linear: per-item claims cost one store
+round-trip per shard, which dominates wall clock the moment shards are
+small (per-item claims made the frontier scale *negatively* for exactly
+that reason).  While it works,
 a single heartbeat thread extends every lease the worker holds with
 one UPDATE per interval
 (:meth:`~repro.store.db.ResultStore.heartbeat_worker`); a worker
@@ -44,7 +44,7 @@ item goes back to pending with capped exponential backoff and the
 completion transaction, not the suspicion, is the arbiter: exactly one
 completion per item is ever accepted, a late one from a falsely
 suspected worker either lands first (fine — the walk is deterministic)
-or is rejected wholesale, publishing nothing.  An item that keeps
+or is rejected wholesale, leaving nothing behind.  An item that keeps
 dying past its retry budget is *quarantined*: the merged case reports
 ``complete=False`` with a structured incident instead of raising away
 its siblings' finished work.
@@ -65,17 +65,22 @@ single-process walk plus one claim and one completion.
 
 **Warm sessions.**  Re-splitting makes shards small and many, and each
 is a walk on a freshly built system.  A worker keeps one
-:class:`~repro.explore.engine.FingerprintSession` per exchange scope
-(one root + options) across shards and batches, so a process's local
-state is encoded once per root per worker, not once per shard; it
-changes which encodes are cache hits, never a dedup key.
+:class:`~repro.explore.engine.FingerprintSession` per root key
+(:func:`search_key`: one root + options) across shards and batches, so
+a process's local state is encoded once per root per worker, not once
+per shard; it changes which encodes are cache hits, never a dedup key.
+Beside it the worker keeps the root's *committed* visited set: the
+states of its own accepted walks, which its later shards of the root
+dedup against.  Workers share no visited state — whole roots are
+claimed first, so what one worker meets another rarely does.
 
 **Completeness.**  The merged result equals the serial walk's because
 (1) split soundness: a re-splitter's deferred prefixes are
 pairwise-disjoint subtrees that exactly cover its halted runs, (2)
-publication soundness: a fingerprint reaches the shared visited set
-only in the transaction that also records its walk's summary (and, for
-a re-split, its children), so every published state's subtree is
+reuse soundness: a state enters a worker's committed set only once the
+store accepted the batch whose walk recorded it, in the transaction
+that merged that walk's summary (and, for a re-split, enqueued its
+children), so every state a later walk halts on has its subtree
 covered by merged results and still-queued items, and (3) the queue
 drains only when nothing is pending or leased — at which point every
 root is done (merged) or quarantined (``complete=False``).  The
@@ -102,11 +107,7 @@ from repro.explore.engine import (
     FingerprintSession,
     explore_case,
 )
-from repro.explore.frontier import (
-    merge_summaries,
-    result_from_summary,
-    result_to_dict,
-)
+from repro.explore.frontier import merge_summaries, result_to_dict
 
 #: Environment hook for the quarantine tests: when set, every worker
 #: raises instead of walking, driving each item through its full retry
@@ -195,27 +196,24 @@ def _heartbeat_main(
 
 
 def _run_batch(
-    store: Any,
     items: Sequence[Any],
     status: Dict[str, int],
     settings: FleetSettings,
-    counters: Any,
     sessions: Optional[Dict[str, FingerprintSession]] = None,
-) -> Tuple[
-    List[Dict[str, Any]], List[Tuple[str, List[Tuple[str, int]]]]
-]:
-    """Walk a claimed batch locally; returns (completions, fingerprints).
+    committed: Optional[Dict[str, Dict[str, int]]] = None,
+) -> Tuple[List[Dict[str, Any]], Dict[str, Dict[str, int]]]:
+    """Walk a claimed batch locally; returns (completions, visited).
 
     ``completions`` is the :meth:`~repro.store.db.ResultStore
     .complete_work_batch` payload — one ``{"work_id", "result",
-    "children"}`` dict per item.  ``fingerprints`` is the batch's
-    deferred visited-set, grouped per exchange scope: the batch shares
-    ONE exchange per scope, so later items dedup against earlier items'
-    local discoveries for free, and the shared pending set can only be
-    published (or dropped) wholesale — exactly the all-or-nothing
-    contract of the batch completion.  A batch whose completion is
-    never accepted publishes nothing; its items requeue by lease expiry
-    and are re-walked from a store-seeded exchange elsewhere.
+    "children"}`` dict per item.  ``visited`` maps each root key of the
+    batch to the visited set its items were walked on: a copy of the
+    worker's ``committed`` states of that root, which the batch's items
+    share, so later items dedup against earlier items' discoveries.
+    ``committed`` itself is only read.  Whether the copies replace it is
+    the caller's decision, taken on the completion's verdict: a state is
+    reusable only once the walk that recorded it is merged, and a batch
+    is merged all or nothing.
 
     The re-split decision is per batch, off the post-claim ``status``
     snapshot the claim transaction returned: when the claim left
@@ -226,31 +224,28 @@ def _run_batch(
     finer.
 
     ``sessions`` is the worker's warm state, one
-    :class:`~repro.explore.engine.FingerprintSession` per exchange
-    scope (= one root + options): every shard of a scope is walked on
-    the scope's one fingerprint engine, so a local state is encoded
-    once per root per worker instead of once per shard.  On return it
-    holds exactly the scopes of this batch — what the next batch can
-    reuse, and nothing a finished root leaves behind.  Without one the
-    batch is warm within itself only.
+    :class:`~repro.explore.engine.FingerprintSession` per root key
+    (= one root + options): every shard of a root is walked on the
+    root's one fingerprint engine, so a local state is encoded once per
+    root per worker instead of once per shard.  On return it holds
+    exactly the roots of this batch — what the next batch can reuse,
+    and nothing a finished root leaves behind.  Without one the batch
+    is warm within itself only.
     """
-    from repro.store.exchange import FingerprintExchange
-
     if sessions is None:
         sessions = {}
+    if committed is None:
+        committed = {}
     resplit = settings.workers > 1 and status["pending"] == 0
-    exchanges: Dict[str, FingerprintExchange] = {}
+    visited: Dict[str, Dict[str, int]] = {}
     completions: List[Dict[str, Any]] = []
     for work in items:
         item = work.item
         case = case_from_dict(item["case"])
         prefix = tuple(item["prefix"])
         scope = item["scope"]
-        exchange = exchanges.get(scope)
-        if exchange is None:
-            exchange = exchanges[scope] = FingerprintExchange(
-                store, scope, counters=counters
-            )
+        if scope not in visited:
+            visited[scope] = dict(committed.get(scope, {}))
         choice_limit = (
             len(prefix) + settings.split_step if resplit else None
         )
@@ -265,7 +260,7 @@ def _run_batch(
             initial_stack=[prefix],
             choice_limit=choice_limit,
             shard_roots=shard_roots,
-            exchange=exchange,
+            visited=visited[scope],
             session=sessions.setdefault(scope, FingerprintSession()),
         )
         completions.append(
@@ -283,12 +278,9 @@ def _run_batch(
                 ],
             }
         )
-    for scope in sessions.keys() - exchanges.keys():
+    for scope in sessions.keys() - visited.keys():
         del sessions[scope]
-    return completions, [
-        (scope, exchange.take_pending())
-        for scope, exchange in exchanges.items()
-    ]
+    return completions, visited
 
 
 def _worker_main(
@@ -304,12 +296,14 @@ def _worker_main(
     thread covers every held lease, and one completion transaction
     lands the whole batch — so store round-trips scale with batches,
     not items.  The batch's coordination counters (claims, round
-    trips, heartbeats, exchange pulls, busy retries) ride into the
-    merged report on the batch's first summary; per-item engine
-    counters stay per-summary so :func:`~repro.explore.frontier
-    .merge_summaries` sums stay honest.  The fingerprint sessions
-    outlive the batch (see :func:`_run_batch`): consecutive batches
-    mostly continue the same roots.
+    trips, heartbeats, busy retries) ride into the merged report on the
+    batch's first summary; per-item engine counters stay per-summary so
+    :func:`~repro.explore.frontier.merge_summaries` sums stay honest.
+    The fingerprint sessions and the ``committed`` visited sets outlive
+    the batch (see :func:`_run_batch`): consecutive batches mostly
+    continue the same roots.  ``committed`` takes a batch's visited sets
+    only when the store accepted the batch; a refused completion or a
+    walk that raised leaves it as it was.
     """
     from repro.sim.perf import PerfCounters
     from repro.store.db import ResultStore, drain_busy_retries
@@ -318,6 +312,7 @@ def _worker_main(
     store = ResultStore(store_path)
     idle_round_trips = 0
     sessions: Dict[str, FingerprintSession] = {}
+    committed: Dict[str, Dict[str, int]] = {}
     try:
         while True:
             items, status = store.claim_work_batch(
@@ -347,8 +342,8 @@ def _worker_main(
                 if stall:
                     time.sleep(float(stall))
                 batch_counters = PerfCounters()
-                completions, fingerprints = _run_batch(
-                    store, items, status, settings, batch_counters, sessions
+                completions, visited = _run_batch(
+                    items, status, settings, sessions, committed
                 )
                 stop.set()
                 beater.join(timeout=1.0)
@@ -365,7 +360,8 @@ def _worker_main(
                     if value:
                         merged[name] = merged.get(name, 0) + value
                 first["counters"] = merged
-                store.complete_work_batch(worker, completions, fingerprints)
+                if store.complete_work_batch(worker, completions):
+                    committed = visited
             except Exception as exc:  # noqa: BLE001 — fail the batch, live on
                 incident = {
                     "kind": "worker-exception",
@@ -514,6 +510,25 @@ def fleet_size(
     return resolved
 
 
+def search_key(case_dict: Dict[str, Any], options_dict: Dict[str, Any]) -> str:
+    """The key of one (case, options) search: a root's cache key and
+    the worker's grouping key for its sessions and visited sets.
+
+    ``options_dict`` is the whole :class:`~repro.explore.cases
+    .ExploreOptions` (``dataclasses.asdict``): every option that shapes
+    fingerprints or dedup semantics is a field of it, so none can be
+    left out of the key, and mixing keys would merge incomparable
+    searches.  The code salt makes a cached root of an edited tree a
+    miss rather than a wrong hit.
+    """
+    from repro.runner.fingerprint import code_salt, fingerprint
+
+    return fingerprint(
+        {"case": case_dict, "options": options_dict, "code": code_salt()},
+        salt="explore-scope:2",
+    )
+
+
 def run_frontier(
     roots: Sequence[ExploreCase],
     options: ExploreOptions = ExploreOptions(),
@@ -537,17 +552,17 @@ def run_frontier(
     one worker walks in this process and more are forked from it, so
     whatever the caller patched or swapped in (a registered target, the
     network class) is what every worker walks.  ``store`` is where
-    this run's coordination lives — its work queue, leases and shared
-    fingerprints: a directory or ``.sqlite`` path, or None (a private
-    file under a temp directory, deleted with it).  It is never a
+    this run's coordination lives — its work queue and leases: a
+    directory or ``.sqlite`` path, or None (a private file under a temp
+    directory, deleted with it).  It is never a
     campaign database: witnesses and cached roots go elsewhere
     (``cache``, the caller's own store).
 
     ``cache`` takes the forms of :func:`repro.runner.config
     .resolve_cache`, closed by the same rules: a root whose merged
-    summary is complete and has no incidents is put under its exchange
-    scope key (case, options, code salt), and a later run with the same
-    cache serves it as stored without enqueuing it.
+    summary is complete and has no incidents is put under its
+    :func:`search_key` (case, options, code salt), and a later run with
+    the same cache serves it as stored without enqueuing it.
 
     ``stop_on_first_violation`` and ``max_runs`` bound each shard's
     walk; with one worker a shard is a root.  ``chaos_kill_rate`` arms
@@ -556,7 +571,6 @@ def run_frontier(
     """
     from repro.runner.config import resolve_cache
     from repro.runner.summary import FnSummary
-    from repro.store.exchange import exchange_scope
 
     settings = FleetSettings(
         options, fleet_size(workers, chaos_kill_rate, lease_ttl), split_step,
@@ -566,7 +580,7 @@ def run_frontier(
     # before a store is opened or a worker runs, so a symmetry the
     # target cannot honour is an error here rather than a quarantine.
     bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
-    keys = [exchange_scope(base["case"], base["options"]) for base in bases]
+    keys = [search_key(base["case"], base["options"]) for base in bases]
     cache, opened = resolve_cache(cache)
     try:
         hits = [None if cache is None else cache.get(key) for key in keys]
@@ -617,7 +631,6 @@ def _walk_roots(
         store = tempdir.name
     store = ResultStore(store)
 
-    scopes = [f"{key}:{token}" for key in keys]
     incidents: List[Dict[str, Any]] = []
     started = time.perf_counter()
     try:
@@ -629,10 +642,10 @@ def _walk_roots(
                 {
                     "case": base["case"],
                     "prefix": [],
-                    "scope": scope,
+                    "scope": key,
                     "case_index": index,
                 }
-                for index, (base, scope) in enumerate(zip(bases, scopes))
+                for index, (base, key) in enumerate(zip(bases, keys))
             ],
         )
         store.flush()
@@ -704,12 +717,11 @@ def _walk_roots(
             "quarantined": len(quarantined),
             # Coordination traffic, summed over every accepted batch —
             # the amortization evidence the repo benchmark's frontier
-            # workload records (claims per round trip, heartbeats and
-            # pulls per run).
+            # workload records (claims per round trip, heartbeats per
+            # run).
             "claims": coordination.frontier_claims,
             "claim_round_trips": coordination.frontier_claim_round_trips,
             "heartbeats": coordination.frontier_heartbeats,
-            "exchange_pulls": coordination.exchange_pulls,
             "store_busy_retries": drain_busy_retries(),
             "wall_clock": round(time.perf_counter() - started, 3),
         }
@@ -733,26 +745,6 @@ def _walk_roots(
         return summaries
     finally:
         store.clear_work(queue_scope)
-        for scope in scopes:
-            store.release_scope(scope)
         store.close()
         if tempdir is not None:
             tempdir.cleanup()
-
-
-def explore_case_dynamic(
-    case: ExploreCase,
-    options: ExploreOptions = ExploreOptions(),
-    **fleet: Any,
-) -> ExploreResult:
-    """One case through :func:`run_frontier`, as an ExploreResult.
-
-    ``fleet`` is :func:`run_frontier`'s own keywords (workers, store,
-    lease and chaos settings).  Equivalent to
-    :func:`~repro.explore.engine.explore_case` in decision vectors,
-    violations and completeness whenever nothing was quarantined.
-    """
-    (summary,) = run_frontier([case], options, **fleet)
-    result = result_from_summary(summary)
-    result.frontier = dict(summary.get("frontier", {}))
-    return result

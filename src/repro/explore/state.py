@@ -44,7 +44,7 @@ What goes in, and why:
 Anything the encoder cannot faithfully canonicalise marks the whole
 state *opaque*.  An opaque state's key starts with :data:`OPAQUE_MARK`
 and the search keeps such a state out of the visited set altogether —
-never looked up, never recorded, never published to other shards — so
+never looked up, never recorded, never reused by a later shard — so
 unknown values can cause missed merges but never a wrong one: dedup
 degrades toward plain DFS, never toward unsoundness.
 

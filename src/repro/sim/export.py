@@ -37,8 +37,15 @@ def trace_to_dict(
     """Render a run trace as plain data.
 
     The step-by-step schedule and the per-step detector samples can be
-    large; they are opt-in.
+    large; they are opt-in, and only a ``"full"`` trace retains them: a
+    ``"lite"`` trace refuses either with a ``ValueError`` rather than
+    render an empty list.
     """
+    if (include_steps or include_detector_samples) and not trace.record_full:
+        raise ValueError(
+            "include_steps / include_detector_samples need a full-mode "
+            "trace (steps retained)"
+        )
     data: Dict[str, Any] = {
         "pattern": {
             "n": trace.pattern.n,
@@ -51,7 +58,7 @@ def trace_to_dict(
         "stop_reason": trace.stop_reason,
         "messages_sent": trace.messages_sent,
         "messages_delivered": trace.messages_delivered,
-        "step_count": len(trace.steps),
+        "step_count": trace.step_count(),
         "decisions": [
             {
                 "time": d.time,

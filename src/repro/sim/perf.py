@@ -106,11 +106,6 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     covering every lease the worker holds
     (:meth:`~repro.store.db.ResultStore.heartbeat_worker`), however
     many items are in flight.
-``exchange_pulls``
-    Cross-shard visited-set delta pulls executed against the store
-    (:meth:`repro.store.exchange.FingerprintExchange.pull`).  Each is
-    one read round-trip; the rowid cursor plus the minimum-interval
-    gate keep this far below the visited-set write count.
 ``store_busy_retries``
     SQLITE_BUSY / "database is locked" errors the campaign database
     retried through jittered backoff (:mod:`repro.store.db`).  Nonzero
@@ -155,7 +150,6 @@ FIELDS = (
     "frontier_claims",
     "frontier_claim_round_trips",
     "frontier_heartbeats",
-    "exchange_pulls",
     "store_busy_retries",
 )
 

@@ -6,7 +6,7 @@ single lazily-opened **write connection** whose inserts go through
 ``executemany`` per batch, each batch one committed transaction, so a
 killed writer loses at most its uncommitted tail and never corrupts
 the file.  Queries that must not block (or be blocked by) the writer —
-the reporting CLI, worker processes pulling fingerprints — open
+the reporting CLI, frontier workers polling the queue — open
 short-lived **read-only** connections (``mode=ro``).  WAL mode plus a
 busy timeout lets many processes read while one writes, which is
 exactly the campaign shape: one parent recording, N workers polling.
@@ -26,7 +26,7 @@ import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.store.schema import (
     ROW_FORMAT,
@@ -242,11 +242,11 @@ class ResultStore:
     def shared_read_connection(self) -> sqlite3.Connection:
         """The store's own long-lived read-only connection.
 
-        Hot-path reads (the exchange's cursored fingerprint pulls, the
-        workers' queue polls) must not pay a connection open — WAL-mode
-        readers never block the writer, so one reused handle per store
-        object is safe.  Like the write connection it is bound to the
-        creating thread; threads own their own store objects.
+        Hot-path reads (the workers' queue polls) must not pay a
+        connection open — WAL-mode readers never block the writer, so
+        one reused handle per store object is safe.  Like the write
+        connection it is bound to the creating thread; threads own their
+        own store objects.
         """
         if self._read is None:
             self._read = self._connect(self.path, read_only=True)
@@ -415,80 +415,6 @@ class ResultStore:
                 ),
             )
 
-    # -- explorer fingerprints -----------------------------------------
-    def load_fingerprints(self, scope: str) -> Tuple[Dict[str, int], int]:
-        """Every published ``fp → remaining`` in ``scope``.
-
-        Returns ``(visited, high_water)`` where ``high_water`` is the
-        max rowid seen — the cursor for :meth:`fingerprints_since`.
-        """
-
-        def _load() -> Tuple[Dict[str, int], int]:
-            visited: Dict[str, int] = {}
-            high = 0
-            for rowid, fp, remaining in self.shared_read_connection.execute(
-                "SELECT id, fp, remaining FROM fingerprints "
-                "WHERE scope = ?",
-                (scope,),
-            ):
-                visited[fp] = remaining
-                high = max(high, rowid)
-            return visited, high
-
-        return retry_locked(_load)
-
-    def fingerprints_since(
-        self, scope: str, after: int
-    ) -> Tuple[List[Tuple[str, int]], int]:
-        """Fingerprints inserted after rowid ``after`` (batched pull)."""
-
-        def _pull() -> List[Tuple[int, str, int]]:
-            return self.shared_read_connection.execute(
-                "SELECT id, fp, remaining FROM fingerprints "
-                "WHERE scope = ? AND id > ?",
-                (scope, after),
-            ).fetchall()
-
-        rows = retry_locked(_pull)
-        high = after
-        out = []
-        for rowid, fp, remaining in rows:
-            out.append((fp, remaining))
-            high = max(high, rowid)
-        return out, high
-
-    _FP_UPSERT = (
-        "INSERT INTO fingerprints (scope, fp, remaining, format) "
-        "VALUES (?, ?, ?, ?) "
-        "ON CONFLICT (scope, fp) DO UPDATE SET "
-        "remaining = max(remaining, excluded.remaining)"
-    )
-
-    def publish_fingerprints(
-        self, scope: str, items: Iterable[Tuple[str, int]]
-    ) -> None:
-        """Upsert a batch of ``(fp, remaining)``; keeps the max depth."""
-        rows = [(scope, fp, remaining, ROW_FORMAT) for fp, remaining in items]
-        if not rows:
-            return
-
-        def _commit() -> None:
-            with self.write_connection as con:
-                con.executemany(self._FP_UPSERT, rows)
-
-        retry_locked(_commit)
-
-    def release_scope(self, scope: str) -> None:
-        """Drop a finished search's fingerprint rows."""
-
-        def _commit() -> None:
-            with self.write_connection as con:
-                con.execute(
-                    "DELETE FROM fingerprints WHERE scope = ?", (scope,)
-                )
-
-        retry_locked(_commit)
-
     # -- work queue and leases -----------------------------------------
     #: Backoff base for requeued work: attempt k waits 2^(k-1) of these.
     WORK_BACKOFF_BASE = 0.25
@@ -647,26 +573,23 @@ class ResultStore:
         self,
         worker: str,
         completions: Sequence[Dict[str, Any]],
-        fingerprints: Sequence[Tuple[str, Sequence[Tuple[str, int]]]] = (),
         now: Optional[float] = None,
     ) -> bool:
         """Finish a claimed batch in ONE transaction — all or nothing.
 
         ``completions`` is one dict per walked item: ``{"work_id",
-        "result", "children"}`` (children optional).  ``fingerprints``
-        is per *exchange scope* — ``(scope, [(fp, remaining), ...])``
-        pairs — because a batch shares one visited set per scope, so
-        its deferred states cannot be attributed to single items.
+        "result", "children"}`` (children optional).
 
         An item is accepted while this worker still holds its lease,
         or while it sits requeued-but-unclaimed (the lease expired
         under a slow worker that then finished anyway — the work is
         deterministic, so the late result is the right result), and
-        refused once another worker owns or finished it.  The shared
-        visited set is exactly why acceptance is all-or-nothing: every
-        item must pass that ownership test or the whole batch is
-        rejected and publishes nothing, which is what keeps crash
-        recovery sound — no fingerprint ever claims coverage whose
+        refused once another worker owns or finished it.  A batch's
+        items share one visited set per root, so acceptance is
+        all-or-nothing: every item must pass that ownership test or the
+        whole batch is rejected and nothing lands.  The worker reuses
+        the batch's states only when this returns True, which is what
+        keeps crash recovery sound — no state is reused whose subtree's
         results were not merged.  A worker whose batch is rejected
         simply abandons it: its remaining leases expire and the
         coordinator's failure detector requeues exactly those items.
@@ -715,15 +638,6 @@ class ResultStore:
                             (scope, json.dumps(child, sort_keys=True),
                              ROW_FORMAT, now)
                             for child in children
-                        ],
-                    )
-            for fingerprint_scope, batch in fingerprints:
-                if batch:
-                    con.executemany(
-                        self._FP_UPSERT,
-                        [
-                            (fingerprint_scope, fp, remaining, ROW_FORMAT)
-                            for fp, remaining in batch
                         ],
                     )
             return True

@@ -5,9 +5,9 @@ as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
 code salt (the campaign cache, :mod:`repro.store.cache`), campaign
 executions with their cell digests, and chaos/explore violation
 witnesses.  The same schema serves a frontier run's own coordination
-file — its work queue, leases and shared visited-set fingerprints —
-which :func:`~repro.explore.frontierd.run_frontier` keeps in a file of
-its own, never in a campaign database.
+file — its work queue and leases — which
+:func:`~repro.explore.frontierd.run_frontier` keeps in a file of its
+own, never in a campaign database.
 
 Every table carries an explicit per-row ``format`` column **and** the
 file carries a whole-schema version in the ``meta`` table.  A store
@@ -42,7 +42,11 @@ from typing import Callable, Dict
 #: v4 dropped the ``exchange_scopes`` registry and ``work_queue.kind``:
 #: coordination rows live only in a frontier run's own file, so there
 #: is no leak in a campaign database to collect.
-SCHEMA_VERSION = 4
+#:
+#: v5 dropped ``fingerprints``: a frontier worker keeps the visited
+#: states of its accepted walks in its own memory, and workers share
+#: none through the file.
+SCHEMA_VERSION = 5
 
 #: Per-row format version written into every row's ``format`` column.
 #: Tracks the *payload* conventions (pickle framing, JSON shapes)
@@ -84,15 +88,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     created    REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS campaigns_digest ON campaigns (digest, salt);
-
-CREATE TABLE IF NOT EXISTS fingerprints (
-    id        INTEGER PRIMARY KEY,
-    scope     TEXT NOT NULL,               -- case/options fingerprint
-    fp        TEXT NOT NULL,               -- state digest
-    remaining INTEGER NOT NULL,            -- ticks left when recorded
-    format    INTEGER NOT NULL,
-    UNIQUE (scope, fp)
-);
 
 CREATE TABLE IF NOT EXISTS witnesses (
     id       INTEGER PRIMARY KEY,
@@ -222,12 +217,18 @@ def _migrate_3_to_4(con: sqlite3.Connection) -> None:
     create_schema(con)
 
 
+def _migrate_4_to_5(con: sqlite3.Connection) -> None:
+    """v4 → v5: drop ``fingerprints``; every other table is untouched."""
+    con.execute("DROP TABLE IF EXISTS fingerprints")
+
+
 #: from-version → in-place migration to from-version + 1.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _migrate_0_to_1,
     1: _migrate_1_to_2,
     2: _migrate_2_to_3,
     3: _migrate_3_to_4,
+    4: _migrate_4_to_5,
 }
 
 

@@ -1,8 +1,12 @@
 """Unit tests for run statistics and table helpers."""
 
+import pytest
+
 from repro.analysis.stats import aggregate, format_table, run_metrics
 from repro.core.failure_pattern import FailurePattern
+from repro.sim.system import System
 from repro.sim.trace import Decision, RunTrace
+from tests.runner.helpers import consensus_spec
 
 
 class TestRunMetrics:
@@ -20,6 +24,21 @@ class TestRunMetrics:
     def test_latency_none_when_undecided(self):
         trace = RunTrace(FailurePattern.crash_free(2), horizon=100)
         assert run_metrics(trace, "c")["decision_latency"] is None
+
+    @pytest.mark.parametrize("mode", ["full", "lite"])
+    def test_steps_are_the_run_steps_in_every_trace_mode(self, mode):
+        spec = consensus_spec(trace_mode=mode)
+        system = System.from_spec(spec)
+        trace = system.run(stop_when=spec.resolve_stop())
+        assert trace.mode == mode
+        metrics = run_metrics(trace, "consensus")
+        assert metrics["steps"] == trace.step_count() > 0
+        # Every run spec defaults to a lite trace; it counts the same
+        # steps a full one retains.
+        full = System.from_spec(consensus_spec(trace_mode="full"))
+        assert metrics["steps"] == full.run(
+            stop_when=spec.resolve_stop()
+        ).step_count()
 
 
 class TestAggregate:

@@ -5,7 +5,9 @@ workers split it; tests that orchestrate the queue themselves want
 several items whose prefixes they know.  ``split_roots`` and
 ``enqueue_case`` cut a root into shards by hand, with the same two
 ``explore_case`` arguments the workers' re-split uses (``choice_limit``
-+ ``shard_roots``).  ``toy_target`` registers a one-component target
++ ``shard_roots``).  ``explore_case_dynamic`` runs one case through the
+frontier and hands back an ``ExploreResult``, the shape the serial walk
+is compared in.  ``toy_target`` registers a one-component target
 built to break a weaker key or a weaker table.  ``NETWORKS`` names the
 production buffer and its oracle for the suites that run on both: no
 option selects a network, so they swap the class ``System`` constructs
@@ -15,12 +17,18 @@ option selects a network, so they swap the class ``System`` constructs
 from dataclasses import asdict
 
 from repro.chaos.targets import TARGETS, Target
-from repro.explore import ExploreCase, ExploreOptions, explore_case
+from repro.explore import (
+    ExploreCase,
+    ExploreOptions,
+    explore_case,
+    result_from_summary,
+    run_frontier,
+)
 from repro.explore.cases import case_to_dict, resolve_parts
 from repro.explore.frontier import result_to_dict
+from repro.explore.frontierd import search_key
 from repro.runner import call
 from repro.sim.network import Network, ReferenceNetwork
-from repro.store.exchange import FingerprintExchange, exchange_scope
 
 NETWORKS = {"indexed": Network, "reference": ReferenceNetwork}
 
@@ -65,31 +73,47 @@ def violation_set(result):
     return {(v.violated, v.decisions) for v in result.violations}
 
 
-def split_roots(case, choice_limit, options=ExploreOptions(), exchange=None):
+def explore_case_dynamic(case, options=ExploreOptions(), **fleet):
+    """One case through ``run_frontier``, as an ``ExploreResult``.
+
+    ``fleet`` is ``run_frontier``'s own keywords (workers, store, lease
+    and chaos settings); the frontier block rides along as
+    ``result.frontier``.
+    """
+    (summary,) = run_frontier([case], options, **fleet)
+    result = result_from_summary(summary)
+    result.frontier = dict(summary.get("frontier", {}))
+    return result
+
+
+def split_roots(case, choice_limit, options=ExploreOptions(), visited=None):
     """Judge the leaves shallower than ``choice_limit`` choices; returns
     ``(shallow result, halted prefixes)`` — the prefixes are the shard
     roots that cover the rest of the tree."""
     roots = []
     shallow = explore_case(
         case, options, choice_limit=choice_limit, shard_roots=roots,
-        exchange=exchange,
+        visited=visited,
     )
     return shallow, roots
 
 
 def enqueue_case(store, case, queue_scope, choice_limit=4,
-                 options=ExploreOptions()):
+                 options=ExploreOptions(), committed=None):
     """Pre-split ``case`` and enqueue its shard roots under
     ``queue_scope``; returns ``(shallow summary, number of items)``.
 
     The shallow walk is complete (its deferred subtrees are exactly the
-    items), so its states are published before any shard seeds.
+    items), so a worker may reuse its states: given a ``committed``
+    dict, the walk's visited set is filed in it under the items' root
+    key, as a worker files an accepted batch's.
     """
     case_dict = case_to_dict(case)
-    scope = exchange_scope(case_dict, asdict(options)) + ":test"
-    exchange = FingerprintExchange(store, scope)
-    shallow, roots = split_roots(case, choice_limit, options, exchange)
-    store.publish_fingerprints(scope, exchange.take_pending())
+    scope = search_key(case_dict, asdict(options))
+    visited = {}
+    shallow, roots = split_roots(case, choice_limit, options, visited)
+    if committed is not None:
+        committed[scope] = visited
     store.enqueue_work(
         queue_scope,
         [

@@ -13,7 +13,7 @@ Three layers of proof, mirroring the lease protocol's design:
   additionally pin the amortized protocol's recovery grain: a kill
   mid-batch requeues exactly the claimed batch (earlier committed
   batches stay done), and a batch that walked to the end but never
-  committed publishes nothing.  Plus an end-to-end run under the
+  committed leaves nothing in the store.  Plus an end-to-end run under the
   seeded :class:`~repro.chaos.workers.WorkerKiller`, which must kill.
   Every victim is started the way the fleet starts its workers.
 * **Quarantine** — a poison worker (``CHAOS_FAIL`` hook) exhausts the
@@ -28,6 +28,7 @@ no connection to the run's file across a fork, and is refused where
 ``fork`` does not exist.
 """
 
+import copy
 import dataclasses
 import multiprocessing
 import os
@@ -54,12 +55,11 @@ from repro.explore.frontierd import (
     _FrontierWorkers,
     _run_batch,
     _worker_main,
-    explore_case_dynamic,
     run_frontier,
 )
-from repro.sim.perf import PerfCounters
 from repro.store import ResultStore
 from tests.explore.helpers import enqueue_case as _enqueue_case
+from tests.explore.helpers import explore_case_dynamic
 from tests.explore.helpers import violation_set as _violation_set
 
 
@@ -128,9 +128,6 @@ class TestEquivalence:
             assert con.execute(
                 "SELECT COUNT(*) FROM leases"
             ).fetchone()[0] == 0
-            assert con.execute(
-                "SELECT COUNT(*) FROM fingerprints"
-            ).fetchone()[0] == 0
         finally:
             con.close()
             store.close()
@@ -154,9 +151,8 @@ class TestWorkStealing:
             "w0", [{"work_id": w.id, "result": {"drained": True}} for w in rest]
         )
         assert status["pending"] == 0
-        completions, fingerprints = _run_batch(
-            store, [work], status,
-            FleetSettings(workers=2, split_step=2), PerfCounters(),
+        completions, _ = _run_batch(
+            [work], status, FleetSettings(workers=2, split_step=2)
         )
         summary = completions[0]["result"]
         children = completions[0]["children"]
@@ -167,8 +163,6 @@ class TestWorkStealing:
             for c in children
         ), "children stay within the parent shard's subtree"
         assert summary["complete"]  # halted prefixes are deferred, not lost
-        # The completed walk's deferred publication, grouped per scope.
-        assert any(batch for _, batch in fingerprints)
         store.close()
 
     def test_whole_roots_first(self, tmp_path):
@@ -185,8 +179,7 @@ class TestWorkStealing:
 
         def children(status, workers):
             completions, _ = _run_batch(
-                store, first, status,
-                FleetSettings(workers=workers, split_step=2), PerfCounters(),
+                first, status, FleetSettings(workers=workers, split_step=2)
             )
             return completions[0]["children"]
 
@@ -216,9 +209,7 @@ class TestWorkStealing:
         )
         _assert_equivalent(dynamic, single)
         block = dynamic.frontier
-        for key in (
-            "claims", "claim_round_trips", "heartbeats", "exchange_pulls"
-        ):
+        for key in ("claims", "claim_round_trips", "heartbeats"):
             assert key in block
         assert block["claims"] >= 1
         # Batching can only amortize: never more transactions than items.
@@ -295,14 +286,6 @@ def _raise_re_explored(*args, **kwargs):
     raise AssertionError("re-explored")
 
 
-def _fingerprint_rows(store):
-    con = store.read_connection()
-    try:
-        return con.execute("SELECT COUNT(*) FROM fingerprints").fetchone()[0]
-    finally:
-        con.close()
-
-
 class TestBatchLeases:
     """The amortized protocol's recovery grain, pinned item by item."""
 
@@ -318,12 +301,9 @@ class TestBatchLeases:
 
         # Batch 1 — claimed, walked, committed in-process.
         first, status = store.claim_work_batch("tail-q", "inproc", 30.0, 2)
-        completions, fingerprints = _run_batch(
-            store, first, status, FleetSettings(), PerfCounters()
-        )
-        assert store.complete_work_batch("inproc", completions, fingerprints)
+        completions, _ = _run_batch(first, status, FleetSettings())
+        assert store.complete_work_batch("inproc", completions)
         committed = len(first)
-        published = _fingerprint_rows(store)
 
         # Batch 2 — a real worker claims the whole tail and stalls
         # inside it (heartbeats flowing); SIGKILL silences it.
@@ -352,33 +332,34 @@ class TestBatchLeases:
             "exactly the unfinished tail requeues"
         )
         assert status["leased"] == 0
-        # The victim was killed before any completion: it published
-        # nothing — the fingerprint table is exactly as batch 1 left it.
-        assert _fingerprint_rows(store) == published
+        # The victim was killed before any completion: the results are
+        # exactly what batch 1 left.
+        assert len(store.work_results("tail-q")) == committed
         store.close()
 
     def test_uncommitted_batch_publishes_nothing_and_recovery_matches(
         self, tmp_path
     ):
         # A batch that walked to the very end but whose completion
-        # transaction never ran leaves no trace: no summaries, no
-        # fingerprints.  After its leases expire a healthy worker
-        # re-walks the items and the merge equals the serial walk —
-        # the walk is deterministic, so dropping a finished-but-
-        # uncommitted batch costs time, never coverage.
+        # transaction never ran leaves no trace: no summaries, and the
+        # worker's committed states untouched.  After its leases expire
+        # a healthy worker re-walks the items and the merge equals the
+        # serial walk — the walk is deterministic, so dropping a
+        # finished-but-uncommitted batch costs time, never coverage.
         single = explore_case(CASE)
         store = ResultStore(tmp_path)
-        base, roots = _enqueue_case(store, CASE, "drop-q")
-        published = _fingerprint_rows(store)
+        committed = {}
+        base, roots = _enqueue_case(store, CASE, "drop-q", committed=committed)
+        before = copy.deepcopy(committed)
 
         doomed, status = store.claim_work_batch(
             "drop-q", "doomed", 0.2, roots
         )
         assert len(doomed) == roots
         _run_batch(
-            store, doomed, status, FleetSettings(), PerfCounters()
+            doomed, status, FleetSettings(), committed=committed
         )  # fully walked — and deliberately never committed
-        assert _fingerprint_rows(store) == published
+        assert committed == before
         assert list(store.work_results("drop-q")) == []
 
         time.sleep(0.3)  # let every lease expire
@@ -395,15 +376,12 @@ class TestBatchLeases:
     def test_rejected_batch_completion_publishes_nothing(self, tmp_path):
         # All-or-nothing acceptance: if even one item of the batch was
         # reassigned to another worker, the whole completion is refused
-        # and neither results nor fingerprints land.
+        # and no result lands.
         store = ResultStore(tmp_path)
         _base, roots = _enqueue_case(store, CASE, "rej-q")
-        published = _fingerprint_rows(store)
 
         mine, status = store.claim_work_batch("rej-q", "w0", 30.0, roots)
-        completions, fingerprints = _run_batch(
-            store, mine, status, FleetSettings(), PerfCounters()
-        )
+        completions, _ = _run_batch(mine, status, FleetSettings())
         # False suspicion: expire every lease, then a thief claims one
         # (past the requeue backoff, hence the far-future clock).
         future = time.time() + 31.0
@@ -413,10 +391,8 @@ class TestBatchLeases:
         )
         assert len(thief) == 1
 
-        assert store.complete_work_batch(
-            "w0", completions, fingerprints
-        ) is False
-        assert _fingerprint_rows(store) == published
+        assert store.complete_work_batch("w0", completions) is False
+        assert store.work_results("rej-q") == []
         assert store.work_status("rej-q")["done"] == 0
         store.close()
 
@@ -618,8 +594,8 @@ class TestCoordinatorWait:
 
 class TestWarmSessions:
     def test_sessions_follow_the_batches(self, tmp_path):
-        # A worker keeps one warm fingerprint engine per exchange scope
-        # (= root) of the batch it just walked: the next batch's shards
+        # A worker keeps one warm fingerprint engine per root key of
+        # the batch it just walked: the next batch's shards
         # of that root find their local states already encoded, and a
         # root that left the batch leaves the dict.
         store = ResultStore(tmp_path)
@@ -639,18 +615,15 @@ class TestWarmSessions:
             )
 
         sessions = {}
-        cold, _ = _run_batch(
-            store, claimed, status, FleetSettings(), PerfCounters(), sessions
-        )
+        cold, _ = _run_batch(claimed, status, FleetSettings(), sessions)
         assert set(sessions) == scopes
         kept = claimed[0].item["scope"]
         engine = sessions[kept].engine
         again = [work for work in claimed if work.item["scope"] == kept]
-        # Nothing was completed, so the store seeds the same visited
-        # set and the walks repeat — on an engine that has seen them.
-        warm, _ = _run_batch(
-            store, again, status, FleetSettings(), PerfCounters(), sessions
-        )
+        # Nothing was completed, so nothing was committed: the walks
+        # repeat on the same empty visited set — on an engine that has
+        # seen them.
+        warm, _ = _run_batch(again, status, FleetSettings(), sessions)
         assert set(sessions) == {kept} and sessions[kept].engine is engine
         assert host_misses(cold) > 0 and host_misses(warm) == 0
         for before, after in zip(

@@ -35,8 +35,6 @@ from repro.explore.frontier import result_to_dict
 from repro.explore.state import _POISONED, OPAQUE_MARK, FingerprintEngine
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
-from repro.store import ResultStore
-from repro.store.exchange import FingerprintExchange
 from tests.explore.helpers import split_roots, toy_target
 from tests.explore.test_clock_independence import clock_readers
 
@@ -339,16 +337,13 @@ def hoarder_factory():
     return lambda pid: Hoarder()
 
 
-def test_opaque_states_stay_out_of_a_visited_set_shards_share(
-    monkeypatch, tmp_path
-):
+def test_opaque_states_stay_out_of_a_visited_set_shards_share(monkeypatch):
     """Two shards, one engine each, one visited set — a worker's batch.
     After both arrivals process 0 holds ``[1, 2]`` in one shard and
     ``[2, 1]`` in the other, at the same tick, and the encoder cannot
     tell: keyed into the shared set, the second shard halts on the
     first one's footprint and its decision is never seen."""
     make = toy_target(monkeypatch, "hoard", hoarder_factory)
-    store = ResultStore(tmp_path)
     try:
         case = make(n=3, depth=5)
         serial = explore_case(case)
@@ -365,11 +360,11 @@ def test_opaque_states_stay_out_of_a_visited_set_shards_share(
         ]
         assert alone[0] != alone[1]
 
-        exchange = FingerprintExchange(store, "hoard-scope")
+        visited = {}
         log = []
         shared = [
             explore_case(
-                case, initial_stack=[root], exchange=exchange, digest_log=log
+                case, initial_stack=[root], visited=visited, digest_log=log
             )
             for root in (first, second)
         ]
@@ -377,10 +372,9 @@ def test_opaque_states_stay_out_of_a_visited_set_shards_share(
         assert [r.dedup_hits for r in shared] == [0, 0]
         assert all(r.states > 0 for r in shared)  # still counted
         assert log and all(key[0] == OPAQUE_MARK for key in log)
-        # ...and nothing to look up, here or in another worker.
-        assert exchange.visited == {} and exchange.take_pending() == []
+        # ...and nothing to look up, here or in a later batch.
+        assert visited == {}
     finally:
-        store.close()
         resolve_parts.cache_clear()
 
 
@@ -489,7 +483,7 @@ PAXOS_SCRIPT = (("script", ("os", 0, (0, 1, 2)), ("os", 1, (0, 1, 2))),) * 3
         ),
     ],
 )
-def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
+def test_warm_session_is_invisible_but_for_the_misses(case, options):
     """The shards of a root walked the way a frontier worker walks a
     batch — one shared visited set — once with a fresh engine per shard
     and once on one session: the same keys in the same order, the same
@@ -497,17 +491,16 @@ def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
     options = ExploreOptions(**options)
     _, roots = split_roots(case, 3, options)
     assert len(roots) > 2
-    store = ResultStore(tmp_path)
 
-    def walk(session, scope):
-        exchange = FingerprintExchange(store, scope)
+    def walk(session):
+        visited = {}
         log, misses, counts = [], 0, []
         for root in roots:
             result = explore_case(
                 case,
                 options,
                 initial_stack=[root],
-                exchange=exchange,
+                visited=visited,
                 digest_log=log,
                 session=session,
             )
@@ -518,11 +511,8 @@ def test_warm_session_is_invisible_but_for_the_misses(case, options, tmp_path):
             )
         return log, misses, counts
 
-    try:
-        cold_log, cold_misses, cold_counts = walk(None, "cold")
-        warm_log, warm_misses, warm_counts = walk(FingerprintSession(), "warm")
-    finally:
-        store.close()
+    cold_log, cold_misses, cold_counts = walk(None)
+    warm_log, warm_misses, warm_counts = walk(FingerprintSession())
     assert "\n".join(warm_log) == "\n".join(cold_log) != ""
     assert warm_counts == cold_counts
     assert 0 < warm_misses < cold_misses

@@ -16,7 +16,6 @@ from repro.explore import (
     ExploreCase,
     ExploreOptions,
     explore_case,
-    explore_case_dynamic,
     frontierd,
     run_frontier,
     run_frontier_dynamic,
@@ -65,7 +64,6 @@ def test_options_round_trip_through_their_dict():
         (run_frontier, [CASE]),
         # The same function as run_frontier under its second public name.
         pytest.param(run_frontier_dynamic, [CASE], id="run_frontier_dynamic-"),
-        (explore_case_dynamic, CASE),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )

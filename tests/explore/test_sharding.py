@@ -11,8 +11,8 @@ not compared.
 
 import pytest
 
-from repro.explore import ExploreCase, explore_case, explore_case_dynamic
-from tests.explore.helpers import split_roots
+from repro.explore import ExploreCase, explore_case
+from tests.explore.helpers import explore_case_dynamic, split_roots
 from tests.explore.helpers import violation_set as _violation_set
 
 CASES = [

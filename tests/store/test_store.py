@@ -227,6 +227,11 @@ class TestSchemaVersioning:
                 scope TEXT PRIMARY KEY, created REAL NOT NULL,
                 format INTEGER NOT NULL
             );
+            CREATE TABLE fingerprints (
+                id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                fp TEXT NOT NULL, remaining INTEGER NOT NULL,
+                format INTEGER NOT NULL, UNIQUE (scope, fp)
+            );
             INSERT INTO work_queue (scope, kind, item, status, attempts,
                 not_before, format, created)
                 VALUES ('frontier:x', 'shard', '{}', 'leased', 1, 0.0, 1, 0.0);
@@ -241,7 +246,7 @@ class TestSchemaVersioning:
         con.close()
 
         assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
-        assert "schema v4" in capsys.readouterr().out
+        assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
         con = sqlite3.connect(tmp_path / "store.sqlite")
         try:
             tables = {
@@ -254,13 +259,65 @@ class TestSchemaVersioning:
             }
             leftovers = [
                 con.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("work_queue", "leases", "fingerprints")
+                for table in ("work_queue", "leases")
             ]
         finally:
             con.close()
         assert "exchange_scopes" not in tables
+        assert "fingerprints" not in tables
         assert "kind" not in columns
-        assert leftovers == [0, 0, 0]
+        assert leftovers == [0, 0]
+        assert _kept_rows(tmp_path) == kept
+        with ResultStore(tmp_path) as store:
+            assert store.get_summary("k", "s").value == 25
+
+    def test_v4_fingerprints_table_is_dropped_by_migrate(
+        self, tmp_path, capsys
+    ):
+        # A v4 file: a finished run's queue row and its leftover
+        # fingerprints beside one summary, one campaign and one witness.
+        # Only the fingerprints table goes.
+        with ResultStore(tmp_path) as store:
+            store.put_summary("k", "s", _summary(5))
+            store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
+            store.record_witness(
+                {"format": "repro-explore-artifact/1",
+                 "case": {"target": "ct"}, "violated": ["validity"]}
+            )
+            store.enqueue_work("frontier:x", [{"prefix": []}])
+        kept = _kept_rows(tmp_path)
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        con.executescript(
+            """
+            CREATE TABLE fingerprints (
+                id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                fp TEXT NOT NULL, remaining INTEGER NOT NULL,
+                format INTEGER NOT NULL, UNIQUE (scope, fp)
+            );
+            INSERT INTO fingerprints (scope, fp, remaining, format)
+                VALUES ('scope:x', 'fp', 2, 1);
+            UPDATE meta SET value = '4' WHERE key = 'schema_version';
+            """
+        )
+        con.close()
+        with pytest.raises(SchemaVersionError) as excinfo:
+            ResultStore(tmp_path).write_connection
+        assert "v4" in str(excinfo.value) and "--migrate" in str(excinfo.value)
+
+        assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
+        assert "schema v5" in capsys.readouterr().out
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        try:
+            tables = {
+                name for (name,) in con.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+            queued = con.execute("SELECT COUNT(*) FROM work_queue").fetchone()[0]
+        finally:
+            con.close()
+        assert "fingerprints" not in tables
+        assert queued == 1
         assert _kept_rows(tmp_path) == kept
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
@@ -270,41 +327,6 @@ class TestSchemaVersioning:
         assert store.migrate() == SCHEMA_VERSION
         assert store.migrate() == SCHEMA_VERSION
         store.close()
-
-
-class TestFingerprints:
-    def test_upsert_keeps_max_remaining(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.publish_fingerprints("scope", [("fp", 3)])
-            store.publish_fingerprints("scope", [("fp", 5), ("fp2", 1)])
-            store.publish_fingerprints("scope", [("fp", 2)])
-            visited, _ = store.load_fingerprints("scope")
-        assert visited == {"fp": 5, "fp2": 1}
-
-    def test_scopes_are_isolated(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.publish_fingerprints("a", [("fp", 3)])
-            visited, _ = store.load_fingerprints("b")
-        assert visited == {}
-
-    def test_since_cursor_reads_only_the_delta(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.publish_fingerprints("s", [("fp1", 1)])
-            _, cursor = store.load_fingerprints("s")
-            store.publish_fingerprints("s", [("fp2", 2)])
-            fresh, cursor2 = store.fingerprints_since("s", cursor)
-            assert fresh == [("fp2", 2)]
-            again, _ = store.fingerprints_since("s", cursor2)
-            assert again == []
-
-
-    def test_release_drops_the_scope_rows(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.publish_fingerprints("done", [("fp1", 3)])
-            store.publish_fingerprints("live", [("fp2", 1)])
-            store.release_scope("done")
-            assert store.load_fingerprints("done")[0] == {}
-            assert store.load_fingerprints("live")[0] == {"fp2": 1}
 
 
 class TestWitnessesAndBench:

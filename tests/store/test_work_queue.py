@@ -3,7 +3,7 @@
 These are the store-level guarantees :mod:`repro.explore.frontierd`
 builds on: a claim and its lease are atomic, exactly one completion
 per item is ever accepted, a rejected completion publishes nothing
-(fingerprints and children ride the same transaction), expiry requeues
+(results and children ride the same transaction), expiry requeues
 with exponential backoff, and a poison item lands in quarantine after
 its retry budget.  Times are injected (``now=``) so every schedule is
 deterministic.
@@ -34,13 +34,11 @@ def _claim(store, scope, worker, ttl, now=None):
     return items[0] if items else None
 
 
-def _complete(store, work_id, worker, result, fingerprints=(), children=(),
-              now=None):
+def _complete(store, work_id, worker, result, children=(), now=None):
     """One item's completion: a batch of exactly one."""
     return store.complete_work_batch(
         worker,
         [{"work_id": work_id, "result": result, "children": list(children)}],
-        fingerprints=fingerprints,
         now=now,
     )
 
@@ -78,18 +76,16 @@ class TestClaimAndLease:
 
 
 class TestCompletion:
-    def test_complete_is_atomic_with_fingerprints_and_children(self, store):
+    def test_complete_is_atomic_with_children(self, store):
         store.enqueue_work("q", [_item()])
         work = _claim(store, "q", "w1", ttl=5.0, now=0.0)
         assert _complete(
             store, work.id, "w1", {"runs": 7},
-            fingerprints=[("fps", [("aa", 3), ("bb", 1)])],
             children=[_item(1), _item(2)],
         )
         assert store.work_status("q") == {
             "pending": 2, "leased": 0, "done": 1, "quarantined": 0,
         }
-        assert store.load_fingerprints("fps")[0] == {"aa": 3, "bb": 1}
         results = store.work_results("q")
         assert len(results) == 1 and results[0][2] == {"runs": 7}
 
@@ -104,12 +100,11 @@ class TestCompletion:
         assert w1.id == w2.id
         assert not _complete(
             store, w1.id, "w1", {"runs": 1},
-            fingerprints=[("fps", [("late", 9)])],
             children=[_item(9)],
         )
-        # The rejected completion published NOTHING — no fingerprints
-        # claiming coverage, no duplicate children.
-        assert store.load_fingerprints("fps")[0] == {}
+        # The rejected completion landed NOTHING — no duplicate
+        # children, no result.
+        assert store.work_results("q") == []
         assert store.work_status("q")["pending"] == 0
         assert _complete(store, w2.id, "w2", {"runs": 1})
         assert not _complete(store, w2.id, "w2", {"runs": 1})  # done is final
@@ -287,9 +282,7 @@ class TestBatchClaims:
         # A worker holding nothing gets 0: stop advertising liveness.
         assert store.heartbeat_worker("q", "w1", ttl=1.0, now=3.0) == 0
 
-    def test_batch_completion_is_atomic_with_fingerprints_and_children(
-        self, store
-    ):
+    def test_batch_completion_is_atomic_with_children(self, store):
         store.enqueue_work("q", [_item(0), _item(1)])
         items, _ = store.claim_work_batch("q", "w1", 5.0, 2, now=0.0)
         assert store.complete_work_batch(
@@ -299,19 +292,17 @@ class TestBatchClaims:
                  "children": [_item(7)]},
                 {"work_id": items[1].id, "result": {"runs": 4}},
             ],
-            fingerprints=[("fps", [("aa", 2), ("bb", 5)])],
         )
         assert store.work_status("q") == {
             "pending": 1, "leased": 0, "done": 2, "quarantined": 0,
         }
-        assert store.load_fingerprints("fps")[0] == {"aa": 2, "bb": 5}
         results = {r[2]["runs"] for r in store.work_results("q")}
         assert results == {3, 4}
 
     def test_one_stolen_item_rejects_the_whole_batch(self, store):
-        # All-or-nothing: the batch shares one visited set per scope,
-        # so a partial accept would publish fingerprints backed by no
-        # merged result.  One reassigned item refuses everything.
+        # All-or-nothing: the batch shares one visited set per root,
+        # so a partial accept would let the worker reuse states backed
+        # by no merged result.  One reassigned item refuses everything.
         store.enqueue_work("q", [_item(0), _item(1)])
         mine, _ = store.claim_work_batch("q", "w1", 1.0, 2, now=0.0)
         store.requeue_expired("q", now=5.0)
@@ -324,10 +315,8 @@ class TestBatchClaims:
                 {"work_id": mine[1].id, "result": {"runs": 1},
                  "children": [_item(9)]},
             ],
-            fingerprints=[("fps", [("late", 9)])],
         )
-        # NOTHING landed: no fingerprints, no children, no results.
-        assert store.load_fingerprints("fps")[0] == {}
+        # NOTHING landed: no children, no results.
         assert store.work_results("q") == []
         assert store.work_status("q")["done"] == 0
 
