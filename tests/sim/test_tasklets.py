@@ -132,3 +132,70 @@ class TestDriver:
         driver.advance()
         driver.advance()
         assert results == [42]
+
+
+class TestAdvanceEdges:
+    """The pass structure of one :meth:`TaskletDriver.advance`."""
+
+    def test_tasklet_spawned_mid_pass_runs_in_the_cascade_pass(self):
+        driver = TaskletDriver()
+        log = []
+
+        def child():
+            log.append("child")
+            yield WaitSteps(1)
+
+        def parent():
+            yield WaitSteps(1)
+            driver.spawn(child())
+            log.append("parent")
+            yield WaitSteps(5)
+
+        driver.spawn(parent())
+        driver.advance()  # parent runs to its first yield
+        assert log == []
+        driver.advance()  # parent spawns; the child starts in this step
+        assert log == ["parent", "child"]
+
+    def test_waitsteps_ticks_once_per_advance_however_many_passes(self):
+        driver = TaskletDriver()
+        state = {"hops": 0}
+        done = []
+
+        def hopper():
+            # Resumed once per cascade pass: each hop unblocks the next.
+            for _ in range(4):
+                yield WaitUntil(lambda: True)
+                state["hops"] += 1
+
+        def sleeper():
+            yield WaitSteps(2)
+            done.append(state["hops"])
+
+        driver.spawn(sleeper())
+        driver.spawn(hopper())
+        driver.advance()  # both start; hopper cascades through its hops
+        assert state["hops"] == 4
+        assert not done
+        driver.advance()  # sleeper's counter: 2 -> 1, not 0
+        assert not done
+        driver.advance()
+        assert done == [4]
+
+    def test_finished_tasklet_leaves_the_driver(self):
+        driver = TaskletDriver()
+
+        def short():
+            yield WaitSteps(1)
+
+        def long():
+            yield WaitSteps(3)
+
+        driver.spawn(short())
+        driver.spawn(long())
+        driver.advance()
+        assert len(driver._tasklets) == 2
+        driver.advance()  # short finishes
+        assert len(driver._tasklets) == 1
+        assert driver.active_count == 1
+        assert not driver._tasklets[0].done
