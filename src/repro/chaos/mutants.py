@@ -33,11 +33,19 @@ root (red forever would claim a failure at time 0), so the red branch
 never runs and the mutant is behaviourally identical to the correct
 core.  Only the explorer's detector-switch dimension — a scripted
 green→red transition after a crash — drives the broken path.
+
+:class:`StaleReadRegisterBank` breaks ABD's read: it answers from the
+local replica with no quorum round.  A write that completed on a
+quorum the reader is not in stays invisible to a later read, which
+returns the older value — linearizability breaks.  At n = 2 that needs
+a Σ vector whose quorums intersect without containing the reader (the
+writer's quorum is the writer alone), and a POR that keeps "the write
+completes, then the read is invoked" apart from its swap.
 """
 
 from __future__ import annotations
 
-from typing import Any, Set
+from typing import Any, Generator, Set
 
 from repro.consensus.interface import consensus_component
 from repro.consensus.paxos import OmegaSigmaConsensusCore
@@ -46,6 +54,7 @@ from repro.nbac.from_qc import NBACFromQCCore
 from repro.nbac.spec import ABORT, COMMIT, YES
 from repro.qc.psi_qc import PsiQCCore
 from repro.qc.spec import Q
+from repro.registers.abd import RegisterBank
 from repro.sim.tasklets import WaitUntil
 
 
@@ -176,3 +185,27 @@ def redcommit_factory(votes_items):
     """Component factory for the red-commit NBAC mutant."""
     votes = dict(votes_items)
     return consensus_component(lambda pid: redcommit_nbac_core(votes[pid]))
+
+
+class StaleReadRegisterBank(RegisterBank):
+    """ABD with the read's two quorum rounds cut: the local replica's
+    entry is the answer.
+
+    Writes, the replica side and the operation records are the
+    parent's, so a clean history stays linearizable until a read meets
+    a completed write its own replica never received.
+    """
+
+    def read(self, reg: Any) -> Generator:
+        record = (
+            self.ctx.new_operation(self.name, "read", (reg,))
+            if self.record_ops
+            else None
+        )
+        # THE BUG: no query round, no write-back.
+        _, value = self._entry(reg)
+        self.reads_done += 1
+        if record is not None:
+            self.ctx.complete_operation(record, value)
+        return value
+        yield  # a generator, like every operation  # pragma: no cover

@@ -11,8 +11,8 @@ execution is deterministic in the case alone.
 The clean targets cover the paper's headline algorithms: (Ω, Σ) Paxos
 consensus (Corollary 4), Chandra-Toueg ◇S consensus [4], quittable
 consensus from Ψ (Figure 2), NBAC from (Ψ, FS) (Corollary 10), and
-Σ-quorum ABD registers (Theorem 1).  ``submajority`` is the deliberate
-mutant from :mod:`repro.chaos.mutants` — excluded from
+Σ-quorum ABD registers (Theorem 1).  The mutants of
+:mod:`repro.chaos.mutants` (:data:`MUTANT_TARGETS`) are excluded from
 :data:`CLEAN_TARGETS` and expected to *fail*.
 """
 
@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Tuple
 from repro.chaos.adversaries import make_delay, make_delivery, make_scheduler
 from repro.chaos.knobs import ChaosKnobs
 from repro.chaos.mutants import (
+    StaleReadRegisterBank,
     eagerquit_factory,
     hastycommit_factory,
     redcommit_factory,
@@ -112,6 +113,12 @@ def _identity(d):
 
 def register_bank_factory():
     return lambda pid: RegisterBank(SigmaQuorums(_identity), record_ops=True)
+
+
+def staleread_bank_factory():
+    return lambda pid: StaleReadRegisterBank(
+        SigmaQuorums(_identity), record_ops=True
+    )
 
 
 def register_workload_factory(seed):
@@ -223,6 +230,16 @@ def _build_register(n, seed, horizon, knobs):
     )
 
 
+def _build_staleread(n, seed, horizon, knobs):
+    return dict(
+        _build_register(n, seed, horizon, knobs),
+        components=[
+            ("reg", call(staleread_bank_factory)),
+            ("workload", call(register_workload_factory, seed)),
+        ],
+    )
+
+
 def _build_submajority(n, seed, horizon, knobs):
     items = _proposal_items(n, seed)
     return dict(
@@ -283,11 +300,21 @@ TARGETS: Dict[str, Target] = {
         Target("eagerquit", _build_eagerquit),
         Target("hastycommit", _build_hastycommit),
         Target("redcommit", _build_redcommit),
+        Target(
+            "staleread",
+            _build_staleread,
+            safety_clauses=("linearizability",),
+        ),
     )
 }
 
 #: The correct algorithms: zero safety violations expected, ever.
 CLEAN_TARGETS: Tuple[str, ...] = ("paxos", "ct", "qc", "nbac", "register")
+
+#: The targets that run the register stack (a Σ-quorum bank and a
+#: workload, judged by linearizability): the explorer gives them one
+#: workload and one detector family.
+REGISTER_TARGETS = frozenset({"register", "staleread"})
 
 #: The seeded bugs of :mod:`repro.chaos.mutants`: every one must be
 #: detectable — the chaos fuzzer and the explorer both assert it.
@@ -295,12 +322,16 @@ CLEAN_TARGETS: Tuple[str, ...] = ("paxos", "ct", "qc", "nbac", "register")
 #: dimension: its bug hides behind an FS green→red transition, which
 #: constant-assignment exploration (and the oracle-driven fuzzer only
 #: rarely) lines up — the explorer asserts it *with* switches and
-#: asserts clean exhaustion *without* them.
+#: asserts clean exhaustion *without* them.  ``staleread`` needs a
+#: non-uniform Σ vector (the writer's quorum without the reader) and a
+#: read/write workload seed; the chaos fuzzer, whose Σ oracle keeps a
+#: correct process in every quorum, has not been seen to convict it.
 MUTANT_TARGETS: Tuple[str, ...] = (
     "submajority",
     "eagerquit",
     "hastycommit",
     "redcommit",
+    "staleread",
 )
 
 

@@ -21,7 +21,8 @@ history:
   else" assignments that drive the interesting schedules).
 * Σ's intersection is **perpetual** — it must hold within the window.
   The families below only emit quorum vectors that pairwise intersect
-  (all-full, or a shared pivot process).
+  (at n = 2 every one of them, elsewhere all-full or a shared pivot
+  process).
 * Ψ constant at an (Ω, Σ) value is a Ψ whose initial ⊥ period had
   length zero and which committed to the (Ω, Σ) branch at time 0 —
   admissible for any failure pattern.  A constant FS branch is *not*
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.chaos.targets import REGISTER_TARGETS
 from repro.core.detector import (
     BOTTOM,
     GREEN,
@@ -254,7 +256,23 @@ def _psi_fs_assignments(n: int, leaders_only_zero: bool = False) -> List[Assignm
 
 
 def _sigma_assignments(n: int) -> List[Assignment]:
+    """Σ quorum vectors whose quorums pairwise intersect.
+
+    At n = 2 that is every such vector — seven of the nine over the
+    non-empty subsets of {0, 1}, all but {0} against {1} — since the
+    non-uniform ones are where a write's quorum can miss the reader
+    (``staleread`` needs one).  Larger n keep all-full and the shared
+    pivot.
+    """
     full = tuple(range(n))
+    if n == 2:
+        quorums = [full, (0,), (1,)]
+        return [
+            (("sigma", a), ("sigma", b))
+            for a in quorums
+            for b in quorums
+            if set(a) & set(b)
+        ]
     return [
         tuple(("sigma", full) for _ in range(n)),
         tuple(("sigma", (0,)) for _ in range(n)),
@@ -276,7 +294,7 @@ def assignments_for(target: str, n: int) -> List[Assignment]:
         # Any non-⊥ Ψ triggers the bug; one (Ω, Σ)-shaped root suffices.
         full = tuple(range(n))
         return [tuple(_os(0, full) for _ in range(n))]
-    if target == "register":
+    if target in REGISTER_TARGETS:
         return _sigma_assignments(n)
     raise ValueError(f"no assignment family for target {target!r}")
 
@@ -349,7 +367,7 @@ def switch_scripts_for(target: str, n: int) -> List[Assignment]:
                 n,
             ),
         ]
-    if target == "register":
+    if target in REGISTER_TARGETS:
         # Σ is perpetual: a quorum shrink keeps pairwise intersection
         # (full ∩ pivot = pivot), so the switch is admissible.
         return [

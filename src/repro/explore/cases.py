@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.chaos.knobs import ChaosKnobs
-from repro.chaos.targets import TARGETS
+from repro.chaos.targets import REGISTER_TARGETS, TARGETS
 from repro.core.failure_pattern import FailurePattern
 from repro.explore.assignments import (
     decode_value,
@@ -209,7 +209,7 @@ def resolve_parts(case: ExploreCase) -> CaseParts:
     built = target.build(case.n, case.seed, case.depth, ChaosKnobs())
     components = []
     for name, spec in built["components"]:
-        if case.target == "register" and name == "workload":
+        if case.target in REGISTER_TARGETS and name == "workload":
             spec = call(explore_register_workload_factory, case.seed)
         components.append((name, spec.resolve()))
     return CaseParts(
@@ -253,6 +253,7 @@ def build_system(
         delivery_policy=ExploringDelivery(controller),
         trace_mode="full",
     )
+    controller.trace = system.trace
     assignment = case.resolved_assignment
     if any(is_script(enc) for enc in assignment):
         scripts = controller.scripts = DetectorScript(

@@ -47,6 +47,7 @@ from typing import Any, Callable, FrozenSet, List, Optional, Sequence, Set, Tupl
 
 from repro.sim.network import DeliveryPolicy, Message
 from repro.sim.scheduler import Scheduler
+from repro.sim.trace import RunTrace
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +64,13 @@ class ChoicePoint:
 class TickRecord:
     """One executed tick in the controller's journal.
 
-    The first four fields are the controller's position at the *start*
+    The first five fields are the controller's position at the *start*
     of the tick (before its scheduler pick) — what a rewind to this
-    tick restores; ``pid`` and ``delivered`` are what the tick then
-    did — what a rewind past it re-feeds to a rebuilt host.
+    tick restores; ``op_events`` is the trace's count of operation
+    events (invocations plus responses) at that moment, against which
+    the next tick tells whether this one invoked or completed an
+    operation.  ``pid`` and ``delivered`` are what the tick then did —
+    what a rewind past it re-feeds to a rebuilt host.
     ``delivered`` is the network's own :class:`Message` object (the
     trace's ``DeliveredMessage`` lacks ``dest`` and ``meta``).
     """
@@ -75,6 +79,7 @@ class TickRecord:
     por_pruned: int
     sent: int
     cursors: Optional[Tuple[int, ...]]
+    op_events: int
     pid: int
     delivered: Optional[Message] = None
 
@@ -163,6 +168,9 @@ class ChoiceController:
         #: Ticks at which the case's schedule crashes someone
         #: (installed by ``build_system``).
         self.crash_times: FrozenSet[int] = frozenset()
+        #: The run's trace, whose operation records the POR boundary
+        #: reads (installed by ``build_system``).
+        self.trace: Optional[RunTrace] = None
         # The journal.  ``sent.append`` is every host's outgoing hook.
         self.sent: List[Message] = []
         self.ticks: List[TickRecord] = []
@@ -170,7 +178,8 @@ class ChoiceController:
         self.prev_pid: Optional[int] = None
         self.fresh: List[Message] = []
         self.fresh_ids: Set[int] = set()
-        self.boundary: bool = False  # crash event at this tick
+        #: Crash event at this tick, or an operation event in the last.
+        self.boundary: bool = False
         self.por_enabled: bool = True
         self.por_pruned: int = 0
         self._deliver_fresh_only: bool = False
@@ -212,12 +221,14 @@ class ChoiceController:
         actor are only eligible when they can consume a message that
         step just sent (a *dependent* continuation); their independent
         steps are pruned because the swapped interleaving reaches the
-        same state and is explored under an earlier sibling.  Crash
-        boundaries (a crash event at this tick) disable the filter —
-        the alive set changed between the two steps, so the swap
-        argument does not apply.  If the filter would empty the enabled
-        set it is skipped entirely (exploring a redundant interleaving
-        is sound; halting the run here would not be judged).
+        same state and is explored under an earlier sibling.
+        Boundaries disable the filter: at a crash event the alive set
+        changed between the two steps, and after an operation event the
+        swap would reorder what linearizability observes (see
+        :meth:`begin_tick`), so the swap argument does not apply.  If
+        the filter would empty the enabled set it is skipped entirely
+        (exploring a redundant interleaving is sound; halting the run
+        here would not be judged).
 
         The detector dimension preserves the swap argument: a process's
         advance menu depends only on its own cursor, the tick, and the
@@ -236,6 +247,7 @@ class ChoiceController:
             self.por_pruned,
             len(self.sent),
             tuple(scripts.cursors) if scripts is not None else None,
+            self.operation_events(),
         )
         restricted = False
         allowed = list(alive)
@@ -301,23 +313,42 @@ class ChoiceController:
         return ready[index]
 
     # -- the journal: POR context and rewind ---------------------------
+    def operation_events(self) -> int:
+        """Operation invocations plus responses the trace holds."""
+        operations = self.trace.operations if self.trace is not None else ()
+        if not operations:
+            return 0
+        return len(operations) + sum(
+            1 for op in operations if op.response_time is not None
+        )
+
     def begin_tick(self, now: int) -> None:
         """Install the previous step's POR context for tick ``now``.
 
-        Read off the journal — the previous tick's actor and the
-        messages sent since that tick began — so it is the same whether
-        the previous tick was just executed or the controller was just
-        rewound to ``now``.
+        Read off the journal — the previous tick's actor, the messages
+        sent since that tick began and the operation events it recorded
+        — so it is the same whether the previous tick was just executed
+        or the controller was just rewound to ``now``.
+
+        Tick ``now`` is a boundary, where the filter is off, at a crash
+        event and after a step that invoked or completed an operation.
+        Linearizability reads the real-time order of those events, so
+        swapping such a step with its neighbour is observable: "q
+        completes, then p invokes" puts q's operation before p's, the
+        swap makes them concurrent, and only the first order may be the
+        one that is not linearizable.
         """
         if self.ticks:
             last = self.ticks[-1]
             self.prev_pid = last.pid
             self.fresh = self.sent[last.sent:]
+            operation_step = self.operation_events() != last.op_events
         else:
             self.prev_pid = None
             self.fresh = []
+            operation_step = False
         self.fresh_ids = {m.msg_id for m in self.fresh}
-        self.boundary = now in self.crash_times
+        self.boundary = operation_step or now in self.crash_times
 
     def rewind(self, prefix: Sequence[int], time: int) -> None:
         """Go back to the start of tick ``time`` and aim at ``prefix``.

@@ -52,6 +52,7 @@ SMOKE_DEPTHS: Dict[str, int] = {
     "hastycommit": 6,
     "redcommit": 6,
     "register": 7,
+    "staleread": 8,
 }
 
 #: Pinned smoke depths at n=3 — the size the hot-path overhaul makes
@@ -82,6 +83,9 @@ DEFAULT_SEEDS: Dict[str, Tuple[int, ...]] = {
     "nbac": (0, 1),
     "hastycommit": (0, 1),
     "redcommit": (1,),
+    # One read and one write (seed 0 draws two writes): the stale read
+    # needs a read that follows a write it cannot see.
+    "staleread": (4,),
 }
 
 #: Mutants whose bug hides behind a detector transition: undetectable

@@ -59,13 +59,15 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Any, FrozenSet, Iterable, List, Sequence, Tuple
 
+from repro.chaos.targets import REGISTER_TARGETS
+
 #: Targets whose seed-derived inputs and decision values are free of
 #: pid-derived data (see module doc).  Proposals are seed-derived
 #: pid-free strings ("v"/"w", odd seeds pinning pid 0 — mirroring the
 #: NBAC vote convention), so the whole consensus family qualifies.
 #: Still excluded: ct (the rotating coordinator — round mod n — is not
-#: pid-equivariant) and register (workload writes are tagged
-#: ``(pid, seq)``, baking pids into register values).
+#: pid-equivariant) and the register targets (workload writes are
+#: tagged ``(pid, seq)``, baking pids into register values).
 SYMMETRY_SAFE_TARGETS = frozenset(
     {
         "paxos",
@@ -86,8 +88,9 @@ SYMMETRY_SAFE_TARGETS = frozenset(
 #: checked, not assumed — ``tests/explore/test_clock_independence.py``
 #: re-feeds every target's per-process step histories at remapped
 #: ticks and asserts this set is exactly the targets that pass.
-#: Excluded: register (its operation records carry ``invoke_time`` and
-#: ``response_time``, and its processes hold them).
+#: Excluded: the register targets (their operation records carry
+#: ``invoke_time`` and ``response_time``, and their processes hold
+#: them).
 CLOCK_FREE_TARGETS = frozenset(
     {
         "paxos",
@@ -119,7 +122,7 @@ def build_fixed_pids(target: str, n: int, seed: int) -> FrozenSet[int]:
     convention (their per-pid values are pid-tagged regardless, which
     is why the target sits outside :data:`SYMMETRY_SAFE_TARGETS`).
     """
-    if target != "register" and seed % 2 == 1:
+    if target not in REGISTER_TARGETS and seed % 2 == 1:
         return frozenset({0})
     return frozenset()
 

@@ -45,6 +45,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.perf import PerfCounters
+from repro.sim.rng import draw_below
 
 
 @dataclass
@@ -97,7 +98,7 @@ class UniformDelay(DelayModel):
         self.hi = hi
 
     def sample(self, rng: random.Random, sender: int, dest: int) -> int:
-        return rng.randint(self.lo, self.hi)
+        return self.lo + draw_below(rng, self.hi - self.lo + 1)
 
 
 class SpikeDelay(DelayModel):
@@ -111,14 +112,18 @@ class SpikeDelay(DelayModel):
     ):
         if not 0 <= spike_probability <= 1:
             raise ValueError("spike_probability must be in [0, 1]")
+        if not 1 <= base_hi < spike_hi:
+            raise ValueError(
+                f"need 1 <= base_hi < spike_hi, got {base_hi}, {spike_hi}"
+            )
         self.base_hi = base_hi
         self.spike_hi = spike_hi
         self.spike_probability = spike_probability
 
     def sample(self, rng: random.Random, sender: int, dest: int) -> int:
         if rng.random() < self.spike_probability:
-            return rng.randint(self.base_hi + 1, self.spike_hi)
-        return rng.randint(1, self.base_hi)
+            return self.base_hi + 1 + draw_below(rng, self.spike_hi - self.base_hi)
+        return 1 + draw_below(rng, self.base_hi)
 
 
 class DeliveryPolicy(ABC):
@@ -175,7 +180,7 @@ class RandomDelivery(DeliveryPolicy):
     def choose(
         self, ready: List[Message], now: int, rng: random.Random
     ) -> Optional[Message]:
-        return ready[rng.randrange(len(ready))]
+        return ready[draw_below(rng, len(ready))]
 
 
 class HoldingDelivery(DeliveryPolicy):
@@ -255,14 +260,14 @@ class Network:
             raise ValueError(f"unknown destination {dest}")
         delay = self.delay_model.sample(self._rng, sender, dest)
         msg = Message(
-            msg_id=self._next_msg_id,
-            sender=sender,
-            dest=dest,
-            component=component,
-            payload=payload,
-            send_time=now,
-            ready_at=now + delay,
-            meta=dict(meta or {}),
+            self._next_msg_id,
+            sender,
+            dest,
+            component,
+            payload,
+            now,
+            now + delay,
+            dict(meta) if meta else {},
         )
         self._next_msg_id += 1
         self._enqueue(msg)
@@ -314,7 +319,9 @@ class Network:
         withheld them all).
         """
         buf = self._buffers[dest]
-        self._promote(buf, now)
+        future = buf.future
+        if future and future[0][0] <= now:
+            self._promote(buf, now)
         ready = buf.ready
         if not ready:
             return None

@@ -242,6 +242,9 @@ class ProcessHost:
             self.components[comp.name] = comp
         self._driver = TaskletDriver()
         self._started = False
+        #: The components whose ``on_step`` is not the base no-op,
+        #: fixed at the first step (after ``on_start``).
+        self._stepping: List[Component] = []
         self.steps_taken = 0
 
     def spawn(self, gen: Generator, name: str = "") -> None:
@@ -255,23 +258,33 @@ class ProcessHost:
     # ------------------------------------------------------------------
     def take_step(self, now: int, message: Optional[Message]) -> Optional[DeliveredMessage]:
         """Execute one atomic step; returns the delivered-message record."""
-        self.ctx.now = now
+        ctx = self.ctx
+        ctx.now = now
         if not self._started:
             self._started = True
             for comp in list(self.components.values()):
                 comp.on_start()
             # Tasklets spawned in on_start get a first advance below.
+            # Calling the base class's no-op ``on_step`` does nothing,
+            # so only overrides — on the class or set on the instance —
+            # are called, in component order.
+            self._stepping = [
+                comp
+                for comp in self.components.values()
+                if "on_step" in vars(comp)
+                or type(comp).on_step is not Component.on_step
+            ]
 
         delivered: Optional[DeliveredMessage] = None
         if message is not None:
             delivered = DeliveredMessage(
-                msg_id=message.msg_id,
-                sender=message.sender,
-                component=message.component,
-                payload=message.payload,
-                send_time=message.send_time,
+                message.msg_id,
+                message.sender,
+                message.component,
+                message.payload,
+                message.send_time,
             )
-            for hook in self.ctx._incoming_hooks:
+            for hook in ctx._incoming_hooks:
                 hook(delivered, message.meta)
             comp = self.components.get(message.component)
             if comp is None:
@@ -281,7 +294,7 @@ class ProcessHost:
                 )
             comp.on_message(message.sender, message.payload, message.meta)
 
-        for comp in list(self.components.values()):
+        for comp in self._stepping:
             comp.on_step()
 
         self._driver.advance()

@@ -49,3 +49,24 @@ class RngStreams:
     def fork(self, name: str) -> "RngStreams":
         """A child family, independent of this one and of other forks."""
         return RngStreams(derive_seed(self.root_seed, f"fork:{name}"))
+
+
+def draw_below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` for an int ``n >= 1``, without its frames.
+
+    CPython's ``randrange(n)`` checks its argument and hands ``n`` to
+    ``_randbelow_with_getrandbits``: draw ``n.bit_length()`` bits and
+    redraw until the value is below ``n``.  This is that rejection
+    loop and nothing else, so it consumes the generator's stream
+    exactly as ``randrange(n)`` does and returns the same value —
+    ``lo + draw_below(rng, hi - lo + 1)`` is likewise
+    ``rng.randint(lo, hi)``.  ``tests/sim/test_rng.py`` holds it to
+    both across seeds and bounds.  It does no argument checks: the
+    caller guarantees ``n >= 1``.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

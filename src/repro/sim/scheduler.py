@@ -16,6 +16,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_right
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
+from repro.sim.rng import draw_below
+
 
 class Scheduler(ABC):
     """Chooses which alive process steps at each tick."""
@@ -33,7 +35,7 @@ class RandomScheduler(Scheduler):
     def pick(
         self, alive: Sequence[int], now: int, rng: random.Random
     ) -> Optional[int]:
-        return alive[rng.randrange(len(alive))]
+        return alive[draw_below(rng, len(alive))]
 
 
 class RoundRobinScheduler(Scheduler):
@@ -180,7 +182,7 @@ class BurstScheduler(Scheduler):
             or self._remaining <= 0
             or self._current not in alive
         ):
-            self._current = alive[rng.randrange(len(alive))]
+            self._current = alive[draw_below(rng, len(alive))]
             self._remaining = self.burst_length
         self._remaining -= 1
         return self._current

@@ -185,51 +185,71 @@ class System:
         have held before ``start``.
         """
         rng_sched = self.streams.get("scheduler")
-        stop_at: Optional[int] = None
+        # The tick the run stops at, once the stop predicate has held.
+        stop_tick: Optional[int] = None
         # The alive list is maintained incrementally from the pattern's
         # sorted crash schedule: O(total crashes) over the whole run
         # instead of n membership tests per tick.  Removal preserves the
-        # ascending pid order the schedulers rely on.
+        # ascending pid order the schedulers rely on.  The schedule is
+        # looked at only on the ticks where its next event is due (and
+        # on the first, which catches up a resumed run and finds an
+        # all-crashed start).
         events = self.pattern.crash_events()
         next_event = 0
+        due = start
         alive = [p for p in range(self.n) if not self.pattern.crashed(p, 0)]
         trace = self.trace
         network = self.network
-        scheduler = self.scheduler
-        perf = self.perf
+        hosts = self.hosts
+        pick = self.scheduler.pick
+        pick_for = network.pick_for
+        record_step = trace.record_step
+        # Counted here, added to ``perf`` once when the loop ends.
+        ticks = lambda_steps = 0
         completed = True
-        for t in range(start, self.horizon + 1):
-            self.now = t
-            while next_event < len(events) and events[next_event][0] <= t:
-                crashed_pid = events[next_event][1]
-                if crashed_pid in alive:
-                    alive.remove(crashed_pid)
-                next_event += 1
-            if not alive:
-                trace.stop_reason = "all-crashed"
-                completed = False
-                break
-            pid = scheduler.pick(alive, t, rng_sched)
-            if pid is None:
-                trace.stop_reason = "scheduler-halt"
-                completed = False
-                break
-            host = self.hosts[pid]
-            message = network.pick_for(pid, t)
-            delivered = host.take_step(t, message)
-            perf.ticks += 1
-            if delivered is None:
-                perf.lambda_steps += 1
-            trace.record_step(t, pid, delivered, host.ctx.detector)
-            if stop_when is not None and stop_at is None and stop_when(self):
-                stop_at = t
-            if stop_at is not None and t >= stop_at + grace:
-                trace.stop_reason = "stop-condition"
-                completed = False
-                break
+        try:
+            for t in range(start, self.horizon + 1):
+                self.now = t
+                if t >= due:
+                    while next_event < len(events) and events[next_event][0] <= t:
+                        crashed_pid = events[next_event][1]
+                        if crashed_pid in alive:
+                            alive.remove(crashed_pid)
+                        next_event += 1
+                    if next_event < len(events):
+                        due = events[next_event][0]
+                    else:
+                        due = self.horizon + 1
+                    if not alive:
+                        trace.stop_reason = "all-crashed"
+                        completed = False
+                        break
+                pid = pick(alive, t, rng_sched)
+                if pid is None:
+                    trace.stop_reason = "scheduler-halt"
+                    completed = False
+                    break
+                host = hosts[pid]
+                delivered = host.take_step(t, pick_for(pid, t))
+                ticks += 1
+                if delivered is None:
+                    lambda_steps += 1
+                record_step(t, pid, delivered, host.ctx.detector)
+                if stop_tick is None:
+                    if stop_when is None or not stop_when(self):
+                        continue
+                    stop_tick = t + grace
+                if t >= stop_tick:
+                    trace.stop_reason = "stop-condition"
+                    completed = False
+                    break
+        finally:
+            perf = self.perf
+            perf.ticks += ticks
+            perf.lambda_steps += lambda_steps
         if completed:
             trace.stop_reason = (
-                "stop-condition" if stop_at is not None else "horizon"
+                "stop-condition" if stop_tick is not None else "horizon"
             )
         trace.messages_sent = network.sent_count
         trace.messages_delivered = network.delivered_count

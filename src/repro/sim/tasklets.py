@@ -42,7 +42,7 @@ class WaitSteps:
         self.remaining = k
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tasklet:
     gen: Generator
     wait: Any = None
@@ -77,51 +77,57 @@ class TaskletDriver:
         ``WaitUntil`` predicates (and start freshly-spawned tasklets),
         so that a tasklet unblocked by another one within the same step
         still runs in that step.
+
+        A pass visits the tasklets present when it began: one spawned
+        during a pass (only appends happen mid-pass) is first started
+        by the next, cascade pass.  The whole step runs in this one
+        frame, and finished tasklets leave the list at its end.
         """
-        if not self._tasklets:
+        tasklets = self._tasklets
+        if not tasklets:
             return
-        progressed = self._pass(tick_waitsteps=True)
-        for _ in range(self.MAX_CASCADE - 1):
-            if not progressed:
-                break
-            progressed = self._pass(tick_waitsteps=False)
-        self._tasklets = [t for t in self._tasklets if not t.done]
-
-    def _pass(self, tick_waitsteps: bool) -> bool:
-        progressed = False
-        for task in list(self._tasklets):
-            if task.done:
-                continue
-            if self._resume_if_runnable(task, tick_waitsteps):
+        finished = False
+        tick_waitsteps = True
+        passes_left = self.MAX_CASCADE
+        while True:
+            progressed = False
+            index, count = 0, len(tasklets)
+            while index < count:
+                task = tasklets[index]
+                index += 1
+                if task.done:
+                    continue
+                send_value: Any = None
+                if task.started:
+                    wait = task.wait
+                    if isinstance(wait, WaitUntil):
+                        send_value = wait.predicate()
+                        if not send_value:
+                            continue
+                    elif isinstance(wait, WaitSteps):
+                        if not tick_waitsteps:
+                            continue
+                        wait.remaining -= 1
+                        if wait.remaining > 0:
+                            continue
+                    else:
+                        raise TypeError(
+                            f"tasklet {task.name!r} yielded {wait!r}"
+                        )
                 progressed = True
-        return progressed
-
-    def _resume_if_runnable(self, task: _Tasklet, tick_waitsteps: bool) -> bool:
-        send_value: Any = None
-        wait = task.wait
-        if not task.started:
-            pass  # fresh tasklet: run to its first yield
-        elif isinstance(wait, WaitUntil):
-            result = wait.predicate()
-            if not result:
-                return False
-            send_value = result
-        elif isinstance(wait, WaitSteps):
-            if not tick_waitsteps:
-                return False
-            wait.remaining -= 1
-            if wait.remaining > 0:
-                return False
-        else:
-            raise TypeError(f"tasklet {task.name!r} yielded {wait!r}")
-
-        try:
-            if task.started:
-                task.wait = task.gen.send(send_value)
-            else:
-                task.started = True
-                task.wait = next(task.gen)
-        except StopIteration:
-            task.done = True
-            task.wait = None
-        return True
+                try:
+                    if task.started:
+                        task.wait = task.gen.send(send_value)
+                    else:
+                        task.started = True
+                        task.wait = next(task.gen)
+                except StopIteration:
+                    task.done = True
+                    task.wait = None
+                    finished = True
+            passes_left -= 1
+            if not progressed or not passes_left:
+                break
+            tick_waitsteps = False
+        if finished:
+            self._tasklets = [t for t in tasklets if not t.done]

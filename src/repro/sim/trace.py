@@ -47,7 +47,7 @@ class Step:
     detector_value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeliveredMessage:
     """The message component of a step, as seen by the receiver."""
 
@@ -56,6 +56,18 @@ class DeliveredMessage:
     component: str
     payload: Any
     send_time: int
+
+    def __init__(
+        self, msg_id: int, sender: int, component: str, payload: Any, send_time: int
+    ) -> None:
+        # One per delivery: fill the instance dict directly instead of
+        # the frozen dataclass's five ``object.__setattr__`` calls.
+        fields = self.__dict__
+        fields["msg_id"] = msg_id
+        fields["sender"] = sender
+        fields["component"] = component
+        fields["payload"] = payload
+        fields["send_time"] = send_time
 
 
 @dataclass(frozen=True)

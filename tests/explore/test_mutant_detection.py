@@ -97,6 +97,38 @@ def test_redcommit_needs_the_switch_dimension(network):
     )
 
 
+def test_staleread_linearizability_violation_found(network):
+    """From the shipped roots, POR on: the Σ family's non-uniform
+    vectors let a write complete without the reader, and the POR keeps
+    "the write completes, then the read starts" on the menu."""
+    roots = enumerate_roots("staleread", 2)
+    assert all(root.depth == SMOKE_DEPTHS["staleread"] for root in roots)
+    hits = []
+    for root in roots:
+        result = explore_case(root, stop_on_first_violation=True)
+        hits.extend(result.violations)
+    assert hits, "seeded stale-read register bug not detected"
+    assert all(v.violated == ("linearizability",) for v in hits)
+
+
+def test_register_silent_under_staleread_witness_root():
+    """Clean ABD on the root that convicts the stale read: exhausts
+    without a violation."""
+    from repro.explore import ExploreCase
+
+    result = explore_case(
+        ExploreCase(
+            target="register",
+            n=2,
+            depth=8,
+            seed=4,
+            assignment=(("sigma", (0, 1)), ("sigma", (1,))),
+        )
+    )
+    assert result.complete
+    assert not result.violations
+
+
 def test_nbac_silent_under_redcommit_witness_roots():
     """Clean NBAC explored over the same scripted roots stays clean —
     the conviction comes from the seeded bug, not from the scripts."""

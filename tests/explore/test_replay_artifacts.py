@@ -26,6 +26,7 @@ EXPECTED = {
     "explore-eagerquit",
     "explore-hastycommit",
     "explore-redcommit",  # scripted: detector choices ride in the trace
+    "explore-staleread",  # convicted only with operation-event boundaries
 }
 
 
@@ -52,11 +53,15 @@ def test_artifact_replays_and_reconfirms(path):
     assert result.ok
 
 
+#: Witnesses written while a search still named its network engine.
+ENGINE_KEYED = [path for path in ARTIFACTS if path.stem != "explore-staleread"]
+
+
 @pytest.mark.parametrize(
-    "path", ARTIFACTS, ids=[path.stem for path in ARTIFACTS]
+    "path", ENGINE_KEYED, ids=[path.stem for path in ENGINE_KEYED]
 )
 def test_the_engine_key_of_older_witnesses_is_not_read(path, tmp_path):
-    """The committed witnesses were written when a search named its
+    """The older witnesses were written when a search named its
     network engine; both networks are trace-identical, the key is no
     longer written, and whatever it says a witness replays the same."""
     committed = load_artifact(path)
@@ -93,3 +98,19 @@ def test_explore_loader_rejects_chaos_format(tmp_path):
     bogus.write_text('{"format": "repro-chaos-artifact/1"}')
     with pytest.raises(ValueError, match="not an explore artifact"):
         load_explore(bogus)
+
+
+def test_a_witness_written_today_is_rewritten_byte_for_byte(tmp_path):
+    path = DATA / "explore-staleread.json"
+    committed = load_artifact(path)
+    assert "engine" not in committed
+    rewritten = write_artifact(
+        tmp_path / path.name,
+        case_from_dict(committed["case"]),
+        committed["choices"],
+        committed["violated"],
+        por=committed["por"],
+        shrink_stats=committed["shrink"],
+    )
+    assert rewritten == committed
+    assert (tmp_path / path.name).read_text() == path.read_text()

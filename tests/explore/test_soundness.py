@@ -77,6 +77,17 @@ def _outcomes(result):
         # licensed by clock independence here: pin that POR still
         # agrees with the unreduced walk on clean ABD.
         ExploreCase(target="register", n=2, depth=7),
+        # A violation only a real-time order exposes: the write
+        # completes on {1}, then 0 reads its own stale replica.  With
+        # POR but no operation-event boundary the pruned order was the
+        # violating one (344 runs, 0 violations, complete).
+        ExploreCase(
+            target="staleread",
+            n=2,
+            depth=8,
+            seed=4,
+            assignment=(("sigma", (0, 1)), ("sigma", (1,))),
+        ),
     ],
     ids=[
         "ct-mutual-suspicion",
@@ -84,6 +95,7 @@ def _outcomes(result):
         "nbac-fsred-script",
         "redcommit-fsred-script",
         "register",
+        "staleread",
     ],
 )
 def test_reductions_preserve_outcomes(case):

@@ -1,6 +1,8 @@
 """Unit tests for named-stream RNG."""
 
-from repro.sim.rng import RngStreams, derive_seed
+import random
+
+from repro.sim.rng import RngStreams, derive_seed, draw_below
 
 
 class TestDeriveSeed:
@@ -43,3 +45,35 @@ class TestRngStreams:
         a = RngStreams(7).fork("w").get("s").random()
         b = RngStreams(7).fork("w").get("s").random()
         assert a == b
+
+
+class TestDrawBelow:
+    """``draw_below`` is ``randrange(n)`` draw for draw: same values,
+    same stream position afterwards."""
+
+    SEEDS = range(40)
+    BOUNDS = range(1, 71)
+
+    def test_equals_randrange(self):
+        for seed in self.SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in self.BOUNDS:
+                for _ in range(3):
+                    assert draw_below(ours, n) == theirs.randrange(n)
+            assert ours.random() == theirs.random()
+
+    def test_shifted_equals_randint(self):
+        for seed in self.SEEDS:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for lo in (0, 1, 3):
+                for width in self.BOUNDS:
+                    hi = lo + width - 1
+                    assert lo + draw_below(ours, width) == theirs.randint(lo, hi)
+            assert ours.random() == theirs.random()
+
+    def test_large_bounds_and_derived_seeds(self):
+        for seed in self.SEEDS:
+            root = derive_seed(seed, "scheduler")
+            ours, theirs = random.Random(root), random.Random(root)
+            for n in (2**31 - 1, 2**32, 2**32 + 1, 10**12 + 7):
+                assert draw_below(ours, n) == theirs.randrange(n)
