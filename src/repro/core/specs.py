@@ -12,6 +12,15 @@ time it holds from.  A finite window can of course only *falsify* an
 eventual property or confirm it held over the observed suffix; the
 simulation harness sizes horizons so that the stable suffix is long
 enough to be meaningful.
+
+Σ, FS, (Ω, Σ) and Ψ each split into a prefix-closed *safety* clause —
+``sigma_safety``, ``fs_safety``, ``omega_sigma_safety``,
+``psi_safety``: a history failing it has no admissible extension — and
+a liveness remainder; ``check_*`` is their conjunction.  The two
+share one walk per detector (``_sigma``, ``_fs``, ``_omega_sigma``,
+``_psi``), whose ``liveness`` argument adds the eventual clauses.  The
+explorer holds its detector menus to the safety clauses alone, since it
+only ever runs a finite prefix.
 """
 
 from __future__ import annotations
@@ -121,9 +130,20 @@ def check_omega(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
 # ----------------------------------------------------------------------
 # Sigma
 # ----------------------------------------------------------------------
+def sigma_safety(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
+    """Σ's safety clause: perpetual pairwise Intersection."""
+    return _sigma(history, pattern, liveness=False)
+
+
 def check_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check Σ: perpetual pairwise Intersection and eventual
     Completeness (quorums at correct processes ⊆ correct(F))."""
+    return _sigma(history, pattern, liveness=True)
+
+
+def _sigma(
+    history: HistoryLike, pattern: FailurePattern, liveness: bool
+) -> SpecVerdict:
     violations: List[str] = []
 
     # Pairwise intersection over *distinct* quorum values (the identity
@@ -160,6 +180,8 @@ def check_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
                         f"and H({p2},{t2})={sorted(q2)} are disjoint"
                     )
                     return SpecVerdict(False, None, violations)
+    if not liveness:
+        return SpecVerdict(True)
 
     holds_from = 0
     correct = pattern.correct
@@ -185,9 +207,19 @@ def check_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
 # ----------------------------------------------------------------------
 # FS
 # ----------------------------------------------------------------------
+def fs_safety(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
+    """FS's safety clause, Accuracy: red only at or after the first
+    crash."""
+    return _fs(history, pattern, liveness=False)
+
+
 def check_fs(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check FS: red only after a failure; eventually-red at every
     correct process if a failure occurred."""
+    return _fs(history, pattern, liveness=True)
+
+
+def _fs(history: HistoryLike, pattern: FailurePattern, liveness: bool) -> SpecVerdict:
     violations: List[str] = []
     first_crash = pattern.first_crash_time()
 
@@ -203,7 +235,7 @@ def check_fs(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
                 )
 
     holds_from: Optional[int] = None
-    if pattern.faulty:
+    if liveness and pattern.faulty:
         holds_from = 0
         for pid in sorted(pattern.correct):
             samples = _samples(history, pid)
@@ -227,8 +259,22 @@ def check_fs(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
 # ----------------------------------------------------------------------
 # (Omega, Sigma) product
 # ----------------------------------------------------------------------
+def omega_sigma_safety(
+    history: HistoryLike, pattern: FailurePattern
+) -> SpecVerdict:
+    """(Ω, Σ)'s safety clause: pairs whose Σ component passes
+    :func:`sigma_safety` (Ω is all liveness)."""
+    return _omega_sigma(history, pattern, liveness=False)
+
+
 def check_omega_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check the product (Ω, Σ) componentwise."""
+    return _omega_sigma(history, pattern, liveness=True)
+
+
+def _omega_sigma(
+    history: HistoryLike, pattern: FailurePattern, liveness: bool
+) -> SpecVerdict:
     omega_part = SampledHistory(pattern.n)
     sigma_part = SampledHistory(pattern.n)
     for pid in pattern.processes:
@@ -241,6 +287,8 @@ def check_omega_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerd
                 )
             omega_part.record(pid, t, value[0])
             sigma_part.record(pid, t, value[1])
+    if not liveness:
+        return sigma_safety(sigma_part, pattern)
     omega_verdict = check_omega(omega_part, pattern)
     sigma_verdict = check_sigma(sigma_part, pattern)
     ok = omega_verdict.ok and sigma_verdict.ok
@@ -255,10 +303,22 @@ def check_omega_sigma(history: HistoryLike, pattern: FailurePattern) -> SpecVerd
 # ----------------------------------------------------------------------
 # Psi
 # ----------------------------------------------------------------------
+def psi_safety(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
+    """Ψ's safety clause: ⊥ is never re-entered, every process that left
+    ⊥ is on one common branch, the FS branch starts no earlier than the
+    first crash, and the post-switch samples pass that branch's own
+    safety clause.  A process still at ⊥ is liveness."""
+    return _psi(history, pattern, liveness=False)
+
+
 def check_psi(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check Ψ: a ⊥-prefix at every process, then a single common branch
     — FS (admissible only after a failure) or (Ω, Σ) — whose suffix
     samples satisfy the corresponding sub-specification."""
+    return _psi(history, pattern, liveness=True)
+
+
+def _psi(history: HistoryLike, pattern: FailurePattern, liveness: bool) -> SpecVerdict:
     violations: List[str] = []
     branch_types = set()
     switch_times = {}
@@ -301,7 +361,7 @@ def check_psi(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
         # Everyone output ⊥ throughout the window.  The definition
         # requires every process to switch eventually, so correct
         # processes stuck at ⊥ for the whole window falsify Ψ.
-        if any(
+        if liveness and any(
             any(True for _ in history.samples_of(pid)) for pid in pattern.correct
         ):
             violations.append(
@@ -311,7 +371,7 @@ def check_psi(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
         return SpecVerdict(True, None)
 
     branch = branch_types.pop()
-    for pid in sorted(pattern.correct):
+    for pid in sorted(pattern.correct) if liveness else ():
         if pid not in switch_times:
             samples = _samples(history, pid)
             if samples:
@@ -336,14 +396,16 @@ def check_psi(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
                 )
         if violations:
             return SpecVerdict(False, None, violations)
-        sub = check_fs(suffix, pattern)
+        sub = _fs(suffix, pattern, liveness)
     else:
-        sub = check_omega_sigma(suffix, pattern)
+        sub = _omega_sigma(suffix, pattern, liveness)
 
     if not sub.ok:
         return SpecVerdict(
             False, None, [f"{branch} suffix fails: {v}" for v in sub.violations]
         )
+    if not liveness:
+        return SpecVerdict(True)
     holds_from = max(
         [sub.holds_from or 0] + [t for t in switch_times.values()]
     )

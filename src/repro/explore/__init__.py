@@ -32,10 +32,6 @@ from repro.explore.assignments import (
     assignments_for,
     decode_value,
     default_assignment,
-    fs_prefix_admissible,
-    psi_fs_prefix_admissible,
-    psi_prefix_admissible,
-    script_stages_coherent,
     switch_scripts_for,
 )
 from repro.explore.cases import (
@@ -108,16 +104,12 @@ __all__ = [
     "default_assignment",
     "enumerate_roots",
     "explore_case",
-    "fs_prefix_admissible",
     "merge_summaries",
-    "psi_fs_prefix_admissible",
-    "psi_prefix_admissible",
     "resolve_parts",
     "resolve_symmetry",
     "result_from_summary",
     "run_controlled",
     "run_frontier",
     "run_frontier_dynamic",
-    "script_stages_coherent",
     "switch_scripts_for",
 ]

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     options = ExploreOptions(
         por=not args.no_por,
         dedup=not args.no_dedup,
-        symmetry="auto" if args.symmetry else None,
+        symmetry="auto" if args.symmetry else False,
     )
     if args.store is None:
         return _explore(args, plans, options, None)

@@ -7,28 +7,16 @@ therefore bypasses the oracle layer entirely: each exploration root
 fixes one **constant per-process assignment** of detector values, and
 every process reads its value unchanged at every step of that subtree.
 
-Why constants are admissible prefixes
--------------------------------------
+What makes a value admissible
+-----------------------------
 
 The explorer only ever examines the first ``depth`` ticks of a run, so
 an assignment need only be a prefix of *some* admissible infinite
-history:
-
-* Ω / ◇S accuracy and completeness are **eventual** properties — any
-  finite prefix of leaders or suspicion sets extends to an admissible
-  history, so every constant is fair game (including the adversarial
-  "everyone believes themselves leader" and "everyone suspects everyone
-  else" assignments that drive the interesting schedules).
-* Σ's intersection is **perpetual** — it must hold within the window.
-  The families below only emit quorum vectors that pairwise intersect
-  (at n = 2 every one of them, elsewhere all-full or a shared pivot
-  process).
-* Ψ constant at an (Ω, Σ) value is a Ψ whose initial ⊥ period had
-  length zero and which committed to the (Ω, Σ) branch at time 0 —
-  admissible for any failure pattern.  A constant FS branch is *not*
-  enumerated: ``red`` from time 0 would claim a failure before one
-  happened (inadmissible), and the branch-switch histories that make
-  ``red`` admissible are not constant.
+history: it must pass its detector's prefix-closed safety clause in
+:mod:`repro.core.specs` (``sigma_safety``, ``fs_safety``,
+``omega_sigma_safety``, ``psi_safety``); the liveness remainder of each
+``check_*`` says nothing about a finite prefix.  The tests hold every
+constant and every script-reachable prefix below to those clauses.
 
 History scripts
 ---------------
@@ -44,18 +32,12 @@ enumerable choice point (see :class:`~repro.explore.control.DetectorScript`),
 so one script root covers every admissible switch-time placement within
 the step budget.
 
-Admissibility now has a per-stage side condition:
-:func:`stage_requires_crash` marks the stages whose values claim a
-failure (any FS ``red``, and *any* Ψ FS-branch value — committing Ψ to
-the FS branch asserts a failure occurred even when the colour shown is
-green).  The controller only offers an advance into such a stage at a
-tick ``>= `` the case's first crash time, and the frontier only pairs
-crash-claiming scripts with crashy schedules.  Scripts must also be
-*branch-coherent* (once Ψ leaves ⊥ it never changes branch, and never
-returns to ⊥) — :func:`script_stages_coherent` checks it, and the
-prefix predicates below (:func:`psi_prefix_admissible` and friends) are
-the ground truth the differential tests hold both the enumerator and
-the chaos oracles to.
+The one safety rule a stage's *placement* can break is a failure
+claim: :func:`stage_requires_crash` marks the stages whose values claim
+one (FS ``red``, any Ψ FS-branch value).  The controller only offers an
+advance into such a stage at a tick ``>=`` the case's first crash time,
+and the frontier only pairs crash-claiming scripts with crashy
+schedules.
 
 Encodings are nested tuples of primitives — hashable (they sit inside
 frozen :class:`~repro.explore.cases.ExploreCase`), JSON-able (they ride
@@ -65,16 +47,13 @@ inside artifacts), and decoded to the live detector vocabulary of
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.chaos.targets import REGISTER_TARGETS
-from repro.core.detector import (
-    BOTTOM,
-    GREEN,
-    RED,
-    is_fs_value,
-    is_omega_sigma_value,
-)
+from repro.core.detector import BOTTOM, RED
+from repro.core.failure_pattern import FailurePattern
+from repro.core.history import SampledHistory
+from repro.core.specs import sigma_safety
 
 Encoded = Tuple[Any, ...]
 Assignment = Tuple[Encoded, ...]  # one encoded value per pid
@@ -115,7 +94,10 @@ def stage_requires_crash(enc: Encoded) -> bool:
     ``t* <= t``.  Ψ's FS branch carries the same claim for *either*
     colour — committing to the branch asserts a failure, so even
     ``("fsv", "green")`` is crash-gated.  Everything else (Ω leaders,
-    ◇S suspicions, Σ quorums, ⊥) is admissible on any pattern.
+    ◇S suspicions, Σ quorums, ⊥) is admissible on any pattern.  The
+    tests pin this to :mod:`repro.core.specs`: a stage is crash-gated
+    iff its detector's safety clause rejects its value held from tick 0
+    on a crash-free pattern.
     """
     kind = enc[0]
     if kind == "pf":  # gate on either product component
@@ -125,93 +107,21 @@ def stage_requires_crash(enc: Encoded) -> bool:
     return False
 
 
-def script_requires_crash(enc: Encoded) -> bool:
-    """Whether any stage of this entry is crash-gated."""
-    return any(stage_requires_crash(s) for s in script_stages(enc))
-
-
 def assignment_requires_crash(assignment: Assignment) -> bool:
     """Whether this assignment only makes sense on a crashy pattern."""
-    return any(script_requires_crash(enc) for enc in assignment)
-
-
-def _psi_component(enc: Encoded) -> Encoded:
-    """The Ψ-branch-relevant part of a stage (the Ψ half of a product)."""
-    return enc[1] if enc[0] == "pf" else enc
-
-
-def script_stages_coherent(stages: Sequence[Encoded]) -> bool:
-    """Branch coherence of a stage sequence, checked on the Ψ component.
-
-    Ψ outputs ⊥ up to its switch time and a single branch's history
-    afterwards: a script may hold some ``("bot",)`` stages, then must
-    stay within one branch — all ``("fsv", …)`` (FS branch) or all
-    non-⊥ non-FS values ((Ω, Σ) branch) — and never return to ⊥.
-    Non-Ψ components (plain FS colours, suspicions, quorums) carry no
-    branch, so sequences without ⊥/fsv stages are trivially coherent.
-    """
-    committed: Optional[str] = None
-    for stage in stages:
-        psi = _psi_component(stage)
-        if psi[0] == "bot":
-            if committed is not None:
-                return False
-            continue
-        branch = "fs" if psi[0] == "fsv" else "other"
-        if committed is None:
-            committed = branch
-        elif committed != branch:
-            return False
-    return True
-
-
-# -- prefix admissibility (ground truth for the differential tests) ---
-def psi_prefix_admissible(
-    values: Sequence[Any], first_crash: Optional[int]
-) -> bool:
-    """Whether ``values`` (one process's Ψ outputs at ticks 0..k) is a
-    prefix of some admissible Ψ history for a pattern whose first crash
-    is at ``first_crash`` (``None`` = crash-free).
-
-    Per Section 6.1: a ⊥ prefix, then — from the switch tick onwards —
-    either FS values throughout with the switch at a tick ``>= t*``
-    (FS branch, failure required), or (Ω, Σ) values throughout
-    (always admissible).  Flicker *within* a branch is fine; returning
-    to ⊥ or mixing branches is not.
-    """
-    switch = next(
-        (i for i, v in enumerate(values) if v is not BOTTOM), None
+    return any(
+        stage_requires_crash(stage)
+        for enc in assignment
+        for stage in script_stages(enc)
     )
-    if switch is None:
-        return True
-    tail = values[switch:]
-    if any(v is BOTTOM for v in tail):
-        return False
-    if all(is_fs_value(v) for v in tail):
-        return first_crash is not None and switch >= first_crash
-    return all(is_omega_sigma_value(v) for v in tail)
 
 
-def fs_prefix_admissible(
-    values: Sequence[Any], first_crash: Optional[int]
-) -> bool:
-    """FS accuracy on a prefix: ``red`` at tick ``t`` needs a crash at
-    some ``t* <= t``; ``green`` is always fine."""
-    for i, v in enumerate(values):
-        if not is_fs_value(v):
-            return False
-        if v == RED and (first_crash is None or i < first_crash):
-            return False
-    return True
-
-
-def psi_fs_prefix_admissible(
-    values: Sequence[Tuple[Any, Any]], first_crash: Optional[int]
-) -> bool:
-    """Componentwise admissibility of a (Ψ, FS) product prefix."""
-    return psi_prefix_admissible(
-        [v[0] for v in values], first_crash
-    ) and fs_prefix_admissible([v[1] for v in values], first_crash)
+def _held(assignment: Assignment) -> SampledHistory:
+    """The history of a constant assignment at its first tick."""
+    return SampledHistory.from_pairs(
+        len(assignment),
+        ((pid, 0, decode_value(enc)) for pid, enc in enumerate(assignment)),
+    )
 
 
 def _os(leader: int, quorum: Tuple[int, ...]) -> Encoded:
@@ -256,7 +166,7 @@ def _psi_fs_assignments(n: int, leaders_only_zero: bool = False) -> List[Assignm
 
 
 def _sigma_assignments(n: int) -> List[Assignment]:
-    """Σ quorum vectors whose quorums pairwise intersect.
+    """Σ quorum vectors that pass :func:`~repro.core.specs.sigma_safety`.
 
     At n = 2 that is every such vector — seven of the nine over the
     non-empty subsets of {0, 1}, all but {0} against {1} — since the
@@ -267,11 +177,13 @@ def _sigma_assignments(n: int) -> List[Assignment]:
     full = tuple(range(n))
     if n == 2:
         quorums = [full, (0,), (1,)]
+        vectors = [
+            (("sigma", a), ("sigma", b)) for a in quorums for b in quorums
+        ]
         return [
-            (("sigma", a), ("sigma", b))
-            for a in quorums
-            for b in quorums
-            if set(a) & set(b)
+            vector
+            for vector in vectors
+            if sigma_safety(_held(vector), FailurePattern.crash_free(n))
         ]
     return [
         tuple(("sigma", full) for _ in range(n)),
@@ -300,7 +212,6 @@ def assignments_for(target: str, n: int) -> List[Assignment]:
 
 
 def _script(*stages: Encoded) -> Encoded:
-    assert script_stages_coherent(stages), stages
     return ("script",) + tuple(stages)
 
 
@@ -319,8 +230,7 @@ def switch_scripts_for(target: str, n: int) -> List[Assignment]:
     """The history-script family for one target (``--detector-switches``).
 
     Kept deliberately small — each script is a whole subtree whose
-    switch times the controller enumerates — and every member is
-    checked branch-coherent at construction.  Scripts containing
+    switch times the controller enumerates.  Scripts containing
     crash-gated stages are only paired with crashy schedules by the
     frontier (:func:`~repro.explore.frontier.enumerate_roots`).
     """

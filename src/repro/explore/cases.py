@@ -122,7 +122,7 @@ class ExploreOptions:
     (``dataclasses.asdict``) and the root's search key — so an option is
     named in one place and a misspelt one is an error here, before a
     store is opened or a process started.  ``por`` / ``dedup`` switch
-    the reductions, ``symmetry`` is ``None`` / ``False`` (off),
+    the reductions, ``symmetry`` is ``False`` (off),
     ``"auto"`` (on where sound) or ``True`` (insist; an unsafe target
     is an error — see
     :func:`~repro.explore.symmetry.resolve_symmetry`), and
@@ -133,7 +133,7 @@ class ExploreOptions:
 
     por: bool = True
     dedup: bool = True
-    symmetry: Any = None
+    symmetry: Any = False
     fingerprint_mode: str = "incremental"
 
     def __post_init__(self) -> None:
@@ -142,9 +142,12 @@ class ExploreOptions:
                 f"unknown fingerprint mode {self.fingerprint_mode!r}; "
                 f"have {FingerprintEngine.MODES}"
             )
-        if self.symmetry not in (None, False, "auto", True):
+        # By identity: 0 and 1 compare equal to False and True.
+        if not (
+            self.symmetry is False or self.symmetry is True or self.symmetry == "auto"
+        ):
             raise ValueError(
-                f"symmetry must be None, False, 'auto' or True, "
+                f"symmetry must be False, 'auto' or True, "
                 f"got {self.symmetry!r}"
             )
 

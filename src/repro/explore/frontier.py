@@ -83,8 +83,10 @@ DEFAULT_SEEDS: Dict[str, Tuple[int, ...]] = {
     "nbac": (0, 1),
     "hastycommit": (0, 1),
     "redcommit": (1,),
-    # One read and one write (seed 0 draws two writes): the stale read
-    # needs a read that follows a write it cannot see.
+    # One read and one write (seed 0 draws two writes at n = 2): the
+    # clean exhaust must judge a read, and the stale read needs a read
+    # that follows a write it cannot see.
+    "register": (4,),
     "staleread": (4,),
 }
 

@@ -188,12 +188,12 @@ def admissible_perms(case: Any) -> Tuple[Perm, ...]:
 def resolve_symmetry(case: Any, symmetry: Any) -> bool:
     """Normalise the ``symmetry`` knob of :func:`explore_case`.
 
-    ``False``/``None`` — off.  ``"auto"`` — on iff the target is in
+    ``False`` — off.  ``"auto"`` — on iff the target is in
     :data:`SYMMETRY_SAFE_TARGETS`.  ``True`` — on, and an unsafe target
     is a hard error (silently degrading a requested reduction would
     mask a misconfiguration).
     """
-    if symmetry in (False, None):
+    if symmetry is False:
         return False
     if symmetry == "auto":
         return case.target in SYMMETRY_SAFE_TARGETS
@@ -205,7 +205,7 @@ def resolve_symmetry(case: Any, symmetry: Any) -> bool:
                 f"{sorted(SYMMETRY_SAFE_TARGETS)}"
             )
         return True
-    raise ValueError(f"symmetry must be True/False/None/'auto', got {symmetry!r}")
+    raise ValueError(f"symmetry must be False, 'auto' or True, got {symmetry!r}")
 
 
 def symmetric_root_key(case: Any) -> Tuple[Any, ...]:

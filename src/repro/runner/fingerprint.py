@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 from pathlib import Path
 from typing import Any, Optional
 
 _PRIMITIVES = (type(None), bool, int, str)
+
+#: The default every object has from Python 3.11 on (absent before).
+_OBJECT_GETSTATE = getattr(object, "__getstate__", None)
 
 
 def canonical(obj: Any) -> Any:
@@ -56,6 +60,10 @@ def canonical(obj: Any) -> Any:
                 f"use a module-level function (see repro.runner.call)"
             )
         return ("fn", f"{obj.__module__}:{qualname}")
+    if isinstance(obj, random.Random):
+        raise TypeError(
+            f"cannot fingerprint RNG {obj!r}; carry its seed instead"
+        )
     # Config-style objects: identify by class plus instance state.
     state = _object_state(obj)
     if state is not None:
@@ -73,11 +81,17 @@ def _type_tag(obj: Any) -> str:
 
 
 def _object_state(obj: Any) -> Any:
-    """Instance state for canonicalisation, or None if unavailable."""
-    getstate = getattr(obj, "__getstate__", None)
-    if callable(getstate):
+    """Instance state for canonicalisation, or None if unavailable.
+
+    A class's own ``__getstate__`` wins.  ``object.__getstate__`` is
+    skipped: it exists only from Python 3.11, and it wraps a slotted
+    object's state in a tuple, so honouring it would give one spec a
+    different key on 3.10 than on 3.11+.
+    """
+    getstate = getattr(type(obj), "__getstate__", None)
+    if callable(getstate) and getstate is not _OBJECT_GETSTATE:
         try:
-            state = getstate()
+            state = getstate(obj)
         except TypeError:
             state = None
         if state is not None:

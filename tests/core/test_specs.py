@@ -9,6 +9,7 @@ from repro.core.detector import BOTTOM, GREEN, RED
 from repro.core.failure_pattern import FailurePattern
 from repro.core.history import SampledHistory
 from repro.core.specs import (
+    SpecVerdict,
     check_eventually_perfect,
     check_fs,
     check_omega,
@@ -16,6 +17,10 @@ from repro.core.specs import (
     check_perfect,
     check_psi,
     check_sigma,
+    fs_safety,
+    omega_sigma_safety,
+    psi_safety,
+    sigma_safety,
 )
 
 
@@ -256,3 +261,81 @@ class TestOmegaSigmaProduct:
         )
         verdict = check_omega_sigma(h, pattern)
         assert not verdict.ok  # leaders disagree
+
+
+class TestSafetyClauses:
+    """Each prefix-closed safety clause rejects what its ``check_*``
+    rejects for a safety reason, and no more: a prefix still waiting on
+    liveness passes the clause."""
+
+    OS = (0, frozenset({0, 1}))
+
+    def _both_reject(self, safety, check, h, pattern, clause):
+        for verdict in (safety(h, pattern), check(h, pattern)):
+            assert not verdict.ok
+            assert verdict.holds_from is None
+            assert any(clause in v for v in verdict.violations), verdict
+
+    def test_return_to_bottom(self):
+        pattern = FailurePattern.crash_free(2)
+        h = history(2, [(0, 0, BOTTOM), (0, 1, self.OS), (0, 2, BOTTOM)])
+        self._both_reject(psi_safety, check_psi, h, pattern, "reverted to ⊥")
+
+    def test_mixed_branches(self):
+        pattern = FailurePattern(2, {1: 0})
+        h = history(2, [(0, 1, self.OS), (1, 1, GREEN)])
+        self._both_reject(
+            psi_safety, check_psi, h, pattern, "different branches"
+        )
+
+    def test_fs_switch_before_the_crash(self):
+        pattern = FailurePattern(2, {1: 3})
+        h = history(2, [(0, 0, BOTTOM), (0, 2, GREEN), (0, 4, RED)])
+        self._both_reject(
+            psi_safety, check_psi, h, pattern, "before the first crash"
+        )
+
+    def test_red_before_the_crash(self):
+        pattern = FailurePattern(2, {1: 3})
+        h = history(2, [(0, 1, GREEN), (0, 2, RED), (1, 1, GREEN)])
+        self._both_reject(fs_safety, check_fs, h, pattern, "Accuracy violated")
+
+    def test_disjoint_quorums(self):
+        pattern = FailurePattern.crash_free(2)
+        h = history(2, [(0, 0, frozenset({0})), (1, 0, frozenset({1}))])
+        self._both_reject(
+            sigma_safety, check_sigma, h, pattern, "Intersection violated"
+        )
+        pairs = history(
+            2, [(0, 0, (0, frozenset({0}))), (1, 0, (0, frozenset({1})))]
+        )
+        self._both_reject(
+            omega_sigma_safety,
+            check_omega_sigma,
+            pairs,
+            pattern,
+            "Intersection violated",
+        )
+
+    def test_all_bottom_is_safe_but_not_live(self):
+        pattern = FailurePattern.crash_free(2)
+        h = history(2, [(0, 0, BOTTOM), (0, 5, BOTTOM), (1, 3, BOTTOM)])
+        assert psi_safety(h, pattern) == SpecVerdict(True)
+        verdict = check_psi(h, pattern)
+        assert not verdict.ok
+        assert "switched away from ⊥" in verdict.violations[0]
+
+    def test_liveness_is_not_safety(self):
+        # Each of these fails its check only for want of an eventual
+        # clause, which a longer run could still meet.
+        faulty_1 = FailurePattern(2, {1: 1})
+        cases = [
+            (sigma_safety, check_sigma, frozenset({0, 1})),
+            (fs_safety, check_fs, GREEN),
+            (omega_sigma_safety, check_omega_sigma, (1, frozenset({0, 1}))),
+            (psi_safety, check_psi, GREEN),
+        ]
+        for safety, check, value in cases:
+            h = history(2, [(0, 5, value)])
+            assert safety(h, faulty_1).ok, safety
+            assert not check(h, faulty_1).ok, check

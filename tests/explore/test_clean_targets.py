@@ -13,6 +13,8 @@ The full assignment × crash frontier at these depths costs minutes
 slice of the same guarantee.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.chaos.targets import CLEAN_TARGETS
@@ -20,6 +22,8 @@ from repro.explore import (
     DEFAULT_SEEDS,
     SMOKE_DEPTHS,
     ExploreCase,
+    engine,
+    enumerate_roots,
     explore_case,
 )
 
@@ -55,3 +59,28 @@ def test_clean_target_survives_a_crash(target):
     result = explore_case(case)
     assert result.complete
     assert not result.violations
+
+
+def test_clean_register_exhaust_judges_a_completed_read(monkeypatch):
+    """At n = 2 seed 0 draws two writes, and a register exhaust that
+    judges no read cannot catch a stale one: the default roots must put
+    a completed read in the histories the linearizability check sees."""
+    judged = set()
+    resolve_parts = engine.resolve_parts
+
+    def recording(case):
+        parts = resolve_parts(case)
+
+        def summarize(system, trace):
+            judged.update(
+                op.kind for op in trace.operations if op.response_time is not None
+            )
+            return parts.summarize(system, trace)
+
+        return dataclasses.replace(parts, summarize=summarize)
+
+    monkeypatch.setattr(engine, "resolve_parts", recording)
+    for case in enumerate_roots("register", 2, depth=SMOKE_DEPTHS["register"]):
+        result = explore_case(case)
+        assert result.complete and not result.violations
+    assert "read" in judged

@@ -44,8 +44,17 @@ def test_a_misspelt_option_is_an_error_naming_the_accepted_values(
 
 def test_every_accepted_value_constructs():
     for mode in FingerprintEngine.MODES:
-        for symmetry in (None, False, "auto", True):
+        for symmetry in (False, "auto", True):
             ExploreOptions(fingerprint_mode=mode, symmetry=symmetry)
+
+
+def test_symmetry_is_off_in_one_spelling():
+    # The options dict is part of a root's search key: two spellings of
+    # "off" would give one search two cache keys.
+    assert ExploreOptions().symmetry is False
+    for other in (None, 0, 1):
+        with pytest.raises(ValueError, match=f"got {other}"):
+            ExploreOptions(symmetry=other)
 
 
 def test_options_round_trip_through_their_dict():

@@ -156,8 +156,9 @@ class TestScriptedRoots:
 class TestResolve:
     def test_off_values(self):
         case = ExploreCase(target="nbac", n=2, depth=4)
-        assert resolve_symmetry(case, None) is False
         assert resolve_symmetry(case, False) is False
+        with pytest.raises(ValueError, match="got None"):
+            resolve_symmetry(case, None)
 
     def test_auto_gates_on_safe_targets(self):
         assert resolve_symmetry(

@@ -147,10 +147,9 @@ def _chatter_factory():
 #: engines alike — a reordered rng draw, a tasklet resumed one pass
 #: later, a skipped ``on_step``.  These pin the run loop, the process
 #: step, the tasklet driver and every random draw across commits.  The
-#: stable digest is taken with the spec's cache key blanked: the key
-#: fingerprints the spec's objects through ``__getstate__``, which
-#: Python 3.11 gave every object, so it differs between 3.10 and 3.11+
-#: while everything the run determined does not.
+#: stable digest is taken with the spec's cache key blanked, so these
+#: pin what the run determined; the key's own cross-interpreter pin is
+#: ``tests/runner/test_fingerprint.py``.
 GOLDEN_SEED = 1
 GOLDEN = {
     ("paxos", "clean"): (
