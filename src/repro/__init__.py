@@ -94,14 +94,12 @@ from repro.consensus import (
 )
 from repro.registers import (
     RegisterBank,
-    AtomicSnapshot,
     MajorityQuorums,
     SigmaQuorums,
     check_linearizable,
     RegisterWorkload,
 )
 from repro.sim.partition import TransientPartition
-from repro.sim.export import trace_to_dict, trace_to_json
 from repro.qc import Q, PsiQCCore
 from repro.nbac import (
     YES,
@@ -170,14 +168,11 @@ __all__ = [
     "BenOrConsensusCore",
     "consensus_component",
     "RegisterBank",
-    "AtomicSnapshot",
     "MajorityQuorums",
     "SigmaQuorums",
     "check_linearizable",
     "RegisterWorkload",
     "TransientPartition",
-    "trace_to_dict",
-    "trace_to_json",
     "PsiQCCore",
     "YES",
     "NO",

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -228,7 +227,6 @@ def run_fuzz(
     out_dir: Optional[Path] = None,
     shrink: bool = True,
     shrink_budget: int = 48,
-    store: Any = None,
 ) -> FuzzReport:
     """One fuzz campaign; see the module docstring for the shape."""
     unknown = [t for t in targets if t not in TARGETS]
@@ -260,7 +258,7 @@ def run_fuzz(
                 path = Path(out_dir) / (
                     f"chaos-{case.target}-seed{case.seed}.json"
                 )
-                document = write_artifact(
+                write_artifact(
                     path,
                     final,
                     violated,
@@ -268,11 +266,6 @@ def run_fuzz(
                     violation.shrink_stats,
                 )
                 violation.artifact_path = path
-                if store is not None:
-                    # Witness also lands in the campaign database, so
-                    # `repro.store summarise` counts it alongside the
-                    # explorer's.
-                    store.record_witness(document)
             violations.append(violation)
         elif liveness_missed(case, summary.metrics):
             liveness_misses.append(case)
@@ -284,16 +277,6 @@ def run_fuzz(
         incidents=result.incidents,
         cache_events=result.cache_events,
     )
-
-
-def _open_store(path: Optional[Path]) -> Any:
-    """The ``--store`` database as a context manager (closed on every
-    way out), or a null one when no path was given."""
-    if path is None:
-        return nullcontext()
-    from repro.store import ResultStore
-
-    return ResultStore(path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -324,11 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument(
-        "--store", type=Path, default=None,
-        help="campaign database to file violation witnesses into "
-        "(directory or .sqlite path; see docs/STORE.md)",
-    )
-    parser.add_argument(
         "--smoke", action="store_true",
         help="small fixed budget for CI (overrides rounds/horizon)",
     )
@@ -352,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 0 if outcome.ok else 1
 
-    # Every refusal is a usage error (exit 2) before any store or run:
+    # Every refusal is a usage error (exit 2) before any run:
     # exit 1 is the verdict "safety violated", and an empty campaign
     # must not read as a clean one.
     targets = tuple(t.strip() for t in args.targets.split(",") if t.strip())
@@ -376,19 +354,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     rounds, horizon = args.rounds, args.horizon
     if args.smoke:
         rounds, horizon = 2, 20_000
-    with _open_store(args.store) as store:
-        report = run_fuzz(
-            targets=targets,
-            rounds=rounds,
-            seed=args.seed,
-            n=args.n,
-            horizon=horizon,
-            jobs=jobs,
-            timeout=args.timeout,
-            out_dir=args.out,
-            shrink=not args.no_shrink,
-            store=store,
-        )
+    report = run_fuzz(
+        targets=targets,
+        rounds=rounds,
+        seed=args.seed,
+        n=args.n,
+        horizon=horizon,
+        jobs=jobs,
+        timeout=args.timeout,
+        out_dir=args.out,
+        shrink=not args.no_shrink,
+    )
     print(report.render())
     if not report.safe:
         print("SAFETY VIOLATIONS FOUND", file=sys.stderr)

@@ -143,15 +143,6 @@ def _parse_args(argv):
         ),
     )
     parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help=(
-            "campaign database to file violation witnesses into "
-            "(directory or .sqlite path; see docs/STORE.md)"
-        ),
-    )
-    parser.add_argument(
         "--max-runs",
         type=int,
         default=None,
@@ -256,13 +247,9 @@ def _plan(args: argparse.Namespace, target: str) -> Tuple[str, int, List[Any]]:
     return target, depth, roots
 
 
-def _emit_artifacts(
-    summaries: List[Dict[str, Any]],
-    out: Path = None,
-    store: Any = None,
-) -> List[Path]:
-    """Shrink every violation; file it to ``out`` and/or ``store``."""
-    from repro.explore.artifact import build_document, write_artifact
+def _emit_artifacts(summaries: List[Dict[str, Any]], out: Path) -> List[Path]:
+    """Shrink every violation and write its artifact into ``out``."""
+    from repro.explore.artifact import write_artifact
     from repro.explore.shrink import shrink_violation
 
     written = []
@@ -273,35 +260,22 @@ def _emit_artifacts(
             # target on the same clause must not overwrite each other.
             index += 1
             case, choices, stats = shrink_violation(violation)
-            if out is not None:
-                path = out / (
-                    f"{case.target}-{violation.violated[0]}-{index}.json"
-                )
-                document = write_artifact(
-                    path,
-                    case,
-                    choices,
-                    violation.violated,
-                    por=violation.por,
-                    shrink_stats=stats,
-                )
-                written.append(path)
-            else:
-                document = build_document(
-                    case,
-                    choices,
-                    violation.violated,
-                    por=violation.por,
-                    shrink_stats=stats,
-                )
-            if store is not None:
-                store.record_witness(document)
+            path = out / f"{case.target}-{violation.violated[0]}-{index}.json"
+            write_artifact(
+                path,
+                case,
+                choices,
+                violation.violated,
+                por=violation.por,
+                shrink_stats=stats,
+            )
+            written.append(path)
     return written
 
 
 def main(argv=None) -> int:
     parser, args = _parse_args(argv if argv is not None else sys.argv[1:])
-    # Every refusal is a usage error (exit 2) before any work or store:
+    # Every refusal is a usage error (exit 2) before any work:
     # exit 1 is the verdict that a target missed its expectation.
     try:
         fleet_size(args.workers, args.chaos_kill_rate, args.lease_ttl)
@@ -311,25 +285,8 @@ def main(argv=None) -> int:
     options = ExploreOptions(
         por=not args.no_por,
         dedup=not args.no_dedup,
-        symmetry="auto" if args.symmetry else False,
+        symmetry=args.symmetry,
     )
-    if args.store is None:
-        return _explore(args, plans, options, None)
-    from repro.store import ResultStore
-
-    # Closed on every way out: witnesses filed before a later target
-    # raises are buffered rows until the close flushes them.
-    with ResultStore(args.store) as store:
-        return _explore(args, plans, options, store)
-
-
-def _explore(
-    args: argparse.Namespace,
-    plans: List[Tuple[str, int, List[Any]]],
-    options: ExploreOptions,
-    store: Any,
-) -> int:
-    """Walk every target's roots and print its verdict; the exit code."""
     failures = 0
     for target, depth, roots in plans:
         summaries = run_frontier(
@@ -444,11 +401,9 @@ def _explore(
                 f"heartbeats={block.get('heartbeats')} "
                 f"store_busy_retries={block.get('store_busy_retries')}"
             )
-        if (args.out is not None or store is not None) and found:
-            for path in _emit_artifacts(summaries, args.out, store):
+        if args.out is not None and found:
+            for path in _emit_artifacts(summaries, args.out):
                 print(f"  wrote {path}")
-            if store is not None:
-                print(f"  filed witnesses into {store.path}")
     return 1 if failures else 0
 
 

@@ -122,10 +122,9 @@ class ExploreOptions:
     (``dataclasses.asdict``) and the root's search key — so an option is
     named in one place and a misspelt one is an error here, before a
     store is opened or a process started.  ``por`` / ``dedup`` switch
-    the reductions, ``symmetry`` is ``False`` (off),
-    ``"auto"`` (on where sound) or ``True`` (insist; an unsafe target
-    is an error — see
-    :func:`~repro.explore.symmetry.resolve_symmetry`), and
+    the reductions, ``symmetry`` turns the pid-symmetry reduction on
+    where it is sound (:func:`~repro.explore.symmetry.resolve_symmetry`;
+    an unsafe target runs without it), and
     ``fingerprint_mode`` picks the dedup-key implementation
     (:attr:`FingerprintEngine.MODES <repro.explore.state
     .FingerprintEngine.MODES>`).
@@ -133,7 +132,7 @@ class ExploreOptions:
 
     por: bool = True
     dedup: bool = True
-    symmetry: Any = False
+    symmetry: bool = False
     fingerprint_mode: str = "incremental"
 
     def __post_init__(self) -> None:
@@ -143,12 +142,9 @@ class ExploreOptions:
                 f"have {FingerprintEngine.MODES}"
             )
         # By identity: 0 and 1 compare equal to False and True.
-        if not (
-            self.symmetry is False or self.symmetry is True or self.symmetry == "auto"
-        ):
+        if self.symmetry is not False and self.symmetry is not True:
             raise ValueError(
-                f"symmetry must be False, 'auto' or True, "
-                f"got {self.symmetry!r}"
+                f"symmetry must be False or True, got {self.symmetry!r}"
             )
 
 

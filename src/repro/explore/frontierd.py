@@ -555,8 +555,7 @@ def run_frontier(
     this run's coordination lives — its work queue and leases: a
     directory or ``.sqlite`` path, or None (a private file under a temp
     directory, deleted with it).  It is never a
-    campaign database: witnesses and cached roots go elsewhere
-    (``cache``, the caller's own store).
+    campaign database: cached roots go to ``cache``.
 
     ``cache`` takes the forms of :func:`repro.runner.config
     .resolve_cache`, closed by the same rules: a root whose merged
@@ -576,9 +575,7 @@ def run_frontier(
         options, fleet_size(workers, chaos_kill_rate, lease_ttl), split_step,
         lease_ttl, retry_limit, stop_on_first_violation, max_runs,
     )
-    # One empty summary per root for its shards to merge into — built
-    # before a store is opened or a worker runs, so a symmetry the
-    # target cannot honour is an error here rather than a quarantine.
+    # One empty summary per root for its shards to merge into.
     bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
     keys = [search_key(base["case"], base["options"]) for base in bases]
     cache, opened = resolve_cache(cache)

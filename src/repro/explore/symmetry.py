@@ -185,27 +185,11 @@ def admissible_perms(case: Any) -> Tuple[Perm, ...]:
     return tuple(group)
 
 
-def resolve_symmetry(case: Any, symmetry: Any) -> bool:
-    """Normalise the ``symmetry`` knob of :func:`explore_case`.
-
-    ``False`` — off.  ``"auto"`` — on iff the target is in
-    :data:`SYMMETRY_SAFE_TARGETS`.  ``True`` — on, and an unsafe target
-    is a hard error (silently degrading a requested reduction would
-    mask a misconfiguration).
-    """
-    if symmetry is False:
-        return False
-    if symmetry == "auto":
-        return case.target in SYMMETRY_SAFE_TARGETS
-    if symmetry is True:
-        if case.target not in SYMMETRY_SAFE_TARGETS:
-            raise ValueError(
-                f"target {case.target!r} carries pid-derived values; "
-                f"symmetry reduction is only sound for "
-                f"{sorted(SYMMETRY_SAFE_TARGETS)}"
-            )
-        return True
-    raise ValueError(f"symmetry must be False, 'auto' or True, got {symmetry!r}")
+def resolve_symmetry(case: Any, symmetry: bool) -> bool:
+    """Whether the ``symmetry`` option of :func:`explore_case` applies
+    to ``case``: asked for, and the target is in
+    :data:`SYMMETRY_SAFE_TARGETS`."""
+    return symmetry and case.target in SYMMETRY_SAFE_TARGETS
 
 
 def symmetric_root_key(case: Any) -> Tuple[Any, ...]:

@@ -3,7 +3,7 @@
 * :mod:`repro.qc.spec` — the QC problem and the Q sentinel;
 * :mod:`repro.qc.psi_qc` — Figure 2: solving QC with Ψ (Theorem 5);
 * :mod:`repro.qc.cht` — the CHT-style simulation machinery (sample
-  DAGs, simulation forests, valence/critical-index analysis);
+  DAGs, simulation forests and their critical pair);
 * :mod:`repro.qc.extract_psi` — Figure 3: extracting Ψ from any QC
   algorithm (Theorem 6).
 """

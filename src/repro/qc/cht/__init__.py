@@ -10,10 +10,8 @@ that are compatible with paths of that DAG.
 * :mod:`repro.qc.cht.simulation` — the virtual runtime that actually
   executes ``A``'s protocol cores inside a single real process, driven
   by DAG paths;
-* :mod:`repro.qc.cht.forest` — the n+1-tree simulation forest Υ_p and
-  canonical deciding runs;
-* :mod:`repro.qc.cht.valence` — decision tags, u-valence/multivalence
-  and critical-index analysis on bounded forests.
+* :mod:`repro.qc.cht.forest` — the n+1-tree simulation forest Υ_p,
+  canonical deciding runs and the critical pair of adjacent trees.
 """
 
 from repro.qc.cht.samples import Sample, SampleDag

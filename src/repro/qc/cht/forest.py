@@ -10,9 +10,9 @@ path.  Line 8 of Figure 3 only needs, per tree, *some* run in which
 ``p`` decides, so :class:`SimulationForest` maintains one *canonical*
 run per tree — a deterministic fair path through the DAG, extended
 incrementally as gossip grows the DAG — and reports each tree's
-decision when it arrives.  (The wider tree structure, with branching
-and valence tags, is exercised separately in
-:mod:`repro.qc.cht.valence`.)
+decision when it arrives.  §6.3.1's tags, valence and critical index
+reduce, over canonical runs, to :meth:`SimulationForest.critical_pair`:
+the first adjacent pair of trees whose decisions differ.
 """
 
 from __future__ import annotations

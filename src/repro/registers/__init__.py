@@ -15,9 +15,7 @@
 * :mod:`repro.registers.participants` — causal participant tracking
   (the P_i(k) sets of Figure 1);
 * :mod:`repro.registers.extract_sigma` — Figure 1: emulating Σ from any
-  register implementation (necessity half of Theorem 1);
-* :mod:`repro.registers.snapshot` — atomic snapshots from registers
-  (the classical next rung of the shared-memory toolbox Σ unlocks).
+  register implementation (necessity half of Theorem 1).
 """
 
 from repro.registers.quorums import (
@@ -28,7 +26,6 @@ from repro.registers.quorums import (
 )
 from repro.registers.abd import RegisterBank
 from repro.registers.linearizability import check_linearizable
-from repro.registers.snapshot import AtomicSnapshot
 from repro.registers.workload import RegisterWorkload
 
 __all__ = [
@@ -37,7 +34,6 @@ __all__ = [
     "SigmaQuorums",
     "FixedQuorums",
     "RegisterBank",
-    "AtomicSnapshot",
     "check_linearizable",
     "RegisterWorkload",
 ]

@@ -39,7 +39,7 @@ A ten-line sweep::
 """
 
 from repro.runner.callspec import CallSpec, call, ref
-from repro.runner.campaign import Campaign, CampaignResult, run_jobs
+from repro.runner.campaign import Campaign, CampaignResult
 from repro.runner.config import configure, reset as reset_config
 from repro.runner.executor import (
     JobTimeout,
@@ -61,7 +61,6 @@ __all__ = [
     "code_salt",
     "Campaign",
     "CampaignResult",
-    "run_jobs",
     "configure",
     "reset_config",
     "PoolExecutor",

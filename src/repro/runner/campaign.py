@@ -246,12 +246,3 @@ class Campaign:
             # object is the caller's.
             if opened:
                 store.close()
-
-
-def run_jobs(
-    jobs: Iterable[Job],
-    workers: Optional[int] = None,
-    cache: Optional[CacheArg] = None,
-) -> List[Any]:
-    """One-shot convenience: ``Campaign(jobs).run(...)`` summaries."""
-    return Campaign(jobs).run(workers=workers, cache=cache).summaries

@@ -383,12 +383,3 @@ def decided(component: str) -> StopPredicate:
         return system.trace.all_correct_decided(component)
 
     return predicate
-
-
-def all_operations_done(component: str, expected: int) -> StopPredicate:
-    """Stop predicate: ``expected`` operations of ``component`` completed."""
-
-    def predicate(system: System) -> bool:
-        return len(system.trace.completed_operations(component)) >= expected
-
-    return predicate

@@ -1,8 +1,8 @@
 """The persistent result store: campaigns as a queryable artifact.
 
 One WAL-mode SQLite file accumulates everything that outlives a run —
-run/fn summaries (which are the campaign cache), campaign executions
-and chaos/explore violation witnesses — so "millions of runs" survive
+run/fn summaries (which are the campaign cache) and campaign
+executions — so "millions of runs" survive
 the process that produced them and resume and dedup queries become one
 ``SELECT``.  A frontier run's work queue and leases use the same
 schema in a file of the run's own, never the campaign database.

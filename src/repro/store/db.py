@@ -830,23 +830,6 @@ class ResultStore:
 
         self._immediate(_clear)
 
-    # -- witnesses -----------------------------------------------------
-    def record_witness(self, document: Dict[str, Any]) -> None:
-        """File one chaos/explore violation artifact document."""
-        family = "explore" if "explore" in document.get("format", "") else "chaos"
-        self._writer(
-            "witnesses",
-            "INSERT INTO witnesses (format, family, target, violated, "
-            "document, created) VALUES (?, ?, ?, ?, ?, ?)",
-        ).insert(
-            ROW_FORMAT,
-            family,
-            document.get("case", {}).get("target", "?"),
-            json.dumps(document.get("violated", []), sort_keys=True),
-            json.dumps(document, sort_keys=True),
-            time.time(),
-        )
-
     # -- maintenance ---------------------------------------------------
     def migrate(self) -> int:
         """Walk the file to the current schema version; returns it."""

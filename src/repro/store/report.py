@@ -4,7 +4,7 @@ Two views, mirroring the pyotter ``summarise``/``show`` split:
 
 * :func:`summarise` — whole-store counts: cached cells per salt,
   campaign executions (with fully-cached re-runs called out, since
-  "re-run executed 0 cells" is the resume guarantee), witnesses;
+  "re-run executed 0 cells" is the resume guarantee);
 * :func:`show` — one stored run by key prefix, payload unpickled.
 
 Both read through a read-only connection — safe to run while a
@@ -58,16 +58,6 @@ def summarise(store: ResultStore) -> str:
                 f"{hits} hits, {executed} executed, {failures} failures, "
                 f"{corrupt} corrupt, {wall:.2f}s"
             )
-
-        witness_rows = con.execute(
-            "SELECT family, target, COUNT(*) FROM witnesses "
-            "GROUP BY family, target ORDER BY family, target"
-        ).fetchall()
-        lines.append(
-            f"witnesses: {sum(r[2] for r in witness_rows)}"
-        )
-        for family, target, count in witness_rows:
-            lines.append(f"  {family}/{target}: {count}")
         return "\n".join(lines)
     finally:
         con.close()

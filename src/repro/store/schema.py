@@ -2,9 +2,8 @@
 
 One SQLite file holds everything the ROADMAP calls "millions of runs
 as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
-code salt (the campaign cache, :mod:`repro.store.cache`), campaign
-executions with their cell digests, and chaos/explore violation
-witnesses.  The same schema serves a frontier run's own coordination
+code salt (the campaign cache, :mod:`repro.store.cache`) and campaign
+executions with their cell digests.  The same schema serves a frontier run's own coordination
 file — its work queue and leases — which
 :func:`~repro.explore.frontierd.run_frontier` keeps in a file of its
 own, never in a campaign database.
@@ -46,7 +45,10 @@ from typing import Callable, Dict
 #: v5 dropped ``fingerprints``: a frontier worker keeps the visited
 #: states of its accepted walks in its own memory, and workers share
 #: none through the file.
-SCHEMA_VERSION = 5
+#:
+#: v6 dropped ``witnesses``: nothing read the violation documents
+#: filed there; the ``--out`` artifact files are what ``--replay`` reads.
+SCHEMA_VERSION = 6
 
 #: Per-row format version written into every row's ``format`` column.
 #: Tracks the *payload* conventions (pickle framing, JSON shapes)
@@ -88,16 +90,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     created    REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS campaigns_digest ON campaigns (digest, salt);
-
-CREATE TABLE IF NOT EXISTS witnesses (
-    id       INTEGER PRIMARY KEY,
-    format   INTEGER NOT NULL,
-    family   TEXT NOT NULL,                -- 'chaos' | 'explore'
-    target   TEXT NOT NULL,
-    violated TEXT NOT NULL,                -- JSON clause list
-    document TEXT NOT NULL,                -- the full artifact JSON
-    created  REAL NOT NULL
-);
 
 CREATE TABLE IF NOT EXISTS work_queue (
     id         INTEGER PRIMARY KEY,
@@ -222,6 +214,11 @@ def _migrate_4_to_5(con: sqlite3.Connection) -> None:
     con.execute("DROP TABLE IF EXISTS fingerprints")
 
 
+def _migrate_5_to_6(con: sqlite3.Connection) -> None:
+    """v5 → v6: drop ``witnesses``; every other table is untouched."""
+    con.execute("DROP TABLE IF EXISTS witnesses")
+
+
 #: from-version → in-place migration to from-version + 1.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _migrate_0_to_1,
@@ -229,6 +226,7 @@ MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     2: _migrate_2_to_3,
     3: _migrate_3_to_4,
     4: _migrate_4_to_5,
+    5: _migrate_5_to_6,
 }
 
 

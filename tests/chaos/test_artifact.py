@@ -138,9 +138,9 @@ class TestReplayCli:
 
 
 class TestFuzzCliRefusals:
-    """Nonsense input is a usage error (exit 2) before any store is
-    opened or any run starts: exit 1 is the verdict "safety violated",
-    and an empty campaign must not read as a clean one."""
+    """Nonsense input is a usage error (exit 2) before any artifact
+    directory is made or any run starts: exit 1 is the verdict "safety
+    violated", and an empty campaign must not read as a clean one."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -170,6 +170,14 @@ class TestFuzzCliRefusals:
         monkeypatch.setenv("REPRO_RUNNER_JOBS", "-3")
         self._refused(tmp_path, capsys, monkeypatch, [], "REPRO_RUNNER_JOBS=-3")
 
+    def test_the_store_flag_is_gone(self, tmp_path, capsys, monkeypatch):
+        # Witnesses are the --out files; there is no database to file
+        # them into.
+        self._refused(
+            tmp_path, capsys, monkeypatch, ["--store", str(tmp_path / "db")],
+            "unrecognized arguments: --store",
+        )
+
     @staticmethod
     def _refused(tmp_path, capsys, monkeypatch, argv, message):
         from repro.chaos import fuzz
@@ -178,11 +186,11 @@ class TestFuzzCliRefusals:
             raise AssertionError("a refused campaign started")
 
         monkeypatch.setattr(fuzz, "run_fuzz", no_run)
-        store, out = tmp_path / "db", tmp_path / "out"
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
-            fuzz.main(argv + ["--store", str(store), "--out", str(out)])
+            fuzz.main(argv + ["--out", str(out)])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
-        assert not store.exists() and not out.exists()
+        assert list(tmp_path.iterdir()) == []

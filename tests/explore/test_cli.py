@@ -12,7 +12,6 @@ import time
 import pytest
 
 from repro.explore import ExploreOptions, enumerate_roots, run_frontier
-from repro.explore import __main__ as cli
 from repro.explore.__main__ import main
 from repro.explore.frontierd import CHAOS_FAIL_ENV, CHAOS_STALL_ENV
 
@@ -198,7 +197,7 @@ def test_nonsense_input_is_a_usage_error(
     # search, and `--depth 0` to exit 1 with a traceback.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
-        main(["--target", "nbac", "--store", str(tmp_path / "d")] + argv)
+        main(["--target", "nbac", "--cache", str(tmp_path / "d")] + argv)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []  # refused before any work
@@ -223,8 +222,7 @@ def test_driver_flags_still_reach_their_own_driver(tmp_path, capsys):
     assert main(
         ["--target", "qc", "--depth", "3", "--cache", cache,
          "--workers", "1", "--lease-ttl", "2", "--chaos-seed", "3",
-         "--max-runs", "100000", "--stop-on-first",
-         "--store", str(tmp_path / "store")]
+         "--max-runs", "100000", "--stop-on-first"]
     ) == 0
     assert (tmp_path / "cache").is_dir()
     assert "frontier: workers=1" in capsys.readouterr().out
@@ -244,44 +242,16 @@ def test_help_lists_the_flags_that_are_left(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-    assert len(flags) == 20
+    assert len(flags) == 19
+    assert "--store" not in flags
 
 
 def test_unknown_target_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["--target", "nonsense", "--store", str(tmp_path / "d")])
+        main(["--target", "nonsense", "--cache", str(tmp_path / "d")])
     assert exit_info.value.code == 2
     assert "unknown target 'nonsense'" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()  # refused before a store is made
-
-
-def test_store_is_closed_when_a_later_target_raises(tmp_path, monkeypatch):
-    """A witness is a buffered row until the store flushes; the one
-    filed for the first target must survive the second one's crash."""
-    calls = []
-
-    def second_call_raises(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise RuntimeError("walk died")
-        return run_frontier(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_frontier", second_call_raises)
-    monkeypatch.setattr(cli, "_targets", lambda name: ["eagerquit", "qc"])
-    with pytest.raises(RuntimeError, match="walk died"):
-        main(
-            ["--target", "all", "--expect-violation", "--stop-on-first",
-             "--store", str(tmp_path)]
-        )
-    db = tmp_path / "store.sqlite"
-    assert not list(tmp_path.glob("store.sqlite-*"))  # -wal / -shm: closed
-    con = sqlite3.connect(db)
-    try:
-        assert con.execute(
-            "SELECT target FROM witnesses"
-        ).fetchall() == [("eagerquit",)]
-    finally:
-        con.close()
 
 
 COORDINATION_TABLES = (
@@ -305,10 +275,9 @@ def _leases_held(root):
 
 
 def test_killed_run_leaves_no_coordination_rows_in_the_store(tmp_path):
-    """``--store`` is the campaign database witnesses are filed into; a
-    run's queue, leases and fingerprints live in a file of its own, so a
-    coordinator SIGKILLed while its workers hold leases leaves none of
-    them behind in it."""
+    """``--cache`` is a campaign database; a run's queue and leases live
+    in a file of its own, so a coordinator SIGKILLed while its workers
+    hold leases leaves none of them behind in it."""
     campaign = tmp_path / "campaign"
     scratch = tmp_path / "tmp"
     scratch.mkdir()
@@ -317,7 +286,7 @@ def test_killed_run_leaves_no_coordination_rows_in_the_store(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.explore", "--target", "nbac",
          "--procs", "3", "--depth", "6", "--workers", "2",
-         "--store", str(campaign)],
+         "--cache", str(campaign)],
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,

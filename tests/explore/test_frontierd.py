@@ -460,7 +460,7 @@ class TestSigkillRecovery:
         # hit, so every claim stalls a little to hold the kill window
         # open.
         case = ExploreCase(target="nbac", n=3, depth=6)
-        options = ExploreOptions(symmetry="auto")
+        options = ExploreOptions(symmetry=True)
         single = explore_case(case, options)
         monkeypatch.setenv(CHAOS_STALL_ENV, "0.1")
         dynamic = explore_case_dynamic(

@@ -473,7 +473,7 @@ PAXOS_SCRIPT = (("script", ("os", 0, (0, 1, 2)), ("os", 1, (0, 1, 2))),) * 3
         pytest.param(ExploreCase(target="paxos", n=3, depth=5), {}, id="paxos3"),
         pytest.param(
             ExploreCase(target="paxos", n=3, depth=5),
-            {"symmetry": "auto"},
+            {"symmetry": True},
             id="paxos3-symmetry",
         ),
         pytest.param(

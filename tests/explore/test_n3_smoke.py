@@ -28,7 +28,7 @@ def test_n3_depths_are_pinned():
 
 def test_clean_nbac_n3_exhausts():
     case = ExploreCase(target="nbac", n=3, depth=DEPTH, seed=1)
-    result = explore_case(case, ExploreOptions(symmetry="auto"))
+    result = explore_case(case, ExploreOptions(symmetry=True))
     assert result.complete
     assert not result.violations
     # A real n=3 tree, not a degenerate one.
@@ -38,7 +38,7 @@ def test_clean_nbac_n3_exhausts():
 def test_hastycommit_n3_fires_at_the_same_depth():
     case = ExploreCase(target="hastycommit", n=3, depth=DEPTH, seed=1)
     result = explore_case(
-        case, ExploreOptions(symmetry="auto"), stop_on_first_violation=True
+        case, ExploreOptions(symmetry=True), stop_on_first_violation=True
     )
     assert result.violations
     assert result.violations[0].violated

@@ -261,7 +261,7 @@ def test_every_target_rewinds_exactly(target, crashes):
 
 
 @pytest.mark.parametrize("engine", list(NETWORKS))
-@pytest.mark.parametrize("symmetry", [False, "auto"], ids=["plain", "symmetry"])
+@pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
 def test_engines_and_symmetry(engine, symmetry):
     # The scratch replays run inside the block too: both sides of every
     # comparison are on the same network class.

@@ -102,7 +102,7 @@ class TestExchangeMechanics:
         flipped = {
             "por": False,
             "dedup": False,
-            "symmetry": "auto",
+            "symmetry": True,
             "fingerprint_mode": "naive",
         }
         fields = [f.name for f in dataclasses.fields(ExploreOptions)]

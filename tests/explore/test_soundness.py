@@ -165,13 +165,13 @@ def test_symmetry_dimension_preserves_outcomes(case):
     assert baseline["vectors"], "unreduced search found no leaves"
     for por, dedup in CONFIGS:
         result = explore_case(
-            case, ExploreOptions(por=por, dedup=dedup, symmetry="auto")
+            case, ExploreOptions(por=por, dedup=dedup, symmetry=True)
         )
         assert result.complete and result.symmetry
         assert _outcomes(result) == baseline, (
             f"symmetry over por={por} dedup={dedup} changed the outcomes"
         )
     with network_implementation(ReferenceNetwork):
-        reference = explore_case(case, ExploreOptions(symmetry="auto"))
+        reference = explore_case(case, ExploreOptions(symmetry=True))
     assert reference.complete
     assert _outcomes(reference) == baseline

@@ -155,23 +155,25 @@ class TestScriptedRoots:
 
 class TestResolve:
     def test_off_values(self):
-        case = ExploreCase(target="nbac", n=2, depth=4)
-        assert resolve_symmetry(case, False) is False
-        with pytest.raises(ValueError, match="got None"):
-            resolve_symmetry(case, None)
+        for target in ("nbac", "ct"):
+            case = ExploreCase(target=target, n=2, depth=4)
+            assert resolve_symmetry(case, False) is False
 
     def test_auto_gates_on_safe_targets(self):
         assert resolve_symmetry(
-            ExploreCase(target="nbac", n=2, depth=4), "auto"
-        )
-        assert not resolve_symmetry(
-            ExploreCase(target="ct", n=2, depth=4), "auto"
-        )
+            ExploreCase(target="nbac", n=2, depth=4), True
+        ) is True
+        assert resolve_symmetry(
+            ExploreCase(target="ct", n=2, depth=4), True
+        ) is False
 
-    def test_true_raises_on_unsafe_target(self):
+    def test_an_unsafe_target_runs_without_symmetry(self):
         case = ExploreCase(target="ct", n=2, depth=4)
-        with pytest.raises(ValueError, match="pid-derived"):
-            resolve_symmetry(case, True)
+        asked = explore_case(case, ExploreOptions(symmetry=True))
+        plain = explore_case(case, ExploreOptions())
+        assert asked.symmetry is False
+        assert asked.stats() == plain.stats()
+        assert asked.runs > 0
 
 
 class TestRootCollapse:
@@ -200,7 +202,7 @@ def test_symmetry_reduces_at_n3():
     is nontrivial — otherwise a silently disabled merge passes."""
     case = ExploreCase(target="nbac", n=3, depth=5)
     plain = explore_case(case)
-    reduced = explore_case(case, ExploreOptions(symmetry="auto"))
+    reduced = explore_case(case, ExploreOptions(symmetry=True))
     assert reduced.symmetry and not plain.symmetry
     assert reduced.runs < plain.runs
     assert reduced.states < plain.states

@@ -11,12 +11,7 @@ from pathlib import Path
 
 from repro.experiments.e01_register import case_spec as e01_spec
 from repro.experiments.e03_consensus import case_spec as e03_spec
-from repro.runner import (
-    Campaign,
-    call,
-    fn_spec,
-    run_jobs,
-)
+from repro.runner import Campaign, call, fn_spec
 from repro.store import ResultStore, StoreResultCache
 
 from tests.runner import helpers
@@ -177,10 +172,6 @@ class TestResultQueries:
         assert result.one(seed=1, f=0).tags["seed"] == 1
         with pytest.raises(KeyError):
             result.one(f=1)
-
-    def test_run_jobs_convenience(self):
-        summaries = run_jobs([helpers.consensus_spec()])
-        assert summaries[0].metrics["decided"] == 4
 
 
 class TestFnSpecCells:

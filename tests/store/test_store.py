@@ -94,21 +94,12 @@ class TestSummaries:
         # frontier's coordinator closes its store before every fork.
         store = ResultStore(tmp_path, batch=batch)
         store.put_summary("before", "s", _summary(1))
-        store.record_witness({"case": {"target": "nbac"}})
         store.close()
         store.put_summary("after", "s", _summary(2))
-        store.record_witness({"case": {"target": "ct"}})
         store.close()
         with ResultStore(tmp_path) as reread:
+            assert reread.get_summary("before", "s").value == 1
             assert reread.get_summary("after", "s").value == 4
-            con = reread.read_connection()
-            try:
-                targets = con.execute(
-                    "SELECT target FROM witnesses ORDER BY id"
-                ).fetchall()
-            finally:
-                con.close()
-        assert targets == [("nbac",), ("ct",)]
 
 
 def _kept_rows(root):
@@ -117,7 +108,41 @@ def _kept_rows(root):
     try:
         return {
             table: con.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
-            for table in ("run_summaries", "campaigns", "witnesses")
+            for table in ("run_summaries", "campaigns")
+        }
+    finally:
+        con.close()
+
+
+def _file_witness(root):
+    """One row in the ``witnesses`` table stores before v6 carried,
+    created as v5 created it."""
+    con = sqlite3.connect(root / "store.sqlite")
+    try:
+        con.executescript(
+            """
+            CREATE TABLE IF NOT EXISTS witnesses (
+                id INTEGER PRIMARY KEY, format INTEGER NOT NULL,
+                family TEXT NOT NULL, target TEXT NOT NULL,
+                violated TEXT NOT NULL, document TEXT NOT NULL,
+                created REAL NOT NULL
+            );
+            INSERT INTO witnesses (format, family, target, violated,
+                document, created)
+                VALUES (1, 'explore', 'ct', '["validity"]', '{}', 0.0);
+            """
+        )
+    finally:
+        con.close()
+
+
+def _tables(root):
+    con = sqlite3.connect(root / "store.sqlite")
+    try:
+        return {
+            name for (name,) in con.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
         }
     finally:
         con.close()
@@ -206,12 +231,9 @@ class TestSchemaVersioning:
         with ResultStore(tmp_path) as store:
             store.put_summary("k", "s", _summary(5))
             store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
-            store.record_witness(
-                {"format": "repro-explore-artifact/1",
-                 "case": {"target": "ct"}, "violated": ["validity"]}
-            )
+        _file_witness(tmp_path)
         kept = _kept_rows(tmp_path)
-        assert [len(rows) for rows in kept.values()] == [1, 1, 1]
+        assert [len(rows) for rows in kept.values()] == [1, 1]
         con = sqlite3.connect(tmp_path / "store.sqlite")
         con.executescript(
             """
@@ -265,6 +287,7 @@ class TestSchemaVersioning:
             con.close()
         assert "exchange_scopes" not in tables
         assert "fingerprints" not in tables
+        assert "witnesses" not in tables
         assert "kind" not in columns
         assert leftovers == [0, 0]
         assert _kept_rows(tmp_path) == kept
@@ -276,15 +299,12 @@ class TestSchemaVersioning:
     ):
         # A v4 file: a finished run's queue row and its leftover
         # fingerprints beside one summary, one campaign and one witness.
-        # Only the fingerprints table goes.
+        # Only the fingerprints table goes, and then the witnesses.
         with ResultStore(tmp_path) as store:
             store.put_summary("k", "s", _summary(5))
             store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
-            store.record_witness(
-                {"format": "repro-explore-artifact/1",
-                 "case": {"target": "ct"}, "violated": ["validity"]}
-            )
             store.enqueue_work("frontier:x", [{"prefix": []}])
+        _file_witness(tmp_path)
         kept = _kept_rows(tmp_path)
         con = sqlite3.connect(tmp_path / "store.sqlite")
         con.executescript(
@@ -305,19 +325,39 @@ class TestSchemaVersioning:
         assert "v4" in str(excinfo.value) and "--migrate" in str(excinfo.value)
 
         assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
-        assert "schema v5" in capsys.readouterr().out
+        assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
         con = sqlite3.connect(tmp_path / "store.sqlite")
         try:
-            tables = {
-                name for (name,) in con.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
             queued = con.execute("SELECT COUNT(*) FROM work_queue").fetchone()[0]
         finally:
             con.close()
-        assert "fingerprints" not in tables
+        assert not {"fingerprints", "witnesses"} & _tables(tmp_path)
         assert queued == 1
+        assert _kept_rows(tmp_path) == kept
+        with ResultStore(tmp_path) as store:
+            assert store.get_summary("k", "s").value == 25
+
+    def test_v5_witnesses_table_is_dropped_by_migrate(self, tmp_path, capsys):
+        # A v5 file: one witness beside one summary and one campaign.
+        # Only the witnesses table goes; the kept rows stay byte for byte.
+        with ResultStore(tmp_path) as store:
+            store.put_summary("k", "s", _summary(5))
+            store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
+        _file_witness(tmp_path)
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        con.execute("UPDATE meta SET value = '5' WHERE key = 'schema_version'")
+        con.commit()
+        con.close()
+        kept = _kept_rows(tmp_path)
+        assert [len(rows) for rows in kept.values()] == [1, 1]
+        before = _tables(tmp_path)
+        with pytest.raises(SchemaVersionError) as excinfo:
+            ResultStore(tmp_path).write_connection
+        assert "v5" in str(excinfo.value) and "--migrate" in str(excinfo.value)
+
+        assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
+        assert "schema v6" in capsys.readouterr().out
+        assert _tables(tmp_path) == before - {"witnesses"}
         assert _kept_rows(tmp_path) == kept
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
@@ -327,24 +367,6 @@ class TestSchemaVersioning:
         assert store.migrate() == SCHEMA_VERSION
         assert store.migrate() == SCHEMA_VERSION
         store.close()
-
-
-class TestWitnessesAndBench:
-    def test_witness_families(self, tmp_path):
-        with ResultStore(tmp_path) as store:
-            store.record_witness(
-                {"format": "repro-chaos-artifact/1",
-                 "case": {"target": "nbac"}, "violated": ["agreement"]}
-            )
-            store.record_witness(
-                {"format": "repro-explore-artifact/1",
-                 "case": {"target": "ct"}, "violated": ["validity"]}
-            )
-            store.flush()
-            rows = store.read_connection().execute(
-                "SELECT family, target FROM witnesses ORDER BY family"
-            ).fetchall()
-        assert rows == [("chaos", "nbac"), ("explore", "ct")]
 
 
 class TestCli:
