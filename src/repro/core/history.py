@@ -212,6 +212,9 @@ class SampledHistory:
             raise ValueError(f"need at least one process, got n={n}")
         self.n = n
         self._samples: List[List[Sample]] = [[] for _ in range(n)]
+        #: Bumped by every change: a verdict reached at one revision
+        #: stands until the revision moves.
+        self.revision = 0
 
     def record(self, pid: int, t: int, value: Any) -> None:
         """Append the detector value ``pid`` saw at step time ``t``."""
@@ -224,9 +227,11 @@ class SampledHistory:
                 f"(last was {samples[-1][0]})"
             )
         samples.append((t, value))
+        self.revision += 1
 
     def drop_from(self, t: int) -> None:
         """Forget every sample taken at time ``t`` or later."""
+        self.revision += 1
         for samples in self._samples:
             while samples and samples[-1][0] >= t:
                 samples.pop()

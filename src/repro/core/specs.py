@@ -13,14 +13,15 @@ eventual property or confirm it held over the observed suffix; the
 simulation harness sizes horizons so that the stable suffix is long
 enough to be meaningful.
 
-Σ, FS, (Ω, Σ) and Ψ each split into a prefix-closed *safety* clause —
-``sigma_safety``, ``fs_safety``, ``omega_sigma_safety``,
-``psi_safety``: a history failing it has no admissible extension — and
-a liveness remainder; ``check_*`` is their conjunction.  The two
-share one walk per detector (``_sigma``, ``_fs``, ``_omega_sigma``,
-``_psi``), whose ``liveness`` argument adds the eventual clauses.  The
-explorer holds its detector menus to the safety clauses alone, since it
-only ever runs a finite prefix.
+Σ, FS, (Ω, Σ), Ψ and P each split into a prefix-closed *safety*
+clause — ``sigma_safety``, ``fs_safety``, ``omega_sigma_safety``,
+``psi_safety``, ``perfect_safety``: a history failing it has no
+admissible extension — and a liveness remainder; ``check_*`` is their
+conjunction.  The two share one walk per detector (``_sigma``, ``_fs``,
+``_omega_sigma``, ``_psi``, ``_perfect``), whose ``liveness`` argument
+adds the eventual clauses.  The explorer holds its detector menus to
+the safety clauses alone, since it only ever runs a finite prefix, and
+a simulated run may stop at the first tick its history fails one.
 """
 
 from __future__ import annotations
@@ -415,9 +416,21 @@ def _psi(history: HistoryLike, pattern: FailurePattern, liveness: bool) -> SpecV
 # ----------------------------------------------------------------------
 # P and <>P
 # ----------------------------------------------------------------------
+def perfect_safety(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
+    """P's safety clause, strong accuracy: no process is suspected
+    before it crashes."""
+    return _perfect(history, pattern, liveness=False)
+
+
 def check_perfect(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check P: strong accuracy (never suspect before crash) and strong
     completeness (faulty processes end permanently suspected)."""
+    return _perfect(history, pattern, liveness=True)
+
+
+def _perfect(
+    history: HistoryLike, pattern: FailurePattern, liveness: bool
+) -> SpecVerdict:
     violations: List[str] = []
     for pid in pattern.processes:
         for t, suspects in _samples(history, pid):
@@ -427,7 +440,9 @@ def check_perfect(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
                         f"Accuracy violated: {pid} suspects {victim} at {t} "
                         f"but {victim} has not crashed"
                     )
-    holds_from = _check_strong_completeness(history, pattern, violations)
+    holds_from = None
+    if liveness:
+        holds_from = _check_strong_completeness(history, pattern, violations)
     if violations:
         return SpecVerdict(False, None, violations)
     return SpecVerdict(True, holds_from)

@@ -20,7 +20,11 @@ from repro.ex_nihilo.fs_heartbeat import FSFromHeartbeats
 from repro.ex_nihilo.omega_heartbeat import OmegaFromHeartbeats
 from repro.ex_nihilo.perfect_synchronous import PerfectFromTimeouts
 from repro.experiments.common import ExperimentResult, experiment, verdict_cell
-from repro.experiments.hooks import annotation_check, probe_factory
+from repro.experiments.hooks import (
+    annotation_check,
+    probe_factory,
+    safety_broken,
+)
 from repro.runner import Campaign, call, run_spec
 from repro.sim.network import SpikeDelay, UniformDelay
 
@@ -38,6 +42,9 @@ def _impl_factory(name, kwargs_items):
 
 
 def case_spec(name, checker, kwargs, delays, pattern, seed, horizon=25_000):
+    # FS and P runs end at their first accuracy violation: the verdict
+    # is settled there, and the rest of the horizon cannot change it.
+    stop = None if checker == "omega" else call(safety_broken, checker, "h")
     return run_spec(
         n=3,
         seed=seed,
@@ -48,9 +55,43 @@ def case_spec(name, checker, kwargs, delays, pattern, seed, horizon=25_000):
             (name, call(_impl_factory, name, tuple(sorted(kwargs.items())))),
             ("probe", call(probe_factory, name, "h")),
         ],
+        stop=stop,
         summarize=call(annotation_check, checker, "h"),
         tags={"probe_seed": seed},
     )
+
+
+_BENIGN = UniformDelay(1, 5)
+_HOSTILE = SpikeDelay(base_hi=5, spike_hi=400, spike_probability=0.05)
+_CRASH = FailurePattern(3, {2: 400})
+_CLEAN = FailurePattern.crash_free(3)
+
+#: One table row each: (label, implementation kwargs, checker,
+#: implementation, delays, pattern, timeout, spec expected to hold).
+CASES = [
+    ("Omega/hb", {}, "omega", "omega-impl", _BENIGN, _CRASH, 60, True),
+    ("Omega/hb", {"initial_timeout": 20}, "omega", "omega-impl",
+     _HOSTILE, _CLEAN, 20, True),
+    ("FS/hb", {"initial_timeout": 200}, "fs", "fs-impl",
+     _BENIGN, _CRASH, 200, True),
+    ("FS/hb", {"initial_timeout": 15}, "fs", "fs-impl",
+     _HOSTILE, _CLEAN, 15, False),
+    ("P/hb", {"timeout": 250}, "perfect", "p-impl",
+     _BENIGN, _CRASH, 250, True),
+    ("P/hb", {"timeout": 12}, "perfect", "p-impl",
+     _HOSTILE, _CLEAN, 12, False),
+]
+
+
+def case_specs(case, seed):
+    """The runs of one row.  A positive case is one cell; a negative
+    (forgery) case is probabilistic, so it fans out over a handful of
+    probe seeds and counts as expected if *any* seed breaks the spec."""
+    label, kwargs, checker, name, delays, pattern, timeout, expect_ok = case
+    seeds = [seed] if expect_ok else range(seed, seed + 6)
+    return [
+        case_spec(name, checker, kwargs, delays, pattern, s) for s in seeds
+    ]
 
 
 @experiment("E9")
@@ -61,42 +102,12 @@ def run(seed: int = 0) -> ExperimentResult:
     ]
     rows: List[list] = []
     ok = True
-    benign = UniformDelay(1, 5)
-    hostile = SpikeDelay(base_hi=5, spike_hi=400, spike_probability=0.05)
-    crash = FailurePattern(3, {2: 400})
-    clean = FailurePattern.crash_free(3)
-
-    cases = [
-        ("Omega/hb", {}, "omega", "omega-impl", benign, crash, 60, True),
-        ("Omega/hb", {"initial_timeout": 20}, "omega", "omega-impl",
-         hostile, clean, 20, True),
-        ("FS/hb", {"initial_timeout": 200}, "fs", "fs-impl",
-         benign, crash, 200, True),
-        ("FS/hb", {"initial_timeout": 15}, "fs", "fs-impl",
-         hostile, clean, 15, False),
-        ("P/hb", {"timeout": 250}, "perfect", "p-impl",
-         benign, crash, 250, True),
-        ("P/hb", {"timeout": 12}, "perfect", "p-impl",
-         hostile, clean, 12, False),
-    ]
-
-    # Positive cases are one cell each; negative (forgery) cases are
-    # probabilistic, so they fan out over a handful of probe seeds and
-    # count as expected if *any* seed breaks the spec.
-    jobs = []
-    slices = []
-    for label, kwargs, checker, name, delays, pattern, timeout, expect_ok in cases:
-        seeds = [seed] if expect_ok else list(range(seed, seed + 6))
-        slices.append((len(jobs), len(seeds)))
-        jobs.extend(
-            case_spec(name, checker, kwargs, delays, pattern, s)
-            for s in seeds
-        )
-
-    summaries = Campaign(jobs, name="E9").run().summaries
-    for case, (start, count) in zip(cases, slices):
+    specs = [case_specs(case, seed) for case in CASES]
+    jobs = [spec for row in specs for spec in row]
+    summaries = iter(Campaign(jobs, name="E9").run().summaries)
+    for case, row in zip(CASES, specs):
         label, kwargs, checker, name, delays, pattern, timeout, expect_ok = case
-        verdicts = [s.metrics["ok"] for s in summaries[start:start + count]]
+        verdicts = [next(summaries).metrics["ok"] for _ in row]
         if expect_ok:
             holds = verdicts[0]
             expected = holds
@@ -108,7 +119,7 @@ def run(seed: int = 0) -> ExperimentResult:
         rows.append(
             [
                 label,
-                "benign" if delays is benign else "spiky",
+                "benign" if delays is _BENIGN else "spiky",
                 timeout,
                 len(pattern.faulty),
                 verdict_cell(bool(holds)),

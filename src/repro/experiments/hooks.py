@@ -23,6 +23,8 @@ from repro.core.specs import (
     check_perfect,
     check_psi,
     check_sigma,
+    fs_safety,
+    perfect_safety,
 )
 from repro.sim.probes import OutputRecorder
 
@@ -38,6 +40,12 @@ _SPEC_CHECKERS = {
     "fs": check_fs,
     "perfect": check_perfect,
     "psi": check_psi,
+}
+
+#: The detectors whose accuracy clause is perpetual, with that clause.
+_SAFETY_CLAUSES = {
+    "fs": fs_safety,
+    "perfect": perfect_safety,
 }
 
 
@@ -86,6 +94,37 @@ def annotation_check(checker: str, key: str):
         }
 
     return hook
+
+
+def safety_broken(checker: str, key: str):
+    """Stop-predicate maker: the history at annotation ``key`` has left
+    ``checker``'s prefix-closed safety clause.
+
+    Once a prefix fails that clause no extension passes it, so
+    ``annotation_check`` at that tick already reads the verdict the
+    full horizon would.  The clause is re-judged only on the ticks
+    after the history changed (its ``revision`` moved); any other tick
+    costs a lookup and a comparison.  Only ``"fs"`` and ``"perfect"``
+    are accepted: Ω, for one, has no perpetual clause.
+    """
+    try:
+        clause = _SAFETY_CLAUSES[checker]
+    except KeyError:
+        raise ValueError(
+            f"{checker!r} has no perpetual safety clause to stop on "
+            f"(one of {sorted(_SAFETY_CLAUSES)})"
+        ) from None
+    judged = -1
+
+    def predicate(system) -> bool:
+        nonlocal judged
+        history = system.trace.annotations.get(key)
+        if history is None or history.revision == judged:
+            return False
+        judged = history.revision
+        return not clause(history, system.pattern).ok
+
+    return predicate
 
 
 def probe_factory(component: str, key: str):

@@ -5,6 +5,10 @@ histories violating each clause of each definition and assert the
 checker names the violated clause.
 """
 
+import random
+
+import pytest
+
 from repro.core.detector import BOTTOM, GREEN, RED
 from repro.core.failure_pattern import FailurePattern
 from repro.core.history import SampledHistory
@@ -19,6 +23,7 @@ from repro.core.specs import (
     check_sigma,
     fs_safety,
     omega_sigma_safety,
+    perfect_safety,
     psi_safety,
     sigma_safety,
 )
@@ -300,6 +305,13 @@ class TestSafetyClauses:
         h = history(2, [(0, 1, GREEN), (0, 2, RED), (1, 1, GREEN)])
         self._both_reject(fs_safety, check_fs, h, pattern, "Accuracy violated")
 
+    def test_premature_suspicion(self):
+        pattern = FailurePattern(2, {1: 50})
+        h = history(2, [(0, 10, frozenset({1})), (0, 60, frozenset({1}))])
+        self._both_reject(
+            perfect_safety, check_perfect, h, pattern, "Accuracy violated"
+        )
+
     def test_disjoint_quorums(self):
         pattern = FailurePattern.crash_free(2)
         h = history(2, [(0, 0, frozenset({0})), (1, 0, frozenset({1}))])
@@ -334,8 +346,48 @@ class TestSafetyClauses:
             (fs_safety, check_fs, GREEN),
             (omega_sigma_safety, check_omega_sigma, (1, frozenset({0, 1}))),
             (psi_safety, check_psi, GREEN),
+            # Process 1 crashed and is never suspected.
+            (perfect_safety, check_perfect, frozenset()),
         ]
         for safety, check, value in cases:
             h = history(2, [(0, 5, value)])
             assert safety(h, faulty_1).ok, safety
             assert not check(h, faulty_1).ok, check
+
+    @pytest.mark.parametrize(
+        "safety, draw",
+        [
+            (fs_safety, lambda rng, pattern, t: rng.choice((GREEN, RED))),
+            # Suspect what has crashed by a time near t: now and then
+            # a crash still two ticks ahead, which is premature.
+            (
+                perfect_safety,
+                lambda rng, pattern, t: frozenset(
+                    p for p in range(3)
+                    if pattern.crashed(p, t + rng.randrange(-2, 3))
+                ),
+            ),
+        ],
+        ids=["fs", "perfect"],
+    )
+    def test_prefix_closed_on_random_histories(self, safety, draw):
+        # Cut a random history after each of its sample times: once a
+        # prefix fails the clause, every longer prefix fails it too.
+        rng = random.Random(7)
+        for _ in range(200):
+            crashes = {
+                pid: rng.randrange(1, 30)
+                for pid in rng.sample(range(3), rng.randrange(3))
+            }
+            pattern = FailurePattern(3, crashes)
+            triples = [
+                (rng.randrange(3), t, draw(rng, pattern, t))
+                for t in rng.sample(range(40), rng.randrange(1, 12))
+            ]
+            broken = False
+            for cut in sorted(t for _, t, _ in triples):
+                prefix = history(3, [x for x in triples if x[1] <= cut])
+                ok = safety(prefix, pattern).ok
+                assert not (broken and ok), (pattern, triples, cut)
+                broken = not ok
+            assert safety(history(3, triples), pattern).ok == (not broken)

@@ -8,13 +8,14 @@ from repro.core.specs import check_fs, check_omega, check_perfect
 from repro.ex_nihilo.fs_heartbeat import FSFromHeartbeats
 from repro.ex_nihilo.omega_heartbeat import OmegaFromHeartbeats
 from repro.ex_nihilo.perfect_synchronous import PerfectFromTimeouts
+from repro.experiments.hooks import safety_broken
 from repro.sim.network import ConstantDelay, SpikeDelay, UniformDelay
 from repro.sim.probes import OutputRecorder
 from repro.sim.system import SystemBuilder
 
 
 def run_impl(component_factory, name, pattern, seed=0, horizon=20_000,
-             delays=None):
+             delays=None, stop_when=None):
     builder = (
         SystemBuilder(n=3, seed=seed, horizon=horizon)
         .pattern(pattern)
@@ -24,7 +25,7 @@ def run_impl(component_factory, name, pattern, seed=0, horizon=20_000,
     if delays is not None:
         builder.delays(delays)
     system = builder.build()
-    trace = system.run()
+    trace = system.run(stop_when=stop_when)
     return system, trace
 
 
@@ -100,10 +101,13 @@ class TestFSFromHeartbeats:
                 "fs-impl", pattern, seed=seed, horizon=30_000,
                 delays=SpikeDelay(base_hi=5, spike_hi=400,
                                   spike_probability=0.05),
+                stop_when=safety_broken("fs", "fs-impl"),
             )
             verdict = check_fs(trace.annotations["fs-impl"], pattern)
             if not verdict.ok:
                 forged += 1
+                assert trace.stop_reason == "stop-condition"
+                assert trace.final_time < 30_000
         assert forged > 0
 
     def test_red_is_sticky(self):
@@ -140,8 +144,11 @@ class TestPerfectFromTimeouts:
                 "p-impl", pattern, seed=seed,
                 delays=SpikeDelay(base_hi=5, spike_hi=400,
                                   spike_probability=0.05),
+                stop_when=safety_broken("perfect", "p-impl"),
             )
             verdict = check_perfect(trace.annotations["p-impl"], pattern)
             if not verdict.ok:
                 forged += 1
+                assert trace.stop_reason == "stop-condition"
+                assert trace.final_time < 20_000
         assert forged > 0
