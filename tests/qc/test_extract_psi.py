@@ -9,6 +9,7 @@ trace, and several read the same one.
 """
 
 import functools
+import hashlib
 
 import pytest
 
@@ -55,6 +56,23 @@ def _run_extraction(branch, pattern, seed, horizon, prefix_stride, gossip_every)
     )
     trace = system.run()
     return system, trace
+
+
+#: The Σ loop's outcome on ``test_sigma_loop_accounts_for_its_simulations``'s
+#: cells, by seed and correct process: ``sim_attempts``, ``sim_decided``,
+#: ``sigma_rounds`` and the sha256 of the process's Σ outputs with the
+#: times they changed.
+SIGMA_LOOP_PINS = {
+    1: {
+        0: (1290, 224, 16, "a14ef81471725888ac8065da1cff9ac184ea89e31cb3cc05e2e2749da3b58144"),
+        1: (1313, 168, 12, "b836d2dd971af135b7de868acf846c306ae0105766d1fe74252934a073349e44"),
+        2: (1260, 168, 12, "6aa2f952fe984ca7a921bfa178f79a4bddf05ff9ac6ebcba9ee59fee16c14fbb"),
+    },
+    3: {
+        0: (2408, 560, 56, "097e564fc1d4154a63375045c7dd4498eabfd7b24919a2ce151d8ad1129ea4dd"),
+        2: (2408, 390, 39, "3b1acbbf70e4ee74bb10a4d2892ed6f24d065bb286de1c6570064c569acef1dc"),
+    },
+}
 
 
 @pytest.mark.slow
@@ -130,10 +148,14 @@ class TestOmegaSigmaBranch:
     def test_sigma_loop_accounts_for_its_simulations(self, pattern, seed, horizon):
         """Useful outcomes / attempts of the line 28-31 loop: every
         completed Σ round is exactly one decided run per configuration
-        in C; everything else was a retry."""
-        system, _ = run_extraction(
+        in C; everything else was a retry.  The attempt and round
+        counts and each correct process's Σ outputs (with the times
+        they changed) are pinned: how the loop computes an attempt may
+        change its cost, never its outcome."""
+        system, trace = run_extraction(
             OMEGA_SIGMA_BRANCH, pattern, seed=seed, horizon=horizon
         )
+        history = trace.annotations["psi-extraction"]
         rounds = 0
         for pid in pattern.correct:
             core = system.component_at(pid, "xpsi").core
@@ -141,6 +163,15 @@ class TestOmegaSigmaBranch:
             assert core.sim_decided <= core.sim_attempts
             assert core.sim_decided // core.sigma_configs == core.sigma_rounds
             assert core.sim_steps >= core.sim_decided
+            outputs = [
+                (t, tuple(sorted(value[1])))
+                for t, value in history.samples_of(pid)
+                if isinstance(value, tuple)
+            ]
+            digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+            assert (
+                core.sim_attempts, core.sim_decided, core.sigma_rounds, digest
+            ) == SIGMA_LOOP_PINS[seed][pid]
             rounds += core.sigma_rounds
         assert rounds > 0
 
