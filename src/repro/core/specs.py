@@ -90,6 +90,23 @@ def _stable_suffix_start(
     return start
 
 
+def _not_a_set(pid: int, t: int, value: Any) -> str:
+    return f"H({pid},{t}) = {value!r} is not a set of processes"
+
+
+def _suspect_lists(
+    history: HistoryLike, pattern: FailurePattern
+) -> Optional[SpecVerdict]:
+    """The failing verdict on a history holding a sample that is not a
+    set of processes (None when every sample is one): P, ◇P, S and ◇S
+    judge suspect lists, and anything else is no suspect list at all."""
+    for pid in pattern.processes:
+        for t, value in _samples(history, pid):
+            if not isinstance(value, frozenset):
+                return SpecVerdict(False, None, [_not_a_set(pid, t, value)])
+    return None
+
+
 # ----------------------------------------------------------------------
 # Omega
 # ----------------------------------------------------------------------
@@ -154,9 +171,7 @@ def _sigma(
     for pid in pattern.processes:
         for t, value in _samples(history, pid):
             if not isinstance(value, frozenset):
-                violations.append(
-                    f"H({pid},{t}) = {value!r} is not a set of processes"
-                )
+                violations.append(_not_a_set(pid, t, value))
                 return SpecVerdict(False, None, violations)
             distinct.setdefault(value, (pid, t))
 
@@ -431,6 +446,9 @@ def check_perfect(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
 def _perfect(
     history: HistoryLike, pattern: FailurePattern, liveness: bool
 ) -> SpecVerdict:
+    refused = _suspect_lists(history, pattern)
+    if refused is not None:
+        return refused
     violations: List[str] = []
     for pid in pattern.processes:
         for t, suspects in _samples(history, pid):
@@ -452,6 +470,9 @@ def check_eventually_perfect(
     history: HistoryLike, pattern: FailurePattern
 ) -> SpecVerdict:
     """Check ◇P: strong completeness and eventual strong accuracy."""
+    refused = _suspect_lists(history, pattern)
+    if refused is not None:
+        return refused
     violations: List[str] = []
     holds_from = _check_strong_completeness(history, pattern, violations) or 0
     for pid in sorted(pattern.correct):
@@ -476,6 +497,9 @@ def check_eventually_perfect(
 def check_strong(history: HistoryLike, pattern: FailurePattern) -> SpecVerdict:
     """Check S: strong completeness plus *perpetual* weak accuracy —
     some correct process is suspected by nobody at any observed time."""
+    refused = _suspect_lists(history, pattern)
+    if refused is not None:
+        return refused
     violations: List[str] = []
     holds_from = _check_strong_completeness(history, pattern, violations) or 0
 
@@ -503,6 +527,9 @@ def check_eventually_strong(
 ) -> SpecVerdict:
     """Check ◇S: strong completeness and eventual *weak* accuracy
     (some correct process eventually suspected by no correct process)."""
+    refused = _suspect_lists(history, pattern)
+    if refused is not None:
+        return refused
     violations: List[str] = []
     holds_from = _check_strong_completeness(history, pattern, violations) or 0
 

@@ -61,6 +61,26 @@ def case_spec(branch, pattern, seed, horizon, prefix_stride=10):
     )
 
 
+#: (oracle branch, failure pattern, horizon, expected extracted branch).
+CASES = [
+    (OMEGA_SIGMA_BRANCH, FailurePattern.crash_free(3), 14_000, "omega-sigma"),
+    (OMEGA_SIGMA_BRANCH, FailurePattern(3, {1: 300}), 16_000, "omega-sigma"),
+    (FS_BRANCH, FailurePattern(3, {2: 300}), 8_000, "fs"),
+    (FS_BRANCH, FailurePattern(3, {0: 150, 1: 250}), 8_000, "fs"),
+]
+
+
+def campaign(seed: int) -> Campaign:
+    """E5's cells; their summaries carry the Σ loop's counters."""
+    return Campaign(
+        (
+            case_spec(branch, pattern, seed, horizon)
+            for branch, pattern, horizon, _ in CASES
+        ),
+        name="E5",
+    )
+
+
 @experiment("E5")
 def run(seed: int = 1) -> ExperimentResult:
     headers = [
@@ -70,23 +90,8 @@ def run(seed: int = 1) -> ExperimentResult:
     rows: List[list] = []
     ok = True
 
-    cases = [
-        (OMEGA_SIGMA_BRANCH, FailurePattern.crash_free(3), 14_000,
-         "omega-sigma"),
-        (OMEGA_SIGMA_BRANCH, FailurePattern(3, {1: 300}), 16_000,
-         "omega-sigma"),
-        (FS_BRANCH, FailurePattern(3, {2: 300}), 8_000, "fs"),
-        (FS_BRANCH, FailurePattern(3, {0: 150, 1: 250}), 8_000, "fs"),
-    ]
-    campaign = Campaign(
-        (
-            case_spec(branch, pattern, seed, horizon)
-            for branch, pattern, horizon, _ in cases
-        ),
-        name="E5",
-    )
     for (branch, pattern, _, expected_branch), summary in zip(
-        cases, campaign.run()
+        CASES, campaign(seed).run()
     ):
         m = summary.metrics
         branch_ok = m["branches"] == [expected_branch]

@@ -15,13 +15,14 @@ that are compatible with paths of that DAG.
 """
 
 from repro.qc.cht.samples import Sample, SampleDag
-from repro.qc.cht.simulation import VirtualRuntime, simulate_run
+from repro.qc.cht.simulation import SimulationAttempt, VirtualRuntime, simulate_run
 from repro.qc.cht.forest import SimulationForest, initial_proposals
 
 __all__ = [
     "Sample",
     "SampleDag",
     "VirtualRuntime",
+    "SimulationAttempt",
     "simulate_run",
     "SimulationForest",
     "initial_proposals",

@@ -17,7 +17,7 @@ the first adjacent pair of trees whose decisions differ.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.protocols.base import ProtocolCore
 from repro.qc.cht.samples import Sample, SampleDag
@@ -55,7 +55,8 @@ class TreeRun:
         self.runtime = VirtualRuntime(n, core_factory, proposals)
         self.schedule: List[Sample] = []
         self.driver = BalancedPathDriver(n, patience=patience)
-        # Highest sample seq per process either applied or proven
+        # Per process, the index in its sample list of the next
+        # candidate: the samples before it were applied or proven
         # permanently incompatible with this path.
         self._consumed = [0] * n
 
@@ -76,21 +77,12 @@ class TreeRun:
         this path's future (descendance would have to be transitive
         through the tip).
         """
-
-        def peek(q: int) -> Optional[Sample]:
-            while dag.contains(q, self._consumed[q] + 1):
-                sample = dag.sample(q, self._consumed[q] + 1)
-                if sample.compatible_after(*self.driver.tip):
-                    return sample
-                self._consumed[q] += 1
-            return None
-
+        pools = [dag.samples_view(q) for q in range(self.n)]
         steps = 0
         while steps < max_steps and not self.decided:
-            sample = self.driver.choose(peek)
+            sample = self.driver.choose(pools, self._consumed)
             if sample is None:
                 break  # wait for gossip; patience ticked inside choose
-            self._consumed[sample.pid] += 1
             self.runtime.step(sample.pid, sample.value)
             self.schedule.append(sample)
             steps += 1

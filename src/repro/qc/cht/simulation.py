@@ -18,6 +18,17 @@ reproducible from its sample sequence — which is what lets the Figure 3
 algorithm ship schedules to other processes inside QC proposals and the
 Σ-extraction replay configurations by prefix instead of snapshotting
 live generators.
+
+A path is chosen by :class:`BalancedPathDriver` from per-process pools
+that are the DAG's own growing sample lists.  The Σ-extraction's
+simulated runs (lines 28-31) are :class:`SimulationAttempt` objects: an
+attempt that did not decide is run again once gossip has grown the DAG,
+and it resumes from the first choice the new samples can change instead
+of re-simulating from scratch — with the result a fresh attempt on the
+grown DAG would give (the class docstring has the rule and why it is
+exact).  :func:`simulate_run` is an attempt run once; the forest's
+canonical runs (:class:`~repro.qc.cht.forest.TreeRun`) grow through the
+same driver.
 """
 
 from __future__ import annotations
@@ -160,9 +171,11 @@ class BalancedPathDriver:
     stay benched, exactly as a fair schedule must eventually exclude
     them.
 
-    Pool access is pluggable: ``peek(q)`` returns q's next candidate
-    sample (skipping permanently-incompatible ones is the caller's
-    business via ``advance(q)``).
+    The candidates are per-process pools: ``pools[q]`` holds q's samples
+    in sequence order (typically the DAG's own growing list) and
+    ``used[q]`` is the index of q's next candidate.  A choice is a
+    :meth:`scan` of the pools followed by a :meth:`pick`;
+    :meth:`choose` does both.
     """
 
     def __init__(self, n: int, patience: int = 12):
@@ -180,23 +193,38 @@ class BalancedPathDriver:
         if schedule:
             self.tip = (schedule[-1].pid, schedule[-1].seq)
 
-    def choose(self, peek) -> Optional[Sample]:
-        """Pick the next path vertex, or None to wait for the DAG.
+    def scan(
+        self, pools: Sequence[Sequence[Sample]], used: List[int]
+    ) -> Dict[int, Sample]:
+        """Each process's next *tip-compatible* sample, by pid.
 
-        ``peek(q)`` must return q's next *tip-compatible* sample or
-        None.  A compatible sample from a benched process unbenches it.
+        Samples skipped as tip-incompatible are consumed for good
+        (``used[q]`` moves past them): once a sample fails to descend
+        from the tip it can never rejoin this path.  The driver's own
+        state is left as it was.
         """
+        pid, seq = self.tip
         available: Dict[int, Sample] = {}
         for q in range(self.n):
-            sample = peek(q)
-            if sample is not None:
-                available[q] = sample
-                if self._benched[q]:
-                    self._benched[q] = False
-                self._stall[q] = 0
+            pool = pools[q]
+            idx = used[q]
+            while idx < len(pool):
+                sample = pool[idx]
+                if sample.compatible_after(pid, seq):
+                    available[q] = sample
+                    break
+                idx += 1
+            used[q] = idx
+        return available
 
+    def pick(self, available: Dict[int, Sample]) -> Optional[Sample]:
+        """The next path vertex among one scan's samples, or None to
+        wait for the DAG.  A process with a sample is unbenched."""
         if not available:
             return None
+        for q in available:
+            self._benched[q] = False
+            self._stall[q] = 0
 
         # The fairness frontier: the least-applied unbenched processes.
         active = [q for q in range(self.n) if not self._benched[q]]
@@ -225,50 +253,211 @@ class BalancedPathDriver:
         self.tip = (sample.pid, sample.seq)
         return sample
 
+    def choose(
+        self, pools: Sequence[Sequence[Sample]], used: List[int]
+    ) -> Optional[Sample]:
+        """Scan and pick; the picked sample is consumed from its pool."""
+        sample = self.pick(self.scan(pools, used))
+        if sample is not None:
+            used[sample.pid] += 1
+        return sample
 
-def canonical_extension(
-    runtime: VirtualRuntime,
-    per_process: Sequence[Sequence[Sample]],
-    used: Dict[int, int],
-    driver: BalancedPathDriver,
-    target: int,
-    max_steps: int,
-) -> Tuple[List[Sample], bool]:
-    """Extend a run along the driver's balanced DAG path until
-    ``target`` decides, the driver wants to wait for more samples, or
-    ``max_steps`` is reached.
+    def state(self) -> Tuple:
+        """A copy of everything :meth:`pick` reads and writes."""
+        return (
+            self.tip,
+            list(self.applied_counts),
+            list(self._stall),
+            list(self._benched),
+        )
 
-    ``per_process[q]`` is the pool of q's candidate samples in sequence
-    order; ``used[q]`` is the index of the next candidate and tracks
-    consumption (a caller starts it past the samples that are not
-    eligible at all; samples skipped as tip-incompatible are consumed
-    for good — once a sample fails to descend from the tip it can never
-    rejoin this path).
+    def restore(self, state: Tuple) -> None:
+        tip, applied, stall, benched = state
+        self.tip = tip
+        self.applied_counts = list(applied)
+        self._stall = list(stall)
+        self._benched = list(benched)
 
-    Returns ``(steps applied, target decided?)``.
+
+@dataclass
+class _ChoicePoint:
+    """An attempt just before one choice: enough to redo that choice,
+    and everything after it, on a grown DAG."""
+
+    call: int  #: choices made before this one
+    length: int  #: schedule length (prefix included)
+    driver: Tuple  #: :meth:`BalancedPathDriver.state`
+    used: List[int]  #: pool indices after the choice's scan
+
+
+class SimulationAttempt:
+    """A simulated run of A from an initial configuration, kept across
+    retries on a growing DAG.
+
+    :meth:`run` replays ``prefix`` (a recorded schedule), then extends
+    along a balanced path using the DAG's samples — optionally only
+    those that are descendants of ``restrict_after`` (line 29's
+    "subgraph induced by the descendants of u", the freshness device of
+    the Σ-extraction) — until ``target`` decides, the path runs dry or
+    ``max_steps`` steps were added.  The DAG cannot grow during a run,
+    so waiting for gossip is pointless there and ``patience`` is kept
+    minimal; an attempt that did not decide is run again once the DAG
+    has grown.
+
+    A retry returns exactly what a fresh attempt on the grown DAG would,
+    but only recomputes the path from the first choice the new samples
+    can change.  The path depends on the pools alone (A only decides
+    where it stops), and the pools are the DAG's append-only lists, so a
+    choice can only come out differently where some process ``q`` had no
+    tip-compatible sample.  The attempt journals, per process, the first
+    such choice point.  A later point where ``q`` had none cannot gain a
+    sample unless this one does: path tips form a descent chain, and a
+    sample descending from a later tip descends from every earlier one.
+    Knowledge vectors are monotone along q's list, so "q has a new
+    sample for this point" is one look at q's newest sample: does it
+    descend from ``restrict_after`` and from the point's tip?  A retry
+    restarts from the earliest journaled point whose process passes,
+    lifting every pool index to ``first_descendant(q, restrict_after)``
+    (a process none of whose samples descended from the pivot before
+    may have descendants now).  With no such point, nothing changed.
+
+    The runtime is kept while the recomputed path repeats the old one —
+    the old path never decided, so no decision is missed — and rebuilt
+    from the prefix and the common part at the first differing sample.
+    :attr:`steps_executed` counts the steps of A actually executed over
+    all runs, replays included.
     """
-    applied: List[Sample] = []
 
-    def peek(q: int) -> Optional[Sample]:
-        pool = per_process[q]
-        idx = used.get(q, 0)
-        while idx < len(pool):
-            sample = pool[idx]
-            if sample.compatible_after(*driver.tip):
-                used[q] = idx
-                return sample
-            idx += 1
-        used[q] = idx
-        return None
+    def __init__(
+        self,
+        n: int,
+        core_factory: Callable[[int], ProtocolCore],
+        proposals: Sequence[Any],
+        dag: SampleDag,
+        target: int,
+        prefix: Sequence[Sample] = (),
+        restrict_after: Optional[Sample] = None,
+        max_steps: int = 100_000,
+        patience: int = 2,
+    ):
+        self.n = n
+        self.core_factory = core_factory
+        self.proposals = list(proposals)
+        self.dag = dag
+        self.target = target
+        self.restrict_after = restrict_after
+        self._end = len(prefix) + max_steps
+        self.schedule: List[Sample] = list(prefix)
+        self.runtime: Optional[VirtualRuntime] = None
+        self.steps_executed = 0
 
-    while len(applied) < max_steps and not runtime.decided(target):
-        sample = driver.choose(peek)
-        if sample is None:
-            break
-        used[sample.pid] = used.get(sample.pid, 0) + 1
-        runtime.step(sample.pid, sample.value)
-        applied.append(sample)
-    return applied, runtime.decided(target)
+        # Each pool is the DAG's own list of q's samples, entered at the
+        # index where the eligible window starts: the descendants of
+        # ``restrict_after`` are a suffix (knowledge vectors are monotone
+        # along the list; :meth:`_resume` bisects for it), and so are the
+        # samples the prefix did not consume (seq ``k`` sits at index
+        # ``k - 1``).
+        self._pools = [dag.samples_view(q) for q in range(n)]
+        used = [0] * n
+        if restrict_after is None:
+            for s in prefix:
+                used[s.pid] = max(used[s.pid], s.seq)
+        self._driver = BalancedPathDriver(n, patience=patience)
+        self._driver.note_prefix(self.schedule)
+        self._start = _ChoicePoint(0, len(prefix), self._driver.state(), used)
+        self._calls = 0
+        #: q -> the first choice point at which q had no sample.
+        self._journal: Dict[int, _ChoicePoint] = {}
+
+    def run(self) -> Tuple[VirtualRuntime, List[Sample], bool]:
+        """Run (or resume) on the DAG as it is now.
+
+        Returns ``(runtime, full schedule, target decided?)``; the
+        runtime has executed exactly the schedule.
+        """
+        point = self._restart_point()
+        if point is not None:
+            self._resume(point)
+        assert self.runtime is not None
+        return self.runtime, self.schedule, self.runtime.decided(self.target)
+
+    def _restart_point(self) -> Optional[_ChoicePoint]:
+        if self.runtime is None:
+            return self._start
+        u = self.restrict_after
+        earliest: Optional[_ChoicePoint] = None
+        for q, point in self._journal.items():
+            pool = self._pools[q]
+            if len(pool) <= point.used[q]:
+                continue  # nothing new from q
+            newest = pool[-1]
+            tip = point.driver[0]  # the driver state leads with the tip
+            if (u is None or newest.descends_from(u)) and newest.compatible_after(*tip):
+                if earliest is None or point.call < earliest.call:
+                    earliest = point
+        return earliest
+
+    def _replay(self, schedule: Sequence[Sample]) -> VirtualRuntime:
+        runtime = VirtualRuntime(self.n, self.core_factory, self.proposals)
+        apply_schedule(runtime, schedule)
+        self.steps_executed += len(schedule)
+        return runtime
+
+    def _resume(self, point: _ChoicePoint) -> None:
+        n, pools, target, driver = self.n, self._pools, self.target, self._driver
+        driver.restore(point.driver)
+        used = list(point.used)
+        u = self.restrict_after
+        if u is not None:
+            for q in range(n):
+                used[q] = max(used[q], self.dag.first_descendant(q, u))
+        self._calls = point.call
+        journal = {q: p for q, p in self._journal.items() if p.call < point.call}
+        self._journal = journal
+
+        old = self.schedule
+        schedule = old[: point.length]
+        self.schedule = schedule
+        # ``runtime`` has executed ``old[:executed]``.
+        if self.runtime is None:
+            runtime, executed = self._replay(schedule), len(schedule)
+        else:
+            runtime, executed = self.runtime, len(old)
+
+        while len(schedule) < self._end:
+            if executed == len(schedule) and runtime.decided(target):
+                break
+            available = driver.scan(pools, used)
+            if len(available) < n:
+                snapshot = None
+                for q in range(n):
+                    if q not in available and q not in journal:
+                        if snapshot is None:
+                            snapshot = _ChoicePoint(
+                                self._calls, len(schedule), driver.state(),
+                                list(used),
+                            )
+                        journal[q] = snapshot
+            self._calls += 1
+            if not available:
+                break  # the path is dry
+            sample = driver.pick(available)
+            if sample is None:
+                continue  # waiting out a laggard's patience
+            used[sample.pid] += 1
+            i = len(schedule)
+            schedule.append(sample)
+            if executed > i:
+                if old[i] is sample:
+                    continue  # the kept runtime took this step already
+                runtime, executed = self._replay(schedule[:i]), i
+            runtime.step(sample.pid, sample.value)
+            self.steps_executed += 1
+            executed += 1
+        # A recomputed path that repeats the old one ends no earlier: it
+        # has every sample the old one had at each of its choices.
+        assert executed == len(schedule)
+        self.runtime = runtime
 
 
 def simulate_run(
@@ -282,67 +471,11 @@ def simulate_run(
     max_steps: int = 100_000,
     patience: int = 2,
 ) -> Tuple[VirtualRuntime, List[Sample], bool]:
-    """Build a simulated run of A from an initial configuration.
-
-    Replays ``prefix`` (a recorded schedule), then extends along a
-    balanced path using the DAG's samples — optionally only those that
-    are proper descendants of ``restrict_after`` (line 29's "subgraph
-    induced by the descendants of u", the freshness device of the
-    Σ-extraction).  The DAG cannot grow during the call, so waiting for
-    gossip is pointless here and ``patience`` is kept minimal; callers
-    that need fresher samples re-invoke with the grown DAG.
+    """A one-shot simulated run: a :class:`SimulationAttempt` run once.
 
     Returns ``(runtime, full schedule, target decided?)``.
     """
-    runtime = VirtualRuntime(n, core_factory, proposals)
-    apply_schedule(runtime, prefix)
-    schedule = list(prefix)
-
-    driver = BalancedPathDriver(n, patience=patience)
-    driver.note_prefix(schedule)
-
-    # Each pool is the DAG's own list of q's samples, entered at the
-    # index where the eligible window starts: the descendants of
-    # ``restrict_after`` are a suffix (knowledge vectors are monotone
-    # along the list), and so are the samples the prefix did not consume
-    # (seq ``k`` sits at index ``k - 1``).
-    pools = [dag.samples_view(q) for q in range(n)]
-    used: Dict[int, int]
-    if restrict_after is not None:
-        used = {q: dag.first_descendant(q, restrict_after) for q in range(n)}
-    else:
-        used = dict.fromkeys(range(n), 0)
-        for s in prefix:
-            used[s.pid] = max(used[s.pid], s.seq)
-
-    decided = False
-    while not decided and runtime.steps_taken - len(prefix) < max_steps:
-        applied, decided = canonical_extension(
-            runtime, pools, used, driver, target, max_steps
-        )
-        schedule.extend(applied)
-        if not applied and not decided:
-            # No step was possible.  The pools cannot grow meanwhile, so
-            # either the driver is waiting out its laggard patience
-            # (retry immediately — the stall counters tick until the
-            # laggard is benched) or the path is genuinely dry.
-            if not _driver_waiting(driver, pools, used):
-                break
-    return runtime, schedule, decided
-
-
-def _driver_waiting(
-    driver: BalancedPathDriver,
-    pools: Sequence[Sequence[Sample]],
-    used: Dict[int, int],
-) -> bool:
-    """Whether the driver would still make progress on retry (it is
-    waiting out patience rather than out of samples)."""
-    for q in range(len(pools)):
-        idx = used.get(q, 0)
-        pool = pools[q]
-        while idx < len(pool):
-            if pool[idx].compatible_after(*driver.tip):
-                return True
-            idx += 1
-    return False
+    return SimulationAttempt(
+        n, core_factory, proposals, dag, target, prefix,
+        restrict_after, max_steps, patience,
+    ).run()

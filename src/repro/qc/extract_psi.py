@@ -29,7 +29,9 @@ Structure (matching the paper's line numbers):
     sample ``u``, simulate a deciding extension of every C ∈ C using
     only samples that descend from ``u`` (per process a suffix of its
     sample list, found by bisection —
-    :meth:`~repro.qc.cht.samples.SampleDag.first_descendant`); the
+    :meth:`~repro.qc.cht.samples.SampleDag.first_descendant`), retrying
+    as gossip grows the DAG — each retry resumes the configuration's
+    kept :class:`~repro.qc.cht.simulation.SimulationAttempt`; the
     quorum is the set of processes taking steps in those extensions.
     Fresh samples can only come from processes alive after ``u``, which
     yields Completeness; Intersection is the deep CHT argument (Lemma
@@ -60,9 +62,19 @@ from repro.protocols.base import ProtocolCore
 from repro.protocols.multi import MultiInstanceCore
 from repro.qc.cht.forest import SimulationForest, initial_proposals
 from repro.qc.cht.samples import Sample, SampleDag
-from repro.qc.cht.simulation import simulate_run
+from repro.qc.cht.simulation import SimulationAttempt, VirtualRuntime
 from repro.qc.spec import Q
 from repro.sim.tasklets import WaitSteps, WaitUntil
+
+
+def simulate_run(
+    attempt: SimulationAttempt,
+) -> Tuple[VirtualRuntime, List[Sample], bool]:
+    """One try of a Σ-loop attempt on the DAG as it is now
+    (:meth:`SimulationAttempt.run`).  The loop calls every try through
+    this module-level name, so a profiler that wraps it (e2e_bench's
+    tracer does) times each try as one call."""
+    return attempt.run()
 
 
 class PsiExtraction(ProtocolCore):
@@ -122,12 +134,16 @@ class PsiExtraction(ProtocolCore):
         # How much of the Σ loop's simulation is useful: extension
         # attempts, those in which p decided (exactly one per
         # configuration of C per completed Σ round — the rest are "not
-        # enough fresh samples yet" retries), and simulated steps
-        # executed over all attempts, prefix replays included.
+        # enough fresh samples yet" retries), the steps of A actually
+        # executed (prefix replays, runtime rebuilds and resumed
+        # suffixes included) and the attempts' schedule lengths summed,
+        # prefixes included — what re-simulating every attempt from
+        # scratch would execute.
         self.sigma_configs = 0
         self.sim_attempts = 0
         self.sim_decided = 0
         self.sim_steps = 0
+        self.sim_path_steps = 0
 
     # ------------------------------------------------------------------
     # The emulated Ψ module (line 1 / 18 / 34)
@@ -278,22 +294,27 @@ class PsiExtraction(ProtocolCore):
             u: Sample = fresh[1]
 
             # Lines 28-31: for each C, simulate a deciding extension
-            # using only samples that descend from u.
+            # using only samples that descend from u.  One attempt per
+            # configuration is kept across its retries, each of which
+            # resumes it on the grown DAG.
             quorum: set[int] = set()
             for initial, prefix in configs:
+                attempt = SimulationAttempt(
+                    self.n,
+                    lambda pid: self.qc_factory(),
+                    initial,
+                    self.dag,
+                    target=self.pid,
+                    prefix=prefix,
+                    restrict_after=u,
+                    max_steps=self.sim_step_budget,
+                )
                 while True:
-                    runtime, schedule, decided = simulate_run(
-                        self.n,
-                        lambda pid: self.qc_factory(),
-                        list(initial),
-                        self.dag,
-                        target=self.pid,
-                        prefix=prefix,
-                        restrict_after=u,
-                        max_steps=self.sim_step_budget,
-                    )
+                    executed = attempt.steps_executed
+                    _, schedule, decided = simulate_run(attempt)
                     self.sim_attempts += 1
-                    self.sim_steps += runtime.steps_taken
+                    self.sim_steps += attempt.steps_executed - executed
+                    self.sim_path_steps += len(schedule)
                     if decided:
                         self.sim_decided += 1
                         break

@@ -15,12 +15,14 @@ from repro.core.history import SampledHistory
 from repro.core.specs import (
     SpecVerdict,
     check_eventually_perfect,
+    check_eventually_strong,
     check_fs,
     check_omega,
     check_omega_sigma,
     check_perfect,
     check_psi,
     check_sigma,
+    check_strong,
     fs_safety,
     omega_sigma_safety,
     perfect_safety,
@@ -245,6 +247,34 @@ class TestEventuallyPerfectNegative:
         h = history(2, [(0, 5, frozenset({1})), (0, 99, frozenset()),
                         (1, 6, frozenset()), (1, 98, frozenset())])
         assert check_eventually_perfect(h, pattern).ok
+
+
+class TestSuspectListsAreSets:
+    """The suspicion-set detectors judge sets of processes: any other
+    sample is reported as what it is, not read character by character
+    (``"red"``) or left to raise (``7``)."""
+
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            perfect_safety,
+            check_perfect,
+            check_eventually_perfect,
+            check_strong,
+            check_eventually_strong,
+        ],
+    )
+    @pytest.mark.parametrize("value", ["red", 7])
+    @pytest.mark.parametrize(
+        "pattern", [FailurePattern.crash_free(2), FailurePattern(2, {1: 5})]
+    )
+    def test_a_non_set_sample_is_named(self, checker, value, pattern):
+        h = history(2, [(0, 1, value), (1, 2, value)])
+        verdict = checker(h, pattern)
+        assert not verdict.ok
+        assert verdict.violations == [
+            f"H(0,1) = {value!r} is not a set of processes"
+        ]
 
 
 class TestOmegaSigmaProduct:

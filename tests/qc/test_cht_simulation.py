@@ -10,10 +10,9 @@ from repro.protocols.base import ProtocolCore
 from repro.qc.cht.samples import Sample, SampleDag
 from repro.qc.cht.simulation import (
     BalancedPathDriver,
+    SimulationAttempt,
     VirtualRuntime,
-    _driver_waiting,
     apply_schedule,
-    canonical_extension,
     simulate_run,
 )
 from repro.qc.psi_qc import PsiQCCore
@@ -93,37 +92,46 @@ class TestBalancedDriver:
     def test_prefers_least_applied(self):
         driver = BalancedPathDriver(2, patience=1)
         s0 = self._mk(0, 1, (0, 0))
-        s1 = self._mk(1, 1, (0, 0))
-        pool = {0: s0, 1: s1}
-        picked = driver.choose(lambda q: pool.get(q))
-        assert picked is s0  # tie: lowest pid
-        del pool[0]
+        s1 = self._mk(1, 1, (1, 0))
+        pools, used = [[s0], [s1]], [0, 0]
+        assert driver.choose(pools, used) is s0  # tie: lowest pid
         # Process 1 is now strictly behind and available.
-        pool[1] = self._mk(1, 1, (1, 0))
-        assert driver.choose(lambda q: pool.get(q)) is pool[1]
+        assert driver.choose(pools, used) is s1
+        assert used == [1, 1]  # both picks consumed
 
     def test_waits_for_laggard_within_patience(self):
         """A laggard with nothing available gets exactly ``patience``
         waits before being benched."""
         driver = BalancedPathDriver(2, patience=3)
         s0 = self._mk(0, 1, (0, 0))
-        peek = lambda q: s0 if q == 0 else None  # noqa: E731
+        pools, used = [[s0], []], [0, 0]
         for _ in range(3):  # p1 is an empty-handed laggard: wait
-            assert driver.choose(peek) is None
+            assert driver.choose(pools, used) is None
+        assert used == [0, 0]  # waiting consumes nothing
         # Patience exhausted: p1 benched; p0 proceeds.
-        assert driver.choose(peek) is s0
+        assert driver.choose(pools, used) is s0
 
     def test_benched_process_returns_with_samples(self):
         driver = BalancedPathDriver(2, patience=1)
         s0 = self._mk(0, 1, (0, 0))
-        peek0 = lambda q: s0 if q == 0 else None  # noqa: E731
-        assert driver.choose(peek0) is None  # wait for p1 (patience 1)
-        assert driver.choose(peek0) is s0  # p1 benched, p0 applied
+        pools, used = [[s0], []], [0, 0]
+        assert driver.choose(pools, used) is None  # wait for p1 (patience 1)
+        assert driver.choose(pools, used) is s0  # p1 benched, p0 applied
         # p1 delivers a compatible sample: unbenched and, as the least
         # applied process, immediately preferred.
         s1 = self._mk(1, 1, (2, 0))
-        picked = driver.choose(lambda q: s1 if q == 1 else None)
-        assert picked is s1
+        pools[1].append(s1)
+        assert driver.choose(pools, used) is s1
+
+    def test_scan_skips_incompatible_samples_for_good(self):
+        driver = BalancedPathDriver(2, patience=1)
+        s0 = self._mk(0, 1, (0, 0))
+        blind = self._mk(1, 1, (0, 0))  # never saw s0
+        seen = self._mk(1, 2, (1, 1))
+        pools, used = [[s0], [blind, seen]], [0, 0]
+        assert driver.choose(pools, used) is s0
+        assert driver.scan(pools, used) == {1: seen}
+        assert used == [1, 1]  # ``blind`` is behind the pool index now
 
 
 class TestSimulateRun:
@@ -182,30 +190,44 @@ class TestSimulateRun:
             assert cur.compatible_after(prev.pid, prev.seq)
 
 
-def gossiped_dags(n=3, rounds=400, seed=0, leader=0):
+class GossipedDags:
     """``n`` DAGs of (Ω, Σ) samples grown by lossy random gossip, so
-    descendance is a genuine partial order (unlike ``benign_dag``)."""
-    rng = random.Random(seed)
-    dags = [SampleDag(n) for _ in range(n)]
-    sent = [[(0,) * n for _ in range(n)] for _ in range(n)]
-    quorum = frozenset(range(n))
-    for _ in range(rounds):
-        for p in range(n):
-            dags[p].take_sample(p, (leader, quorum))
-            peer = rng.randrange(n)
-            if peer != p and rng.random() < 0.6:
-                dags[peer].merge(dags[p].delta_since(sent[p][peer]))
-                sent[p][peer] = dags[p].counts()
-    return dags
+    descendance is a genuine partial order (unlike ``benign_dag``).
+    :meth:`grow` adds rounds to the same DAGs."""
+
+    def __init__(self, n=3, seed=0, leader=0):
+        self.n = n
+        self.rng = random.Random(seed)
+        self.dags = [SampleDag(n) for _ in range(n)]
+        self.sent = [[(0,) * n for _ in range(n)] for _ in range(n)]
+        self.value = (leader, frozenset(range(n)))
+
+    def grow(self, rounds):
+        for _ in range(rounds):
+            for p in range(self.n):
+                self.dags[p].take_sample(p, self.value)
+                peer = self.rng.randrange(self.n)
+                if peer != p and self.rng.random() < 0.6:
+                    self.dags[peer].merge(
+                        self.dags[p].delta_since(self.sent[p][peer])
+                    )
+                    self.sent[p][peer] = self.dags[p].counts()
+        return self.dags
+
+
+def gossiped_dags(n=3, rounds=400, seed=0, leader=0):
+    return GossipedDags(n, seed, leader).grow(rounds)
 
 
 def reference_simulate_run(
     n, core_factory, proposals, dag, target,
     prefix=(), restrict_after=None, max_steps=100_000, patience=2,
 ):
-    """``simulate_run`` with the pools built the linear way — one full
-    pass over every process's samples per call.  The oracle the
-    windowed pool construction is compared against."""
+    """``simulate_run`` from scratch: the pools built the linear way —
+    one full pass over every process's samples per call — and the path
+    walked with A stepped along it, nothing kept from any earlier call.
+    The oracle both the windowed pools and the kept attempt's resumed
+    retries are compared against."""
     runtime = VirtualRuntime(n, core_factory, proposals)
     apply_schedule(runtime, prefix)
     schedule = list(prefix)
@@ -222,16 +244,16 @@ def reference_simulate_run(
         else:
             pool = [s for s in pool if s.seq > prefix_counts.get(q, 0)]
         pools.append(pool)
-    used = {q: 0 for q in range(n)}
-    decided = False
-    while not decided and runtime.steps_taken - len(prefix) < max_steps:
-        applied, decided = canonical_extension(
-            runtime, pools, used, driver, target, max_steps
-        )
-        schedule.extend(applied)
-        if not applied and not decided and not _driver_waiting(driver, pools, used):
-            break
-    return runtime, schedule, decided
+    used = [0] * n
+    while len(schedule) - len(prefix) < max_steps and not runtime.decided(target):
+        sample = driver.choose(pools, used)
+        if sample is None:
+            if all(used[q] == len(pools[q]) for q in range(n)):
+                break  # no process has a compatible sample: dry
+            continue  # the driver is waiting out a laggard's patience
+        runtime.step(sample.pid, sample.value)
+        schedule.append(sample)
+    return runtime, schedule, runtime.decided(target)
 
 
 class TestWindowedPools:
@@ -300,3 +322,69 @@ class TestWindowedPools:
         assert 0 < len(probes) <= n * (math.ceil(math.log2(m)) + 1)
         monkeypatch.undo()
         assert all(s.descends_from(u) for s in schedule)
+
+
+class TestKeptAttempt:
+    """The licence for resuming a failed attempt instead of re-simulating
+    it: every retry of a kept :class:`SimulationAttempt`, as gossip grows
+    the DAG between retries, equals a from-scratch simulation of the
+    grown DAG — schedule, outcome, step takers and decision."""
+
+    @staticmethod
+    def _shipped(dag, cut):
+        """The first ``cut`` steps of a run on ``dag``."""
+        full = reference_simulate_run(
+            3, lambda pid: PsiQCCore(), [0, 1, 1], dag, 0
+        )[1]
+        assert len(full) > cut
+        return tuple(full[:cut])
+
+    @pytest.mark.parametrize(
+        "seed, start, pivot, prefix",
+        [
+            (0, 30, "early", "none"),
+            (1, 30, "middle", "local"),
+            (2, 30, "last", "none"),  # every window starts empty
+            (3, 60, "middle", "beyond"),
+            (4, 60, "last", "beyond"),
+            (5, 30, None, "beyond"),  # no pivot: pools after the prefix
+        ],
+    )
+    def test_every_retry_equals_a_fresh_run(self, seed, start, pivot, prefix):
+        gossip = GossipedDags(seed=seed)
+        dag = gossip.grow(start)[0]
+        u = None
+        if pivot is not None:
+            seq = {"early": 1, "middle": dag.count(0) // 2, "last": dag.count(0)}
+            u = dag.sample(0, seq[pivot])
+        shipped = ()
+        if prefix == "local":
+            shipped = self._shipped(dag, 6)
+        elif prefix == "beyond":
+            # Shipped from a process that is further ahead: it mentions
+            # samples this DAG has not received yet.
+            shipped = self._shipped(gossiped_dags(seed=seed)[1], 40)
+            assert not all(dag.contains(s.pid, s.seq) for s in shipped)
+        args = (3, lambda pid: PsiQCCore(), [0, 1, 1], dag, 0)
+        kwargs = dict(prefix=shipped, restrict_after=u)
+        attempt = SimulationAttempt(*args, **kwargs)
+        retries = path_steps = 0
+        while True:
+            rt, schedule, decided = attempt.run()
+            ref_rt, ref_schedule, ref_decided = reference_simulate_run(
+                *args, **kwargs
+            )
+            assert (schedule, decided, rt.step_takers) == (
+                ref_schedule, ref_decided, ref_rt.step_takers,
+            )
+            assert rt.decision_of(0) == ref_rt.decision_of(0)
+            assert rt.steps_taken == len(schedule)
+            path_steps += len(schedule)
+            if decided:
+                break
+            retries += 1
+            assert retries < 200
+            gossip.grow(1)
+        assert retries > 0
+        # The retries resumed the kept run rather than re-executing it.
+        assert attempt.steps_executed < path_steps

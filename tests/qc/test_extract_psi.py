@@ -163,6 +163,9 @@ class TestOmegaSigmaBranch:
             assert core.sim_decided <= core.sim_attempts
             assert core.sim_decided // core.sigma_configs == core.sigma_rounds
             assert core.sim_steps >= core.sim_decided
+            # Retries resume their kept attempt: fewer steps of A are
+            # executed than the attempts' schedules hold.
+            assert core.sim_steps < core.sim_path_steps
             outputs = [
                 (t, tuple(sorted(value[1])))
                 for t, value in history.samples_of(pid)
