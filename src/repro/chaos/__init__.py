@@ -20,9 +20,7 @@ Layers:
   fuzzer's positive controls);
 * :mod:`~repro.chaos.fuzz` — the campaign driver and CLI;
 * :mod:`~repro.chaos.shrink` — greedy delta-debugging of violations;
-* :mod:`~repro.chaos.artifact` — replayable JSON witnesses;
-* :mod:`~repro.chaos.workers` — :class:`WorkerKiller`, the injector
-  that SIGKILLs the *checker's own* frontier workers mid-shard.
+* :mod:`~repro.chaos.artifact` — replayable JSON witnesses.
 
 See ``docs/CHAOS.md`` for the catalog and the artifact format.
 """
@@ -69,7 +67,6 @@ from repro.chaos.targets import (
     liveness_missed,
     violated_safety,
 )
-from repro.chaos.workers import WorkerKiller
 
 __all__ = [
     "BurstDelay",
@@ -88,7 +85,6 @@ __all__ = [
     "CrashScheduleFuzzer",
     "FuzzReport",
     "Violation",
-    "WorkerKiller",
     "generate_cases",
     "run_fuzz",
     "ChaosKnobs",

@@ -25,28 +25,23 @@ Exhaust the n=3 NBAC frontier, every reduction on, and insist on it::
     python -m repro.explore --target nbac --procs 3 --symmetry \\
         --require-complete --stats
 
-The same frontier on four crash-tolerant worker processes, with the
-chaos injector SIGKILLing them mid-shard to prove recovery::
+The same frontier, one forked child per root, four at a time::
 
     python -m repro.explore --target nbac --procs 3 --symmetry \\
-        --workers 4 --lease-ttl 2 --chaos-kill-rate 0.3 \\
-        --require-complete --stats
+        --workers 4 --require-complete --stats
 
-Every run goes through one driver, the leased work queue of
-:mod:`repro.explore.frontierd`: one worker (the default) walks in this
-process, more are forked from it and claim whole roots first.
-``--stop-on-first`` and ``--max-runs`` bound each shard's walk (with
-one worker, each root's); ``--cache`` serves roots a previous run
-exhausted; ``--chaos-kill-rate`` needs two workers or more.
+Every run goes through one driver, :mod:`repro.explore.frontierd`: one
+worker (the default) walks the roots in this process, more fork one
+child per root.  ``--stop-on-first`` and ``--max-runs`` bound each
+root's walk; ``--cache`` serves roots a previous run exhausted.
 
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
 and 1 otherwise, so CI can call this directly; input the frontier
-refuses (an unknown target, ``--procs 0``, ``--depth 0``, a lease of
-no time, ``--workers -1``, a kill rate with one worker) exits 2 before
-any work.  A quarantined shard
-(a work item that failed past its retry budget) is a failure whatever
-was expected: its subtree was never searched.
+refuses (an unknown target, ``--procs 0``, ``--depth 0``,
+``--workers -1``) exits 2 before any work.  A lost root (its walk
+raised, or its child died past the re-walk budget) is a failure
+whatever was expected: its subtree was never searched.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ from repro.explore.frontier import (
     enumerate_roots,
     result_from_summary,
 )
-from repro.explore.frontierd import DEFAULT_LEASE_TTL, fleet_size, run_frontier
+from repro.explore.frontierd import fleet_size, run_frontier
 from repro.explore.symmetry import collapse_symmetric_roots
 
 
@@ -103,36 +98,11 @@ def _parse_args(argv):
         type=int,
         default=None,
         help=(
-            "frontier workers; 1 walks in this process, more are "
-            "crash-tolerant processes pulling shards from a store-backed "
-            "queue under expiring leases (default: REPRO_RUNNER_JOBS, "
-            "else 1; 0 = every core; see docs/EXPLORER.md)"
+            "frontier workers; 1 walks the roots in this process, more "
+            "fork one child per root, that many at a time (default: "
+            "REPRO_RUNNER_JOBS, else 1; 0 = every core; see "
+            "docs/EXPLORER.md)"
         ),
-    )
-    parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=DEFAULT_LEASE_TTL,
-        help=(
-            "seconds before a silent worker's lease expires and its "
-            f"shard is requeued (default {DEFAULT_LEASE_TTL:g})"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-kill-rate",
-        type=float,
-        default=0.0,
-        help=(
-            "SIGKILL lease-holding workers at this expected rate per "
-            "worker-second — the recovery smoke test; needs --workers 2 "
-            "or more (default 0, off)"
-        ),
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=0,
-        help="seed for the worker-killer schedule (default 0)",
     )
     parser.add_argument(
         "--cache",
@@ -146,18 +116,12 @@ def _parse_args(argv):
         "--max-runs",
         type=int,
         default=None,
-        help=(
-            "truncate each shard (one worker: each root) after this many "
-            "runs (default unbounded)"
-        ),
+        help="truncate each root after this many runs (default unbounded)",
     )
     parser.add_argument(
         "--stop-on-first",
         action="store_true",
-        help=(
-            "stop each shard (one worker: each root) at its first "
-            "violation"
-        ),
+        help="stop each root at its first violation",
     )
     parser.add_argument(
         "--expect-violation",
@@ -278,7 +242,7 @@ def main(argv=None) -> int:
     # Every refusal is a usage error (exit 2) before any work:
     # exit 1 is the verdict that a target missed its expectation.
     try:
-        fleet_size(args.workers, args.chaos_kill_rate, args.lease_ttl)
+        fleet_size(args.workers)
         plans = [_plan(args, target) for target in _targets(args.target)]
     except ValueError as refusal:
         parser.error(str(refusal))
@@ -296,9 +260,6 @@ def main(argv=None) -> int:
             cache=args.cache or False,
             stop_on_first_violation=args.stop_on_first,
             max_runs=args.max_runs,
-            lease_ttl=args.lease_ttl,
-            chaos_kill_rate=args.chaos_kill_rate,
-            chaos_seed=args.chaos_seed,
         )
         totals = {
             "runs": 0,
@@ -349,13 +310,9 @@ def main(argv=None) -> int:
         if args.require_complete and not complete:
             bad = True
             verdict += " INCOMPLETE"
-        if any(
-            incident["kind"] == "shard-quarantined"
-            for summary in summaries
-            for incident in summary["incidents"]
-        ):
+        if any(summary["incidents"] for summary in summaries):
             bad = True
-            verdict += " QUARANTINED"
+            verdict += " LOST"
         failures += bad
         print(
             f"{target} depth={depth} roots={len(roots)}: {verdict}"
@@ -382,24 +339,11 @@ def main(argv=None) -> int:
         )
         if summaries:
             block = summaries[0].get("frontier", {})
-            incident_count = sum(
-                len(s.get("incidents", [])) for s in summaries
-            )
             print(
                 f"  frontier: workers={block.get('workers')} "
-                f"recoveries={block.get('recoveries')} "
-                f"kills={block.get('kills')} "
-                f"respawns={block.get('respawns')} "
-                f"quarantined={block.get('quarantined')} "
-                f"incidents={incident_count} "
+                f"rewalks={block.get('rewalks')} "
+                f"lost={block.get('lost')} "
                 f"wall_clock={block.get('wall_clock')}s"
-            )
-            print(
-                "  coordination: "
-                f"claims={block.get('claims')} "
-                f"claim_round_trips={block.get('claim_round_trips')} "
-                f"heartbeats={block.get('heartbeats')} "
-                f"store_busy_retries={block.get('store_busy_retries')}"
             )
         if args.out is not None and found:
             for path in _emit_artifacts(summaries, args.out):

@@ -147,10 +147,10 @@ class ExploreResult:
         default_factory=set
     )
     counters: PerfCounters = field(default_factory=PerfCounters)
-    #: Structured records of degraded-but-survived events from the
-    #: frontier's work queue — expired worker leases, quarantined shards.
-    #: Always empty for a plain ``explore_case`` walk; an incident of kind
-    #: ``shard-quarantined`` implies ``complete=False``.
+    #: Structured records of a root the frontier could not walk — a
+    #: walk that raised (``worker-exception``) or a child lost past its
+    #: re-walk budget (``worker-lost``).  Always empty for a plain
+    #: ``explore_case`` walk; any incident implies ``complete=False``.
     incidents: List[Dict[str, Any]] = field(default_factory=list)
     #: Whether the pid-symmetry reduction is on for this case: what
     #: ``options.symmetry`` asks for, resolved against the target.
@@ -310,20 +310,20 @@ def explore_case(
     ``initial_stack`` roots the DFS at given prefixes instead of the
     empty one, and ``choice_limit`` halts any run whose recorded choice
     log reaches the limit, appending the halted prefix to
-    ``shard_roots`` — together they are the frontier's
-    split/work protocol (:mod:`repro.explore.frontierd`): the halted
-    prefixes are pairwise disjoint subtrees (any two differ at some
-    recorded position), and a popped prefix already past the limit
+    ``shard_roots`` — together they cut a root into shards (the
+    sharding and rewind oracles drive the engine through them): the
+    halted prefixes are pairwise disjoint subtrees (any two differ at
+    some recorded position), and a popped prefix already past the limit
     halts at its first post-replay tick, never mid-replay.
     ``digest_log``, when given, collects every dedup key in hook order
     (the fingerprint-equivalence suite compares these across modes
     byte-for-byte).
 
     ``visited`` is the walk's visited set, ``fp → remaining``: read and
-    written in place (a fresh one if None).  A frontier worker hands in
-    the states of its earlier walks of the same root — states whose
-    subtrees those walks exhausted dedup-halt here exactly like locally
-    recorded ones — and ``states`` then counts only newly recorded
+    written in place (a fresh one if None).  Handed the states of
+    earlier walks of the same root — states whose subtrees those walks
+    exhausted — the walk dedup-halts on them exactly like on locally
+    recorded ones, and ``states`` then counts only newly recorded
     states, so summed shard counts measure distinct coverage.
 
     ``session`` (a :class:`FingerprintSession`) supplies the fingerprint

@@ -11,10 +11,10 @@ nondeterminism the sim exposes: scheduling and delivery are enumerated
 *inside* each subtree by the controller, detector values and crash
 points *across* subtrees by the frontier.
 
-The roots are walked by :func:`repro.explore.frontierd.run_frontier`,
-the leased work queue.  Every shard it walks returns the summary dict
-of :func:`result_to_dict` (its inverse :func:`result_from_summary`),
-and :func:`merge_summaries` folds a root's shards into one.
+The roots are walked whole by :func:`repro.explore.frontierd
+.run_frontier`.  A walk returns the summary dict of
+:func:`result_to_dict` (its inverse :func:`result_from_summary`), and
+:func:`merge_summaries` folds a root's shards into one.
 """
 
 from __future__ import annotations
@@ -245,9 +245,9 @@ def merge_summaries(
 
     Stats are summed, decision vectors unioned, violations and
     incidents concatenated, ``complete`` AND-ed.  ``states`` counts
-    newly recorded states only, so for shards walked on one worker's
-    committed states the sum measures distinct coverage; shards of two
-    workers may still both meet a state — redundancy, never a
+    newly recorded states only, so for shards walked on one shared
+    visited set the sum measures distinct coverage; shards walked on
+    their own sets may both meet a state — redundancy, never a
     soundness issue.
     """
     merged = dict(base)

@@ -93,24 +93,8 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     never-matching token, so dedup silently degrades toward plain DFS.
     Nonzero values here explain a low dedup-hit rate.
 ``explore_shards``
-    Shards completed by the frontier (:mod:`repro.explore.frontierd`;
-    one per root at one worker).
-``frontier_claims`` / ``frontier_claim_round_trips``
-    Work items leased from the store-backed frontier queue, and the
-    claim *transactions* that leased them.  Their ratio is the batch
-    amortization (:meth:`~repro.store.db.ResultStore.claim_work_batch`
-    leases up to a fair share of the pending queue per round trip);
-    ``claims == round_trips`` means batching bought nothing.
-``frontier_heartbeats``
-    Coalesced liveness signals sent by frontier workers — one UPDATE
-    covering every lease the worker holds
-    (:meth:`~repro.store.db.ResultStore.heartbeat_worker`), however
-    many items are in flight.
-``store_busy_retries``
-    SQLITE_BUSY / "database is locked" errors the campaign database
-    retried through jittered backoff (:mod:`repro.store.db`).  Nonzero
-    values are expected once many worker processes share one store
-    file; a climbing trend means the store is becoming the bottleneck.
+    Shards completed by the frontier (:mod:`repro.explore.frontierd`
+    walks whole roots: one per root walked).
 """
 
 from __future__ import annotations
@@ -147,10 +131,6 @@ FIELDS = (
     "explore_fp_message_misses",
     "explore_opaque_tokens",
     "explore_shards",
-    "frontier_claims",
-    "frontier_claim_round_trips",
-    "frontier_heartbeats",
-    "store_busy_retries",
 )
 
 

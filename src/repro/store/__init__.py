@@ -4,8 +4,7 @@ One WAL-mode SQLite file accumulates everything that outlives a run —
 run/fn summaries (which are the campaign cache) and campaign
 executions — so "millions of runs" survive
 the process that produced them and resume and dedup queries become one
-``SELECT``.  A frontier run's work queue and leases use the same
-schema in a file of the run's own, never the campaign database.
+``SELECT``.
 
 * :class:`ResultStore` — the file, its single write connection with
   buffered batch inserts, and read-only query connections
@@ -28,9 +27,7 @@ from repro.store.db import (
     DEFAULT_STORE_DIR,
     ResultStore,
     StoreError,
-    WorkItem,
     decode_payload,
-    drain_busy_retries,
     encode_payload,
     resolve_store_path,
     retry_locked,
@@ -47,9 +44,7 @@ __all__ = [
     "SchemaVersionError",
     "StoreError",
     "StoreResultCache",
-    "WorkItem",
     "decode_payload",
-    "drain_busy_retries",
     "encode_payload",
     "resolve_store_path",
     "retry_locked",

@@ -3,10 +3,7 @@
 One SQLite file holds everything the ROADMAP calls "millions of runs
 as a queryable artifact": run/fn summaries keyed by spec fingerprint ×
 code salt (the campaign cache, :mod:`repro.store.cache`) and campaign
-executions with their cell digests.  The same schema serves a frontier run's own coordination
-file — its work queue and leases — which
-:func:`~repro.explore.frontierd.run_frontier` keeps in a file of its
-own, never in a campaign database.
+executions with their cell digests.
 
 Every table carries an explicit per-row ``format`` column **and** the
 file carries a whole-schema version in the ``meta`` table.  A store
@@ -23,32 +20,24 @@ from typing import Callable, Dict
 #: Whole-file schema version, stamped into ``meta('schema_version')``.
 #: Bump on any table/column change and register a migration below.
 #:
-#: v2 added the distributed-frontier substrate: ``work_queue`` (shard
-#: roots as claimable items) and ``leases`` (expiring per-item
-#: ownership — the timeout-as-failure-detector the coordinator reads).
-#:
-#: The batched claim/complete protocol (``claim_work_batch`` /
-#: ``complete_work_batch`` / ``heartbeat_worker``) deliberately needs
-#: no bump: a batch lease is N ordinary per-item ``leases`` rows
-#: written in one transaction, a coalesced heartbeat is one UPDATE
-#: over ``(scope, worker)``, and batch completion reuses the same
-#: ``work_queue`` status machine — so v2 stores written by per-item
-#: and batched code interoperate row-for-row.
+#: v2 added the frontier's leased work queue, two tables v7 dropped.
 #:
 #: v3 dropped the table of benchmark reports trended across CI runs;
 #: the repo benchmark keeps no history in the store.
 #:
-#: v4 dropped the ``exchange_scopes`` registry and ``work_queue.kind``:
-#: coordination rows live only in a frontier run's own file, so there
-#: is no leak in a campaign database to collect.
+#: v4 dropped the ``exchange_scopes`` registry and the queue's kind
+#: column: coordination rows had moved to a frontier run's own file, so
+#: there was no leak in a campaign database to collect.
 #:
-#: v5 dropped ``fingerprints``: a frontier worker keeps the visited
-#: states of its accepted walks in its own memory, and workers share
-#: none through the file.
+#: v5 dropped ``fingerprints``: frontier workers stopped sharing
+#: visited states through the file.
 #:
 #: v6 dropped ``witnesses``: nothing read the violation documents
 #: filed there; the ``--out`` artifact files are what ``--replay`` reads.
-SCHEMA_VERSION = 6
+#:
+#: v7 dropped the queue tables: the frontier walks whole roots in
+#: forked children, which touch no store.
+SCHEMA_VERSION = 7
 
 #: Per-row format version written into every row's ``format`` column.
 #: Tracks the *payload* conventions (pickle framing, JSON shapes)
@@ -90,31 +79,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     created    REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS campaigns_digest ON campaigns (digest, salt);
-
-CREATE TABLE IF NOT EXISTS work_queue (
-    id         INTEGER PRIMARY KEY,
-    scope      TEXT NOT NULL,              -- one frontier run
-    item       TEXT NOT NULL,              -- JSON work description
-    status     TEXT NOT NULL,              -- pending|leased|done|quarantined
-    attempts   INTEGER NOT NULL,           -- claims so far
-    not_before REAL NOT NULL,              -- earliest next claim (backoff)
-    result     BLOB,                       -- checksummed frame, once done
-    error      TEXT,                       -- last failure incident (JSON)
-    format     INTEGER NOT NULL,
-    created    REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS work_queue_scope ON work_queue (scope, status);
-
-CREATE TABLE IF NOT EXISTS leases (
-    work_id   INTEGER PRIMARY KEY,         -- the leased work_queue row
-    scope     TEXT NOT NULL,
-    worker    TEXT NOT NULL,               -- claimant identity
-    acquired  REAL NOT NULL,
-    heartbeat REAL NOT NULL,               -- last liveness signal
-    expires   REAL NOT NULL,               -- suspicion threshold
-    format    INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS leases_scope ON leases (scope, expires);
 """
 
 
@@ -184,8 +148,8 @@ def _migrate_0_to_1(con: sqlite3.Connection) -> None:
 
 
 def _migrate_1_to_2(con: sqlite3.Connection) -> None:
-    """v1 → v2: add ``work_queue``/``leases``; the idempotent DDL is the
-    whole migration."""
+    """v1 → v2: added the queue tables (v7 drops them again); the
+    idempotent DDL is the whole migration."""
     create_schema(con)
 
 
@@ -197,8 +161,8 @@ def _migrate_2_to_3(con: sqlite3.Connection) -> None:
 
 
 def _migrate_3_to_4(con: sqlite3.Connection) -> None:
-    """v3 → v4: drop the coordination tables and re-create them without
-    ``exchange_scopes`` and ``work_queue.kind``.
+    """v3 → v4: drop the coordination tables (v4 re-created the queue
+    tables without ``exchange_scopes`` and the kind column; v7 has none).
 
     In a campaign database those tables held only per-run or leaked
     rows, so dropping them is also the last sweep; every other table
@@ -219,6 +183,13 @@ def _migrate_5_to_6(con: sqlite3.Connection) -> None:
     con.execute("DROP TABLE IF EXISTS witnesses")
 
 
+def _migrate_6_to_7(con: sqlite3.Connection) -> None:
+    """v6 → v7: drop the two queue tables with their indexes; every
+    other table is untouched."""
+    for table in ("work_queue", "leases"):
+        con.execute(f"DROP TABLE IF EXISTS {table}")
+
+
 #: from-version → in-place migration to from-version + 1.
 MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     0: _migrate_0_to_1,
@@ -227,6 +198,7 @@ MIGRATIONS: Dict[int, Callable[[sqlite3.Connection], None]] = {
     3: _migrate_3_to_4,
     4: _migrate_4_to_5,
     5: _migrate_5_to_6,
+    6: _migrate_6_to_7,
 }
 
 

@@ -1,20 +1,14 @@
 """Shared pieces of the explorer tests.
 
-The frontier enqueues a root as one bare item and lets starved
-workers split it; tests that orchestrate the queue themselves want
-several items whose prefixes they know.  ``split_roots`` and
-``enqueue_case`` cut a root into shards by hand, with the same two
-``explore_case`` arguments the workers' re-split uses (``choice_limit``
-+ ``shard_roots``).  ``explore_case_dynamic`` runs one case through the
-frontier and hands back an ``ExploreResult``, the shape the serial walk
-is compared in.  ``toy_target`` registers a one-component target
+``split_roots`` cuts a root into shards with the two ``explore_case``
+arguments made for it (``choice_limit`` + ``shard_roots``).
+``explore_case_dynamic`` runs one case through the frontier and hands
+back an ``ExploreResult``, the shape the serial walk is compared in.  ``toy_target`` registers a one-component target
 built to break a weaker key or a weaker table.  ``NETWORKS`` names the
 production buffer and its oracle for the suites that run on both: no
 option selects a network, so they swap the class ``System`` constructs
 (``with network_implementation(NETWORKS[name]):``) around a serial walk.
 """
-
-from dataclasses import asdict
 
 from repro.chaos.targets import TARGETS, Target
 from repro.explore import (
@@ -24,9 +18,7 @@ from repro.explore import (
     result_from_summary,
     run_frontier,
 )
-from repro.explore.cases import case_to_dict, resolve_parts
-from repro.explore.frontier import result_to_dict
-from repro.explore.frontierd import search_key
+from repro.explore.cases import resolve_parts
 from repro.runner import call
 from repro.sim.network import Network, ReferenceNetwork
 
@@ -76,9 +68,8 @@ def violation_set(result):
 def explore_case_dynamic(case, options=ExploreOptions(), **fleet):
     """One case through ``run_frontier``, as an ``ExploreResult``.
 
-    ``fleet`` is ``run_frontier``'s own keywords (workers, store, lease
-    and chaos settings); the frontier block rides along as
-    ``result.frontier``.
+    ``fleet`` is ``run_frontier``'s own keywords (workers, cache, run
+    bounds); the frontier block rides along as ``result.frontier``.
     """
     (summary,) = run_frontier([case], options, **fleet)
     result = result_from_summary(summary)
@@ -96,31 +87,3 @@ def split_roots(case, choice_limit, options=ExploreOptions(), visited=None):
         visited=visited,
     )
     return shallow, roots
-
-
-def enqueue_case(store, case, queue_scope, choice_limit=4,
-                 options=ExploreOptions(), committed=None):
-    """Pre-split ``case`` and enqueue its shard roots under
-    ``queue_scope``; returns ``(shallow summary, number of items)``.
-
-    The shallow walk is complete (its deferred subtrees are exactly the
-    items), so a worker may reuse its states: given a ``committed``
-    dict, the walk's visited set is filed in it under the items' root
-    key, as a worker files an accepted batch's.
-    """
-    case_dict = case_to_dict(case)
-    scope = search_key(case_dict, asdict(options))
-    visited = {}
-    shallow, roots = split_roots(case, choice_limit, options, visited)
-    if committed is not None:
-        committed[scope] = visited
-    store.enqueue_work(
-        queue_scope,
-        [
-            {"case": case_dict, "prefix": list(r), "scope": scope,
-             "case_index": 0}
-            for r in roots
-        ],
-    )
-    store.flush()
-    return result_to_dict(shallow), len(roots)

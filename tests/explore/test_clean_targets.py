@@ -45,9 +45,25 @@ JUDGED_ROOTS = {
 }
 
 
+#: A crash root per clean target (n = 2, depth 12): the crash, and the
+#: constant assignment or history script under which the process that
+#: does not crash decides or completes an operation in some judged leaf.
+CRASH_ROOTS = {
+    "paxos": (((1, 1),), (("os", 0, (0,)), ("os", 0, (0,)))),
+    "ct": (((0, 6),), (("susp", ()), ("susp", ()))),
+    "qc": (((1, 1),), (("script", ("bot",), ("fsv", "red")),) * 2),
+    "nbac": (
+        ((1, 1),),
+        (("script", ("pf", ("bot",), "green"),
+          ("pf", ("fsv", "red"), "red")),) * 2,
+    ),
+    "register": (((1, 1),), (("sigma", (0,)), ("sigma", (0, 1)))),
+}
+
+
 def _judged_leaves(monkeypatch):
-    """Every leaf the safety check judges from now on, as ``(decided,
-    completed operation kinds)``."""
+    """Every leaf the safety check judges from now on, as ``(deciding
+    pids, completed operations as (pid, kind))``."""
     leaves = []
     resolve_parts = engine.resolve_parts
 
@@ -56,8 +72,8 @@ def _judged_leaves(monkeypatch):
 
         def summarize(system, trace):
             leaves.append((
-                bool(trace.decisions),
-                [op.kind for op in trace.operations
+                {decision.pid for decision in trace.decisions},
+                [(op.pid, op.kind) for op in trace.operations
                  if op.response_time is not None],
             ))
             return parts.summarize(system, trace)
@@ -93,15 +109,23 @@ def test_clean_target_exhausts_without_violation(target, monkeypatch):
 
 
 @pytest.mark.parametrize("target", CLEAN_TARGETS)
-def test_clean_target_survives_a_crash(target):
-    """A single early crash of the non-pivot process: still no
-    violation at a shallow depth (deeper crash frontiers are in the
-    deep suite)."""
-    depth = min(6, SMOKE_DEPTHS[target])
-    case = ExploreCase(target=target, n=2, depth=depth, crashes=((1, 2),))
+def test_clean_target_survives_a_crash(target, monkeypatch):
+    """One crash: still no violation, and the process that does not
+    crash decides or completes an operation in some judged leaf (deeper
+    crash frontiers are in the deep suite)."""
+    crashes, assignment = CRASH_ROOTS[target]
+    leaves = _judged_leaves(monkeypatch)
+    case = ExploreCase(
+        target=target, n=2, depth=12, crashes=crashes, assignment=assignment
+    )
     result = explore_case(case)
     assert result.complete
     assert not result.violations
+    crashed = {pid for pid, _ in crashes}
+    assert any(
+        deciders - crashed or {pid for pid, _ in completed} - crashed
+        for deciders, completed in leaves
+    ), f"{case}: no surviving process decides or completes an operation"
 
 
 def test_clean_register_exhaust_judges_a_completed_read(monkeypatch):
@@ -112,4 +136,6 @@ def test_clean_register_exhaust_judges_a_completed_read(monkeypatch):
     for case in enumerate_roots("register", 2, depth=SMOKE_DEPTHS["register"]):
         result = explore_case(case)
         assert result.complete and not result.violations
-    assert any("read" in completed for _, completed in leaves)
+    assert any(
+        kind == "read" for _, completed in leaves for _, kind in completed
+    )

@@ -1,19 +1,13 @@
 """The ``python -m repro.explore`` entry point, end to end."""
 
 import json
-import os
 import re
-import signal
-import sqlite3
-import subprocess
-import sys
-import time
 
 import pytest
 
 from repro.explore import ExploreOptions, enumerate_roots, run_frontier
+from repro.explore import frontierd
 from repro.explore.__main__ import main
-from repro.explore.frontierd import CHAOS_FAIL_ENV, CHAOS_STALL_ENV
 
 
 def test_clean_target_exits_zero(capsys):
@@ -161,33 +155,11 @@ def test_removed_choices_are_argparse_errors(flag, value, capsys):
 
 
 @pytest.mark.parametrize(
-    "workers", [[], ["--workers", "1"]], ids=["default", "one-worker"]
-)
-def test_chaos_without_a_fleet_is_refused_not_dropped(
-    workers, tmp_path, monkeypatch, capsys
-):
-    # One worker walks in this process: a kill rate there could kill
-    # nothing, and a run that printed "ok" would read as "recovery
-    # proven".
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--target", "qc", "--depth", "3", "--chaos-kill-rate", "0.3"]
-             + workers)
-    assert exit_info.value.code == 2  # a usage error, not a verdict
-    assert "chaos_kill_rate=0.3 needs 2 or more workers" in (
-        capsys.readouterr().err
-    )
-    assert list(tmp_path.iterdir()) == []  # refused before any work
-
-
-@pytest.mark.parametrize(
     "argv, message",
     [
         (["--workers", "-1"], "workers=-1: need 1 or more"),
         (["--procs", "0"], "n=0: a system needs 1 or more processes"),
         (["--depth", "0"], "depth must be >= 1"),
-        (["--workers", "2", "--lease-ttl", "0"], "lease_ttl=0.0: need"),
-        (["--workers", "2", "--lease-ttl", "-1"], "lease_ttl=-1.0: need"),
     ],
 )
 def test_nonsense_input_is_a_usage_error(
@@ -203,33 +175,40 @@ def test_nonsense_input_is_a_usage_error(
     assert list(tmp_path.iterdir()) == []  # refused before any work
 
 
+def _poisoned(*args, **kwargs):
+    raise RuntimeError("poisoned walk")
+
+
 def test_a_quarantined_frontier_fails_whatever_was_expected(
     monkeypatch, capsys
 ):
-    # Every worker raises: each root fails through its retry budget
-    # into quarantine, with 0 runs.  That used to print "ok" and exit 0.
-    monkeypatch.setenv(CHAOS_FAIL_ENV, "1")
+    # Every walk raises: each root is lost, with 0 runs, and nothing
+    # was searched whatever was expected.
+    monkeypatch.setattr(frontierd, "explore_case", _poisoned)
     base = ["--target", "qc", "--depth", "3", "--workers", "1"]
     for extra in ([], ["--expect-violation"]):
         assert main(base + extra) == 1
         out = capsys.readouterr().out
-        assert re.search(r"qc depth=3 roots=6: .* QUARANTINED", out)
-        assert "quarantined=6" in out
+        assert re.search(r"qc depth=3 roots=6: .* LOST", out)
+        assert "rewalks=0 lost=6" in out
 
 
 def test_driver_flags_still_reach_their_own_driver(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     assert main(
         ["--target", "qc", "--depth", "3", "--cache", cache,
-         "--workers", "1", "--lease-ttl", "2", "--chaos-seed", "3",
-         "--max-runs", "100000", "--stop-on-first"]
+         "--workers", "1", "--max-runs", "100000", "--stop-on-first"]
     ) == 0
     assert (tmp_path / "cache").is_dir()
     assert "frontier: workers=1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
-    "flag", ["--shard-depth", "--shard-budget", "--frontier"]
+    "flag",
+    [
+        "--shard-depth", "--shard-budget", "--frontier", "--lease-ttl",
+        "--chaos-kill-rate", "--chaos-seed",
+    ],
 )
 def test_removed_frontier_knobs_are_argparse_errors(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -238,11 +217,31 @@ def test_removed_frontier_knobs_are_argparse_errors(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "workers", [[], ["--workers", "1"]], ids=["default", "one-worker"]
+)
+def test_chaos_without_a_fleet_is_refused_not_dropped(
+    workers, tmp_path, monkeypatch, capsys
+):
+    # The worker killer is gone: a kill rate that was quietly ignored
+    # would let a run print "ok" and read as "recovery proven", so the
+    # flag must stay a usage error, with or without a worker count.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "qc", "--depth", "3", "--chaos-kill-rate", "0.3"]
+             + workers)
+    assert exit_info.value.code == 2  # a usage error, not a verdict
+    assert "unrecognized arguments: --chaos-kill-rate 0.3" in (
+        capsys.readouterr().err
+    )
+    assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
 def test_help_lists_the_flags_that_are_left(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-    assert len(flags) == 19
+    assert len(flags) == 16
     assert "--store" not in flags
 
 
@@ -252,56 +251,3 @@ def test_unknown_target_rejected(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "unknown target 'nonsense'" in capsys.readouterr().err
     assert not (tmp_path / "d").exists()  # refused before a store is made
-
-
-COORDINATION_TABLES = (
-    "work_queue", "leases", "exchange_scopes", "fingerprints",
-)
-
-
-def _rows(db, table):
-    """Rows in ``table`` of the store file ``db``; 0 if it has none."""
-    con = sqlite3.connect(f"file:{db}?mode=ro", uri=True)
-    try:
-        return con.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-    except sqlite3.DatabaseError:
-        return 0  # no such table, or a file still being created
-    finally:
-        con.close()
-
-
-def _leases_held(root):
-    return any(_rows(db, "leases") for db in root.rglob("store.sqlite"))
-
-
-def test_killed_run_leaves_no_coordination_rows_in_the_store(tmp_path):
-    """``--cache`` is a campaign database; a run's queue and leases live
-    in a file of its own, so a coordinator SIGKILLed while its workers
-    hold leases leaves none of them behind in it."""
-    campaign = tmp_path / "campaign"
-    scratch = tmp_path / "tmp"
-    scratch.mkdir()
-    env = dict(os.environ, TMPDIR=str(scratch))
-    env[CHAOS_STALL_ENV] = "5"  # workers park inside their claimed batch
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.explore", "--target", "nbac",
-         "--procs", "3", "--depth", "6", "--workers", "2",
-         "--cache", str(campaign)],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-    try:
-        deadline = time.monotonic() + 60
-        while not _leases_held(tmp_path) and time.monotonic() < deadline:
-            time.sleep(0.05)
-    finally:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
-    assert _leases_held(tmp_path)  # killed mid-run, not after it
-    db = campaign / "store.sqlite"
-    assert db.exists()
-    assert {t: _rows(db, t) for t in COORDINATION_TABLES} == dict.fromkeys(
-        COORDINATION_TABLES, 0
-    )

@@ -72,7 +72,7 @@ def test_options_round_trip_through_their_dict():
     [
         (explore_case, CASE),
         (run_frontier, [CASE]),
-        # The same function as run_frontier under its second public name.
+        # The repo benchmark's name for run_frontier.
         pytest.param(run_frontier_dynamic, [CASE], id="run_frontier_dynamic-"),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
@@ -85,19 +85,19 @@ def test_options_round_trip_through_their_dict():
 def test_no_driver_takes_a_loose_option_keyword(
     driver, subject, loose, monkeypatch
 ):
-    monkeypatch.setattr(frontierd._FrontierWorkers, "spawn", _no_spawn)
+    monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
     with pytest.raises(TypeError, match="unexpected keyword"):
         driver(subject, **loose)
 
 
-def _no_spawn(self, how_many):
-    raise AssertionError("a worker was spawned for options that cannot run")
+def _no_fork(cases, workers, walk_args):
+    raise AssertionError("a child was forked for options that cannot run")
 
 
 def test_symmetry_on_an_unsafe_target_runs_without_it(monkeypatch):
     # ``symmetry=True`` means "on where sound": this target carries
     # pid-derived values, so its walk is the plain one.
-    monkeypatch.setattr(frontierd._FrontierWorkers, "spawn", _no_spawn)
+    monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
     unsafe = ExploreCase(target="ct", n=2, depth=4)
     (asked,) = run_frontier([unsafe], ExploreOptions(symmetry=True), workers=1)
     (plain,) = run_frontier([unsafe], ExploreOptions(), workers=1)

@@ -2,16 +2,22 @@
 
 Sharding re-partitions *work*, never *coverage*: a split must hand out
 pairwise disjoint subtrees whose union (with the splitting walk's own
-shallow leaves) is the whole tree, and the frontier's merged
-result must agree with the serial engine on decision vectors,
-violations and completeness.  Run counts may differ — parallel shards
-can both meet a state neither has published — so they are deliberately
-not compared.
+shallow leaves) is the whole tree, and the shards' merged result must
+agree with the serial engine on decision vectors, violations and
+completeness.  Run counts may differ — shards walked on their own
+visited sets can both meet a state — so they are deliberately not
+compared.
 """
 
 import pytest
 
-from repro.explore import ExploreCase, explore_case
+from repro.explore import (
+    ExploreCase,
+    explore_case,
+    merge_summaries,
+    result_from_summary,
+)
+from repro.explore.frontier import result_to_dict
 from tests.explore.helpers import explore_case_dynamic, split_roots
 from tests.explore.helpers import violation_set as _violation_set
 
@@ -30,7 +36,12 @@ IDS = ["ct", "hastycommit-seed1"]
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_sharded_matches_serial(case):
     serial = explore_case(case)
-    sharded = explore_case_dynamic(case, workers=2, split_step=2)
+    shallow, roots = split_roots(case, choice_limit=2)
+    sharded = result_from_summary(merge_summaries(
+        result_to_dict(shallow),
+        [result_to_dict(explore_case(case, initial_stack=[root]))
+         for root in roots],
+    ))
     assert sharded.decision_vectors == serial.decision_vectors
     assert _violation_set(sharded) == _violation_set(serial)
     assert sharded.complete == serial.complete
@@ -66,8 +77,7 @@ def test_splitter_judges_only_shallow_leaves():
 
 
 def test_no_shards_below_cutoff_degenerates_to_serial():
-    # One worker never splits: the whole tree is one claim, and its walk
-    # is the serial walk.
+    # The frontier walks a root whole: one shard, the serial walk.
     tiny = ExploreCase(target="nbac", n=2, depth=2)
     serial = explore_case(tiny)
     sharded = explore_case_dynamic(tiny, workers=1)

@@ -17,6 +17,7 @@ from repro.store import (
     decode_payload,
     encode_payload,
     resolve_store_path,
+    retry_locked,
 )
 from repro.store.__main__ import main as store_cli
 from repro.store.schema import read_version
@@ -90,8 +91,7 @@ class TestSummaries:
 
     @pytest.mark.parametrize("batch", [1, 64])
     def test_a_closed_store_writes_again(self, tmp_path, batch):
-        # close() reopens lazily, buffered writers included: the
-        # frontier's coordinator closes its store before every fork.
+        # close() reopens lazily, buffered writers included.
         store = ResultStore(tmp_path, batch=batch)
         store.put_summary("before", "s", _summary(1))
         store.close()
@@ -130,6 +130,42 @@ def _file_witness(root):
             INSERT INTO witnesses (format, family, target, violated,
                 document, created)
                 VALUES (1, 'explore', 'ct', '["validity"]', '{}', 0.0);
+            """
+        )
+    finally:
+        con.close()
+
+
+def _file_queue(root):
+    """A frontier run's queue row and its lease, in the ``work_queue`` and
+    ``leases`` tables stores before v7 carried, created as v6 created
+    them."""
+    con = sqlite3.connect(root / "store.sqlite")
+    try:
+        con.executescript(
+            """
+            CREATE TABLE IF NOT EXISTS work_queue (
+                id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                item TEXT NOT NULL, status TEXT NOT NULL,
+                attempts INTEGER NOT NULL, not_before REAL NOT NULL,
+                result BLOB, error TEXT, format INTEGER NOT NULL,
+                created REAL NOT NULL
+            );
+            CREATE INDEX IF NOT EXISTS work_queue_scope
+                ON work_queue (scope, status);
+            CREATE TABLE IF NOT EXISTS leases (
+                work_id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                worker TEXT NOT NULL, acquired REAL NOT NULL,
+                heartbeat REAL NOT NULL, expires REAL NOT NULL,
+                format INTEGER NOT NULL
+            );
+            CREATE INDEX IF NOT EXISTS leases_scope ON leases (scope, expires);
+            INSERT INTO work_queue (scope, item, status, attempts,
+                not_before, format, created)
+                VALUES ('frontier:x', '{"prefix": []}', 'leased', 1, 0.0, 1,
+                        0.0);
+            INSERT INTO leases (work_id, scope, worker, acquired, heartbeat,
+                expires, format) VALUES (1, 'frontier:x', 'w0', 0, 0, 5, 1);
             """
         )
     finally:
@@ -237,7 +273,12 @@ class TestSchemaVersioning:
         con = sqlite3.connect(tmp_path / "store.sqlite")
         con.executescript(
             """
-            DROP TABLE work_queue;
+            CREATE TABLE leases (
+                work_id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
+                worker TEXT NOT NULL, acquired REAL NOT NULL,
+                heartbeat REAL NOT NULL, expires REAL NOT NULL,
+                format INTEGER NOT NULL
+            );
             CREATE TABLE work_queue (
                 id INTEGER PRIMARY KEY, scope TEXT NOT NULL,
                 kind TEXT NOT NULL, item TEXT NOT NULL,
@@ -269,27 +310,10 @@ class TestSchemaVersioning:
 
         assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
         assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
-        con = sqlite3.connect(tmp_path / "store.sqlite")
-        try:
-            tables = {
-                name for (name,) in con.execute(
-                    "SELECT name FROM sqlite_master WHERE type = 'table'"
-                )
-            }
-            columns = {
-                row[1] for row in con.execute("PRAGMA table_info(work_queue)")
-            }
-            leftovers = [
-                con.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
-                for table in ("work_queue", "leases")
-            ]
-        finally:
-            con.close()
-        assert "exchange_scopes" not in tables
-        assert "fingerprints" not in tables
-        assert "witnesses" not in tables
-        assert "kind" not in columns
-        assert leftovers == [0, 0]
+        assert not {
+            "exchange_scopes", "fingerprints", "witnesses", "work_queue",
+            "leases",
+        } & _tables(tmp_path)
         assert _kept_rows(tmp_path) == kept
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
@@ -299,12 +323,13 @@ class TestSchemaVersioning:
     ):
         # A v4 file: a finished run's queue row and its leftover
         # fingerprints beside one summary, one campaign and one witness.
-        # Only the fingerprints table goes, and then the witnesses.
+        # The fingerprints table goes, then the witnesses, then the
+        # queue.
         with ResultStore(tmp_path) as store:
             store.put_summary("k", "s", _summary(5))
             store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
-            store.enqueue_work("frontier:x", [{"prefix": []}])
         _file_witness(tmp_path)
+        _file_queue(tmp_path)
         kept = _kept_rows(tmp_path)
         con = sqlite3.connect(tmp_path / "store.sqlite")
         con.executescript(
@@ -326,13 +351,9 @@ class TestSchemaVersioning:
 
         assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
         assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
-        con = sqlite3.connect(tmp_path / "store.sqlite")
-        try:
-            queued = con.execute("SELECT COUNT(*) FROM work_queue").fetchone()[0]
-        finally:
-            con.close()
-        assert not {"fingerprints", "witnesses"} & _tables(tmp_path)
-        assert queued == 1
+        assert not {
+            "fingerprints", "witnesses", "work_queue", "leases",
+        } & _tables(tmp_path)
         assert _kept_rows(tmp_path) == kept
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
@@ -356,8 +377,35 @@ class TestSchemaVersioning:
         assert "v5" in str(excinfo.value) and "--migrate" in str(excinfo.value)
 
         assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
-        assert "schema v6" in capsys.readouterr().out
+        assert f"schema v{SCHEMA_VERSION}" in capsys.readouterr().out
         assert _tables(tmp_path) == before - {"witnesses"}
+        assert _kept_rows(tmp_path) == kept
+        with ResultStore(tmp_path) as store:
+            assert store.get_summary("k", "s").value == 25
+
+    def test_v6_queue_tables_are_dropped_by_migrate(self, tmp_path, capsys):
+        # A v6 file: a frontier run's queue row and lease beside one
+        # summary and one campaign.  Only the two queue tables go; the
+        # kept rows stay byte for byte.
+        with ResultStore(tmp_path) as store:
+            store.put_summary("k", "s", _summary(5))
+            store.record_campaign("c", "d", "s", 1, 0, 1, 0, 0, 0.5, 1)
+        before = _tables(tmp_path)
+        _file_queue(tmp_path)
+        con = sqlite3.connect(tmp_path / "store.sqlite")
+        con.execute("UPDATE meta SET value = '6' WHERE key = 'schema_version'")
+        con.commit()
+        con.close()
+        kept = _kept_rows(tmp_path)
+        assert [len(rows) for rows in kept.values()] == [1, 1]
+        assert _tables(tmp_path) == before | {"work_queue", "leases"}
+        with pytest.raises(SchemaVersionError) as excinfo:
+            ResultStore(tmp_path).write_connection
+        assert "v6" in str(excinfo.value) and "--migrate" in str(excinfo.value)
+
+        assert store_cli(["--db", str(tmp_path), "--migrate"]) == 0
+        assert "schema v7" in capsys.readouterr().out
+        assert _tables(tmp_path) == before
         assert _kept_rows(tmp_path) == kept
         with ResultStore(tmp_path) as store:
             assert store.get_summary("k", "s").value == 25
@@ -410,3 +458,39 @@ class TestCli:
         store.close()
         assert store_cli(["--db", db, "summarise"]) == 2
         assert "version" in capsys.readouterr().err
+
+
+class TestBusyRetry:
+    def test_busy_errors_are_retried(self):
+        attempts = []
+
+        def flaky():
+            attempts.append(1)
+            if len(attempts) < 3:
+                raise sqlite3.OperationalError("database is locked")
+            return "ok"
+
+        assert retry_locked(flaky, base_delay=0.001) == "ok"
+        assert len(attempts) == 3
+
+    def test_non_busy_errors_are_not_retried(self):
+        attempts = []
+
+        def broken():
+            attempts.append(1)
+            raise sqlite3.OperationalError("no such table: nope")
+
+        with pytest.raises(sqlite3.OperationalError):
+            retry_locked(broken, base_delay=0.001)
+        assert len(attempts) == 1
+
+    def test_budget_exhaustion_reraises(self):
+        attempts = []
+
+        def always_locked():
+            attempts.append(1)
+            raise sqlite3.OperationalError("database is locked")
+
+        with pytest.raises(sqlite3.OperationalError):
+            retry_locked(always_locked, retries=2, base_delay=0.001)
+        assert len(attempts) == 3
