@@ -2,33 +2,54 @@
 
 Usage::
 
-    python -m repro.experiments                  # all experiments
+    python -m repro.experiments                  # all experiments, every core
     python -m repro.experiments E1 E3 E7         # a selection
     python -m repro.experiments --seed 7 E4      # different seed
-    python -m repro.experiments --jobs 4 E1 E3   # 4 worker processes
+    python -m repro.experiments --jobs 1         # one after another, here
     python -m repro.experiments --cache .cache   # reuse cached runs
     python -m repro.experiments --fail-fast      # stop at first mismatch
     python -m repro.experiments E1 --profile     # dump hot-path counters
 
-``--jobs``/``--cache`` configure the campaign engine every experiment
-routes its runs through (see :mod:`repro.runner`): ``--jobs 0`` uses
-every core, ``--cache`` keeps results in the campaign database
-(``docs/STORE.md``) under the given directory — with no path, the
-store's default (``$REPRO_STORE_DIR``, else ``.repro-store``).
-``--profile`` collects each campaign's aggregated perf counters (see
-``docs/PERF.md``) and writes them as JSON (default ``PROFILE_sim.json``);
-it takes an optional path, so name the experiments *before* it.
+``--jobs`` (default: every core, ``REPRO_RUNNER_JOBS`` overriding it;
+1 without ``fork``) is the number of processes.  With two or more
+experiments selected that many children are forked, each running the
+next experiment whole, campaigns serial (:mod:`repro.runner.pool`), and
+the tables are printed in registry order exactly as ``--jobs 1`` prints
+them; with one experiment the processes go to its campaigns' cells.
+``--jobs 1`` runs everything here.  These choices hold for one call.
+``--cache`` keeps results in the campaign database (``docs/STORE.md``)
+under the given directory — with no path, the store's default
+(``$REPRO_STORE_DIR``, else ``.repro-store``).  ``--profile`` collects
+each campaign's aggregated perf counters (``docs/PERF.md``), the
+children's included, and writes them as JSON (default
+``PROFILE_sim.json``); it takes an optional path, so name the
+experiments *before* it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 import time
 
 from repro.experiments.common import all_experiments
-from repro.runner import configure, profile
-from repro.runner.config import resolve_workers
+from repro.runner import profile
+from repro.runner.config import configured, resolve_workers
+from repro.runner.pool import Lost, can_fork, fork_imap, pool_size
+
+
+def _run(experiment, seed, forked):
+    """``(table, ok, seconds, profile records)`` of one experiment; in a
+    pool child the records are sent back with the table, here they stay
+    in this process's collector."""
+    if forked:
+        profile.drain()  # the parent's, inherited at fork
+    started = time.time()
+    result = experiment(seed=seed)
+    records = profile.drain() if forked else []
+    return result.render(), result.ok, time.time() - started, records
 
 
 def main(argv=None) -> int:
@@ -47,7 +68,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes per campaign (0 = all cores; default serial)",
+        help="processes for the experiments, or for one experiment's "
+        "campaign cells (0 or default: all cores; 1: in this process)",
     )
     parser.add_argument(
         "--cache",
@@ -86,27 +108,43 @@ def main(argv=None) -> int:
 
     try:
         workers = resolve_workers(args.jobs)
+        if workers is None:  # every core, where children can be forked
+            workers = 0 if can_fork() else 1
+        workers = pool_size(workers)
     except ValueError as refusal:
         parser.error(str(refusal))
-
-    configure(workers=workers, cache=args.cache)
     if args.profile:
         profile.enable()
 
+    # The experiments spread over the children, their campaigns
+    # serial; or, for one experiment, its campaign cells.
+    forked = workers > 1 and len(wanted) > 1
+    run = functools.partial(_run, seed=args.seed, forked=forked)
+    experiments = [registry[e] for e in wanted]
     failures = []
-    for experiment_id in wanted:
-        started = time.time()
-        result = registry[experiment_id](seed=args.seed)
-        elapsed = time.time() - started
-        print(result.render())
-        print(f"({elapsed:.1f}s)\n")
-        if not result.ok:
-            failures.append(experiment_id)
-            if args.fail_fast:
-                remaining = wanted[wanted.index(experiment_id) + 1 :]
-                if remaining:
-                    print(f"--fail-fast: skipping {remaining}", file=sys.stderr)
-                break
+    with (
+        configured(workers=1 if forked else workers, cache=args.cache),
+        contextlib.closing(
+            fork_imap(run, experiments, workers if forked else 1)
+        ) as outcomes,
+    ):
+        for experiment_id, (outcome, runs) in zip(wanted, outcomes):
+            if isinstance(outcome, Lost):
+                raise RuntimeError(
+                    f"{experiment_id}: its child died on each of {runs} "
+                    f"runs (last exit code {outcome.exitcode})"
+                )
+            table, ok, elapsed, records = outcome
+            profile.extend(records)
+            print(table)
+            print(f"({elapsed:.1f}s)\n")
+            if not ok:
+                failures.append(experiment_id)
+                if args.fail_fast:
+                    remaining = wanted[wanted.index(experiment_id) + 1 :]
+                    if remaining:
+                        print(f"--fail-fast: skipping {remaining}", file=sys.stderr)
+                    break
 
     if args.profile:
         payload = profile.dump(args.profile)

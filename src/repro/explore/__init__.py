@@ -14,8 +14,8 @@ path — with partial-order, state-dedup and pid-symmetry reductions
 (:mod:`repro.explore.frontier`) enumerates detector assignments and
 crash schedules across subtree roots, and
 :mod:`repro.explore.frontierd` walks each root whole — in the caller's
-process with one worker; with more, in one forked child per root,
-walking a root again if its child dies.
+process with one worker; with more, in forked children, each taking
+the next root, walking a root again if its child dies.
 How a case is searched — reductions, fingerprint mode — is one
 :class:`~repro.explore.cases.ExploreOptions` carried to every layer.
 Violating leaves are judged by the chaos targets' own property hooks,

@@ -25,15 +25,15 @@ Exhaust the n=3 NBAC frontier, every reduction on, and insist on it::
     python -m repro.explore --target nbac --procs 3 --symmetry \\
         --require-complete --stats
 
-The same frontier, one forked child per root, four at a time::
+The same frontier over four forked children, each walking the next root::
 
     python -m repro.explore --target nbac --procs 3 --symmetry \\
         --workers 4 --require-complete --stats
 
 Every run goes through one driver, :mod:`repro.explore.frontierd`: one
-worker (the default) walks the roots in this process, more fork one
-child per root.  ``--stop-on-first`` and ``--max-runs`` bound each
-root's walk; ``--cache`` serves roots a previous run exhausted.
+worker (the default) walks the roots in this process, ``k`` fork ``k``
+children.  ``--stop-on-first`` and ``--max-runs`` bound each root's
+walk; ``--cache`` serves roots a previous run exhausted.
 
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
@@ -61,8 +61,9 @@ from repro.explore.frontier import (
     enumerate_roots,
     result_from_summary,
 )
-from repro.explore.frontierd import fleet_size, run_frontier
+from repro.explore.frontierd import run_frontier
 from repro.explore.symmetry import collapse_symmetric_roots
+from repro.runner.pool import pool_size
 
 
 def _parse_args(argv):
@@ -98,8 +99,8 @@ def _parse_args(argv):
         type=int,
         default=None,
         help=(
-            "frontier workers; 1 walks the roots in this process, more "
-            "fork one child per root, that many at a time (default: "
+            "frontier workers; 1 walks the roots in this process, k "
+            "forks k children, each walking the next root (default: "
             "REPRO_RUNNER_JOBS, else 1; 0 = every core; see "
             "docs/EXPLORER.md)"
         ),
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     # Every refusal is a usage error (exit 2) before any work:
     # exit 1 is the verdict that a target missed its expectation.
     try:
-        fleet_size(args.workers)
+        pool_size(args.workers)
         plans = [_plan(args, target) for target in _targets(args.target)]
     except ValueError as refusal:
         parser.error(str(refusal))

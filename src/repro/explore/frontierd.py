@@ -1,71 +1,35 @@
 """The frontier driver: whole roots, walked here or in forked children.
 
-:func:`run_frontier` is the one way a frontier's roots are walked.  With
-one worker it is a loop of :func:`~repro.explore.engine.explore_case`
-over the roots in the caller's process.  With ``k`` workers it forks one
-child per root, at most ``k`` at a time, in root order; each child walks
-its root and sends the summary (:func:`~repro.explore.frontier
-.result_to_dict`) back over a pipe.  A child is forked from the caller,
-so it walks exactly what the caller loaded: a target registered or
-patched at run time, a network class swapped in by
-:func:`~repro.sim.system.network_implementation`.
+:func:`run_frontier` is the one way a frontier's roots are walked: one
+:func:`~repro.explore.engine.explore_case` per root on the runner's fork
+pool (:func:`repro.runner.pool.fork_imap`): in the caller's process
+with one worker, else in ``k`` forked children, each walking the next
+root when free and sending its summary back.  A child walks exactly
+what the caller loaded: a target registered or patched at run time, a
+network class swapped in by :func:`~repro.sim.system.network_implementation`.
 
-On one host a child's exit is a *perfect* failure detector: the parent
-never suspects a live child, and the pipe of a dead one reaches end of
-file at once.  So nothing expires and nothing is leased.  A child that
-dies without a result has its root walked again, up to
-:data:`REWALK_LIMIT` times; after that the root ends ``complete=False``
-with a ``worker-lost`` incident while the other roots finish.  A walk
-that raises is deterministic and is not retried: its root ends
-``complete=False`` with a ``worker-exception`` incident, in a child and
-in the one-worker loop alike.
-
-Children touch no store.  The cache is read before the first fork and
-written after the last child is reaped, and no child outlives the call,
-whether it returns, raises or is interrupted.
+A root whose child dies on every run (:data:`~repro.runner.pool
+.RERUN_LIMIT`) ends ``complete=False`` with a ``worker-lost`` incident
+while the other roots finish; a walk that raises is not retried and
+ends with a ``worker-exception`` incident, in a child or not.  Children
+touch no store: the cache is read before the first fork and written
+after the last child is reaped.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import multiprocessing.connection
 import os
 import time
 import traceback
-from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.explore.cases import ExploreCase, ExploreOptions
 from repro.explore.engine import ExploreResult, explore_case
 from repro.explore.frontier import merge_summaries, result_to_dict
-
-#: Times a root is walked again after its child died without a result.
-REWALK_LIMIT = 3
+from repro.runner.pool import Lost, fork_imap, pool_size
 
 logger = logging.getLogger(__name__)
-
-
-def fleet_size(workers: Optional[int] = None) -> int:
-    """The worker count :func:`run_frontier` runs for ``workers``.
-
-    Resolved like a campaign's (:func:`repro.runner.config
-    .resolve_workers`, which refuses a negative count); None means 1
-    and 0 every core.  More than one worker on a platform without
-    ``fork``, the one way children start, is a ``ValueError``; one
-    worker needs no process and runs everywhere.
-    """
-    from repro.runner.config import resolve_workers
-    from repro.runner.executor import default_worker_count
-
-    resolved = resolve_workers(workers)
-    resolved = 1 if resolved is None else resolved or default_worker_count()
-    if resolved > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ValueError(
-            f"workers={resolved} needs the fork start method, which this "
-            "platform lacks; one worker runs everywhere"
-        )
-    return resolved
 
 
 def search_key(case_dict: Dict[str, Any], options_dict: Dict[str, Any]) -> str:
@@ -118,72 +82,6 @@ def _walk(
     return result_to_dict(result)
 
 
-def _child(writer: Any, *walk_args: Any) -> None:
-    writer.send(_walk(*walk_args))
-
-
-def _walk_forked(
-    cases: Sequence[ExploreCase],
-    workers: int,
-    walk_args: Tuple[Any, ...],
-) -> Tuple[List[Dict[str, Any]], int]:
-    """``(summaries, re-walks)``: every case walked in a forked child.
-
-    The parent waits on the children's pipes rather than on their exit:
-    a child blocks in ``send`` until its summary is read, and its pipe
-    is ready either way, with the summary or, once the child is dead,
-    at end of file.
-    """
-    context = multiprocessing.get_context("fork")
-    pending = deque(range(len(cases)))
-    walks = [0] * len(cases)
-    summaries: List[Optional[Dict[str, Any]]] = [None] * len(cases)
-    running: Dict[Any, Tuple[int, Any]] = {}
-    rewalks = 0
-    try:
-        while pending or running:
-            while pending and len(running) < workers:
-                index = pending.popleft()
-                reader, writer = context.Pipe(duplex=False)
-                process = context.Process(
-                    target=_child, args=(writer, cases[index], *walk_args),
-                    daemon=True,
-                )
-                process.start()
-                running[reader] = (index, process)
-                # The parent's copy of the write end would keep the pipe
-                # open after the child died, and a later child would
-                # inherit it.
-                writer.close()
-                walks[index] += 1
-            for reader in multiprocessing.connection.wait(list(running)):
-                index, process = running[reader]
-                try:
-                    summaries[index] = reader.recv()
-                except (EOFError, OSError):
-                    pass  # died before its summary was whole
-                process.join()
-                del running[reader]
-                reader.close()
-                if summaries[index] is not None:
-                    continue
-                if walks[index] <= REWALK_LIMIT:
-                    rewalks += 1
-                    pending.appendleft(index)
-                    continue
-                summaries[index] = _unwalked(cases[index], walk_args[0], {
-                    "kind": "worker-lost",
-                    "walks": walks[index],
-                    "exitcode": process.exitcode,
-                })
-    finally:
-        for reader, (_, process) in running.items():
-            process.kill()
-            process.join()
-            reader.close()
-    return summaries, rewalks
-
-
 def run_frontier(
     roots: Sequence[ExploreCase],
     options: ExploreOptions = ExploreOptions(),
@@ -194,26 +92,24 @@ def run_frontier(
 ) -> List[Dict[str, Any]]:
     """Explore every root, each walked whole; one summary per root.
 
-    Returns one summary dict per root, in root order, each with the
-    ``frontier`` block of the run that walked it: ``workers``,
+    Each summary, in root order, carries the ``frontier`` block of this
+    call: ``workers`` (:func:`~repro.runner.pool.pool_size`),
     ``rewalks`` (children that died and had their root walked again),
-    ``lost`` (roots that ended with no walk, by a raise or past
-    :data:`REWALK_LIMIT`) and ``wall_clock``.  ``workers`` is checked by
-    :func:`fleet_size`; one worker walks in this process and more are
-    forked from it (see the module doc).
+    ``lost`` (roots that ended with no walk, by a raise or past the
+    re-run limit) and ``wall_clock``.
 
     ``cache`` takes the forms of :func:`repro.runner.config
     .resolve_cache`, closed by the same rules: a root whose summary is
     complete and has no incidents is put under its :func:`search_key`
-    (case, options, code salt), and a later run with the same cache
-    serves it as stored without walking it.
+    (case, options, code salt), without the frontier block, and a later
+    run with the same cache serves it without walking it.
 
     ``stop_on_first_violation`` and ``max_runs`` bound each root's walk.
     """
     from repro.runner.config import resolve_cache
     from repro.runner.summary import FnSummary
 
-    workers = fleet_size(workers)
+    workers = pool_size(workers)
     # One empty summary per root for its walk to merge into.
     bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
     keys = [search_key(base["case"], base["options"]) for base in bases]
@@ -221,32 +117,37 @@ def run_frontier(
     try:
         hits = [None if cache is None else cache.get(key) for key in keys]
         todo = [index for index, hit in enumerate(hits) if hit is None]
-        walk_args = (options, stop_on_first_violation, max_runs)
         started = time.perf_counter()
-        if workers > 1 and todo:
-            walked, rewalks = _walk_forked(
-                [roots[index] for index in todo], workers, walk_args
-            )
-        else:
-            walked = [_walk(roots[index], *walk_args) for index in todo]
-            rewalks = 0
+        outcomes = list(fork_imap(
+            lambda case: _walk(case, options, stop_on_first_violation, max_runs),
+            [roots[index] for index in todo],
+            workers,
+        ))
+        walked = []
+        for index, (summary, walks) in zip(todo, outcomes):
+            if isinstance(summary, Lost):
+                summary = _unwalked(roots[index], options, {
+                    "kind": "worker-lost",
+                    "walks": walks,
+                    "exitcode": summary.exitcode,
+                })
+            walked.append(summary)
         block = {
             "workers": workers,
-            "rewalks": rewalks,
+            "rewalks": sum(walks - 1 for _, walks in outcomes),
             "lost": sum(1 for summary in walked if summary["incidents"]),
             "wall_clock": round(time.perf_counter() - started, 3),
         }
         summaries = [None if hit is None else hit.value for hit in hits]
         for index, summary in zip(todo, walked):
             summary = merge_summaries(bases[index], [summary])
-            summary["frontier"] = block
             summaries[index] = summary
             if (cache is not None and summary["complete"]
                     and not summary["incidents"]):
                 cache.put(keys[index], FnSummary(keys[index], {}, summary))
         for event in () if cache is None else cache.drain_events():
             logger.warning("frontier cache: %s", event)
-        return summaries
+        return [dict(summary, frontier=block) for summary in summaries]
     finally:
         if opened:
             cache.close()

@@ -253,7 +253,7 @@ class _Encoder:
         if isinstance(value, types.GeneratorType):
             frame = value.gi_frame
             if frame is None:
-                return b"gX" + self.enc(value.gi_code.co_qualname, depth, stack)
+                return b"gX" + self.enc(value.__qualname__, depth, stack)
             local_items = sorted(
                 self.enc(name, depth, stack) + self.enc(v, depth, stack)
                 for name, v in frame.f_locals.items()
@@ -261,7 +261,7 @@ class _Encoder:
             )
             return (
                 b"g"
-                + self.enc(value.gi_code.co_qualname, depth, stack)
+                + self.enc(value.__qualname__, depth, stack)
                 + b"@%d;" % frame.f_lasti  # instruction offset, never a pid
                 + b"".join(local_items)
                 + b"/"

@@ -7,8 +7,8 @@ all of those sweeps one engine:
 * :class:`RunSpec` — a picklable description fully determining one run
   (see :mod:`repro.runner.spec`);
 * :class:`Campaign` — expands parameter grids into spec lists and
-  executes them serially or across a process pool, with deterministic
-  result ordering (:mod:`repro.runner.campaign`);
+  executes them serially or in forked children (:mod:`repro.runner.pool`),
+  with deterministic result ordering (:mod:`repro.runner.campaign`);
 * the result cache — ``cache=True`` / a directory is the campaign
   database (:class:`repro.store.cache.StoreResultCache`), keyed by spec
   content hash plus a source-tree salt (:func:`code_salt`), so
@@ -47,7 +47,6 @@ from repro.runner.executor import (
     SerialExecutor,
     default_worker_count,
     execute_job_guarded,
-    make_executor,
 )
 from repro.runner import profile
 from repro.runner.fingerprint import canonical, code_salt, fingerprint
@@ -66,7 +65,6 @@ __all__ = [
     "PoolExecutor",
     "SerialExecutor",
     "default_worker_count",
-    "make_executor",
     "canonical",
     "fingerprint",
     "profile",

@@ -4,7 +4,8 @@ A :class:`Campaign` is an ordered list of jobs (:class:`RunSpec` /
 :class:`FnSpec` cells).  :meth:`Campaign.grid` expands a cartesian
 parameter sweep through a builder callback; :meth:`Campaign.run`
 executes the cells — consulting the result cache first, deduplicating
-identical cells, fanning misses out over a worker pool — and returns a
+identical cells, fanning misses out over forked children
+(:mod:`repro.runner.pool`) — and returns a
 :class:`CampaignResult` whose summaries align one-to-one with the
 campaign's cells regardless of executor or cache state.
 """
@@ -23,7 +24,8 @@ from repro.runner.config import (
     resolve_timeout,
     resolve_workers,
 )
-from repro.runner.executor import make_executor
+from repro.runner.executor import PoolExecutor
+from repro.runner.pool import pool_size
 from repro.runner.spec import FnSpec, RunSpec
 from repro.runner.summary import JobFailure
 
@@ -35,9 +37,10 @@ logger = logging.getLogger("repro.runner")
 class CampaignResult:
     """Ordered summaries plus execution accounting.
 
-    ``incidents`` records every recovery the executor performed (broken
-    pools, retries, quarantines, serial degradation) and ``cache_events``
-    every corrupt cache entry discarded; both empty on a clean run.
+    ``incidents`` records what the executor had to report (a job
+    quarantined after its child kept dying, a timeout that could not
+    fire) and ``cache_events`` every corrupt cache entry discarded; both
+    empty on a clean run.
     """
 
     def __init__(
@@ -185,7 +188,7 @@ class Campaign:
         store, opened = resolve_cache(cache)
         try:
             timeout = resolve_timeout(timeout)
-            executor = make_executor(workers)
+            executor = PoolExecutor(pool_size(workers))
 
             results: List[Any] = [None] * len(self.jobs)
             keys = [job.fingerprint() for job in self.jobs]

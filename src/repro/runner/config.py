@@ -1,18 +1,20 @@
 """Process-wide execution defaults for campaigns.
 
 The experiment modules call ``Campaign.run()`` with no executor
-arguments; what that means — serial or pooled, cached or not — is
+arguments; what that means — serial or forked, cached or not — is
 decided here, so one CLI flag (or environment variable, for CI and
 benches) threads through every sweep without touching experiment
 signatures.
 
 Resolution order for each knob: explicit argument at the call site,
 then :func:`configure`'d value, then environment variable, then the
-conservative default (serial, no cache).
+library default (serial, no cache).  The experiments CLI's own default,
+every core, holds for its call only (:func:`configured`).
 
 Environment variables:
 
-* ``REPRO_RUNNER_JOBS`` — worker count (``0`` = all cores, ``1`` = serial);
+* ``REPRO_RUNNER_JOBS`` — worker count (``0`` = all cores, ``1`` = serial;
+  more than one forks children, :mod:`repro.runner.pool`);
 * ``REPRO_RUNNER_CACHE`` — ``off``/``0`` disables, ``on``/``1`` uses the
   store's default location (``$REPRO_STORE_DIR``, else ``.repro-store``),
   anything else is used as the store directory (or ``.sqlite`` file);
@@ -22,8 +24,9 @@ Environment variables:
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Any, Optional, Tuple, Union
+from typing import Any, Iterator, Optional, Tuple, Union
 
 #: What a ``cache`` argument may be: on/off, a store location, or a
 #: ready-made cache object (``get`` / ``put`` / ``drain_events``).
@@ -51,6 +54,19 @@ def configure(
         _timeout = timeout
 
 
+@contextlib.contextmanager
+def configured(**knobs: Any) -> Iterator[None]:
+    """:func:`configure` for a ``with`` block only, so a CLI's choices do
+    not leak into its caller's later campaigns."""
+    global _workers, _cache, _timeout
+    saved = _workers, _cache, _timeout
+    configure(**knobs)
+    try:
+        yield
+    finally:
+        _workers, _cache, _timeout = saved
+
+
 def reset() -> None:
     """Back to built-in defaults (used by tests)."""
     global _workers, _cache, _timeout
@@ -63,7 +79,8 @@ def resolve_workers(workers: Optional[int] = None) -> Optional[int]:
     """Worker count (None when nothing sets one; ``0`` = all cores).
 
     Whichever source supplies it, a negative count is a ``ValueError``:
-    campaigns and the explorer's frontier share this one rule.
+    campaigns, the experiments CLI and the explorer's frontier share
+    this one rule.
     """
     source = "workers"
     if workers is None:

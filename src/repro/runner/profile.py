@@ -49,6 +49,11 @@ def record(name: Optional[str], result) -> None:
     )
 
 
+def extend(records: List[Dict[str, Any]]) -> None:
+    """Deposit the records :func:`drain` returned in a pool child."""
+    _records.extend(records)
+
+
 def drain() -> List[Dict[str, Any]]:
     """The collected records (and reset the collector)."""
     out = list(_records)

@@ -160,9 +160,9 @@ class JobFailure:
     * ``"exception"`` — ``execute()`` raised; the error is recorded and
       the campaign carries on.
     * ``"timeout"`` — the job exceeded its per-job wall-clock budget.
-    * ``"worker-crash"`` — the job killed its worker process (segfault,
-      ``os._exit``, OOM-kill); after bounded retries it was quarantined
-      so one poisoned spec cannot sink the whole campaign.
+    * ``"worker-crash"`` — the job killed its child process (segfault,
+      ``os._exit``, OOM-kill) on each of a bounded number of runs; it
+      is quarantined so one poisoned spec cannot sink the campaign.
 
     A failure is never cached: a later run re-attempts the cell.
     ``stable_digest`` covers only the deterministic identity fields —

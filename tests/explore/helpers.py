@@ -65,6 +65,11 @@ def violation_set(result):
     return {(v.violated, v.decisions) for v in result.violations}
 
 
+def without_frontier_block(summaries):
+    """The summaries minus the ``frontier`` block, which is each call's own."""
+    return [{k: v for k, v in s.items() if k != "frontier"} for s in summaries]
+
+
 def explore_case_dynamic(case, options=ExploreOptions(), **fleet):
     """One case through ``run_frontier``, as an ``ExploreResult``.
 

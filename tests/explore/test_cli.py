@@ -203,6 +203,22 @@ def test_driver_flags_still_reach_their_own_driver(tmp_path, capsys):
     assert "frontier: workers=1" in capsys.readouterr().out
 
 
+def test_a_cached_run_prints_its_own_frontier_line(tmp_path, capsys):
+    # The second run is served whole from the cache: its frontier line
+    # is its own (one worker, nothing walked), not the first run's.
+    base = ["--target", "qc", "--depth", "3", "--cache", str(tmp_path / "d")]
+    lines = []
+    for workers in ("2", "1"):
+        assert main(base + ["--workers", workers]) == 0
+        (line,) = (
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  frontier: ")
+        )
+        lines.append(line)
+    assert lines[0].startswith("  frontier: workers=2 rewalks=0 lost=0 ")
+    assert lines[1].startswith("  frontier: workers=1 rewalks=0 lost=0 ")
+
+
 @pytest.mark.parametrize(
     "flag",
     [

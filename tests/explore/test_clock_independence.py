@@ -226,7 +226,7 @@ def _parts(value: Any) -> Optional[Dict[Any, Tuple[str, Any]]]:
         frame = value.gi_frame
         if frame is None:
             return None
-        name = value.gi_code.co_qualname
+        name = value.__qualname__
         parts = {
             local: (f"{name}.{local}", v)
             for local, v in frame.f_locals.items()

@@ -29,9 +29,11 @@ from repro.explore import (
 )
 from repro.explore import frontierd
 from repro.explore.__main__ import main
-from repro.explore.frontierd import REWALK_LIMIT, run_frontier
+from repro.explore.frontierd import run_frontier
+from repro.runner.pool import RERUN_LIMIT as REWALK_LIMIT
 from tests.explore.helpers import explore_case_dynamic
 from tests.explore.helpers import violation_set as _violation_set
+from tests.explore.helpers import without_frontier_block
 
 
 def _assert_equivalent(dynamic, single):
@@ -58,7 +60,7 @@ CASE = ExploreCase(target="hastycommit", n=2, depth=6, seed=1)
 ROOTS = [CASE, CASE.with_(seed=0)]
 
 
-def _no_fork(cases, workers, walk_args):
+def _no_fork():
     raise AssertionError("a child was forked")
 
 
@@ -72,7 +74,7 @@ class TestEquivalence:
 
     def test_single_worker_no_stealing(self, monkeypatch):
         # One worker walks the roots in this process.
-        monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
+        monkeypatch.setattr(os, "fork", _no_fork)
         summaries = run_frontier(ROOTS, workers=1)
         _assert_serial_walks(summaries, ROOTS)
         assert summaries[0]["frontier"]["workers"] == 1
@@ -197,9 +199,12 @@ class TestRunBounds:
             [CASE.with_(depth=5)], workers=2, cache=cache, max_runs=1
         )
         assert truncated["complete"] is False
-        monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
+        monkeypatch.setattr(os, "fork", _no_fork)
         monkeypatch.setattr(frontierd, "explore_case", _raise_re_explored)
-        assert run_frontier(ROOTS, workers=2, cache=cache) == first
+        served = run_frontier(ROOTS, workers=1, cache=cache)
+        assert without_frontier_block(served) == without_frontier_block(first)
+        # The frontier block is the serving call's, not the walking one's.
+        assert [s["frontier"]["workers"] for s in served] == [1, 1]
         (again,) = run_frontier([CASE.with_(depth=5)], workers=1, cache=cache)
         assert again["incidents"][0]["message"] == "re-explored"
 

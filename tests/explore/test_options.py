@@ -9,6 +9,7 @@ beside it any more.
 """
 
 import dataclasses
+import os
 import re
 
 import pytest
@@ -85,19 +86,19 @@ def test_options_round_trip_through_their_dict():
 def test_no_driver_takes_a_loose_option_keyword(
     driver, subject, loose, monkeypatch
 ):
-    monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     with pytest.raises(TypeError, match="unexpected keyword"):
         driver(subject, **loose)
 
 
-def _no_fork(cases, workers, walk_args):
+def _no_fork():
     raise AssertionError("a child was forked for options that cannot run")
 
 
 def test_symmetry_on_an_unsafe_target_runs_without_it(monkeypatch):
     # ``symmetry=True`` means "on where sound": this target carries
     # pid-derived values, so its walk is the plain one.
-    monkeypatch.setattr(frontierd, "_walk_forked", _no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     unsafe = ExploreCase(target="ct", n=2, depth=4)
     (asked,) = run_frontier([unsafe], ExploreOptions(symmetry=True), workers=1)
     (plain,) = run_frontier([unsafe], ExploreOptions(), workers=1)

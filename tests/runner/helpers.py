@@ -42,6 +42,11 @@ def fn_raise(x):
     raise RuntimeError(f"deliberate failure on {x}")
 
 
+def fn_unpicklable(x):
+    """A result no child can send back: a lambda does not pickle."""
+    return lambda: x
+
+
 def fn_hard_exit(x):
     """Kill the worker process without unwinding — simulates a segfault."""
     import os
