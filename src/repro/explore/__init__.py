@@ -13,9 +13,10 @@ path — with partial-order, state-dedup and pid-symmetry reductions
 :mod:`repro.explore.symmetry`); the frontier
 (:mod:`repro.explore.frontier`) enumerates detector assignments and
 crash schedules across subtree roots, and
-:mod:`repro.explore.frontierd` walks each root whole — in the caller's
-process with one worker; with more, in forked children, each taking
-the next root, walking a root again if its child dies.
+:mod:`repro.explore.frontierd` walks each root whole, as one cell of a
+runner campaign (:class:`~repro.runner.campaign.Campaign`) — in the
+caller's process with one worker; with more, in forked children, each
+taking the next root, walking a root again if its child dies.
 How a case is searched — reductions, fingerprint mode — is one
 :class:`~repro.explore.cases.ExploreOptions` carried to every layer.
 Violating leaves are judged by the chaos targets' own property hooks,
@@ -61,7 +62,6 @@ from repro.explore.frontier import (
     SWITCH_MUTANTS,
     crash_schedules,
     enumerate_roots,
-    merge_summaries,
     result_from_summary,
 )
 from repro.explore.frontierd import run_frontier, run_frontier_dynamic
@@ -103,7 +103,6 @@ __all__ = [
     "default_assignment",
     "enumerate_roots",
     "explore_case",
-    "merge_summaries",
     "resolve_parts",
     "resolve_symmetry",
     "result_from_summary",

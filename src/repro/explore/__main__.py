@@ -30,18 +30,20 @@ The same frontier over four forked children, each walking the next root::
     python -m repro.explore --target nbac --procs 3 --symmetry \\
         --workers 4 --require-complete --stats
 
-Every run goes through one driver, :mod:`repro.explore.frontierd`: one
-worker (the default) walks the roots in this process, ``k`` fork ``k``
-children.  ``--stop-on-first`` and ``--max-runs`` bound each root's
-walk; ``--cache`` serves roots a previous run exhausted.
+Every run goes through one driver, :mod:`repro.explore.frontierd`, a
+campaign of one cell per root: one worker (the default) walks the roots
+in this process, ``k`` fork ``k`` children.  ``--stop-on-first`` and
+``--max-runs`` bound each root's walk; ``--cache`` serves roots a
+previous run walked under the same bounds.
 
 The exit code is 0 when every explored target matched expectation —
 no violations normally, at least one under ``--expect-violation`` —
 and 1 otherwise, so CI can call this directly; input the frontier
 refuses (an unknown target, ``--procs 0``, ``--depth 0``,
-``--workers -1``) exits 2 before any work.  A lost root (its walk
-raised, or its child died past the re-walk budget) is a failure
-whatever was expected: its subtree was never searched.
+``--workers -1``, ``--max-runs 0``, ``--crashes -1``) exits 2 before
+any work.  A lost root (its walk raised or timed out, or its child died
+past the re-walk budget) is a failure whatever was expected: its
+subtree was never searched.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def _parse_args(argv):
         default=None,
         help=(
             "campaign database (directory or .sqlite path) serving "
-            "roots a previous run exhausted (default off)"
+            "roots a previous run walked under the same bounds "
+            "(default off)"
         ),
     )
     parser.add_argument(
@@ -243,6 +246,10 @@ def main(argv=None) -> int:
     # Every refusal is a usage error (exit 2) before any work:
     # exit 1 is the verdict that a target missed its expectation.
     try:
+        if args.max_runs is not None and args.max_runs < 1:
+            raise ValueError(f"max-runs={args.max_runs}: need 1 or more")
+        if args.crashes < 0:
+            raise ValueError(f"crashes={args.crashes}: need 0 or more")
         pool_size(args.workers)
         plans = [_plan(args, target) for target in _targets(args.target)]
     except ValueError as refusal:

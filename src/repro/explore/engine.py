@@ -148,8 +148,9 @@ class ExploreResult:
     )
     counters: PerfCounters = field(default_factory=PerfCounters)
     #: Structured records of a root the frontier could not walk — a
-    #: walk that raised (``worker-exception``) or a child lost past its
-    #: re-walk budget (``worker-lost``).  Always empty for a plain
+    #: walk that raised (``worker-exception``), ran past the campaign's
+    #: timeout (``timeout``) or lost its child past the re-walk budget
+    #: (``worker-lost``).  Always empty for a plain
     #: ``explore_case`` walk; any incident implies ``complete=False``.
     incidents: List[Dict[str, Any]] = field(default_factory=list)
     #: Whether the pid-symmetry reduction is on for this case: what
@@ -174,7 +175,6 @@ class ExploreResult:
             "replay_steps": self.counters.explore_replay_steps,
             "fp_nodes": self.counters.explore_fp_nodes,
             "opaque_tokens": self.counters.explore_opaque_tokens,
-            "shards": self.counters.explore_shards,
         }
 
 
@@ -245,17 +245,19 @@ def _shared_prefix_len(prefix: Tuple[int, ...], log: Sequence[Any]) -> int:
 
 
 class FingerprintSession:
-    """One root's fingerprint engine, kept warm across walks.
+    """A fingerprint engine kept warm from one walk of a root to the next.
 
-    The shards of a root are walks of the same case under the same
-    options from different prefixes, each on a freshly built system.  A
-    step's effects and a host's encoding are kept under the process's
-    own step history (:class:`~repro.explore.state.FingerprintEngine`),
-    which is true of any system of the root, so the engine one shard
-    filled serves the next — a shard's prefix replay executes nothing
-    an earlier shard has: hand the same session to every
-    :func:`explore_case` call of one root.  The first call creates the
-    engine; a later call whose case or options differ is refused.
+    A test-only oracle seam: production walks each root once, on a
+    fresh engine.  A step's effects and a host's encoding are kept
+    under the process's own step history
+    (:class:`~repro.explore.state.FingerprintEngine`), which is true of
+    any system of the root, so a second :func:`explore_case` call handed
+    the same session serves what the first executed.  The step-table
+    and lineage-cache suites drive it to check that a warm table is
+    invisible but for what it serves (``test_step_table.py``,
+    ``test_lineage_cache.py``) and that a corrupted record raises
+    instead of convicting.  The first call creates the engine; a later
+    call whose case or options differ is refused.
     """
 
     def __init__(self) -> None:
@@ -291,12 +293,8 @@ def explore_case(
     options: ExploreOptions = ExploreOptions(),
     stop_on_first_violation: bool = False,
     max_runs: Optional[int] = None,
-    counters: Optional[PerfCounters] = None,
     initial_stack: Optional[Sequence[Tuple[int, ...]]] = None,
-    choice_limit: Optional[int] = None,
-    shard_roots: Optional[List[Tuple[int, ...]]] = None,
     digest_log: Optional[List[str]] = None,
-    visited: Optional[Dict[str, int]] = None,
     session: Optional[FingerprintSession] = None,
 ) -> ExploreResult:
     """Exhaust the bounded choice tree of ``case`` under ``options``.
@@ -305,38 +303,24 @@ def explore_case(
     reductions and the fingerprint implementation — the soundness tests
     run every combination and compare decision-vector sets and
     verdicts.  ``max_runs`` is a safety valve for callers probing
-    tractability; a truncated result has ``complete=False``.
+    tractability; a truncated result has ``complete=False``.  Every
+    walk has its own visited set and its own counters.
 
-    ``initial_stack`` roots the DFS at given prefixes instead of the
-    empty one, and ``choice_limit`` halts any run whose recorded choice
-    log reaches the limit, appending the halted prefix to
-    ``shard_roots`` — together they cut a root into shards (the
-    sharding and rewind oracles drive the engine through them): the
-    halted prefixes are pairwise disjoint subtrees (any two differ at
-    some recorded position), and a popped prefix already past the limit
-    halts at its first post-replay tick, never mid-replay.
-    ``digest_log``, when given, collects every dedup key in hook order
-    (the fingerprint-equivalence suite compares these across modes
-    byte-for-byte).
-
-    ``visited`` is the walk's visited set, ``fp → remaining``: read and
-    written in place (a fresh one if None).  Handed the states of
-    earlier walks of the same root — states whose subtrees those walks
-    exhausted — the walk dedup-halts on them exactly like on locally
-    recorded ones, and ``states`` then counts only newly recorded
-    states, so summed shard counts measure distinct coverage.
-
-    ``session`` (a :class:`FingerprintSession`) supplies the fingerprint
-    engine instead of a fresh one, so walks of the same root share
-    their transition table and host encodings; it changes which steps
-    are served and which encodes are cache hits, never a key.
+    The last three arguments are test-only oracle seams; production
+    walks pass none of them.  ``initial_stack`` roots the DFS at given
+    prefixes instead of the empty one: the rewind oracle
+    (``test_rewind_oracle.py``) starts walks mid-tree and from several
+    unrelated prefixes at once, and the step-table suite follows
+    hand-built paths.  ``digest_log``, when given, collects every dedup
+    key in hook order (the fingerprint-equivalence suite compares these
+    across modes byte-for-byte).  ``session`` (a :class:`FingerprintSession`)
+    supplies the fingerprint engine instead of a fresh one, so a walk
+    starts on the transition table and host encodings of an earlier
+    walk of the same root; it changes which steps are served and which
+    encodes are cache hits, never a key.
     """
     parts = resolve_parts(case)
-    result = ExploreResult(
-        case=case,
-        options=options,
-        counters=counters if counters is not None else PerfCounters(),
-    )
+    result = ExploreResult(case=case, options=options)
     perms = (
         admissible_perms(case) if result.symmetry else (tuple(range(case.n)),)
     )
@@ -347,14 +331,10 @@ def explore_case(
         )
     else:
         fp_engine = session.bind(case, options, perms, result.counters)
-    if visited is None:
-        visited = {}
     stack: List[Tuple[int, ...]] = (
         [tuple(p) for p in initial_stack] if initial_stack is not None else [()]
     )
-    live = _LiveSystem(
-        result, parts, visited, fp_engine, choice_limit, digest_log
-    )
+    live = _LiveSystem(result, parts, fp_engine, digest_log)
 
     while stack:
         if max_runs is not None and result.runs >= max_runs:
@@ -381,8 +361,6 @@ def explore_case(
                 stack.append(taken[:position] + (alternative,))
 
         if trace.stop_reason == "scheduler-halt":
-            if live.frontier_halted and shard_roots is not None:
-                shard_roots.append(taken)
             continue  # halted: subtree covered elsewhere, not a leaf
         vector = _decision_vector(trace)
         if len(perms) > 1:
@@ -436,9 +414,7 @@ class _LiveSystem:
         self,
         result: ExploreResult,
         parts: CaseParts,
-        visited: Dict[str, int],
         fp_engine: FingerprintEngine,
-        choice_limit: Optional[int],
         digest_log: Optional[List[str]],
     ):
         self.result = result
@@ -446,9 +422,10 @@ class _LiveSystem:
         self.por = result.options.por
         self.dedup = result.options.dedup
         self.parts = parts
-        self.visited = visited
+        #: The walk's visited set: dedup key -> ticks remaining when
+        #: the state was recorded.
+        self.visited: Dict[str, int] = {}
         self.fp_engine = fp_engine
-        self.choice_limit = choice_limit
         self.digest_log = digest_log
         crash_times = [t for _, t in case.crashes]
         self.first_crash = min(crash_times, default=None)
@@ -461,8 +438,6 @@ class _LiveSystem:
         #: The ticks of the current path whose step was served from the
         #: transition table instead of executed, ascending.
         self.served: List[int] = []
-        #: Whether the last run stopped at ``choice_limit``.
-        self.frontier_halted = False
 
     def run(self, prefix: Tuple[int, ...]):
         """Follow ``prefix``, default onward, observe; returns the trace.
@@ -483,7 +458,6 @@ class _LiveSystem:
             # ``initial_stack`` roots can): nothing to rewind to.
             start, kept = 1, 0
             self._build(prefix)
-        self.frontier_halted = False
         trace = self.system.run(stop_when=self.parts.stop, start=start)
         self.result.counters.explore_replay_steps += (
             min(len(prefix), len(self.controller.log)) - kept
@@ -534,8 +508,7 @@ class _LiveSystem:
     def _tick_hook(self, now: int) -> bool:
         controller = self.controller
         result = self.result
-        logged = len(controller.log)
-        replaying = logged <= len(controller.prefix)
+        replaying = len(controller.log) <= len(controller.prefix)
         if self.dedup:
             digests = self.digests
             # The tick the system was rewound to is in the state that
@@ -554,8 +527,7 @@ class _LiveSystem:
             seen = None if opaque else visited.get(key)
             if opaque:
                 # The key hides what the state holds, so the state
-                # stays out of the visited set — this walk's and every
-                # later walk's it is handed to: never looked up, never
+                # stays out of the visited set: never looked up, never
                 # recorded, never a reason to halt.
                 if fresh:
                     result.states += 1
@@ -578,13 +550,6 @@ class _LiveSystem:
                     result.states += 1
                     result.counters.explore_states += 1
                 visited[key] = remaining
-        if (
-            self.choice_limit is not None
-            and logged >= self.choice_limit
-            and logged >= len(controller.prefix)  # never truncate mid-replay
-        ):
-            self.frontier_halted = True
-            return False
         return True
 
     def _fingerprint(self, now: int) -> str:

@@ -12,9 +12,8 @@ nondeterminism the sim exposes: scheduling and delivery are enumerated
 points *across* subtrees by the frontier.
 
 The roots are walked whole by :func:`repro.explore.frontierd
-.run_frontier`.  A walk returns the summary dict of
-:func:`result_to_dict` (its inverse :func:`result_from_summary`), and
-:func:`merge_summaries` folds a root's shards into one.
+.run_frontier`.  A root's summary is the dict :func:`result_to_dict`
+makes of its one walk (its inverse :func:`result_from_summary`).
 """
 
 from __future__ import annotations
@@ -237,45 +236,3 @@ def result_from_summary(summary: Dict[str, Any]) -> ExploreResult:
         incidents=list(summary.get("incidents", [])),
     )
 
-
-def merge_summaries(
-    base: Dict[str, Any], shard_summaries: Sequence[Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Fold the summaries of a root's shards into ``base``.
-
-    Stats are summed, decision vectors unioned, violations and
-    incidents concatenated, ``complete`` AND-ed.  ``states`` counts
-    newly recorded states only, so for shards walked on one shared
-    visited set the sum measures distinct coverage; shards walked on
-    their own sets may both meet a state — redundancy, never a
-    soundness issue.
-    """
-    merged = dict(base)
-    merged["stats"] = dict(base["stats"])
-    counters = PerfCounters()
-    counters.merge(base.get("counters", {}))
-    vectors = {tuple(tuple(entry) for entry in v) for v in base["decision_vectors"]}
-    violations = list(base["violations"])
-    incidents = list(base.get("incidents", []))
-    complete = base["complete"]
-    for summary in shard_summaries:
-        for key, value in summary["stats"].items():
-            merged["stats"][key] = merged["stats"].get(key, 0) + value
-        counters.merge(summary.get("counters", {}))
-        vectors.update(
-            tuple(tuple(entry) for entry in v)
-            for v in summary["decision_vectors"]
-        )
-        violations.extend(summary["violations"])
-        incidents.extend(summary.get("incidents", []))
-        complete = complete and summary["complete"]
-    counters.explore_shards += len(shard_summaries)
-    merged["stats"]["shards"] = counters.explore_shards
-    merged["stats"]["violations"] = len(violations)
-    merged["stats"]["decision_vectors"] = len(vectors)
-    merged["counters"] = counters.as_dict()
-    merged["decision_vectors"] = sorted([list(e) for e in v] for v in vectors)
-    merged["violations"] = violations
-    merged["incidents"] = incidents
-    merged["complete"] = complete
-    return merged

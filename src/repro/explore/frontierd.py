@@ -1,85 +1,68 @@
-"""The frontier driver: whole roots, walked here or in forked children.
+"""The frontier driver: a campaign of roots, each walked whole.
 
-:func:`run_frontier` is the one way a frontier's roots are walked: one
-:func:`~repro.explore.engine.explore_case` per root on the runner's fork
-pool (:func:`repro.runner.pool.fork_imap`): in the caller's process
-with one worker, else in ``k`` forked children, each walking the next
-root when free and sending its summary back.  A child walks exactly
-what the caller loaded: a target registered or patched at run time, a
-network class swapped in by :func:`~repro.sim.system.network_implementation`.
+:func:`run_frontier` runs one :class:`~repro.runner.campaign.Campaign`
+with one cell per root; the cell is :func:`walk_root`, one
+:func:`~repro.explore.engine.explore_case` walk.  The campaign supplies
+everything else: the cache, the fork pool (in the caller's process with
+one worker, else in ``k`` forked children, each walking the next root
+when free), one walk for identical roots, the per-cell timeout
+(``REPRO_RUNNER_TIMEOUT``), a :class:`~repro.runner.summary.JobFailure`
+for a walk that raises or a child that dies past
+:data:`~repro.runner.pool.RERUN_LIMIT`, and the store's campaign row.
+A child walks exactly what the caller loaded: a target registered or
+patched at run time, a network class swapped in by
+:func:`~repro.sim.system.network_implementation`.
 
-A root whose child dies on every run (:data:`~repro.runner.pool
-.RERUN_LIMIT`) ends ``complete=False`` with a ``worker-lost`` incident
-while the other roots finish; a walk that raises is not retried and
-ends with a ``worker-exception`` incident, in a child or not.  Children
-touch no store: the cache is read before the first fork and written
-after the last child is reaped.
+A failed cell ends its root ``complete=False`` with 0 runs and one
+incident (``worker-lost``, ``worker-exception`` or ``timeout``) while
+the other roots finish.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import time
-import traceback
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.explore.cases import ExploreCase, ExploreOptions
 from repro.explore.engine import ExploreResult, explore_case
-from repro.explore.frontier import merge_summaries, result_to_dict
-from repro.runner.pool import Lost, fork_imap, pool_size
+from repro.explore.frontier import result_to_dict
+from repro.runner import Campaign, call, fn_spec
+from repro.runner.summary import JobFailure
 
-logger = logging.getLogger(__name__)
-
-
-def search_key(case_dict: Dict[str, Any], options_dict: Dict[str, Any]) -> str:
-    """The key of one (case, options) search: a root's cache key.
-
-    ``options_dict`` is the whole :class:`~repro.explore.cases
-    .ExploreOptions` (``dataclasses.asdict``): every option that shapes
-    fingerprints or dedup semantics is a field of it, so none can be
-    left out of the key, and mixing keys would merge incomparable
-    searches.  The code salt makes a cached root of an edited tree a
-    miss rather than a wrong hit.
-    """
-    from repro.runner.fingerprint import code_salt, fingerprint
-
-    return fingerprint(
-        {"case": case_dict, "options": options_dict, "code": code_salt()},
-        salt="explore-scope:2",
-    )
+#: The incident a root gets for each way its cell can fail.
+_INCIDENT_KINDS = {
+    "worker-crash": "worker-lost",
+    "exception": "worker-exception",
+    "timeout": "timeout",
+}
 
 
-def _unwalked(case: ExploreCase, options: ExploreOptions,
-              incident: Dict[str, Any]) -> Dict[str, Any]:
-    """The summary of a root that has no walk to show: 0 runs."""
-    return result_to_dict(
-        ExploreResult(case, options, complete=False, incidents=[incident])
-    )
-
-
-def _walk(
+def walk_root(
     case: ExploreCase,
     options: ExploreOptions,
     stop_on_first_violation: bool,
     max_runs: Optional[int],
 ) -> Dict[str, Any]:
-    """One root's summary; a walk that raises is an incident, not an error."""
-    try:
-        result = explore_case(
-            case,
-            options,
-            stop_on_first_violation=stop_on_first_violation,
-            max_runs=max_runs,
-        )
-    except Exception as exc:  # noqa: BLE001 — the root fails, its siblings go on
-        return _unwalked(case, options, {
-            "kind": "worker-exception",
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(limit=8),
-        })
-    return result_to_dict(result)
+    """One root's summary: the dict of its one walk (a campaign cell)."""
+    return result_to_dict(explore_case(
+        case,
+        options,
+        stop_on_first_violation=stop_on_first_violation,
+        max_runs=max_runs,
+    ))
+
+
+def _unwalked(case: ExploreCase, options: ExploreOptions,
+              failure: JobFailure) -> Dict[str, Any]:
+    """The summary of a root whose cell failed: 0 runs, one incident."""
+    incident = {"kind": _INCIDENT_KINDS[failure.kind], "message": failure.message}
+    if failure.kind == "worker-crash":
+        incident["walks"] = failure.attempts
+    elif failure.kind == "exception":
+        incident.update(error_type=failure.error_type, traceback=failure.traceback)
+    return result_to_dict(
+        ExploreResult(case, options, complete=False, incidents=[incident])
+    )
 
 
 def run_frontier(
@@ -95,62 +78,43 @@ def run_frontier(
     Each summary, in root order, carries the ``frontier`` block of this
     call: ``workers`` (:func:`~repro.runner.pool.pool_size`),
     ``rewalks`` (children that died and had their root walked again),
-    ``lost`` (roots that ended with no walk, by a raise or past the
-    re-run limit) and ``wall_clock``.
+    ``lost`` (roots that ended with no walk) and ``wall_clock``.
 
-    ``cache`` takes the forms of :func:`repro.runner.config
-    .resolve_cache`, closed by the same rules: a root whose summary is
-    complete and has no incidents is put under its :func:`search_key`
-    (case, options, code salt), without the frontier block, and a later
-    run with the same cache serves it without walking it.
-
-    ``stop_on_first_violation`` and ``max_runs`` bound each root's walk.
+    ``cache`` is :meth:`Campaign.run <repro.runner.campaign.Campaign.run>`'s
+    (off by default): every summary that is not a failure is put under
+    its cell's key — the case, the whole ``options``, both bounds and
+    the code salt — without the frontier block, and a later run with
+    the same cache serves it without walking it.  A walk is
+    deterministic, so a root truncated by ``max_runs`` or
+    ``stop_on_first_violation`` is served only to a call with the same
+    bounds.
     """
-    from repro.runner.config import resolve_cache
-    from repro.runner.summary import FnSummary
-
-    workers = pool_size(workers)
-    # One empty summary per root for its walk to merge into.
-    bases = [result_to_dict(ExploreResult(case, options)) for case in roots]
-    keys = [search_key(base["case"], base["options"]) for base in bases]
-    cache, opened = resolve_cache(cache)
-    try:
-        hits = [None if cache is None else cache.get(key) for key in keys]
-        todo = [index for index, hit in enumerate(hits) if hit is None]
-        started = time.perf_counter()
-        outcomes = list(fork_imap(
-            lambda case: _walk(case, options, stop_on_first_violation, max_runs),
-            [roots[index] for index in todo],
-            workers,
-        ))
-        walked = []
-        for index, (summary, walks) in zip(todo, outcomes):
-            if isinstance(summary, Lost):
-                summary = _unwalked(roots[index], options, {
-                    "kind": "worker-lost",
-                    "walks": walks,
-                    "exitcode": summary.exitcode,
-                })
-            walked.append(summary)
-        block = {
-            "workers": workers,
-            "rewalks": sum(walks - 1 for _, walks in outcomes),
-            "lost": sum(1 for summary in walked if summary["incidents"]),
-            "wall_clock": round(time.perf_counter() - started, 3),
-        }
-        summaries = [None if hit is None else hit.value for hit in hits]
-        for index, summary in zip(todo, walked):
-            summary = merge_summaries(bases[index], [summary])
-            summaries[index] = summary
-            if (cache is not None and summary["complete"]
-                    and not summary["incidents"]):
-                cache.put(keys[index], FnSummary(keys[index], {}, summary))
-        for event in () if cache is None else cache.drain_events():
-            logger.warning("frontier cache: %s", event)
-        return [dict(summary, frontier=block) for summary in summaries]
-    finally:
-        if opened:
-            cache.close()
+    campaign = Campaign(
+        [
+            fn_spec(call(walk_root, case, options, stop_on_first_violation,
+                         max_runs))
+            for case in roots
+        ],
+        name="frontier",
+    )
+    result = campaign.run(workers=workers, cache=cache)
+    incidents = result.incidents
+    block = {
+        "workers": result.workers,
+        # Every run of a cell after its first followed a dead child.
+        "rewalks": sum(i["runs"] - 1 for i in incidents if i["kind"] == "rerun")
+        + sum(i["attempts"] - 1 for i in incidents if i["kind"] == "quarantined"),
+        "lost": len(result.failures),
+        "wall_clock": round(result.wall_clock, 3),
+    }
+    return [
+        dict(
+            _unwalked(case, options, summary)
+            if isinstance(summary, JobFailure) else summary.value,
+            frontier=block,
+        )
+        for case, summary in zip(roots, result.summaries)
+    ]
 
 
 def run_frontier_dynamic(

@@ -44,7 +44,7 @@ What goes in, and why:
 Anything the encoder cannot faithfully canonicalise marks the whole
 state *opaque*.  An opaque state's key starts with :data:`OPAQUE_MARK`
 and the search keeps such a state out of the visited set altogether —
-never looked up, never recorded, never reused by a later shard — so
+never looked up, never recorded — so
 unknown values can cause missed merges but never a wrong one: dedup
 degrades toward plain DFS, never toward unsoundness.
 
@@ -320,11 +320,10 @@ class FingerprintEngine:
     """Incremental, symmetry-aware dedup keys for one exploration.
 
     One engine serves one *root*: every system it is ever bound to
-    must be built from the same case.  Usually that is one
-    :func:`~repro.explore.engine.explore_case` call; a frontier worker
-    keeps the engine for every shard of the root it walks
-    (:class:`~repro.explore.engine.FingerprintSession`, which is what
-    checks the "same case").  :meth:`begin_run`
+    must be built from the same case.  That is one
+    :func:`~repro.explore.engine.explore_case` call, or several handed
+    one :class:`~repro.explore.engine.FingerprintSession` (a test-only
+    seam, which is what checks the "same case").  :meth:`begin_run`
     binds it to a newly built system and to the journal of the
     controller driving it, :meth:`fingerprint` produces the dedup key
     at the start of each tick, and :meth:`rewound` tells it that the
@@ -407,10 +406,8 @@ class FingerprintEngine:
     **Opacity.** When any encoded value is opaque the key carries
     :data:`OPAQUE_MARK` and the caller keeps the state out of its
     visited set.  Nothing is done to make the rest of the key unique:
-    a per-engine serial cannot be, once several engines (shards,
-    workers) feed one visited set, and a key that is never looked up
-    does not need to be.  The ``explore_opaque_tokens`` counter makes
-    the degradation visible.
+    a key that is never looked up does not need to be.  The
+    ``explore_opaque_tokens`` counter makes the degradation visible.
     """
 
     MODES = ("incremental", "naive")

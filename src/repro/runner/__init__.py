@@ -44,7 +44,6 @@ from repro.runner.config import configure, reset as reset_config
 from repro.runner.executor import (
     JobTimeout,
     PoolExecutor,
-    SerialExecutor,
     default_worker_count,
     execute_job_guarded,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "configure",
     "reset_config",
     "PoolExecutor",
-    "SerialExecutor",
     "default_worker_count",
     "canonical",
     "fingerprint",

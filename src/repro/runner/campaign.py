@@ -37,10 +37,10 @@ logger = logging.getLogger("repro.runner")
 class CampaignResult:
     """Ordered summaries plus execution accounting.
 
-    ``incidents`` records what the executor had to report (a job
-    quarantined after its child kept dying, a timeout that could not
-    fire) and ``cache_events`` every corrupt cache entry discarded; both
-    empty on a clean run.
+    ``incidents`` records what the executor had to report (a job run
+    again after its child died, a job quarantined after its child kept
+    dying, a timeout that could not fire) and ``cache_events`` every
+    corrupt cache entry discarded; both empty on a clean run.
     """
 
     def __init__(
@@ -222,8 +222,8 @@ class Campaign:
                 hits=hits,
                 executed=len(executed),
                 wall_clock=time.perf_counter() - started,
-                workers=getattr(executor, "workers", 1),
-                incidents=list(getattr(executor, "incidents", [])),
+                workers=executor.workers,
+                incidents=executor.incidents,
                 cache_events=store.drain_events() if store is not None else [],
             )
             if result.cache_corruption:

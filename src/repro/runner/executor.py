@@ -14,8 +14,10 @@ Hardening contract (the chaos harness leans on this):
   the jobs run unbounded and ``map`` records a ``"timeout-unavailable"``
   incident;
 * a job that *kills its child* (``os._exit``, segfault, OOM) is run
-  again, up to :data:`~repro.runner.pool.RERUN_LIMIT` times, and is then
-  a ``"worker-crash"`` failure with a ``"quarantined"`` incident.
+  again, up to :data:`~repro.runner.pool.RERUN_LIMIT` times: a re-run
+  that returns files a ``"rerun"`` incident (``runs``: the children
+  that ran it), and a job whose every child died is a ``"worker-crash"``
+  failure with a ``"quarantined"`` incident.
 """
 
 from __future__ import annotations
@@ -144,16 +146,13 @@ class PoolExecutor:
                 )
             elif children > 1:
                 outcome = pickle.loads(outcome)
+                if runs > 1:
+                    self.incidents.append(
+                        {"kind": "rerun", "key": job.fingerprint(), "runs": runs}
+                    )
             results.append(outcome)
         return results
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialExecutor(PoolExecutor):
-    """Run every job in this process, in order."""
-
-    def __init__(self) -> None:
-        super().__init__(1)
 

@@ -3,9 +3,9 @@
 :func:`fork_imap` runs ``fn(item)`` for every item in at most ``k``
 children forked from the caller, each handed the next item in item
 order when it is free, and yields the results in item order.  Campaigns
-(:class:`~repro.runner.executor.PoolExecutor`), the explorer's frontier
-(:func:`repro.explore.frontierd.run_frontier`) and the experiments CLI
-all run on it, and nothing else forks.
+(:class:`~repro.runner.executor.PoolExecutor`; the explorer's frontier,
+:func:`repro.explore.frontierd.run_frontier`, is one) and the
+experiments CLI run on it, and nothing else forks.
 
 On one host a child's exit is a *perfect* failure detector: the pipe of
 a dead child reaches end of file at once, so nothing expires and nothing

@@ -58,7 +58,7 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     Work executed a second time: process steps re-fed to rebuilt hosts
     by local replay, plus prefix choices consumed again inside the
     divergence tick (for a run that builds its system — the first of a
-    root or shard — every prefix choice).  The measurable redundancy
+    root — every prefix choice).  The measurable redundancy
     left in the search (see ``docs/EXPLORER.md``).
 ``explore_steps_executed`` / ``explore_steps_served``
     The explorer's fresh ticks, split: steps in which a host object ran
@@ -92,9 +92,6 @@ Counter semantics (see ``docs/PERF.md`` for the full story):
     Fingerprints poisoned by an unencodable value: each one gets a
     never-matching token, so dedup silently degrades toward plain DFS.
     Nonzero values here explain a low dedup-hit rate.
-``explore_shards``
-    Shards completed by the frontier (:mod:`repro.explore.frontierd`
-    walks whole roots: one per root walked).
 """
 
 from __future__ import annotations
@@ -130,7 +127,6 @@ FIELDS = (
     "explore_fp_message_hits",
     "explore_fp_message_misses",
     "explore_opaque_tokens",
-    "explore_shards",
 )
 
 

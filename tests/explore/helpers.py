@@ -1,16 +1,21 @@
 """Shared pieces of the explorer tests.
 
-``split_roots`` cuts a root into shards with the two ``explore_case``
-arguments made for it (``choice_limit`` + ``shard_roots``).
+``prefixes`` names interior points of a root's tree, the paths a plain
+walk takes cut to a length, for the oracles that start a walk mid-tree
+(``explore_case``'s ``initial_stack``).
 ``explore_case_dynamic`` runs one case through the frontier and hands
-back an ``ExploreResult``, the shape the serial walk is compared in.  ``toy_target`` registers a one-component target
-built to break a weaker key or a weaker table.  ``NETWORKS`` names the
+back an ``ExploreResult``, the shape the serial walk is compared in.
+``toy_target`` registers a one-component target built to break a weaker
+key or a weaker table.  ``NETWORKS`` names the
 production buffer and its oracle for the suites that run on both: no
 option selects a network, so they swap the class ``System`` constructs
 (``with network_implementation(NETWORKS[name]):``) around a serial walk.
 """
 
+from unittest import mock
+
 from repro.chaos.targets import TARGETS, Target
+from repro.explore import engine
 from repro.explore import (
     ExploreCase,
     ExploreOptions,
@@ -82,13 +87,20 @@ def explore_case_dynamic(case, options=ExploreOptions(), **fleet):
     return result
 
 
-def split_roots(case, choice_limit, options=ExploreOptions(), visited=None):
-    """Judge the leaves shallower than ``choice_limit`` choices; returns
-    ``(shallow result, halted prefixes)`` — the prefixes are the shard
-    roots that cover the rest of the tree."""
-    roots = []
-    shallow = explore_case(
-        case, options, choice_limit=choice_limit, shard_roots=roots,
-        visited=visited,
-    )
-    return shallow, roots
+
+def prefixes(case, length, options=ExploreOptions()):
+    """The distinct ``length``-choice prefixes of the paths a plain walk
+    of ``case`` takes, in the order the walk first takes them."""
+    seen = {}
+    real_run = engine._LiveSystem.run
+
+    def recording_run(live, prefix):
+        trace = real_run(live, prefix)
+        taken = tuple(point.chosen for point in live.controller.log)
+        if len(taken) >= length:
+            seen.setdefault(taken[:length], None)
+        return trace
+
+    with mock.patch.object(engine._LiveSystem, "run", recording_run):
+        explore_case(case, options)
+    return list(seen)

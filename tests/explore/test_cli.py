@@ -160,18 +160,24 @@ def test_removed_choices_are_argparse_errors(flag, value, capsys):
         (["--workers", "-1"], "workers=-1: need 1 or more"),
         (["--procs", "0"], "n=0: a system needs 1 or more processes"),
         (["--depth", "0"], "depth must be >= 1"),
+        (["--max-runs", "0"], "max-runs=0: need 1 or more"),
+        (["--max-runs", "-1"], "max-runs=-1: need 1 or more"),
+        (["--crashes", "-1"], "crashes=-1: need 0 or more"),
     ],
 )
 def test_nonsense_input_is_a_usage_error(
     argv, message, tmp_path, monkeypatch, capsys
 ):
     # Not a verdict: `--procs 0` used to print "ok" over an empty
-    # search, and `--depth 0` to exit 1 with a traceback.
+    # search, `--max-runs 0` "ok (truncated)" over no walk, `--crashes
+    # -1` to mean 0, and `--depth 0` to exit 1 with a traceback.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main(["--target", "nbac", "--cache", str(tmp_path / "d")] + argv)
     assert exit_info.value.code == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []  # refused before any work
 
 
@@ -217,6 +223,23 @@ def test_a_cached_run_prints_its_own_frontier_line(tmp_path, capsys):
         lines.append(line)
     assert lines[0].startswith("  frontier: workers=2 rewalks=0 lost=0 ")
     assert lines[1].startswith("  frontier: workers=1 rewalks=0 lost=0 ")
+
+
+def test_a_frontier_is_an_audited_campaign(tmp_path, capsys):
+    # Each run files a campaign row; the second is served whole.
+    from repro.store.__main__ import main as store_main
+
+    db = str(tmp_path / "d")
+    for _ in range(2):
+        assert main(["--target", "qc", "--depth", "3", "--cache", db]) == 0
+    capsys.readouterr()
+    assert store_main(["--db", db, "summarise"]) == 0
+    out = capsys.readouterr().out
+    assert "campaigns: 2 recorded, 1 fully cached re-run(s) (executed 0 cells)" in out
+    rows = [line for line in out.splitlines() if " frontier: " in line]
+    assert len(rows) == 2
+    assert "6 cells, 0 hits, 6 executed" in rows[0]
+    assert "6 cells, 6 hits, 0 executed" in rows[1]
 
 
 @pytest.mark.parametrize(

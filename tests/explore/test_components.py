@@ -97,9 +97,8 @@ class TestSanitize:
         assert first == second
         # ...and an opaque state says so in its key.  The mark is what
         # keeps it from merging: the search holds marked keys out of the
-        # visited set (test_lineage_cache.py walks two shards over one
-        # set), since nothing an engine could append to the key is
-        # unique across the engines of a sharded walk.
+        # visited set (test_lineage_cache.py walks two prefixes over
+        # one set) rather than make them unique.
         assert first[0] != OPAQUE_MARK
         system.hosts[0].components["qc"].widget = object()
         first, second = keys_at_two_ticks()

@@ -9,7 +9,9 @@
   while its siblings finish; a walk that raises ends its root the same
   way with a ``worker-exception`` incident.  No child outlives the call.
 * **Bounds and refusals** — stop-on-first, max-runs and the cache act
-  per root; a negative fleet, and a fleet without ``fork``, are refused.
+  per root, and a cached root is served only under the bounds it was
+  walked with; a negative fleet, and a fleet without ``fork``, are
+  refused.
 * **Forked** — children walk what the caller registered or swapped in.
 """
 
@@ -31,7 +33,6 @@ from repro.explore import frontierd
 from repro.explore.__main__ import main
 from repro.explore.frontierd import run_frontier
 from repro.runner.pool import RERUN_LIMIT as REWALK_LIMIT
-from tests.explore.helpers import explore_case_dynamic
 from tests.explore.helpers import violation_set as _violation_set
 from tests.explore.helpers import without_frontier_block
 
@@ -120,7 +121,7 @@ class TestRecovery:
         (incident,) = lost["incidents"]
         assert incident["kind"] == "worker-lost"
         assert incident["walks"] == REWALK_LIMIT + 1
-        assert incident["exitcode"] == -signal.SIGKILL
+        assert f"last exit code {-signal.SIGKILL}" in incident["message"]
         siblings = summaries[:2] + summaries[3:]
         _assert_serial_walks(siblings, roots[:2] + roots[3:])
         assert all(s["complete"] for s in siblings)
@@ -194,7 +195,8 @@ class TestRunBounds:
         cache = tmp_path / "cache"
         first = run_frontier(ROOTS, workers=2, cache=cache)
         assert all(s["complete"] for s in first)
-        # A truncated root is not put: a later run walks it again.
+        # A truncated root is put under its bound: a walk is
+        # deterministic, so the same bound gets the same summary.
         (truncated,) = run_frontier(
             [CASE.with_(depth=5)], workers=2, cache=cache, max_runs=1
         )
@@ -205,8 +207,17 @@ class TestRunBounds:
         assert without_frontier_block(served) == without_frontier_block(first)
         # The frontier block is the serving call's, not the walking one's.
         assert [s["frontier"]["workers"] for s in served] == [1, 1]
-        (again,) = run_frontier([CASE.with_(depth=5)], workers=1, cache=cache)
-        assert again["incidents"][0]["message"] == "re-explored"
+        (same,) = run_frontier(
+            [CASE.with_(depth=5)], workers=1, cache=cache, max_runs=1
+        )
+        assert without_frontier_block([same]) == without_frontier_block([truncated])
+        # Another bound is another search: it is walked again.
+        for bounds in ({}, {"max_runs": 2}, {"max_runs": 1,
+                                              "stop_on_first_violation": True}):
+            (again,) = run_frontier(
+                [CASE.with_(depth=5)], workers=1, cache=cache, **bounds
+            )
+            assert again["incidents"][0]["message"] == "re-explored"
 
     def test_a_negative_fleet_is_refused(self, monkeypatch):
         monkeypatch.setattr(frontierd, "explore_case", _raise_re_explored)
@@ -228,15 +239,36 @@ class TestQuarantine:
         # root has a summary with nothing walked in it, not an exception.
         monkeypatch.setattr(frontierd, "explore_case", _poisoned)
         for workers in (1, 2):
-            (summary,) = run_frontier([CASE], workers=workers)
-            assert summary["complete"] is False
-            assert summary["stats"]["runs"] == 0
-            (incident,) = summary["incidents"]
-            assert incident["kind"] == "worker-exception"
-            assert incident["error_type"] == "RuntimeError"
-            assert incident["message"] == "poisoned walk"
-            block = summary["frontier"]
-            assert block["rewalks"] == 0 and block["lost"] == 1
+            summaries = run_frontier(ROOTS, workers=workers)
+            for summary in summaries:
+                assert summary["complete"] is False
+                assert summary["stats"]["runs"] == 0
+                (incident,) = summary["incidents"]
+                assert incident["kind"] == "worker-exception"
+                assert incident["error_type"] == "RuntimeError"
+                assert incident["message"] == "poisoned walk"
+                assert "_poisoned" in incident["traceback"]
+            block = summaries[0]["frontier"]
+            assert block["rewalks"] == 0 and block["lost"] == len(ROOTS)
+
+    def test_a_walk_past_the_runner_timeout_loses_its_root(self, monkeypatch):
+        # REPRO_RUNNER_TIMEOUT bounds each root, as it bounds every
+        # campaign cell, in this process and in a child alike.
+        monkeypatch.setenv("REPRO_RUNNER_TIMEOUT", "0.2")
+        monkeypatch.setattr(frontierd, "explore_case", _sleepy)
+        for workers in (1, 2):
+            summaries = run_frontier(ROOTS, workers=workers)
+            for summary in summaries:
+                assert summary["complete"] is False
+                assert summary["stats"]["runs"] == 0
+                (incident,) = summary["incidents"]
+                assert incident["kind"] == "timeout"
+                assert "0.2s wall-clock budget" in incident["message"]
+            assert summaries[0]["frontier"]["lost"] == len(ROOTS)
+
+
+def _sleepy(*args, **kwargs):
+    time.sleep(600)
 
 
 class TestForkedFleet:
@@ -254,12 +286,15 @@ class TestForkedFleet:
             target="callerhasty",
             assignment=default_assignment("hastycommit", CASE.n),
         )
-        (summary,) = run_frontier([case], workers=2)
-        assert summary["frontier"]["workers"] == 2
-        assert summary["complete"] is True
-        assert summary["incidents"] == []
-        assert summary["violations"]
-        _assert_equivalent(result_from_summary(summary), explore_case(case))
+        # Two roots, so that two children walk them.
+        roots = [case, case.with_(seed=0)]
+        summaries = run_frontier(roots, workers=2)
+        assert summaries[0]["frontier"]["workers"] == 2
+        for summary, root in zip(summaries, roots):
+            assert summary["complete"] is True
+            assert summary["incidents"] == []
+            _assert_equivalent(result_from_summary(summary), explore_case(root))
+        assert summaries[0]["violations"]
 
     def test_a_fleet_needs_fork(self, monkeypatch):
         real_context = multiprocessing.get_context
@@ -286,11 +321,12 @@ class TestForkedFleet:
         from repro.sim.system import network_implementation
 
         with network_implementation(_RefusedNetwork):
-            dynamic = explore_case_dynamic(CASE, workers=2)
-        assert dynamic.complete is False
-        (incident,) = dynamic.incidents
-        assert incident["kind"] == "worker-exception"
-        assert incident["message"] == _RefusedNetwork.MESSAGE
+            summaries = run_frontier(ROOTS, workers=2)  # two children
+        for summary in summaries:
+            assert summary["complete"] is False
+            (incident,) = summary["incidents"]
+            assert incident["kind"] == "worker-exception"
+            assert incident["message"] == _RefusedNetwork.MESSAGE
 
 
 class _RefusedNetwork:

@@ -9,10 +9,10 @@ read.  The whole-search check (digest logs equal
 to the cache-free ``naive`` engine's) lives in
 ``test_fingerprint_equivalence.py`` and the per-fingerprint
 cached-vs-fresh check in ``test_rewind_oracle.py``; this module holds
-the cases built to break a weaker key, the guards, the counters, and
-the engine that outlives a walk: a frontier worker's warm session over
-the shards of one root, and the opaque states that several engines
-feeding one visited set must keep out of it.
+the cases built to break a weaker key, the guards, the counters, the
+engine that outlives a walk (a warm session, a test-only seam, must be
+invisible but for the encodes it saves), and the opaque states that
+must stay out of the visited set that every prefix of a walk shares.
 """
 
 import collections
@@ -25,17 +25,15 @@ from repro.explore import (
     ExploreOptions,
     enumerate_roots,
     explore_case,
-    merge_summaries,
     run_controlled,
 )
 from repro.explore import engine as engine_mod
 from repro.explore.cases import resolve_parts
 from repro.explore.engine import FingerprintSession
-from repro.explore.frontier import result_to_dict
 from repro.explore.state import _POISONED, OPAQUE_MARK, FingerprintEngine
 from repro.sim.perf import PerfCounters
 from repro.sim.process import Component
-from tests.explore.helpers import split_roots, toy_target
+from tests.explore.helpers import prefixes, toy_target
 from tests.explore.test_clock_independence import clock_readers
 
 MODES = ["naive", "incremental"]
@@ -338,11 +336,11 @@ def hoarder_factory():
 
 
 def test_opaque_states_stay_out_of_a_visited_set_shards_share(monkeypatch):
-    """Two shards, one engine each, one visited set — a worker's batch.
-    After both arrivals process 0 holds ``[1, 2]`` in one shard and
-    ``[2, 1]`` in the other, at the same tick, and the encoder cannot
-    tell: keyed into the shared set, the second shard halts on the
-    first one's footprint and its decision is never seen."""
+    """Two prefixes of one walk, one visited set between them.  After
+    both arrivals process 0 holds ``[1, 2]`` under one prefix and
+    ``[2, 1]`` under the other, at the same tick, and the encoder cannot
+    tell: keyed into the walk's set, the second prefix would halt on the
+    first one's footprint and its decision would never be seen."""
     make = toy_target(monkeypatch, "hoard", hoarder_factory)
     try:
         case = make(n=3, depth=5)
@@ -352,7 +350,7 @@ def test_opaque_states_stay_out_of_a_visited_set_shards_share(monkeypatch):
         assert serial.states == serial.counters.explore_opaque_tokens > 0
 
         first, second = (1, 0, 0, 2), (1, 2, 0, 0)
-        _, roots = split_roots(case, choice_limit=4)
+        roots = prefixes(case, 4)
         assert first in roots and second in roots
         alone = [
             explore_case(case, initial_stack=[root]).decision_vectors
@@ -360,20 +358,14 @@ def test_opaque_states_stay_out_of_a_visited_set_shards_share(monkeypatch):
         ]
         assert alone[0] != alone[1]
 
-        visited = {}
         log = []
-        shared = [
-            explore_case(
-                case, initial_stack=[root], visited=visited, digest_log=log
-            )
-            for root in (first, second)
-        ]
-        assert [r.decision_vectors for r in shared] == alone
-        assert [r.dedup_hits for r in shared] == [0, 0]
-        assert all(r.states > 0 for r in shared)  # still counted
+        both = explore_case(
+            case, initial_stack=[second, first], digest_log=log  # popped from the end
+        )
+        assert both.decision_vectors == alone[0] | alone[1]
+        assert both.dedup_hits == 0
+        assert both.states > 0  # still counted
         assert log and all(key[0] == OPAQUE_MARK for key in log)
-        # ...and nothing to look up, here or in a later batch.
-        assert visited == {}
     finally:
         resolve_parts.cache_clear()
 
@@ -442,21 +434,7 @@ def test_local_states_are_encoded_once_per_root():
     assert totals.explore_opaque_tokens == 0
 
 
-def test_new_counters_survive_a_shard_merge():
-    case = ExploreCase(target="nbac", n=2, depth=5)
-    summary = result_to_dict(explore_case(case))
-    one = summary["counters"]
-    assert one["explore_fp_lineages"] > 0 and one["explore_fp_message_misses"] > 0
-    merged = merge_summaries(summary, [summary])["counters"]
-    for name in (
-        "explore_fp_lineages",
-        "explore_fp_message_hits",
-        "explore_fp_message_misses",
-    ):
-        assert merged[name] == 2 * one[name]
-
-
-# -- one engine for every shard of a root ------------------------------------
+# -- one engine for several walks of a root -----------------------------------
 
 PAXOS_SCRIPT = (("script", ("os", 0, (0, 1, 2)), ("os", 1, (0, 1, 2))),) * 3
 
@@ -484,23 +462,20 @@ PAXOS_SCRIPT = (("script", ("os", 0, (0, 1, 2)), ("os", 1, (0, 1, 2))),) * 3
     ],
 )
 def test_warm_session_is_invisible_but_for_the_misses(case, options):
-    """The shards of a root walked the way a frontier worker walks a
-    batch — one shared visited set — once with a fresh engine per shard
-    and once on one session: the same keys in the same order, the same
-    search, fewer host encodes."""
+    """Walks of a root from several of its interior prefixes, once with
+    a fresh engine per walk and once on one session: the same keys in
+    the same order, the same search, fewer host encodes."""
     options = ExploreOptions(**options)
-    _, roots = split_roots(case, 3, options)
+    roots = prefixes(case, 3, options)
     assert len(roots) > 2
 
     def walk(session):
-        visited = {}
         log, misses, counts = [], 0, []
         for root in roots:
             result = explore_case(
                 case,
                 options,
                 initial_stack=[root],
-                visited=visited,
                 digest_log=log,
                 session=session,
             )

@@ -47,7 +47,7 @@ from repro.explore.cases import resolve_parts
 from repro.explore.state import FingerprintEngine, StepEffects, _Encoder
 from repro.sim.process import Component
 from repro.sim.system import network_implementation
-from tests.explore.helpers import NETWORKS, toy_target
+from tests.explore.helpers import NETWORKS, prefixes, toy_target
 
 
 def _naive_fingerprint(system, controller, case):
@@ -305,16 +305,13 @@ def test_reductions_off(por, dedup):
     depth=st.integers(3, 5),
     seed=st.integers(0, 3),
     crash=st.one_of(st.none(), st.tuples(st.integers(0, 1), st.integers(1, 4))),
-    choice_limit=st.one_of(st.none(), st.integers(2, 7)),
     split_at=st.integers(2, 5),
     data=st.data(),
 )
-def test_rewind_matches_scratch_replay(
-    target, depth, seed, crash, choice_limit, split_at, data
-):
-    """Random cases, random shard roots as ``initial_stack`` (several
-    roots in one walk: rewinds to tick 1, roots that share a prefix and
-    roots that share nothing), random ``choice_limit``."""
+def test_rewind_matches_scratch_replay(target, depth, seed, crash, split_at, data):
+    """Random cases, random interior prefixes as ``initial_stack``
+    (several in one walk: rewinds to tick 1, prefixes that share a
+    stretch and prefixes that share nothing)."""
     case = ExploreCase(
         target=target,
         n=2,
@@ -322,17 +319,14 @@ def test_rewind_matches_scratch_replay(
         seed=seed,
         crashes=(crash,) if crash is not None else (),
     )
-    roots = []
-    explore_case(case, choice_limit=split_at, shard_roots=roots)
+    roots = prefixes(case, split_at)
     stack = None
     if roots:
         stack = data.draw(
             st.lists(st.sampled_from(roots), max_size=4, unique=True)
         ) or None
     with rewind_oracle() as seen:
-        result = explore_case(
-            case, initial_stack=stack, choice_limit=choice_limit
-        )
+        result = explore_case(case, initial_stack=stack)
     assert seen["runs"] == result.runs
 
 

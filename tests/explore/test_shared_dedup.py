@@ -1,56 +1,53 @@
-"""A visited set handed from walk to walk recovers single-process coverage.
+"""A walk shares nothing with another walk but its cell's cache entry.
 
-Shards walked with isolated visited sets re-explore states across the
-shard boundary.  ``explore_case`` takes a ``visited`` set read and
-written in place, so shards of one root walked one after another on the
-same set dedup against each other.  With *sequential* shards the
-recovery is exact — every state a shard records is visible to every
-later shard, so the summed ``states`` (which counts only newly recorded
-states) can never exceed the single-process walk's.  Pinned on the real
-n=3 NBAC frontier case plus cheaper cases for the mechanics.  The
-frontier itself walks every root whole, and a re-run shares nothing
-with the run before it.
+Each root is one :func:`~repro.explore.frontierd.walk_root` cell of the
+frontier's campaign, walked on its own visited set.  What may be served
+instead of a walk is what the cell key names: the case, every field of
+``ExploreOptions``, both run bounds (and the code salt the store adds),
+so two searches that could differ never share a key.  Without a cache
+a re-run is a whole new search.
 """
 
 import dataclasses
 
-import pytest
+from repro.explore import ExploreCase, ExploreOptions, run_frontier
+from repro.runner.summary import FnSummary
+from tests.explore.helpers import explore_case_dynamic
 
-from repro.explore import (
-    ExploreCase,
-    ExploreOptions,
-    explore_case,
-    merge_summaries,
-    result_from_summary,
-)
-from repro.explore.frontier import result_to_dict
-from repro.explore.frontierd import search_key
-from tests.explore.helpers import explore_case_dynamic, split_roots
-from tests.explore.helpers import violation_set as _violation_set
+
+class _KeyedCache:
+    """Serves every cell an empty summary and keeps the key it asked for."""
+
+    def __init__(self):
+        self.keys = []
+
+    def get(self, key):
+        self.keys.append(key)
+        return FnSummary(key, {}, {})
+
+    def drain_events(self):
+        return []
+
+
+def cell_key(case, options=ExploreOptions(), **bounds):
+    """The cache key ``run_frontier`` gives ``case``'s cell."""
+    cache = _KeyedCache()
+    run_frontier([case], options, cache=cache, **bounds)
+    (key,) = cache.keys
+    return key
 
 
 class TestExchangeMechanics:
-    """States pass from walk to walk only through a handed-in dict."""
-
-    def test_seeded_visited_set_halts_the_walk(self):
-        case = ExploreCase(target="nbac", n=2, depth=5)
-        visited = {}
-        first = explore_case(case, visited=visited)
-        assert first.states > 0 and visited
-        # A second walk of the same tree on the first one's states
-        # re-records nothing.
-        second = explore_case(case, visited=dict(visited))
-        assert second.states == 0
-        assert second.decision_vectors == first.decision_vectors
-
     def test_scope_covers_fingerprint_shaping_options(self):
         # Every field of ExploreOptions is in the key — iterated, so a
-        # field added later cannot be forgotten.
-        case_dict = {"target": "nbac"}
+        # field added later cannot be forgotten — and so are the bounds.
+        case = ExploreCase(target="nbac", n=2, depth=4)
         base = ExploreOptions()
-        scope = search_key(case_dict, dataclasses.asdict(base))
-        assert scope == search_key(case_dict, dataclasses.asdict(base))
-        assert scope != search_key({"target": "ct"}, dataclasses.asdict(base))
+        scope = cell_key(case, base)
+        assert scope == cell_key(case, base)
+        assert scope != cell_key(case.with_(target="ct"), base)
+        assert scope != cell_key(case, base, max_runs=1)
+        assert scope != cell_key(case, base, stop_on_first_violation=True)
         flipped = {
             "por": False,
             "dedup": False,
@@ -61,56 +58,7 @@ class TestExchangeMechanics:
         assert sorted(fields) == sorted(flipped), "a new option needs a flip here"
         for name in fields:
             other = dataclasses.replace(base, **{name: flipped[name]})
-            assert scope != search_key(case_dict, dataclasses.asdict(other)), name
-
-
-def _walk_shards_sequentially(case, choice_limit):
-    """Pre-split ``case`` and walk its shards one after another, each on
-    the states of the split and of every shard walked before it."""
-    visited = {}
-    shallow, roots = split_roots(case, choice_limit, visited=visited)
-    shards = [
-        result_to_dict(explore_case(case, initial_stack=[root], visited=visited))
-        for root in roots
-    ]
-    return result_from_summary(merge_summaries(result_to_dict(shallow), shards))
-
-
-class TestSequentialShardsExactRecovery:
-    @pytest.mark.parametrize(
-        "case,choice_limit",
-        [
-            (ExploreCase(target="ct", n=2, depth=7,
-                         assignment=(("susp", (1,)), ("susp", (0,)))), 6),
-            (ExploreCase(target="hastycommit", n=2, depth=6, seed=1), 4),
-        ],
-        ids=["ct", "hastycommit-seed1"],
-    )
-    def test_states_never_exceed_single_process(self, case, choice_limit):
-        single = explore_case(case)
-        shared = _walk_shards_sequentially(case, choice_limit)
-        assert shared.decision_vectors == single.decision_vectors
-        assert _violation_set(shared) == _violation_set(single)
-        assert shared.complete == single.complete
-        assert shared.states <= single.states
-
-    def test_nbac_n3_frontier_case(self):
-        # The acceptance case: the deep n=3 NBAC tree, depth 6.
-        case = ExploreCase(target="nbac", n=3, depth=6)
-        single = explore_case(case)
-        shared = _walk_shards_sequentially(case, 4)
-        shallow, roots = split_roots(case, choice_limit=4)
-        isolated = [shallow] + [
-            explore_case(case, initial_stack=[root]) for root in roots
-        ]
-        assert shared.counters.explore_shards == len(roots) > 0
-        assert shared.decision_vectors == single.decision_vectors
-        assert shared.complete and single.complete
-        assert shared.states <= single.states
-        # Reusing earlier shards' states strictly beats isolated visited
-        # sets here — the ~30% inflation the reuse exists to recover.
-        assert shared.states < sum(r.states for r in isolated)
-        assert shared.runs <= sum(r.runs for r in isolated)
+            assert scope != cell_key(case, other), name
 
 
 class TestStoreReuse:

@@ -33,7 +33,7 @@ from repro.explore.engine import FingerprintSession
 from repro.explore.state import FingerprintEngine, StepEffects
 from repro.registers.linearizability import check_linearizable
 from repro.sim.process import Component
-from tests.explore.helpers import split_roots, toy_target, violation_set
+from tests.explore.helpers import prefixes, toy_target, violation_set
 
 MODES = ["naive", "incremental"]
 
@@ -277,7 +277,7 @@ def test_an_opaque_detector_value_is_executed_every_time(monkeypatch):
 
 def test_a_warm_table_serves_a_new_system_until_its_first_unseen_step():
     case = ExploreCase(target="paxos", n=3, depth=5)
-    _, roots = split_roots(case, choice_limit=4)
+    roots = prefixes(case, 4)
     root = roots[len(roots) // 2]
 
     cold, cold_log, cold_leaves = walk(case, initial_stack=[root])
@@ -295,19 +295,20 @@ def test_a_warm_table_serves_a_new_system_until_its_first_unseen_step():
         cold.counters.explore_steps_executed + cold.counters.explore_steps_served
     )
 
-    # The shallow walk that cut the shards executed every tick of every
-    # shard root, and nothing below: a shard's first run is served to
-    # the end of its prefix.
+    # One path seen: a new system on a sibling path is served every
+    # tick before the one where the two paths part.
+    seen, sibling = next(
+        (a, b) for a in roots for b in roots if a[:3] == b[:3] and a != b
+    )
     session = FingerprintSession()
-    split_walk = explore_case(case, choice_limit=4, session=session)
-    assert split_walk.counters.explore_steps_executed > 0
+    walk(case, initial_stack=[seen], max_runs=1, session=session)
     first, _, (leaf,) = walk(
-        case, initial_stack=[root], max_runs=1, session=session
+        case, initial_stack=[sibling], max_runs=1, session=session
     )
     _, times, (_, total_ticks, _), *_ = leaf
-    prefix_ticks = times[len(root) - 1]
+    shared_ticks = times[3] - 1
     counters = first.counters
-    assert counters.explore_steps_served >= prefix_ticks > 0
+    assert counters.explore_steps_served >= shared_ticks > 0
     assert counters.explore_steps_executed == total_ticks - counters.explore_steps_served
 
 

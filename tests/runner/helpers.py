@@ -54,6 +54,18 @@ def fn_hard_exit(x):
     os._exit(17)
 
 
+def fn_die_once(x, marker):
+    """SIGKILL the worker the first time (leaving ``marker`` behind),
+    then return ``x * x`` like :func:`fn_square`."""
+    import os
+    import signal
+
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
 def fn_sleep(x, duration):
     import time
 

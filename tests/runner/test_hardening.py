@@ -23,7 +23,6 @@ from repro.runner.config import (
 from repro.runner.executor import (
     JobTimeout,
     PoolExecutor,
-    SerialExecutor,
     execute_job_guarded,
 )
 from repro.runner.pool import RERUN_LIMIT
@@ -32,6 +31,7 @@ from repro.store import ResultStore, StoreResultCache
 
 from tests.runner.helpers import (
     consensus_spec,
+    fn_die_once,
     fn_hard_exit,
     fn_raise,
     fn_sleep,
@@ -212,6 +212,21 @@ class TestWorkerCrashRecovery:
             {"kind": "quarantined", "key": crash.key, "attempts": crash.attempts}
         ]
 
+    def test_a_cell_rerun_after_its_child_died_is_an_incident(self, tmp_path):
+        marker = str(tmp_path / "killed")
+        jobs = square_jobs(3) + [fn_spec(call(fn_die_once, 5, marker))]
+        result = Campaign(jobs).run(workers=2)
+        assert os.path.exists(marker)  # its first child did die
+        clean = Campaign(jobs).run(workers=1)  # the marker is left: no death
+        assert [s.stable_digest() for s in result.summaries] == [
+            s.stable_digest() for s in clean.summaries
+        ]
+        assert result.summaries[3].value == 25
+        assert result.incidents == [
+            {"kind": "rerun", "key": jobs[3].fingerprint(), "runs": 2}
+        ]
+        assert clean.incidents == []
+
     def test_surviving_results_match_clean_serial_rerun(self):
         """After crash recovery, every surviving summary is
         byte-identical to what an undisturbed serial run produces."""
@@ -290,7 +305,7 @@ class TestCacheIntegrity:
 
 class TestSerialExecutorSurface:
     def test_serial_executor_has_incident_channel(self):
-        executor = SerialExecutor()
+        executor = PoolExecutor(1)
         assert executor.incidents == []
         results = executor.map(square_jobs(2))
         assert [r.value for r in results] == [0, 1]
