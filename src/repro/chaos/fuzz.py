@@ -51,7 +51,8 @@ from repro.chaos.targets import (
 )
 from repro.core.environment import FCrashEnvironment
 from repro.runner import Campaign, JobFailure
-from repro.runner.config import resolve_workers
+from repro.runner.config import resolve_timeout, resolve_workers
+from repro.runner.pool import pool_size
 from repro.sim.rng import RngStreams
 
 
@@ -344,10 +345,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ):
         if value < 1:
             parser.error(f"{flag} {value}: need 1 or more")
-    if args.timeout is not None and args.timeout < 0:
-        parser.error(f"--timeout {args.timeout}: need 0 (no limit) or more")
     try:
         jobs = resolve_workers(args.jobs)
+        # refused here, not mid-campaign
+        pool_size(jobs, resolve_timeout(args.timeout))
     except ValueError as refusal:
         parser.error(str(refusal))
 

@@ -36,7 +36,7 @@ import time
 
 from repro.experiments.common import all_experiments
 from repro.runner import profile
-from repro.runner.config import configured, resolve_workers
+from repro.runner.config import configured, resolve_timeout, resolve_workers
 from repro.runner.pool import Lost, can_fork, fork_imap, pool_size
 
 
@@ -110,7 +110,9 @@ def main(argv=None) -> int:
         workers = resolve_workers(args.jobs)
         if workers is None:  # every core, where children can be forked
             workers = 0 if can_fork() else 1
-        workers = pool_size(workers)
+        # The campaigns inside read REPRO_RUNNER_TIMEOUT; a bad one is
+        # refused here, not in the middle of the sweep.
+        workers = pool_size(workers, resolve_timeout())
     except ValueError as refusal:
         parser.error(str(refusal))
     if args.profile:

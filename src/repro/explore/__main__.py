@@ -65,6 +65,7 @@ from repro.explore.frontier import (
 )
 from repro.explore.frontierd import run_frontier
 from repro.explore.symmetry import collapse_symmetric_roots
+from repro.runner.config import resolve_timeout
 from repro.runner.pool import pool_size
 
 
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
             raise ValueError(f"max-runs={args.max_runs}: need 1 or more")
         if args.crashes < 0:
             raise ValueError(f"crashes={args.crashes}: need 0 or more")
-        pool_size(args.workers)
+        pool_size(args.workers, resolve_timeout())  # REPRO_RUNNER_TIMEOUT
         plans = [_plan(args, target) for target in _targets(args.target)]
     except ValueError as refusal:
         parser.error(str(refusal))

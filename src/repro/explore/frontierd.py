@@ -4,9 +4,9 @@
 with one cell per root; the cell is :func:`walk_root`, one
 :func:`~repro.explore.engine.explore_case` walk.  The campaign supplies
 everything else: the cache, the fork pool (in the caller's process with
-one worker, else in ``k`` forked children, each walking the next root
-when free), one walk for identical roots, the per-cell timeout
-(``REPRO_RUNNER_TIMEOUT``), a :class:`~repro.runner.summary.JobFailure`
+one worker and no timeout, else in ``k`` forked children, each walking
+the next root when free), one walk for identical roots, the per-cell
+timeout (``REPRO_RUNNER_TIMEOUT``, a deadline the parent keeps), a :class:`~repro.runner.summary.JobFailure`
 for a walk that raises or a child that dies past
 :data:`~repro.runner.pool.RERUN_LIMIT`, and the store's campaign row.
 A child walks exactly what the caller loaded: a target registered or

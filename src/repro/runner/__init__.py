@@ -42,7 +42,6 @@ from repro.runner.callspec import CallSpec, call, ref
 from repro.runner.campaign import Campaign, CampaignResult
 from repro.runner.config import configure, reset as reset_config
 from repro.runner.executor import (
-    JobTimeout,
     PoolExecutor,
     default_worker_count,
     execute_job_guarded,
@@ -73,7 +72,6 @@ __all__ = [
     "DecisionRecord",
     "FnSummary",
     "JobFailure",
-    "JobTimeout",
     "RunSummary",
     "execute_job_guarded",
 ]

@@ -18,12 +18,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.runner import profile
-from repro.runner.config import (
-    CacheArg,
-    resolve_cache,
-    resolve_timeout,
-    resolve_workers,
-)
+from repro.runner.config import CacheArg, resolve_cache, resolve_timeout
 from repro.runner.executor import PoolExecutor
 from repro.runner.pool import pool_size
 from repro.runner.spec import FnSpec, RunSpec
@@ -39,8 +34,9 @@ class CampaignResult:
 
     ``incidents`` records what the executor had to report (a job run
     again after its child died, a job quarantined after its child kept
-    dying, a timeout that could not fire) and ``cache_events`` every
-    corrupt cache entry discarded; both empty on a clean run.
+    dying) and ``cache_events`` every corrupt cache entry discarded;
+    both empty on a clean run.  A job that overran its timeout is a
+    ``"timeout"`` failure in its slot, not an incident.
     """
 
     def __init__(
@@ -178,18 +174,17 @@ class Campaign:
         """Execute every cell; summaries come back in cell order.
 
         ``workers``/``cache``/``timeout`` default to the process-wide
-        configuration (see :mod:`repro.runner.config`).  A cell that
-        raises, times out, or kills its worker yields a
+        configuration (see :mod:`repro.runner.config`), refused before
+        any cache is opened.  A cell that raises, times out, or kills
+        its worker yields a
         :class:`~repro.runner.summary.JobFailure` in its slot (never
         cached) instead of aborting the campaign.
         """
         started = time.perf_counter()
-        workers = resolve_workers(workers)
+        timeout = resolve_timeout(timeout)
+        executor = PoolExecutor(pool_size(workers, timeout))
         store, opened = resolve_cache(cache)
         try:
-            timeout = resolve_timeout(timeout)
-            executor = PoolExecutor(pool_size(workers))
-
             results: List[Any] = [None] * len(self.jobs)
             keys = [job.fingerprint() for job in self.jobs]
 

@@ -7,9 +7,10 @@ benches) threads through every sweep without touching experiment
 signatures.
 
 Resolution order for each knob: explicit argument at the call site,
-then :func:`configure`'d value, then environment variable, then the
-library default (serial, no cache).  The experiments CLI's own default,
-every core, holds for its call only (:func:`configured`).
+then :func:`configure`'d value (workers and cache only), then
+environment variable, then the library default (serial, no cache, no
+time limit).  The experiments CLI's own default, every core, holds for
+its call only (:func:`configured`).
 
 Environment variables:
 
@@ -19,7 +20,8 @@ Environment variables:
   store's default location (``$REPRO_STORE_DIR``, else ``.repro-store``),
   anything else is used as the store directory (or ``.sqlite`` file);
 * ``REPRO_RUNNER_TIMEOUT`` — per-job wall-clock budget in seconds
-  (``0`` or unset = no limit).
+  (``0`` or unset = no limit), kept by the parent of the child running
+  the job (:func:`repro.runner.pool.fork_imap`).
 """
 
 from __future__ import annotations
@@ -34,45 +36,40 @@ CacheArg = Union[bool, str, "os.PathLike[str]", Any]
 
 _workers: Optional[int] = None
 _cache: Optional[CacheArg] = None
-_timeout: Optional[float] = None
 
 
 def configure(
     workers: Optional[int] = None,
     cache: Optional[CacheArg] = None,
-    timeout: Optional[float] = None,
 ) -> None:
     """Set process-wide defaults (CLI entry points call this once)."""
-    global _workers, _cache, _timeout
+    global _workers, _cache
     if workers is not None:
         _workers = workers
     if cache is not None:
         # Locations stay unresolved until resolve_cache: no store is
         # opened (and sqlite3 not imported) unless a campaign runs.
         _cache = cache
-    if timeout is not None:
-        _timeout = timeout
 
 
 @contextlib.contextmanager
 def configured(**knobs: Any) -> Iterator[None]:
     """:func:`configure` for a ``with`` block only, so a CLI's choices do
     not leak into its caller's later campaigns."""
-    global _workers, _cache, _timeout
-    saved = _workers, _cache, _timeout
+    global _workers, _cache
+    saved = _workers, _cache
     configure(**knobs)
     try:
         yield
     finally:
-        _workers, _cache, _timeout = saved
+        _workers, _cache = saved
 
 
 def reset() -> None:
     """Back to built-in defaults (used by tests)."""
-    global _workers, _cache, _timeout
+    global _workers, _cache
     _workers = None
     _cache = None
-    _timeout = None
 
 
 def resolve_workers(workers: Optional[int] = None) -> Optional[int]:
@@ -100,21 +97,27 @@ def resolve_workers(workers: Optional[int] = None) -> Optional[int]:
 
 
 def resolve_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-job wall-clock budget in seconds; None/0 means unlimited."""
-    if timeout is None:
-        timeout = _timeout
+    """Per-job wall-clock budget in seconds (None: no limit).
+
+    Whichever source supplies it, anything but a finite number of
+    seconds, 0 (no limit) or more, is a ``ValueError`` naming it.
+    """
+    source = "timeout"
     if timeout is None:
         env = os.environ.get("REPRO_RUNNER_TIMEOUT")
-        if env is not None:
-            try:
-                timeout = float(env)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_RUNNER_TIMEOUT={env!r} is not a number"
-                )
-    if timeout is not None and timeout <= 0:
-        return None
-    return timeout
+        if env is None:
+            return None
+        source = "REPRO_RUNNER_TIMEOUT"
+        try:
+            timeout = float(env)
+        except ValueError:
+            raise ValueError(f"REPRO_RUNNER_TIMEOUT={env!r} is not a number")
+    if not 0 <= timeout < float("inf"):  # refuses NaN too
+        raise ValueError(
+            f"{source}={timeout}: need a finite number of seconds, "
+            "0 (no limit) or more"
+        )
+    return timeout or None
 
 
 def resolve_cache(cache: Optional[CacheArg] = None) -> Tuple[Any, bool]:

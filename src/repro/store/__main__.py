@@ -4,6 +4,7 @@ Recipes::
 
     python -m repro.store summarise                    # whole-store counts
     python -m repro.store show 3f2a91                  # one run by key prefix
+                                                       # (exit 1: none or several)
     python -m repro.store --migrate                    # schema upgrade
 
 ``--db`` points anywhere; the default is ``$REPRO_STORE_DIR`` (falling
@@ -62,6 +63,9 @@ def main(argv=None) -> int:
         else:
             print(reports.show(store, args.key))
         return 0
+    except reports.NoSuchRun as exc:  # a script can tell a found run from none
+        print(exc, file=sys.stderr)
+        return 1
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

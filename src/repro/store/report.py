@@ -63,7 +63,13 @@ def summarise(store: ResultStore) -> str:
         con.close()
 
 
+class NoSuchRun(LookupError):
+    """No stored run, or more than one, matches a key prefix."""
+
+
 def show(store: ResultStore, key_prefix: str) -> str:
+    """The run whose key starts with ``key_prefix``; :class:`NoSuchRun`
+    when no run or several runs match."""
     con = store.read_connection()
     try:
         rows = con.execute(
@@ -74,12 +80,14 @@ def show(store: ResultStore, key_prefix: str) -> str:
     finally:
         con.close()
     if not rows:
-        return f"no stored run matches key prefix {key_prefix!r}"
+        raise NoSuchRun(f"no stored run matches key prefix {key_prefix!r}")
     if len(rows) > 1 and len(rows) <= 20:
         heads = ", ".join(r[0][:12] for r in rows)
-        return f"{len(rows)} runs match {key_prefix!r}: {heads}"
+        raise NoSuchRun(f"{len(rows)} runs match {key_prefix!r}: {heads}")
     if len(rows) > 20:
-        return f"{len(rows)} runs match {key_prefix!r}; narrow the prefix"
+        raise NoSuchRun(
+            f"{len(rows)} runs match {key_prefix!r}; narrow the prefix"
+        )
     key, salt, kind, digest, tags, wall_clock, created, payload = rows[0]
     lines = [
         f"run {key}",

@@ -151,12 +151,15 @@ class TestFuzzCliRefusals:
             (["--horizon", "0"], "--horizon 0"),
             (["--rounds", "0"], "--rounds 0"),
             (["--rounds", "-1"], "--rounds -1"),
-            (["--timeout", "-1"], "--timeout -1"),
+            (["--timeout", "-1"], "timeout=-1"),
+            (["--timeout", "nan"], "timeout=nan"),
+            (["--timeout", "inf"], "timeout=inf"),
             (["--jobs", "-2"], "workers=-2"),
         ],
         ids=[
             "unknown-target", "no-target", "n-0", "horizon-0", "rounds-0",
-            "rounds-negative", "timeout-negative", "jobs-negative",
+            "rounds-negative", "timeout-negative", "timeout-nan",
+            "timeout-inf", "jobs-negative",
         ],
     )
     def test_refused_before_any_work(
@@ -169,6 +172,15 @@ class TestFuzzCliRefusals:
     ):
         monkeypatch.setenv("REPRO_RUNNER_JOBS", "-3")
         self._refused(tmp_path, capsys, monkeypatch, [], "REPRO_RUNNER_JOBS=-3")
+
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_a_bad_budget_from_the_environment(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        monkeypatch.setenv("REPRO_RUNNER_TIMEOUT", bad)
+        self._refused(
+            tmp_path, capsys, monkeypatch, [], f"REPRO_RUNNER_TIMEOUT={bad}"
+        )
 
     def test_the_store_flag_is_gone(self, tmp_path, capsys, monkeypatch):
         # Witnesses are the --out files; there is no database to file

@@ -119,6 +119,18 @@ def test_negative_jobs_is_an_argument_error(
     assert registry == []
 
 
+@pytest.mark.parametrize("env", ["-1", "nan", "inf"])
+def test_a_bad_runner_timeout_is_an_argument_error(
+    registry, monkeypatch, capsys, env
+):
+    monkeypatch.setenv("REPRO_RUNNER_TIMEOUT", env)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["E1", "E2", "--jobs", "2"])
+    assert excinfo.value.code == 2
+    assert f"REPRO_RUNNER_TIMEOUT={env}" in capsys.readouterr().err
+    assert registry == []
+
+
 def _untimed(text):
     return [line for line in text.splitlines() if not re.match(r"^\(\d+\.\ds\)$", line)]
 
@@ -158,6 +170,27 @@ def test_an_experiment_that_raises_fails_the_cli(registry, monkeypatch, jobs):
     monkeypatch.setattr(cli, "all_experiments", lambda: fake)
     with pytest.raises((RuntimeError, ChildError), match="the experiment broke"):
         cli.main(["--jobs", jobs])
+
+
+def _budgeted_campaign(seed=0):
+    from repro.runner import Campaign, call, fn_spec
+    from tests.runner.helpers import fn_square
+
+    result = Campaign([fn_spec(call(fn_square, seed + 3))]).run()
+    return FakeResult(result.summaries[0].value == 9)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_runner_timeout_holds_inside_forked_experiments(
+    registry, monkeypatch, capsys, jobs
+):
+    # Each experiment's campaign keeps REPRO_RUNNER_TIMEOUT by forking
+    # a child of its own, from the experiment's child at --jobs 2.
+    fake = {"E1": _budgeted_campaign, "E2": _budgeted_campaign}
+    monkeypatch.setattr(cli, "all_experiments", lambda: fake)
+    monkeypatch.setenv("REPRO_RUNNER_TIMEOUT", "60")
+    assert cli.main(["E1", "E2", "--jobs", jobs]) == 0
+    assert capsys.readouterr().out.count("fake verdict: OK") == 2
 
 
 def test_a_cheap_subset_is_byte_identical_at_every_jobs_count(

@@ -181,6 +181,19 @@ def test_nonsense_input_is_a_usage_error(
     assert list(tmp_path.iterdir()) == []  # refused before any work
 
 
+@pytest.mark.parametrize("env", ["-1", "nan", "inf"])
+def test_a_bad_runner_timeout_is_a_usage_error(env, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_RUNNER_TIMEOUT", env)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--target", "nbac", "--cache", str(tmp_path / "d")])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"REPRO_RUNNER_TIMEOUT={env}" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # refused before any work
+
+
 def _poisoned(*args, **kwargs):
     raise RuntimeError("poisoned walk")
 

@@ -73,6 +73,31 @@ def fn_sleep(x, duration):
     return x
 
 
+def fn_sleep_alarm_blocked(x, duration):
+    """:func:`fn_sleep` with ``SIGALRM`` blocked while it sleeps: a job
+    that no alarm set where it runs can interrupt."""
+    import signal
+    import time
+
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    try:
+        time.sleep(duration)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+    return x
+
+
+def fn_inner_campaign(x, timeout):
+    """Square ``x`` in a campaign of its own with a time budget: a cell
+    whose child must fork one of its own to keep that budget."""
+    from repro.runner import Campaign, fn_spec
+
+    (summary,) = Campaign([fn_spec(call(fn_square, x))]).run(
+        workers=1, timeout=timeout
+    ).summaries
+    return summary.value
+
+
 def consensus_spec(n=4, seed=0, f=0, horizon=60_000, **overrides):
     base = dict(
         n=n,

@@ -7,8 +7,13 @@
   again; an item whose child dies on every run is yielded as ``Lost``
   while its siblings finish; ``fn`` raising is not re-run and surfaces
   as ``ChildError`` at that item's turn.
+* **Deadline** — an item still running ``timeout`` seconds after its
+  child was handed it is yielded as ``Expired``, not re-run, and a
+  fresh child serves the items after it; with a timeout, one worker
+  runs its items in a child too.
 * **Hygiene** — no child outlives the iteration, whether it is
-  exhausted, closed early, or the parent raises or is interrupted.
+  exhausted, closed early, expires an item, or the parent raises or is
+  interrupted.
 """
 
 import contextlib
@@ -25,6 +30,7 @@ from repro.runner.campaign import Campaign
 from repro.runner.pool import (
     RERUN_LIMIT,
     ChildError,
+    Expired,
     Lost,
     fork_imap,
     pool_size,
@@ -111,6 +117,27 @@ def test_an_unpicklable_result_is_a_child_error():
         list(fork_imap(lambda item: lambda: item, range(2), 2))
 
 
+def test_an_overrunning_item_expires_and_a_fresh_child_serves_the_rest(tmp_path):
+    def fn(item):
+        (tmp_path / f"{item}-{os.getpid()}").touch()
+        if item == 1:
+            time.sleep(600)
+        return item
+
+    outcomes = list(fork_imap(fn, range(4), 1, timeout=0.3))
+    assert outcomes == [(0, 1), (Expired(0.3), 1), (2, 1), (3, 1)]
+    pids = dict(path.name.split("-") for path in tmp_path.iterdir())
+    assert len(pids) == 4  # the overrunning item ran once
+    # One child ran items 0 and 1 and was killed on 1; a replacement
+    # served the rest.
+    assert pids["0"] == pids["1"] != pids["2"] == pids["3"]
+
+
+def test_one_worker_with_a_timeout_runs_in_a_child():
+    [(pid, runs)] = fork_imap(lambda item: os.getpid(), [0], 1, timeout=60)
+    assert pid != os.getpid() and runs == 1
+
+
 def _children_seen(monkeypatch):
     """Record the live children each time the parent waits on them."""
     before = set(multiprocessing.active_children())
@@ -148,6 +175,17 @@ def test_no_child_outlives_a_finished_or_closed_iteration(monkeypatch):
     _assert_gone(seen)
 
 
+def test_no_child_outlives_an_iteration_that_expired_an_item(monkeypatch):
+    seen = _children_seen(monkeypatch)
+    outcomes = list(fork_imap(
+        lambda item: time.sleep(600 if item == 0 else 0.1), range(3), 2,
+        timeout=0.3,
+    ))
+    assert outcomes == [(Expired(0.3), 1), (None, 1), (None, 1)]
+    assert len(seen) >= 2
+    _assert_gone(seen)
+
+
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_no_child_outlives_a_parent_that_raises(monkeypatch, error):
     before = set(multiprocessing.active_children())
@@ -164,14 +202,19 @@ def test_no_child_outlives_a_parent_that_raises(monkeypatch, error):
     _assert_gone(seen)
 
 
-def test_a_pool_needs_fork(monkeypatch):
+def test_a_pool_needs_fork(monkeypatch, tmp_path):
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
-    with pytest.raises(ValueError, match="needs the fork start method"):
-        pool_size(2)
+    # A timeout is kept by killing a child, so it needs fork too.
+    for workers, timeout in ((2, None), (1, 5)):
+        with pytest.raises(ValueError, match="needs the fork start method"):
+            pool_size(workers, timeout)
     assert pool_size(1) == 1
     jobs = [fn_spec(call(fn_square, i)) for i in range(3)]
-    with pytest.raises(ValueError, match="needs the fork start method"):
-        Campaign(jobs).run(workers=2)
+    store = tmp_path / "store"
+    for workers, timeout in ((2, None), (1, 5)):
+        with pytest.raises(ValueError, match="needs the fork start method"):
+            Campaign(jobs).run(workers=workers, timeout=timeout, cache=store)
+    assert not store.exists()  # refused before the cache was opened
     assert [s.value for s in Campaign(jobs).run(workers=1)] == [0, 1, 4]

@@ -431,6 +431,39 @@ class TestCli:
         assert "run summaries" in out
         assert "16" in out  # the shown FnSummary value
 
+    @pytest.mark.parametrize(
+        "prefix,message",
+        [("zz", "no stored run matches key prefix 'zz'"),
+         ("abc", "2 runs match 'abc': abc111, abc222")],
+        ids=["none", "several"],
+    )
+    def test_show_without_one_match_exits_1(
+        self, tmp_path, capsys, prefix, message
+    ):
+        # A script can tell a found run from none by the exit status.
+        db = self._db(tmp_path)
+        with ResultStore(db) as store:
+            store.put_summary("abc111", "salt", _summary(1))
+            store.put_summary("abc222", "salt", _summary(2))
+        assert store_cli(["--db", db, "show", prefix]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
+    def test_a_bug_in_show_is_not_mistaken_for_no_match(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import report
+
+        def broken(store, key_prefix):
+            raise KeyError("payload")
+
+        monkeypatch.setattr(report, "show", broken)
+        db = self._db(tmp_path)
+        ResultStore(db).close()
+        with pytest.raises(KeyError, match="payload"):
+            store_cli(["--db", db, "show", "abc"])
+
     def test_migrate_flag(self, tmp_path, capsys):
         db = self._db(tmp_path)
         ResultStore(db).close()
